@@ -17,6 +17,7 @@ from .classifier import (
     gen_class_task,
     pretrain,
     relabel_forget,
+    run_seed_grid,
     run_unlearning_trial,
     split_class,
     unlearn_ft,

@@ -12,19 +12,24 @@ labels.  Four full-batch objectives are supported:
 
 where ``Y_f'`` are the shifted (guaranteed-wrong) labels.  With hard
 one-hot targets the KL term equals the cross-entropy on the relabeled
-forget set; it is kept as a separate code path because the two loss
-families are configured independently.
+forget set (the ``0 * log 0`` terms vanish), so every objective is
+``c_r * CE(remain) + c_f * CE(forget, Y_f')`` with per-variant weights
+(:func:`ft_coefficients`) and one cross-entropy kernel serves all four.
 
 Training is deterministic: full batch, fixed step size, no randomness
-beyond data generation.  Gradients are computed analytically and are
-checked against finite differences in the test suite.
+beyond data generation.  The engine descends a stack of models at once,
+so one seed's whole (variant, alpha) grid fine-tunes as a single
+``(M, K, D)`` gradient descent from one pretrained model; every member
+follows bit for bit the trajectory it would follow alone.  Gradients are
+computed analytically and are checked against finite differences in the
+test suite.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -92,7 +97,6 @@ class FtConfig:
     alpha: float = 0.5
     epochs: int = 500
     step_size: float = 0.1
-    seed: int = 0
     relabel: str = "shift-by-one"
     batch: str = "full"
 
@@ -176,51 +180,66 @@ def relabel_forget(labels, num_classes: int, scheme: str = "shift-by-one") -> np
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Column-wise softmax, shift-stabilized."""
-    shifted = logits - logits.max(axis=0, keepdims=True)
+    """Softmax over the class axis (second to last), shift-stabilized."""
+    shifted = logits - logits.max(axis=-2, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=0, keepdims=True)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=0, keepdims=True))
+    return exp / exp.sum(axis=-2, keepdims=True)
 
 
 def _ce_value_and_grad(weights, bias, data: LabeledSet):
-    """Mean cross-entropy against ``data.labels`` and its parameter gradient."""
-    m = data.size
-    logits = weights @ data.features + bias[:, None]
-    log_p = _log_softmax(logits)
-    cols = np.arange(m)
-    loss = float(-log_p[data.labels, cols].mean())
-    g_logits = softmax_probs(logits)
-    g_logits[data.labels, cols] -= 1.0
-    g_logits /= m
-    return loss, g_logits @ data.features.T, g_logits.sum(axis=1)
+    """Mean cross-entropy against ``data.labels`` and its parameter gradient.
 
-
-def _kl_value_and_grad(weights, bias, data: LabeledSet):
-    """Mean KL(onehot(labels) || softmax) and its parameter gradient.
-
-    Computed from the divergence formula with the 0*log(0) terms dropped;
-    for hard one-hot targets the value coincides with the cross-entropy,
-    and the gradient with respect to the logits is the same
-    ``softmax - onehot`` expression.
+    ``weights`` is ``(..., K, D)`` and ``bias`` ``(..., K)``; leading axes
+    index a stack of models and carry over to the losses and gradients.
     """
     m = data.size
-    logits = weights @ data.features + bias[:, None]
-    log_p = _log_softmax(logits)
     cols = np.arange(m)
-    onehot = np.zeros_like(log_p)
-    onehot[data.labels, cols] = 1.0
-    # sum_c t_c * (log t_c - log p_c); only the target class contributes.
-    divergences = onehot[data.labels, cols] * (
-        np.log(onehot[data.labels, cols]) - log_p[data.labels, cols]
-    )
-    loss = float(divergences.mean())
-    g_logits = (softmax_probs(logits) - onehot) / m
-    return loss, g_logits @ data.features.T, g_logits.sum(axis=1)
+    # One logits buffer turns into the logit gradient in place; the
+    # stacked buffers are large enough that fresh temporaries dominate.
+    z = weights @ data.features
+    z += bias[..., None]
+    z -= z.max(axis=-2, keepdims=True)
+    shifted_target = z[..., data.labels, cols]
+    np.exp(z, out=z)
+    total = z.sum(axis=-2, keepdims=True)
+    loss = -(shifted_target - np.log(total[..., 0, :])).mean(axis=-1)
+    z /= total
+    z[..., data.labels, cols] -= 1.0
+    z /= m
+    return loss, z @ data.features.T, z.sum(axis=-1)
+
+
+def ft_coefficients(variant: str, alpha: float) -> tuple[float, float]:
+    """Weights ``(c_r, c_f)`` of CE(remain) and CE(forget) in an objective.
+
+    A zero weight drops its term, so ``naive-ft`` and a zero ``alpha``
+    reduce to the unregularized term exactly.
+    """
+    if variant == "naive-ft":
+        return 1.0, 0.0
+    if variant in ("kl-ft", "ice-ft"):
+        return 1.0, float(alpha)
+    if variant == "ce-ft":
+        return float(alpha), 1.0
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f):
+    """``coef_r * CE(remain) + coef_f * CE(forget)`` per stacked model.
+
+    A term whose weight is zero is selected away rather than multiplied
+    by zero, so an overflowing unused term cannot make the loss
+    non-finite, and a one-weight term contributes its exact bits.
+    """
+    remain_terms = _ce_value_and_grad(weights, bias, remain)
+    forget_terms = _ce_value_and_grad(weights, bias, forget)
+    mixed = []
+    for r, f in zip(remain_terms, forget_terms):
+        shape = np.shape(coef_r) + (1,) * (r.ndim - np.ndim(coef_r))
+        c_r = np.reshape(coef_r, shape)
+        c_f = np.reshape(coef_f, shape)
+        mixed.append(np.where(c_f == 0.0, r, np.where(c_r == 0.0, f, c_r * r + c_f * f)))
+    return tuple(mixed)
 
 
 def objective_value_and_grad(
@@ -234,26 +253,11 @@ def objective_value_and_grad(
     """Loss and gradients of one fine-tuning objective at given parameters.
 
     ``forget`` must already carry the relabeled targets.  A zero ``alpha``
-    skips the regularizer entirely, so the kl/ice objectives then
-    reproduce ``naive-ft`` exactly, accumulation order included.
+    drops the regularizer entirely, so the kl/ice objectives then
+    reproduce ``naive-ft`` exactly.
     """
-    if variant == "naive-ft":
-        return _ce_value_and_grad(weights, bias, remain)
-    if variant == "ce-ft":
-        main = _ce_value_and_grad(weights, bias, forget)
-        reg = _ce_value_and_grad(weights, bias, remain)
-    elif variant == "kl-ft":
-        main = _ce_value_and_grad(weights, bias, remain)
-        reg = _kl_value_and_grad(weights, bias, forget)
-    elif variant == "ice-ft":
-        main = _ce_value_and_grad(weights, bias, remain)
-        reg = _ce_value_and_grad(weights, bias, forget)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    if alpha == 0.0:
-        return main
-    loss = main[0] + alpha * reg[0]
-    return loss, main[1] + alpha * reg[1], main[2] + alpha * reg[2]
+    coef_r, coef_f = ft_coefficients(variant, alpha)
+    return _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f)
 
 
 def fit_softmax(
@@ -263,37 +267,69 @@ def fit_softmax(
     epochs: int,
     step_size: float,
     max_halvings: int = 5,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Full-batch gradient descent engine.
+):
+    """Full-batch gradient descent engine for a stack of models.
 
-    Runs ``epochs`` deterministic steps from the given parameters and
-    returns the final parameters plus the per-epoch loss trace.  A
-    non-finite loss restarts the whole run with the step size halved;
-    after ``max_halvings`` unsuccessful restarts a
-    :class:`DivergenceError` is raised with a step-size hint.
+    ``weights`` is ``(M, K, D)`` and ``bias`` ``(M, K)``: M members that
+    descend together for ``epochs`` deterministic steps.
+    ``value_and_grad(w, b, members)`` receives the parameters of the
+    members still running and their indices into the stack, and returns
+    their losses ``(m,)`` and gradients.  Members never interact, so each
+    one follows exactly the trajectory it would follow alone.
+
+    A member whose loss turns non-finite leaves the stack.  When the
+    others have finished, the members that left restart together from
+    their start parameters at half the step size; members that never
+    diverge are not recomputed.  A member still diverging after
+    ``max_halvings`` halvings raises :class:`DivergenceError` with a
+    step-size hint.
+
+    Returns the final parameters and the ``(M, epochs)`` loss trace of
+    each member's successful attempt.  Two-dimensional ``weights`` and
+    ``bias`` are a one-member stack: ``value_and_grad(w, b)`` then takes
+    and returns unstacked values, and the trace is a list of floats.
     """
+    single = weights.ndim == 2
+    if single:
+        def stacked_fn(w, b, _members):
+            loss, grad_w, grad_b = value_and_grad(w[0], b[0])
+            return np.asarray(loss)[None], grad_w[None], grad_b[None]
+        weights, bias = weights[None], bias[None]
+    else:
+        stacked_fn = value_and_grad
+
+    final_w, final_b = weights.copy(), bias.copy()
+    trace = np.empty((weights.shape[0], epochs))
+    pending = np.arange(weights.shape[0])
     for attempt in range(max_halvings + 1):
         step = step_size / (2.0 ** attempt)
-        w = weights.copy()
-        b = bias.copy()
-        losses: list[float] = []
-        diverged = False
-        for _ in range(epochs):
+        members = pending
+        w, b = weights[members], bias[members]
+        diverged = []
+        for epoch in range(epochs):
             # Divergence is detected via the loss value; silence the
             # redundant overflow warnings on that path.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grad_w, grad_b = value_and_grad(w, b)
-            if not np.isfinite(loss):
-                diverged = True
-                break
-            losses.append(loss)
+                loss, grad_w, grad_b = stacked_fn(w, b, members)
+            finite = np.isfinite(loss)
+            if not finite.all():
+                diverged.append(members[~finite])
+                members, w, b = members[finite], w[finite], b[finite]
+                loss, grad_w, grad_b = loss[finite], grad_w[finite], grad_b[finite]
+                if not members.size:
+                    break
+            trace[members, epoch] = loss
             w -= step * grad_w
             b -= step * grad_b
+        final_w[members], final_b[members] = w, b
         if not diverged:
-            return w, b, losses
+            if single:
+                return final_w[0], final_b[0], trace[0].tolist()
+            return final_w, final_b, trace
+        pending = np.sort(np.concatenate(diverged))
     raise DivergenceError(
-        f"loss became non-finite even at step size {step:.3e}; "
-        "try a smaller step_size"
+        f"loss of {pending.size} model(s) became non-finite even at step size "
+        f"{step:.3e}; try a smaller step_size"
     )
 
 
@@ -321,21 +357,29 @@ def unlearn_ft(
     model: SoftmaxClassifier,
     remain: LabeledSet,
     forget: LabeledSet,
-    cfg: FtConfig,
-) -> SoftmaxClassifier:
-    """Fine-tune a pretrained classifier with the configured objective.
+    cfgs: Sequence[FtConfig],
+) -> list[SoftmaxClassifier]:
+    """Fine-tune the pretrained classifier once per config, as one stack.
 
-    Starts from the pretrained parameters; ``forget`` must already hold
-    the relabeled targets for the regularized variants.
+    Every member starts from the pretrained parameters and descends its
+    own objective; ``forget`` must already hold the relabeled targets for
+    the regularized variants.  ``cfgs`` must be non-empty and share
+    ``epochs`` and ``step_size``.
     """
+    epochs, step_size = cfgs[0].epochs, cfgs[0].step_size
+    if any((c.epochs, c.step_size) != (epochs, step_size) for c in cfgs):
+        raise ValueError("stacked fine-tuning needs one epochs and step_size for all configs")
+    coef_r, coef_f = np.array([ft_coefficients(c.variant, c.alpha) for c in cfgs]).T
+    count = len(cfgs)
     w, b, _ = fit_softmax(
-        model.weights, model.bias,
-        lambda w_, b_: objective_value_and_grad(
-            w_, b_, remain, forget, cfg.variant, cfg.alpha
+        np.repeat(model.weights[None], count, axis=0),
+        np.repeat(model.bias[None], count, axis=0),
+        lambda w_, b_, members: _mixed_value_and_grad(
+            w_, b_, remain, forget, coef_r[members], coef_f[members]
         ),
-        cfg.epochs, cfg.step_size,
+        epochs, step_size,
     )
-    return SoftmaxClassifier(weights=w, bias=b)
+    return [SoftmaxClassifier(weights=w[i], bias=b[i]) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -359,6 +403,63 @@ class SweepRow:
     metrics: Metrics
 
 
+def run_seed_grid(
+    task: ClassTask,
+    pairs: Sequence[tuple[str, float]],
+    seed: int,
+    cfg: FtConfig | None = None,
+) -> list[Metrics]:
+    """Full class-wise forgetting pipeline for one seed and many pairs.
+
+    Generates the task and pretrains on all classes once, splits off the
+    forgetting class and relabels it, then fine-tunes every
+    (variant, alpha) pair of :data:`VARIANTS` as one stacked descent from
+    the pretrained model.  ``"retrain"`` pairs share one fit from scratch
+    on the remaining classes.  Returns UA/RA/TA per pair, in order; TA is
+    measured on held-out samples of the remaining classes.  Only
+    ``epochs`` and ``step_size`` of ``cfg`` are used.
+
+    ``runtime_seconds`` of a fine-tuned pair is its equal share of the
+    stacked fine-tune's wall time; a retrain pair reports its own fit.
+    """
+    for variant, _ in pairs:
+        if variant != "retrain" and variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+    if cfg is None:
+        cfg = FtConfig(variant="naive-ft")
+    train, test = gen_class_task(
+        task.num_classes, task.per_class, task.feature_dim, task.sep, seed
+    )
+    forget, remain = split_class(train, task.forget_class)
+    _, test_remain = split_class(test, task.forget_class)
+    model = pretrain(train, cfg, num_classes=task.num_classes)
+
+    def score(final: SoftmaxClassifier, runtime: float) -> Metrics:
+        return classifier_metrics(final, forget, remain, test_remain, runtime_seconds=runtime)
+
+    results: list[Metrics | None] = [None] * len(pairs)
+    tuned = [i for i, (variant, _) in enumerate(pairs) if variant in VARIANTS]
+    if tuned:
+        relabeled = LabeledSet(
+            features=forget.features,
+            labels=relabel_forget(forget.labels, task.num_classes, cfg.relabel),
+        )
+        cfgs = [replace(cfg, variant=pairs[i][0], alpha=pairs[i][1]) for i in tuned]
+        start = time.perf_counter()
+        finals = unlearn_ft(model, remain, relabeled, cfgs)
+        share = (time.perf_counter() - start) / len(tuned)
+        for i, final in zip(tuned, finals):
+            results[i] = score(final, share)
+    retrained = [i for i, (variant, _) in enumerate(pairs) if variant == "retrain"]
+    if retrained:
+        start = time.perf_counter()
+        final = pretrain(remain, cfg, num_classes=task.num_classes)
+        golden = score(final, time.perf_counter() - start)
+        for i in retrained:
+            results[i] = golden
+    return results
+
+
 def run_unlearning_trial(
     task: ClassTask,
     variant: str,
@@ -366,42 +467,13 @@ def run_unlearning_trial(
     seed: int,
     cfg: FtConfig | None = None,
 ) -> Metrics:
-    """Full class-wise forgetting pipeline for one seed.
+    """One (variant, alpha) pair of :func:`run_seed_grid`.
 
-    Generates the task, pretrains on all classes, splits off the
-    forgetting class, relabels it, runs the requested unlearning variant
-    (or retrains from scratch for ``"retrain"``), and scores UA/RA/TA.
-    TA is measured on held-out samples of the remaining classes.  The
-    reported runtime covers only the unlearning (or retraining) call.
+    ``variant`` is one of :data:`VARIANTS` or ``"retrain"`` (retraining
+    from scratch on the remaining classes).  The reported runtime covers
+    only the unlearning (or retraining) call.
     """
-    if cfg is None:
-        cfg = FtConfig(variant=variant if variant in VARIANTS else "naive-ft")
-    train, test = gen_class_task(
-        task.num_classes, task.per_class, task.feature_dim, task.sep, seed
-    )
-    forget, remain = split_class(train, task.forget_class)
-    _, test_remain = split_class(test, task.forget_class)
-
-    base_cfg = replace(cfg, seed=seed)
-    model = pretrain(train, base_cfg, num_classes=task.num_classes)
-
-    if variant == "retrain":
-        start = time.perf_counter()
-        final = pretrain(remain, base_cfg, num_classes=task.num_classes)
-        runtime = time.perf_counter() - start
-    elif variant in VARIANTS:
-        run_cfg = replace(base_cfg, variant=variant, alpha=alpha)
-        relabeled = LabeledSet(
-            features=forget.features,
-            labels=relabel_forget(forget.labels, task.num_classes, run_cfg.relabel),
-        )
-        start = time.perf_counter()
-        final = unlearn_ft(model, remain, relabeled, run_cfg)
-        runtime = time.perf_counter() - start
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
-    return classifier_metrics(final, forget, remain, test_remain, runtime_seconds=runtime)
+    return run_seed_grid(task, [(variant, alpha)], seed, cfg)[0]
 
 
 def alpha_sweep(
@@ -411,15 +483,20 @@ def alpha_sweep(
     seeds: list[int],
     cfg: FtConfig | None = None,
 ) -> list[SweepRow]:
-    """Run the unlearning pipeline for every (alpha, seed) pair."""
+    """Run the unlearning pipeline for every (alpha, seed) pair.
+
+    Each seed's alphas run as one :func:`run_seed_grid`; rows come out
+    alpha by alpha, seeds in the given order.
+    """
     if not alphas or not seeds:
         raise ValueError("alphas and seeds must both be non-empty")
-    rows = []
-    for alpha in alphas:
-        for seed in seeds:
-            metrics = run_unlearning_trial(task, variant, alpha, seed, cfg)
-            rows.append(SweepRow(variant=variant, alpha=alpha, seed=seed, metrics=metrics))
-    return rows
+    pairs = [(variant, alpha) for alpha in alphas]
+    per_seed = {seed: run_seed_grid(task, pairs, seed, cfg) for seed in seeds}
+    return [
+        SweepRow(variant=variant, alpha=alpha, seed=seed, metrics=per_seed[seed][i])
+        for i, alpha in enumerate(alphas)
+        for seed in seeds
+    ]
 
 
 @dataclass(frozen=True)

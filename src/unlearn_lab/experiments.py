@@ -10,7 +10,10 @@ Output contract: one CSV per run whose header comments materialize the
 full, defaulted configuration (so the file is self-describing), plus a
 JSON summary with pass/fail and a config echo.  Re-running a config
 reproduces the CSV byte for byte except for the trailing runtime column.
-Column sets are versioned via the ``# schema:`` header line.
+Column sets are versioned via the ``# schema:`` header line.  In
+``classifier/v2`` the fine-tuned rows of one seed share one stacked
+descent, and ``runtime_seconds`` is each row's equal share of its wall
+time; retrain rows keep the time of their own fit.
 
 ``UNLEARN_LAB_THREADS`` caps parallelism across seeds; results are
 buffered and emitted in seed order, so the thread count never changes
@@ -32,7 +35,7 @@ from .classifier import (
     VARIANTS,
     ClassTask,
     FtConfig,
-    run_unlearning_trial,
+    run_seed_grid,
 )
 from .errors import ConfigError, UnlearnLabError
 from .metrics import gap_report, measure_losses
@@ -58,8 +61,8 @@ SCHEMAS = {
     "verify-theorems": "verify-theorems/v1",
     "sweep-nt": "sweep-nt/v1",
     "sweep-overlap": "sweep-overlap/v1",
-    "classifier-demo": "classifier/v1",
-    "sweep-alpha": "classifier/v1",
+    "classifier-demo": "classifier/v2",
+    "sweep-alpha": "classifier/v2",
 }
 
 COLUMNS = {
@@ -80,7 +83,7 @@ COLUMNS = {
         "rl_gold", "ul_gold", "rl_edit_retain", "ul_edit_retain",
         "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
     ],
-    "classifier/v1": [
+    "classifier/v2": [
         "experiment", "variant", "alpha", "seed", "ua", "ra", "ta",
         "runtime_seconds",
     ],
@@ -96,17 +99,32 @@ class ExperimentResult:
     config: dict
     rows: list[list] = field(default_factory=list)
     passed: bool | None = None
-    numerical_failures: int = 0
+    failures: list[dict] = field(default_factory=list)
     total_runtime_seconds: float = 0.0
 
     @property
     def columns(self) -> list[str]:
         return COLUMNS[self.schema]
 
+    @property
+    def numerical_failures(self) -> int:
+        """Number of seeds that raised; ``failures`` says which and why."""
+        return len(self.failures)
+
 
 # ----------------------------------------------------------------------
 # Configuration loading and validation
 # ----------------------------------------------------------------------
+
+def _is_int(value) -> bool:
+    """JSON integer; ``true``/``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """JSON integer or float, booleans excluded."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 def _require(kind, value, name, predicate, message):
     if not predicate(value):
@@ -118,14 +136,14 @@ def _as_layout(kind, raw, name) -> list[int]:
     if (
         not isinstance(raw, (list, tuple))
         or len(raw) != 3
-        or not all(isinstance(v, int) and v >= 0 for v in raw)
+        or not all(_is_int(v) and v >= 0 for v in raw)
     ):
         raise ConfigError(f"{kind}: field {name!r} must be three nonnegative ints")
     return list(raw)
 
 
 def _as_seeds(kind, raw) -> list[int]:
-    if not isinstance(raw, list) or not raw or not all(isinstance(s, int) for s in raw):
+    if not isinstance(raw, list) or not raw or not all(_is_int(s) for s in raw):
         raise ConfigError(f"{kind}: 'seeds' must be a non-empty list of integers")
     return list(raw)
 
@@ -140,7 +158,7 @@ def _as_tolerance(kind, raw) -> dict:
         if key not in tol:
             raise ConfigError(f"{kind}: unknown tolerance key {key!r}")
         value = raw[key]
-        if not isinstance(value, (int, float)) or value < 0:
+        if not _is_number(value) or value < 0:
             raise ConfigError(f"{kind}: tolerance {key!r} must be a nonnegative number")
         tol[key] = float(value)
     return tol
@@ -160,16 +178,16 @@ def _as_task(kind, raw) -> dict:
             raise ConfigError(f"{kind}: unknown task key {key!r}")
         task[key] = raw[key]
     _require(kind, task["num_classes"], "task.num_classes",
-             lambda v: isinstance(v, int) and v >= 2, "must be an int >= 2")
+             lambda v: _is_int(v) and v >= 2, "must be an int >= 2")
     _require(kind, task["per_class"], "task.per_class",
-             lambda v: isinstance(v, int) and v >= 1, "must be an int >= 1")
+             lambda v: _is_int(v) and v >= 1, "must be an int >= 1")
     _require(kind, task["feature_dim"], "task.feature_dim",
-             lambda v: isinstance(v, int) and v >= task["num_classes"],
+             lambda v: _is_int(v) and v >= task["num_classes"],
              "must be an int >= num_classes")
     _require(kind, task["sep"], "task.sep",
-             lambda v: isinstance(v, (int, float)) and v > 0, "must be positive")
+             lambda v: _is_number(v) and v > 0, "must be positive")
     _require(kind, task["forget_class"], "task.forget_class",
-             lambda v: isinstance(v, int) and 0 <= v < task["num_classes"],
+             lambda v: _is_int(v) and 0 <= v < task["num_classes"],
              "must name a valid class")
     return task
 
@@ -180,7 +198,7 @@ def _nt_range(kind, raw, n_r) -> list[int]:
     if (
         not isinstance(raw, list)
         or not raw
-        or not all(isinstance(v, int) and 1 <= v <= n_r - 1 for v in raw)
+        or not all(_is_int(v) and 1 <= v <= n_r - 1 for v in raw)
     ):
         raise ConfigError(
             f"{kind}: 'nt_values' must be a non-empty list of ints in [1, n_r - 1]"
@@ -216,9 +234,9 @@ def validate_config(raw: dict, experiment: str) -> dict:
 
     if experiment in ("verify-theorems", "sweep-nt"):
         cfg["n_r"] = _require(experiment, raw.get("n_r", 30), "n_r",
-                              lambda v: isinstance(v, int) and v >= 2, "must be an int >= 2")
+                              lambda v: _is_int(v) and v >= 2, "must be an int >= 2")
         cfg["n_f"] = _require(experiment, raw.get("n_f", 10), "n_f",
-                              lambda v: isinstance(v, int) and v >= 1, "must be an int >= 1")
+                              lambda v: _is_int(v) and v >= 1, "must be an int >= 1")
         cfg["dist"] = _require(experiment, raw.get("dist", "standard-normal"), "dist",
                                lambda v: v in ("standard-normal", "uniform"),
                                "must be 'standard-normal' or 'uniform'")
@@ -246,13 +264,13 @@ def validate_config(raw: dict, experiment: str) -> dict:
 
     elif experiment == "sweep-overlap":
         cfg["d"] = _require(experiment, raw.get("d", 40), "d",
-                            lambda v: isinstance(v, int) and v >= 2, "must be an int >= 2")
+                            lambda v: _is_int(v) and v >= 2, "must be an int >= 2")
         cfg["n_r"] = _require(experiment, raw.get("n_r", 30), "n_r",
-                              lambda v: isinstance(v, int) and v >= 2, "must be an int >= 2")
+                              lambda v: _is_int(v) and v >= 2, "must be an int >= 2")
         cfg["n_f"] = _require(experiment, raw.get("n_f", 10), "n_f",
-                              lambda v: isinstance(v, int) and v >= 1, "must be an int >= 1")
+                              lambda v: _is_int(v) and v >= 1, "must be an int >= 1")
         cfg["n_t"] = _require(experiment, raw.get("n_t", 15), "n_t",
-                              lambda v: isinstance(v, int) and 1 <= v <= cfg["n_r"] - 1,
+                              lambda v: _is_int(v) and 1 <= v <= cfg["n_r"] - 1,
                               "must be an int in [1, n_r - 1]")
         cfg["dist"] = _require(experiment, raw.get("dist", "standard-normal"), "dist",
                                lambda v: v in ("standard-normal", "uniform"),
@@ -261,7 +279,7 @@ def validate_config(raw: dict, experiment: str) -> dict:
         if not isinstance(d_lap_values, list) or not d_lap_values:
             raise ConfigError(f"{experiment}: 'd_lap_values' must be a non-empty list")
         for d_lap in d_lap_values:
-            if not isinstance(d_lap, int) or d_lap < 0 or (cfg["d"] - d_lap) % 2 or d_lap >= cfg["d"]:
+            if not _is_int(d_lap) or d_lap < 0 or (cfg["d"] - d_lap) % 2 or d_lap >= cfg["d"]:
                 raise ConfigError(
                     f"{experiment}: each d_lap must be an int >= 0 with d - d_lap even "
                     f"and positive (d = {cfg['d']}, got {d_lap!r})"
@@ -276,9 +294,9 @@ def validate_config(raw: dict, experiment: str) -> dict:
     else:  # classifier-demo, sweep-alpha
         cfg["task"] = _as_task(experiment, raw.get("task"))
         cfg["epochs"] = _require(experiment, raw.get("epochs", 500), "epochs",
-                                 lambda v: isinstance(v, int) and v >= 0, "must be an int >= 0")
+                                 lambda v: _is_int(v) and v >= 0, "must be an int >= 0")
         cfg["step_size"] = _require(experiment, raw.get("step_size", 0.1), "step_size",
-                                    lambda v: isinstance(v, (int, float)) and v > 0,
+                                    lambda v: _is_number(v) and v > 0,
                                     "must be positive")
         allowed = VARIANTS + ("retrain",)
         variants = raw.get(
@@ -296,14 +314,14 @@ def validate_config(raw: dict, experiment: str) -> dict:
         known |= {"task", "epochs", "step_size", "variants"}
         if experiment == "classifier-demo":
             cfg["alpha"] = _require(experiment, raw.get("alpha", 0.5), "alpha",
-                                    lambda v: isinstance(v, (int, float)) and 0 <= v <= 1,
+                                    lambda v: _is_number(v) and 0 <= v <= 1,
                                     "must lie in [0, 1]")
             known |= {"alpha"}
         else:
             alphas = raw.get("alphas", [0.1, 0.2, 0.4, 0.8])
             if (
                 not isinstance(alphas, list) or not alphas
-                or not all(isinstance(a, (int, float)) and 0 <= a <= 1 for a in alphas)
+                or not all(_is_number(a) and 0 <= a <= 1 for a in alphas)
             ):
                 raise ConfigError(f"{experiment}: 'alphas' must be a non-empty list in [0, 1]")
             cfg["alphas"] = [float(a) for a in alphas]
@@ -347,6 +365,32 @@ def _map_seeds(fn, seeds):
         return [fn(seed) for seed in seeds]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, seeds))
+
+
+def _attempt(cfg, seed, fn):
+    """Run one seed's computation, returning the exception on numeric failure."""
+    try:
+        return fn(cfg, seed)
+    except UnlearnLabError as exc:
+        return exc
+
+
+def _run_seeds(result: ExperimentResult, rows_for_seed) -> None:
+    """Append each seed's rows in seed order; record the seeds that fail.
+
+    A seed whose computation raises a package error contributes no rows
+    and one ``{seed, type, message}`` entry to ``result.failures``.
+    """
+    cfg = result.config
+    seeds = cfg["seeds"]
+    outcomes = _map_seeds(lambda s: _attempt(cfg, s, rows_for_seed), seeds)
+    for seed, outcome in zip(seeds, outcomes):
+        if isinstance(outcome, Exception):
+            result.failures.append(
+                {"seed": seed, "type": type(outcome).__name__, "message": str(outcome)}
+            )
+        else:
+            result.rows.extend(outcome)
 
 
 def _edited_losses(scenario, w_o, option, n_t):
@@ -449,25 +493,13 @@ def run_verify_theorems(cfg: dict) -> ExperimentResult:
     result = ExperimentResult(cfg["experiment"], SCHEMAS[cfg["experiment"]], cfg)
     start = time.perf_counter()
     pass_index = result.columns.index("pass")
-    for group in _map_seeds(lambda s: _attempt(cfg, s, _verify_rows_for_seed), cfg["seeds"]):
-        if isinstance(group, Exception):
-            result.numerical_failures += 1
-            continue
-        result.rows.extend(group)
+    _run_seeds(result, _verify_rows_for_seed)
     result.passed = (
         result.numerical_failures == 0
         and all(row[pass_index] for row in result.rows)
     )
     result.total_runtime_seconds = time.perf_counter() - start
     return result
-
-
-def _attempt(cfg, seed, fn):
-    """Run one seed's computation, returning the exception on numeric failure."""
-    try:
-        return fn(cfg, seed)
-    except UnlearnLabError as exc:
-        return exc
 
 
 # ----------------------------------------------------------------------
@@ -509,11 +541,7 @@ def run_sweep_nt(cfg: dict) -> ExperimentResult:
     """Losses of all pipelines as the fine-tuning subset grows."""
     result = ExperimentResult(cfg["experiment"], SCHEMAS[cfg["experiment"]], cfg)
     start = time.perf_counter()
-    for group in _map_seeds(lambda s: _attempt(cfg, s, _sweep_nt_rows_for_seed), cfg["seeds"]):
-        if isinstance(group, Exception):
-            result.numerical_failures += 1
-            continue
-        result.rows.extend(group)
+    _run_seeds(result, _sweep_nt_rows_for_seed)
     result.total_runtime_seconds = time.perf_counter() - start
     return result
 
@@ -549,13 +577,7 @@ def run_sweep_overlap(cfg: dict) -> ExperimentResult:
     """Editing-strategy losses as the overlap block widens."""
     result = ExperimentResult(cfg["experiment"], SCHEMAS[cfg["experiment"]], cfg)
     start = time.perf_counter()
-    for group in _map_seeds(
-        lambda s: _attempt(cfg, s, _sweep_overlap_rows_for_seed), cfg["seeds"]
-    ):
-        if isinstance(group, Exception):
-            result.numerical_failures += 1
-            continue
-        result.rows.extend(group)
+    _run_seeds(result, _sweep_overlap_rows_for_seed)
     result.total_runtime_seconds = time.perf_counter() - start
     return result
 
@@ -572,10 +594,9 @@ def _classifier_rows(cfg: dict, pairs: list[tuple[str, float]]) -> ExperimentRes
         variant="naive-ft", epochs=cfg["epochs"], step_size=cfg["step_size"]
     )
 
-    def one_seed(seed: int) -> list[list]:
+    def one_seed(_cfg: dict, seed: int) -> list[list]:
         rows = []
-        for variant, alpha in pairs:
-            metrics = run_unlearning_trial(task, variant, alpha, seed, base_cfg)
+        for (variant, alpha), metrics in zip(pairs, run_seed_grid(task, pairs, seed, base_cfg)):
             shown_alpha = float("nan") if variant == "retrain" else alpha
             rows.append([
                 cfg["experiment"], variant, shown_alpha, seed,
@@ -583,16 +604,11 @@ def _classifier_rows(cfg: dict, pairs: list[tuple[str, float]]) -> ExperimentRes
             ])
         return rows
 
-    per_seed = _map_seeds(lambda s: _attempt(cfg, s, lambda _c, s_: one_seed(s_)), cfg["seeds"])
+    _run_seeds(result, one_seed)
     # NaN keys break dict grouping, so group by the rendered alpha instead.
     collected: dict[tuple[str, str], list[list]] = {}
-    for group in per_seed:
-        if isinstance(group, Exception):
-            result.numerical_failures += 1
-            continue
-        result.rows.extend(group)
-        for row in group:
-            collected.setdefault((row[1], _format_cell(row[2])), []).append(row)
+    for row in result.rows:
+        collected.setdefault((row[1], _format_cell(row[2])), []).append(row)
 
     # Aggregate mean/std rows appended after the per-seed rows.
     for (variant, _), group in collected.items():
@@ -678,6 +694,7 @@ def write_outputs(result: ExperimentResult, csv_path: str | Path) -> Path:
         "rows": len(result.rows),
         "passed": result.passed,
         "numerical_failures": result.numerical_failures,
+        "failures": result.failures,
         "total_runtime_seconds": result.total_runtime_seconds,
     }
     summary_path_for(csv_path).write_text(

@@ -7,13 +7,18 @@ from unlearn_lab.classifier import (
     ClassTask,
     FtConfig,
     LabeledSet,
+    SoftmaxClassifier,
+    _ce_value_and_grad,
+    _mixed_value_and_grad,
     alpha_sweep,
     aggregate_rows,
     fit_softmax,
+    ft_coefficients,
     gen_class_task,
     objective_value_and_grad,
     pretrain,
     relabel_forget,
+    run_seed_grid,
     run_unlearning_trial,
     softmax_probs,
     split_class,
@@ -181,6 +186,27 @@ class TestObjectiveStructure:
         )
         assert loss - base == 0.0
 
+    def test_kl_of_one_hot_targets_equals_cross_entropy(self):
+        # The kl-ft regularizer runs through the cross-entropy kernel; this
+        # pins the identity it relies on, from the divergence formula.
+        _, forget, weights, bias = _small_problem(16)
+        logits = weights @ forget.features + bias[:, None]
+        shifted = logits - logits.max(axis=0, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=0, keepdims=True))
+        cols = np.arange(forget.size)
+        onehot = np.zeros_like(log_p)
+        onehot[forget.labels, cols] = 1.0
+        # sum_c t_c * (log t_c - log p_c), with 0 * log 0 taken as 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(onehot > 0.0, onehot * (np.log(onehot) - log_p), 0.0)
+        kl = terms.sum(axis=0).mean()
+        kl_grad_logits = (softmax_probs(logits) - onehot) / forget.size
+
+        ce, grad_w, grad_b = _ce_value_and_grad(weights, bias, forget)
+        assert kl == ce
+        np.testing.assert_array_equal(grad_w, kl_grad_logits @ forget.features.T)
+        np.testing.assert_array_equal(grad_b, kl_grad_logits.sum(axis=1))
+
 
 class TestFitEngine:
     def test_zero_epochs_returns_initial_parameters(self):
@@ -304,6 +330,175 @@ class TestUnlearnFtStartsFromPretrained:
         forget, remain = split_class(train, 0)
         cfg = FtConfig(variant="naive-ft", epochs=100)
         model = pretrain(train, cfg)
-        frozen = unlearn_ft(model, remain, forget, FtConfig(variant="naive-ft", epochs=0))
+        [frozen] = unlearn_ft(model, remain, forget, [FtConfig(variant="naive-ft", epochs=0)])
         np.testing.assert_array_equal(frozen.weights, model.weights)
         np.testing.assert_array_equal(frozen.bias, model.bias)
+
+
+class TestSeedGrid:
+    """One seed's grid pretrains once and fine-tunes as one stack; every
+    member must match the run it would get alone, bit for bit."""
+
+    TASK = ClassTask(num_classes=4, per_class=15, feature_dim=6, sep=3.0, forget_class=1)
+    CFG = FtConfig(variant="naive-ft", epochs=60, step_size=0.2)
+    PAIRS = [
+        ("retrain", 0.0), ("naive-ft", 0.5), ("kl-ft", 0.3), ("ce-ft", 0.3),
+        ("ice-ft", 0.0), ("ice-ft", 0.8), ("ce-ft", 1.0), ("retrain", 0.9),
+    ]
+
+    def test_grid_equals_per_pair_trials(self):
+        grid = run_seed_grid(self.TASK, self.PAIRS, seed=3, cfg=self.CFG)
+        assert len(grid) == len(self.PAIRS)
+        for (variant, alpha), metrics in zip(self.PAIRS, grid):
+            alone = run_unlearning_trial(self.TASK, variant, alpha, seed=3, cfg=self.CFG)
+            assert (metrics.ua, metrics.ra, metrics.ta) == (alone.ua, alone.ra, alone.ta)
+
+    def test_stacked_weights_equal_one_member_runs(self):
+        train, _ = gen_class_task(4, 15, 6, sep=3.0, seed=3)
+        forget, remain = split_class(train, 1)
+        relabeled = LabeledSet(forget.features, relabel_forget(forget.labels, 4))
+        model = pretrain(train, self.CFG, num_classes=4)
+        cfgs = [
+            FtConfig(variant=v, alpha=a, epochs=60, step_size=0.2)
+            for v, a in self.PAIRS if v != "retrain"
+        ]
+        stacked = unlearn_ft(model, remain, relabeled, cfgs)
+        for cfg, member in zip(cfgs, stacked):
+            [alone] = unlearn_ft(model, remain, relabeled, [cfg])
+            w, b, _ = fit_softmax(
+                model.weights, model.bias,
+                lambda w_, b_: objective_value_and_grad(
+                    w_, b_, remain, relabeled, cfg.variant, cfg.alpha
+                ),
+                cfg.epochs, cfg.step_size,
+            )
+            for other_w, other_b in ((alone.weights, alone.bias), (w, b)):
+                np.testing.assert_array_equal(member.weights, other_w)
+                np.testing.assert_array_equal(member.bias, other_b)
+
+    def test_unknown_variant_rejected_before_any_work(self):
+        with pytest.raises(ValueError, match="gradient-ascent"):
+            run_seed_grid(self.TASK, [("kl-ft", 0.5), ("gradient-ascent", 0.5)], 0, self.CFG)
+
+    def test_mismatched_schedules_rejected(self):
+        train, _ = gen_class_task(3, 5, 4, sep=3.0, seed=0)
+        forget, remain = split_class(train, 0)
+        model = pretrain(train, FtConfig(variant="naive-ft", epochs=5))
+        cfgs = [FtConfig(variant="kl-ft", epochs=5), FtConfig(variant="kl-ft", epochs=6)]
+        with pytest.raises(ValueError, match="epochs"):
+            unlearn_ft(model, remain, forget, cfgs)
+
+
+def _exploding_forget_problem():
+    """A forget set with one enormous feature row that remain lacks.
+
+    The forget logits grow by about ``step * c_f * scale**2`` per epoch, so
+    at step 0.1 the larger regularizer weights overflow within a few
+    epochs and need one or more halvings, while the smallest never does.
+    """
+    rng = np.random.default_rng(0)
+    remain = LabeledSet(
+        features=np.vstack([rng.standard_normal((2, 12)), np.zeros((1, 12))]),
+        labels=np.arange(12) % 3,
+    )
+    forget = LabeledSet(
+        features=np.vstack([rng.standard_normal((2, 4)), np.full((1, 4), 1e155)]),
+        labels=np.array([0, 1, 2, 0]),
+    )
+    weights = 0.1 * rng.standard_normal((3, 3))
+    weights[:, 2] = 0.0
+    return remain, forget, weights, np.zeros(3)
+
+
+class TestStackedDivergence:
+    MEMBERS = [
+        ("ice-ft", 0.05), ("ice-ft", 0.1), ("kl-ft", 0.4), ("ice-ft", 1.0),
+        ("naive-ft", 0.0), ("ce-ft", 0.7),
+    ]
+    EPOCHS = 8
+
+    def _stacked_run(self, remain, forget, weights, bias):
+        coef = np.array([ft_coefficients(v, a) for v, a in self.MEMBERS])
+        evaluations = np.zeros(len(self.MEMBERS), dtype=int)
+
+        def value_and_grad(w, b, members):
+            evaluations[members] += 1
+            return _mixed_value_and_grad(
+                w, b, remain, forget, coef[members, 0], coef[members, 1]
+            )
+
+        count = len(self.MEMBERS)
+        w, b, trace = fit_softmax(
+            np.repeat(weights[None], count, axis=0), np.repeat(bias[None], count, axis=0),
+            value_and_grad, self.EPOCHS, 0.1,
+        )
+        return w, b, trace, evaluations
+
+    def test_every_member_equals_its_own_run(self):
+        remain, forget, weights, bias = _exploding_forget_problem()
+        w, b, trace, evaluations = self._stacked_run(remain, forget, weights, bias)
+        solo_evaluations = []
+        for i, (variant, alpha) in enumerate(self.MEMBERS):
+            calls = []
+
+            def value_and_grad(w_, b_, v=variant, a=alpha):
+                calls.append(1)
+                return objective_value_and_grad(w_, b_, remain, forget, v, a)
+
+            w_i, b_i, losses = fit_softmax(weights, bias, value_and_grad, self.EPOCHS, 0.1)
+            np.testing.assert_array_equal(w[i], w_i)
+            np.testing.assert_array_equal(b[i], b_i)
+            assert trace[i].tolist() == losses
+            solo_evaluations.append(len(calls))
+        # Each member is evaluated exactly as often as alone: members that
+        # never diverge run once, the others pay only for their own restarts.
+        assert evaluations.tolist() == solo_evaluations
+        assert evaluations[0] == self.EPOCHS
+        assert evaluations[4] == self.EPOCHS  # naive-ft ignores the forget set
+        assert (evaluations > self.EPOCHS).sum() >= 3
+        assert len(set(evaluations.tolist())) >= 3  # different halving depths
+
+    def test_unlearn_ft_matches_the_engine(self):
+        remain, forget, weights, bias = _exploding_forget_problem()
+        w, b, _, _ = self._stacked_run(remain, forget, weights, bias)
+        model = SoftmaxClassifier(weights=weights, bias=bias)
+        cfgs = [FtConfig(variant=v, alpha=a, epochs=self.EPOCHS, step_size=0.1)
+                for v, a in self.MEMBERS]
+        for i, member in enumerate(unlearn_ft(model, remain, forget, cfgs)):
+            np.testing.assert_array_equal(member.weights, w[i])
+            np.testing.assert_array_equal(member.bias, b[i])
+
+    def test_exhausted_halvings_raise(self):
+        remain, forget, weights, bias = _exploding_forget_problem()
+        stuck = LabeledSet(
+            features=np.full_like(forget.features, np.inf), labels=forget.labels
+        )
+        model = SoftmaxClassifier(weights=weights, bias=bias)
+        cfgs = [FtConfig(variant="naive-ft", epochs=3), FtConfig(variant="ice-ft", alpha=0.5, epochs=3)]
+        with pytest.raises(DivergenceError, match="step_size"):
+            unlearn_ft(model, remain, stuck, cfgs)
+
+    def test_unused_overflowing_forget_term_never_restarts(self):
+        remain, _, weights, bias = _small_problem(17, num_classes=3, dim=4)
+        huge = LabeledSet(features=np.full((4, 3), 1e308), labels=np.array([0, 1, 2]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(_ce_value_and_grad(weights, bias, huge)[0])
+        members = [("naive-ft", 0.5), ("kl-ft", 0.0), ("ice-ft", 0.0)]
+        coef = np.array([ft_coefficients(v, a) for v, a in members])
+        calls = []
+
+        def value_and_grad(w, b, idx):
+            calls.append(idx.tolist())
+            return _mixed_value_and_grad(w, b, remain, huge, coef[idx, 0], coef[idx, 1])
+
+        w, b, _ = fit_softmax(
+            np.repeat(weights[None], 3, axis=0), np.repeat(bias[None], 3, axis=0),
+            value_and_grad, 25, 0.1,
+        )
+        assert calls == [[0, 1, 2]] * 25
+        w_naive, b_naive, _ = fit_softmax(
+            weights, bias, lambda w_, b_: _ce_value_and_grad(w_, b_, remain), 25, 0.1
+        )
+        for i in range(3):
+            np.testing.assert_array_equal(w[i], w_naive)
+            np.testing.assert_array_equal(b[i], b_naive)

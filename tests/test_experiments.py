@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from unlearn_lab import experiments
 from unlearn_lab.cli import main
-from unlearn_lab.errors import ConfigError
+from unlearn_lab.errors import ConfigError, DivergenceError
 from unlearn_lab.experiments import (
     COLUMNS,
     render_csv,
@@ -113,7 +114,7 @@ class TestSchemas:
             "rl_gold", "ul_gold", "rl_edit_retain", "ul_edit_retain",
             "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
         ]
-        assert COLUMNS["classifier/v1"] == [
+        assert COLUMNS["classifier/v2"] == [
             "experiment", "variant", "alpha", "seed", "ua", "ra", "ta",
             "runtime_seconds",
         ]
@@ -235,6 +236,42 @@ class TestClassifierExperiments:
             ("kl-ft", 0.1), ("kl-ft", 0.8)
         }
 
+    def test_fine_tuned_rows_share_the_stacked_runtime(self):
+        cfg = validate_config(
+            dict(DEMO_CFG, seeds=[0], variants=["retrain", "naive-ft", "kl-ft", "ice-ft"]),
+            "classifier-demo",
+        )
+        rows = _rows_by_column(run_experiment("classifier-demo", cfg))
+        runtime = {r["variant"]: r["runtime_seconds"] for r in rows if r["seed"] == 0}
+        assert runtime["naive-ft"] == runtime["kl-ft"] == runtime["ice-ft"] > 0.0
+        assert runtime["retrain"] > 0.0
+
+    def test_failed_seed_is_listed_in_the_summary(self, tmp_path, monkeypatch):
+        real_grid = experiments.run_seed_grid
+
+        def flaky_grid(task, pairs, seed, cfg):
+            if seed == 1:
+                raise DivergenceError("loss of 1 model(s) became non-finite; try a smaller step_size")
+            return real_grid(task, pairs, seed, cfg)
+
+        monkeypatch.setattr(experiments, "run_seed_grid", flaky_grid)
+        cfg = validate_config(dict(DEMO_CFG, seeds=[0, 1, 2], variants=["kl-ft"]),
+                              "classifier-demo")
+        result = run_experiment("classifier-demo", cfg)
+        assert result.numerical_failures == 1
+        assert result.failures == [{
+            "seed": 1, "type": "DivergenceError",
+            "message": "loss of 1 model(s) became non-finite; try a smaller step_size",
+        }]
+        per_seed = [r for r in _rows_by_column(result) if isinstance(r["seed"], int)]
+        assert [r["seed"] for r in per_seed] == [0, 2]
+
+        csv_path = write_outputs(result, tmp_path / "demo.csv")
+        summary = json.loads(summary_path_for(csv_path).read_text())
+        assert summary["numerical_failures"] == 1
+        assert summary["failures"] == result.failures
+        assert experiments.exit_code_for(result) == 1
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -326,6 +363,33 @@ class TestCli:
             "verify-theorems", "--config", str(config), "--tolerance", "-1",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "experiment,payload",
+        [
+            ("verify-theorems", {"seeds": [True]}),
+            ("verify-theorems", {"seeds": [0], "n_f": True}),
+            ("verify-theorems", {"seeds": [0], "nt_values": [True]}),
+            ("verify-theorems", {"seeds": [0], "n_r": 5, "n_f": 2,
+                                 "overlap_layout": [16, True, 16]}),
+            ("verify-theorems", {"seeds": [0], "tolerance": {"rel": False}}),
+            ("sweep-overlap", {"seeds": [0], "n_t": True}),
+            ("sweep-overlap", {"seeds": [0], "d_lap_values": [0, False]}),
+            ("classifier-demo", {"seeds": [0], "epochs": True}),
+            ("classifier-demo", {"seeds": [0], "alpha": True}),
+            ("classifier-demo", {"seeds": [0], "step_size": True}),
+            ("classifier-demo", {"seeds": [0], "task": {"per_class": True}}),
+            ("classifier-demo", {"seeds": [0], "task": {"sep": True}}),
+            ("sweep-alpha", {"seeds": [0], "alphas": [0.5, True]}),
+        ],
+    )
+    def test_json_booleans_are_not_numbers(self, tmp_path, capsys, experiment, payload):
+        config = self._write_config(tmp_path, payload)
+        code = main([experiment, "--config", str(config), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_thread_env_exits_two(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNLEARN_LAB_THREADS", "plenty")
