@@ -13,12 +13,10 @@ from .classifier import (
     FtConfig,
     LabeledSet,
     SoftmaxClassifier,
-    alpha_sweep,
     gen_class_task,
     pretrain,
     relabel_forget,
     run_seed_grid,
-    run_unlearning_trial,
     split_class,
     unlearn_ft,
 )

@@ -38,7 +38,6 @@ from .errors import DivergenceError
 from .metrics import Metrics, classifier_metrics
 
 VARIANTS = ("naive-ft", "kl-ft", "ce-ft", "ice-ft")
-RELABEL_SCHEMES = ("shift-by-one",)
 
 
 @dataclass(frozen=True)
@@ -89,16 +88,13 @@ class FtConfig:
     """Hyperparameters for one fine-tuning run.
 
     ``alpha`` weighs the regularizer of the kl/ce/ice variants and must
-    lie in [0, 1]; it is ignored for ``naive-ft``.  Only full-batch
-    deterministic training and the shift-by-one relabeling scheme exist.
+    lie in [0, 1]; it is ignored for ``naive-ft``.
     """
 
     variant: str
     alpha: float = 0.5
     epochs: int = 500
     step_size: float = 0.1
-    relabel: str = "shift-by-one"
-    batch: str = "full"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -109,10 +105,6 @@ class FtConfig:
             raise ValueError("epochs must be >= 0")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
-        if self.relabel not in RELABEL_SCHEMES:
-            raise ValueError(f"unknown relabel scheme {self.relabel!r}")
-        if self.batch != "full":
-            raise ValueError("only full-batch training is supported")
 
 
 def gen_class_task(
@@ -163,14 +155,12 @@ def split_class(data: LabeledSet, class_id: int) -> tuple[LabeledSet, LabeledSet
     )
 
 
-def relabel_forget(labels, num_classes: int, scheme: str = "shift-by-one") -> np.ndarray:
+def relabel_forget(labels, num_classes: int) -> np.ndarray:
     """Deliberately wrong labels: ``label' = (label + 1) mod num_classes``.
 
     With at least two classes the shifted label always differs from the
     original.
     """
-    if scheme not in RELABEL_SCHEMES:
-        raise ValueError(f"unknown relabel scheme {scheme!r}")
     if num_classes < 2:
         raise ValueError("relabeling needs at least two classes")
     labels = np.asarray(labels, dtype=np.int64)
@@ -393,16 +383,6 @@ class ClassTask:
     forget_class: int = 0
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Metrics of a single (variant, alpha, seed) unlearning run."""
-
-    variant: str
-    alpha: float
-    seed: int
-    metrics: Metrics
-
-
 def run_seed_grid(
     task: ClassTask,
     pairs: Sequence[tuple[str, float]],
@@ -442,7 +422,7 @@ def run_seed_grid(
     if tuned:
         relabeled = LabeledSet(
             features=forget.features,
-            labels=relabel_forget(forget.labels, task.num_classes, cfg.relabel),
+            labels=relabel_forget(forget.labels, task.num_classes),
         )
         cfgs = [replace(cfg, variant=pairs[i][0], alpha=pairs[i][1]) for i in tuned]
         start = time.perf_counter()
@@ -459,73 +439,3 @@ def run_seed_grid(
             results[i] = golden
     return results
 
-
-def run_unlearning_trial(
-    task: ClassTask,
-    variant: str,
-    alpha: float,
-    seed: int,
-    cfg: FtConfig | None = None,
-) -> Metrics:
-    """One (variant, alpha) pair of :func:`run_seed_grid`.
-
-    ``variant`` is one of :data:`VARIANTS` or ``"retrain"`` (retraining
-    from scratch on the remaining classes).  The reported runtime covers
-    only the unlearning (or retraining) call.
-    """
-    return run_seed_grid(task, [(variant, alpha)], seed, cfg)[0]
-
-
-def alpha_sweep(
-    task: ClassTask,
-    variant: str,
-    alphas: list[float],
-    seeds: list[int],
-    cfg: FtConfig | None = None,
-) -> list[SweepRow]:
-    """Run the unlearning pipeline for every (alpha, seed) pair.
-
-    Each seed's alphas run as one :func:`run_seed_grid`; rows come out
-    alpha by alpha, seeds in the given order.
-    """
-    if not alphas or not seeds:
-        raise ValueError("alphas and seeds must both be non-empty")
-    pairs = [(variant, alpha) for alpha in alphas]
-    per_seed = {seed: run_seed_grid(task, pairs, seed, cfg) for seed in seeds}
-    return [
-        SweepRow(variant=variant, alpha=alpha, seed=seed, metrics=per_seed[seed][i])
-        for i, alpha in enumerate(alphas)
-        for seed in seeds
-    ]
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    """Mean or population-std summary of one (variant, alpha) cell."""
-
-    variant: str
-    alpha: float
-    stat: str
-    ua: float
-    ra: float
-    ta: float
-    runtime_seconds: float
-
-
-def aggregate_rows(rows: list[SweepRow]) -> list[AggregateRow]:
-    """Mean and std rows per (variant, alpha), in first-seen order."""
-    cells: dict[tuple[str, float], list[Metrics]] = {}
-    for row in rows:
-        cells.setdefault((row.variant, row.alpha), []).append(row.metrics)
-    out = []
-    for (variant, alpha), group in cells.items():
-        values = np.array([[m.ua, m.ra, m.ta, m.runtime_seconds] for m in group])
-        for stat, vec in (("mean", values.mean(axis=0)), ("std", values.std(axis=0))):
-            out.append(
-                AggregateRow(
-                    variant=variant, alpha=alpha, stat=stat,
-                    ua=float(vec[0]), ra=float(vec[1]),
-                    ta=float(vec[2]), runtime_seconds=float(vec[3]),
-                )
-            )
-    return out

@@ -69,9 +69,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         result = run_experiment(args.experiment, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except UnlearnLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -15,17 +15,14 @@ Column sets are versioned via the ``# schema:`` header line.  In
 descent, and ``runtime_seconds`` is each row's equal share of its wall
 time; retrain rows keep the time of their own fit.
 
-``UNLEARN_LAB_THREADS`` caps parallelism across seeds; results are
-buffered and emitted in seed order, so the thread count never changes
-the output.
+Rows are dicts keyed by column name; :data:`COLUMNS` alone fixes the
+order of the cells, and :func:`render_csv` checks each row against it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,7 +94,7 @@ class ExperimentResult:
     experiment: str
     schema: str
     config: dict
-    rows: list[list] = field(default_factory=list)
+    rows: list[dict] = field(default_factory=list)
     passed: bool | None = None
     failures: list[dict] = field(default_factory=list)
     total_runtime_seconds: float = 0.0
@@ -350,47 +347,19 @@ def load_config(path: str | Path, experiment: str) -> dict:
 # Shared pipeline pieces
 # ----------------------------------------------------------------------
 
-def _thread_count() -> int:
-    raw = os.environ.get("UNLEARN_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"UNLEARN_LAB_THREADS must be an integer, got {raw!r}")
-
-
-def _map_seeds(fn, seeds):
-    """Apply ``fn`` per seed, optionally in parallel, preserving seed order."""
-    threads = _thread_count()
-    if threads <= 1:
-        return [fn(seed) for seed in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, seeds))
-
-
-def _attempt(cfg, seed, fn):
-    """Run one seed's computation, returning the exception on numeric failure."""
-    try:
-        return fn(cfg, seed)
-    except UnlearnLabError as exc:
-        return exc
-
-
 def _run_seeds(result: ExperimentResult, rows_for_seed) -> None:
     """Append each seed's rows in seed order; record the seeds that fail.
 
     A seed whose computation raises a package error contributes no rows
     and one ``{seed, type, message}`` entry to ``result.failures``.
     """
-    cfg = result.config
-    seeds = cfg["seeds"]
-    outcomes = _map_seeds(lambda s: _attempt(cfg, s, rows_for_seed), seeds)
-    for seed, outcome in zip(seeds, outcomes):
-        if isinstance(outcome, Exception):
+    for seed in result.config["seeds"]:
+        try:
+            result.rows.extend(rows_for_seed(result.config, seed))
+        except UnlearnLabError as exc:
             result.failures.append(
-                {"seed": seed, "type": type(outcome).__name__, "message": str(outcome)}
+                {"seed": seed, "type": type(exc).__name__, "message": str(exc)}
             )
-        else:
-            result.rows.extend(outcome)
 
 
 def _edited_losses(scenario, w_o, option, n_t):
@@ -411,7 +380,21 @@ def _edited_losses(scenario, w_o, option, n_t):
 # verify-theorems
 # ----------------------------------------------------------------------
 
-def _verify_rows_for_seed(cfg: dict, seed: int) -> list[list]:
+def _verify_row(cfg: dict, seed: int, scenario, check: str, option: str, values: dict) -> dict:
+    """One verify-theorems row; the columns ``values`` leaves out are NaN."""
+    layout = scenario.layout
+    row = dict.fromkeys(COLUMNS[SCHEMAS["verify-theorems"]], float("nan"))
+    row.update({
+        "experiment": cfg["experiment"], "seed": seed, "check": check, "option": option,
+        "d_r": layout.d_r, "d_lap": layout.d_lap, "d_f": layout.d_f,
+        "n_r": scenario.n_r, "n_f": scenario.n_f,
+        "n_t_min": min(cfg["nt_values"]), "n_t_max": max(cfg["nt_values"]),
+    })
+    row.update(values)
+    return row
+
+
+def _verify_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
     rel = cfg["tolerance"]["rel"]
     floor = cfg["tolerance"]["abs_floor"]
     nt_values = cfg["nt_values"]
@@ -449,17 +432,14 @@ def _verify_rows_for_seed(cfg: dict, seed: int) -> list[list]:
         gold = measure_losses(w_g, scenario, "golden")
         gold_gaps = gap_report(gold, predicted, rel, floor)
         ok = ok and gold_gaps.passed
-        rows.append([
-            cfg["experiment"], seed, check, "",
-            scenario.layout.d_r, scenario.layout.d_lap, scenario.layout.d_f,
-            scenario.n_r, scenario.n_f, min(nt_values), max(nt_values),
-            rl_ft_max, ul_ft_max, gold.rl, gold.ul, predicted.ul_gold,
-            gold_gaps.entries[1].rel_gap, float("nan"), float("nan"),
-            float("nan"), float("nan"), ok, runtime,
-        ])
+        rows.append(_verify_row(cfg, seed, scenario, check, "", {
+            "rl_ft_max": rl_ft_max, "ul_ft_max": ul_ft_max,
+            "rl_gold": gold.rl, "ul_gold": gold.ul, "ul_gold_pred": predicted.ul_gold,
+            "ul_gold_rel_gap": gold_gaps.entries[1].rel_gap,
+            "pass": ok, "runtime_seconds": runtime,
+        }))
 
     for option in EditOption:
-        check = "edit"
         family = "distinct" if option is EditOption.DISTINCT_ZERO_FORGET else "overlap"
         scenario = scenarios[family]
         w_o = pretrained[family]
@@ -477,14 +457,11 @@ def _verify_rows_for_seed(cfg: dict, seed: int) -> list[list]:
             ul_edit_max = max(ul_edit_max, measured.ul)
             rl_gap_max = max(rl_gap_max, gaps.entries[0].abs_gap)
             ul_gap_max = max(ul_gap_max, gaps.entries[1].abs_gap)
-        rows.append([
-            cfg["experiment"], seed, check, option.value,
-            scenario.layout.d_r, scenario.layout.d_lap, scenario.layout.d_f,
-            scenario.n_r, scenario.n_f, min(nt_values), max(nt_values),
-            float("nan"), float("nan"), float("nan"), float("nan"), float("nan"),
-            float("nan"), rl_edit_max, ul_edit_max,
-            rl_gap_max, ul_gap_max, ok, runtime,
-        ])
+        rows.append(_verify_row(cfg, seed, scenario, "edit", option.value, {
+            "rl_edit_max": rl_edit_max, "ul_edit_max": ul_edit_max,
+            "edit_rl_gap_max": rl_gap_max, "edit_ul_gap_max": ul_gap_max,
+            "pass": ok, "runtime_seconds": runtime,
+        }))
     return rows
 
 
@@ -492,11 +469,10 @@ def run_verify_theorems(cfg: dict) -> ExperimentResult:
     """Full pipeline versus closed-form predictions, one row per check."""
     result = ExperimentResult(cfg["experiment"], SCHEMAS[cfg["experiment"]], cfg)
     start = time.perf_counter()
-    pass_index = result.columns.index("pass")
     _run_seeds(result, _verify_rows_for_seed)
     result.passed = (
         result.numerical_failures == 0
-        and all(row[pass_index] for row in result.rows)
+        and all(row["pass"] for row in result.rows)
     )
     result.total_runtime_seconds = time.perf_counter() - start
     return result
@@ -506,7 +482,7 @@ def run_verify_theorems(cfg: dict) -> ExperimentResult:
 # sweep-nt
 # ----------------------------------------------------------------------
 
-def _sweep_nt_rows_for_seed(cfg: dict, seed: int) -> list[list]:
+def _sweep_nt_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
     layout = FeatureLayout(*cfg["layout"])
     scenario = gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"])
     w_o = train_original(scenario)
@@ -529,11 +505,14 @@ def _sweep_nt_rows_for_seed(cfg: dict, seed: int) -> list[list]:
         runtime += elapsed
         discard, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_DISCARD, n_t)
         runtime += elapsed
-        rows.append([
-            cfg["experiment"], seed, n_t, ft.rl, ft.ul, gold.rl, gold.ul,
-            zero_rl, zero_ul, retain.rl, retain.ul, discard.rl, discard.ul,
-            runtime,
-        ])
+        rows.append({
+            "experiment": cfg["experiment"], "seed": seed, "n_t": n_t,
+            "rl_ft": ft.rl, "ul_ft": ft.ul, "rl_gold": gold.rl, "ul_gold": gold.ul,
+            "rl_edit_zero": zero_rl, "ul_edit_zero": zero_ul,
+            "rl_edit_retain": retain.rl, "ul_edit_retain": retain.ul,
+            "rl_edit_discard": discard.rl, "ul_edit_discard": discard.ul,
+            "runtime_seconds": runtime,
+        })
     return rows
 
 
@@ -550,7 +529,7 @@ def run_sweep_nt(cfg: dict) -> ExperimentResult:
 # sweep-overlap
 # ----------------------------------------------------------------------
 
-def _sweep_overlap_rows_for_seed(cfg: dict, seed: int) -> list[list]:
+def _sweep_overlap_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
     rows = []
     for d_lap in cfg["d_lap_values"]:
         side = (cfg["d"] - d_lap) // 2
@@ -565,11 +544,14 @@ def _sweep_overlap_rows_for_seed(cfg: dict, seed: int) -> list[list]:
         runtime += elapsed
         discard, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_DISCARD, cfg["n_t"])
         runtime += elapsed
-        rows.append([
-            cfg["experiment"], seed, d_lap, side, side, cfg["n_t"],
-            gold.rl, gold.ul, retain.rl, retain.ul, discard.rl, discard.ul,
-            runtime,
-        ])
+        rows.append({
+            "experiment": cfg["experiment"], "seed": seed,
+            "d_lap": d_lap, "d_r": side, "d_f": side, "n_t": cfg["n_t"],
+            "rl_gold": gold.rl, "ul_gold": gold.ul,
+            "rl_edit_retain": retain.rl, "ul_edit_retain": retain.ul,
+            "rl_edit_discard": discard.rl, "ul_edit_discard": discard.ul,
+            "runtime_seconds": runtime,
+        })
     return rows
 
 
@@ -586,6 +568,10 @@ def run_sweep_overlap(cfg: dict) -> ExperimentResult:
 # classifier-demo and sweep-alpha
 # ----------------------------------------------------------------------
 
+# Per-seed measurements of a classifier row; the mean/std rows average them.
+_MEASURES = ("ua", "ra", "ta", "runtime_seconds")
+
+
 def _classifier_rows(cfg: dict, pairs: list[tuple[str, float]]) -> ExperimentResult:
     result = ExperimentResult(cfg["experiment"], SCHEMAS[cfg["experiment"]], cfg)
     start = time.perf_counter()
@@ -594,30 +580,30 @@ def _classifier_rows(cfg: dict, pairs: list[tuple[str, float]]) -> ExperimentRes
         variant="naive-ft", epochs=cfg["epochs"], step_size=cfg["step_size"]
     )
 
-    def one_seed(_cfg: dict, seed: int) -> list[list]:
+    def one_seed(_cfg: dict, seed: int) -> list[dict]:
         rows = []
         for (variant, alpha), metrics in zip(pairs, run_seed_grid(task, pairs, seed, base_cfg)):
-            shown_alpha = float("nan") if variant == "retrain" else alpha
-            rows.append([
-                cfg["experiment"], variant, shown_alpha, seed,
-                metrics.ua, metrics.ra, metrics.ta, metrics.runtime_seconds,
-            ])
+            rows.append({
+                "experiment": cfg["experiment"], "variant": variant,
+                "alpha": float("nan") if variant == "retrain" else alpha, "seed": seed,
+                **{name: getattr(metrics, name) for name in _MEASURES},
+            })
         return rows
 
     _run_seeds(result, one_seed)
     # NaN keys break dict grouping, so group by the rendered alpha instead.
-    collected: dict[tuple[str, str], list[list]] = {}
+    collected: dict[tuple[str, str], list[dict]] = {}
     for row in result.rows:
-        collected.setdefault((row[1], _format_cell(row[2])), []).append(row)
+        collected.setdefault((row["variant"], _format_cell(row["alpha"])), []).append(row)
 
-    # Aggregate mean/std rows appended after the per-seed rows.
-    for (variant, _), group in collected.items():
-        values = np.array([row[4:8] for row in group], dtype=np.float64)
+    # Aggregate mean/std rows appended after the per-seed rows; the stat
+    # name takes the seed column.
+    for group in collected.values():
+        values = np.array([[row[name] for name in _MEASURES] for row in group], dtype=np.float64)
         for stat, vec in (("mean", values.mean(axis=0)), ("std", values.std(axis=0))):
-            result.rows.append([
-                cfg["experiment"], variant, group[0][2], stat,
-                float(vec[0]), float(vec[1]), float(vec[2]), float(vec[3]),
-            ])
+            result.rows.append(
+                {**group[0], "seed": stat, **dict(zip(_MEASURES, map(float, vec)))}
+            )
     result.total_runtime_seconds = time.perf_counter() - start
     return result
 
@@ -667,12 +653,23 @@ def _format_cell(value) -> str:
 
 
 def render_csv(result: ExperimentResult) -> str:
-    """CSV text with schema and config echo in the header comments."""
+    """CSV text with schema and config echo in the header comments.
+
+    Cells follow the schema's column order.  A row whose keys differ from
+    the schema's columns raises :class:`ValueError`.
+    """
+    columns = result.columns
     echo = json.dumps(result.config, sort_keys=True, separators=(",", ":"))
     lines = [f"# schema: {result.schema}", f"# config: {echo}"]
-    lines.append(",".join(result.columns))
+    lines.append(",".join(columns))
     for row in result.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+        if row.keys() != set(columns):
+            raise ValueError(
+                f"row keys do not match schema {result.schema}: "
+                f"missing {sorted(set(columns) - row.keys())}, "
+                f"extra {sorted(row.keys() - set(columns))}"
+            )
+        lines.append(",".join(_format_cell(row[name]) for name in columns))
     return "\n".join(lines) + "\n"
 
 

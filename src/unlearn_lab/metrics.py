@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ProvenanceMismatchError
 from .linalg import as_matrix, as_vector
-from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, TheoremPrediction
+from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, TheoremPrediction, within_tolerance
 from .scenarios import SyntheticScenario
 
 if TYPE_CHECKING:
@@ -104,7 +104,7 @@ class GapReport:
 def _gap_entry(name, measured, predicted, rel_tol, abs_floor) -> GapEntry:
     abs_gap = abs(measured - predicted)
     rel_gap = abs_gap / abs(predicted) if predicted != 0.0 else (0.0 if abs_gap == 0.0 else np.inf)
-    ok = abs_gap <= max(abs_floor, rel_tol * abs(predicted))
+    ok = within_tolerance(measured, predicted, rel_tol, abs_floor)
     return GapEntry(name, measured, predicted, abs_gap, rel_gap, ok)
 
 

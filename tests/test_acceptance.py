@@ -16,7 +16,7 @@ from unlearn_lab.classifier import (
     FtConfig,
     LabeledSet,
     objective_value_and_grad,
-    run_unlearning_trial,
+    run_seed_grid,
 )
 from unlearn_lab.experiments import render_csv, run_experiment, validate_config
 from unlearn_lab.linalg import gradient_descent_solve, min_norm_solve, projector
@@ -248,12 +248,16 @@ def test_criterion_7_classifier_trends():
     with criterion(7, "classifier unlearning trends across ten seeds"):
         start = time.perf_counter()
 
+        # One grid per seed: a single pretrain serves every pair.
+        pairs = [("retrain", 0.0), ("naive-ft", 0.0), ("ce-ft", 0.5), ("ice-ft", 0.5)]
+        pairs += [("kl-ft", a) for a in (0.1, 0.4, 0.5, 0.8)]
+        grids = [
+            run_seed_grid(CLASSIFIER_TASK, pairs, seed, CLASSIFIER_CFG)
+            for seed in CLASSIFIER_SEEDS
+        ]
+
         def mean_metrics(variant, alpha):
-            values = [
-                run_unlearning_trial(CLASSIFIER_TASK, variant, alpha, seed, CLASSIFIER_CFG)
-                for seed in CLASSIFIER_SEEDS
-            ]
-            return values
+            return [grid[pairs.index((variant, alpha))] for grid in grids]
 
         golden = mean_metrics("retrain", 0.0)
         naive = mean_metrics("naive-ft", 0.0)
@@ -291,7 +295,10 @@ def test_criterion_7_classifier_trends():
         )
 
         elapsed = time.perf_counter() - start
-        print(f"  note: 80 training runs across 10 seeds in {elapsed:.2f}s (budget 60s)")
+        print(
+            f"  note: 10 seed grids (pretrain, retrain and one 7-member stacked "
+            f"fine-tune each) in {elapsed:.2f}s (budget 60s)"
+        )
         assert elapsed < 60.0, f"classifier trends took {elapsed:.1f}s"
 
 

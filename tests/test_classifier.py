@@ -10,8 +10,6 @@ from unlearn_lab.classifier import (
     SoftmaxClassifier,
     _ce_value_and_grad,
     _mixed_value_and_grad,
-    alpha_sweep,
-    aggregate_rows,
     fit_softmax,
     ft_coefficients,
     gen_class_task,
@@ -19,7 +17,6 @@ from unlearn_lab.classifier import (
     pretrain,
     relabel_forget,
     run_seed_grid,
-    run_unlearning_trial,
     softmax_probs,
     split_class,
     unlearn_ft,
@@ -264,10 +261,6 @@ class TestFtConfig:
         with pytest.raises(ValueError):
             FtConfig(variant="gradient-ascent")
 
-    def test_only_full_batch(self):
-        with pytest.raises(ValueError):
-            FtConfig(variant="kl-ft", batch="minibatch")
-
 
 class TestPipelineTrends:
     """One-seed smoke versions of the behavioral claims; the acceptance
@@ -277,42 +270,20 @@ class TestPipelineTrends:
     CFG = FtConfig(variant="naive-ft", epochs=250, step_size=0.1)
 
     def test_naive_ft_barely_forgets_while_retrain_does(self):
-        naive = run_unlearning_trial(self.TASK, "naive-ft", 0.0, seed=0, cfg=self.CFG)
-        golden = run_unlearning_trial(self.TASK, "retrain", 0.0, seed=0, cfg=self.CFG)
+        [naive] = run_seed_grid(self.TASK, [("naive-ft", 0.0)], seed=0, cfg=self.CFG)
+        [golden] = run_seed_grid(self.TASK, [("retrain", 0.0)], seed=0, cfg=self.CFG)
         assert golden.ua > 0.9
         assert naive.ua <= golden.ua - 0.3
         assert naive.ra > 0.95
 
     def test_regularized_ft_forgets_and_retains(self):
-        kl = run_unlearning_trial(self.TASK, "kl-ft", 0.5, seed=0, cfg=self.CFG)
+        [kl] = run_seed_grid(self.TASK, [("kl-ft", 0.5)], seed=0, cfg=self.CFG)
         assert kl.ua >= 0.9
         assert kl.ra >= 0.9
 
     def test_golden_retrain_never_saw_the_class(self):
-        golden = run_unlearning_trial(self.TASK, "retrain", 0.0, seed=1, cfg=self.CFG)
+        [golden] = run_seed_grid(self.TASK, [("retrain", 0.0)], seed=1, cfg=self.CFG)
         assert golden.ua > 0.9
-
-
-class TestAlphaSweep:
-    TASK = ClassTask(num_classes=3, per_class=20, feature_dim=6, sep=4.0)
-    CFG = FtConfig(variant="naive-ft", epochs=80, step_size=0.1)
-
-    def test_single_cell_yields_one_row(self):
-        rows = alpha_sweep(self.TASK, "kl-ft", [0.5], [0], cfg=self.CFG)
-        assert len(rows) == 1
-        assert rows[0].variant == "kl-ft" and rows[0].seed == 0
-
-    def test_grid_size_and_aggregates(self):
-        rows = alpha_sweep(self.TASK, "ice-ft", [0.2, 0.8], [0, 1, 2], cfg=self.CFG)
-        assert len(rows) == 6
-        aggregates = aggregate_rows(rows)
-        assert len(aggregates) == 4  # mean and std per alpha
-        stats = {(a.alpha, a.stat) for a in aggregates}
-        assert stats == {(0.2, "mean"), (0.2, "std"), (0.8, "mean"), (0.8, "std")}
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            alpha_sweep(self.TASK, "kl-ft", [], [0], cfg=self.CFG)
 
 
 class TestSplitClass:
@@ -350,7 +321,7 @@ class TestSeedGrid:
         grid = run_seed_grid(self.TASK, self.PAIRS, seed=3, cfg=self.CFG)
         assert len(grid) == len(self.PAIRS)
         for (variant, alpha), metrics in zip(self.PAIRS, grid):
-            alone = run_unlearning_trial(self.TASK, variant, alpha, seed=3, cfg=self.CFG)
+            [alone] = run_seed_grid(self.TASK, [(variant, alpha)], seed=3, cfg=self.CFG)
             assert (metrics.ua, metrics.ra, metrics.ta) == (alone.ua, alone.ra, alone.ta)
 
     def test_stacked_weights_equal_one_member_runs(self):

@@ -38,11 +38,6 @@ def _strip_runtime(csv_text: str) -> str:
     return "\n".join(lines)
 
 
-def _rows_by_column(result):
-    cols = result.columns
-    return [dict(zip(cols, row)) for row in result.rows]
-
-
 class TestConfigValidation:
     def test_defaults_materialized(self):
         cfg = validate_config({"seeds": [1]}, "verify-theorems")
@@ -136,6 +131,25 @@ class TestSchemas:
         assert echoed["experiment"] == "verify-theorems"
         assert echoed["nt_values"] == [1]
 
+    def test_cells_follow_the_schema_order(self):
+        cfg = validate_config(dict(NT_DISTINCT_CFG, nt_values=[1]), "sweep-nt")
+        result = run_experiment("sweep-nt", cfg)
+        text = render_csv(result)
+        result.rows = [dict(reversed(row.items())) for row in result.rows]
+        assert render_csv(result) == text
+
+    @pytest.mark.parametrize("fault", ["missing", "extra"])
+    def test_row_keys_must_match_the_schema(self, fault):
+        cfg = validate_config(dict(NT_DISTINCT_CFG, nt_values=[1]), "sweep-nt")
+        result = run_experiment("sweep-nt", cfg)
+        [row] = result.rows
+        if fault == "missing":
+            del row["ul_ft"]
+        else:
+            row["ul_extra"] = 0.0
+        with pytest.raises(ValueError, match="sweep-nt/v1"):
+            render_csv(result)
+
 
 class TestVerifyTheorems:
     def test_all_checks_pass(self):
@@ -168,7 +182,7 @@ class TestVerifyTheorems:
 class TestSweepNt:
     def test_distinct_layout_flat_zero_ft_and_constant_golden_ul(self):
         cfg = validate_config(NT_DISTINCT_CFG, "sweep-nt")
-        rows = _rows_by_column(run_experiment("sweep-nt", cfg))
+        rows = run_experiment("sweep-nt", cfg).rows
         uls = {row["ul_gold"] for row in rows}
         assert len(uls) == 1  # golden UL does not depend on n_t
         for row in rows:
@@ -180,7 +194,7 @@ class TestSweepNt:
 
     def test_overlap_layout_discard_hurts_remaining_loss(self):
         cfg = validate_config(NT_CFG, "sweep-nt")
-        rows = _rows_by_column(run_experiment("sweep-nt", cfg))
+        rows = run_experiment("sweep-nt", cfg).rows
         # Below the span threshold (n_t < d_r + d_lap = 24) the discard
         # option pays a remaining-loss price; retain never does.
         shallow = [r for r in rows if r["n_t"] < 24]
@@ -194,7 +208,7 @@ class TestSweepOverlap:
     def test_rows_and_monotone_medians(self):
         cfg = validate_config(dict(OVERLAP_CFG, seeds=list(range(12))), "sweep-overlap")
         result = run_experiment("sweep-overlap", cfg)
-        rows = _rows_by_column(result)
+        rows = result.rows
         assert len(rows) == 12 * 4
         medians = []
         for d_lap in cfg["d_lap_values"]:
@@ -210,7 +224,7 @@ class TestClassifierExperiments:
             "classifier-demo",
         )
         result = run_experiment("classifier-demo", cfg)
-        rows = _rows_by_column(result)
+        rows = result.rows
         per_seed = [r for r in rows if isinstance(r["seed"], int)]
         aggregates = [r for r in rows if r["seed"] in ("mean", "std")]
         assert len(per_seed) == 4 * len(cfg["seeds"])
@@ -221,7 +235,7 @@ class TestClassifierExperiments:
             dict(DEMO_CFG, variants=["retrain", "naive-ft", "kl-ft"]),
             "classifier-demo",
         )
-        rows = _rows_by_column(run_experiment("classifier-demo", cfg))
+        rows = run_experiment("classifier-demo", cfg).rows
         mean = {
             r["variant"]: r for r in rows if r["seed"] == "mean"
         }
@@ -230,18 +244,53 @@ class TestClassifierExperiments:
 
     def test_alpha_sweep_rows(self):
         cfg = validate_config(ALPHA_CFG, "sweep-alpha")
-        rows = _rows_by_column(run_experiment("sweep-alpha", cfg))
+        rows = run_experiment("sweep-alpha", cfg).rows
         per_seed = [r for r in rows if isinstance(r["seed"], int)]
         assert {(r["variant"], r["alpha"]) for r in per_seed} == {
             ("kl-ft", 0.1), ("kl-ft", 0.8)
         }
+
+    def test_sweep_cells_get_one_mean_and_one_std_row(self):
+        cfg = validate_config(
+            dict(ALPHA_CFG, seeds=[0, 1, 2], variants=["ice-ft", "kl-ft"], alphas=[0.8, 0.1]),
+            "sweep-alpha",
+        )
+        rows = run_experiment("sweep-alpha", cfg).rows
+        per_seed, aggregates = rows[:12], rows[12:]
+        assert all(isinstance(r["seed"], int) for r in per_seed)
+        cells = [("ice-ft", 0.8), ("ice-ft", 0.1), ("kl-ft", 0.8), ("kl-ft", 0.1)]
+        assert [(r["variant"], r["alpha"], r["seed"]) for r in aggregates] == [
+            (variant, alpha, stat) for variant, alpha in cells for stat in ("mean", "std")
+        ]
+        for row in aggregates:
+            group = [r for r in per_seed if (r["variant"], r["alpha"]) == (row["variant"], row["alpha"])]
+            assert [r["seed"] for r in group] == [0, 1, 2]
+            reduce = np.mean if row["seed"] == "mean" else lambda v: np.std(v, ddof=0)
+            for name in ("ua", "ra", "ta", "runtime_seconds"):
+                assert row[name] == reduce([r[name] for r in group])
+
+    def test_demo_retrain_rows_form_one_cell(self):
+        cfg = validate_config(
+            dict(DEMO_CFG, seeds=[0, 1, 2], variants=["retrain", "naive-ft"]),
+            "classifier-demo",
+        )
+        rows = run_experiment("classifier-demo", cfg).rows
+        aggregates = [r for r in rows if r["seed"] in ("mean", "std")]
+        assert [(r["variant"], r["seed"]) for r in aggregates] == [
+            ("retrain", "mean"), ("retrain", "std"), ("naive-ft", "mean"), ("naive-ft", "std"),
+        ]
+        assert np.isnan(aggregates[0]["alpha"]) and np.isnan(aggregates[1]["alpha"])
+        retrain = [r for r in rows if r["variant"] == "retrain" and isinstance(r["seed"], int)]
+        assert len(retrain) == 3
+        assert aggregates[0]["ua"] == np.mean([r["ua"] for r in retrain])
+        assert aggregates[1]["ua"] == np.std([r["ua"] for r in retrain], ddof=0)
 
     def test_fine_tuned_rows_share_the_stacked_runtime(self):
         cfg = validate_config(
             dict(DEMO_CFG, seeds=[0], variants=["retrain", "naive-ft", "kl-ft", "ice-ft"]),
             "classifier-demo",
         )
-        rows = _rows_by_column(run_experiment("classifier-demo", cfg))
+        rows = run_experiment("classifier-demo", cfg).rows
         runtime = {r["variant"]: r["runtime_seconds"] for r in rows if r["seed"] == 0}
         assert runtime["naive-ft"] == runtime["kl-ft"] == runtime["ice-ft"] > 0.0
         assert runtime["retrain"] > 0.0
@@ -263,7 +312,7 @@ class TestClassifierExperiments:
             "seed": 1, "type": "DivergenceError",
             "message": "loss of 1 model(s) became non-finite; try a smaller step_size",
         }]
-        per_seed = [r for r in _rows_by_column(result) if isinstance(r["seed"], int)]
+        per_seed = [r for r in result.rows if isinstance(r["seed"], int)]
         assert [r["seed"] for r in per_seed] == [0, 2]
 
         csv_path = write_outputs(result, tmp_path / "demo.csv")
@@ -289,13 +338,6 @@ class TestDeterminism:
         first = render_csv(run_experiment(experiment, validated))
         second = render_csv(run_experiment(experiment, validated))
         assert _strip_runtime(first) == _strip_runtime(second)
-
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        validated = validate_config(VERIFY_CFG, "verify-theorems")
-        serial = render_csv(run_experiment("verify-theorems", validated))
-        monkeypatch.setenv("UNLEARN_LAB_THREADS", "4")
-        threaded = render_csv(run_experiment("verify-theorems", validated))
-        assert _strip_runtime(serial) == _strip_runtime(threaded)
 
 
 class TestCli:
@@ -390,15 +432,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
-
-    def test_bad_thread_env_exits_two(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("UNLEARN_LAB_THREADS", "plenty")
-        config = self._write_config(tmp_path, dict(VERIFY_CFG, nt_values=[1]))
-        code = main([
-            "verify-theorems", "--config", str(config),
-            "--out", str(tmp_path / "x.csv"),
-        ])
-        assert code == 2
 
 
 class TestWriteOutputs:
