@@ -6,7 +6,8 @@ Usage::
                 [--seeds s1,s2,...] [--tolerance x]
 
 Exit status: 0 when every check passed, 1 on numerical failures or
-failed checks, 2 on configuration errors.
+failed checks, 2 on configuration errors or outputs that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import sys
 from .errors import ConfigError, UnlearnLabError
 from .experiments import (
     EXPERIMENTS,
+    as_seeds,
+    as_tolerance,
     exit_code_for,
     load_config,
     run_experiment,
@@ -48,9 +51,7 @@ def _parse_seeds(raw: str) -> list[int]:
         seeds = [int(part) for part in raw.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"--seeds must be comma-separated integers, got {raw!r}") from exc
-    if not seeds:
-        raise ConfigError("--seeds must name at least one seed")
-    return seeds
+    return as_seeds("--seeds", seeds)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -60,9 +61,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.seeds is not None:
             cfg["seeds"] = _parse_seeds(args.seeds)
         if args.tolerance is not None:
-            if args.tolerance < 0:
-                raise ConfigError("--tolerance must be nonnegative")
-            cfg["tolerance"] = {"rel": args.tolerance, "abs_floor": args.tolerance}
+            cfg["tolerance"] = as_tolerance(
+                "--tolerance", {"rel": args.tolerance, "abs_floor": args.tolerance}
+            )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -74,7 +75,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     out = args.out or cfg.get("out") or f"{args.experiment}.csv"
-    csv_path = write_outputs(result, out)
+    try:
+        csv_path = write_outputs(result, out)
+    except OSError as exc:
+        print(f"output error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
     status = exit_code_for(result)
     verdict = {0: "ok", 1: "FAILED"}[status]
     passed = "n/a" if result.passed is None else str(result.passed).lower()

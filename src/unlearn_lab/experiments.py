@@ -22,6 +22,7 @@ order of the cells, and :func:`render_csv` checks each row against it.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +38,7 @@ from .classifier import (
 from .errors import ConfigError, UnlearnLabError
 from .metrics import gap_report, measure_losses
 from .oracle import predict_distinct, predict_edited, predict_overlap
+from .rng import is_seed
 from .scenarios import FeatureLayout, gen_scenario, fine_tune_subset
 from .solvers import (
     EditOption,
@@ -100,10 +102,6 @@ class ExperimentResult:
     total_runtime_seconds: float = 0.0
 
     @property
-    def columns(self) -> list[str]:
-        return COLUMNS[self.schema]
-
-    @property
     def numerical_failures(self) -> int:
         """Number of seeds that raised; ``failures`` says which and why."""
         return len(self.failures)
@@ -119,8 +117,15 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """JSON integer or float, booleans excluded."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Finite JSON integer or float, booleans excluded.
+
+    NaN and the infinities fail the bound, and so does an integer too
+    large to become a float (where ``math.isfinite`` would raise).
+    """
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def _require(kind, value, name, predicate, message):
@@ -139,13 +144,15 @@ def _as_layout(kind, raw, name) -> list[int]:
     return list(raw)
 
 
-def _as_seeds(kind, raw) -> list[int]:
-    if not isinstance(raw, list) or not raw or not all(_is_int(s) for s in raw):
-        raise ConfigError(f"{kind}: 'seeds' must be a non-empty list of integers")
+def as_seeds(kind, raw) -> list[int]:
+    """Validated seed list: non-empty, every seed an integer in ``[0, 2^64)``."""
+    if not isinstance(raw, list) or not raw or not all(_is_int(s) and is_seed(s) for s in raw):
+        raise ConfigError(f"{kind}: 'seeds' must be a non-empty list of integers in [0, 2^64)")
     return list(raw)
 
 
-def _as_tolerance(kind, raw) -> dict:
+def as_tolerance(kind, raw) -> dict:
+    """Validated tolerance: the defaults overridden by finite nonnegative numbers."""
     tol = {"rel": 1e-8, "abs_floor": 1e-10}
     if raw is None:
         return tol
@@ -156,7 +163,7 @@ def _as_tolerance(kind, raw) -> dict:
             raise ConfigError(f"{kind}: unknown tolerance key {key!r}")
         value = raw[key]
         if not _is_number(value) or value < 0:
-            raise ConfigError(f"{kind}: tolerance {key!r} must be a nonnegative number")
+            raise ConfigError(f"{kind}: tolerance {key!r} must be a finite nonnegative number")
         tol[key] = float(value)
     return tol
 
@@ -221,8 +228,8 @@ def validate_config(raw: dict, experiment: str) -> dict:
         )
 
     cfg: dict = {"experiment": experiment}
-    cfg["seeds"] = _as_seeds(experiment, raw.get("seeds"))
-    cfg["tolerance"] = _as_tolerance(experiment, raw.get("tolerance"))
+    cfg["seeds"] = as_seeds(experiment, raw.get("seeds"))
+    cfg["tolerance"] = as_tolerance(experiment, raw.get("tolerance"))
     cfg["out"] = raw.get("out")
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         raise ConfigError(f"{experiment}: 'out' must be a string path")
@@ -334,7 +341,7 @@ def load_config(path: str | Path, experiment: str) -> dict:
     """Read and validate a JSON config file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -435,7 +442,7 @@ def _verify_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
         rows.append(_verify_row(cfg, seed, scenario, check, "", {
             "rl_ft_max": rl_ft_max, "ul_ft_max": ul_ft_max,
             "rl_gold": gold.rl, "ul_gold": gold.ul, "ul_gold_pred": predicted.ul_gold,
-            "ul_gold_rel_gap": gold_gaps.entries[1].rel_gap,
+            "ul_gold_rel_gap": gold_gaps.ul.rel_gap,
             "pass": ok, "runtime_seconds": runtime,
         }))
 
@@ -447,16 +454,16 @@ def _verify_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
         rl_gap_max = ul_gap_max = 0.0
         runtime = 0.0
         ok = True
-        for n_t in nt_values:
+        predictions = predict_edited(scenario, option, nt_values)
+        for n_t, predicted in zip(nt_values, predictions):
             measured, elapsed = _edited_losses(scenario, w_o, option, n_t)
             runtime += elapsed
-            predicted = predict_edited(scenario, option, n_t)
             gaps = gap_report(measured, predicted, rel, floor)
             ok = ok and gaps.passed
             rl_edit_max = max(rl_edit_max, measured.rl)
             ul_edit_max = max(ul_edit_max, measured.ul)
-            rl_gap_max = max(rl_gap_max, gaps.entries[0].abs_gap)
-            ul_gap_max = max(ul_gap_max, gaps.entries[1].abs_gap)
+            rl_gap_max = max(rl_gap_max, gaps.rl.abs_gap)
+            ul_gap_max = max(ul_gap_max, gaps.ul.abs_gap)
         rows.append(_verify_row(cfg, seed, scenario, "edit", option.value, {
             "rl_edit_max": rl_edit_max, "ul_edit_max": ul_edit_max,
             "edit_rl_gap_max": rl_gap_max, "edit_ul_gap_max": ul_gap_max,
@@ -658,7 +665,7 @@ def render_csv(result: ExperimentResult) -> str:
     Cells follow the schema's column order.  A row whose keys differ from
     the schema's columns raises :class:`ValueError`.
     """
-    columns = result.columns
+    columns = COLUMNS[result.schema]
     echo = json.dumps(result.config, sort_keys=True, separators=(",", ":"))
     lines = [f"# schema: {result.schema}", f"# config: {echo}"]
     lines.append(",".join(columns))

@@ -85,7 +85,6 @@ def measure_losses(w, scenario: SyntheticScenario, model_tag: str) -> LossReport
 class GapEntry:
     """One measured-versus-predicted comparison."""
 
-    name: str
     measured: float
     predicted: float
     abs_gap: float
@@ -97,15 +96,27 @@ class GapEntry:
 class GapReport:
     """Structured diff between a loss report and an oracle prediction."""
 
-    entries: tuple[GapEntry, ...]
-    passed: bool
+    rl: GapEntry
+    ul: GapEntry
+
+    @property
+    def passed(self) -> bool:
+        return self.rl.ok and self.ul.ok
 
 
-def _gap_entry(name, measured, predicted, rel_tol, abs_floor) -> GapEntry:
+# The prediction fields that describe each measured model.
+_PREDICTED_PAIR = {
+    "fine_tuned": ("rl_ft", "ul_ft"),
+    "golden": ("rl_gold", "ul_gold"),
+    "edited_fine_tuned": ("rl_edit", "ul_edit"),
+}
+
+
+def _gap_entry(measured, predicted, rel_tol, abs_floor) -> GapEntry:
     abs_gap = abs(measured - predicted)
     rel_gap = abs_gap / abs(predicted) if predicted != 0.0 else (0.0 if abs_gap == 0.0 else np.inf)
     ok = within_tolerance(measured, predicted, rel_tol, abs_floor)
-    return GapEntry(name, measured, predicted, abs_gap, rel_gap, ok)
+    return GapEntry(measured, predicted, abs_gap, rel_gap, ok)
 
 
 def gap_report(
@@ -117,27 +128,21 @@ def gap_report(
     """Compare measured losses against the prediction for the same model.
 
     The model tag selects which predicted pair applies; a tag with no
-    predicted counterpart ("original", or an edited tag against a
-    prediction lacking edit values) raises
-    :class:`ProvenanceMismatchError`.  Each entry passes when its absolute
-    gap is at most ``max(abs_floor, rel_tol * |predicted|)``.
+    predicted counterpart ("original", or a model the prediction leaves
+    unpredicted) raises :class:`ProvenanceMismatchError`.  Each entry
+    passes when its absolute gap is at most
+    ``max(abs_floor, rel_tol * |predicted|)``.
     """
-    if measured.model_tag == "fine_tuned":
-        pairs = [("rl", measured.rl, predicted.rl_ft), ("ul", measured.ul, predicted.ul_ft)]
-    elif measured.model_tag == "golden":
-        pairs = [("rl", measured.rl, predicted.rl_gold), ("ul", measured.ul, predicted.ul_gold)]
-    elif measured.model_tag == "edited_fine_tuned":
-        if predicted.rl_edit is None or predicted.ul_edit is None:
-            raise ProvenanceMismatchError(
-                f"prediction of kind {predicted.kind!r} carries no edited-model losses"
-            )
-        pairs = [("rl", measured.rl, predicted.rl_edit), ("ul", measured.ul, predicted.ul_edit)]
-    else:
+    fields = _PREDICTED_PAIR.get(measured.model_tag, ())
+    pair = [getattr(predicted, name) for name in fields]
+    if not pair or None in pair:
         raise ProvenanceMismatchError(
-            f"no predicted losses exist for model tag {measured.model_tag!r}"
+            f"the prediction carries no losses for model tag {measured.model_tag!r}"
         )
-    entries = tuple(_gap_entry(n, m, p, rel_tol, abs_floor) for n, m, p in pairs)
-    return GapReport(entries=entries, passed=all(e.ok for e in entries))
+    return GapReport(
+        rl=_gap_entry(measured.rl, pair[0], rel_tol, abs_floor),
+        ul=_gap_entry(measured.ul, pair[1], rel_tol, abs_floor),
+    )
 
 
 def accuracy(model: SoftmaxClassifier, data: LabeledSet) -> float:

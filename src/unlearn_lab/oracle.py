@@ -23,6 +23,7 @@ verification protocol operates in that regime.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import LayoutMismatchError
@@ -34,37 +35,24 @@ from .solvers import EditOption
 PRED_REL_TOL = 1e-8
 PRED_ABS_FLOOR = 1e-10
 
-PREDICTION_KINDS = (
-    "distinct",
-    "overlap",
-    "edit-distinct",
-    "edit-retain",
-    "edit-discard",
-)
-
 
 @dataclass(frozen=True)
 class TheoremPrediction:
-    """Predicted losses for one scenario and one verification kind.
+    """Predicted losses for one scenario; ``None`` where nothing is predicted.
 
-    ``rl_ft``/``ul_ft`` apply to the plain fine-tuned model, ``rl_gold``/
-    ``ul_gold`` to the retrained-from-scratch model, and the optional
-    ``rl_edit``/``ul_edit`` to the edited-then-fine-tuned model.  All
-    values are nonnegative; the fine-tuned losses are exactly zero for
-    the unedited kinds.
+    The unedited predictions fill ``rl_ft``/``ul_ft`` (the plain
+    fine-tuned model, exactly zero) and ``rl_gold``/``ul_gold`` (the
+    retrained-from-scratch model).  The edited predictions fill only
+    ``rl_edit``/``ul_edit`` (the edited-then-fine-tuned model).  Every
+    filled value is nonnegative.
     """
 
-    kind: str
-    rl_ft: float
-    ul_ft: float
-    rl_gold: float
-    ul_gold: float
+    rl_ft: float | None = None
+    ul_ft: float | None = None
+    rl_gold: float | None = None
+    ul_gold: float | None = None
     rl_edit: float | None = None
     ul_edit: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in PREDICTION_KINDS:
-            raise ValueError(f"unknown prediction kind {self.kind!r}")
 
 
 def within_tolerance(
@@ -93,9 +81,7 @@ def predict_distinct(scenario: SyntheticScenario) -> TheoremPrediction:
         )
     parts = decompose_w_star(scenario)
     ul_gold = weighted_seminorm_sq(parts.w_f, scenario.x_f, scenario.n_f)
-    return TheoremPrediction(
-        kind="distinct", rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=ul_gold
-    )
+    return TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=ul_gold)
 
 
 def predict_overlap(scenario: SyntheticScenario) -> TheoremPrediction:
@@ -109,9 +95,7 @@ def predict_overlap(scenario: SyntheticScenario) -> TheoremPrediction:
     p_r = projector(scenario.x_r).matrix
     gap = p_r @ (parts.w_r + parts.w_lap) - (parts.w_f + parts.w_lap)
     ul_gold = weighted_seminorm_sq(gap, scenario.x_f, scenario.n_f)
-    return TheoremPrediction(
-        kind="overlap", rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=ul_gold
-    )
+    return TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=ul_gold)
 
 
 def golden_ul_block_form(scenario: SyntheticScenario) -> float:
@@ -139,13 +123,14 @@ def golden_ul_block_form(scenario: SyntheticScenario) -> float:
 
 
 def predict_edited(
-    scenario: SyntheticScenario, option: EditOption, n_t: int
-) -> TheoremPrediction:
+    scenario: SyntheticScenario, option: EditOption, nt_values: Sequence[int]
+) -> list[TheoremPrediction]:
     """Predicted losses after editing the pretrained model, then fine-tuning.
 
-    Zeroing the forgetting block (and, for the discard option, the overlap
-    block) before fine-tuning removes the residual influence of the
-    forgetting data:
+    Returns one prediction per fine-tuning subset size in ``nt_values``,
+    in order.  Zeroing the forgetting block (and, for the discard option,
+    the overlap block) before fine-tuning removes the residual influence
+    of the forgetting data:
 
     - ``DISTINCT_ZERO_FORGET``: RL stays zero and UL rises to the golden
       value, closing the gap entirely.
@@ -155,47 +140,34 @@ def predict_edited(
       outside the fine-tuning span, and UL picks up the fine-tuning
       projector on the overlap weights.
 
-    The baseline (fine-tuned / golden) fields are filled from the
-    layout-appropriate unedited prediction.  For the overlap options the
-    values are exact when ``n_r >= d_r + d_lap`` (see the module
-    docstring); outside that regime they are the idealized closed forms,
-    not guarantees about the measured pipeline.
+    Only the discard option depends on ``n_t``; the other two repeat one
+    prediction.  For the overlap options the values are exact when
+    ``n_r >= d_r + d_lap`` (see the module docstring); outside that regime
+    they are the idealized closed forms, not guarantees about the
+    measured pipeline.
     """
-    layout = scenario.layout
-    if option is EditOption.DISTINCT_ZERO_FORGET and not layout.is_distinct:
+    if option is EditOption.DISTINCT_ZERO_FORGET and not scenario.layout.is_distinct:
         raise LayoutMismatchError(
             "distinct-zero-forget prediction requires an empty overlap block"
         )
-    base = predict_distinct(scenario) if layout.is_distinct else predict_overlap(scenario)
+    subsets = [fine_tune_subset(scenario, n_t)[0] for n_t in nt_values]
     parts = decompose_w_star(scenario)
-    x, _ = scenario.joint_data()
-    x_t, _ = fine_tune_subset(scenario, n_t)
+
+    def edited(rl_edit, gap):
+        ul_edit = weighted_seminorm_sq(gap, scenario.x_f, scenario.n_f)
+        return TheoremPrediction(rl_edit=rl_edit, ul_edit=ul_edit)
 
     if option is EditOption.DISTINCT_ZERO_FORGET:
-        kind = "edit-distinct"
-        rl_edit = 0.0
-        ul_edit = weighted_seminorm_sq(parts.w_f, scenario.x_f, scenario.n_f)
-    elif option is EditOption.OVERLAP_RETAIN:
-        kind = "edit-retain"
-        p = projector(x).matrix
+        return [edited(0.0, parts.w_f)] * len(subsets)
+    p = projector(scenario.joint_data()[0]).matrix
+    if option is EditOption.OVERLAP_RETAIN:
         gap = p @ (parts.w_r + parts.w_lap) - (parts.w_f + parts.w_lap)
-        rl_edit = 0.0
-        ul_edit = weighted_seminorm_sq(gap, scenario.x_f, scenario.n_f)
-    else:
-        kind = "edit-discard"
-        p = projector(x).matrix
+        return [edited(0.0, gap)] * len(subsets)
+    predictions = []
+    for x_t in subsets:
         p_t = projector(x_t).matrix
         left_out = parts.w_lap - p_t @ parts.w_lap
         rl_edit = weighted_seminorm_sq(left_out, scenario.x_r, scenario.n_r)
         gap = p @ parts.w_r + p_t @ parts.w_lap - (parts.w_f + parts.w_lap)
-        ul_edit = weighted_seminorm_sq(gap, scenario.x_f, scenario.n_f)
-
-    return TheoremPrediction(
-        kind=kind,
-        rl_ft=base.rl_ft,
-        ul_ft=base.ul_ft,
-        rl_gold=base.rl_gold,
-        ul_gold=base.ul_gold,
-        rl_edit=rl_edit,
-        ul_edit=ul_edit,
-    )
+        predictions.append(edited(rl_edit, gap))
+    return predictions

@@ -12,16 +12,22 @@ import zlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+
+def is_seed(seed: int) -> bool:
+    """True for seeds in ``[0, 2^64)``, the range of the 64-bit key word."""
+    return 0 <= seed < 1 << 64
 
 
 def stream(seed: int, label: str) -> np.random.Generator:
     """Return the deterministic generator for ``(seed, label)``.
 
     The Philox key is the 64-bit seed paired with a CRC-32 of the label,
-    which is stable across platforms and Python versions.
+    which is stable across platforms and Python versions.  Seeds outside
+    ``[0, 2^64)`` raise :class:`ValueError`, so no two seeds share a key.
     """
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    key = [int(seed) & _MASK64, zlib.crc32(label.encode("utf-8"))]
+    if not is_seed(int(seed)):
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    key = np.array([int(seed), zlib.crc32(label.encode("utf-8"))], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -17,6 +17,9 @@ from unlearn_lab.experiments import (
     write_outputs,
 )
 
+INF = float("inf")
+NAN = float("nan")
+
 VERIFY_CFG = {"seeds": [0, 1], "nt_values": [1, 10, 29]}
 NT_CFG = {"seeds": [0], "layout": [16, 8, 16], "nt_values": [1, 5, 15, 25, 29]}
 NT_DISTINCT_CFG = {"seeds": [0], "layout": [20, 0, 20], "nt_values": [1, 15, 29]}
@@ -423,6 +426,14 @@ class TestCli:
             ("classifier-demo", {"seeds": [0], "task": {"per_class": True}}),
             ("classifier-demo", {"seeds": [0], "task": {"sep": True}}),
             ("sweep-alpha", {"seeds": [0], "alphas": [0.5, True]}),
+            # Non-finite numbers (json.dumps writes them as NaN/Infinity).
+            ("verify-theorems", {"seeds": [0], "tolerance": {"rel": INF, "abs_floor": INF}}),
+            ("verify-theorems", {"seeds": [0], "tolerance": {"rel": NAN}}),
+            ("classifier-demo", {"seeds": [0], "step_size": INF}),
+            ("classifier-demo", {"seeds": [0], "task": {"sep": INF}}),
+            # Seeds outside the 64-bit key range.
+            ("verify-theorems", {"seeds": [-1]}),
+            ("sweep-nt", {"seeds": [0, 2**64]}),
         ],
     )
     def test_json_booleans_are_not_numbers(self, tmp_path, capsys, experiment, payload):
@@ -432,6 +443,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tolerance", "inf"],
+            ["--tolerance", "nan"],
+            ["--seeds", "-1"],
+            ["--seeds", "0,18446744073709551616"],
+        ],
+    )
+    def test_bad_flags_exit_two(self, tmp_path, capsys, flags):
+        config = self._write_config(tmp_path, VERIFY_CFG)
+        out = tmp_path / "x.csv"
+        code = main(["verify-theorems", "--config", str(config), "--out", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seeds": [0], "out": "\xff"}')
+        out = tmp_path / "x.csv"
+        assert main(["sweep-nt", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        config = self._write_config(tmp_path, dict(NT_DISTINCT_CFG, nt_values=[1]))
+        out = tmp_path / "a_directory"
+        out.mkdir()
+        assert main(["sweep-nt", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+        assert not summary_path_for(out).exists()
 
 
 class TestWriteOutputs:

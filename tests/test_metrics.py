@@ -14,9 +14,9 @@ from unlearn_lab.metrics import (
     measure_losses,
     mse_loss,
 )
-from unlearn_lab.oracle import TheoremPrediction, predict_distinct
+from unlearn_lab.oracle import TheoremPrediction, predict_distinct, predict_edited
 from unlearn_lab.scenarios import FeatureLayout, fine_tune_subset, gen_scenario
-from unlearn_lab.solvers import fine_tune_unlearn, retrain_golden, train_original
+from unlearn_lab.solvers import EditOption, fine_tune_unlearn, retrain_golden, train_original
 
 
 class TestMseLoss:
@@ -76,15 +76,13 @@ class TestLossReport:
 
 
 class TestGapReport:
-    PRED = TheoremPrediction(
-        kind="distinct", rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=0.5
-    )
+    PRED = TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=0.5)
 
     def test_identical_values_pass_with_zero_gaps(self):
         measured = LossReport(rl=0.0, ul=0.5, model_tag="golden")
         report = gap_report(measured, self.PRED)
         assert report.passed
-        assert all(e.abs_gap == 0.0 and e.rel_gap == 0.0 for e in report.entries)
+        assert all(e.abs_gap == 0.0 and e.rel_gap == 0.0 for e in (report.rl, report.ul))
 
     def test_tiny_measurement_passes_absolute_floor(self):
         measured = LossReport(rl=1e-12, ul=0.5, model_tag="golden")
@@ -94,7 +92,7 @@ class TestGapReport:
         measured = LossReport(rl=0.0, ul=0.6, model_tag="golden")
         report = gap_report(measured, self.PRED)
         assert not report.passed
-        ul_entry = report.entries[1]
+        ul_entry = report.ul
         assert abs(ul_entry.rel_gap - 0.2) < 1e-12
 
     def test_original_model_has_no_counterpart(self):
@@ -108,12 +106,23 @@ class TestGapReport:
             gap_report(measured, self.PRED)
 
     def test_edited_tag_with_edit_fields(self):
-        predicted = TheoremPrediction(
-            kind="edit-retain", rl_ft=0.0, ul_ft=0.0, rl_gold=0.0,
-            ul_gold=1.0, rl_edit=0.0, ul_edit=1.0,
-        )
+        predicted = TheoremPrediction(rl_edit=0.0, ul_edit=1.0)
         measured = LossReport(rl=0.0, ul=1.0 + 1e-11, model_tag="edited_fine_tuned")
         assert gap_report(measured, predicted).passed
+
+    def test_golden_tag_against_edit_prediction_is_rejected(self):
+        s = gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed=3)
+        predicted = predict_edited(s, EditOption.DISTINCT_ZERO_FORGET, [15])[0]
+        measured = measure_losses(retrain_golden(s), s, "golden")
+        with pytest.raises(ProvenanceMismatchError):
+            gap_report(measured, predicted)
+
+    def test_entries_are_named(self):
+        measured = LossReport(rl=0.25, ul=0.5, model_tag="golden")
+        report = gap_report(measured, self.PRED)
+        assert (report.rl.measured, report.rl.predicted) == (0.25, 0.0)
+        assert (report.ul.measured, report.ul.predicted) == (0.5, 0.5)
+        assert not report.passed and not report.rl.ok and report.ul.ok
 
 
 def _constant_logit_model(num_classes, feature_dim, favored):

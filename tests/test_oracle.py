@@ -131,7 +131,7 @@ class TestPredictEdited:
     def test_distinct_edit_equals_golden_prediction(self):
         s = gen_scenario(30, 10, DISTINCT, seed=6)
         base = predict_distinct(s)
-        edited = predict_edited(s, EditOption.DISTINCT_ZERO_FORGET, n_t=15)
+        edited = predict_edited(s, EditOption.DISTINCT_ZERO_FORGET, [15])[0]
         assert edited.rl_edit == base.rl_gold == 0.0
         assert edited.ul_edit == base.ul_gold
 
@@ -139,12 +139,12 @@ class TestPredictEdited:
         # With n_t = n_r the fine-tuning span contains all remaining
         # data, so the discard option loses nothing on the remaining set.
         s = gen_scenario(30, 10, OVERLAP, seed=7)
-        p = predict_edited(s, EditOption.OVERLAP_DISCARD, n_t=30)
+        p = predict_edited(s, EditOption.OVERLAP_DISCARD, [30])[0]
         assert p.rl_edit < 1e-18
 
     def test_discard_option_end_to_end(self):
         s = gen_scenario(30, 10, OVERLAP, seed=7)
-        predicted = predict_edited(s, EditOption.OVERLAP_DISCARD, n_t=15)
+        predicted = predict_edited(s, EditOption.OVERLAP_DISCARD, [15])[0]
         measured = _edited_pipeline_losses(s, EditOption.OVERLAP_DISCARD, 15)
         assert predicted.rl_edit > 1e-10
         assert within_tolerance(measured.rl, predicted.rl_edit)
@@ -152,7 +152,7 @@ class TestPredictEdited:
 
     def test_retain_option_end_to_end(self):
         s = gen_scenario(30, 10, OVERLAP, seed=7)
-        predicted = predict_edited(s, EditOption.OVERLAP_RETAIN, n_t=15)
+        predicted = predict_edited(s, EditOption.OVERLAP_RETAIN, [15])[0]
         measured = _edited_pipeline_losses(s, EditOption.OVERLAP_RETAIN, 15)
         assert predicted.rl_edit == 0.0
         assert measured.rl < 1e-18
@@ -161,7 +161,35 @@ class TestPredictEdited:
     def test_layout_guard(self):
         s = gen_scenario(30, 10, OVERLAP, seed=8)
         with pytest.raises(LayoutMismatchError):
-            predict_edited(s, EditOption.DISTINCT_ZERO_FORGET, n_t=5)
+            predict_edited(s, EditOption.DISTINCT_ZERO_FORGET, [5])
+
+    @pytest.mark.parametrize("option", list(EditOption))
+    def test_many_nt_values_equal_single_calls(self, option):
+        layout = DISTINCT if option is EditOption.DISTINCT_ZERO_FORGET else OVERLAP
+        s = gen_scenario(30, 10, layout, seed=9)
+        nt_values = [29, 1, 15, 2, 30]
+        together = predict_edited(s, option, nt_values)
+        assert together == [predict_edited(s, option, [n_t])[0] for n_t in nt_values]
+
+    @pytest.mark.parametrize(
+        "option,layout",
+        [(EditOption.DISTINCT_ZERO_FORGET, DISTINCT), (EditOption.OVERLAP_RETAIN, OVERLAP)],
+    )
+    def test_retain_and_distinct_do_not_depend_on_nt(self, option, layout):
+        predictions = predict_edited(gen_scenario(30, 10, layout, seed=10), option, [1, 15, 29])
+        assert predictions[0] == predictions[1] == predictions[2]
+
+    def test_every_nt_is_validated(self):
+        s = gen_scenario(30, 10, DISTINCT, seed=11)
+        with pytest.raises(ValueError):
+            predict_edited(s, EditOption.DISTINCT_ZERO_FORGET, [15, 31])
+
+    def test_only_edit_losses_are_predicted(self):
+        s = gen_scenario(30, 10, OVERLAP, seed=12)
+        p = predict_edited(s, EditOption.OVERLAP_DISCARD, [15])[0]
+        assert p.rl_edit is not None and p.ul_edit is not None
+        assert p.rl_ft is p.ul_ft is p.rl_gold is p.ul_gold is None
+        assert predict_overlap(s).rl_edit is predict_overlap(s).ul_edit is None
 
 
 class TestOracleMeasurementAgreement:
@@ -220,7 +248,7 @@ class TestOracleMeasurementAgreement:
                 options.append(EditOption.DISTINCT_ZERO_FORGET)
             n_t = int(rng.integers(1, n_r + 1))
             for option in options:
-                predicted = predict_edited(scenario, option, n_t)
+                predicted = predict_edited(scenario, option, [n_t])[0]
                 measured = _edited_pipeline_losses(scenario, option, n_t)
                 assert within_tolerance(measured.rl, predicted.rl_edit)
                 assert within_tolerance(measured.ul, predicted.ul_edit)
@@ -251,6 +279,7 @@ class TestOverlapWidthTrend:
             values = []
             for seed in range(50):
                 scenario = gen_scenario(n_r, n_f, layout, seed=seed)
-                values.append(predict_edited(scenario, EditOption.OVERLAP_DISCARD, n_t).rl_edit)
+                [predicted] = predict_edited(scenario, EditOption.OVERLAP_DISCARD, [n_t])
+                values.append(predicted.rl_edit)
             medians.append(float(np.median(values)))
         assert all(b >= a - 1e-12 for a, b in zip(medians, medians[1:])), medians

@@ -1,0 +1,25 @@
+"""Named random streams: one key per (seed, label), no shared keys."""
+
+import numpy as np
+import pytest
+
+from unlearn_lab.rng import stream
+
+
+def _draw(seed):
+    return stream(seed, "x_r").random(4)
+
+
+class TestStream:
+    def test_seeds_above_two_to_the_63_do_not_collide(self):
+        seeds = [2**63, 2**63 + 1, 2**63 + 2, 2**64 - 2, 2**64 - 1]
+        draws = {tuple(_draw(seed)) for seed in seeds}
+        assert len(draws) == len(seeds)
+
+    def test_numpy_integer_seed_matches_python_int(self):
+        assert np.array_equal(_draw(np.uint64(2**64 - 1)), _draw(2**64 - 1))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            stream(seed, "x_r")
