@@ -32,6 +32,7 @@ from .errors import (
     UnlearnLabError,
 )
 from .linalg import (
+    Factored,
     Projector,
     gradient_descent_solve,
     min_norm_anchor_solve,

@@ -4,15 +4,18 @@ Usage::
 
     unlearn-lab <experiment> --config <path> [--out <path>]
                 [--seeds s1,s2,...] [--tolerance x]
+                [--log-level WARNING|INFO|DEBUG]
 
 Exit status: 0 when every check passed, 1 on numerical failures or
-failed checks, 2 on configuration errors or outputs that cannot be
-written.
+failed checks, 2 on configuration errors, bad flags or outputs that
+cannot be written.  ``--log-level`` sends the package's log records at
+that level and above to stderr; it never changes the CSV or the summary.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from .errors import ConfigError, UnlearnLabError
@@ -43,6 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=None,
         help="override both the relative tolerance and the absolute floor",
     )
+    parser.add_argument(
+        "--log-level", choices=("WARNING", "INFO", "DEBUG"), default="WARNING",
+        help="log records to show on stderr (DEBUG shows each rank-deficient factorization)",
+    )
     return parser
 
 
@@ -56,6 +63,20 @@ def _parse_seeds(raw: str) -> list[int]:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    package_logger = logging.getLogger("unlearn_lab")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous_level = package_logger.level
+    package_logger.addHandler(handler)
+    package_logger.setLevel(args.log_level)
+    try:
+        return _run(args)
+    finally:
+        package_logger.removeHandler(handler)
+        package_logger.setLevel(previous_level)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config, args.experiment)
         if args.seeds is not None:

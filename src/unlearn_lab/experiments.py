@@ -36,6 +36,7 @@ from .classifier import (
     run_seed_grid,
 )
 from .errors import ConfigError, UnlearnLabError
+from .linalg import Factored
 from .metrics import gap_report, measure_losses
 from .oracle import predict_distinct, predict_edited, predict_overlap
 from .rng import is_seed
@@ -369,13 +370,24 @@ def _run_seeds(result: ExperimentResult, rows_for_seed) -> None:
             )
 
 
-def _edited_losses(scenario, w_o, option, n_t):
-    """Edit the pretrained weights, fine-tune, and measure both losses.
+def _prefix(scenario, n_t: int) -> tuple[Factored, np.ndarray]:
+    """The fine-tuning prefix ``(X_t, y_t)``, with ``X_t`` factored lazily.
+
+    Every fine-tune on the returned prefix shares one SVD, computed inside
+    the first solve on it.  Callers keep a prefix no longer than the seed
+    that uses it.
+    """
+    x_t, y_t = fine_tune_subset(scenario, n_t)
+    return Factored(x_t, "x_t"), y_t
+
+
+def _edited_losses(scenario, w_o, option, prefix):
+    """Edit the pretrained weights, fine-tune on ``prefix``, measure both losses.
 
     Returns ``(loss report, solver seconds)``; the timer covers only the
     edit and fine-tune calls, not data handling or measurement.
     """
-    x_t, y_t = fine_tune_subset(scenario, n_t)
+    x_t, y_t = prefix
     start = time.perf_counter()
     edited = edit_pretrained(w_o, scenario.layout, option)
     w_hat = fine_tune_unlearn(edited, x_t, y_t)
@@ -416,6 +428,12 @@ def _verify_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
             seed, cfg["dist"]),
     }
     pretrained = {check: train_original(s) for check, s in scenarios.items()}
+    # One factored prefix per (scenario, n_t), shared by the plain and the
+    # edited fine-tunes on it; the oracle factors its own matrices.
+    prefixes = {
+        check: {n_t: _prefix(s, n_t) for n_t in nt_values}
+        for check, s in scenarios.items()
+    }
 
     for check in ("distinct", "overlap"):
         scenario = scenarios[check]
@@ -428,7 +446,7 @@ def _verify_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
         rl_ft_max = ul_ft_max = 0.0
         ok = True
         for n_t in nt_values:
-            x_t, y_t = fine_tune_subset(scenario, n_t)
+            x_t, y_t = prefixes[check][n_t]
             start = time.perf_counter()
             w_t = fine_tune_unlearn(w_o, x_t, y_t)
             runtime += time.perf_counter() - start
@@ -456,7 +474,7 @@ def _verify_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
         ok = True
         predictions = predict_edited(scenario, option, nt_values)
         for n_t, predicted in zip(nt_values, predictions):
-            measured, elapsed = _edited_losses(scenario, w_o, option, n_t)
+            measured, elapsed = _edited_losses(scenario, w_o, option, prefixes[family][n_t])
             runtime += elapsed
             gaps = gap_report(measured, predicted, rel, floor)
             ok = ok and gaps.passed
@@ -497,20 +515,21 @@ def _sweep_nt_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
     gold = measure_losses(w_g, scenario, "golden")
     rows = []
     for n_t in cfg["nt_values"]:
-        x_t, y_t = fine_tune_subset(scenario, n_t)
+        prefix = _prefix(scenario, n_t)
+        x_t, y_t = prefix
         start = time.perf_counter()
         w_t = fine_tune_unlearn(w_o, x_t, y_t)
         runtime = time.perf_counter() - start
         ft = measure_losses(w_t, scenario, "fine_tuned")
         if layout.is_distinct:
-            zero, elapsed = _edited_losses(scenario, w_o, EditOption.DISTINCT_ZERO_FORGET, n_t)
+            zero, elapsed = _edited_losses(scenario, w_o, EditOption.DISTINCT_ZERO_FORGET, prefix)
             zero_rl, zero_ul = zero.rl, zero.ul
             runtime += elapsed
         else:
             zero_rl = zero_ul = float("nan")
-        retain, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_RETAIN, n_t)
+        retain, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_RETAIN, prefix)
         runtime += elapsed
-        discard, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_DISCARD, n_t)
+        discard, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_DISCARD, prefix)
         runtime += elapsed
         rows.append({
             "experiment": cfg["experiment"], "seed": seed, "n_t": n_t,
@@ -547,9 +566,10 @@ def _sweep_overlap_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
         w_g = retrain_golden(scenario)
         runtime = time.perf_counter() - start
         gold = measure_losses(w_g, scenario, "golden")
-        retain, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_RETAIN, cfg["n_t"])
+        prefix = _prefix(scenario, cfg["n_t"])
+        retain, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_RETAIN, prefix)
         runtime += elapsed
-        discard, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_DISCARD, cfg["n_t"])
+        discard, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_DISCARD, prefix)
         runtime += elapsed
         rows.append({
             "experiment": cfg["experiment"], "seed": seed,

@@ -7,6 +7,13 @@ derived from it, which keeps rank-deficient inputs well defined and
 numerically stable.  Projectors are always formed from retained left
 singular vectors, never from the normal-equations formula.
 
+A :class:`Factored` matrix holds a validated data matrix and computes its
+truncated SVD once, on first use.  The two solvers accept one in place
+of an array, so several solves on the same matrix share one
+factorization and give the same bits as separate solves.  A caller keeps
+a factor only as long as it solves on that matrix; nothing is cached at
+module level.
+
 Conventions: a data matrix ``X`` is ``d x n`` (features by samples), the
 linear system it induces is ``X^T w = y``, singular values are reported
 in descending order, and values are retained only when strictly greater
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +121,27 @@ def _truncated_svd(a, sv_cutoff: float | None):
     return u[:, :rank], s[:rank], v[:, :rank]
 
 
+class Factored:
+    """A validated data matrix with its truncated SVD, computed on first use.
+
+    ``truncated_svd`` is ``_truncated_svd(matrix, None)``: the default
+    cutoff, as in :func:`min_norm_solve`.  Every solve on one object reuses
+    that one factorization, which is what a fresh solve would compute, so
+    the results are bit for bit those of solving on the array.
+    """
+
+    def __init__(self, x, name: str = "x"):
+        self.matrix = as_matrix(x, name)
+
+    @cached_property
+    def truncated_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _truncated_svd(self.matrix, None)
+
+
+def _as_factored(x, name: str) -> Factored:
+    return x if isinstance(x, Factored) else Factored(x, name)
+
+
 def pseudoinverse(a, sv_cutoff: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse via truncated SVD.
 
@@ -141,16 +170,18 @@ def min_norm_solve(x, y) -> np.ndarray:
     """Minimum-Euclidean-norm solution of ``X^T w = y``.
 
     Returns ``(X^T)^+ y``, which interpolates the data and lies in the
-    column space of ``x``.  Raises :class:`InconsistentSystemError` when no
-    interpolating solution exists (residual above :func:`consistency_tol`).
+    column space of ``x``.  ``x`` is an array or a :class:`Factored`
+    matrix.  Raises :class:`InconsistentSystemError` when no interpolating
+    solution exists (residual above :func:`consistency_tol`).
     """
-    arr = as_matrix(x, "x")
+    factored = _as_factored(x, "x")
+    arr = factored.matrix
     rhs = as_vector(y, "y")
     if arr.shape[1] != rhs.shape[0]:
         raise InvalidMatrixError(
             f"x has {arr.shape[1]} samples but y has {rhs.shape[0]} entries"
         )
-    u, s, v = _truncated_svd(arr, None)
+    u, s, v = factored.truncated_svd
     # (X^T)^+ = U diag(1/s) V^T from the thin SVD X = U diag(s) V^T.
     w = u @ ((v.T @ rhs) / s) if s.size else np.zeros(arr.shape[0])
     residual = float(np.linalg.norm(arr.T @ w - rhs))
@@ -166,17 +197,19 @@ def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
 
     Returns ``w_o + (X_t^T)^+ (y_t - X_t^T w_o)``; with a zero anchor this
     reduces to :func:`min_norm_solve`, and when the anchor already
-    interpolates it is returned unchanged up to round-off.
+    interpolates it is returned unchanged up to round-off.  ``x_t`` is an
+    array or a :class:`Factored` matrix.
     """
     anchor = as_vector(w_o, "w_o")
-    arr = as_matrix(x_t, "x_t")
+    factored = _as_factored(x_t, "x_t")
+    arr = factored.matrix
     rhs = as_vector(y_t, "y_t")
     if arr.shape[0] != anchor.shape[0]:
         raise InvalidMatrixError(
             f"x_t has {arr.shape[0]} features but w_o has {anchor.shape[0]}"
         )
     try:
-        correction = min_norm_solve(arr, rhs - arr.T @ anchor)
+        correction = min_norm_solve(factored, rhs - arr.T @ anchor)
     except InconsistentSystemError as exc:
         raise InconsistentSystemError(
             f"anchored system X_t^T w = y_t is inconsistent ({exc})"

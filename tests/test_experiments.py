@@ -1,17 +1,22 @@
 """Tests for the experiment runner, CSV/JSON outputs, and the CLI."""
 
+import gc
 import json
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unlearn_lab import experiments
+from unlearn_lab import experiments, linalg
 from unlearn_lab.cli import main
 from unlearn_lab.errors import ConfigError, DivergenceError
 from unlearn_lab.experiments import (
     COLUMNS,
     render_csv,
     run_experiment,
+    run_verify_theorems,
     summary_path_for,
     validate_config,
     write_outputs,
@@ -180,6 +185,66 @@ class TestVerifyTheorems:
         )
         result = run_experiment("verify-theorems", cfg)
         assert result.passed is True
+
+
+class TestPrefixFactorization:
+    """Solver prefixes are factored once per seed, apart from the oracle's SVDs."""
+
+    @staticmethod
+    def _shipped_verify(seeds):
+        path = Path(__file__).resolve().parents[1] / "configs" / "verify_theorems.json"
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        return validate_config(dict(raw, seeds=seeds), "verify-theorems")
+
+    def test_one_shipped_seed_makes_62_solver_and_32_oracle_svds(self, monkeypatch):
+        counts = Counter()
+        exact = linalg.svd
+        layers = ("unlearn_lab.oracle", "unlearn_lab.solvers")
+
+        def counting_svd(a):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_globals["__name__"] not in layers:
+                frame = frame.f_back
+            counts[frame.f_globals["__name__"] if frame else "elsewhere"] += 1
+            return exact(a)
+
+        monkeypatch.setattr(linalg, "svd", counting_svd)
+        result = run_verify_theorems(self._shipped_verify([0]))
+        assert result.passed is True
+        assert counts == {"unlearn_lab.solvers": 62, "unlearn_lab.oracle": 32}
+
+    def test_a_faulty_solver_factorization_fails_the_oracle_checks(self, monkeypatch):
+        exact = linalg.Factored.truncated_svd.func
+
+        def tilted(factored):
+            # Tilt the left singular vectors out of the column space.  The
+            # solves still interpolate (no InconsistentSystemError), but they
+            # are no longer minimum-norm; only predictions made from the
+            # oracle's own SVDs can notice.
+            u, s, v = exact(factored)
+            off = 1.0 - u @ u.sum(axis=0)
+            if np.linalg.norm(off) < 1e-6:
+                return u, s, v
+            return u + 1e-3 * np.outer(off / np.linalg.norm(off), np.ones(s.size)), s, v
+
+        monkeypatch.setattr(linalg.Factored, "truncated_svd", property(tilted))
+        result = run_verify_theorems(self._shipped_verify([0]))
+        assert result.numerical_failures == 0
+        assert result.passed is False
+        # The rows whose solves move the model: retraining and the discard
+        # edit.  The other edits already fit every prefix, so nothing moves.
+        failed = {(row["check"], row["option"]) for row in result.rows if not row["pass"]}
+        assert failed == {("distinct", ""), ("overlap", ""), ("edit", "overlap-discard")}
+
+    def test_no_factor_outlives_its_seed(self):
+        def live_factors():
+            gc.collect()
+            return sum(isinstance(obj, linalg.Factored) for obj in gc.get_objects())
+
+        before = live_factors()
+        result = run_verify_theorems(self._shipped_verify([0, 1]))
+        assert result.passed is True
+        assert live_factors() == before
 
 
 class TestSweepNt:
@@ -480,6 +545,46 @@ class TestCli:
         assert err.startswith("output error: ") and err.count("\n") == 1
         assert list(out.iterdir()) == []
         assert not summary_path_for(out).exists()
+
+
+class TestLogLevel:
+    def _run(self, tmp_path, capsys, name, *flags):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(VERIFY_CFG, nt_values=[1, 29])), encoding="utf-8")
+        out = tmp_path / f"{name}.csv"
+        code = main([
+            "verify-theorems", "--config", str(config), "--out", str(out), "--seeds", "0", *flags,
+        ])
+        assert code == 0
+        summary = json.loads(summary_path_for(out).read_text(encoding="utf-8"))
+        del summary["csv"], summary["total_runtime_seconds"]
+        return _strip_runtime(out.read_text(encoding="utf-8")), summary, capsys.readouterr().err
+
+    def test_debug_logs_each_rank_deficient_factorization_and_keeps_outputs(
+        self, tmp_path, capsys
+    ):
+        csv, summary, err = self._run(tmp_path, capsys, "default")
+        assert err == ""
+        debug_csv, debug_summary, debug_err = self._run(
+            tmp_path, capsys, "debug", "--log-level", "DEBUG")
+        assert (debug_csv, debug_summary) == (csv, summary)
+        lines = debug_err.splitlines()
+        assert lines and all(
+            line.startswith("DEBUG unlearn_lab.linalg: rank-deficient matrix: ") for line in lines)
+        # The distinct n_t = 29 prefix (rank d_r = 20) is factored once and
+        # shared by the plain and the zero-forget fine-tunes; the oracle
+        # predicts neither from that prefix.
+        assert sum("shape (40, 29) has rank 20 " in line for line in lines) == 1
+
+    def test_info_shows_no_debug_lines(self, tmp_path, capsys):
+        _, _, err = self._run(tmp_path, capsys, "info", "--log-level", "INFO")
+        assert err == ""
+
+    def test_invalid_level_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            self._run(tmp_path, capsys, "bad", "--log-level", "TRACE")
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'TRACE'" in capsys.readouterr().err
 
 
 class TestWriteOutputs:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from unlearn_lab import linalg
 from unlearn_lab.errors import InconsistentSystemError, InvalidMatrixError, SvdFailureError
 from unlearn_lab.linalg import (
     TOL_IDEM,
     TOL_SYM,
+    Factored,
     gradient_descent_solve,
     min_norm_anchor_solve,
     min_norm_solve,
@@ -250,6 +252,38 @@ class TestMinNormAnchorSolve:
         for _ in range(50):
             alt = w + q @ rng.standard_normal(12)
             assert np.linalg.norm(w - w_o) <= np.linalg.norm(alt - w_o) + 1e-12
+
+
+class TestFactored:
+    def test_factors_once_on_first_solve(self, monkeypatch):
+        calls = []
+        exact = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda a: calls.append(a.shape) or exact(a))
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((6, 3))
+        factored = Factored(x)
+        assert calls == []
+        y = x.T @ rng.standard_normal(6)
+        w = min_norm_solve(factored, y)
+        min_norm_anchor_solve(factored, y, rng.standard_normal(6))
+        min_norm_anchor_solve(factored, y, np.zeros(6))
+        assert calls == [(6, 3)]
+        assert np.array_equal(w, min_norm_solve(x, y))
+
+    def test_validates_on_construction(self):
+        with pytest.raises(InvalidMatrixError, match="x_t contains non-finite"):
+            Factored(np.array([[1.0, np.nan]]), "x_t")
+        with pytest.raises(InvalidMatrixError, match="x_t must be 2-D"):
+            min_norm_anchor_solve(np.ones(3), np.ones(1), np.ones(3))
+
+    def test_projector_and_pseudoinverse_take_only_arrays(self):
+        # The oracle's kernels factor their input themselves, so a
+        # measured solve and a prediction never share one factorization.
+        factored = Factored(np.eye(3))
+        with pytest.raises(TypeError):
+            projector(factored)
+        with pytest.raises(TypeError):
+            pseudoinverse(factored)
 
 
 class TestWeightedSeminorm:

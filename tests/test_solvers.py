@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from unlearn_lab.errors import LayoutMismatchError
-from unlearn_lab.linalg import gradient_descent_solve, min_norm_solve, projector
+from unlearn_lab.errors import InconsistentSystemError, LayoutMismatchError
+from unlearn_lab.linalg import (
+    Factored,
+    gradient_descent_solve,
+    min_norm_anchor_solve,
+    min_norm_solve,
+    projector,
+)
 from unlearn_lab.scenarios import (
     FeatureLayout,
     decompose_w_star,
@@ -97,6 +103,57 @@ class TestFineTuneUnlearn:
         w_closed = fine_tune_unlearn(edited, x_t, y_t)
         w_gd = gradient_descent_solve(x_t, y_t, w0=edited, iters=60_000, stop_tol=1e-14)
         assert np.max(np.abs(w_closed - w_gd)) < 1e-6
+
+
+class TestFactoredPrefix:
+    """A prefix factored once gives every fine-tune the bits of a fresh solve."""
+
+    @staticmethod
+    def _anchors(s):
+        w_o = train_original(s)
+        options = [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD]
+        if s.layout.is_distinct:
+            options.append(EditOption.DISTINCT_ZERO_FORGET)
+        rng = np.random.default_rng(11)
+        return (
+            [w_o, np.zeros(s.layout.d), rng.standard_normal(s.layout.d)]
+            + [edit_pretrained(w_o, s.layout, option) for option in options]
+        )
+
+    @pytest.mark.parametrize("dist", ["standard-normal", "uniform"])
+    @pytest.mark.parametrize("layout", [DISTINCT, OVERLAP], ids=["distinct", "overlap"])
+    def test_every_prefix_and_anchor_is_bit_identical(self, layout, dist):
+        s = gen_scenario(30, 10, layout, seed=3, dist=dist)
+        anchors = self._anchors(s)
+        kept = layout.d_r + layout.d_lap
+        for n_t in range(1, s.n_r):
+            x_t, y_t = fine_tune_subset(s, n_t)
+            factored = Factored(x_t)
+            for anchor in anchors:
+                shared = min_norm_anchor_solve(factored, y_t, anchor)
+                assert np.array_equal(shared, min_norm_anchor_solve(x_t, y_t, anchor))
+                assert np.array_equal(shared, fine_tune_unlearn(anchor, factored, y_t))
+            # Prefixes wider than the kept blocks are rank-deficient.
+            rank = factored.truncated_svd[1].size
+            assert rank == min(n_t, kept)
+
+    @pytest.mark.parametrize("layout", [DISTINCT, OVERLAP], ids=["distinct", "overlap"])
+    def test_inconsistent_rhs_raises_the_same_error(self, layout):
+        s = gen_scenario(30, 10, layout, seed=3)
+        n_t = layout.d_r + layout.d_lap + 3
+        x_t, y_t = fine_tune_subset(s, n_t)
+        # A rank-deficient prefix cannot fit labels with a generic offset.
+        y_bad = y_t + np.random.default_rng(5).standard_normal(n_t)
+        w_o = train_original(s)
+        with pytest.raises(InconsistentSystemError) as fresh:
+            min_norm_anchor_solve(x_t, y_bad, w_o)
+        factored = Factored(x_t)
+        assert np.array_equal(
+            min_norm_anchor_solve(factored, y_t, w_o), min_norm_anchor_solve(x_t, y_t, w_o)
+        )
+        with pytest.raises(InconsistentSystemError) as shared:
+            min_norm_anchor_solve(factored, y_bad, w_o)
+        assert str(shared.value) == str(fresh.value)
 
 
 class TestRetrainGolden:
