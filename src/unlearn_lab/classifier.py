@@ -19,16 +19,19 @@ forget set (the ``0 * log 0`` terms vanish), so every objective is
 Training is deterministic: full batch, fixed step size, no randomness
 beyond data generation.  The engine descends a stack of models at once,
 so one seed's whole (variant, alpha) grid fine-tunes as a single
-``(M, K, D)`` gradient descent from one pretrained model; every member
-follows bit for bit the trajectory it would follow alone.  Gradients are
-computed analytically and are checked against finite differences in the
-test suite.
+``(M, K, D)`` gradient descent; every member follows bit for bit the
+trajectory it would follow alone.  A member is keyed by its start and
+its weights ``(c_r, c_f)``, and each distinct key descends once: the
+``kl-ft``/``ice-ft`` twins share one member, and the golden ``retrain``
+model is the zero-start ``(1, 0)`` member.  Gradients are computed
+analytically and are checked against finite differences in the test
+suite.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -275,19 +278,10 @@ def fit_softmax(
     step-size hint.
 
     Returns the final parameters and the ``(M, epochs)`` loss trace of
-    each member's successful attempt.  Two-dimensional ``weights`` and
-    ``bias`` are a one-member stack: ``value_and_grad(w, b)`` then takes
-    and returns unstacked values, and the trace is a list of floats.
+    each member's successful attempt.
     """
-    single = weights.ndim == 2
-    if single:
-        def stacked_fn(w, b, _members):
-            loss, grad_w, grad_b = value_and_grad(w[0], b[0])
-            return np.asarray(loss)[None], grad_w[None], grad_b[None]
-        weights, bias = weights[None], bias[None]
-    else:
-        stacked_fn = value_and_grad
-
+    if weights.ndim != 3 or bias.ndim != 2:
+        raise ValueError("fit_softmax takes a stack: weights (M, K, D) and bias (M, K)")
     final_w, final_b = weights.copy(), bias.copy()
     trace = np.empty((weights.shape[0], epochs))
     pending = np.arange(weights.shape[0])
@@ -300,7 +294,7 @@ def fit_softmax(
             # Divergence is detected via the loss value; silence the
             # redundant overflow warnings on that path.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grad_w, grad_b = stacked_fn(w, b, members)
+                loss, grad_w, grad_b = value_and_grad(w, b, members)
             finite = np.isfinite(loss)
             if not finite.all():
                 diverged.append(members[~finite])
@@ -313,8 +307,6 @@ def fit_softmax(
             b -= step * grad_b
         final_w[members], final_b[members] = w, b
         if not diverged:
-            if single:
-                return final_w[0], final_b[0], trace[0].tolist()
             return final_w, final_b, trace
         pending = np.sort(np.concatenate(diverged))
     raise DivergenceError(
@@ -326,21 +318,53 @@ def fit_softmax(
 def pretrain(train: LabeledSet, cfg: FtConfig, num_classes: int | None = None) -> SoftmaxClassifier:
     """Train a softmax classifier from zero-initialized parameters.
 
-    Plain cross-entropy on ``train`` for ``cfg.epochs`` full-batch steps;
-    with zero epochs the zero model is returned.  ``num_classes`` defaults
-    to ``max(label) + 1`` and must be given explicitly when the training
-    split does not contain the highest class.
+    Plain cross-entropy on ``train`` for ``cfg.epochs`` full-batch steps,
+    descended as a one-member stack; with zero epochs the zero model is
+    returned.  ``num_classes`` defaults to ``max(label) + 1`` and must be
+    given explicitly when the training split does not contain the highest
+    class.
     """
     if num_classes is None:
         num_classes = int(train.labels.max()) + 1
-    w0 = np.zeros((num_classes, train.features.shape[0]))
-    b0 = np.zeros(num_classes)
     w, b, _ = fit_softmax(
-        w0, b0,
-        lambda w_, b_: _ce_value_and_grad(w_, b_, train),
+        np.zeros((1, num_classes, train.features.shape[0])),
+        np.zeros((1, num_classes)),
+        lambda w_, b_, _members: _ce_value_and_grad(w_, b_, train),
         cfg.epochs, cfg.step_size,
     )
-    return SoftmaxClassifier(weights=w, bias=b)
+    return SoftmaxClassifier(weights=w[0], bias=b[0])
+
+
+def _descend_distinct(
+    starts: Sequence[SoftmaxClassifier],
+    start_of: Sequence[int],
+    coefs: np.ndarray,
+    remain: LabeledSet,
+    forget: LabeledSet,
+    epochs: int,
+    step_size: float,
+) -> list[SoftmaxClassifier]:
+    """Descend each distinct ``(start, c_r, c_f)`` objective once, as one stack.
+
+    Pair ``i`` starts from ``starts[start_of[i]]`` and descends
+    ``coefs[i, 0] * CE(remain) + coefs[i, 1] * CE(forget)``.  Pairs with
+    equal keys follow the same trajectory, so they share one member and
+    its final model.
+    """
+    keys, inverse = np.unique(
+        np.column_stack([start_of, coefs]), axis=0, return_inverse=True
+    )
+    first = keys[:, 0].astype(int)
+    w, b, _ = fit_softmax(
+        np.stack([starts[s].weights for s in first]),
+        np.stack([starts[s].bias for s in first]),
+        lambda w_, b_, members: _mixed_value_and_grad(
+            w_, b_, remain, forget, keys[members, 1], keys[members, 2]
+        ),
+        epochs, step_size,
+    )
+    finals = [SoftmaxClassifier(weights=w[k], bias=b[k]) for k in range(len(keys))]
+    return [finals[k] for k in inverse.ravel()]
 
 
 def unlearn_ft(
@@ -352,24 +376,18 @@ def unlearn_ft(
     """Fine-tune the pretrained classifier once per config, as one stack.
 
     Every member starts from the pretrained parameters and descends its
-    own objective; ``forget`` must already hold the relabeled targets for
-    the regularized variants.  ``cfgs`` must be non-empty and share
+    own objective; configs with equal weights ``(c_r, c_f)`` share one
+    member.  ``forget`` must already hold the relabeled targets for the
+    regularized variants.  ``cfgs`` must be non-empty and share
     ``epochs`` and ``step_size``.
     """
     epochs, step_size = cfgs[0].epochs, cfgs[0].step_size
     if any((c.epochs, c.step_size) != (epochs, step_size) for c in cfgs):
         raise ValueError("stacked fine-tuning needs one epochs and step_size for all configs")
-    coef_r, coef_f = np.array([ft_coefficients(c.variant, c.alpha) for c in cfgs]).T
-    count = len(cfgs)
-    w, b, _ = fit_softmax(
-        np.repeat(model.weights[None], count, axis=0),
-        np.repeat(model.bias[None], count, axis=0),
-        lambda w_, b_, members: _mixed_value_and_grad(
-            w_, b_, remain, forget, coef_r[members], coef_f[members]
-        ),
-        epochs, step_size,
+    coefs = np.array([ft_coefficients(c.variant, c.alpha) for c in cfgs])
+    return _descend_distinct(
+        [model], [0] * len(cfgs), coefs, remain, forget, epochs, step_size
     )
-    return [SoftmaxClassifier(weights=w[i], bias=b[i]) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -392,19 +410,23 @@ def run_seed_grid(
     """Full class-wise forgetting pipeline for one seed and many pairs.
 
     Generates the task and pretrains on all classes once, splits off the
-    forgetting class and relabels it, then fine-tunes every
-    (variant, alpha) pair of :data:`VARIANTS` as one stacked descent from
-    the pretrained model.  ``"retrain"`` pairs share one fit from scratch
-    on the remaining classes.  Returns UA/RA/TA per pair, in order; TA is
-    measured on held-out samples of the remaining classes.  Only
-    ``epochs`` and ``step_size`` of ``cfg`` are used.
+    forgetting class and relabels it, then descends every pair as one
+    stack.  A pair is keyed by its start and weights ``(c_r, c_f)``: the
+    pretrained model for the (variant, alpha) pairs of :data:`VARIANTS`,
+    and zero with ``(1, 0)`` for ``"retrain"``, which is the fit from
+    scratch on the remaining classes.  Each distinct key descends once
+    and its pairs share the final model.  Returns UA/RA/TA per pair, in
+    order; TA is measured on held-out samples of the remaining classes.
+    Only ``epochs`` and ``step_size`` of ``cfg`` are used.
 
-    ``runtime_seconds`` of a fine-tuned pair is its equal share of the
-    stacked fine-tune's wall time; a retrain pair reports its own fit.
+    ``runtime_seconds`` of every pair, retrain included, is its equal
+    share of the stack's wall time.
     """
     for variant, _ in pairs:
         if variant != "retrain" and variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
+    if not pairs:
+        return []
     if cfg is None:
         cfg = FtConfig(variant="naive-ft")
     train, test = gen_class_task(
@@ -413,29 +435,24 @@ def run_seed_grid(
     forget, remain = split_class(train, task.forget_class)
     _, test_remain = split_class(test, task.forget_class)
     model = pretrain(train, cfg, num_classes=task.num_classes)
-
-    def score(final: SoftmaxClassifier, runtime: float) -> Metrics:
-        return classifier_metrics(final, forget, remain, test_remain, runtime_seconds=runtime)
-
-    results: list[Metrics | None] = [None] * len(pairs)
-    tuned = [i for i, (variant, _) in enumerate(pairs) if variant in VARIANTS]
-    if tuned:
-        relabeled = LabeledSet(
-            features=forget.features,
-            labels=relabel_forget(forget.labels, task.num_classes),
-        )
-        cfgs = [replace(cfg, variant=pairs[i][0], alpha=pairs[i][1]) for i in tuned]
-        start = time.perf_counter()
-        finals = unlearn_ft(model, remain, relabeled, cfgs)
-        share = (time.perf_counter() - start) / len(tuned)
-        for i, final in zip(tuned, finals):
-            results[i] = score(final, share)
-    retrained = [i for i, (variant, _) in enumerate(pairs) if variant == "retrain"]
-    if retrained:
-        start = time.perf_counter()
-        final = pretrain(remain, cfg, num_classes=task.num_classes)
-        golden = score(final, time.perf_counter() - start)
-        for i in retrained:
-            results[i] = golden
-    return results
-
+    zero = SoftmaxClassifier(
+        weights=np.zeros_like(model.weights), bias=np.zeros_like(model.bias)
+    )
+    relabeled = LabeledSet(
+        features=forget.features,
+        labels=relabel_forget(forget.labels, task.num_classes),
+    )
+    start_of = [int(variant == "retrain") for variant, _ in pairs]
+    coefs = np.array([
+        (1.0, 0.0) if variant == "retrain" else ft_coefficients(variant, alpha)
+        for variant, alpha in pairs
+    ])
+    start = time.perf_counter()
+    finals = _descend_distinct(
+        [model, zero], start_of, coefs, remain, relabeled, cfg.epochs, cfg.step_size
+    )
+    share = (time.perf_counter() - start) / len(pairs)
+    return [
+        classifier_metrics(final, forget, remain, test_remain, runtime_seconds=share)
+        for final in finals
+    ]

@@ -8,7 +8,7 @@ Usage::
 
 Exit status: 0 when every check passed, 1 on numerical failures or
 failed checks, 2 on configuration errors, bad flags or outputs that
-cannot be written.  ``--log-level`` sends the package's log records at
+cannot be written, each reported in one line on stderr.  ``--log-level`` sends the package's log records at
 that level and above to stderr; it never changes the CSV or the summary.
 """
 
@@ -30,8 +30,15 @@ from .experiments import (
 )
 
 
+class _OneLineParser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ``config error:`` line."""
+
+    def error(self, message: str):
+        self.exit(2, f"config error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _OneLineParser(
         prog="unlearn-lab",
         description="Deterministic experiments on fine-tuning-based unlearning.",
     )

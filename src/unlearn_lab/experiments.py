@@ -11,9 +11,10 @@ full, defaulted configuration (so the file is self-describing), plus a
 JSON summary with pass/fail and a config echo.  Re-running a config
 reproduces the CSV byte for byte except for the trailing runtime column.
 Column sets are versioned via the ``# schema:`` header line.  In
-``classifier/v2`` the fine-tuned rows of one seed share one stacked
-descent, and ``runtime_seconds`` is each row's equal share of its wall
-time; retrain rows keep the time of their own fit.
+``classifier/v3`` every row of one seed, ``retrain`` included, comes
+from one stacked descent in which identical objectives descend once and
+``retrain`` is the zero-start member; ``runtime_seconds`` is each row's
+equal share of that descent's wall time.
 
 Rows are dicts keyed by column name; :data:`COLUMNS` alone fixes the
 order of the cells, and :func:`render_csv` checks each row against it.
@@ -61,8 +62,8 @@ SCHEMAS = {
     "verify-theorems": "verify-theorems/v1",
     "sweep-nt": "sweep-nt/v1",
     "sweep-overlap": "sweep-overlap/v1",
-    "classifier-demo": "classifier/v2",
-    "sweep-alpha": "classifier/v2",
+    "classifier-demo": "classifier/v3",
+    "sweep-alpha": "classifier/v3",
 }
 
 COLUMNS = {
@@ -83,7 +84,7 @@ COLUMNS = {
         "rl_gold", "ul_gold", "rl_edit_retain", "ul_edit_retain",
         "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
     ],
-    "classifier/v2": [
+    "classifier/v3": [
         "experiment", "variant", "alpha", "seed", "ua", "ra", "ta",
         "runtime_seconds",
     ],

@@ -1,8 +1,11 @@
 """Tests for the softmax classifier and its unlearning objectives."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from unlearn_lab import classifier, experiments
 from unlearn_lab.classifier import (
     ClassTask,
     FtConfig,
@@ -39,6 +42,20 @@ def _small_problem(seed, num_classes=5, dim=8, per_class=6):
     weights = 0.3 * rng.standard_normal((num_classes, dim))
     bias = 0.1 * rng.standard_normal(num_classes)
     return remain, forget, weights, bias
+
+
+def _fit_alone(weights, bias, value_and_grad, epochs, step_size, **kwargs):
+    """Descend one model whose ``value_and_grad(w, b)`` takes 2-D parameters.
+
+    The engine sees a one-member stack; the kernel sees the unstacked
+    model, so this is the reference trajectory a stack member must match.
+    """
+    def stacked(w, b, _members):
+        loss, grad_w, grad_b = value_and_grad(w[0], b[0])
+        return np.asarray(loss)[None], grad_w[None], grad_b[None]
+
+    w, b, trace = fit_softmax(weights[None], bias[None], stacked, epochs, step_size, **kwargs)
+    return w[0], b[0], trace[0].tolist()
 
 
 class TestGenClassTask:
@@ -145,7 +162,7 @@ class TestObjectiveStructure:
         remain, forget, weights, bias = _small_problem(12)
         runs = {}
         for variant in ("naive-ft", "kl-ft", "ice-ft"):
-            w, b, losses = fit_softmax(
+            w, b, losses = _fit_alone(
                 weights, bias,
                 lambda w_, b_, v=variant: objective_value_and_grad(
                     w_, b_, remain, forget, v, 0.0
@@ -213,7 +230,7 @@ class TestFitEngine:
 
     def test_loss_non_increasing_for_small_steps(self):
         remain, forget, weights, bias = _small_problem(14)
-        _, _, losses = fit_softmax(
+        _, _, losses = _fit_alone(
             weights, bias,
             lambda w, b: objective_value_and_grad(w, b, remain, forget, "kl-ft", 0.5),
             epochs=200, step_size=0.05,
@@ -224,7 +241,7 @@ class TestFitEngine:
         remain, forget, weights, bias = _small_problem(15)
         results = []
         for _ in range(2):
-            w, b, losses = fit_softmax(
+            w, b, losses = _fit_alone(
                 weights, bias,
                 lambda w_, b_: objective_value_and_grad(
                     w_, b_, remain, forget, "ce-ft", 0.3
@@ -236,12 +253,23 @@ class TestFitEngine:
         np.testing.assert_array_equal(results[0][1], results[1][1])
         assert results[0][2] == results[1][2]
 
+    def test_unstacked_parameters_rejected(self):
+        remain, forget, weights, bias = _small_problem(18)
+        with pytest.raises(ValueError, match="stack"):
+            fit_softmax(
+                weights, bias,
+                lambda w, b, _members: objective_value_and_grad(
+                    w, b, remain, forget, "naive-ft", 0.0
+                ),
+                epochs=5, step_size=0.1,
+            )
+
     def test_divergence_raises_with_hint(self):
         broken = LabeledSet(
             features=np.array([[np.inf], [0.0]]), labels=np.array([0])
         )
         with pytest.raises(DivergenceError, match="step_size"):
-            fit_softmax(
+            _fit_alone(
                 np.ones((2, 2)), np.zeros(2),
                 lambda w, b: objective_value_and_grad(
                     w, b, broken, broken, "naive-ft", 0.0
@@ -336,7 +364,7 @@ class TestSeedGrid:
         stacked = unlearn_ft(model, remain, relabeled, cfgs)
         for cfg, member in zip(cfgs, stacked):
             [alone] = unlearn_ft(model, remain, relabeled, [cfg])
-            w, b, _ = fit_softmax(
+            w, b, _ = _fit_alone(
                 model.weights, model.bias,
                 lambda w_, b_: objective_value_and_grad(
                     w_, b_, remain, relabeled, cfg.variant, cfg.alpha
@@ -358,6 +386,142 @@ class TestSeedGrid:
         cfgs = [FtConfig(variant="kl-ft", epochs=5), FtConfig(variant="kl-ft", epochs=6)]
         with pytest.raises(ValueError, match="epochs"):
             unlearn_ft(model, remain, forget, cfgs)
+
+
+class TestKernelExactness:
+    """A member of a stacked cross-entropy evaluation gets the bits of its
+    own 2-D evaluation.  Gemm results depend on the memory layout of the
+    features, so both the layout ``split_class`` returns (Fortran order)
+    and C order are held."""
+
+    @pytest.mark.parametrize("layout", ["as-split", "c-order"])
+    def test_stack_of_24_equals_each_member_alone(self, layout):
+        train, _ = gen_class_task(5, 100, 20, sep=4.0, seed=0)
+        rng = np.random.default_rng(8)
+        weights = rng.standard_normal((24, 5, 20))
+        bias = rng.standard_normal((24, 5))
+        for data in split_class(train, 0):
+            if layout == "c-order":
+                data = LabeledSet(np.ascontiguousarray(data.features), data.labels)
+            assert data.features.flags.f_contiguous == (layout == "as-split")
+            assert data.features.flags.c_contiguous == (layout == "c-order")
+            loss, grad_w, grad_b = _ce_value_and_grad(weights, bias, data)
+            for i in range(24):
+                alone = _ce_value_and_grad(weights[i], bias[i], data)
+                assert np.array_equal(loss[i], alone[0])
+                assert np.array_equal(grad_w[i], alone[1])
+                assert np.array_equal(grad_b[i], alone[2])
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """Every ``fit_softmax`` call made through the classifier module, as
+    ``(stack size, members of each gradient evaluation)`` in call order."""
+    calls = []
+    real = classifier.fit_softmax
+
+    def recording(weights, bias, value_and_grad, epochs, step_size, max_halvings=5):
+        evaluations = []
+        calls.append((weights.shape[0], evaluations))
+
+        def counted(w, b, members):
+            evaluations.append(members.tolist())
+            return value_and_grad(w, b, members)
+
+        return real(weights, bias, counted, epochs, step_size, max_halvings)
+
+    monkeypatch.setattr(classifier, "fit_softmax", recording)
+    return calls
+
+
+class TestDistinctObjectives:
+    """Each distinct (start, c_r, c_f) objective descends once per seed:
+    kl-ft/ice-ft twins share a member, and retrain is the zero-start
+    (1, 0) member of the same stack."""
+
+    CFG = FtConfig(variant="naive-ft", epochs=100, step_size=0.1)
+
+    @pytest.mark.parametrize("experiment,stacks", [
+        ("sweep-alpha", [1, 16]),
+        ("classifier-demo", [1, 4]),
+    ])
+    def test_a_shipped_seed_descends_each_objective_once(self, fits, experiment, stacks):
+        path = Path(__file__).resolve().parents[1] / "configs" / (
+            experiment.replace("-", "_") + ".json")
+        cfg = experiments.load_config(path, experiment)
+        cfg["seeds"], cfg["epochs"] = [0], 5
+        experiments.run_experiment(experiment, cfg)
+        assert [size for size, _ in fits] == stacks
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_retrain_equals_pretrain_on_remain(self, fits, monkeypatch, seed):
+        task = ClassTask()
+        train, _ = gen_class_task(
+            task.num_classes, task.per_class, task.feature_dim, task.sep, seed)
+        _, remain = split_class(train, task.forget_class)
+        golden = pretrain(remain, self.CFG, num_classes=task.num_classes)
+        models = []
+        real_metrics = classifier.classifier_metrics
+
+        def capture(final, *args, **kwargs):
+            models.append(final)
+            return real_metrics(final, *args, **kwargs)
+
+        monkeypatch.setattr(classifier, "classifier_metrics", capture)
+        del fits[:]
+        pairs = [("retrain", 0.0), ("naive-ft", 0.5), ("kl-ft", 0.5), ("ce-ft", 0.5)]
+        run_seed_grid(task, pairs, seed, self.CFG)
+        assert [size for size, _ in fits] == [1, 4]
+        assert np.array_equal(models[0].weights, golden.weights)
+        assert np.array_equal(models[0].bias, golden.bias)
+
+    def test_duplicated_objectives_share_one_member(self, fits):
+        train, _ = gen_class_task(4, 15, 6, sep=3.0, seed=3)
+        forget, remain = split_class(train, 1)
+        relabeled = LabeledSet(forget.features, relabel_forget(forget.labels, 4))
+        model = pretrain(train, TestSeedGrid.CFG, num_classes=4)
+        pairs = [("kl-ft", 0.3), ("ice-ft", 0.3), ("naive-ft", 0.7), ("kl-ft", 0.0),
+                 ("ice-ft", 0.0), ("ce-ft", 0.3)]
+        cfgs = [FtConfig(variant=v, alpha=a, epochs=60, step_size=0.2) for v, a in pairs]
+        del fits[:]
+        finals = unlearn_ft(model, remain, relabeled, cfgs)
+        assert [size for size, _ in fits] == [3]
+        for group in ([0, 1], [2, 3, 4], [5]):
+            for i in group:
+                [alone] = unlearn_ft(model, remain, relabeled, [cfgs[i]])
+                for member in (finals[group[0]], alone):
+                    np.testing.assert_array_equal(finals[i].weights, member.weights)
+                    np.testing.assert_array_equal(finals[i].bias, member.bias)
+        assert not np.array_equal(finals[0].weights, finals[2].weights)
+
+    def test_a_diverging_objective_listed_twice_restarts_once(self, fits):
+        remain, forget, weights, bias = _exploding_forget_problem()
+        model = SoftmaxClassifier(weights=weights, bias=bias)
+        epochs = TestStackedDivergence.EPOCHS
+        pairs = [("ice-ft", 1.0), ("kl-ft", 1.0), ("ice-ft", 0.05)]
+        cfgs = [FtConfig(variant=v, alpha=a, epochs=epochs, step_size=0.1) for v, a in pairs]
+        finals = unlearn_ft(model, remain, forget, cfgs)
+        [(size, evaluations)] = fits
+        assert size == 2
+        solo_calls = []
+
+        def solo(w, b):
+            solo_calls.append(1)
+            return objective_value_and_grad(w, b, remain, forget, "ice-ft", 1.0)
+
+        w, b, _ = _fit_alone(weights, bias, solo, epochs, 0.1)
+        assert len(solo_calls) > epochs  # the objective needed halvings
+        # Keys sort by (c_r, c_f), so member 1 is the (1, 1) objective.
+        assert sum(1 in members for members in evaluations) == len(solo_calls)
+        for final in finals[:2]:
+            np.testing.assert_array_equal(final.weights, w)
+            np.testing.assert_array_equal(final.bias, b)
+
+        stuck = LabeledSet(
+            features=np.full_like(forget.features, np.inf), labels=forget.labels
+        )
+        with pytest.raises(DivergenceError, match=r"loss of 1 model\(s\)"):
+            unlearn_ft(model, remain, stuck, cfgs[:2])
 
 
 def _exploding_forget_problem():
@@ -416,7 +580,7 @@ class TestStackedDivergence:
                 calls.append(1)
                 return objective_value_and_grad(w_, b_, remain, forget, v, a)
 
-            w_i, b_i, losses = fit_softmax(weights, bias, value_and_grad, self.EPOCHS, 0.1)
+            w_i, b_i, losses = _fit_alone(weights, bias, value_and_grad, self.EPOCHS, 0.1)
             np.testing.assert_array_equal(w[i], w_i)
             np.testing.assert_array_equal(b[i], b_i)
             assert trace[i].tolist() == losses
@@ -467,7 +631,7 @@ class TestStackedDivergence:
             value_and_grad, 25, 0.1,
         )
         assert calls == [[0, 1, 2]] * 25
-        w_naive, b_naive, _ = fit_softmax(
+        w_naive, b_naive, _ = _fit_alone(
             weights, bias, lambda w_, b_: _ce_value_and_grad(w_, b_, remain), 25, 0.1
         )
         for i in range(3):

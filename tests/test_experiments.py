@@ -117,7 +117,7 @@ class TestSchemas:
             "rl_gold", "ul_gold", "rl_edit_retain", "ul_edit_retain",
             "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
         ]
-        assert COLUMNS["classifier/v2"] == [
+        assert COLUMNS["classifier/v3"] == [
             "experiment", "variant", "alpha", "seed", "ua", "ra", "ta",
             "runtime_seconds",
         ]
@@ -360,7 +360,7 @@ class TestClassifierExperiments:
         )
         rows = run_experiment("classifier-demo", cfg).rows
         runtime = {r["variant"]: r["runtime_seconds"] for r in rows if r["seed"] == 0}
-        assert runtime["naive-ft"] == runtime["kl-ft"] == runtime["ice-ft"] > 0.0
+        assert runtime["retrain"] == runtime["naive-ft"] == runtime["kl-ft"] == runtime["ice-ft"]
         assert runtime["retrain"] > 0.0
 
     def test_failed_seed_is_listed_in_the_summary(self, tmp_path, monkeypatch):
@@ -526,6 +526,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-theorems", "--config", "{config}", "--log-level", "TRACE"],
+            ["verify-theorems", "--config", "{config}", "--tolerance", "abc"],
+            ["gradient-ascent", "--config", "{config}"],
+            ["verify-theorems"],
+        ],
+        ids=["log-level", "tolerance", "experiment", "missing-config"],
+    )
+    def test_malformed_command_line_is_one_config_error_line(self, tmp_path, capsys, argv):
+        config = self._write_config(tmp_path, VERIFY_CFG)
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(config=config) for arg in argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: unlearn-lab")
 
     def test_non_utf8_config_exits_two(self, tmp_path, capsys):
         config = tmp_path / "config.json"
