@@ -66,8 +66,6 @@ from .scenarios import (
     decompose_w_star,
     fine_tune_subset,
     gen_scenario,
-    scenario_from_json,
-    scenario_to_json,
 )
 from .solvers import (
     EditOption,

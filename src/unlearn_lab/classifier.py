@@ -179,17 +179,18 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-2, keepdims=True)
 
 
-def _ce_value_and_grad(weights, bias, data: LabeledSet):
+def _ce_value_and_grad(weights, bias, data: LabeledSet, out=None):
     """Mean cross-entropy against ``data.labels`` and its parameter gradient.
 
     ``weights`` is ``(..., K, D)`` and ``bias`` ``(..., K)``; leading axes
     index a stack of models and carry over to the losses and gradients.
+    ``out``, if given, is the ``(..., K, m)`` buffer the logits use.
     """
     m = data.size
     cols = np.arange(m)
     # One logits buffer turns into the logit gradient in place; the
     # stacked buffers are large enough that fresh temporaries dominate.
-    z = weights @ data.features
+    z = np.matmul(weights, data.features, out=out)
     z += bias[..., None]
     z -= z.max(axis=-2, keepdims=True)
     shifted_target = z[..., data.labels, cols]
@@ -217,15 +218,15 @@ def ft_coefficients(variant: str, alpha: float) -> tuple[float, float]:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f):
+def _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f, out=(None, None)):
     """``coef_r * CE(remain) + coef_f * CE(forget)`` per stacked model.
 
     A term whose weight is zero is selected away rather than multiplied
     by zero, so an overflowing unused term cannot make the loss
     non-finite, and a one-weight term contributes its exact bits.
     """
-    remain_terms = _ce_value_and_grad(weights, bias, remain)
-    forget_terms = _ce_value_and_grad(weights, bias, forget)
+    remain_terms = _ce_value_and_grad(weights, bias, remain, out[0])
+    forget_terms = _ce_value_and_grad(weights, bias, forget, out[1])
     mixed = []
     for r, f in zip(remain_terms, forget_terms):
         shape = np.shape(coef_r) + (1,) * (r.ndim - np.ndim(coef_r))
@@ -343,28 +344,31 @@ def _descend_distinct(
     forget: LabeledSet,
     epochs: int,
     step_size: float,
-) -> list[SoftmaxClassifier]:
+) -> tuple[list[SoftmaxClassifier], list[int]]:
     """Descend each distinct ``(start, c_r, c_f)`` objective once, as one stack.
 
     Pair ``i`` starts from ``starts[start_of[i]]`` and descends
     ``coefs[i, 0] * CE(remain) + coefs[i, 1] * CE(forget)``.  Pairs with
-    equal keys follow the same trajectory, so they share one member and
-    its final model.
+    equal keys follow the same trajectory, so they share one member.
+    Returns the final model of each distinct key and the key of each pair.
     """
     keys, inverse = np.unique(
         np.column_stack([start_of, coefs]), axis=0, return_inverse=True
     )
     first = keys[:, 0].astype(int)
+    # One logits buffer per set for all epochs: a fresh stack-sized one per
+    # epoch can make the allocator map new pages every epoch.
+    bufs = [np.empty((len(keys), starts[0].bias.size, data.size)) for data in (remain, forget)]
     w, b, _ = fit_softmax(
         np.stack([starts[s].weights for s in first]),
         np.stack([starts[s].bias for s in first]),
         lambda w_, b_, members: _mixed_value_and_grad(
-            w_, b_, remain, forget, keys[members, 1], keys[members, 2]
-        ),
+            w_, b_, remain, forget, keys[members, 1], keys[members, 2],
+            [buf[:members.size] for buf in bufs]),
         epochs, step_size,
     )
     finals = [SoftmaxClassifier(weights=w[k], bias=b[k]) for k in range(len(keys))]
-    return [finals[k] for k in inverse.ravel()]
+    return finals, inverse.ravel().tolist()
 
 
 def unlearn_ft(
@@ -385,9 +389,10 @@ def unlearn_ft(
     if any((c.epochs, c.step_size) != (epochs, step_size) for c in cfgs):
         raise ValueError("stacked fine-tuning needs one epochs and step_size for all configs")
     coefs = np.array([ft_coefficients(c.variant, c.alpha) for c in cfgs])
-    return _descend_distinct(
+    finals, key_of = _descend_distinct(
         [model], [0] * len(cfgs), coefs, remain, forget, epochs, step_size
     )
+    return [finals[k] for k in key_of]
 
 
 @dataclass(frozen=True)
@@ -415,8 +420,9 @@ def run_seed_grid(
     pretrained model for the (variant, alpha) pairs of :data:`VARIANTS`,
     and zero with ``(1, 0)`` for ``"retrain"``, which is the fit from
     scratch on the remaining classes.  Each distinct key descends once
-    and its pairs share the final model.  Returns UA/RA/TA per pair, in
-    order; TA is measured on held-out samples of the remaining classes.
+    and its pairs share the final model and its one scoring.  Returns
+    UA/RA/TA per pair, in order; TA is measured on held-out samples of the
+    remaining classes.
     Only ``epochs`` and ``step_size`` of ``cfg`` are used.
 
     ``runtime_seconds`` of every pair, retrain included, is its equal
@@ -448,11 +454,13 @@ def run_seed_grid(
         for variant, alpha in pairs
     ])
     start = time.perf_counter()
-    finals = _descend_distinct(
+    finals, key_of = _descend_distinct(
         [model, zero], start_of, coefs, remain, relabeled, cfg.epochs, cfg.step_size
     )
     share = (time.perf_counter() - start) / len(pairs)
-    return [
-        classifier_metrics(final, forget, remain, test_remain, runtime_seconds=share)
-        for final in finals
-    ]
+    # Each key is scored once, in the order its first pair appears.
+    scores = {
+        k: classifier_metrics(finals[k], forget, remain, test_remain, runtime_seconds=share)
+        for k in dict.fromkeys(key_of)
+    }
+    return [scores[k] for k in key_of]

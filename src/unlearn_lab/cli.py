@@ -7,8 +7,9 @@ Usage::
                 [--log-level WARNING|INFO|DEBUG]
 
 Exit status: 0 when every check passed, 1 on numerical failures or
-failed checks, 2 on configuration errors, bad flags or outputs that
-cannot be written, each reported in one line on stderr.  ``--log-level`` sends the package's log records at
+failed checks, 2 on configuration errors, bad flags, outputs that cannot
+be written and arrays too large to allocate, each reported in one line
+on stderr.  ``--log-level`` sends the package's log records at
 that level and above to stderr; it never changes the CSV or the summary.
 """
 
@@ -92,12 +93,14 @@ def _run(args: argparse.Namespace) -> int:
             cfg["tolerance"] = as_tolerance(
                 "--tolerance", {"rel": args.tolerance, "abs_floor": args.tolerance}
             )
+        result = run_experiment(args.experiment, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        result = run_experiment(args.experiment, cfg)
+    except MemoryError as exc:
+        print("config error: cannot allocate the arrays this config needs: "
+              f"{str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except UnlearnLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,9 @@ from one stacked descent in which identical objectives descend once and
 ``retrain`` is the zero-start member; ``runtime_seconds`` is each row's
 equal share of that descent's wall time.
 
+A config is checked against its experiment's field table,
+:data:`FIELDS`, and the rules that relate fields, :data:`ACROSS`.
+:func:`run_experiment` runs every experiment through one seed loop.
 Rows are dicts keyed by column name; :data:`COLUMNS` alone fixes the
 order of the cells, and :func:`render_csv` checks each row against it.
 """
@@ -23,6 +26,7 @@ order of the cells, and :func:`render_csv` checks each row against it.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -40,7 +44,6 @@ from .errors import ConfigError, UnlearnLabError
 from .linalg import Factored
 from .metrics import gap_report, measure_losses
 from .oracle import predict_distinct, predict_edited, predict_overlap
-from .rng import is_seed
 from .scenarios import FeatureLayout, gen_scenario, fine_tune_subset
 from .solvers import (
     EditOption,
@@ -50,14 +53,6 @@ from .solvers import (
     train_original,
 )
 
-EXPERIMENTS = (
-    "verify-theorems",
-    "sweep-nt",
-    "sweep-overlap",
-    "classifier-demo",
-    "sweep-alpha",
-)
-
 SCHEMAS = {
     "verify-theorems": "verify-theorems/v1",
     "sweep-nt": "sweep-nt/v1",
@@ -65,6 +60,7 @@ SCHEMAS = {
     "classifier-demo": "classifier/v3",
     "sweep-alpha": "classifier/v3",
 }
+EXPERIMENTS = tuple(SCHEMAS)
 
 COLUMNS = {
     "verify-theorems/v1": [
@@ -110,232 +106,206 @@ class ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Configuration loading and validation
+# Configuration: one field table per experiment
 # ----------------------------------------------------------------------
 
-def _is_int(value) -> bool:
-    """JSON integer; ``true``/``false`` are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
+@dataclass(frozen=True)
+class Domain:
+    """The values one config field accepts; ``str()`` describes them.
 
-
-def _is_number(value) -> bool:
-    """Finite JSON integer or float, booleans excluded.
-
-    NaN and the infinities fail the bound, and so does an integer too
-    large to become a float (where ``math.isfinite`` would raise).
+    ``kind`` is ``"int"`` or ``"number"`` from ``low`` to ``high`` (each
+    end closed ``[]`` or open ``()`` as ``bounds`` marks), ``"enum"``,
+    ``"layout"`` (three nonnegative ints), ``"path"`` or ``"object"`` (of
+    dotted fields).  With ``many``, a non-empty list of such values.
     """
-    return (
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
+
+    kind: str
+    low: float = -math.inf
+    high: float = math.inf
+    bounds: str = "[)"
+    choices: tuple = ()
+    many: bool = False
+
+    def holds(self, value) -> bool:
+        if self.many:
+            return isinstance(value, list) and bool(value) and all(map(self._holds_one, value))
+        return self._holds_one(value)
+
+    def _holds_one(self, v) -> bool:
+        if self.kind in ("int", "number"):
+            # JSON booleans are not numbers here.  A number must be finite:
+            # NaN, the infinities and ints too large for a float fail.
+            return (
+                isinstance(v, int if self.kind == "int" else (int, float))
+                and not isinstance(v, bool)
+                and (self.kind == "int" or abs(v) <= sys.float_info.max)
+                and (self.low <= v if self.bounds[0] == "[" else self.low < v)
+                and (v <= self.high if self.bounds[1] == "]" else v < self.high)
+            )
+        if self.kind == "layout":
+            return isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_COUNT.holds, v))
+        if self.kind == "enum":
+            return v in self.choices
+        return isinstance(v, str if self.kind == "path" else dict)
+
+    def __str__(self) -> str:
+        interval = f"{self.bounds[0]}{self.low}, {self.high}{self.bounds[1]}"
+        one = {
+            "int": f"an int in {interval}",
+            "number": f"a finite number in {interval}",
+            "enum": "one of " + ", ".join(map(repr, self.choices)),
+            "layout": "three nonnegative ints",
+            "path": "a string",
+            "object": "an object",
+        }[self.kind]
+        return f"a non-empty list, each {one}" if self.many else one
 
 
-def _require(kind, value, name, predicate, message):
-    if not predicate(value):
-        raise ConfigError(f"{kind}: field {name!r} {message} (got {value!r})")
-    return value
+#: The default of a field that must be given.
+REQUIRED = object()
+
+_COUNT = Domain("int", 0)
+
+_SEEDS = (REQUIRED, Domain("int", 0, 1 << 64, many=True))
+_TOLERANCE = {
+    "tolerance": (None, Domain("object")),
+    "tolerance.rel": (1e-8, Domain("number", 0)),
+    "tolerance.abs_floor": (1e-10, Domain("number", 0)),
+}
+_SIZES = {"n_r": (30, Domain("int", 2)), "n_f": (10, Domain("int", 1))}
+_DIST = ("standard-normal", Domain("enum", choices=("standard-normal", "uniform")))
+_LINEAR = {**_SIZES, "dist": _DIST, "nt_values": (None, Domain("int", 1, many=True))}
+_CLASSIFIER = {
+    "task": ({}, Domain("object")),
+    "task.num_classes": (5, Domain("int", 2)),
+    "task.per_class": (100, Domain("int", 1)),
+    "task.feature_dim": (20, Domain("int", 2)),
+    "task.sep": (4.0, Domain("number", 0, bounds="()")),
+    "task.forget_class": (0, _COUNT),
+    "epochs": (500, _COUNT),
+    "step_size": (0.1, Domain("number", 0, bounds="()")),
+}
+_VARIANTS = Domain("enum", choices=VARIANTS + ("retrain",), many=True)
+
+#: Each experiment's fields: name -> (default, domain).  A dotted name is
+#: a field of the object named by its prefix, which comes first.  Where
+#: the default is ``None``, an explicit ``null`` means the default too;
+#: ``nt_values`` then defaults to every size in ``[1, n_r - 1]``.
+FIELDS = {
+    experiment: {
+        "experiment": (experiment, Domain("enum", choices=(experiment,))),
+        "seeds": _SEEDS,
+        "out": (None, Domain("path")),
+        **_TOLERANCE,
+        **fields,
+    }
+    for experiment, fields in {
+        "verify-theorems": {
+            **_LINEAR,
+            "distinct_layout": ([20, 0, 20], Domain("layout")),
+            "overlap_layout": ([16, 8, 16], Domain("layout")),
+        },
+        "sweep-nt": {**_LINEAR, "layout": ([20, 0, 20], Domain("layout"))},
+        "sweep-overlap": {
+            "d": (40, Domain("int", 2)),
+            **_SIZES,
+            "n_t": (15, Domain("int", 1)),
+            "dist": _DIST,
+            "d_lap_values": ([0, 2, 4, 8], Domain("int", 0, many=True)),
+        },
+        "classifier-demo": {
+            **_CLASSIFIER,
+            "variants": (list(VARIANTS + ("retrain",)), _VARIANTS),
+            "alpha": (0.5, Domain("number", 0, 1, bounds="[]")),
+        },
+        "sweep-alpha": {
+            **_CLASSIFIER,
+            "variants": (["kl-ft"], _VARIANTS),
+            "alphas": ([0.1, 0.2, 0.4, 0.8], Domain("number", 0, 1, bounds="[]", many=True)),
+        },
+    }.items()
+}
+
+#: The rules that relate fields: (fields, rule, check).  A rule applies
+#: to each experiment that has all of its fields.
+ACROSS = [
+    (("task",), "task.feature_dim must be >= task.num_classes > task.forget_class",
+     lambda c: c["task"]["feature_dim"] >= c["task"]["num_classes"] > c["task"]["forget_class"]),
+    # The samples must fit each size an experiment has: d, or a layout's sum.
+    *((("n_r", "n_f", size), f"n_r + n_f must be <= {size if size == 'd' else f'sum({size})'}",
+       lambda c, size=size: c["n_r"] + c["n_f"] <= (c[size] if size == "d" else sum(c[size])))
+      for size in ("d", "layout", "distinct_layout", "overlap_layout")),
+    (("distinct_layout",), "distinct_layout must have d_lap = 0",
+     lambda c: c["distinct_layout"][1] == 0),
+    (("n_r", "n_t"), "n_t must be <= n_r - 1", lambda c: c["n_t"] <= c["n_r"] - 1),
+    (("n_r", "nt_values"), "every n_t in nt_values must be <= n_r - 1",
+     lambda c: c["nt_values"] is None or max(c["nt_values"]) <= c["n_r"] - 1),
+    (("d", "d_lap_values"), "every d_lap must be < d, with d - d_lap even",
+     lambda c: all(d_lap < c["d"] and (c["d"] - d_lap) % 2 == 0 for d_lap in c["d_lap_values"])),
+]
 
 
-def _as_layout(kind, raw, name) -> list[int]:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 3
-        or not all(_is_int(v) and v >= 0 for v in raw)
-    ):
-        raise ConfigError(f"{kind}: field {name!r} must be three nonnegative ints")
-    return list(raw)
+def _fill(kind: str, raw: dict, fields: dict) -> dict:
+    """Walk a field table over ``raw``: fill in the defaults, and reject
+    values outside their domain and keys the table does not name."""
+    cfg: dict = {}
+    given, filled = {"": raw}, {"": cfg}
+    for name, (default, domain) in fields.items():
+        group, _, key = name.rpartition(".")
+        value = given[group].get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"{kind}: field {name!r} is required")
+        if value is None and default is None:
+            value = {} if domain.kind == "object" else None
+        elif not domain.holds(value):
+            raise ConfigError(f"{kind}: field {name!r} must be {domain} (got {value!r})")
+        if domain.kind == "object":
+            given[name], value = value, {}
+            filled[name] = value
+        elif isinstance(value, (list, tuple)):
+            value = list(value)
+        filled[group][key] = value
+    for group, source in given.items():
+        known = {name.rpartition(".")[2] for name in fields if name.rpartition(".")[0] == group}
+        unknown = sorted(f"{group}.{key}" if group else f"{key}" for key in source.keys() - known)
+        if unknown:
+            raise ConfigError(f"{kind}: unknown config keys {unknown}")
+    return cfg
 
 
 def as_seeds(kind, raw) -> list[int]:
     """Validated seed list: non-empty, every seed an integer in ``[0, 2^64)``."""
-    if not isinstance(raw, list) or not raw or not all(_is_int(s) and is_seed(s) for s in raw):
-        raise ConfigError(f"{kind}: 'seeds' must be a non-empty list of integers in [0, 2^64)")
-    return list(raw)
+    return _fill(kind, {"seeds": raw}, {"seeds": _SEEDS})["seeds"]
 
 
 def as_tolerance(kind, raw) -> dict:
     """Validated tolerance: the defaults overridden by finite nonnegative numbers."""
-    tol = {"rel": 1e-8, "abs_floor": 1e-10}
-    if raw is None:
-        return tol
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{kind}: 'tolerance' must be an object")
-    for key in raw:
-        if key not in tol:
-            raise ConfigError(f"{kind}: unknown tolerance key {key!r}")
-        value = raw[key]
-        if not _is_number(value) or value < 0:
-            raise ConfigError(f"{kind}: tolerance {key!r} must be a finite nonnegative number")
-        tol[key] = float(value)
-    return tol
-
-
-def _as_task(kind, raw) -> dict:
-    task = {
-        "num_classes": 5, "per_class": 100, "feature_dim": 20,
-        "sep": 4.0, "forget_class": 0,
-    }
-    if raw is None:
-        return task
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{kind}: 'task' must be an object")
-    for key in raw:
-        if key not in task:
-            raise ConfigError(f"{kind}: unknown task key {key!r}")
-        task[key] = raw[key]
-    _require(kind, task["num_classes"], "task.num_classes",
-             lambda v: _is_int(v) and v >= 2, "must be an int >= 2")
-    _require(kind, task["per_class"], "task.per_class",
-             lambda v: _is_int(v) and v >= 1, "must be an int >= 1")
-    _require(kind, task["feature_dim"], "task.feature_dim",
-             lambda v: _is_int(v) and v >= task["num_classes"],
-             "must be an int >= num_classes")
-    _require(kind, task["sep"], "task.sep",
-             lambda v: _is_number(v) and v > 0, "must be positive")
-    _require(kind, task["forget_class"], "task.forget_class",
-             lambda v: _is_int(v) and 0 <= v < task["num_classes"],
-             "must name a valid class")
-    return task
-
-
-def _nt_range(kind, raw, n_r) -> list[int]:
-    if raw is None:
-        return list(range(1, n_r))
-    if (
-        not isinstance(raw, list)
-        or not raw
-        or not all(_is_int(v) and 1 <= v <= n_r - 1 for v in raw)
-    ):
-        raise ConfigError(
-            f"{kind}: 'nt_values' must be a non-empty list of ints in [1, n_r - 1]"
-        )
-    return list(raw)
+    tol = _fill(kind, {"tolerance": raw}, _TOLERANCE)["tolerance"]
+    return {key: float(value) for key, value in tol.items()}
 
 
 def validate_config(raw: dict, experiment: str) -> dict:
     """Normalize a raw config dict, materializing every default.
 
-    Raises :class:`ConfigError` on unknown experiments, missing or
-    malformed fields, or an ``experiment`` field that contradicts the
-    requested experiment.
+    Walks the experiment's :data:`FIELDS`, then checks the :data:`ACROSS`
+    rules.  Raises :class:`ConfigError` on unknown experiments or keys,
+    missing or malformed fields, and an ``experiment`` field that
+    contradicts the requested experiment.
     """
-    if experiment not in EXPERIMENTS:
+    if experiment not in FIELDS:
         raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    declared = raw.get("experiment")
-    if declared is not None and declared != experiment:
-        raise ConfigError(
-            f"config declares experiment {declared!r} but {experiment!r} was requested"
-        )
-
-    cfg: dict = {"experiment": experiment}
-    cfg["seeds"] = as_seeds(experiment, raw.get("seeds"))
-    cfg["tolerance"] = as_tolerance(experiment, raw.get("tolerance"))
-    cfg["out"] = raw.get("out")
-    if cfg["out"] is not None and not isinstance(cfg["out"], str):
-        raise ConfigError(f"{experiment}: 'out' must be a string path")
-
-    known = {"experiment", "seeds", "tolerance", "out"}
-
-    if experiment in ("verify-theorems", "sweep-nt"):
-        cfg["n_r"] = _require(experiment, raw.get("n_r", 30), "n_r",
-                              lambda v: _is_int(v) and v >= 2, "must be an int >= 2")
-        cfg["n_f"] = _require(experiment, raw.get("n_f", 10), "n_f",
-                              lambda v: _is_int(v) and v >= 1, "must be an int >= 1")
-        cfg["dist"] = _require(experiment, raw.get("dist", "standard-normal"), "dist",
-                               lambda v: v in ("standard-normal", "uniform"),
-                               "must be 'standard-normal' or 'uniform'")
-        cfg["nt_values"] = _nt_range(experiment, raw.get("nt_values"), cfg["n_r"])
-        known |= {"n_r", "n_f", "dist", "nt_values"}
-        if experiment == "verify-theorems":
-            cfg["distinct_layout"] = _as_layout(
-                experiment, raw.get("distinct_layout", [20, 0, 20]), "distinct_layout")
-            if cfg["distinct_layout"][1] != 0:
-                raise ConfigError(f"{experiment}: 'distinct_layout' must have d_lap = 0")
-            cfg["overlap_layout"] = _as_layout(
-                experiment, raw.get("overlap_layout", [16, 8, 16]), "overlap_layout")
-            known |= {"distinct_layout", "overlap_layout"}
-            layouts = (cfg["distinct_layout"], cfg["overlap_layout"])
-        else:
-            cfg["layout"] = _as_layout(experiment, raw.get("layout", [20, 0, 20]), "layout")
-            known |= {"layout"}
-            layouts = (cfg["layout"],)
-        for layout in layouts:
-            if cfg["n_r"] + cfg["n_f"] > sum(layout):
-                raise ConfigError(
-                    f"{experiment}: n_r + n_f = {cfg['n_r'] + cfg['n_f']} exceeds "
-                    f"d = {sum(layout)} for layout {layout}"
-                )
-
-    elif experiment == "sweep-overlap":
-        cfg["d"] = _require(experiment, raw.get("d", 40), "d",
-                            lambda v: _is_int(v) and v >= 2, "must be an int >= 2")
-        cfg["n_r"] = _require(experiment, raw.get("n_r", 30), "n_r",
-                              lambda v: _is_int(v) and v >= 2, "must be an int >= 2")
-        cfg["n_f"] = _require(experiment, raw.get("n_f", 10), "n_f",
-                              lambda v: _is_int(v) and v >= 1, "must be an int >= 1")
-        cfg["n_t"] = _require(experiment, raw.get("n_t", 15), "n_t",
-                              lambda v: _is_int(v) and 1 <= v <= cfg["n_r"] - 1,
-                              "must be an int in [1, n_r - 1]")
-        cfg["dist"] = _require(experiment, raw.get("dist", "standard-normal"), "dist",
-                               lambda v: v in ("standard-normal", "uniform"),
-                               "must be 'standard-normal' or 'uniform'")
-        d_lap_values = raw.get("d_lap_values", [0, 2, 4, 8])
-        if not isinstance(d_lap_values, list) or not d_lap_values:
-            raise ConfigError(f"{experiment}: 'd_lap_values' must be a non-empty list")
-        for d_lap in d_lap_values:
-            if not _is_int(d_lap) or d_lap < 0 or (cfg["d"] - d_lap) % 2 or d_lap >= cfg["d"]:
-                raise ConfigError(
-                    f"{experiment}: each d_lap must be an int >= 0 with d - d_lap even "
-                    f"and positive (d = {cfg['d']}, got {d_lap!r})"
-                )
-        cfg["d_lap_values"] = list(d_lap_values)
-        if cfg["n_r"] + cfg["n_f"] > cfg["d"]:
-            raise ConfigError(
-                f"{experiment}: n_r + n_f = {cfg['n_r'] + cfg['n_f']} exceeds d = {cfg['d']}"
-            )
-        known |= {"d", "n_r", "n_f", "n_t", "dist", "d_lap_values"}
-
-    else:  # classifier-demo, sweep-alpha
-        cfg["task"] = _as_task(experiment, raw.get("task"))
-        cfg["epochs"] = _require(experiment, raw.get("epochs", 500), "epochs",
-                                 lambda v: _is_int(v) and v >= 0, "must be an int >= 0")
-        cfg["step_size"] = _require(experiment, raw.get("step_size", 0.1), "step_size",
-                                    lambda v: _is_number(v) and v > 0,
-                                    "must be positive")
-        allowed = VARIANTS + ("retrain",)
-        variants = raw.get(
-            "variants",
-            list(allowed) if experiment == "classifier-demo" else ["kl-ft"],
-        )
-        if (
-            not isinstance(variants, list) or not variants
-            or not all(v in allowed for v in variants)
-        ):
-            raise ConfigError(
-                f"{experiment}: 'variants' must be a non-empty list drawn from {allowed}"
-            )
-        cfg["variants"] = list(variants)
-        known |= {"task", "epochs", "step_size", "variants"}
-        if experiment == "classifier-demo":
-            cfg["alpha"] = _require(experiment, raw.get("alpha", 0.5), "alpha",
-                                    lambda v: _is_number(v) and 0 <= v <= 1,
-                                    "must lie in [0, 1]")
-            known |= {"alpha"}
-        else:
-            alphas = raw.get("alphas", [0.1, 0.2, 0.4, 0.8])
-            if (
-                not isinstance(alphas, list) or not alphas
-                or not all(_is_number(a) and 0 <= a <= 1 for a in alphas)
-            ):
-                raise ConfigError(f"{experiment}: 'alphas' must be a non-empty list in [0, 1]")
-            cfg["alphas"] = [float(a) for a in alphas]
-            known |= {"alphas"}
-
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{experiment}: unknown config keys {sorted(unknown)}")
+    cfg = _fill(experiment, raw, FIELDS[experiment])
+    for names, rule, holds in ACROSS:
+        if cfg.keys() >= set(names) and not holds(cfg):
+            got = {name: cfg[name] for name in names}
+            raise ConfigError(f"{experiment}: {rule} (got {got})")
+    if cfg.get("nt_values", ()) is None:
+        cfg["nt_values"] = list(range(1, cfg["n_r"]))
+    cfg["tolerance"] = {key: float(value) for key, value in cfg["tolerance"].items()}
+    if "alphas" in cfg:
+        cfg["alphas"] = [float(alpha) for alpha in cfg["alphas"]]
     return cfg
 
 
@@ -355,21 +325,6 @@ def load_config(path: str | Path, experiment: str) -> dict:
 # ----------------------------------------------------------------------
 # Shared pipeline pieces
 # ----------------------------------------------------------------------
-
-def _run_seeds(result: ExperimentResult, rows_for_seed) -> None:
-    """Append each seed's rows in seed order; record the seeds that fail.
-
-    A seed whose computation raises a package error contributes no rows
-    and one ``{seed, type, message}`` entry to ``result.failures``.
-    """
-    for seed in result.config["seeds"]:
-        try:
-            result.rows.extend(rows_for_seed(result.config, seed))
-        except UnlearnLabError as exc:
-            result.failures.append(
-                {"seed": seed, "type": type(exc).__name__, "message": str(exc)}
-            )
-
 
 def _prefix(scenario, n_t: int) -> tuple[Factored, np.ndarray]:
     """The fine-tuning prefix ``(X_t, y_t)``, with ``X_t`` factored lazily.
@@ -415,18 +370,14 @@ def _verify_row(cfg: dict, seed: int, scenario, check: str, option: str, values:
 
 
 def _verify_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
-    rel = cfg["tolerance"]["rel"]
-    floor = cfg["tolerance"]["abs_floor"]
+    rel, floor = cfg["tolerance"]["rel"], cfg["tolerance"]["abs_floor"]
     nt_values = cfg["nt_values"]
     rows = []
 
     scenarios = {
-        "distinct": gen_scenario(
-            cfg["n_r"], cfg["n_f"], FeatureLayout(*cfg["distinct_layout"]),
-            seed, cfg["dist"]),
-        "overlap": gen_scenario(
-            cfg["n_r"], cfg["n_f"], FeatureLayout(*cfg["overlap_layout"]),
-            seed, cfg["dist"]),
+        check: gen_scenario(
+            cfg["n_r"], cfg["n_f"], FeatureLayout(*cfg[f"{check}_layout"]), seed, cfg["dist"])
+        for check in ("distinct", "overlap")
     }
     pretrained = {check: train_original(s) for check, s in scenarios.items()}
     # One factored prefix per (scenario, n_t), shared by the plain and the
@@ -440,10 +391,9 @@ def _verify_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
         scenario = scenarios[check]
         w_o = pretrained[check]
         predicted = predict_distinct(scenario) if check == "distinct" else predict_overlap(scenario)
-        runtime = 0.0
         start = time.perf_counter()
         w_g = retrain_golden(scenario)
-        runtime += time.perf_counter() - start
+        runtime = time.perf_counter() - start
         rl_ft_max = ul_ft_max = 0.0
         ok = True
         for n_t in nt_values:
@@ -491,19 +441,6 @@ def _verify_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
     return rows
 
 
-def run_verify_theorems(cfg: dict) -> ExperimentResult:
-    """Full pipeline versus closed-form predictions, one row per check."""
-    result = ExperimentResult(cfg["experiment"], SCHEMAS[cfg["experiment"]], cfg)
-    start = time.perf_counter()
-    _run_seeds(result, _verify_rows_for_seed)
-    result.passed = (
-        result.numerical_failures == 0
-        and all(row["pass"] for row in result.rows)
-    )
-    result.total_runtime_seconds = time.perf_counter() - start
-    return result
-
-
 # ----------------------------------------------------------------------
 # sweep-nt
 # ----------------------------------------------------------------------
@@ -516,8 +453,7 @@ def _sweep_nt_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
     gold = measure_losses(w_g, scenario, "golden")
     rows = []
     for n_t in cfg["nt_values"]:
-        prefix = _prefix(scenario, n_t)
-        x_t, y_t = prefix
+        x_t, y_t = prefix = _prefix(scenario, n_t)
         start = time.perf_counter()
         w_t = fine_tune_unlearn(w_o, x_t, y_t)
         runtime = time.perf_counter() - start
@@ -541,15 +477,6 @@ def _sweep_nt_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
             "runtime_seconds": runtime,
         })
     return rows
-
-
-def run_sweep_nt(cfg: dict) -> ExperimentResult:
-    """Losses of all pipelines as the fine-tuning subset grows."""
-    result = ExperimentResult(cfg["experiment"], SCHEMAS[cfg["experiment"]], cfg)
-    start = time.perf_counter()
-    _run_seeds(result, _sweep_nt_rows_for_seed)
-    result.total_runtime_seconds = time.perf_counter() - start
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -583,15 +510,6 @@ def _sweep_overlap_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
     return rows
 
 
-def run_sweep_overlap(cfg: dict) -> ExperimentResult:
-    """Editing-strategy losses as the overlap block widens."""
-    result = ExperimentResult(cfg["experiment"], SCHEMAS[cfg["experiment"]], cfg)
-    start = time.perf_counter()
-    _run_seeds(result, _sweep_overlap_rows_for_seed)
-    result.total_runtime_seconds = time.perf_counter() - start
-    return result
-
-
 # ----------------------------------------------------------------------
 # classifier-demo and sweep-alpha
 # ----------------------------------------------------------------------
@@ -600,76 +518,74 @@ def run_sweep_overlap(cfg: dict) -> ExperimentResult:
 _MEASURES = ("ua", "ra", "ta", "runtime_seconds")
 
 
-def _classifier_rows(cfg: dict, pairs: list[tuple[str, float]]) -> ExperimentResult:
-    result = ExperimentResult(cfg["experiment"], SCHEMAS[cfg["experiment"]], cfg)
-    start = time.perf_counter()
-    task = ClassTask(**cfg["task"])
-    base_cfg = FtConfig(
-        variant="naive-ft", epochs=cfg["epochs"], step_size=cfg["step_size"]
-    )
+def _classifier_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
+    alphas = cfg["alphas"] if "alphas" in cfg else [cfg["alpha"]]
+    pairs = [(variant, float(alpha)) for variant in cfg["variants"] for alpha in alphas]
+    base_cfg = FtConfig(variant="naive-ft", epochs=cfg["epochs"], step_size=cfg["step_size"])
+    grid = run_seed_grid(ClassTask(**cfg["task"]), pairs, seed, base_cfg)
+    return [
+        {
+            "experiment": cfg["experiment"], "variant": variant,
+            "alpha": float("nan") if variant == "retrain" else alpha, "seed": seed,
+            **{name: getattr(metrics, name) for name in _MEASURES},
+        }
+        for (variant, alpha), metrics in zip(pairs, grid)
+    ]
 
-    def one_seed(_cfg: dict, seed: int) -> list[dict]:
-        rows = []
-        for (variant, alpha), metrics in zip(pairs, run_seed_grid(task, pairs, seed, base_cfg)):
-            rows.append({
-                "experiment": cfg["experiment"], "variant": variant,
-                "alpha": float("nan") if variant == "retrain" else alpha, "seed": seed,
-                **{name: getattr(metrics, name) for name in _MEASURES},
-            })
-        return rows
 
-    _run_seeds(result, one_seed)
+def _mean_std_rows(rows: list[dict]) -> list[dict]:
+    """One mean and one std row per (variant, alpha) cell, in the order
+    the cells first appear; the stat name takes the seed column."""
     # NaN keys break dict grouping, so group by the rendered alpha instead.
-    collected: dict[tuple[str, str], list[dict]] = {}
-    for row in result.rows:
-        collected.setdefault((row["variant"], _format_cell(row["alpha"])), []).append(row)
-
-    # Aggregate mean/std rows appended after the per-seed rows; the stat
-    # name takes the seed column.
-    for group in collected.values():
+    cells: dict[tuple[str, str], list[dict]] = {}
+    for row in rows:
+        cells.setdefault((row["variant"], _format_cell(row["alpha"])), []).append(row)
+    stats = []
+    for group in cells.values():
         values = np.array([[row[name] for name in _MEASURES] for row in group], dtype=np.float64)
         for stat, vec in (("mean", values.mean(axis=0)), ("std", values.std(axis=0))):
-            result.rows.append(
-                {**group[0], "seed": stat, **dict(zip(_MEASURES, map(float, vec)))}
-            )
-    result.total_runtime_seconds = time.perf_counter() - start
-    return result
-
-
-def run_classifier_demo(cfg: dict) -> ExperimentResult:
-    """All configured variants at one regularization weight."""
-    pairs = [(variant, float(cfg["alpha"])) for variant in cfg["variants"]]
-    return _classifier_rows(cfg, pairs)
-
-
-def run_sweep_alpha(cfg: dict) -> ExperimentResult:
-    """Configured variants across a grid of regularization weights."""
-    pairs = [
-        (variant, alpha)
-        for variant in cfg["variants"]
-        for alpha in cfg["alphas"]
-    ]
-    return _classifier_rows(cfg, pairs)
+            stats.append({**group[0], "seed": stat, **dict(zip(_MEASURES, map(float, vec)))})
+    return stats
 
 
 # ----------------------------------------------------------------------
 # Dispatch and output
 # ----------------------------------------------------------------------
 
-_RUNNERS = {
-    "verify-theorems": run_verify_theorems,
-    "sweep-nt": run_sweep_nt,
-    "sweep-overlap": run_sweep_overlap,
-    "classifier-demo": run_classifier_demo,
-    "sweep-alpha": run_sweep_alpha,
+_ROWS_FOR_SEED = {
+    "verify-theorems": _verify_rows_for_seed,
+    "sweep-nt": _sweep_nt_rows_for_seed,
+    "sweep-overlap": _sweep_overlap_rows_for_seed,
+    "classifier-demo": _classifier_rows_for_seed,
+    "sweep-alpha": _classifier_rows_for_seed,
 }
 
 
 def run_experiment(experiment: str, cfg: dict) -> ExperimentResult:
-    """Dispatch a validated config to its runner."""
-    if experiment not in _RUNNERS:
+    """Run a validated config seed by seed, appending each seed's rows.
+
+    A seed whose computation raises a package error contributes no rows
+    and one ``{seed, type, message}`` entry to ``failures``.  Only
+    ``verify-theorems`` sets ``passed``.  The classifier schema appends
+    mean and std rows after the per-seed rows.
+    """
+    if experiment not in _ROWS_FOR_SEED:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    return _RUNNERS[experiment](cfg)
+    result = ExperimentResult(experiment, SCHEMAS[experiment], cfg)
+    start = time.perf_counter()
+    for seed in cfg["seeds"]:
+        try:
+            result.rows.extend(_ROWS_FOR_SEED[experiment](cfg, seed))
+        except UnlearnLabError as exc:
+            result.failures.append(
+                {"seed": seed, "type": type(exc).__name__, "message": str(exc)}
+            )
+    if experiment == "verify-theorems":
+        result.passed = not result.failures and all(row["pass"] for row in result.rows)
+    if result.schema == "classifier/v3":
+        result.rows += _mean_std_rows(result.rows)
+    result.total_runtime_seconds = time.perf_counter() - start
+    return result
 
 
 def _format_cell(value) -> str:
@@ -688,8 +604,7 @@ def render_csv(result: ExperimentResult) -> str:
     """
     columns = COLUMNS[result.schema]
     echo = json.dumps(result.config, sort_keys=True, separators=(",", ":"))
-    lines = [f"# schema: {result.schema}", f"# config: {echo}"]
-    lines.append(",".join(columns))
+    lines = [f"# schema: {result.schema}", f"# config: {echo}", ",".join(columns)]
     for row in result.rows:
         if row.keys() != set(columns):
             raise ValueError(
@@ -708,8 +623,7 @@ def summary_path_for(csv_path: Path) -> Path:
 def write_outputs(result: ExperimentResult, csv_path: str | Path) -> Path:
     """Write the CSV and its JSON summary; returns the CSV path."""
     csv_path = Path(csv_path)
-    if csv_path.parent and not csv_path.parent.exists():
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text(render_csv(result), encoding="utf-8")
     summary = {
         "experiment": result.experiment,
@@ -730,8 +644,4 @@ def write_outputs(result: ExperimentResult, csv_path: str | Path) -> Path:
 
 def exit_code_for(result: ExperimentResult) -> int:
     """0 when everything passed, 1 on numerical failures or failed checks."""
-    if result.numerical_failures > 0:
-        return 1
-    if result.passed is False:
-        return 1
-    return 0
+    return int(result.numerical_failures > 0 or result.passed is False)

@@ -13,11 +13,6 @@ import zlib
 import numpy as np
 
 
-def is_seed(seed: int) -> bool:
-    """True for seeds in ``[0, 2^64)``, the range of the 64-bit key word."""
-    return 0 <= seed < 1 << 64
-
-
 def stream(seed: int, label: str) -> np.random.Generator:
     """Return the deterministic generator for ``(seed, label)``.
 
@@ -27,7 +22,7 @@ def stream(seed: int, label: str) -> np.random.Generator:
     """
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    if not is_seed(int(seed)):
+    if not 0 <= int(seed) < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     key = np.array([int(seed), zlib.crc32(label.encode("utf-8"))], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

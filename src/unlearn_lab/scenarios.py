@@ -15,13 +15,12 @@ interact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .errors import InvalidMatrixError, RegimeViolationError
+from .errors import RegimeViolationError
 
 DIST_TAGS = ("standard-normal", "uniform")
 
@@ -194,36 +193,3 @@ def fine_tune_subset(scenario: SyntheticScenario, n_t: int) -> tuple[np.ndarray,
         raise ValueError(f"n_t must be in [1, {scenario.n_r}], got {n_t}")
     return scenario.x_r[:, :n_t], scenario.y_r[:n_t]
 
-
-def scenario_to_json(scenario: SyntheticScenario) -> str:
-    """Serialize a scenario as a JSON document (exact float round trip)."""
-    payload = {
-        "layout": [scenario.layout.d_r, scenario.layout.d_lap, scenario.layout.d_f],
-        "seed": scenario.seed,
-        "dist": scenario.dist,
-        "x_r": scenario.x_r.tolist(),
-        "x_f": scenario.x_f.tolist(),
-        "y_r": scenario.y_r.tolist(),
-        "y_f": scenario.y_f.tolist(),
-        "w_star": scenario.w_star.tolist(),
-    }
-    return json.dumps(payload)
-
-
-def scenario_from_json(text: str) -> SyntheticScenario:
-    """Inverse of :func:`scenario_to_json`."""
-    payload = json.loads(text)
-    layout = FeatureLayout(*(int(v) for v in payload["layout"]))
-    scenario = SyntheticScenario(
-        layout=layout,
-        x_r=np.asarray(payload["x_r"], dtype=np.float64),
-        x_f=np.asarray(payload["x_f"], dtype=np.float64),
-        y_r=np.asarray(payload["y_r"], dtype=np.float64),
-        y_f=np.asarray(payload["y_f"], dtype=np.float64),
-        w_star=np.asarray(payload["w_star"], dtype=np.float64),
-        seed=int(payload["seed"]),
-        dist=str(payload["dist"]),
-    )
-    if scenario.x_r.shape[0] != layout.d or scenario.x_f.shape[0] != layout.d:
-        raise InvalidMatrixError("serialized matrices do not match the layout dimension")
-    return scenario

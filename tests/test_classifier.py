@@ -453,6 +453,43 @@ class TestDistinctObjectives:
         experiments.run_experiment(experiment, cfg)
         assert [size for size, _ in fits] == stacks
 
+    @staticmethod
+    def _count_scoring(monkeypatch):
+        scored = []
+        real = classifier.classifier_metrics
+
+        def counting(final, *args, **kwargs):
+            scored.append(final)
+            return real(final, *args, **kwargs)
+
+        monkeypatch.setattr(classifier, "classifier_metrics", counting)
+        return scored
+
+    @pytest.mark.parametrize("experiment,distinct", [("sweep-alpha", 16), ("classifier-demo", 4)])
+    def test_a_shipped_seed_scores_each_distinct_model_once(
+        self, monkeypatch, experiment, distinct
+    ):
+        scored = self._count_scoring(monkeypatch)
+        path = Path(__file__).resolve().parents[1] / "configs" / (
+            experiment.replace("-", "_") + ".json")
+        cfg = experiments.load_config(path, experiment)
+        cfg["seeds"], cfg["epochs"] = [0], 5
+        experiments.run_experiment(experiment, cfg)
+        assert len(scored) == len({id(model) for model in scored}) == distinct
+
+    def test_pairs_of_one_key_share_one_scoring_with_unchanged_metrics(self, monkeypatch):
+        pairs = [("kl-ft", 0.3), ("retrain", 0.0), ("ice-ft", 0.3), ("naive-ft", 0.2),
+                 ("retrain", 0.5), ("kl-ft", 0.0), ("ce-ft", 0.3)]
+        task, cfg = TestSeedGrid.TASK, TestSeedGrid.CFG
+        scored = self._count_scoring(monkeypatch)
+        grid = run_seed_grid(task, pairs, seed=4, cfg=cfg)
+        # Keys: kl/ice at 0.3, retrain, naive/kl at 0, ce at 0.3.
+        assert len(scored) == 4
+        assert grid[0] is grid[2] and grid[1] is grid[4] and grid[3] is grid[5]
+        for pair, metrics in zip(pairs, grid):
+            [alone] = run_seed_grid(task, [pair], seed=4, cfg=cfg)
+            assert (metrics.ua, metrics.ra, metrics.ta) == (alone.ua, alone.ra, alone.ta)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_retrain_equals_pretrain_on_remain(self, fits, monkeypatch, seed):
         task = ClassTask()

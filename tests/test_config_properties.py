@@ -1,15 +1,22 @@
-"""Property test: invalid numbers in the shipped configs are rejected.
+"""Property tests of config validation, on the shipped configs.
 
-Each example takes one shipped config, replaces one of its numeric
-fields (a scalar or a list element, nested ``task`` fields included) by
-a boolean, NaN, an infinity or a negative number, and checks that
-:func:`validate_config` raises :class:`ConfigError` with a one-line
-message, and that the CLI exits 2 with one ``config error:`` line.
-Every shipped numeric field is a count, a size, a seed, a class index or
-a weight, so each of these replacements is invalid.
+Invalid numbers: each example takes one shipped config, replaces one of
+its numeric fields (a scalar or a list element, nested ``task`` fields
+included) by a boolean, NaN, an infinity or a negative number, and
+checks that :func:`validate_config` raises :class:`ConfigError` with a
+one-line message, and that the CLI exits 2 with one ``config error:``
+line.  Every shipped numeric field is a count, a size, a seed, a class
+index or a weight, so each of these replacements is invalid.
+
+Table-driven cases: every field of :data:`FIELDS`, shipped or not, gets
+values just outside its domain, derived from the domain's kind and
+bounds, so a new field is tested with no new code.  Valid mutations move
+one shipped numeric field between its lower bound and its shipped value;
+a config that still validates must run and exit 0 or 1, never 2.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -17,12 +24,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from unlearn_lab.classifier import ClassTask
 from unlearn_lab.cli import main
 from unlearn_lab.errors import ConfigError
-from unlearn_lab.experiments import validate_config
+from unlearn_lab.experiments import FIELDS, REQUIRED, validate_config
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
@@ -88,3 +96,121 @@ def test_invalid_number_exits_two_through_the_cli(case, new):
     assert code == 2
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+# ----------------------------------------------------------------------
+# Cases drawn from the field table
+# ----------------------------------------------------------------------
+
+def _outside(domain, default):
+    """Values just outside ``domain``, from its kind and bounds alone."""
+    values = [] if default is None else [None]
+    if domain.many:
+        one = dataclasses.replace(domain, many=False)
+        return values + [[], "x"] + [[value] for value in _outside(one, 0)]
+    if domain.kind in ("int", "number"):
+        closed_low, closed_high = domain.bounds[0] == "[", domain.bounds[1] == "]"
+        step = 1 if domain.kind == "int" else 0.5
+        if domain.low > -math.inf:
+            values.append(domain.low - step if closed_low else domain.low)
+        if domain.high < math.inf:
+            values.append(domain.high + step if closed_high else domain.high)
+        values += [True, "1", [1]]
+        values += [1.5] if domain.kind == "int" else [math.nan, math.inf, -math.inf, 10**400]
+    elif domain.kind == "enum":
+        values += ["no-such-choice", 0, False, list(domain.choices[:1])]
+    elif domain.kind == "layout":
+        values += [[1, 2], [1, 2, 3, 4], [-1, 0, 0], [1.0, 0, 0], [True, 0, 0], "1,2,3", 3]
+    elif domain.kind == "path":
+        values += [0, False, ["out.csv"], {}]
+    else:  # object
+        values += [0, False, [], "x"]
+    return values
+
+
+def _with_field(raw, name, value):
+    """``raw`` with the dotted field ``name`` set to ``value``."""
+    group, _, key = name.rpartition(".")
+    copy = dict(raw)
+    if group:
+        copy[group] = dict(copy.get(group) or {}, **{key: value})
+    else:
+        copy[key] = value
+    return copy
+
+
+BY_EXPERIMENT = {raw["experiment"]: raw for raw in SHIPPED}
+TABLE_CASES = [
+    (experiment, name, value)
+    for experiment, fields in FIELDS.items()
+    for name, (default, domain) in fields.items()
+    for value in _outside(domain, default)
+]
+
+
+def test_table_cases_cover_every_field_shipped_or_not():
+    assert BY_EXPERIMENT.keys() == FIELDS.keys()
+    covered = {(experiment, name) for experiment, name, _ in TABLE_CASES}
+    assert covered == {(e, name) for e, fields in FIELDS.items() for name in fields}
+    names = {name for _, name in covered}
+    assert {"task." + field.name for field in dataclasses.fields(ClassTask)} <= names
+    assert {"dist", "nt_values", "variants"} <= names
+
+
+def test_every_value_outside_a_field_domain_is_rejected_by_name():
+    for experiment, name, value in TABLE_CASES:
+        domain = FIELDS[experiment][name][1]
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(_with_field(BY_EXPERIMENT[experiment], name, value), experiment)
+        assert str(excinfo.value) == (
+            f"{experiment}: field {name!r} must be {domain} (got {value!r})"
+        ), (experiment, name, value)
+
+
+def test_readme_tables_are_copied_from_the_field_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for fields in FIELDS.values():
+        for name, (default, domain) in fields.items():
+            shown = "required" if default is REQUIRED else f"`{json.dumps(default)}`"
+            assert name == "experiment" or f"| `{name}` | {shown} | {domain} |" in readme
+
+
+# ----------------------------------------------------------------------
+# Valid mutations run
+# ----------------------------------------------------------------------
+
+def _get(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+MOVABLE = [(raw, path) for raw, path in CASES if path[0] != "seeds"]
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=st.sampled_from(MOVABLE), data=st.data())
+def test_a_field_moved_inside_its_domain_runs(case, data):
+    raw, path = case
+    experiment = raw["experiment"]
+    domain = FIELDS[experiment][".".join(key for key in path if isinstance(key, str))][1]
+    shipped = _get(raw, path)
+    low, open_low = (0, False) if domain.kind == "layout" else (domain.low, domain.bounds[0] == "(")
+    if isinstance(shipped, int):
+        new = data.draw(st.integers(min_value=low + open_low, max_value=shipped))
+    else:
+        new = data.draw(st.floats(min_value=low, max_value=shipped, exclude_min=open_low))
+    mutated = _replaced(raw, path, new)
+    try:
+        validate_config(mutated, experiment)
+    except ConfigError:
+        assume(False)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(mutated), encoding="utf-8")
+        argv = [experiment, "--config", str(config), "--out", str(Path(tmp) / "out.csv"),
+                "--seeds", str(raw["seeds"][0])]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1), err.getvalue()

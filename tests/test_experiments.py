@@ -16,7 +16,6 @@ from unlearn_lab.experiments import (
     COLUMNS,
     render_csv,
     run_experiment,
-    run_verify_theorems,
     summary_path_for,
     validate_config,
     write_outputs,
@@ -209,7 +208,7 @@ class TestPrefixFactorization:
             return exact(a)
 
         monkeypatch.setattr(linalg, "svd", counting_svd)
-        result = run_verify_theorems(self._shipped_verify([0]))
+        result = run_experiment("verify-theorems", self._shipped_verify([0]))
         assert result.passed is True
         assert counts == {"unlearn_lab.solvers": 62, "unlearn_lab.oracle": 32}
 
@@ -228,7 +227,7 @@ class TestPrefixFactorization:
             return u + 1e-3 * np.outer(off / np.linalg.norm(off), np.ones(s.size)), s, v
 
         monkeypatch.setattr(linalg.Factored, "truncated_svd", property(tilted))
-        result = run_verify_theorems(self._shipped_verify([0]))
+        result = run_experiment("verify-theorems", self._shipped_verify([0]))
         assert result.numerical_failures == 0
         assert result.passed is False
         # The rows whose solves move the model: retraining and the discard
@@ -242,7 +241,7 @@ class TestPrefixFactorization:
             return sum(isinstance(obj, linalg.Factored) for obj in gc.get_objects())
 
         before = live_factors()
-        result = run_verify_theorems(self._shipped_verify([0, 1]))
+        result = run_experiment("verify-theorems", self._shipped_verify([0, 1]))
         assert result.passed is True
         assert live_factors() == before
 
@@ -499,6 +498,9 @@ class TestCli:
             # Seeds outside the 64-bit key range.
             ("verify-theorems", {"seeds": [-1]}),
             ("sweep-nt", {"seeds": [0, 2**64]}),
+            # null is no stand-in for a default task or the requested experiment.
+            ("classifier-demo", {"seeds": [0], "task": None}),
+            ("sweep-nt", {"seeds": [0], "experiment": None}),
         ],
     )
     def test_json_booleans_are_not_numbers(self, tmp_path, capsys, experiment, payload):
@@ -508,6 +510,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "experiment,payload,key",
+        [
+            ("classifier-demo", {"seeds": [0], "task.sep": 3}, "task.sep"),
+            ("verify-theorems", {"seeds": [0], "tolerance.rel": 0.5}, "tolerance.rel"),
+            ("sweep-alpha", {"seeds": [0], "task": {"task.sep": 3}}, "task.task.sep"),
+        ],
+        ids=["top-level-task-sep", "top-level-tolerance-rel", "nested-task-sep"],
+    )
+    def test_dotted_keys_are_unknown(self, tmp_path, capsys, experiment, payload, key):
+        # A dotted name is the README's notation for a nested field, not a key.
+        config = self._write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {experiment}: unknown config keys [{key!r}]\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags",
@@ -551,6 +571,24 @@ class TestCli:
             main(["--help"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.startswith("usage: unlearn-lab")
+
+    @pytest.mark.parametrize(
+        "experiment,payload",
+        [
+            ("sweep-nt", {"seeds": [0], "layout": [10**12, 0, 10], "nt_values": [1]}),
+            ("classifier-demo", {"seeds": [0], "task": {"per_class": 10**12}}),
+        ],
+        ids=["sweep-nt-layout", "classifier-demo-per-class"],
+    )
+    def test_sizes_too_large_to_allocate_exit_two(self, tmp_path, capsys, experiment, payload):
+        # ~10^12 entries fail to allocate at once; nothing is ever filled in.
+        config = self._write_config(tmp_path, payload)
+        out = tmp_path / "x.csv"
+        assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot allocate the arrays this config needs: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_non_utf8_config_exits_two(self, tmp_path, capsys):
         config = tmp_path / "config.json"

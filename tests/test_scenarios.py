@@ -10,8 +10,6 @@ from unlearn_lab.scenarios import (
     decompose_w_star,
     fine_tune_subset,
     gen_scenario,
-    scenario_from_json,
-    scenario_to_json,
 )
 
 REFERENCE_DISTINCT = FeatureLayout(20, 0, 20)
@@ -184,26 +182,3 @@ class TestFineTuneSubset:
         with pytest.raises(ValueError):
             fine_tune_subset(s, n_t)
 
-
-class TestJsonRoundTrip:
-    def test_layout_dimension_checked_on_import(self):
-        import json
-
-        from unlearn_lab.errors import InvalidMatrixError
-
-        s = gen_scenario(6, 3, FeatureLayout(5, 0, 5), seed=0)
-        payload = json.loads(scenario_to_json(s))
-        payload["layout"] = [5, 0, 6]  # no longer matches the matrices
-        with pytest.raises(InvalidMatrixError):
-            scenario_from_json(json.dumps(payload))
-
-    def test_exact_round_trip(self):
-        s = gen_scenario(12, 6, FeatureLayout(9, 3, 9), seed=123)
-        t = scenario_from_json(scenario_to_json(s))
-        assert t.layout == s.layout
-        assert t.seed == s.seed and t.dist == s.dist
-        np.testing.assert_array_equal(t.x_r, s.x_r)
-        np.testing.assert_array_equal(t.x_f, s.x_f)
-        np.testing.assert_array_equal(t.y_r, s.y_r)
-        np.testing.assert_array_equal(t.y_f, s.y_f)
-        np.testing.assert_array_equal(t.w_star, s.w_star)
