@@ -102,8 +102,7 @@ class FtConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.variant != "naive-ft" and not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        ft_coefficients(self.variant, self.alpha)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.step_size <= 0:
@@ -207,15 +206,16 @@ def ft_coefficients(variant: str, alpha: float) -> tuple[float, float]:
     """Weights ``(c_r, c_f)`` of CE(remain) and CE(forget) in an objective.
 
     A zero weight drops its term, so ``naive-ft`` and a zero ``alpha``
-    reduce to the unregularized term exactly.
+    reduce to the unregularized term exactly.  ``naive-ft`` ignores
+    ``alpha``; the other variants need it in [0, 1].
     """
     if variant == "naive-ft":
         return 1.0, 0.0
-    if variant in ("kl-ft", "ice-ft"):
-        return 1.0, float(alpha)
-    if variant == "ce-ft":
-        return float(alpha), 1.0
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return (float(alpha), 1.0) if variant == "ce-ft" else (1.0, float(alpha))
 
 
 def _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f, out=(None, None)):
@@ -426,11 +426,14 @@ def run_seed_grid(
     Only ``epochs`` and ``step_size`` of ``cfg`` are used.
 
     ``runtime_seconds`` of every pair, retrain included, is its equal
-    share of the stack's wall time.
+    share of the stack's wall time.  An unknown variant, or an ``alpha``
+    that :func:`ft_coefficients` rejects, raises :class:`ValueError`
+    before any work.
     """
-    for variant, _ in pairs:
-        if variant != "retrain" and variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+    coefs = np.array([
+        (1.0, 0.0) if variant == "retrain" else ft_coefficients(variant, alpha)
+        for variant, alpha in pairs
+    ])
     if not pairs:
         return []
     if cfg is None:
@@ -449,10 +452,6 @@ def run_seed_grid(
         labels=relabel_forget(forget.labels, task.num_classes),
     )
     start_of = [int(variant == "retrain") for variant, _ in pairs]
-    coefs = np.array([
-        (1.0, 0.0) if variant == "retrain" else ft_coefficients(variant, alpha)
-        for variant, alpha in pairs
-    ])
     start = time.perf_counter()
     finals, key_of = _descend_distinct(
         [model, zero], start_of, coefs, remain, relabeled, cfg.epochs, cfg.step_size

@@ -18,7 +18,11 @@ equal share of that descent's wall time.
 
 A config is checked against its experiment's field table,
 :data:`FIELDS`, and the rules that relate fields, :data:`ACROSS`.
-:func:`run_experiment` runs every experiment through one seed loop.
+:func:`run_experiment` runs every experiment through one seed loop.  The
+three linear experiments build their models in one measured pass per
+scenario, :func:`_solve`, which trains and retrains once, factors each
+fine-tuning prefix once, edits and fine-tunes, and measures every model;
+their row builders only shape rows.
 Rows are dicts keyed by column name; :data:`COLUMNS` alone fixes the
 order of the cells, and :func:`render_csv` checks each row against it.
 """
@@ -42,8 +46,8 @@ from .classifier import (
 )
 from .errors import ConfigError, UnlearnLabError
 from .linalg import Factored
-from .metrics import gap_report, measure_losses
-from .oracle import predict_distinct, predict_edited, predict_overlap
+from .metrics import LossReport, gap_report, measure_losses
+from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, predict_distinct, predict_edited, predict_overlap
 from .scenarios import FeatureLayout, gen_scenario, fine_tune_subset
 from .solvers import (
     EditOption,
@@ -169,8 +173,8 @@ _COUNT = Domain("int", 0)
 _SEEDS = (REQUIRED, Domain("int", 0, 1 << 64, many=True))
 _TOLERANCE = {
     "tolerance": (None, Domain("object")),
-    "tolerance.rel": (1e-8, Domain("number", 0)),
-    "tolerance.abs_floor": (1e-10, Domain("number", 0)),
+    "tolerance.rel": (PRED_REL_TOL, Domain("number", 0)),
+    "tolerance.abs_floor": (PRED_ABS_FLOOR, Domain("number", 0)),
 }
 _SIZES = {"n_r": (30, Domain("int", 2)), "n_f": (10, Domain("int", 1))}
 _DIST = ("standard-normal", Domain("enum", choices=("standard-normal", "uniform")))
@@ -226,15 +230,33 @@ FIELDS = {
     }.items()
 }
 
+# The fields that set a scenario's feature count d, and how a rule names it.
+_SIZES_OF = {size: size if size == "d" else f"sum({size})"
+             for size in ("d", "layout", "distinct_layout", "overlap_layout")}
+
+
+def _size(c: dict, size: str) -> int:
+    return c[size] if size == "d" else sum(c[size])
+
+
 #: The rules that relate fields: (fields, rule, check).  A rule applies
 #: to each experiment that has all of its fields.
 ACROSS = [
     (("task",), "task.feature_dim must be >= task.num_classes > task.forget_class",
      lambda c: c["task"]["feature_dim"] >= c["task"]["num_classes"] > c["task"]["forget_class"]),
     # The samples must fit each size an experiment has: d, or a layout's sum.
-    *((("n_r", "n_f", size), f"n_r + n_f must be <= {size if size == 'd' else f'sum({size})'}",
-       lambda c, size=size: c["n_r"] + c["n_f"] <= (c[size] if size == "d" else sum(c[size])))
-      for size in ("d", "layout", "distinct_layout", "overlap_layout")),
+    *((("n_r", "n_f", size), f"n_r + n_f must be <= {name}",
+       lambda c, size=size: c["n_r"] + c["n_f"] <= _size(c, size))
+      for size, name in _SIZES_OF.items()),
+    # numpy cannot address 2^63 bytes or more; a smaller array that does not
+    # fit in memory ends in MemoryError instead.
+    *((("n_r", "n_f", size), f"the {name} x (n_r + n_f) float64 data must take < 2^63 bytes",
+       lambda c, size=size: 8 * _size(c, size) * (c["n_r"] + c["n_f"]) < 2**63)
+      for size, name in _SIZES_OF.items()),
+    (("task",), "the task.feature_dim x task.num_classes x task.per_class float64 features"
+     " must take < 2^63 bytes",
+     lambda c: 8 * math.prod(c["task"][k] for k in ("feature_dim", "num_classes", "per_class"))
+     < 2**63),
     (("distinct_layout",), "distinct_layout must have d_lap = 0",
      lambda c: c["distinct_layout"][1] == 0),
     (("n_r", "n_t"), "n_t must be <= n_r - 1", lambda c: c["n_t"] <= c["n_r"] - 1),
@@ -323,189 +345,129 @@ def load_config(path: str | Path, experiment: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Shared pipeline pieces
+# Linear experiments: one measured pass per scenario
 # ----------------------------------------------------------------------
 
-def _prefix(scenario, n_t: int) -> tuple[Factored, np.ndarray]:
-    """The fine-tuning prefix ``(X_t, y_t)``, with ``X_t`` factored lazily.
+def _solve(scenario, nt_values, edits) -> tuple[LossReport, float, dict]:
+    """Train, retrain and fine-tune one scenario, and measure every model.
 
-    Every fine-tune on the returned prefix shares one SVD, computed inside
-    the first solve on it.  Callers keep a prefix no longer than the seed
-    that uses it.
+    On the prefix of each ``n_t`` this fine-tunes once per entry of
+    ``edits``: an :class:`EditOption` edits the pretrained weights first,
+    and ``None`` fine-tunes them unedited.  Each prefix is factored once
+    and shared by its fine-tunes, the first of which pays for the SVD; the
+    oracle factors its own matrices.  Returns the golden losses, the
+    retrain's seconds, and per edit one ``(losses, seconds)`` per ``n_t``.
+    The seconds cover only the solver calls, not data handling or
+    measurement.
     """
-    x_t, y_t = fine_tune_subset(scenario, n_t)
-    return Factored(x_t, "x_t"), y_t
-
-
-def _edited_losses(scenario, w_o, option, prefix):
-    """Edit the pretrained weights, fine-tune on ``prefix``, measure both losses.
-
-    Returns ``(loss report, solver seconds)``; the timer covers only the
-    edit and fine-tune calls, not data handling or measurement.
-    """
-    x_t, y_t = prefix
+    w_o = train_original(scenario)
     start = time.perf_counter()
-    edited = edit_pretrained(w_o, scenario.layout, option)
-    w_hat = fine_tune_unlearn(edited, x_t, y_t)
-    elapsed = time.perf_counter() - start
-    return measure_losses(w_hat, scenario, "edited_fine_tuned"), elapsed
-
-
-# ----------------------------------------------------------------------
-# verify-theorems
-# ----------------------------------------------------------------------
-
-def _verify_row(cfg: dict, seed: int, scenario, check: str, option: str, values: dict) -> dict:
-    """One verify-theorems row; the columns ``values`` leaves out are NaN."""
-    layout = scenario.layout
-    row = dict.fromkeys(COLUMNS[SCHEMAS["verify-theorems"]], float("nan"))
-    row.update({
-        "experiment": cfg["experiment"], "seed": seed, "check": check, "option": option,
-        "d_r": layout.d_r, "d_lap": layout.d_lap, "d_f": layout.d_f,
-        "n_r": scenario.n_r, "n_f": scenario.n_f,
-        "n_t_min": min(cfg["nt_values"]), "n_t_max": max(cfg["nt_values"]),
-    })
-    row.update(values)
-    return row
+    w_g = retrain_golden(scenario)
+    gold_seconds = time.perf_counter() - start
+    solved = {edit: [] for edit in edits}
+    for n_t in nt_values:
+        x_t, y_t = fine_tune_subset(scenario, n_t)
+        x_t = Factored(x_t, "x_t")
+        for edit in edits:
+            start = time.perf_counter()
+            w = w_o if edit is None else edit_pretrained(w_o, scenario.layout, edit)
+            w_t = fine_tune_unlearn(w, x_t, y_t)
+            seconds = time.perf_counter() - start
+            tag = "fine_tuned" if edit is None else "edited_fine_tuned"
+            solved[edit].append((measure_losses(w_t, scenario, tag), seconds))
+    return measure_losses(w_g, scenario, "golden"), gold_seconds, solved
 
 
 def _verify_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
+    """A baseline row per scenario (distinct, overlap), then one per edit."""
     rel, floor = cfg["tolerance"]["rel"], cfg["tolerance"]["abs_floor"]
     nt_values = cfg["nt_values"]
-    rows = []
-
-    scenarios = {
-        check: gen_scenario(
-            cfg["n_r"], cfg["n_f"], FeatureLayout(*cfg[f"{check}_layout"]), seed, cfg["dist"])
-        for check in ("distinct", "overlap")
-    }
-    pretrained = {check: train_original(s) for check, s in scenarios.items()}
-    # One factored prefix per (scenario, n_t), shared by the plain and the
-    # edited fine-tunes on it; the oracle factors its own matrices.
-    prefixes = {
-        check: {n_t: _prefix(s, n_t) for n_t in nt_values}
-        for check, s in scenarios.items()
-    }
-
-    for check in ("distinct", "overlap"):
-        scenario = scenarios[check]
-        w_o = pretrained[check]
-        predicted = predict_distinct(scenario) if check == "distinct" else predict_overlap(scenario)
-        start = time.perf_counter()
-        w_g = retrain_golden(scenario)
-        runtime = time.perf_counter() - start
-        rl_ft_max = ul_ft_max = 0.0
-        ok = True
-        for n_t in nt_values:
-            x_t, y_t = prefixes[check][n_t]
-            start = time.perf_counter()
-            w_t = fine_tune_unlearn(w_o, x_t, y_t)
-            runtime += time.perf_counter() - start
-            ft = measure_losses(w_t, scenario, "fine_tuned")
-            rl_ft_max = max(rl_ft_max, ft.rl)
-            ul_ft_max = max(ul_ft_max, ft.ul)
-            ok = ok and gap_report(ft, predicted, rel, floor).passed
-        gold = measure_losses(w_g, scenario, "golden")
+    rows, edit_rows = [], []
+    for check, predict, options in (
+        ("distinct", predict_distinct, [EditOption.DISTINCT_ZERO_FORGET]),
+        ("overlap", predict_overlap, [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD]),
+    ):
+        layout = FeatureLayout(*cfg[f"{check}_layout"])
+        scenario = gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"])
+        gold, runtime, solved = _solve(scenario, nt_values, [None, *options])
+        predicted = predict(scenario)
         gold_gaps = gap_report(gold, predicted, rel, floor)
-        ok = ok and gold_gaps.passed
-        rows.append(_verify_row(cfg, seed, scenario, check, "", {
-            "rl_ft_max": rl_ft_max, "ul_ft_max": ul_ft_max,
+        fine_tuned = [losses for losses, _ in solved[None]]
+        common = {
+            **dict.fromkeys(COLUMNS[SCHEMAS["verify-theorems"]], float("nan")),
+            "experiment": cfg["experiment"], "seed": seed,
+            "d_r": layout.d_r, "d_lap": layout.d_lap, "d_f": layout.d_f,
+            "n_r": scenario.n_r, "n_f": scenario.n_f,
+            "n_t_min": min(nt_values), "n_t_max": max(nt_values),
+        }
+        rows.append({
+            **common, "check": check, "option": "",
+            "rl_ft_max": max(ft.rl for ft in fine_tuned),
+            "ul_ft_max": max(ft.ul for ft in fine_tuned),
             "rl_gold": gold.rl, "ul_gold": gold.ul, "ul_gold_pred": predicted.ul_gold,
             "ul_gold_rel_gap": gold_gaps.ul.rel_gap,
-            "pass": ok, "runtime_seconds": runtime,
-        }))
+            "pass": all(gap_report(ft, predicted, rel, floor).passed for ft in fine_tuned)
+            and gold_gaps.passed,
+            "runtime_seconds": sum((seconds for _, seconds in solved[None]), runtime),
+        })
+        for option in options:
+            edited = [losses for losses, _ in solved[option]]
+            predictions = predict_edited(scenario, option, nt_values)
+            gaps = [gap_report(m, p, rel, floor) for m, p in zip(edited, predictions)]
+            edit_rows.append({
+                **common, "check": "edit", "option": option.value,
+                "rl_edit_max": max(m.rl for m in edited),
+                "ul_edit_max": max(m.ul for m in edited),
+                # Starting from 0.0 keeps a NaN gap from deciding the maximum.
+                "edit_rl_gap_max": max(0.0, *(g.rl.abs_gap for g in gaps)),
+                "edit_ul_gap_max": max(0.0, *(g.ul.abs_gap for g in gaps)),
+                "pass": all(g.passed for g in gaps),
+                "runtime_seconds": sum(seconds for _, seconds in solved[option]),
+            })
+    return rows + edit_rows
 
-    for option in EditOption:
-        family = "distinct" if option is EditOption.DISTINCT_ZERO_FORGET else "overlap"
-        scenario = scenarios[family]
-        w_o = pretrained[family]
-        rl_edit_max = ul_edit_max = 0.0
-        rl_gap_max = ul_gap_max = 0.0
-        runtime = 0.0
-        ok = True
-        predictions = predict_edited(scenario, option, nt_values)
-        for n_t, predicted in zip(nt_values, predictions):
-            measured, elapsed = _edited_losses(scenario, w_o, option, prefixes[family][n_t])
-            runtime += elapsed
-            gaps = gap_report(measured, predicted, rel, floor)
-            ok = ok and gaps.passed
-            rl_edit_max = max(rl_edit_max, measured.rl)
-            ul_edit_max = max(ul_edit_max, measured.ul)
-            rl_gap_max = max(rl_gap_max, gaps.rl.abs_gap)
-            ul_gap_max = max(ul_gap_max, gaps.ul.abs_gap)
-        rows.append(_verify_row(cfg, seed, scenario, "edit", option.value, {
-            "rl_edit_max": rl_edit_max, "ul_edit_max": ul_edit_max,
-            "edit_rl_gap_max": rl_gap_max, "edit_ul_gap_max": ul_gap_max,
-            "pass": ok, "runtime_seconds": runtime,
-        }))
-    return rows
-
-
-# ----------------------------------------------------------------------
-# sweep-nt
-# ----------------------------------------------------------------------
 
 def _sweep_nt_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
+    """One row per ``n_t``; its runtime covers that row's fine-tunes."""
     layout = FeatureLayout(*cfg["layout"])
     scenario = gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"])
-    w_o = train_original(scenario)
-    w_g = retrain_golden(scenario)
-    gold = measure_losses(w_g, scenario, "golden")
+    edits = [None, *EditOption]
+    if not layout.is_distinct:
+        edits.remove(EditOption.DISTINCT_ZERO_FORGET)
+    gold, _, solved = _solve(scenario, cfg["nt_values"], edits)
     rows = []
-    for n_t in cfg["nt_values"]:
-        x_t, y_t = prefix = _prefix(scenario, n_t)
-        start = time.perf_counter()
-        w_t = fine_tune_unlearn(w_o, x_t, y_t)
-        runtime = time.perf_counter() - start
-        ft = measure_losses(w_t, scenario, "fine_tuned")
-        if layout.is_distinct:
-            zero, elapsed = _edited_losses(scenario, w_o, EditOption.DISTINCT_ZERO_FORGET, prefix)
-            zero_rl, zero_ul = zero.rl, zero.ul
-            runtime += elapsed
-        else:
-            zero_rl = zero_ul = float("nan")
-        retain, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_RETAIN, prefix)
-        runtime += elapsed
-        discard, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_DISCARD, prefix)
-        runtime += elapsed
+    for i, n_t in enumerate(cfg["nt_values"]):
+        at = {edit: runs[i] for edit, runs in solved.items()}
+        ft, zero, retain, discard = (at[e][0] if e in at else None for e in (None, *EditOption))
         rows.append({
             "experiment": cfg["experiment"], "seed": seed, "n_t": n_t,
             "rl_ft": ft.rl, "ul_ft": ft.ul, "rl_gold": gold.rl, "ul_gold": gold.ul,
-            "rl_edit_zero": zero_rl, "ul_edit_zero": zero_ul,
+            "rl_edit_zero": zero.rl if zero else float("nan"),
+            "ul_edit_zero": zero.ul if zero else float("nan"),
             "rl_edit_retain": retain.rl, "ul_edit_retain": retain.ul,
             "rl_edit_discard": discard.rl, "ul_edit_discard": discard.ul,
-            "runtime_seconds": runtime,
+            "runtime_seconds": sum(seconds for _, seconds in at.values()),
         })
     return rows
 
 
-# ----------------------------------------------------------------------
-# sweep-overlap
-# ----------------------------------------------------------------------
-
 def _sweep_overlap_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
+    """One row per ``d_lap``; its runtime covers the retrain and both edits."""
     rows = []
     for d_lap in cfg["d_lap_values"]:
         side = (cfg["d"] - d_lap) // 2
         layout = FeatureLayout(side, d_lap, side)
         scenario = gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"])
-        w_o = train_original(scenario)
-        start = time.perf_counter()
-        w_g = retrain_golden(scenario)
-        runtime = time.perf_counter() - start
-        gold = measure_losses(w_g, scenario, "golden")
-        prefix = _prefix(scenario, cfg["n_t"])
-        retain, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_RETAIN, prefix)
-        runtime += elapsed
-        discard, elapsed = _edited_losses(scenario, w_o, EditOption.OVERLAP_DISCARD, prefix)
-        runtime += elapsed
+        gold, runtime, solved = _solve(
+            scenario, [cfg["n_t"]], [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD])
+        [(retain, retain_seconds)], [(discard, discard_seconds)] = solved.values()
         rows.append({
             "experiment": cfg["experiment"], "seed": seed,
             "d_lap": d_lap, "d_r": side, "d_f": side, "n_t": cfg["n_t"],
             "rl_gold": gold.rl, "ul_gold": gold.ul,
             "rl_edit_retain": retain.rl, "ul_edit_retain": retain.ul,
             "rl_edit_discard": discard.rl, "ul_edit_discard": discard.ul,
-            "runtime_seconds": runtime,
+            "runtime_seconds": runtime + retain_seconds + discard_seconds,
         })
     return rows
 

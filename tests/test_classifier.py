@@ -289,6 +289,16 @@ class TestFtConfig:
         with pytest.raises(ValueError):
             FtConfig(variant="gradient-ascent")
 
+    @pytest.mark.parametrize("alpha", [5.0, -1.0, float("nan")])
+    def test_seed_grid_rejects_alpha_outside_the_unit_interval(self, alpha):
+        # The grid checks alpha where FtConfig does, in ft_coefficients,
+        # before it generates or pretrains anything.
+        task = ClassTask(num_classes=3, per_class=5, feature_dim=4)
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            run_seed_grid(task, [("naive-ft", 0.0), ("kl-ft", alpha)], seed=0)
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            FtConfig(variant="kl-ft", alpha=alpha)
+
 
 class TestPipelineTrends:
     """One-seed smoke versions of the behavioral claims; the acceptance

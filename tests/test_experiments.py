@@ -185,17 +185,42 @@ class TestVerifyTheorems:
         result = run_experiment("verify-theorems", cfg)
         assert result.passed is True
 
+    @pytest.mark.parametrize("dist", ["standard-normal", "uniform"])
+    def test_rank_deficient_prefixes_pass_under_both_draws(self, dist):
+        # A hard input: 30 remaining samples span only d_r (+ d_lap)
+        # coordinates, so the remaining data and every prefix wider than
+        # those blocks are rank-deficient.
+        cfg = validate_config(
+            {"seeds": [0, 1], "dist": dist, "n_r": 30,
+             "distinct_layout": [4, 0, 36], "overlap_layout": [3, 2, 35]},
+            "verify-theorems",
+        )
+        result = run_experiment("verify-theorems", cfg)
+        assert result.passed is True and len(result.rows) == 10
+
 
 class TestPrefixFactorization:
     """Solver prefixes are factored once per seed, apart from the oracle's SVDs."""
 
     @staticmethod
-    def _shipped_verify(seeds):
-        path = Path(__file__).resolve().parents[1] / "configs" / "verify_theorems.json"
+    def _shipped(experiment, seeds):
+        name = experiment.replace("-", "_")
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
         raw = json.loads(path.read_text(encoding="utf-8"))
-        return validate_config(dict(raw, seeds=seeds), "verify-theorems")
+        return validate_config(dict(raw, seeds=seeds), experiment)
 
-    def test_one_shipped_seed_makes_62_solver_and_32_oracle_svds(self, monkeypatch):
+    @classmethod
+    def _shipped_verify(cls, seeds):
+        return cls._shipped("verify-theorems", seeds)
+
+    @pytest.mark.parametrize(
+        "experiment,solver,oracle",
+        [("verify-theorems", 62, 32), ("sweep-nt", 31, 0), ("sweep-overlap", 18, 0)],
+        ids=["verify-theorems", "sweep-nt", "sweep-overlap"],
+    )
+    def test_one_shipped_seed_svd_counts(self, monkeypatch, experiment, solver, oracle):
+        # One SVD per distinct solver input (the data, the remaining data
+        # and each prefix), and the oracle's own.
         counts = Counter()
         exact = linalg.svd
         layers = ("unlearn_lab.oracle", "unlearn_lab.solvers")
@@ -208,9 +233,9 @@ class TestPrefixFactorization:
             return exact(a)
 
         monkeypatch.setattr(linalg, "svd", counting_svd)
-        result = run_experiment("verify-theorems", self._shipped_verify([0]))
-        assert result.passed is True
-        assert counts == {"unlearn_lab.solvers": 62, "unlearn_lab.oracle": 32}
+        result = run_experiment(experiment, self._shipped(experiment, [0]))
+        assert result.failures == [] and result.passed in (True, None)
+        assert counts == Counter({"unlearn_lab.solvers": solver, "unlearn_lab.oracle": oracle})
 
     def test_a_faulty_solver_factorization_fails_the_oracle_checks(self, monkeypatch):
         exact = linalg.Factored.truncated_svd.func
@@ -501,6 +526,10 @@ class TestCli:
             # null is no stand-in for a default task or the requested experiment.
             ("classifier-demo", {"seeds": [0], "task": None}),
             ("sweep-nt", {"seeds": [0], "experiment": None}),
+            # Arrays of 2^63 bytes or more, which numpy cannot address.
+            ("sweep-nt", {"seeds": [0], "layout": [2**64, 0, 10], "nt_values": [1]}),
+            ("sweep-nt", {"seeds": [0], "n_r": 2**64, "layout": [2**64, 0, 10]}),
+            ("classifier-demo", {"seeds": [0], "task": {"per_class": 10**20}}),
         ],
     )
     def test_json_booleans_are_not_numbers(self, tmp_path, capsys, experiment, payload):
