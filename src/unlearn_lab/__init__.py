@@ -10,7 +10,6 @@ experiments.
 
 from .classifier import (
     ClassTask,
-    FtConfig,
     LabeledSet,
     SoftmaxClassifier,
     gen_class_task,

@@ -17,13 +17,15 @@ forget set (the ``0 * log 0`` terms vanish), so every objective is
 (:func:`ft_coefficients`) and one cross-entropy kernel serves all four.
 
 Training is deterministic: full batch, fixed step size, no randomness
-beyond data generation.  The engine descends a stack of models at once,
-so one seed's whole (variant, alpha) grid fine-tunes as a single
-``(M, K, D)`` gradient descent; every member follows bit for bit the
-trajectory it would follow alone.  A member is keyed by its start and
-its weights ``(c_r, c_f)``, and each distinct key descends once: the
-``kl-ft``/``ice-ft`` twins share one member, and the golden ``retrain``
-model is the zero-start ``(1, 0)`` member.  Gradients are computed
+beyond data generation.  The engine, :func:`fit_softmax`, descends a
+stack of models at once; every member follows bit for bit the trajectory
+it would follow alone.  :func:`pretrain` is a one-member stack, and
+:func:`unlearn_ft` is the one stacked fine-tune: one seed's whole
+(variant, alpha) grid descends as a single ``(M, K, D)`` gradient
+descent.  A member is keyed by its start and its weights ``(c_r, c_f)``,
+and each distinct key descends once: the ``kl-ft``/``ice-ft`` twins
+share one member, and the golden ``retrain`` model is the zero-start
+``(1, 0)`` member of the same stack.  Gradients are computed
 analytically and are checked against finite differences in the test
 suite.
 """
@@ -41,6 +43,9 @@ from .errors import DivergenceError
 from .metrics import Metrics, classifier_metrics
 
 VARIANTS = ("naive-ft", "kl-ft", "ce-ft", "ice-ft")
+
+# Step-size halvings a diverging member gets before fit_softmax gives up.
+MAX_HALVINGS = 5
 
 
 @dataclass(frozen=True)
@@ -84,29 +89,6 @@ class SoftmaxClassifier:
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         return self.weights @ features + self.bias[:, None]
-
-
-@dataclass(frozen=True)
-class FtConfig:
-    """Hyperparameters for one fine-tuning run.
-
-    ``alpha`` weighs the regularizer of the kl/ce/ice variants and must
-    lie in [0, 1]; it is ignored for ``naive-ft``.
-    """
-
-    variant: str
-    alpha: float = 0.5
-    epochs: int = 500
-    step_size: float = 0.1
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        ft_coefficients(self.variant, self.alpha)
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
 
 
 def gen_class_task(
@@ -260,7 +242,6 @@ def fit_softmax(
     value_and_grad: Callable,
     epochs: int,
     step_size: float,
-    max_halvings: int = 5,
 ):
     """Full-batch gradient descent engine for a stack of models.
 
@@ -275,7 +256,7 @@ def fit_softmax(
     others have finished, the members that left restart together from
     their start parameters at half the step size; members that never
     diverge are not recomputed.  A member still diverging after
-    ``max_halvings`` halvings raises :class:`DivergenceError` with a
+    :data:`MAX_HALVINGS` halvings raises :class:`DivergenceError` with a
     step-size hint.
 
     Returns the final parameters and the ``(M, epochs)`` loss trace of
@@ -286,7 +267,7 @@ def fit_softmax(
     final_w, final_b = weights.copy(), bias.copy()
     trace = np.empty((weights.shape[0], epochs))
     pending = np.arange(weights.shape[0])
-    for attempt in range(max_halvings + 1):
+    for attempt in range(MAX_HALVINGS + 1):
         step = step_size / (2.0 ** attempt)
         members = pending
         w, b = weights[members], bias[members]
@@ -316,10 +297,12 @@ def fit_softmax(
     )
 
 
-def pretrain(train: LabeledSet, cfg: FtConfig, num_classes: int | None = None) -> SoftmaxClassifier:
+def pretrain(
+    train: LabeledSet, epochs: int, step_size: float, num_classes: int | None = None
+) -> SoftmaxClassifier:
     """Train a softmax classifier from zero-initialized parameters.
 
-    Plain cross-entropy on ``train`` for ``cfg.epochs`` full-batch steps,
+    Plain cross-entropy on ``train`` for ``epochs`` full-batch steps,
     descended as a one-member stack; with zero epochs the zero model is
     returned.  ``num_classes`` defaults to ``max(label) + 1`` and must be
     given explicitly when the training split does not contain the highest
@@ -331,119 +314,96 @@ def pretrain(train: LabeledSet, cfg: FtConfig, num_classes: int | None = None) -
         np.zeros((1, num_classes, train.features.shape[0])),
         np.zeros((1, num_classes)),
         lambda w_, b_, _members: _ce_value_and_grad(w_, b_, train),
-        cfg.epochs, cfg.step_size,
+        epochs, step_size,
     )
     return SoftmaxClassifier(weights=w[0], bias=b[0])
 
 
-def _descend_distinct(
+def unlearn_ft(
     starts: Sequence[SoftmaxClassifier],
-    start_of: Sequence[int],
-    coefs: np.ndarray,
+    coefs: Sequence[tuple[float, float]],
     remain: LabeledSet,
     forget: LabeledSet,
     epochs: int,
     step_size: float,
-) -> tuple[list[SoftmaxClassifier], list[int]]:
-    """Descend each distinct ``(start, c_r, c_f)`` objective once, as one stack.
+) -> list[SoftmaxClassifier]:
+    """Fine-tune one model per pair, all pairs as one stack.
 
-    Pair ``i`` starts from ``starts[start_of[i]]`` and descends
-    ``coefs[i, 0] * CE(remain) + coefs[i, 1] * CE(forget)``.  Pairs with
-    equal keys follow the same trajectory, so they share one member.
-    Returns the final model of each distinct key and the key of each pair.
+    Pair ``i`` starts from ``starts[i]`` and descends
+    ``coefs[i][0] * CE(remain) + coefs[i][1] * CE(forget)``, with weights
+    from :func:`ft_coefficients`; ``forget`` must already hold the
+    relabeled targets.  Pairs with the same start object and weights
+    follow one trajectory, so they share one stack member and get back
+    the same model object.  ``starts`` must be non-empty.
     """
+    # A pair's key is the first pair with its start object, then its weights.
+    first = {}
+    start_of = [first.setdefault(id(start), i) for i, start in enumerate(starts)]
     keys, inverse = np.unique(
         np.column_stack([start_of, coefs]), axis=0, return_inverse=True
     )
-    first = keys[:, 0].astype(int)
+    key_start = keys[:, 0].astype(int)
     # One logits buffer per set for all epochs: a fresh stack-sized one per
     # epoch can make the allocator map new pages every epoch.
     bufs = [np.empty((len(keys), starts[0].bias.size, data.size)) for data in (remain, forget)]
     w, b, _ = fit_softmax(
-        np.stack([starts[s].weights for s in first]),
-        np.stack([starts[s].bias for s in first]),
+        np.stack([starts[i].weights for i in key_start]),
+        np.stack([starts[i].bias for i in key_start]),
         lambda w_, b_, members: _mixed_value_and_grad(
             w_, b_, remain, forget, keys[members, 1], keys[members, 2],
             [buf[:members.size] for buf in bufs]),
         epochs, step_size,
     )
     finals = [SoftmaxClassifier(weights=w[k], bias=b[k]) for k in range(len(keys))]
-    return finals, inverse.ravel().tolist()
-
-
-def unlearn_ft(
-    model: SoftmaxClassifier,
-    remain: LabeledSet,
-    forget: LabeledSet,
-    cfgs: Sequence[FtConfig],
-) -> list[SoftmaxClassifier]:
-    """Fine-tune the pretrained classifier once per config, as one stack.
-
-    Every member starts from the pretrained parameters and descends its
-    own objective; configs with equal weights ``(c_r, c_f)`` share one
-    member.  ``forget`` must already hold the relabeled targets for the
-    regularized variants.  ``cfgs`` must be non-empty and share
-    ``epochs`` and ``step_size``.
-    """
-    epochs, step_size = cfgs[0].epochs, cfgs[0].step_size
-    if any((c.epochs, c.step_size) != (epochs, step_size) for c in cfgs):
-        raise ValueError("stacked fine-tuning needs one epochs and step_size for all configs")
-    coefs = np.array([ft_coefficients(c.variant, c.alpha) for c in cfgs])
-    finals, key_of = _descend_distinct(
-        [model], [0] * len(cfgs), coefs, remain, forget, epochs, step_size
-    )
-    return [finals[k] for k in key_of]
+    return [finals[k] for k in inverse.ravel()]
 
 
 @dataclass(frozen=True)
 class ClassTask:
     """Parameters of one class-wise forgetting task on Gaussian blobs."""
 
-    num_classes: int = 5
-    per_class: int = 100
-    feature_dim: int = 20
-    sep: float = 4.0
-    forget_class: int = 0
+    num_classes: int
+    per_class: int
+    feature_dim: int
+    sep: float
+    forget_class: int
 
 
 def run_seed_grid(
     task: ClassTask,
     pairs: Sequence[tuple[str, float]],
     seed: int,
-    cfg: FtConfig | None = None,
+    epochs: int,
+    step_size: float,
 ) -> list[Metrics]:
     """Full class-wise forgetting pipeline for one seed and many pairs.
 
     Generates the task and pretrains on all classes once, splits off the
-    forgetting class and relabels it, then descends every pair as one
-    stack.  A pair is keyed by its start and weights ``(c_r, c_f)``: the
-    pretrained model for the (variant, alpha) pairs of :data:`VARIANTS`,
-    and zero with ``(1, 0)`` for ``"retrain"``, which is the fit from
-    scratch on the remaining classes.  Each distinct key descends once
-    and its pairs share the final model and its one scoring.  Returns
-    UA/RA/TA per pair, in order; TA is measured on held-out samples of the
-    remaining classes.
-    Only ``epochs`` and ``step_size`` of ``cfg`` are used.
+    forgetting class and relabels it, then fine-tunes every pair in one
+    :func:`unlearn_ft` stack: the (variant, alpha) pairs of
+    :data:`VARIANTS` start from the pretrained model, and ``"retrain"``,
+    the fit from scratch on the remaining classes, is the zero start with
+    weights ``(1, 0)``.  Each distinct final model is scored once and its
+    pairs share the scores.  Returns UA/RA/TA per pair, in order; TA is
+    measured on held-out samples of the remaining classes.
 
     ``runtime_seconds`` of every pair, retrain included, is its equal
     share of the stack's wall time.  An unknown variant, or an ``alpha``
     that :func:`ft_coefficients` rejects, raises :class:`ValueError`
     before any work.
     """
-    coefs = np.array([
+    coefs = [
         (1.0, 0.0) if variant == "retrain" else ft_coefficients(variant, alpha)
         for variant, alpha in pairs
-    ])
+    ]
     if not pairs:
         return []
-    if cfg is None:
-        cfg = FtConfig(variant="naive-ft")
     train, test = gen_class_task(
         task.num_classes, task.per_class, task.feature_dim, task.sep, seed
     )
     forget, remain = split_class(train, task.forget_class)
     _, test_remain = split_class(test, task.forget_class)
-    model = pretrain(train, cfg, num_classes=task.num_classes)
+    model = pretrain(train, epochs, step_size, num_classes=task.num_classes)
     zero = SoftmaxClassifier(
         weights=np.zeros_like(model.weights), bias=np.zeros_like(model.bias)
     )
@@ -451,15 +411,14 @@ def run_seed_grid(
         features=forget.features,
         labels=relabel_forget(forget.labels, task.num_classes),
     )
-    start_of = [int(variant == "retrain") for variant, _ in pairs]
+    starts = [zero if variant == "retrain" else model for variant, _ in pairs]
     start = time.perf_counter()
-    finals, key_of = _descend_distinct(
-        [model, zero], start_of, coefs, remain, relabeled, cfg.epochs, cfg.step_size
-    )
+    finals = unlearn_ft(starts, coefs, remain, relabeled, epochs, step_size)
     share = (time.perf_counter() - start) / len(pairs)
-    # Each key is scored once, in the order its first pair appears.
+    # Each distinct model is scored once, in the order its first pair appears.
+    distinct = {id(final): final for final in finals}
     scores = {
-        k: classifier_metrics(finals[k], forget, remain, test_remain, runtime_seconds=share)
-        for k in dict.fromkeys(key_of)
+        key: classifier_metrics(final, forget, remain, test_remain, runtime_seconds=share)
+        for key, final in distinct.items()
     }
-    return [scores[k] for k in key_of]
+    return [scores[id(final)] for final in finals]

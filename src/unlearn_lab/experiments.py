@@ -38,12 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (
-    VARIANTS,
-    ClassTask,
-    FtConfig,
-    run_seed_grid,
-)
+from .classifier import VARIANTS, ClassTask, run_seed_grid
 from .errors import ConfigError, UnlearnLabError
 from .linalg import Factored
 from .metrics import LossReport, gap_report, measure_losses
@@ -483,8 +478,7 @@ _MEASURES = ("ua", "ra", "ta", "runtime_seconds")
 def _classifier_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
     alphas = cfg["alphas"] if "alphas" in cfg else [cfg["alpha"]]
     pairs = [(variant, float(alpha)) for variant in cfg["variants"] for alpha in alphas]
-    base_cfg = FtConfig(variant="naive-ft", epochs=cfg["epochs"], step_size=cfg["step_size"])
-    grid = run_seed_grid(ClassTask(**cfg["task"]), pairs, seed, base_cfg)
+    grid = run_seed_grid(ClassTask(**cfg["task"]), pairs, seed, cfg["epochs"], cfg["step_size"])
     return [
         {
             "experiment": cfg["experiment"], "variant": variant,

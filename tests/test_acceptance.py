@@ -13,7 +13,6 @@ import numpy as np
 
 from unlearn_lab.classifier import (
     ClassTask,
-    FtConfig,
     LabeledSet,
     objective_value_and_grad,
     run_seed_grid,
@@ -43,7 +42,7 @@ OVERLAP = FeatureLayout(16, 8, 16)
 
 CLASSIFIER_TASK = ClassTask(num_classes=5, per_class=100, feature_dim=20,
                             sep=4.0, forget_class=0)
-CLASSIFIER_CFG = FtConfig(variant="naive-ft", epochs=500, step_size=0.1)
+CLASSIFIER_SCHEDULE = (500, 0.1)  # epochs, step_size
 CLASSIFIER_SEEDS = list(range(10))
 
 
@@ -252,7 +251,7 @@ def test_criterion_7_classifier_trends():
         pairs = [("retrain", 0.0), ("naive-ft", 0.0), ("ce-ft", 0.5), ("ice-ft", 0.5)]
         pairs += [("kl-ft", a) for a in (0.1, 0.4, 0.5, 0.8)]
         grids = [
-            run_seed_grid(CLASSIFIER_TASK, pairs, seed, CLASSIFIER_CFG)
+            run_seed_grid(CLASSIFIER_TASK, pairs, seed, *CLASSIFIER_SCHEDULE)
             for seed in CLASSIFIER_SEEDS
         ]
 

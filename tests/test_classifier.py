@@ -1,14 +1,16 @@
 """Tests for the softmax classifier and its unlearning objectives."""
 
+import csv
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from unlearn_lab import classifier, experiments
+from unlearn_lab.cli import main
 from unlearn_lab.classifier import (
     ClassTask,
-    FtConfig,
     LabeledSet,
     SoftmaxClassifier,
     _ce_value_and_grad,
@@ -44,7 +46,7 @@ def _small_problem(seed, num_classes=5, dim=8, per_class=6):
     return remain, forget, weights, bias
 
 
-def _fit_alone(weights, bias, value_and_grad, epochs, step_size, **kwargs):
+def _fit_alone(weights, bias, value_and_grad, epochs, step_size):
     """Descend one model whose ``value_and_grad(w, b)`` takes 2-D parameters.
 
     The engine sees a one-member stack; the kernel sees the unstacked
@@ -54,8 +56,14 @@ def _fit_alone(weights, bias, value_and_grad, epochs, step_size, **kwargs):
         loss, grad_w, grad_b = value_and_grad(w[0], b[0])
         return np.asarray(loss)[None], grad_w[None], grad_b[None]
 
-    w, b, trace = fit_softmax(weights[None], bias[None], stacked, epochs, step_size, **kwargs)
+    w, b, trace = fit_softmax(weights[None], bias[None], stacked, epochs, step_size)
     return w[0], b[0], trace[0].tolist()
+
+
+def _unlearn_pairs(model, pairs, remain, forget, epochs, step_size):
+    """``unlearn_ft`` of (variant, alpha) pairs that all start from ``model``."""
+    coefs = [ft_coefficients(variant, alpha) for variant, alpha in pairs]
+    return unlearn_ft([model] * len(pairs), coefs, remain, forget, epochs, step_size)
 
 
 class TestGenClassTask:
@@ -75,7 +83,7 @@ class TestGenClassTask:
 
     def test_wide_separation_is_learnable(self):
         train, _ = gen_class_task(4, 30, 8, sep=8.0, seed=1)
-        model = pretrain(train, FtConfig(variant="naive-ft", epochs=300))
+        model = pretrain(train, 300, 0.1)
         assert accuracy(model, train) > 0.99
 
     def test_dimension_guard(self):
@@ -225,7 +233,7 @@ class TestObjectiveStructure:
 class TestFitEngine:
     def test_zero_epochs_returns_initial_parameters(self):
         train, _ = gen_class_task(3, 10, 5, sep=2.0, seed=4)
-        model = pretrain(train, FtConfig(variant="naive-ft", epochs=0))
+        model = pretrain(train, 0, 0.1)
         assert np.all(model.weights == 0.0) and np.all(model.bias == 0.0)
 
     def test_loss_non_increasing_for_small_steps(self):
@@ -274,53 +282,53 @@ class TestFitEngine:
                 lambda w, b: objective_value_and_grad(
                     w, b, broken, broken, "naive-ft", 0.0
                 ),
-                epochs=5, step_size=0.1, max_halvings=2,
+                epochs=5, step_size=0.1,
             )
 
 
-class TestFtConfig:
+class TestFtCoefficients:
     def test_alpha_range_enforced_for_regularized_variants(self):
         with pytest.raises(ValueError):
-            FtConfig(variant="kl-ft", alpha=1.5)
-        FtConfig(variant="kl-ft", alpha=0.0)  # regularizer off is allowed
-        FtConfig(variant="naive-ft", alpha=7.0)  # ignored for naive
+            ft_coefficients("kl-ft", 1.5)
+        ft_coefficients("kl-ft", 0.0)  # regularizer off is allowed
+        ft_coefficients("naive-ft", 7.0)  # ignored for naive
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            FtConfig(variant="gradient-ascent")
+            ft_coefficients("gradient-ascent", 0.5)
 
     @pytest.mark.parametrize("alpha", [5.0, -1.0, float("nan")])
     def test_seed_grid_rejects_alpha_outside_the_unit_interval(self, alpha):
-        # The grid checks alpha where FtConfig does, in ft_coefficients,
-        # before it generates or pretrains anything.
-        task = ClassTask(num_classes=3, per_class=5, feature_dim=4)
+        # The grid checks alpha in ft_coefficients, before it generates or
+        # pretrains anything.
+        task = ClassTask(num_classes=3, per_class=5, feature_dim=4, sep=4.0, forget_class=0)
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
-            run_seed_grid(task, [("naive-ft", 0.0), ("kl-ft", alpha)], seed=0)
+            run_seed_grid(task, [("naive-ft", 0.0), ("kl-ft", alpha)], 0, 500, 0.1)
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
-            FtConfig(variant="kl-ft", alpha=alpha)
+            ft_coefficients("kl-ft", alpha)
 
 
 class TestPipelineTrends:
     """One-seed smoke versions of the behavioral claims; the acceptance
     suite runs them across ten seeds."""
 
-    TASK = ClassTask(num_classes=5, per_class=40, feature_dim=20, sep=4.0)
-    CFG = FtConfig(variant="naive-ft", epochs=250, step_size=0.1)
+    TASK = ClassTask(num_classes=5, per_class=40, feature_dim=20, sep=4.0, forget_class=0)
+    SCHEDULE = (250, 0.1)  # epochs, step_size
 
     def test_naive_ft_barely_forgets_while_retrain_does(self):
-        [naive] = run_seed_grid(self.TASK, [("naive-ft", 0.0)], seed=0, cfg=self.CFG)
-        [golden] = run_seed_grid(self.TASK, [("retrain", 0.0)], seed=0, cfg=self.CFG)
+        [naive] = run_seed_grid(self.TASK, [("naive-ft", 0.0)], 0, *self.SCHEDULE)
+        [golden] = run_seed_grid(self.TASK, [("retrain", 0.0)], 0, *self.SCHEDULE)
         assert golden.ua > 0.9
         assert naive.ua <= golden.ua - 0.3
         assert naive.ra > 0.95
 
     def test_regularized_ft_forgets_and_retains(self):
-        [kl] = run_seed_grid(self.TASK, [("kl-ft", 0.5)], seed=0, cfg=self.CFG)
+        [kl] = run_seed_grid(self.TASK, [("kl-ft", 0.5)], 0, *self.SCHEDULE)
         assert kl.ua >= 0.9
         assert kl.ra >= 0.9
 
     def test_golden_retrain_never_saw_the_class(self):
-        [golden] = run_seed_grid(self.TASK, [("retrain", 0.0)], seed=1, cfg=self.CFG)
+        [golden] = run_seed_grid(self.TASK, [("retrain", 0.0)], 1, *self.SCHEDULE)
         assert golden.ua > 0.9
 
 
@@ -337,9 +345,8 @@ class TestUnlearnFtStartsFromPretrained:
     def test_zero_epoch_unlearning_returns_pretrained(self):
         train, _ = gen_class_task(3, 10, 5, sep=3.0, seed=6)
         forget, remain = split_class(train, 0)
-        cfg = FtConfig(variant="naive-ft", epochs=100)
-        model = pretrain(train, cfg)
-        [frozen] = unlearn_ft(model, remain, forget, [FtConfig(variant="naive-ft", epochs=0)])
+        model = pretrain(train, 100, 0.1)
+        [frozen] = unlearn_ft([model], [ft_coefficients("naive-ft", 0.5)], remain, forget, 0, 0.1)
         np.testing.assert_array_equal(frozen.weights, model.weights)
         np.testing.assert_array_equal(frozen.bias, model.bias)
 
@@ -349,37 +356,34 @@ class TestSeedGrid:
     member must match the run it would get alone, bit for bit."""
 
     TASK = ClassTask(num_classes=4, per_class=15, feature_dim=6, sep=3.0, forget_class=1)
-    CFG = FtConfig(variant="naive-ft", epochs=60, step_size=0.2)
+    SCHEDULE = (60, 0.2)  # epochs, step_size
     PAIRS = [
         ("retrain", 0.0), ("naive-ft", 0.5), ("kl-ft", 0.3), ("ce-ft", 0.3),
         ("ice-ft", 0.0), ("ice-ft", 0.8), ("ce-ft", 1.0), ("retrain", 0.9),
     ]
 
     def test_grid_equals_per_pair_trials(self):
-        grid = run_seed_grid(self.TASK, self.PAIRS, seed=3, cfg=self.CFG)
+        grid = run_seed_grid(self.TASK, self.PAIRS, 3, *self.SCHEDULE)
         assert len(grid) == len(self.PAIRS)
         for (variant, alpha), metrics in zip(self.PAIRS, grid):
-            [alone] = run_seed_grid(self.TASK, [(variant, alpha)], seed=3, cfg=self.CFG)
+            [alone] = run_seed_grid(self.TASK, [(variant, alpha)], 3, *self.SCHEDULE)
             assert (metrics.ua, metrics.ra, metrics.ta) == (alone.ua, alone.ra, alone.ta)
 
     def test_stacked_weights_equal_one_member_runs(self):
         train, _ = gen_class_task(4, 15, 6, sep=3.0, seed=3)
         forget, remain = split_class(train, 1)
         relabeled = LabeledSet(forget.features, relabel_forget(forget.labels, 4))
-        model = pretrain(train, self.CFG, num_classes=4)
-        cfgs = [
-            FtConfig(variant=v, alpha=a, epochs=60, step_size=0.2)
-            for v, a in self.PAIRS if v != "retrain"
-        ]
-        stacked = unlearn_ft(model, remain, relabeled, cfgs)
-        for cfg, member in zip(cfgs, stacked):
-            [alone] = unlearn_ft(model, remain, relabeled, [cfg])
+        model = pretrain(train, *self.SCHEDULE, num_classes=4)
+        pairs = [(v, a) for v, a in self.PAIRS if v != "retrain"]
+        stacked = _unlearn_pairs(model, pairs, remain, relabeled, *self.SCHEDULE)
+        for (variant, alpha), member in zip(pairs, stacked):
+            [alone] = _unlearn_pairs(model, [(variant, alpha)], remain, relabeled, *self.SCHEDULE)
             w, b, _ = _fit_alone(
                 model.weights, model.bias,
                 lambda w_, b_: objective_value_and_grad(
-                    w_, b_, remain, relabeled, cfg.variant, cfg.alpha
+                    w_, b_, remain, relabeled, variant, alpha
                 ),
-                cfg.epochs, cfg.step_size,
+                *self.SCHEDULE,
             )
             for other_w, other_b in ((alone.weights, alone.bias), (w, b)):
                 np.testing.assert_array_equal(member.weights, other_w)
@@ -387,15 +391,8 @@ class TestSeedGrid:
 
     def test_unknown_variant_rejected_before_any_work(self):
         with pytest.raises(ValueError, match="gradient-ascent"):
-            run_seed_grid(self.TASK, [("kl-ft", 0.5), ("gradient-ascent", 0.5)], 0, self.CFG)
-
-    def test_mismatched_schedules_rejected(self):
-        train, _ = gen_class_task(3, 5, 4, sep=3.0, seed=0)
-        forget, remain = split_class(train, 0)
-        model = pretrain(train, FtConfig(variant="naive-ft", epochs=5))
-        cfgs = [FtConfig(variant="kl-ft", epochs=5), FtConfig(variant="kl-ft", epochs=6)]
-        with pytest.raises(ValueError, match="epochs"):
-            unlearn_ft(model, remain, forget, cfgs)
+            run_seed_grid(
+                self.TASK, [("kl-ft", 0.5), ("gradient-ascent", 0.5)], 0, *self.SCHEDULE)
 
 
 class TestKernelExactness:
@@ -430,7 +427,7 @@ def fits(monkeypatch):
     calls = []
     real = classifier.fit_softmax
 
-    def recording(weights, bias, value_and_grad, epochs, step_size, max_halvings=5):
+    def recording(weights, bias, value_and_grad, epochs, step_size):
         evaluations = []
         calls.append((weights.shape[0], evaluations))
 
@@ -438,7 +435,7 @@ def fits(monkeypatch):
             evaluations.append(members.tolist())
             return value_and_grad(w, b, members)
 
-        return real(weights, bias, counted, epochs, step_size, max_halvings)
+        return real(weights, bias, counted, epochs, step_size)
 
     monkeypatch.setattr(classifier, "fit_softmax", recording)
     return calls
@@ -449,19 +446,34 @@ class TestDistinctObjectives:
     kl-ft/ice-ft twins share a member, and retrain is the zero-start
     (1, 0) member of the same stack."""
 
-    CFG = FtConfig(variant="naive-ft", epochs=100, step_size=0.1)
+    SCHEDULE = (100, 0.1)  # epochs, step_size
 
     @pytest.mark.parametrize("experiment,stacks", [
         ("sweep-alpha", [1, 16]),
         ("classifier-demo", [1, 4]),
     ])
-    def test_a_shipped_seed_descends_each_objective_once(self, fits, experiment, stacks):
+    def test_a_shipped_seed_descends_each_objective_once(
+        self, fits, monkeypatch, experiment, stacks
+    ):
+        # The fine-tune stack descends inside the seed's one unlearn_ft
+        # call, where the benchmark's trace looks for it.
+        inside = []
+        real = classifier.unlearn_ft
+
+        def recording(*args, **kwargs):
+            before = len(fits)
+            finals = real(*args, **kwargs)
+            inside.append([size for size, _ in fits[before:]])
+            return finals
+
+        monkeypatch.setattr(classifier, "unlearn_ft", recording)
         path = Path(__file__).resolve().parents[1] / "configs" / (
             experiment.replace("-", "_") + ".json")
         cfg = experiments.load_config(path, experiment)
         cfg["seeds"], cfg["epochs"] = [0], 5
         experiments.run_experiment(experiment, cfg)
         assert [size for size, _ in fits] == stacks
+        assert inside == [stacks[1:]]
 
     @staticmethod
     def _count_scoring(monkeypatch):
@@ -490,23 +502,23 @@ class TestDistinctObjectives:
     def test_pairs_of_one_key_share_one_scoring_with_unchanged_metrics(self, monkeypatch):
         pairs = [("kl-ft", 0.3), ("retrain", 0.0), ("ice-ft", 0.3), ("naive-ft", 0.2),
                  ("retrain", 0.5), ("kl-ft", 0.0), ("ce-ft", 0.3)]
-        task, cfg = TestSeedGrid.TASK, TestSeedGrid.CFG
+        task, schedule = TestSeedGrid.TASK, TestSeedGrid.SCHEDULE
         scored = self._count_scoring(monkeypatch)
-        grid = run_seed_grid(task, pairs, seed=4, cfg=cfg)
+        grid = run_seed_grid(task, pairs, 4, *schedule)
         # Keys: kl/ice at 0.3, retrain, naive/kl at 0, ce at 0.3.
         assert len(scored) == 4
         assert grid[0] is grid[2] and grid[1] is grid[4] and grid[3] is grid[5]
         for pair, metrics in zip(pairs, grid):
-            [alone] = run_seed_grid(task, [pair], seed=4, cfg=cfg)
+            [alone] = run_seed_grid(task, [pair], 4, *schedule)
             assert (metrics.ua, metrics.ra, metrics.ta) == (alone.ua, alone.ra, alone.ta)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_retrain_equals_pretrain_on_remain(self, fits, monkeypatch, seed):
-        task = ClassTask()
+        task = ClassTask(num_classes=5, per_class=100, feature_dim=20, sep=4.0, forget_class=0)
         train, _ = gen_class_task(
             task.num_classes, task.per_class, task.feature_dim, task.sep, seed)
         _, remain = split_class(train, task.forget_class)
-        golden = pretrain(remain, self.CFG, num_classes=task.num_classes)
+        golden = pretrain(remain, *self.SCHEDULE, num_classes=task.num_classes)
         models = []
         real_metrics = classifier.classifier_metrics
 
@@ -517,7 +529,7 @@ class TestDistinctObjectives:
         monkeypatch.setattr(classifier, "classifier_metrics", capture)
         del fits[:]
         pairs = [("retrain", 0.0), ("naive-ft", 0.5), ("kl-ft", 0.5), ("ce-ft", 0.5)]
-        run_seed_grid(task, pairs, seed, self.CFG)
+        run_seed_grid(task, pairs, seed, *self.SCHEDULE)
         assert [size for size, _ in fits] == [1, 4]
         assert np.array_equal(models[0].weights, golden.weights)
         assert np.array_equal(models[0].bias, golden.bias)
@@ -526,16 +538,16 @@ class TestDistinctObjectives:
         train, _ = gen_class_task(4, 15, 6, sep=3.0, seed=3)
         forget, remain = split_class(train, 1)
         relabeled = LabeledSet(forget.features, relabel_forget(forget.labels, 4))
-        model = pretrain(train, TestSeedGrid.CFG, num_classes=4)
+        model = pretrain(train, *TestSeedGrid.SCHEDULE, num_classes=4)
         pairs = [("kl-ft", 0.3), ("ice-ft", 0.3), ("naive-ft", 0.7), ("kl-ft", 0.0),
                  ("ice-ft", 0.0), ("ce-ft", 0.3)]
-        cfgs = [FtConfig(variant=v, alpha=a, epochs=60, step_size=0.2) for v, a in pairs]
         del fits[:]
-        finals = unlearn_ft(model, remain, relabeled, cfgs)
+        finals = _unlearn_pairs(model, pairs, remain, relabeled, 60, 0.2)
         assert [size for size, _ in fits] == [3]
         for group in ([0, 1], [2, 3, 4], [5]):
             for i in group:
-                [alone] = unlearn_ft(model, remain, relabeled, [cfgs[i]])
+                assert finals[i] is finals[group[0]]
+                [alone] = _unlearn_pairs(model, [pairs[i]], remain, relabeled, 60, 0.2)
                 for member in (finals[group[0]], alone):
                     np.testing.assert_array_equal(finals[i].weights, member.weights)
                     np.testing.assert_array_equal(finals[i].bias, member.bias)
@@ -546,8 +558,7 @@ class TestDistinctObjectives:
         model = SoftmaxClassifier(weights=weights, bias=bias)
         epochs = TestStackedDivergence.EPOCHS
         pairs = [("ice-ft", 1.0), ("kl-ft", 1.0), ("ice-ft", 0.05)]
-        cfgs = [FtConfig(variant=v, alpha=a, epochs=epochs, step_size=0.1) for v, a in pairs]
-        finals = unlearn_ft(model, remain, forget, cfgs)
+        finals = _unlearn_pairs(model, pairs, remain, forget, epochs, 0.1)
         [(size, evaluations)] = fits
         assert size == 2
         solo_calls = []
@@ -568,7 +579,51 @@ class TestDistinctObjectives:
             features=np.full_like(forget.features, np.inf), labels=forget.labels
         )
         with pytest.raises(DivergenceError, match=r"loss of 1 model\(s\)"):
-            unlearn_ft(model, remain, stuck, cfgs[:2])
+            _unlearn_pairs(model, pairs[:2], remain, stuck, epochs, 0.1)
+
+
+class TestHardInputs:
+    """Numerically hard tasks on the first seed of the shipped
+    ``classifier-demo`` config, run through the CLI: each one either
+    passes or fails loudly, never silently."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, task_sep, **changes):
+        path = Path(__file__).resolve().parents[1] / "configs" / "classifier_demo.json"
+        payload = dict(json.loads(path.read_text()), seeds=[0], **changes)
+        payload["task"]["sep"] = task_sep
+        config, out = tmp_path / "config.json", tmp_path / "demo.csv"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["classifier-demo", "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        summary = json.loads(experiments.summary_path_for(out).read_text())
+        return code, list(csv.DictReader(lines)), summary
+
+    def test_huge_sep_and_step_halve_through_pretrain_then_fail_loudly(
+        self, fits, tmp_path, capsys
+    ):
+        code, rows, summary = self._run(tmp_path, capsys, 1e150, step_size=1e10)
+        (pretrain_size, pretrain_evals), (stack_size, _) = fits
+        # The pretrain diverges, halves its step and recovers; the fine-tune
+        # stack runs out of halvings and its seed fails with one entry.
+        assert (pretrain_size, len(pretrain_evals), stack_size) == (1, 508, 4)
+        assert code == 1 and rows == [] and summary["rows"] == 0
+        [failure] = summary["failures"]
+        assert failure["seed"] == 0 and failure["type"] == "DivergenceError"
+        assert f"step size {1e10 / 2 ** classifier.MAX_HALVINGS:.3e}" in failure["message"]
+
+    def test_wide_sep_rows_are_finite_with_perfect_remaining_accuracy(
+        self, tmp_path, capsys
+    ):
+        code, rows, summary = self._run(tmp_path, capsys, 100.0)
+        assert code == 0 and summary["failures"] == [] and len(rows) == 3 * 5
+        measures = ("ua", "ra", "ta", "runtime_seconds")
+        for row in rows:
+            assert all(np.isfinite(float(row[name])) for name in measures)
+            if row["seed"] != "std":
+                assert float(row["ra"]) == float(row["ta"]) == 1.0
 
 
 def _exploding_forget_problem():
@@ -644,9 +699,8 @@ class TestStackedDivergence:
         remain, forget, weights, bias = _exploding_forget_problem()
         w, b, _, _ = self._stacked_run(remain, forget, weights, bias)
         model = SoftmaxClassifier(weights=weights, bias=bias)
-        cfgs = [FtConfig(variant=v, alpha=a, epochs=self.EPOCHS, step_size=0.1)
-                for v, a in self.MEMBERS]
-        for i, member in enumerate(unlearn_ft(model, remain, forget, cfgs)):
+        finals = _unlearn_pairs(model, self.MEMBERS, remain, forget, self.EPOCHS, 0.1)
+        for i, member in enumerate(finals):
             np.testing.assert_array_equal(member.weights, w[i])
             np.testing.assert_array_equal(member.bias, b[i])
 
@@ -656,9 +710,9 @@ class TestStackedDivergence:
             features=np.full_like(forget.features, np.inf), labels=forget.labels
         )
         model = SoftmaxClassifier(weights=weights, bias=bias)
-        cfgs = [FtConfig(variant="naive-ft", epochs=3), FtConfig(variant="ice-ft", alpha=0.5, epochs=3)]
+        pairs = [("naive-ft", 0.5), ("ice-ft", 0.5)]
         with pytest.raises(DivergenceError, match="step_size"):
-            unlearn_ft(model, remain, stuck, cfgs)
+            _unlearn_pairs(model, pairs, remain, stuck, 3, 0.1)
 
     def test_unused_overflowing_forget_term_never_restarts(self):
         remain, _, weights, bias = _small_problem(17, num_classes=3, dim=4)

@@ -390,10 +390,10 @@ class TestClassifierExperiments:
     def test_failed_seed_is_listed_in_the_summary(self, tmp_path, monkeypatch):
         real_grid = experiments.run_seed_grid
 
-        def flaky_grid(task, pairs, seed, cfg):
+        def flaky_grid(task, pairs, seed, epochs, step_size):
             if seed == 1:
                 raise DivergenceError("loss of 1 model(s) became non-finite; try a smaller step_size")
-            return real_grid(task, pairs, seed, cfg)
+            return real_grid(task, pairs, seed, epochs, step_size)
 
         monkeypatch.setattr(experiments, "run_seed_grid", flaky_grid)
         cfg = validate_config(dict(DEMO_CFG, seeds=[0, 1, 2], variants=["kl-ft"]),
