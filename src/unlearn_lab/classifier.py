@@ -28,6 +28,14 @@ share one member, and the golden ``retrain`` model is the zero-start
 ``(1, 0)`` member of the same stack.  Gradients are computed
 analytically and are checked against finite differences in the test
 suite.
+
+Each fit builds what its epochs share once and drops it when it ends:
+per set the ``(K, m)`` one-hot targets and the flat target index
+(:class:`_Targets`) and one logits buffer for the stack, and for the
+fine-tune the mixing weights and the masks of members that use one term
+alone (:class:`_Objective`).  An epoch is then one stacked cross-entropy
+evaluation per set and one pass per mixed output, with the floating-point
+operations, and so the bits, of indexing the targets on every call.
 """
 
 from __future__ import annotations
@@ -160,28 +168,63 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-2, keepdims=True)
 
 
-def _ce_value_and_grad(weights, bias, data: LabeledSet, out=None):
-    """Mean cross-entropy against ``data.labels`` and its parameter gradient.
+@dataclass(frozen=True)
+class _Targets:
+    """A labeled set as the cross-entropy kernel reads it, built once per fit.
+
+    ``onehot`` is the ``(K, m)`` target matrix, 1.0 at each column's
+    label; ``flat`` indexes the targets of a ``(K, m)`` logits block
+    flattened to ``K * m``, as ``labels * m + arange(m)``.
+    """
+
+    features: np.ndarray = field(repr=False)
+    onehot: np.ndarray = field(repr=False)
+    flat: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(cls, data: LabeledSet, num_classes: int) -> "_Targets":
+        m = data.size
+        cols = np.arange(m)
+        onehot = np.zeros((num_classes, m))
+        onehot[data.labels, cols] = 1.0
+        return cls(data.features, onehot, data.labels * m + cols)
+
+    @property
+    def size(self) -> int:
+        return self.flat.shape[0]
+
+
+def _ce_value_and_grad(weights, bias, data, out=None):
+    """Mean cross-entropy against the labels of ``data`` and its parameter gradient.
 
     ``weights`` is ``(..., K, D)`` and ``bias`` ``(..., K)``; leading axes
     index a stack of models and carry over to the losses and gradients.
-    ``out``, if given, is the ``(..., K, m)`` buffer the logits use.
+    ``data`` is a :class:`LabeledSet`, or its :class:`_Targets`, which a fit
+    builds once for all its epochs.  ``out``, if given, is the
+    ``(..., K, m)`` buffer the logits use.
+
+    The targets are gathered with one flat take and the one-hot matrix is
+    subtracted from the probabilities: the bits of indexing ``[labels,
+    arange(m)]`` for both, because a non-target entry ``p >= +0`` loses
+    ``0.0`` and NaN and inf pass through unchanged.
     """
+    if isinstance(data, LabeledSet):
+        data = _Targets.of(data, weights.shape[-2])
     m = data.size
-    cols = np.arange(m)
     # One logits buffer turns into the logit gradient in place; the
     # stacked buffers are large enough that fresh temporaries dominate.
     z = np.matmul(weights, data.features, out=out)
     z += bias[..., None]
-    z -= z.max(axis=-2, keepdims=True)
-    shifted_target = z[..., data.labels, cols]
+    z -= np.maximum.reduce(z, axis=-2, keepdims=True)
+    shifted_target = np.take(z.reshape(z.shape[:-2] + (-1,)), data.flat, axis=-1)
     np.exp(z, out=z)
-    total = z.sum(axis=-2, keepdims=True)
-    loss = -(shifted_target - np.log(total[..., 0, :])).mean(axis=-1)
+    total = np.add.reduce(z, axis=-2, keepdims=True)
+    # np.add.reduce(...) / m is what .mean computes, without its overhead.
+    loss = -(np.add.reduce(shifted_target - np.log(total[..., 0, :]), axis=-1) / m)
     z /= total
-    z[..., data.labels, cols] -= 1.0
+    z -= data.onehot
     z /= m
-    return loss, z @ data.features.T, z.sum(axis=-1)
+    return loss, z @ data.features.T, np.add.reduce(z, axis=-1)
 
 
 def ft_coefficients(variant: str, alpha: float) -> tuple[float, float]:
@@ -200,22 +243,78 @@ def ft_coefficients(variant: str, alpha: float) -> tuple[float, float]:
     return (float(alpha), 1.0) if variant == "ce-ft" else (1.0, float(alpha))
 
 
-def _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f, out=(None, None)):
-    """``coef_r * CE(remain) + coef_f * CE(forget)`` per stacked model.
+def _mixing(coef_r: np.ndarray, coef_f: np.ndarray) -> list[tuple]:
+    """How :func:`_mix` combines each output of a stack of objectives.
+
+    Per output (loss, weight gradient, bias gradient): ``coef_r`` and
+    ``coef_f`` shaped to broadcast against it, then the masks of the
+    members that use the remain term alone (``coef_f == 0``) and the
+    forget term alone (``coef_r == 0``), each ``None`` where no member
+    does.
+    """
+    parts = [coef_r, coef_f]
+    for alone in (coef_f == 0.0, coef_r == 0.0):
+        parts.append(alone if alone.any() else None)
+    return [
+        tuple(None if part is None else part.reshape(part.shape + (1,) * extra)
+              for part in parts)
+        for extra in (0, 2, 1)
+    ]
+
+
+def _mix(r, f, coef_r, coef_f, remain_only, forget_only):
+    """``coef_r * r + coef_f * f``, but ``r`` where ``remain_only`` and else
+    ``f`` where ``forget_only``: an unused term is selected away rather
+    than multiplied by zero, so it cannot leak a non-finite value."""
+    mixed = np.asarray(coef_r * r)
+    mixed += coef_f * f
+    if forget_only is not None:
+        np.copyto(mixed, f, where=forget_only)
+    if remain_only is not None:
+        np.copyto(mixed, r, where=remain_only)
+    return mixed
+
+
+class _Objective:
+    """``coef_r * CE(remain) + coef_f * CE(forget)`` of a stack of models.
+
+    Everything that stays the same between epochs is built once, when
+    the fit builds this object: the :class:`_Targets` of both sets, the
+    mixing weights and masks of :func:`_mixing`, and, with ``stack``
+    members, one logits buffer per set (a fresh stack-sized buffer per
+    epoch can make the allocator map new pages every epoch).  A call with
+    ``members``, the indices of the members still running, re-indexes the
+    mixing weights and masks and the buffers only when the stack has shrunk
+    after a divergence.
+    """
+
+    def __init__(self, remain, forget, coef_r, coef_f, num_classes, stack=None):
+        self.sets = [_Targets.of(data, num_classes) for data in (remain, forget)]
+        self.coefs = np.asarray(coef_r, dtype=np.float64), np.asarray(coef_f, dtype=np.float64)
+        self.mixing = _mixing(*self.coefs)
+        self.stack = stack
+        self.buffers = (None, None) if stack is None else [
+            np.empty((stack, num_classes, data.size)) for data in self.sets]
+
+    def __call__(self, weights, bias, members=None):
+        mixing, buffers = self.mixing, self.buffers
+        if members is not None and members.size < self.stack:
+            mixing = _mixing(*(coef[members] for coef in self.coefs))
+            buffers = [buf[:members.size] for buf in buffers]
+        remain_terms = _ce_value_and_grad(weights, bias, self.sets[0], buffers[0])
+        forget_terms = _ce_value_and_grad(weights, bias, self.sets[1], buffers[1])
+        return tuple(_mix(r, f, *how) for r, f, how in zip(remain_terms, forget_terms, mixing))
+
+
+def _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f):
+    """``coef_r * CE(remain) + coef_f * CE(forget)`` per stacked model, once.
 
     A term whose weight is zero is selected away rather than multiplied
     by zero, so an overflowing unused term cannot make the loss
-    non-finite, and a one-weight term contributes its exact bits.
+    non-finite, and a one-weight term contributes its exact bits.  A fit
+    builds one :class:`_Objective` for all its epochs instead.
     """
-    remain_terms = _ce_value_and_grad(weights, bias, remain, out[0])
-    forget_terms = _ce_value_and_grad(weights, bias, forget, out[1])
-    mixed = []
-    for r, f in zip(remain_terms, forget_terms):
-        shape = np.shape(coef_r) + (1,) * (r.ndim - np.ndim(coef_r))
-        c_r = np.reshape(coef_r, shape)
-        c_f = np.reshape(coef_f, shape)
-        mixed.append(np.where(c_f == 0.0, r, np.where(c_r == 0.0, f, c_r * r + c_f * f)))
-    return tuple(mixed)
+    return _Objective(remain, forget, coef_r, coef_f, weights.shape[-2])(weights, bias)
 
 
 def objective_value_and_grad(
@@ -310,10 +409,12 @@ def pretrain(
     """
     if num_classes is None:
         num_classes = int(train.labels.max()) + 1
+    targets = _Targets.of(train, num_classes)
+    buffer = np.empty((1, num_classes, train.size))
     w, b, _ = fit_softmax(
         np.zeros((1, num_classes, train.features.shape[0])),
         np.zeros((1, num_classes)),
-        lambda w_, b_, _members: _ce_value_and_grad(w_, b_, train),
+        lambda w_, b_, _members: _ce_value_and_grad(w_, b_, targets, buffer),
         epochs, step_size,
     )
     return SoftmaxClassifier(weights=w[0], bias=b[0])
@@ -343,15 +444,10 @@ def unlearn_ft(
         np.column_stack([start_of, coefs]), axis=0, return_inverse=True
     )
     key_start = keys[:, 0].astype(int)
-    # One logits buffer per set for all epochs: a fresh stack-sized one per
-    # epoch can make the allocator map new pages every epoch.
-    bufs = [np.empty((len(keys), starts[0].bias.size, data.size)) for data in (remain, forget)]
     w, b, _ = fit_softmax(
         np.stack([starts[i].weights for i in key_start]),
         np.stack([starts[i].bias for i in key_start]),
-        lambda w_, b_, members: _mixed_value_and_grad(
-            w_, b_, remain, forget, keys[members, 1], keys[members, 2],
-            [buf[:members.size] for buf in bufs]),
+        _Objective(remain, forget, keys[:, 1], keys[:, 2], starts[0].bias.size, len(keys)),
         epochs, step_size,
     )
     finals = [SoftmaxClassifier(weights=w[k], bias=b[k]) for k in range(len(keys))]

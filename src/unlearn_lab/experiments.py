@@ -40,7 +40,7 @@ import numpy as np
 
 from .classifier import VARIANTS, ClassTask, run_seed_grid
 from .errors import ConfigError, UnlearnLabError
-from .linalg import Factored
+from .linalg import Factored, RankDeficiencyCount
 from .metrics import LossReport, gap_report, measure_losses
 from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, predict_distinct, predict_edited, predict_overlap
 from .scenarios import FeatureLayout, gen_scenario, fine_tune_subset
@@ -97,6 +97,7 @@ class ExperimentResult:
     passed: bool | None = None
     failures: list[dict] = field(default_factory=list)
     total_runtime_seconds: float = 0.0
+    rank_deficient_solves: int = 0
 
     @property
     def numerical_failures(self) -> int:
@@ -523,19 +524,22 @@ def run_experiment(experiment: str, cfg: dict) -> ExperimentResult:
     A seed whose computation raises a package error contributes no rows
     and one ``{seed, type, message}`` entry to ``failures``.  Only
     ``verify-theorems`` sets ``passed``.  The classifier schema appends
-    mean and std rows after the per-seed rows.
+    mean and std rows after the per-seed rows.  ``rank_deficient_solves``
+    counts the run's rank-deficient factorizations, failed seeds included.
     """
     if experiment not in _ROWS_FOR_SEED:
         raise ConfigError(f"unknown experiment {experiment!r}")
     result = ExperimentResult(experiment, SCHEMAS[experiment], cfg)
     start = time.perf_counter()
-    for seed in cfg["seeds"]:
-        try:
-            result.rows.extend(_ROWS_FOR_SEED[experiment](cfg, seed))
-        except UnlearnLabError as exc:
-            result.failures.append(
-                {"seed": seed, "type": type(exc).__name__, "message": str(exc)}
-            )
+    with RankDeficiencyCount() as rank_deficient:
+        for seed in cfg["seeds"]:
+            try:
+                result.rows.extend(_ROWS_FOR_SEED[experiment](cfg, seed))
+            except UnlearnLabError as exc:
+                result.failures.append(
+                    {"seed": seed, "type": type(exc).__name__, "message": str(exc)}
+                )
+    result.rank_deficient_solves = rank_deficient.count
     if experiment == "verify-theorems":
         result.passed = not result.failures and all(row["pass"] for row in result.rows)
     if result.schema == "classifier/v3":
@@ -590,6 +594,7 @@ def write_outputs(result: ExperimentResult, csv_path: str | Path) -> Path:
         "passed": result.passed,
         "numerical_failures": result.numerical_failures,
         "failures": result.failures,
+        "rank_deficient_solves": result.rank_deficient_solves,
         "total_runtime_seconds": result.total_runtime_seconds,
     }
     summary_path_for(csv_path).write_text(

@@ -7,6 +7,10 @@ derived from it, which keeps rank-deficient inputs well defined and
 numerically stable.  Projectors are always formed from retained left
 singular vectors, never from the normal-equations formula.
 
+A :class:`RankDeficiencyCount` counts, inside its ``with`` block, the
+truncated SVDs whose rank falls short of the matrix's smaller side: the
+event ``--log-level DEBUG`` shows, counted at every level.
+
 A :class:`Factored` matrix holds a validated data matrix and computes its
 truncated SVD once, on first use.  The two solvers accept one in place
 of an array, so several solves on the same matrix share one
@@ -23,6 +27,7 @@ than the cutoff.
 from __future__ import annotations
 
 import logging
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -104,6 +109,30 @@ def default_sv_cutoff(shape: tuple[int, int], s_max: float) -> float:
     return max(shape) * np.finfo(np.float64).eps * s_max
 
 
+class RankDeficiencyCount:
+    """Counts the rank-deficient truncated SVDs made inside ``with`` blocks.
+
+    ``count`` grows by one wherever :func:`_truncated_svd` logs a
+    ``rank-deficient matrix`` record, whatever the log level.  The count
+    lives in the caller's object; only the innermost open block counts.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self._token = None
+
+    def __enter__(self) -> "RankDeficiencyCount":
+        self._token = _RANK_DEFICIENCY_COUNT.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _RANK_DEFICIENCY_COUNT.reset(self._token)
+
+
+_RANK_DEFICIENCY_COUNT: ContextVar[RankDeficiencyCount | None] = ContextVar(
+    "rank_deficiency_count", default=None)
+
+
 def _truncated_svd(a, sv_cutoff: float | None):
     """SVD restricted to singular values strictly above the cutoff."""
     u, s, v = svd(a)
@@ -113,6 +142,9 @@ def _truncated_svd(a, sv_cutoff: float | None):
         raise ValueError("sv_cutoff must be nonnegative")
     rank = int(np.count_nonzero(s > sv_cutoff))
     if rank < min(a.shape):
+        counting = _RANK_DEFICIENCY_COUNT.get()
+        if counting is not None:
+            counting.count += 1
         # Routine for block-structured data (zero feature rows), hence debug.
         logger.debug(
             "rank-deficient matrix: shape %s has rank %d (cutoff %.3e)",

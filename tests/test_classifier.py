@@ -15,6 +15,8 @@ from unlearn_lab.classifier import (
     SoftmaxClassifier,
     _ce_value_and_grad,
     _mixed_value_and_grad,
+    _Objective,
+    _Targets,
     fit_softmax,
     ft_coefficients,
     gen_class_task,
@@ -395,6 +397,44 @@ class TestSeedGrid:
                 self.TASK, [("kl-ft", 0.5), ("gradient-ascent", 0.5)], 0, *self.SCHEDULE)
 
 
+def _reference_ce(weights, bias, data):
+    """The cross-entropy kernel as first written: fancy-index gather and
+    scatter of the targets and ``.mean`` for the loss.  The rewritten
+    kernel must give these bits."""
+    m = data.size
+    cols = np.arange(m)
+    z = np.matmul(weights, data.features)
+    z += bias[..., None]
+    z -= z.max(axis=-2, keepdims=True)
+    shifted_target = z[..., data.labels, cols]
+    np.exp(z, out=z)
+    total = z.sum(axis=-2, keepdims=True)
+    loss = -(shifted_target - np.log(total[..., 0, :])).mean(axis=-1)
+    z /= total
+    z[..., data.labels, cols] -= 1.0
+    z /= m
+    return loss, z @ data.features.T, z.sum(axis=-1)
+
+
+def _reference_mixed(weights, bias, remain, forget, coef_r, coef_f):
+    """The mixing as first written: nested ``np.where`` over the
+    reference kernel's terms."""
+    mixed = []
+    for r, f in zip(_reference_ce(weights, bias, remain), _reference_ce(weights, bias, forget)):
+        shape = np.shape(coef_r) + (1,) * (r.ndim - np.ndim(coef_r))
+        c_r = np.reshape(coef_r, shape)
+        c_f = np.reshape(coef_f, shape)
+        mixed.append(np.where(c_f == 0.0, r, np.where(c_r == 0.0, f, c_r * r + c_f * f)))
+    return tuple(mixed)
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.array_equal(g, w, equal_nan=True)
+
+
 class TestKernelExactness:
     """A member of a stacked cross-entropy evaluation gets the bits of its
     own 2-D evaluation.  Gemm results depend on the memory layout of the
@@ -418,6 +458,94 @@ class TestKernelExactness:
                 assert np.array_equal(loss[i], alone[0])
                 assert np.array_equal(grad_w[i], alone[1])
                 assert np.array_equal(grad_b[i], alone[2])
+
+    @staticmethod
+    def _sets(layout):
+        """A shipped-size remain set, a set whose labels miss the highest
+        class, and a set of 1e308 features whose logits overflow."""
+        train, _ = gen_class_task(5, 100, 20, sep=4.0, seed=2)
+        _, remain = split_class(train, 0)
+        rng = np.random.default_rng(5)
+        sets = [
+            remain,
+            LabeledSet(rng.standard_normal((20, 30)), rng.integers(0, 4, size=30)),
+            LabeledSet(np.full((20, 7), 1e308), np.arange(7) % 5),
+        ]
+        if layout == "c-order":
+            sets = [LabeledSet(np.ascontiguousarray(s.features), s.labels) for s in sets]
+        else:
+            sets = [LabeledSet(np.asfortranarray(s.features), s.labels) for s in sets]
+        assert 4 not in sets[1].labels
+        return sets
+
+    @pytest.mark.parametrize("layout", ["fortran-order", "c-order"])
+    @pytest.mark.parametrize("stack", [1, 4, 24])
+    def test_kernel_equals_the_reference_formula(self, layout, stack):
+        rng = np.random.default_rng(stack)
+        weights = rng.standard_normal((stack, 5, 20))
+        bias = rng.standard_normal((stack, 5))
+        for data in self._sets(layout):
+            with np.errstate(all="ignore"):
+                want = _reference_ce(weights, bias, data)
+                _assert_same_bits(_ce_value_and_grad(weights, bias, data), want)
+                # As a fit calls it: targets built once, one reused buffer.
+                targets = _Targets.of(data, 5)
+                buffer = np.empty((stack, 5, data.size))
+                for _ in range(2):
+                    _assert_same_bits(_ce_value_and_grad(weights, bias, targets, buffer), want)
+                # An unstacked model.
+                _assert_same_bits(
+                    _ce_value_and_grad(weights[0], bias[0], targets),
+                    _reference_ce(weights[0], bias[0], data))
+
+
+class TestMixingExactness:
+    """The one-pass mixing gives the bits of the nested ``np.where``
+    formula, including where an unused term overflows."""
+
+    # No objective weighs both terms zero; the row pins the where order.
+    COEFS = np.array([(1.0, 0.0), (0.0, 1.0), (0.5, 1.0), (1.0, 0.5), (0.5, 0.0), (0.0, 0.0)])
+
+    @staticmethod
+    def _problem(overflow):
+        train, _ = gen_class_task(5, 40, 20, sep=4.0, seed=1)
+        forget, remain = split_class(train, 0)
+        forget = LabeledSet(forget.features, relabel_forget(forget.labels, 5))
+        if overflow:
+            forget = LabeledSet(np.full_like(forget.features, 1e308), forget.labels)
+        rng = np.random.default_rng(3)
+        count = len(TestMixingExactness.COEFS)
+        return remain, forget, rng.standard_normal((count, 5, 20)), rng.standard_normal((count, 5))
+
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_one_call_equals_the_nested_where(self, overflow):
+        remain, forget, weights, bias = self._problem(overflow)
+        c_r, c_f = self.COEFS.T
+        with np.errstate(all="ignore"):
+            want = _reference_mixed(weights, bias, remain, forget, c_r, c_f)
+            _assert_same_bits(_mixed_value_and_grad(weights, bias, remain, forget, c_r, c_f), want)
+        assert np.isfinite(want[0]).tolist() == [True, not overflow, not overflow,
+                                                 not overflow, True, True]
+        for i, (a, b) in enumerate(self.COEFS):
+            with np.errstate(all="ignore"):
+                _assert_same_bits(
+                    _mixed_value_and_grad(weights[i], bias[i], remain, forget, a, b),
+                    _reference_mixed(weights[i], bias[i], remain, forget, a, b))
+
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_a_fit_objective_equals_the_nested_where_after_the_stack_shrinks(self, overflow):
+        remain, forget, weights, bias = self._problem(overflow)
+        c_r, c_f = self.COEFS.T
+        objective = _Objective(remain, forget, c_r, c_f, 5, len(self.COEFS))
+        everyone = np.arange(len(self.COEFS))
+        # The full stack, two shrunken ones as fit_softmax makes after a
+        # divergence, then the full stack again on the reused buffers.
+        for members in (everyone, np.array([1, 3, 5]), np.array([0]), everyone):
+            with np.errstate(all="ignore"):
+                got = objective(weights[members], bias[members], members)
+                want = _reference_mixed(
+                    weights[members], bias[members], remain, forget, c_r[members], c_f[members])
+            _assert_same_bits(got, want)
 
 
 @pytest.fixture

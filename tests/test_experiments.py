@@ -668,6 +668,27 @@ class TestLogLevel:
         # predicts neither from that prefix.
         assert sum("shape (40, 29) has rank 20 " in line for line in lines) == 1
 
+    @staticmethod
+    def _shipped(tmp_path, capsys, experiment, *flags):
+        config = Path(__file__).resolve().parents[1] / "configs" / (
+            experiment.replace("-", "_") + ".json")
+        out = tmp_path / f"{experiment}.csv"
+        code = main([experiment, "--config", str(config), "--out", str(out),
+                     "--seeds", "0", *flags])
+        assert code == 0
+        summary = json.loads(summary_path_for(out).read_text(encoding="utf-8"))
+        return summary["rank_deficient_solves"], capsys.readouterr().err.splitlines()
+
+    def test_summary_counts_the_rank_deficient_lines_debug_prints(self, tmp_path, capsys):
+        count, lines = self._shipped(tmp_path, capsys, "verify-theorems", "--log-level", "DEBUG")
+        assert count > 0
+        assert count == sum("rank-deficient matrix" in line for line in lines) == len(lines)
+        # The count does not depend on the log level.
+        assert self._shipped(tmp_path, capsys, "verify-theorems") == (count, [])
+
+    def test_a_classifier_run_reports_no_rank_deficient_solves(self, tmp_path, capsys):
+        assert self._shipped(tmp_path, capsys, "classifier-demo", "--log-level", "DEBUG") == (0, [])
+
     def test_info_shows_no_debug_lines(self, tmp_path, capsys):
         _, _, err = self._run(tmp_path, capsys, "info", "--log-level", "INFO")
         assert err == ""
