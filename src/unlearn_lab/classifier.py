@@ -19,27 +19,33 @@ forget set (the ``0 * log 0`` terms vanish), so every objective is
 Training is deterministic: full batch, fixed step size, no randomness
 beyond data generation.  The engine, :func:`fit_softmax`, descends a
 stack of models at once; every member follows bit for bit the trajectory
-it would follow alone.  :func:`pretrain` is a one-member stack, and
-:func:`unlearn_ft` is the one stacked fine-tune: one seed's whole
-(variant, alpha) grid descends as a single ``(M, K, D)`` gradient
-descent.  A member is keyed by its start and its weights ``(c_r, c_f)``,
-and each distinct key descends once: the ``kl-ft``/``ice-ft`` twins
-share one member, and the golden ``retrain`` model is the zero-start
-``(1, 0)`` member of the same stack.  Gradients are computed
-analytically and are checked against finite differences in the test
-suite.
+it would follow alone.  A config's seeds share their labels (the task
+layout fixes them), so :func:`run_seed_grid` stacks their features as
+``(S, D, m)``: :func:`pretrain` trains every seed in one stack, and
+:func:`unlearn_ft`, the one stacked fine-tune, descends every seed's
+whole (variant, alpha) grid as a single ``(S, M, K, D)`` gradient
+descent, one broadcasting gemm per product.  A member is keyed by its
+start and its weights ``(c_r, c_f)``, and each distinct key descends
+once per seed: the ``kl-ft``/``ice-ft`` twins share one member, and the
+golden ``retrain`` model is the zero-start ``(1, 0)`` member of the same
+stack.  A seed whose members run out of step-size halvings fails alone.
+Gradients are computed analytically and are checked against finite
+differences in the test suite.
 
 Each fit builds what its epochs share once and drops it when it ends:
-per set the ``(K, m)`` one-hot targets and the flat target index
-(:class:`_Targets`) and one logits buffer for the stack, and for the
-fine-tune the mixing weights and the masks of members that use one term
-alone (:class:`_Objective`).  An epoch is then one stacked cross-entropy
-evaluation per set and one pass per mixed output, with the floating-point
-operations, and so the bits, of indexing the targets on every call.
+per set the ``(K, m)`` one-hot targets and the flat target index, which
+all seeds share (:class:`_Targets`), and the logits and column buffers
+for the stack (:class:`_StackCE`), and for the fine-tune the mixing
+weights and the masks of members that use one term alone
+(:class:`_Objective`).  An epoch is then one stacked cross-entropy
+evaluation per set and one pass per mixed output, with the
+floating-point operations, and so the bits, of indexing the targets on
+every call.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -58,17 +64,21 @@ MAX_HALVINGS = 5
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Feature matrix (feature_dim x m) with integer class labels."""
+    """Feature matrix (feature_dim x m) with integer class labels.
+
+    A stack of sets that share their labels, one per seed, holds
+    ``(S, feature_dim, m)`` features.
+    """
 
     features: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.features.ndim != 2 or self.labels.ndim != 1:
-            raise ValueError("features must be 2-D and labels 1-D")
-        if self.features.shape[1] != self.labels.shape[0]:
+        if self.features.ndim not in (2, 3) or self.labels.ndim != 1:
+            raise ValueError("features must be 2-D (3-D when stacked) and labels 1-D")
+        if self.features.shape[-1] != self.labels.shape[0]:
             raise ValueError(
-                f"{self.features.shape[1]} feature columns but {self.labels.shape[0]} labels"
+                f"{self.features.shape[-1]} feature columns but {self.labels.shape[0]} labels"
             )
 
     @property
@@ -78,7 +88,11 @@ class LabeledSet:
 
 @dataclass(frozen=True)
 class SoftmaxClassifier:
-    """Linear softmax model: logits are ``W x + b`` per column of ``x``."""
+    """Linear softmax model: logits are ``W x + b`` per column of ``x``.
+
+    :func:`pretrain` and :func:`unlearn_ft` on stacked sets return one
+    model per seed as one object with ``(S, K, D)`` weights.
+    """
 
     weights: np.ndarray = field(repr=False)
     bias: np.ndarray = field(repr=False)
@@ -89,14 +103,14 @@ class SoftmaxClassifier:
 
     @property
     def num_classes(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def feature_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        return self.weights @ features + self.bias[:, None]
+        return self.weights @ features + self.bias[..., None]
 
 
 def gen_class_task(
@@ -161,20 +175,14 @@ def relabel_forget(labels, num_classes: int) -> np.ndarray:
     return (labels + 1) % num_classes
 
 
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the class axis (second to last), shift-stabilized."""
-    shifted = logits - logits.max(axis=-2, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-2, keepdims=True)
-
-
 @dataclass(frozen=True)
 class _Targets:
     """A labeled set as the cross-entropy kernel reads it, built once per fit.
 
     ``onehot`` is the ``(K, m)`` target matrix, 1.0 at each column's
     label; ``flat`` indexes the targets of a ``(K, m)`` logits block
-    flattened to ``K * m``, as ``labels * m + arange(m)``.
+    flattened to ``K * m``, as ``labels * m + arange(m)``.  Stacked sets
+    share their labels, so all their seeds share one of each.
     """
 
     features: np.ndarray = field(repr=False)
@@ -194,14 +202,15 @@ class _Targets:
         return self.flat.shape[0]
 
 
-def _ce_value_and_grad(weights, bias, data, out=None):
+def _ce_value_and_grad(weights, bias, data, out=None, columns=None):
     """Mean cross-entropy against the labels of ``data`` and its parameter gradient.
 
     ``weights`` is ``(..., K, D)`` and ``bias`` ``(..., K)``; leading axes
     index a stack of models and carry over to the losses and gradients.
     ``data`` is a :class:`LabeledSet`, or its :class:`_Targets`, which a fit
     builds once for all its epochs.  ``out``, if given, is the
-    ``(..., K, m)`` buffer the logits use.
+    ``(..., K, m)`` buffer the logits use, and ``columns`` the
+    ``(2, ..., m)`` buffer of the per-column maxima, sums and targets.
 
     The targets are gathered with one flat take and the one-hot matrix is
     subtracted from the probabilities: the bits of indexing ``[labels,
@@ -211,20 +220,68 @@ def _ce_value_and_grad(weights, bias, data, out=None):
     if isinstance(data, LabeledSet):
         data = _Targets.of(data, weights.shape[-2])
     m = data.size
-    # One logits buffer turns into the logit gradient in place; the
-    # stacked buffers are large enough that fresh temporaries dominate.
+    # The logits turn into the logit gradient in place, and the per-column
+    # values share two rows: a stack's fresh temporaries would cost more
+    # than its arithmetic.
     z = np.matmul(weights, data.features, out=out)
     z += bias[..., None]
-    z -= np.maximum.reduce(z, axis=-2, keepdims=True)
-    shifted_target = np.take(z.reshape(z.shape[:-2] + (-1,)), data.flat, axis=-1)
+    if columns is None:
+        columns = np.empty((2,) + z.shape[:-2] + (m,))
+    total, shifted_target = columns
+    z -= np.maximum.reduce(z, axis=-2, out=total)[..., None, :]
+    # mode="clip" lets take write into its output unbuffered; no index clips.
+    np.take(z.reshape(z.shape[:-2] + (-1,)), data.flat, axis=-1, out=shifted_target, mode="clip")
     np.exp(z, out=z)
-    total = np.add.reduce(z, axis=-2, keepdims=True)
+    np.add.reduce(z, axis=-2, out=total)
+    z /= total[..., None, :]
+    shifted_target -= np.log(total, out=total)
     # np.add.reduce(...) / m is what .mean computes, without its overhead.
-    loss = -(np.add.reduce(shifted_target - np.log(total[..., 0, :]), axis=-1) / m)
-    z /= total
+    loss = -(np.add.reduce(shifted_target, axis=-1) / m)
     z -= data.onehot
     z /= m
-    return loss, z @ data.features.T, np.add.reduce(z, axis=-1)
+    return loss, z @ np.swapaxes(data.features, -1, -2), np.add.reduce(z, axis=-1)
+
+
+class _StackCE:
+    """CE(``data``) of the running members of a flat stack of ``stack`` models.
+
+    A fit builds one per set, with what its epochs share: the set's
+    :class:`_Targets` and the ``(N, K, m)`` logits and ``(2, N, m)``
+    column buffers of :func:`_ce_value_and_grad`.  With the ``(S, D, m)``
+    features of ``S`` seeds the stack is seed-major: member ``n`` belongs
+    to seed ``n // (N // S)``.  The whole stack runs as
+    ``(S, N // S, K, D)`` parameters against ``(S, 1, D, m)`` features,
+    one broadcasting gemm per product; a stack that shrank after a
+    divergence pairs each member with its own seed's features.  Either
+    way a member gets the bits of its seed's run alone.  A call returns
+    the ``(n,)``, ``(n, K, D)`` and ``(n, K)`` outputs of its ``n``
+    members.
+    """
+
+    def __init__(self, data: LabeledSet, num_classes: int, stack: int):
+        self.targets = targets = _Targets.of(data, num_classes)
+        self.out = np.empty((stack, num_classes, data.size))
+        self.columns = np.empty((2, stack, data.size))
+        self.lead = targets.features.shape[:-2] + (-1,)
+        self.whole = (
+            _Targets(targets.features[..., None, :, :], targets.onehot, targets.flat),
+            self.out.reshape(self.lead + self.out.shape[1:]),
+            self.columns.reshape((2,) + self.lead + (data.size,)),
+        )
+
+    def __call__(self, weights, bias, members):
+        n, k, d = weights.shape
+        if n == len(self.out):
+            data, out, columns = self.whole
+            weights, bias = weights.reshape(self.lead + (k, d)), bias.reshape(self.lead + (k,))
+        else:
+            data, out, columns = self.targets, self.out[:n], self.columns[:, :n]
+            if data.features.ndim == 3:
+                # Fancy indexing keeps each feature slice in its memory order.
+                seeds = members // (len(self.out) // len(data.features))
+                data = _Targets(data.features[seeds], data.onehot, data.flat)
+        loss, grad_w, grad_b = _ce_value_and_grad(weights, bias, data, out, columns)
+        return loss.reshape(n), grad_w.reshape(n, k, d), grad_b.reshape(n, k)
 
 
 def ft_coefficients(variant: str, alpha: float) -> tuple[float, float]:
@@ -276,63 +333,33 @@ def _mix(r, f, coef_r, coef_f, remain_only, forget_only):
 
 
 class _Objective:
-    """``coef_r * CE(remain) + coef_f * CE(forget)`` of a stack of models.
+    """``coef_r * CE(remain) + coef_f * CE(forget)`` of a flat stack of models.
 
-    Everything that stays the same between epochs is built once, when
-    the fit builds this object: the :class:`_Targets` of both sets, the
-    mixing weights and masks of :func:`_mixing`, and, with ``stack``
-    members, one logits buffer per set (a fresh stack-sized buffer per
-    epoch can make the allocator map new pages every epoch).  A call with
-    ``members``, the indices of the members still running, re-indexes the
-    mixing weights and masks and the buffers only when the stack has shrunk
-    after a divergence.
+    ``coef_r`` and ``coef_f`` weigh ``M`` objectives.  With the stacked
+    sets of ``S`` seeds the stack holds every objective of every seed,
+    seed-major (see :class:`_StackCE`): ``S * M`` members.  Everything
+    that stays the same between epochs is built once, when the fit builds
+    this object: the :class:`_StackCE` of both sets, with their targets
+    and buffers (a fresh stack-sized buffer per epoch can make the
+    allocator map new pages every epoch), and the mixing weights and
+    masks of :func:`_mixing`.  A call with ``members``, the indices of
+    the members still running, re-indexes the mixing weights and masks
+    only when the stack has shrunk after a divergence.
     """
 
-    def __init__(self, remain, forget, coef_r, coef_f, num_classes, stack=None):
-        self.sets = [_Targets.of(data, num_classes) for data in (remain, forget)]
-        self.coefs = np.asarray(coef_r, dtype=np.float64), np.asarray(coef_f, dtype=np.float64)
+    def __init__(self, remain, forget, coef_r, coef_f, num_classes):
+        seeds = len(remain.features) if remain.features.ndim == 3 else 1
+        self.coefs = tuple(np.tile(np.asarray(coef, dtype=np.float64), seeds)
+                           for coef in (coef_r, coef_f))
         self.mixing = _mixing(*self.coefs)
-        self.stack = stack
-        self.buffers = (None, None) if stack is None else [
-            np.empty((stack, num_classes, data.size)) for data in self.sets]
+        self.terms = [_StackCE(data, num_classes, self.coefs[0].size) for data in (remain, forget)]
 
-    def __call__(self, weights, bias, members=None):
-        mixing, buffers = self.mixing, self.buffers
-        if members is not None and members.size < self.stack:
+    def __call__(self, weights, bias, members):
+        mixing = self.mixing
+        if members.size < self.coefs[0].size:
             mixing = _mixing(*(coef[members] for coef in self.coefs))
-            buffers = [buf[:members.size] for buf in buffers]
-        remain_terms = _ce_value_and_grad(weights, bias, self.sets[0], buffers[0])
-        forget_terms = _ce_value_and_grad(weights, bias, self.sets[1], buffers[1])
+        remain_terms, forget_terms = (term(weights, bias, members) for term in self.terms)
         return tuple(_mix(r, f, *how) for r, f, how in zip(remain_terms, forget_terms, mixing))
-
-
-def _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f):
-    """``coef_r * CE(remain) + coef_f * CE(forget)`` per stacked model, once.
-
-    A term whose weight is zero is selected away rather than multiplied
-    by zero, so an overflowing unused term cannot make the loss
-    non-finite, and a one-weight term contributes its exact bits.  A fit
-    builds one :class:`_Objective` for all its epochs instead.
-    """
-    return _Objective(remain, forget, coef_r, coef_f, weights.shape[-2])(weights, bias)
-
-
-def objective_value_and_grad(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    remain: LabeledSet,
-    forget: LabeledSet,
-    variant: str,
-    alpha: float,
-):
-    """Loss and gradients of one fine-tuning objective at given parameters.
-
-    ``forget`` must already carry the relabeled targets.  A zero ``alpha``
-    drops the regularizer entirely, so the kl/ice objectives then
-    reproduce ``naive-ft`` exactly.
-    """
-    coef_r, coef_f = ft_coefficients(variant, alpha)
-    return _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f)
 
 
 def fit_softmax(
@@ -356,7 +383,8 @@ def fit_softmax(
     their start parameters at half the step size; members that never
     diverge are not recomputed.  A member still diverging after
     :data:`MAX_HALVINGS` halvings raises :class:`DivergenceError` with a
-    step-size hint.
+    step-size hint; its ``members`` are the indices of every member that
+    ran out of halvings.
 
     Returns the final parameters and the ``(M, epochs)`` loss trace of
     each member's successful attempt.
@@ -390,10 +418,14 @@ def fit_softmax(
         if not diverged:
             return final_w, final_b, trace
         pending = np.sort(np.concatenate(diverged))
-    raise DivergenceError(
-        f"loss of {pending.size} model(s) became non-finite even at step size "
-        f"{step:.3e}; try a smaller step_size"
-    )
+    raise _divergence(pending, step)
+
+
+def _divergence(members: np.ndarray, step: float) -> DivergenceError:
+    """The error of a fit whose ``members`` still diverge at step size ``step``."""
+    return DivergenceError(
+        f"loss of {members.size} model(s) became non-finite even at step size "
+        f"{step:.3e}; try a smaller step_size", members)
 
 
 def pretrain(
@@ -401,23 +433,26 @@ def pretrain(
 ) -> SoftmaxClassifier:
     """Train a softmax classifier from zero-initialized parameters.
 
-    Plain cross-entropy on ``train`` for ``epochs`` full-batch steps,
-    descended as a one-member stack; with zero epochs the zero model is
-    returned.  ``num_classes`` defaults to ``max(label) + 1`` and must be
+    Plain cross-entropy on ``train`` for ``epochs`` full-batch steps; with
+    zero epochs the zero model is returned.  A stacked ``train`` of ``S``
+    seeds trains one model per seed in one stack and returns them as one
+    model with ``(S, K, D)`` weights; a 2-D ``train`` is a one-member
+    stack.  ``num_classes`` defaults to ``max(label) + 1`` and must be
     given explicitly when the training split does not contain the highest
     class.
     """
     if num_classes is None:
         num_classes = int(train.labels.max()) + 1
-    targets = _Targets.of(train, num_classes)
-    buffer = np.empty((1, num_classes, train.size))
+    lead = train.features.shape[:-2]
+    stack = math.prod(lead)
     w, b, _ = fit_softmax(
-        np.zeros((1, num_classes, train.features.shape[0])),
-        np.zeros((1, num_classes)),
-        lambda w_, b_, _members: _ce_value_and_grad(w_, b_, targets, buffer),
+        np.zeros((stack, num_classes, train.features.shape[-2])),
+        np.zeros((stack, num_classes)),
+        _StackCE(train, num_classes, stack),
         epochs, step_size,
     )
-    return SoftmaxClassifier(weights=w[0], bias=b[0])
+    return SoftmaxClassifier(
+        weights=w.reshape(lead + w.shape[1:]), bias=b.reshape(lead + b.shape[1:]))
 
 
 def unlearn_ft(
@@ -436,6 +471,12 @@ def unlearn_ft(
     relabeled targets.  Pairs with the same start object and weights
     follow one trajectory, so they share one stack member and get back
     the same model object.  ``starts`` must be non-empty.
+
+    With the stacked sets of ``S`` seeds, every start holds one model per
+    seed, ``(S, K, D)`` weights, and so does every returned model: each
+    distinct pair descends once per seed, all in one stack.  A
+    :class:`DivergenceError` then gives in ``members`` the seed position
+    of each member that ran out of halvings.
     """
     # A pair's key is the first pair with its start object, then its weights.
     first = {}
@@ -444,13 +485,21 @@ def unlearn_ft(
         np.column_stack([start_of, coefs]), axis=0, return_inverse=True
     )
     key_start = keys[:, 0].astype(int)
-    w, b, _ = fit_softmax(
-        np.stack([starts[i].weights for i in key_start]),
-        np.stack([starts[i].bias for i in key_start]),
-        _Objective(remain, forget, keys[:, 1], keys[:, 2], starts[0].bias.size, len(keys)),
-        epochs, step_size,
-    )
-    finals = [SoftmaxClassifier(weights=w[k], bias=b[k]) for k in range(len(keys))]
+    # (..., M, K, D): one member per key of each seed, seed-major when flat.
+    weights = np.stack([starts[i].weights for i in key_start], axis=-3)
+    bias = np.stack([starts[i].bias for i in key_start], axis=-2)
+    try:
+        w, b, _ = fit_softmax(
+            weights.reshape((-1,) + weights.shape[-2:]), bias.reshape(-1, bias.shape[-1]),
+            _Objective(remain, forget, keys[:, 1], keys[:, 2], starts[0].num_classes),
+            epochs, step_size,
+        )
+    except DivergenceError as exc:
+        exc.members = exc.members // len(keys)
+        raise
+    w, b = w.reshape(weights.shape), b.reshape(bias.shape)
+    finals = [SoftmaxClassifier(weights=w[..., k, :, :], bias=b[..., k, :])
+              for k in range(len(keys))]
     return [finals[k] for k in inverse.ravel()]
 
 
@@ -468,53 +517,85 @@ class ClassTask:
 def run_seed_grid(
     task: ClassTask,
     pairs: Sequence[tuple[str, float]],
-    seed: int,
+    seeds: Sequence[int],
     epochs: int,
     step_size: float,
-) -> list[Metrics]:
-    """Full class-wise forgetting pipeline for one seed and many pairs.
+) -> dict[int, list[Metrics] | DivergenceError]:
+    """Full class-wise forgetting pipeline for many seeds and many pairs.
 
-    Generates the task and pretrains on all classes once, splits off the
-    forgetting class and relabels it, then fine-tunes every pair in one
-    :func:`unlearn_ft` stack: the (variant, alpha) pairs of
+    Generates each seed's task, splits off the forgetting class and
+    relabels it.  The task layout fixes the labels, so the seeds' sets
+    stack: every seed pretrains on all classes in one :func:`pretrain`
+    stack, then every pair of every seed fine-tunes in one
+    :func:`unlearn_ft` stack.  The (variant, alpha) pairs of
     :data:`VARIANTS` start from the pretrained model, and ``"retrain"``,
     the fit from scratch on the remaining classes, is the zero start with
-    weights ``(1, 0)``.  Each distinct final model is scored once and its
-    pairs share the scores.  Returns UA/RA/TA per pair, in order; TA is
-    measured on held-out samples of the remaining classes.
+    weights ``(1, 0)``.  Each distinct final model of a seed is scored
+    once and its pairs share the scores.
 
-    ``runtime_seconds`` of every pair, retrain included, is its equal
-    share of the stack's wall time.  An unknown variant, or an ``alpha``
-    that :func:`ft_coefficients` rejects, raises :class:`ValueError`
-    before any work.
+    Returns, per distinct seed in order, UA/RA/TA per pair, in order (TA
+    is measured on held-out samples of the remaining classes), or the
+    :class:`DivergenceError` the seed's own run raises.  A seed whose
+    members run out of halvings is set aside and the others descend
+    again; members never interact, so every seed gets the bits of its
+    own run.  ``runtime_seconds`` of every pair of every seed, retrain
+    included, is its equal share of the fine-tune stack's wall time.  An
+    unknown variant, or an ``alpha`` that :func:`ft_coefficients`
+    rejects, raises :class:`ValueError` before any work.
     """
     coefs = [
         (1.0, 0.0) if variant == "retrain" else ft_coefficients(variant, alpha)
         for variant, alpha in pairs
     ]
+    seeds = list(dict.fromkeys(seeds))
     if not pairs:
-        return []
-    train, test = gen_class_task(
-        task.num_classes, task.per_class, task.feature_dim, task.sep, seed
-    )
-    forget, remain = split_class(train, task.forget_class)
-    _, test_remain = split_class(test, task.forget_class)
-    model = pretrain(train, epochs, step_size, num_classes=task.num_classes)
-    zero = SoftmaxClassifier(
-        weights=np.zeros_like(model.weights), bias=np.zeros_like(model.bias)
-    )
-    relabeled = LabeledSet(
-        features=forget.features,
-        labels=relabel_forget(forget.labels, task.num_classes),
-    )
-    starts = [zero if variant == "retrain" else model for variant, _ in pairs]
-    start = time.perf_counter()
-    finals = unlearn_ft(starts, coefs, remain, relabeled, epochs, step_size)
-    share = (time.perf_counter() - start) / len(pairs)
-    # Each distinct model is scored once, in the order its first pair appears.
-    distinct = {id(final): final for final in finals}
-    scores = {
-        key: classifier_metrics(final, forget, remain, test_remain, runtime_seconds=share)
-        for key, final in distinct.items()
-    }
-    return [scores[id(final)] for final in finals]
+        return {seed: [] for seed in seeds}
+    sets = {}
+    for seed in seeds:
+        train, test = gen_class_task(
+            task.num_classes, task.per_class, task.feature_dim, task.sep, seed
+        )
+        forget, remain = split_class(train, task.forget_class)
+        relabeled = LabeledSet(
+            features=forget.features,
+            labels=relabel_forget(forget.labels, task.num_classes),
+        )
+        sets[seed] = train, remain, relabeled, forget, split_class(test, task.forget_class)[1]
+    grid = {}
+    alive = seeds
+    while alive:
+        # np.stack keeps each feature slice in its seed's memory order, and
+        # so the gemm bits of the seed's own run.
+        train, remain, relabeled = (
+            LabeledSet(np.stack([sets[seed][i].features for seed in alive]),
+                       sets[alive[0]][i].labels)
+            for i in range(3))
+        try:
+            model = pretrain(train, epochs, step_size, num_classes=task.num_classes)
+            zero = SoftmaxClassifier(
+                weights=np.zeros_like(model.weights), bias=np.zeros_like(model.bias)
+            )
+            starts = [zero if variant == "retrain" else model for variant, _ in pairs]
+            start = time.perf_counter()
+            finals = unlearn_ft(starts, coefs, remain, relabeled, epochs, step_size)
+            share = (time.perf_counter() - start) / (len(alive) * len(pairs))
+            break
+        except DivergenceError as exc:
+            if not len(exc.members):
+                raise
+            for i in np.unique(exc.members):
+                grid[alive[i]] = _divergence(
+                    exc.members[exc.members == i], step_size / 2.0 ** MAX_HALVINGS)
+            alive = [seed for seed in alive if seed not in grid]
+    for i, seed in enumerate(alive):
+        _, remain, _, forget, test_remain = sets[seed]
+        # Each distinct model is scored once, in the order its first pair appears.
+        distinct = {id(final): final for final in finals}
+        scores = {
+            key: classifier_metrics(
+                SoftmaxClassifier(weights=final.weights[i], bias=final.bias[i]),
+                forget, remain, test_remain, runtime_seconds=share)
+            for key, final in distinct.items()
+        }
+        grid[seed] = [scores[id(final)] for final in finals]
+    return {seed: grid[seed] for seed in seeds}

@@ -26,7 +26,15 @@ class LayoutMismatchError(UnlearnLabError):
 
 
 class DivergenceError(UnlearnLabError):
-    """Gradient descent produced a non-finite loss."""
+    """Gradient descent produced a non-finite loss.
+
+    ``members`` says which members of a stack of models ran out of
+    step-size halvings, where the raiser knows.
+    """
+
+    def __init__(self, message: str, members=()):
+        super().__init__(message)
+        self.members = members
 
 
 class ProvenanceMismatchError(UnlearnLabError):

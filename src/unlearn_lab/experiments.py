@@ -11,14 +11,18 @@ full, defaulted configuration (so the file is self-describing), plus a
 JSON summary with pass/fail and a config echo.  Re-running a config
 reproduces the CSV byte for byte except for the trailing runtime column.
 Column sets are versioned via the ``# schema:`` header line.  In
-``classifier/v3`` every row of one seed, ``retrain`` included, comes
-from one stacked descent in which identical objectives descend once and
-``retrain`` is the zero-start member; ``runtime_seconds`` is each row's
-equal share of that descent's wall time.
+``classifier/v4`` every row of every seed, ``retrain`` included, comes
+from one config-wide stacked fine-tune in which each seed's identical
+objectives descend once and ``retrain`` is the zero-start member;
+``runtime_seconds`` is each row's equal share of that descent's wall
+time (``classifier/v3`` shared one seed's descent among that seed's
+rows).
 
 A config is checked against its experiment's field table,
 :data:`FIELDS`, and the rules that relate fields, :data:`ACROSS`.
-:func:`run_experiment` runs every experiment through one seed loop.  The
+:func:`run_experiment` runs every experiment through one seed loop; the
+classifier experiments descend all their seeds at once before it, in
+one :func:`run_seed_grid`, and the loop reads each seed's rows.  The
 three linear experiments build their models in one measured pass per
 scenario, :func:`_solve`, which trains and retrains once, factors each
 fine-tuning prefix once, edits and fine-tunes, and measures every model;
@@ -34,6 +38,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +61,8 @@ SCHEMAS = {
     "verify-theorems": "verify-theorems/v1",
     "sweep-nt": "sweep-nt/v1",
     "sweep-overlap": "sweep-overlap/v1",
-    "classifier-demo": "classifier/v3",
-    "sweep-alpha": "classifier/v3",
+    "classifier-demo": "classifier/v4",
+    "sweep-alpha": "classifier/v4",
 }
 EXPERIMENTS = tuple(SCHEMAS)
 
@@ -79,7 +84,7 @@ COLUMNS = {
         "rl_gold", "ul_gold", "rl_edit_retain", "ul_edit_retain",
         "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
     ],
-    "classifier/v3": [
+    "classifier/v4": [
         "experiment", "variant", "alpha", "seed", "ua", "ra", "ta",
         "runtime_seconds",
     ],
@@ -97,7 +102,7 @@ class ExperimentResult:
     passed: bool | None = None
     failures: list[dict] = field(default_factory=list)
     total_runtime_seconds: float = 0.0
-    rank_deficient_solves: int = 0
+    rank_deficient_solves: dict = field(default_factory=dict)
 
     @property
     def numerical_failures(self) -> int:
@@ -308,7 +313,8 @@ def validate_config(raw: dict, experiment: str) -> dict:
     Walks the experiment's :data:`FIELDS`, then checks the :data:`ACROSS`
     rules.  Raises :class:`ConfigError` on unknown experiments or keys,
     missing or malformed fields, and an ``experiment`` field that
-    contradicts the requested experiment.
+    contradicts the requested experiment, and :class:`MemoryError` when
+    the default ``nt_values`` belongs to data this host cannot allocate.
     """
     if experiment not in FIELDS:
         raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
@@ -320,6 +326,11 @@ def validate_config(raw: dict, experiment: str) -> dict:
             got = {name: cfg[name] for name in names}
             raise ConfigError(f"{experiment}: {rule} (got {got})")
     if cfg.get("nt_values", ()) is None:
+        # Reserve the largest data array before building n_r - 1 ints: an
+        # n_r too large for this host raises MemoryError here, at once and
+        # untouched, instead of after gigabytes of the list.
+        np.empty((max(_size(cfg, size) for size in _SIZES_OF if size in cfg),
+                  cfg["n_r"] + cfg["n_f"]))
         cfg["nt_values"] = list(range(1, cfg["n_r"]))
     cfg["tolerance"] = {key: float(value) for key, value in cfg["tolerance"].items()}
     if "alphas" in cfg:
@@ -476,18 +487,27 @@ def _sweep_overlap_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
 _MEASURES = ("ua", "ra", "ta", "runtime_seconds")
 
 
-def _classifier_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
+def _classifier_rows(cfg: dict):
+    """Descend every seed's grid in one :func:`run_seed_grid`; returns the
+    function that gives one seed's rows or raises its failure."""
     alphas = cfg["alphas"] if "alphas" in cfg else [cfg["alpha"]]
     pairs = [(variant, float(alpha)) for variant in cfg["variants"] for alpha in alphas]
-    grid = run_seed_grid(ClassTask(**cfg["task"]), pairs, seed, cfg["epochs"], cfg["step_size"])
-    return [
-        {
-            "experiment": cfg["experiment"], "variant": variant,
-            "alpha": float("nan") if variant == "retrain" else alpha, "seed": seed,
-            **{name: getattr(metrics, name) for name in _MEASURES},
-        }
-        for (variant, alpha), metrics in zip(pairs, grid)
-    ]
+    grid = run_seed_grid(
+        ClassTask(**cfg["task"]), pairs, cfg["seeds"], cfg["epochs"], cfg["step_size"])
+
+    def rows_for_seed(seed: int) -> list[dict]:
+        if isinstance(grid[seed], UnlearnLabError):
+            raise grid[seed]
+        return [
+            {
+                "experiment": cfg["experiment"], "variant": variant,
+                "alpha": float("nan") if variant == "retrain" else alpha, "seed": seed,
+                **{name: getattr(metrics, name) for name in _MEASURES},
+            }
+            for (variant, alpha), metrics in zip(pairs, grid[seed])
+        ]
+
+    return rows_for_seed
 
 
 def _mean_std_rows(rows: list[dict]) -> list[dict]:
@@ -509,12 +529,14 @@ def _mean_std_rows(rows: list[dict]) -> list[dict]:
 # Dispatch and output
 # ----------------------------------------------------------------------
 
+# experiment -> (config -> (seed -> that seed's rows)).  A linear seed is
+# computed when the run loop asks for its rows.
 _ROWS_FOR_SEED = {
-    "verify-theorems": _verify_rows_for_seed,
-    "sweep-nt": _sweep_nt_rows_for_seed,
-    "sweep-overlap": _sweep_overlap_rows_for_seed,
-    "classifier-demo": _classifier_rows_for_seed,
-    "sweep-alpha": _classifier_rows_for_seed,
+    "verify-theorems": lambda cfg: partial(_verify_rows_for_seed, cfg),
+    "sweep-nt": lambda cfg: partial(_sweep_nt_rows_for_seed, cfg),
+    "sweep-overlap": lambda cfg: partial(_sweep_overlap_rows_for_seed, cfg),
+    "classifier-demo": _classifier_rows,
+    "sweep-alpha": _classifier_rows,
 }
 
 
@@ -525,24 +547,26 @@ def run_experiment(experiment: str, cfg: dict) -> ExperimentResult:
     and one ``{seed, type, message}`` entry to ``failures``.  Only
     ``verify-theorems`` sets ``passed``.  The classifier schema appends
     mean and std rows after the per-seed rows.  ``rank_deficient_solves``
-    counts the run's rank-deficient factorizations, failed seeds included.
+    counts the run's rank-deficient factorizations, failed seeds
+    included: ``{"solvers": ..., "oracle": ...}``, by whose work they are.
     """
     if experiment not in _ROWS_FOR_SEED:
         raise ConfigError(f"unknown experiment {experiment!r}")
     result = ExperimentResult(experiment, SCHEMAS[experiment], cfg)
     start = time.perf_counter()
     with RankDeficiencyCount() as rank_deficient:
+        rows_for_seed = _ROWS_FOR_SEED[experiment](cfg)
         for seed in cfg["seeds"]:
             try:
-                result.rows.extend(_ROWS_FOR_SEED[experiment](cfg, seed))
+                result.rows.extend(rows_for_seed(seed))
             except UnlearnLabError as exc:
                 result.failures.append(
                     {"seed": seed, "type": type(exc).__name__, "message": str(exc)}
                 )
-    result.rank_deficient_solves = rank_deficient.count
+    result.rank_deficient_solves = rank_deficient.counts
     if experiment == "verify-theorems":
         result.passed = not result.failures and all(row["pass"] for row in result.rows)
-    if result.schema == "classifier/v3":
+    if result.schema == "classifier/v4":
         result.rows += _mean_std_rows(result.rows)
     result.total_runtime_seconds = time.perf_counter() - start
     return result

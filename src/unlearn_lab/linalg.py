@@ -9,7 +9,8 @@ singular vectors, never from the normal-equations formula.
 
 A :class:`RankDeficiencyCount` counts, inside its ``with`` block, the
 truncated SVDs whose rank falls short of the matrix's smaller side: the
-event ``--log-level DEBUG`` shows, counted at every level.
+event ``--log-level DEBUG`` shows, counted at every level and apart for
+the solvers and for the functions marked :func:`oracle_work`.
 
 A :class:`Factored` matrix holds a validated data matrix and computes its
 truncated SVD once, on first use.  The two solvers accept one in place
@@ -26,6 +27,7 @@ than the cutoff.
 
 from __future__ import annotations
 
+import functools
 import logging
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -112,13 +114,15 @@ def default_sv_cutoff(shape: tuple[int, int], s_max: float) -> float:
 class RankDeficiencyCount:
     """Counts the rank-deficient truncated SVDs made inside ``with`` blocks.
 
-    ``count`` grows by one wherever :func:`_truncated_svd` logs a
-    ``rank-deficient matrix`` record, whatever the log level.  The count
-    lives in the caller's object; only the innermost open block counts.
+    ``counts["oracle"]`` grows by one wherever :func:`_truncated_svd`
+    logs a ``rank-deficient matrix`` record inside a function marked
+    :func:`oracle_work`, and ``counts["solvers"]`` wherever it logs one
+    elsewhere, whatever the log level.  The counts live in the caller's
+    object; only the innermost open block counts.
     """
 
     def __init__(self):
-        self.count = 0
+        self.counts = {"solvers": 0, "oracle": 0}
         self._token = None
 
     def __enter__(self) -> "RankDeficiencyCount":
@@ -131,6 +135,21 @@ class RankDeficiencyCount:
 
 _RANK_DEFICIENCY_COUNT: ContextVar[RankDeficiencyCount | None] = ContextVar(
     "rank_deficiency_count", default=None)
+_ORACLE_WORK: ContextVar[bool] = ContextVar("oracle_work", default=False)
+
+
+def oracle_work(fn):
+    """Mark ``fn`` as the oracle's: :class:`RankDeficiencyCount` counts the
+    rank-deficient SVDs made inside it as ``"oracle"``."""
+    @functools.wraps(fn)
+    def marked(*args, **kwargs):
+        token = _ORACLE_WORK.set(True)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _ORACLE_WORK.reset(token)
+
+    return marked
 
 
 def _truncated_svd(a, sv_cutoff: float | None):
@@ -144,7 +163,7 @@ def _truncated_svd(a, sv_cutoff: float | None):
     if rank < min(a.shape):
         counting = _RANK_DEFICIENCY_COUNT.get()
         if counting is not None:
-            counting.count += 1
+            counting.counts["oracle" if _ORACLE_WORK.get() else "solvers"] += 1
         # Routine for block-structured data (zero feature rows), hence debug.
         logger.debug(
             "rank-deficient matrix: shape %s has rank %d (cutoff %.3e)",

@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import LayoutMismatchError
-from .linalg import projector, pseudoinverse, weighted_seminorm_sq
+from .linalg import oracle_work, projector, pseudoinverse, weighted_seminorm_sq
 from .scenarios import SyntheticScenario, decompose_w_star, fine_tune_subset
 from .solvers import EditOption
 
@@ -69,6 +69,7 @@ def within_tolerance(
     return abs(measured - predicted) <= max(abs_floor, rel_tol * abs(predicted))
 
 
+@oracle_work
 def predict_distinct(scenario: SyntheticScenario) -> TheoremPrediction:
     """Predicted losses for a layout with no overlap block.
 
@@ -84,6 +85,7 @@ def predict_distinct(scenario: SyntheticScenario) -> TheoremPrediction:
     return TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=ul_gold)
 
 
+@oracle_work
 def predict_overlap(scenario: SyntheticScenario) -> TheoremPrediction:
     """Predicted losses for a general (possibly overlapping) layout.
 
@@ -98,6 +100,7 @@ def predict_overlap(scenario: SyntheticScenario) -> TheoremPrediction:
     return TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=ul_gold)
 
 
+@oracle_work
 def golden_ul_block_form(scenario: SyntheticScenario) -> float:
     """Golden UL expanded into explicit overlap/feature blocks.
 
@@ -122,6 +125,7 @@ def golden_ul_block_form(scenario: SyntheticScenario) -> float:
     return float(residual @ residual) / scenario.n_f
 
 
+@oracle_work
 def predict_edited(
     scenario: SyntheticScenario, option: EditOption, nt_values: Sequence[int]
 ) -> list[TheoremPrediction]:

@@ -11,12 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from unlearn_lab.classifier import (
-    ClassTask,
-    LabeledSet,
-    objective_value_and_grad,
-    run_seed_grid,
-)
+from unlearn_lab.classifier import ClassTask, LabeledSet, run_seed_grid
 from unlearn_lab.experiments import render_csv, run_experiment, validate_config
 from unlearn_lab.linalg import gradient_descent_solve, min_norm_solve, projector
 from unlearn_lab.metrics import measure_losses, mse_loss
@@ -34,6 +29,8 @@ from unlearn_lab.solvers import (
     retrain_golden,
     train_original,
 )
+
+from softmax_reference import objective_value_and_grad
 
 SEEDS = list(range(20))
 NT_VALUES = list(range(1, 30))
@@ -247,13 +244,11 @@ def test_criterion_7_classifier_trends():
     with criterion(7, "classifier unlearning trends across ten seeds"):
         start = time.perf_counter()
 
-        # One grid per seed: a single pretrain serves every pair.
+        # One grid for all seeds: one pretrain and one fine-tune stack.
         pairs = [("retrain", 0.0), ("naive-ft", 0.0), ("ce-ft", 0.5), ("ice-ft", 0.5)]
         pairs += [("kl-ft", a) for a in (0.1, 0.4, 0.5, 0.8)]
-        grids = [
-            run_seed_grid(CLASSIFIER_TASK, pairs, seed, *CLASSIFIER_SCHEDULE)
-            for seed in CLASSIFIER_SEEDS
-        ]
+        grid = run_seed_grid(CLASSIFIER_TASK, pairs, CLASSIFIER_SEEDS, *CLASSIFIER_SCHEDULE)
+        grids = [grid[seed] for seed in CLASSIFIER_SEEDS]
 
         def mean_metrics(variant, alpha):
             return [grid[pairs.index((variant, alpha))] for grid in grids]

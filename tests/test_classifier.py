@@ -14,22 +14,22 @@ from unlearn_lab.classifier import (
     LabeledSet,
     SoftmaxClassifier,
     _ce_value_and_grad,
-    _mixed_value_and_grad,
     _Objective,
     _Targets,
     fit_softmax,
     ft_coefficients,
     gen_class_task,
-    objective_value_and_grad,
     pretrain,
     relabel_forget,
     run_seed_grid,
-    softmax_probs,
     split_class,
     unlearn_ft,
 )
 from unlearn_lab.errors import DivergenceError
+from unlearn_lab.linalg import TOL_IDEM, projector
 from unlearn_lab.metrics import accuracy
+
+from softmax_reference import _mixed_value_and_grad, objective_value_and_grad, softmax_probs
 
 
 def _small_problem(seed, num_classes=5, dim=8, per_class=6):
@@ -305,7 +305,7 @@ class TestFtCoefficients:
         # pretrains anything.
         task = ClassTask(num_classes=3, per_class=5, feature_dim=4, sep=4.0, forget_class=0)
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
-            run_seed_grid(task, [("naive-ft", 0.0), ("kl-ft", alpha)], 0, 500, 0.1)
+            run_seed_grid(task, [("naive-ft", 0.0), ("kl-ft", alpha)], [0], 500, 0.1)
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
             ft_coefficients("kl-ft", alpha)
 
@@ -318,19 +318,19 @@ class TestPipelineTrends:
     SCHEDULE = (250, 0.1)  # epochs, step_size
 
     def test_naive_ft_barely_forgets_while_retrain_does(self):
-        [naive] = run_seed_grid(self.TASK, [("naive-ft", 0.0)], 0, *self.SCHEDULE)
-        [golden] = run_seed_grid(self.TASK, [("retrain", 0.0)], 0, *self.SCHEDULE)
+        [naive] = run_seed_grid(self.TASK, [("naive-ft", 0.0)], [0], *self.SCHEDULE)[0]
+        [golden] = run_seed_grid(self.TASK, [("retrain", 0.0)], [0], *self.SCHEDULE)[0]
         assert golden.ua > 0.9
         assert naive.ua <= golden.ua - 0.3
         assert naive.ra > 0.95
 
     def test_regularized_ft_forgets_and_retains(self):
-        [kl] = run_seed_grid(self.TASK, [("kl-ft", 0.5)], 0, *self.SCHEDULE)
+        [kl] = run_seed_grid(self.TASK, [("kl-ft", 0.5)], [0], *self.SCHEDULE)[0]
         assert kl.ua >= 0.9
         assert kl.ra >= 0.9
 
     def test_golden_retrain_never_saw_the_class(self):
-        [golden] = run_seed_grid(self.TASK, [("retrain", 0.0)], 1, *self.SCHEDULE)
+        [golden] = run_seed_grid(self.TASK, [("retrain", 0.0)], [1], *self.SCHEDULE)[1]
         assert golden.ua > 0.9
 
 
@@ -365,10 +365,10 @@ class TestSeedGrid:
     ]
 
     def test_grid_equals_per_pair_trials(self):
-        grid = run_seed_grid(self.TASK, self.PAIRS, 3, *self.SCHEDULE)
+        grid = run_seed_grid(self.TASK, self.PAIRS, [3], *self.SCHEDULE)[3]
         assert len(grid) == len(self.PAIRS)
         for (variant, alpha), metrics in zip(self.PAIRS, grid):
-            [alone] = run_seed_grid(self.TASK, [(variant, alpha)], 3, *self.SCHEDULE)
+            [alone] = run_seed_grid(self.TASK, [(variant, alpha)], [3], *self.SCHEDULE)[3]
             assert (metrics.ua, metrics.ra, metrics.ta) == (alone.ua, alone.ra, alone.ta)
 
     def test_stacked_weights_equal_one_member_runs(self):
@@ -394,7 +394,7 @@ class TestSeedGrid:
     def test_unknown_variant_rejected_before_any_work(self):
         with pytest.raises(ValueError, match="gradient-ascent"):
             run_seed_grid(
-                self.TASK, [("kl-ft", 0.5), ("gradient-ascent", 0.5)], 0, *self.SCHEDULE)
+                self.TASK, [("kl-ft", 0.5), ("gradient-ascent", 0.5)], [0], *self.SCHEDULE)
 
 
 def _reference_ce(weights, bias, data):
@@ -536,7 +536,7 @@ class TestMixingExactness:
     def test_a_fit_objective_equals_the_nested_where_after_the_stack_shrinks(self, overflow):
         remain, forget, weights, bias = self._problem(overflow)
         c_r, c_f = self.COEFS.T
-        objective = _Objective(remain, forget, c_r, c_f, 5, len(self.COEFS))
+        objective = _Objective(remain, forget, c_r, c_f, 5)
         everyone = np.arange(len(self.COEFS))
         # The full stack, two shrunken ones as fit_softmax makes after a
         # divergence, then the full stack again on the reused buffers.
@@ -632,12 +632,12 @@ class TestDistinctObjectives:
                  ("retrain", 0.5), ("kl-ft", 0.0), ("ce-ft", 0.3)]
         task, schedule = TestSeedGrid.TASK, TestSeedGrid.SCHEDULE
         scored = self._count_scoring(monkeypatch)
-        grid = run_seed_grid(task, pairs, 4, *schedule)
+        grid = run_seed_grid(task, pairs, [4], *schedule)[4]
         # Keys: kl/ice at 0.3, retrain, naive/kl at 0, ce at 0.3.
         assert len(scored) == 4
         assert grid[0] is grid[2] and grid[1] is grid[4] and grid[3] is grid[5]
         for pair, metrics in zip(pairs, grid):
-            [alone] = run_seed_grid(task, [pair], 4, *schedule)
+            [alone] = run_seed_grid(task, [pair], [4], *schedule)[4]
             assert (metrics.ua, metrics.ra, metrics.ta) == (alone.ua, alone.ra, alone.ta)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -657,7 +657,7 @@ class TestDistinctObjectives:
         monkeypatch.setattr(classifier, "classifier_metrics", capture)
         del fits[:]
         pairs = [("retrain", 0.0), ("naive-ft", 0.5), ("kl-ft", 0.5), ("ce-ft", 0.5)]
-        run_seed_grid(task, pairs, seed, *self.SCHEDULE)
+        run_seed_grid(task, pairs, [seed], *self.SCHEDULE)
         assert [size for size, _ in fits] == [1, 4]
         assert np.array_equal(models[0].weights, golden.weights)
         assert np.array_equal(models[0].bias, golden.bias)
@@ -708,6 +708,151 @@ class TestDistinctObjectives:
         )
         with pytest.raises(DivergenceError, match=r"loss of 1 model\(s\)"):
             _unlearn_pairs(model, pairs[:2], remain, stuck, epochs, 0.1)
+
+
+def _shipped_config(experiment, **changes):
+    path = Path(__file__).resolve().parents[1] / "configs" / (
+        experiment.replace("-", "_") + ".json")
+    return dict(experiments.load_config(path, experiment), **changes)
+
+
+def _run_scoring(monkeypatch, experiment, cfg):
+    """Run a config; returns the result and the ``(weights, bias)`` of every
+    model it scored, seed by seed, in scoring order."""
+    scored = []
+    real = classifier.classifier_metrics
+
+    def capture(final, *args, **kwargs):
+        scored.append((final.weights, final.bias))
+        return real(final, *args, **kwargs)
+
+    monkeypatch.setattr(classifier, "classifier_metrics", capture)
+    result = experiments.run_experiment(experiment, cfg)
+    monkeypatch.setattr(classifier, "classifier_metrics", real)
+    return result, scored
+
+
+def _seed_rows(result):
+    """The per-seed rows, every cell as the CSV writes it, runtime aside."""
+    return [
+        [experiments._format_cell(value)
+         for name, value in row.items() if name != "runtime_seconds"]
+        for row in result.rows if isinstance(row["seed"], int)
+    ]
+
+
+class TestSeedStack:
+    """A config's seeds pretrain as one stack and fine-tune as one stack:
+    every seed gets the bits of its own run, and a seed whose members run
+    out of halvings fails alone, with its own run's message."""
+
+    @pytest.mark.parametrize("experiment,epochs,stacks", [
+        ("classifier-demo", 500, [3, 12]),
+        ("sweep-alpha", 100, [3, 48]),
+    ])
+    def test_stacked_seeds_equal_their_own_runs(
+        self, fits, monkeypatch, experiment, epochs, stacks
+    ):
+        cfg = _shipped_config(experiment, seeds=[0, 1, 2], epochs=epochs)
+        stacked, models = _run_scoring(monkeypatch, experiment, cfg)
+        assert [size for size, _ in fits] == stacks
+        alone = [_run_scoring(monkeypatch, experiment, dict(cfg, seeds=[seed]))
+                 for seed in (0, 1, 2)]
+        assert _seed_rows(stacked) == [row for result, _ in alone for row in _seed_rows(result)]
+        alone_models = [model for _, scored in alone for model in scored]
+        assert len(models) == len(alone_models) == stacks[1]
+        for (w, b), (w_alone, b_alone) in zip(models, alone_models):
+            assert np.array_equal(w, w_alone) and np.array_equal(b, b_alone)
+
+    @pytest.mark.parametrize("case,step_size,message", [
+        # Seed 1's pretrain never sees a finite loss.
+        ("non-finite-task", 0.1,
+         "loss of 1 model(s) became non-finite even at step size 3.125e-03; "
+         "try a smaller step_size"),
+        # Seed 1's pretrain halves and recovers (TestHardInputs); two of its
+        # four fine-tune members run out of halvings.
+        ("huge-sep-and-step", 1e10,
+         "loss of 2 model(s) became non-finite even at step size 3.125e+08; "
+         "try a smaller step_size"),
+    ], ids=["non-finite-task", "huge-sep-and-step"])
+    def test_a_diverging_seed_between_two_clean_ones_fails_alone(
+        self, monkeypatch, case, step_size, message
+    ):
+        real = classifier.gen_class_task
+
+        def seed_one_diverges(num_classes, per_class, feature_dim, sep, seed):
+            if seed == 1 and case == "huge-sep-and-step":
+                sep = 1e150
+            train, test = real(num_classes, per_class, feature_dim, sep, seed)
+            if seed == 1 and case == "non-finite-task":
+                train = LabeledSet(np.full_like(train.features, np.nan), train.labels)
+            return train, test
+
+        monkeypatch.setattr(classifier, "gen_class_task", seed_one_diverges)
+        cfg = _shipped_config("classifier-demo", seeds=[0, 1, 2], step_size=step_size)
+        result, models = _run_scoring(monkeypatch, "classifier-demo", cfg)
+        solo = experiments.run_experiment("classifier-demo", dict(cfg, seeds=[1]))
+        assert solo.failures == [{"seed": 1, "type": "DivergenceError", "message": message}]
+        assert result.failures == solo.failures
+        assert experiments.exit_code_for(result) == 1
+        alone = [_run_scoring(monkeypatch, "classifier-demo", dict(cfg, seeds=[seed]))
+                 for seed in (0, 2)]
+        assert _seed_rows(result) == [row for run, _ in alone for row in _seed_rows(run)]
+        alone_models = [model for _, scored in alone for model in scored]
+        assert len(models) == len(alone_models) == 8
+        for (w, b), (w_alone, b_alone) in zip(models, alone_models):
+            assert np.array_equal(w, w_alone) and np.array_equal(b, b_alone)
+
+
+class TestRetainedSubspace:
+    """The paper's retention mechanism, exact for the softmax model.  Every
+    CE(remain) gradient ``Z X_r^T`` has its rows in the span of the remain
+    features, so with ``P_perp`` the projector onto that span's complement,
+    naive-ft keeps ``W P_perp`` at the pretrained model's and retrain keeps
+    it at zero; a forget term moves it.  The shipped task (100 samples per
+    class in 20 dimensions) has an empty complement, so small tasks show it.
+    """
+
+    PAIRS = [("naive-ft", 0.5), ("retrain", 0.0), ("kl-ft", 0.5), ("ce-ft", 0.5), ("ice-ft", 0.5)]
+
+    @pytest.mark.parametrize("per_class", [2, 3])
+    def test_only_a_forget_term_moves_the_weights_outside_the_remain_span(
+        self, monkeypatch, per_class
+    ):
+        task = ClassTask(
+            num_classes=5, per_class=per_class, feature_dim=20, sep=4.0, forget_class=0)
+        seeds = [0, 1, 2]
+        returned = {}
+        for name in ("pretrain", "unlearn_ft"):
+            def recording(*args, real=getattr(classifier, name), name=name, **kwargs):
+                returned[name] = real(*args, **kwargs)
+                return returned[name]
+
+            monkeypatch.setattr(classifier, name, recording)
+        grid = run_seed_grid(task, self.PAIRS, seeds, 500, 0.1)
+        assert all(isinstance(scores, list) for scores in grid.values())
+        finals = dict(zip((variant for variant, _ in self.PAIRS), returned["unlearn_ft"]))
+        for i, seed in enumerate(seeds):
+            train, _ = gen_class_task(5, per_class, 20, 4.0, seed)
+            _, remain = split_class(train, 0)
+            span = projector(remain.features)
+            assert span.rank == 4 * per_class
+            outside = span.complement()
+            pretrained = returned["pretrain"].weights[i]
+
+            def moved(variant, start):
+                """The move's size outside the remain span, and in all."""
+                delta = finals[variant].weights[i] - start
+                return np.linalg.norm(delta @ outside), np.linalg.norm(delta)
+
+            # The projector is idempotent to TOL_IDEM, so a move inside the
+            # span shows at most that fraction of its size outside it.
+            for variant, start in (("naive-ft", pretrained), ("retrain", 0.0)):
+                out, total = moved(variant, start)
+                assert total > 0.1 and out <= TOL_IDEM * total, (seed, variant, out, total)
+            for variant in ("kl-ft", "ce-ft", "ice-ft"):
+                out, total = moved(variant, pretrained)
+                assert out >= 1e6 * TOL_IDEM * total, (seed, variant, out, total)
 
 
 class TestHardInputs:

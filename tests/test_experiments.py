@@ -2,6 +2,8 @@
 
 import gc
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -116,7 +118,7 @@ class TestSchemas:
             "rl_gold", "ul_gold", "rl_edit_retain", "ul_edit_retain",
             "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
         ]
-        assert COLUMNS["classifier/v3"] == [
+        assert COLUMNS["classifier/v4"] == [
             "experiment", "variant", "alpha", "seed", "ua", "ra", "ta",
             "runtime_seconds",
         ]
@@ -390,10 +392,11 @@ class TestClassifierExperiments:
     def test_failed_seed_is_listed_in_the_summary(self, tmp_path, monkeypatch):
         real_grid = experiments.run_seed_grid
 
-        def flaky_grid(task, pairs, seed, epochs, step_size):
-            if seed == 1:
-                raise DivergenceError("loss of 1 model(s) became non-finite; try a smaller step_size")
-            return real_grid(task, pairs, seed, epochs, step_size)
+        def flaky_grid(task, pairs, seeds, epochs, step_size):
+            grid = real_grid(task, pairs, [seed for seed in seeds if seed != 1], epochs, step_size)
+            grid[1] = DivergenceError(
+                "loss of 1 model(s) became non-finite; try a smaller step_size")
+            return grid
 
         monkeypatch.setattr(experiments, "run_seed_grid", flaky_grid)
         cfg = validate_config(dict(DEMO_CFG, seeds=[0, 1, 2], variants=["kl-ft"]),
@@ -619,6 +622,39 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and ru_maxrss in KiB")
+    def test_a_huge_default_nt_range_exits_two_before_it_is_built(self, tmp_path):
+        # The default nt_values of n_r = 2 * 10^7 would be that many Python
+        # ints, about 800 MB; the data, 2.8 PiB, must fail to allocate
+        # first.  The child runs under a 512 MiB address-space cap, so a
+        # regression ends in MemoryError too, but only after filling the
+        # cap: its peak resident size tells the two apart.
+        config = self._write_config(
+            tmp_path, {"seeds": [0], "n_r": 2 * 10**7, "layout": [2 * 10**7, 0, 10]})
+        out = tmp_path / "x.csv"
+        cap = 512 * 2**20
+        script = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+            "from unlearn_lab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-c", script, "sweep-nt", "--config", str(config), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 2
+        assert child.stderr.startswith("config error: cannot allocate the arrays this config needs: ")
+        assert child.stderr.count("\n") == 1
+        assert not out.exists()
+        # ru_maxrss is in KiB on Linux: the child never grew past its imports.
+        assert int(child.stdout) < 100 * 1024
+
     def test_non_utf8_config_exits_two(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_bytes(b'{"seeds": [0], "out": "\xff"}')
@@ -680,14 +716,19 @@ class TestLogLevel:
         return summary["rank_deficient_solves"], capsys.readouterr().err.splitlines()
 
     def test_summary_counts_the_rank_deficient_lines_debug_prints(self, tmp_path, capsys):
-        count, lines = self._shipped(tmp_path, capsys, "verify-theorems", "--log-level", "DEBUG")
+        counts, lines = self._shipped(tmp_path, capsys, "verify-theorems", "--log-level", "DEBUG")
+        count = sum(counts.values())
         assert count > 0
         assert count == sum("rank-deficient matrix" in line for line in lines) == len(lines)
+        # 18 of seed 0's factorizations are the solvers', 8 the oracle's
+        # projectors and pseudoinverses.
+        assert counts == {"solvers": 18, "oracle": 8}
         # The count does not depend on the log level.
-        assert self._shipped(tmp_path, capsys, "verify-theorems") == (count, [])
+        assert self._shipped(tmp_path, capsys, "verify-theorems") == (counts, [])
 
     def test_a_classifier_run_reports_no_rank_deficient_solves(self, tmp_path, capsys):
-        assert self._shipped(tmp_path, capsys, "classifier-demo", "--log-level", "DEBUG") == (0, [])
+        assert self._shipped(tmp_path, capsys, "classifier-demo", "--log-level", "DEBUG") == (
+            {"solvers": 0, "oracle": 0}, [])
 
     def test_info_shows_no_debug_lines(self, tmp_path, capsys):
         _, _, err = self._run(tmp_path, capsys, "info", "--log-level", "INFO")
