@@ -16,17 +16,24 @@ from one config-wide stacked fine-tune in which each seed's identical
 objectives descend once and ``retrain`` is the zero-start member;
 ``runtime_seconds`` is each row's equal share of that descent's wall
 time (``classifier/v3`` shared one seed's descent among that seed's
-rows).
+rows).  In the ``/v2`` linear schemas a row's ``runtime_seconds`` is its
+equal share of the config-wide stacked solver calls of its scenario and
+edit (``/v1`` timed that seed's own solver calls).
 
 A config is checked against its experiment's field table,
 :data:`FIELDS`, and the rules that relate fields, :data:`ACROSS`.
-:func:`run_experiment` runs every experiment through one seed loop; the
-classifier experiments descend all their seeds at once before it, in
-one :func:`run_seed_grid`, and the loop reads each seed's rows.  The
-three linear experiments build their models in one measured pass per
-scenario, :func:`_solve`, which trains and retrains once, factors each
-fine-tuning prefix once, edits and fine-tunes, and measures every model;
-their row builders only shape rows.
+:func:`run_experiment` runs every experiment through one seed loop.
+Before it, each experiment solves all its seeds at once and hands the
+loop a function that gives one seed's rows or raises its failure: the
+classifier experiments descend every seed in one :func:`run_seed_grid`,
+and the linear ones solve one stack of all seeds per layout (per
+scenario of ``verify-theorems``, per ``d_lap`` of ``sweep-overlap``) in
+one measured pass, :func:`_solve`, which trains and retrains once,
+factors each fine-tuning prefix once, edits and fine-tunes, and
+measures every model.  A stack that raises is solved again seed by
+seed, so a failing seed fails alone with the error of its own run.  The
+oracle predicts seed by seed, from that seed's own scenario and its own
+factorizations, when the loop asks for the seed's rows.
 Rows are dicts keyed by column name; :data:`COLUMNS` alone fixes the
 order of the cells, and :func:`render_csv` checks each row against it.
 """
@@ -38,7 +45,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +52,9 @@ import numpy as np
 from .classifier import VARIANTS, ClassTask, run_seed_grid
 from .errors import ConfigError, UnlearnLabError
 from .linalg import Factored, RankDeficiencyCount
-from .metrics import LossReport, gap_report, measure_losses
+from .metrics import gap_report, measure_losses
 from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, predict_distinct, predict_edited, predict_overlap
-from .scenarios import FeatureLayout, gen_scenario, fine_tune_subset
+from .scenarios import FeatureLayout, fine_tune_subset, gen_scenario, stack_scenarios
 from .solvers import (
     EditOption,
     edit_pretrained,
@@ -58,28 +64,28 @@ from .solvers import (
 )
 
 SCHEMAS = {
-    "verify-theorems": "verify-theorems/v1",
-    "sweep-nt": "sweep-nt/v1",
-    "sweep-overlap": "sweep-overlap/v1",
+    "verify-theorems": "verify-theorems/v2",
+    "sweep-nt": "sweep-nt/v2",
+    "sweep-overlap": "sweep-overlap/v2",
     "classifier-demo": "classifier/v4",
     "sweep-alpha": "classifier/v4",
 }
 EXPERIMENTS = tuple(SCHEMAS)
 
 COLUMNS = {
-    "verify-theorems/v1": [
+    "verify-theorems/v2": [
         "experiment", "seed", "check", "option",
         "d_r", "d_lap", "d_f", "n_r", "n_f", "n_t_min", "n_t_max",
         "rl_ft_max", "ul_ft_max", "rl_gold", "ul_gold", "ul_gold_pred",
         "ul_gold_rel_gap", "rl_edit_max", "ul_edit_max",
         "edit_rl_gap_max", "edit_ul_gap_max", "pass", "runtime_seconds",
     ],
-    "sweep-nt/v1": [
+    "sweep-nt/v2": [
         "experiment", "seed", "n_t", "rl_ft", "ul_ft", "rl_gold", "ul_gold",
         "rl_edit_zero", "ul_edit_zero", "rl_edit_retain", "ul_edit_retain",
         "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
     ],
-    "sweep-overlap/v1": [
+    "sweep-overlap/v2": [
         "experiment", "seed", "d_lap", "d_r", "d_f", "n_t",
         "rl_gold", "ul_gold", "rl_edit_retain", "ul_edit_retain",
         "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
@@ -352,25 +358,29 @@ def load_config(path: str | Path, experiment: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Linear experiments: one measured pass per scenario
+# Linear experiments: one stacked pass per layout, all seeds at once
 # ----------------------------------------------------------------------
 
-def _solve(scenario, nt_values, edits) -> tuple[LossReport, float, dict]:
-    """Train, retrain and fine-tune one scenario, and measure every model.
+def _solve(scenarios, nt_values, edits) -> list[tuple]:
+    """Train, retrain and fine-tune a stack of scenarios, and measure every model.
 
-    On the prefix of each ``n_t`` this fine-tunes once per entry of
-    ``edits``: an :class:`EditOption` edits the pretrained weights first,
-    and ``None`` fine-tunes them unedited.  Each prefix is factored once
-    and shared by its fine-tunes, the first of which pays for the SVD; the
-    oracle factors its own matrices.  Returns the golden losses, the
-    retrain's seconds, and per edit one ``(losses, seconds)`` per ``n_t``.
-    The seconds cover only the solver calls, not data handling or
-    measurement.
+    The scenarios share one layout and stack along a leading seed axis,
+    so every solver call serves all of them.  On the prefix of each
+    ``n_t`` this fine-tunes once per entry of ``edits``: an
+    :class:`EditOption` edits the pretrained weights first, and ``None``
+    fine-tunes them unedited.  Each prefix stack is factored once and
+    shared by its fine-tunes, the first of which pays for the SVD; the
+    oracle factors its own matrices.  Returns per scenario ``(scenario,
+    golden losses, retrain seconds, {edit: [(losses, seconds) per
+    n_t]})``, where the seconds are the member's equal share of the
+    stack's solver calls, never of data handling or measurement.
     """
+    scenario = stack_scenarios(scenarios)
+    members = len(scenarios)
     w_o = train_original(scenario)
     start = time.perf_counter()
     w_g = retrain_golden(scenario)
-    gold_seconds = time.perf_counter() - start
+    gold_seconds = (time.perf_counter() - start) / members
     solved = {edit: [] for edit in edits}
     for n_t in nt_values:
         x_t, y_t = fine_tune_subset(scenario, n_t)
@@ -379,104 +389,191 @@ def _solve(scenario, nt_values, edits) -> tuple[LossReport, float, dict]:
             start = time.perf_counter()
             w = w_o if edit is None else edit_pretrained(w_o, scenario.layout, edit)
             w_t = fine_tune_unlearn(w, x_t, y_t)
-            seconds = time.perf_counter() - start
+            seconds = (time.perf_counter() - start) / members
             tag = "fine_tuned" if edit is None else "edited_fine_tuned"
             solved[edit].append((measure_losses(w_t, scenario, tag), seconds))
-    return measure_losses(w_g, scenario, "golden"), gold_seconds, solved
+    return [
+        (scenarios[i], gold, gold_seconds,
+         {edit: [(losses[i], seconds) for losses, seconds in runs]
+          for edit, runs in solved.items()})
+        for i, gold in enumerate(measure_losses(w_g, scenario, "golden"))
+    ]
 
 
-def _verify_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
-    """A baseline row per scenario (distinct, overlap), then one per edit."""
+def _stacked_pass(cfg: dict, layout: FeatureLayout, nt_values, edits):
+    """The pass of one layout: a list of seeds -> one :func:`_solve` result
+    per seed, their scenarios generated one by one and solved as a stack."""
+    return lambda seeds: _solve(
+        [gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"]) for seed in seeds],
+        nt_values, edits)
+
+
+def _stacked(seeds: list[int], solve) -> dict:
+    """``solve`` all ``seeds`` as one stack; returns their results by seed.
+
+    If the stack raises a package error, each seed is solved again alone,
+    as a one-member stack, and gets its own result or error.  The
+    stacked attempt's rank deficiencies are held until it succeeds, so a
+    dropped attempt is neither counted nor logged.
+    """
+    if len(seeds) > 1:
+        held = RankDeficiencyCount(hold=True)
+        try:
+            with held:
+                results = solve(seeds)
+        except UnlearnLabError:
+            pass
+        else:
+            held.release()
+            return dict(zip(seeds, results))
+    outcome = {}
+    for seed in seeds:
+        try:
+            [outcome[seed]] = solve([seed])
+        except UnlearnLabError as exc:
+            outcome[seed] = exc
+    return outcome
+
+
+def _solve_seeds(seeds: list[int], passes: list) -> dict[int, list]:
+    """Run each pass, in order, as one stack of the seeds that have not failed.
+
+    Returns per seed its pass results in order; a failing pass's entry is
+    its error, and the seed leaves the later passes there, as its own
+    run stops there.
+    """
+    results: dict[int, list] = {seed: [] for seed in seeds}
+    for solve in passes:
+        live = [seed for seed in seeds
+                if not results[seed] or not isinstance(results[seed][-1], UnlearnLabError)]
+        for seed, result in _stacked(live, solve).items():
+            results[seed].append(result)
+    return results
+
+
+def _each(results: list):
+    """A seed's pass results, in order; a failed pass raises its error."""
+    for result in results:
+        if isinstance(result, UnlearnLabError):
+            raise result
+        yield result
+
+
+def _verify_rows(cfg: dict):
+    """Solve both layouts of every seed, one stack per layout; returns the
+    function that gives a seed's baseline row per scenario (distinct,
+    overlap), then one per edit, from the oracle's predictions on that
+    seed's own scenarios."""
     rel, floor = cfg["tolerance"]["rel"], cfg["tolerance"]["abs_floor"]
     nt_values = cfg["nt_values"]
-    rows, edit_rows = [], []
-    for check, predict, options in (
+    checks = [
         ("distinct", predict_distinct, [EditOption.DISTINCT_ZERO_FORGET]),
         ("overlap", predict_overlap, [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD]),
-    ):
-        layout = FeatureLayout(*cfg[f"{check}_layout"])
-        scenario = gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"])
-        gold, runtime, solved = _solve(scenario, nt_values, [None, *options])
-        predicted = predict(scenario)
-        gold_gaps = gap_report(gold, predicted, rel, floor)
-        fine_tuned = [losses for losses, _ in solved[None]]
-        common = {
-            **dict.fromkeys(COLUMNS[SCHEMAS["verify-theorems"]], float("nan")),
-            "experiment": cfg["experiment"], "seed": seed,
-            "d_r": layout.d_r, "d_lap": layout.d_lap, "d_f": layout.d_f,
-            "n_r": scenario.n_r, "n_f": scenario.n_f,
-            "n_t_min": min(nt_values), "n_t_max": max(nt_values),
-        }
-        rows.append({
-            **common, "check": check, "option": "",
-            "rl_ft_max": max(ft.rl for ft in fine_tuned),
-            "ul_ft_max": max(ft.ul for ft in fine_tuned),
-            "rl_gold": gold.rl, "ul_gold": gold.ul, "ul_gold_pred": predicted.ul_gold,
-            "ul_gold_rel_gap": gold_gaps.ul.rel_gap,
-            "pass": all(gap_report(ft, predicted, rel, floor).passed for ft in fine_tuned)
-            and gold_gaps.passed,
-            "runtime_seconds": sum((seconds for _, seconds in solved[None]), runtime),
-        })
-        for option in options:
-            edited = [losses for losses, _ in solved[option]]
-            predictions = predict_edited(scenario, option, nt_values)
-            gaps = [gap_report(m, p, rel, floor) for m, p in zip(edited, predictions)]
-            edit_rows.append({
-                **common, "check": "edit", "option": option.value,
-                "rl_edit_max": max(m.rl for m in edited),
-                "ul_edit_max": max(m.ul for m in edited),
-                # Starting from 0.0 keeps a NaN gap from deciding the maximum.
-                "edit_rl_gap_max": max(0.0, *(g.rl.abs_gap for g in gaps)),
-                "edit_ul_gap_max": max(0.0, *(g.ul.abs_gap for g in gaps)),
-                "pass": all(g.passed for g in gaps),
-                "runtime_seconds": sum(seconds for _, seconds in solved[option]),
+    ]
+    solved = _solve_seeds(cfg["seeds"], [
+        _stacked_pass(cfg, FeatureLayout(*cfg[f"{check}_layout"]), nt_values, [None, *options])
+        for check, _, options in checks
+    ])
+
+    def rows_for_seed(seed: int) -> list[dict]:
+        rows, edit_rows = [], []
+        for (check, predict, options), (scenario, gold, runtime, fits) in zip(
+                checks, _each(solved[seed])):
+            layout = scenario.layout
+            predicted = predict(scenario)
+            gold_gaps = gap_report(gold, predicted, rel, floor)
+            fine_tuned = [losses for losses, _ in fits[None]]
+            common = {
+                **dict.fromkeys(COLUMNS[SCHEMAS["verify-theorems"]], float("nan")),
+                "experiment": cfg["experiment"], "seed": seed,
+                "d_r": layout.d_r, "d_lap": layout.d_lap, "d_f": layout.d_f,
+                "n_r": scenario.n_r, "n_f": scenario.n_f,
+                "n_t_min": min(nt_values), "n_t_max": max(nt_values),
+            }
+            rows.append({
+                **common, "check": check, "option": "",
+                "rl_ft_max": max(ft.rl for ft in fine_tuned),
+                "ul_ft_max": max(ft.ul for ft in fine_tuned),
+                "rl_gold": gold.rl, "ul_gold": gold.ul, "ul_gold_pred": predicted.ul_gold,
+                "ul_gold_rel_gap": gold_gaps.ul.rel_gap,
+                "pass": all(gap_report(ft, predicted, rel, floor).passed for ft in fine_tuned)
+                and gold_gaps.passed,
+                "runtime_seconds": sum((seconds for _, seconds in fits[None]), runtime),
             })
-    return rows + edit_rows
+            for option in options:
+                edited = [losses for losses, _ in fits[option]]
+                predictions = predict_edited(scenario, option, nt_values)
+                gaps = [gap_report(m, p, rel, floor) for m, p in zip(edited, predictions)]
+                edit_rows.append({
+                    **common, "check": "edit", "option": option.value,
+                    "rl_edit_max": max(m.rl for m in edited),
+                    "ul_edit_max": max(m.ul for m in edited),
+                    # Starting from 0.0 keeps a NaN gap from deciding the maximum.
+                    "edit_rl_gap_max": max(0.0, *(g.rl.abs_gap for g in gaps)),
+                    "edit_ul_gap_max": max(0.0, *(g.ul.abs_gap for g in gaps)),
+                    "pass": all(g.passed for g in gaps),
+                    "runtime_seconds": sum(seconds for _, seconds in fits[option]),
+                })
+        return rows + edit_rows
+
+    return rows_for_seed
 
 
-def _sweep_nt_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
-    """One row per ``n_t``; its runtime covers that row's fine-tunes."""
+def _sweep_nt_rows(cfg: dict):
+    """Solve every seed as one stack; returns the function that gives a
+    seed's row per ``n_t``, whose runtime covers that row's fine-tunes."""
     layout = FeatureLayout(*cfg["layout"])
-    scenario = gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"])
     edits = [None, *EditOption]
     if not layout.is_distinct:
         edits.remove(EditOption.DISTINCT_ZERO_FORGET)
-    gold, _, solved = _solve(scenario, cfg["nt_values"], edits)
-    rows = []
-    for i, n_t in enumerate(cfg["nt_values"]):
-        at = {edit: runs[i] for edit, runs in solved.items()}
-        ft, zero, retain, discard = (at[e][0] if e in at else None for e in (None, *EditOption))
-        rows.append({
-            "experiment": cfg["experiment"], "seed": seed, "n_t": n_t,
-            "rl_ft": ft.rl, "ul_ft": ft.ul, "rl_gold": gold.rl, "ul_gold": gold.ul,
-            "rl_edit_zero": zero.rl if zero else float("nan"),
-            "ul_edit_zero": zero.ul if zero else float("nan"),
-            "rl_edit_retain": retain.rl, "ul_edit_retain": retain.ul,
-            "rl_edit_discard": discard.rl, "ul_edit_discard": discard.ul,
-            "runtime_seconds": sum(seconds for _, seconds in at.values()),
-        })
-    return rows
+    solved = _solve_seeds(cfg["seeds"], [_stacked_pass(cfg, layout, cfg["nt_values"], edits)])
+
+    def rows_for_seed(seed: int) -> list[dict]:
+        [(_, gold, _, fits)] = _each(solved[seed])
+        rows = []
+        for i, n_t in enumerate(cfg["nt_values"]):
+            at = {edit: runs[i] for edit, runs in fits.items()}
+            ft, zero, retain, discard = (
+                at[e][0] if e in at else None for e in (None, *EditOption))
+            rows.append({
+                "experiment": cfg["experiment"], "seed": seed, "n_t": n_t,
+                "rl_ft": ft.rl, "ul_ft": ft.ul, "rl_gold": gold.rl, "ul_gold": gold.ul,
+                "rl_edit_zero": zero.rl if zero else float("nan"),
+                "ul_edit_zero": zero.ul if zero else float("nan"),
+                "rl_edit_retain": retain.rl, "ul_edit_retain": retain.ul,
+                "rl_edit_discard": discard.rl, "ul_edit_discard": discard.ul,
+                "runtime_seconds": sum(seconds for _, seconds in at.values()),
+            })
+        return rows
+
+    return rows_for_seed
 
 
-def _sweep_overlap_rows_for_seed(cfg: dict, seed: int) -> list[dict]:
-    """One row per ``d_lap``; its runtime covers the retrain and both edits."""
-    rows = []
-    for d_lap in cfg["d_lap_values"]:
-        side = (cfg["d"] - d_lap) // 2
-        layout = FeatureLayout(side, d_lap, side)
-        scenario = gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"])
-        gold, runtime, solved = _solve(
-            scenario, [cfg["n_t"]], [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD])
-        [(retain, retain_seconds)], [(discard, discard_seconds)] = solved.values()
-        rows.append({
-            "experiment": cfg["experiment"], "seed": seed,
-            "d_lap": d_lap, "d_r": side, "d_f": side, "n_t": cfg["n_t"],
-            "rl_gold": gold.rl, "ul_gold": gold.ul,
-            "rl_edit_retain": retain.rl, "ul_edit_retain": retain.ul,
-            "rl_edit_discard": discard.rl, "ul_edit_discard": discard.ul,
-            "runtime_seconds": runtime + retain_seconds + discard_seconds,
-        })
-    return rows
+def _sweep_overlap_rows(cfg: dict):
+    """Solve every seed, one stack per ``d_lap``; returns the function that
+    gives a seed's row per ``d_lap``, whose runtime covers the retrain and
+    both edits."""
+    layouts = [FeatureLayout((cfg["d"] - d_lap) // 2, d_lap, (cfg["d"] - d_lap) // 2)
+               for d_lap in cfg["d_lap_values"]]
+    edits = [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD]
+    solved = _solve_seeds(
+        cfg["seeds"], [_stacked_pass(cfg, layout, [cfg["n_t"]], edits) for layout in layouts])
+
+    def rows_for_seed(seed: int) -> list[dict]:
+        rows = []
+        for layout, (_, gold, runtime, fits) in zip(layouts, _each(solved[seed])):
+            [(retain, retain_seconds)], [(discard, discard_seconds)] = fits.values()
+            rows.append({
+                "experiment": cfg["experiment"], "seed": seed,
+                "d_lap": layout.d_lap, "d_r": layout.d_r, "d_f": layout.d_f, "n_t": cfg["n_t"],
+                "rl_gold": gold.rl, "ul_gold": gold.ul,
+                "rl_edit_retain": retain.rl, "ul_edit_retain": retain.ul,
+                "rl_edit_discard": discard.rl, "ul_edit_discard": discard.ul,
+                "runtime_seconds": runtime + retain_seconds + discard_seconds,
+            })
+        return rows
+
+    return rows_for_seed
 
 
 # ----------------------------------------------------------------------
@@ -529,12 +626,12 @@ def _mean_std_rows(rows: list[dict]) -> list[dict]:
 # Dispatch and output
 # ----------------------------------------------------------------------
 
-# experiment -> (config -> (seed -> that seed's rows)).  A linear seed is
-# computed when the run loop asks for its rows.
+# experiment -> (config -> (seed -> that seed's rows)).  Each solves all
+# the config's seeds before it returns.
 _ROWS_FOR_SEED = {
-    "verify-theorems": lambda cfg: partial(_verify_rows_for_seed, cfg),
-    "sweep-nt": lambda cfg: partial(_sweep_nt_rows_for_seed, cfg),
-    "sweep-overlap": lambda cfg: partial(_sweep_overlap_rows_for_seed, cfg),
+    "verify-theorems": _verify_rows,
+    "sweep-nt": _sweep_nt_rows,
+    "sweep-overlap": _sweep_overlap_rows,
     "classifier-demo": _classifier_rows,
     "sweep-alpha": _classifier_rows,
 }

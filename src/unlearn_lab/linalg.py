@@ -7,14 +7,28 @@ derived from it, which keeps rank-deficient inputs well defined and
 numerically stable.  Projectors are always formed from retained left
 singular vectors, never from the normal-equations formula.
 
-A :class:`RankDeficiencyCount` counts, inside its ``with`` block, the
-truncated SVDs whose rank falls short of the matrix's smaller side: the
-event ``--log-level DEBUG`` shows, counted at every level and apart for
-the solvers and for the functions marked :func:`oracle_work`.
+The SVD and the two solvers also take a stack of matrices ``(S, d, n)``
+(with right-hand sides and anchors ``(S, n)`` and ``(S, d)``), one
+member per seed, and a single matrix is the one-member case of the same
+code.  Each member keeps its own cutoff, rank, consistency check and
+rank-deficiency record; members of one rank are solved by one
+broadcasting product, and members of another rank as their own
+sub-stack.  Stacked LAPACK SVDs, matrix-vector products and row dot
+products give every member the bits of its own call.  The projector,
+the pseudoinverse and the seminorm, which only the oracle uses, take
+single matrices.
 
-A :class:`Factored` matrix holds a validated data matrix and computes its
-truncated SVD once, on first use.  The two solvers accept one in place
-of an array, so several solves on the same matrix share one
+A :class:`RankDeficiencyCount` counts, inside its ``with`` block, the
+members of truncated SVDs whose rank falls short of the matrix's
+smaller side: the event ``--log-level DEBUG`` shows, counted at every
+level and apart for the solvers and for the functions marked
+:func:`oracle_work`.  A held block keeps its records until they are
+released, so a stack that is dropped and rerun seed by seed is counted
+once.
+
+A :class:`Factored` matrix (or stack) holds validated data and computes
+its truncated SVD once, on first use.  The two solvers accept one in
+place of an array, so several solves on the same matrix share one
 factorization and give the same bits as separate solves.  A caller keeps
 a factor only as long as it solves on that matrix; nothing is cached at
 module level.
@@ -45,29 +59,48 @@ TOL_IDEM = 1e-10
 CONSISTENCY_REL_TOL = 1e-8
 
 
-def consistency_tol(y: np.ndarray) -> float:
-    """Residual bound under which ``X^T w = y`` counts as consistent."""
-    return CONSISTENCY_REL_TOL * (1.0 + float(np.linalg.norm(y)))
+def consistency_tol(y: np.ndarray):
+    """Residual bound under which ``X^T w = y`` counts as consistent.
+
+    For a stack ``y`` of shape ``(S, n)``, one bound per member.
+    """
+    return CONSISTENCY_REL_TOL * (1.0 + np.sqrt(squared_norms(y)))
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``a`` as a finite 2-D float64 array."""
+def squared_norms(v: np.ndarray):
+    """``v @ v`` of a vector, or of each row of a stack ``(S, n)``.
+
+    Each row is one BLAS dot product, the one ``v @ v`` computes and
+    ``np.linalg.norm(v)`` takes the square root of, so a stacked row gives
+    the bits of the row alone.
+    """
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _validated(a, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InvalidMatrixError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise InvalidMatrixError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidMatrixError(f"{name} contains non-finite entries")
     return arr
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Validate and return ``v`` as a finite 1-D float64 array."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidMatrixError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidMatrixError(f"{name} contains non-finite entries")
-    return arr
+def as_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """Validate and return ``a`` as a finite 2-D float64 array, or with
+    ``stacked`` as a finite 3-D stack ``(S, d, n)`` of them."""
+    return _validated(a, name, 2 + stacked)
+
+
+def as_vector(v, name: str = "vector", stacked: bool = False) -> np.ndarray:
+    """Validate and return ``v`` as a finite 1-D float64 array, or with
+    ``stacked`` as a finite 2-D stack ``(S, n)`` of them."""
+    return _validated(v, name, 1 + stacked)
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """Each member's transpose, as a view."""
+    return np.swapaxes(a, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -94,20 +127,26 @@ class Projector:
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``A = U diag(S) V^T`` with descending singular values.
 
-    ``U`` and ``V`` have orthonormal columns.  Raises
+    ``a`` is a matrix ``(d, n)`` or a stack ``(S, d, n)``, whose members
+    are factored in one call, each with the bits of its own call.  ``U``
+    and ``V`` have orthonormal columns.  Raises
     :class:`InvalidMatrixError` on non-finite input and
     :class:`SvdFailureError` if the iteration does not converge.
     """
-    arr = as_matrix(a)
+    arr = np.asarray(a, dtype=np.float64)
+    arr = as_matrix(arr, stacked=arr.ndim == 3)
     try:
         u, s, vh = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise SvdFailureError(f"SVD did not converge for shape {arr.shape}") from exc
-    return u, s, vh.T
+        raise SvdFailureError(f"SVD did not converge for shape {arr.shape[-2:]}") from exc
+    return u, s, _transposed(vh)
 
 
-def default_sv_cutoff(shape: tuple[int, int], s_max: float) -> float:
-    """Singular-value cutoff: ``max(rows, cols) * eps * s_max``."""
+def default_sv_cutoff(shape: tuple[int, int], s_max):
+    """Singular-value cutoff: ``max(rows, cols) * eps * s_max``.
+
+    ``s_max`` may be an array of the members' largest singular values.
+    """
     return max(shape) * np.finfo(np.float64).eps * s_max
 
 
@@ -115,14 +154,21 @@ class RankDeficiencyCount:
     """Counts the rank-deficient truncated SVDs made inside ``with`` blocks.
 
     ``counts["oracle"]`` grows by one wherever :func:`_truncated_svd`
-    logs a ``rank-deficient matrix`` record inside a function marked
-    :func:`oracle_work`, and ``counts["solvers"]`` wherever it logs one
+    finds a member rank-deficient inside a function marked
+    :func:`oracle_work`, and ``counts["solvers"]`` wherever it finds one
     elsewhere, whatever the log level.  The counts live in the caller's
     object; only the innermost open block counts.
+
+    A block opened with ``hold=True`` counts and logs nothing yet: it
+    keeps each record until :meth:`release` passes them on to the block
+    around it, DEBUG line included, as if they had been made there.  A
+    stacked pass that may be dropped and rerun seed by seed runs in such
+    a block, so that the dropped attempt leaves no trace.
     """
 
-    def __init__(self):
+    def __init__(self, hold: bool = False):
         self.counts = {"solvers": 0, "oracle": 0}
+        self.held: list | None = [] if hold else None
         self._token = None
 
     def __enter__(self) -> "RankDeficiencyCount":
@@ -131,6 +177,12 @@ class RankDeficiencyCount:
 
     def __exit__(self, *exc) -> None:
         _RANK_DEFICIENCY_COUNT.reset(self._token)
+
+    def release(self) -> None:
+        """Count and log the held records in the enclosing block."""
+        held, self.held = self.held, []
+        for record in held:
+            _rank_deficient(*record)
 
 
 _RANK_DEFICIENCY_COUNT: ContextVar[RankDeficiencyCount | None] = ContextVar(
@@ -152,45 +204,107 @@ def oracle_work(fn):
     return marked
 
 
-def _truncated_svd(a, sv_cutoff: float | None):
-    """SVD restricted to singular values strictly above the cutoff."""
+def _rank_deficient(oracle: bool, shape: tuple, rank: int, cutoff: float) -> None:
+    counting = _RANK_DEFICIENCY_COUNT.get()
+    if counting is not None and counting.held is not None:
+        counting.held.append((oracle, shape, rank, cutoff))
+        return
+    if counting is not None:
+        counting.counts["oracle" if oracle else "solvers"] += 1
+    # Routine for block-structured data (zero feature rows), hence debug.
+    logger.debug(
+        "rank-deficient matrix: shape %s has rank %d (cutoff %.3e)", shape, rank, cutoff,
+    )
+
+
+def _truncated_svd(a: np.ndarray, sv_cutoff: float | None) -> list[tuple]:
+    """SVD of each member of a stack ``(S, d, n)``, restricted to its
+    singular values strictly above its cutoff.
+
+    Every member has its own cutoff (the default one scales with its own
+    largest singular value), its own rank and, when that rank falls short
+    of ``min(d, n)``, its own DEBUG record.  Returns one ``(members, u,
+    s, v)`` group per distinct rank, in the order the members first reach
+    it: ``members`` indexes the stack, ``slice(None)`` when every member
+    has that rank, and ``u``, ``s``, ``v`` stack those members' truncated
+    factors.  Each member's factors keep the memory layout of a
+    one-member stack's, so a group's broadcasting products give each
+    member the bits of its own.
+    """
     u, s, v = svd(a)
+    shape = a.shape[1:]
     if sv_cutoff is None:
-        sv_cutoff = default_sv_cutoff(a.shape, float(s[0]) if s.size else 0.0)
+        cutoff = default_sv_cutoff(shape, s[:, 0] if s.shape[1] else np.zeros(len(s)))
     elif sv_cutoff < 0:
         raise ValueError("sv_cutoff must be nonnegative")
-    rank = int(np.count_nonzero(s > sv_cutoff))
-    if rank < min(a.shape):
-        counting = _RANK_DEFICIENCY_COUNT.get()
-        if counting is not None:
-            counting.counts["oracle" if _ORACLE_WORK.get() else "solvers"] += 1
-        # Routine for block-structured data (zero feature rows), hence debug.
-        logger.debug(
-            "rank-deficient matrix: shape %s has rank %d (cutoff %.3e)",
-            a.shape, rank, sv_cutoff,
-        )
-    return u[:, :rank], s[:rank], v[:, :rank]
+    else:
+        cutoff = np.full(len(s), float(sv_cutoff))
+    ranks = (s > cutoff[:, None]).sum(axis=1).tolist()
+    oracle = _ORACLE_WORK.get()
+    for member, rank in enumerate(ranks):
+        if rank < min(shape):
+            _rank_deficient(oracle, shape, rank, float(cutoff[member]))
+    vh = _transposed(v)
+    distinct = dict.fromkeys(ranks)
+    groups = []
+    for rank in distinct:
+        members = (slice(None) if len(distinct) == 1
+                   else [member for member, r in enumerate(ranks) if r == rank])
+        groups.append((
+            members,
+            u[members][..., :rank],
+            s[members][..., :rank],
+            _transposed(vh[members][..., :rank, :]),
+        ))
+    return groups
 
 
 class Factored:
     """A validated data matrix with its truncated SVD, computed on first use.
 
-    ``truncated_svd`` is ``_truncated_svd(matrix, None)``: the default
-    cutoff, as in :func:`min_norm_solve`.  Every solve on one object reuses
-    that one factorization, which is what a fresh solve would compute, so
-    the results are bit for bit those of solving on the array.
+    ``x`` is a matrix ``(d, n)`` or a stack ``(S, d, n)``.  ``matrix`` is
+    always the stack, a matrix being its one-member case, and the solvers
+    return results in the form of their input: one vector for a matrix,
+    one row per member for a stack.  ``truncated_svd`` is
+    ``_truncated_svd(matrix, None)``, the default cutoffs as in
+    :func:`min_norm_solve`.  Every solve on one object reuses that one
+    factorization, which is what a fresh solve would compute, so the
+    results are bit for bit those of solving on the array, and each
+    member's those of solving on that member alone.
     """
 
     def __init__(self, x, name: str = "x"):
-        self.matrix = as_matrix(x, name)
+        arr = np.asarray(x, dtype=np.float64)
+        self.stacked = arr.ndim == 3
+        arr = as_matrix(arr, name, self.stacked)
+        self.matrix = arr if self.stacked else arr[None]
 
     @cached_property
-    def truncated_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def truncated_svd(self) -> list[tuple]:
         return _truncated_svd(self.matrix, None)
+
+    def vectors(self, v, name: str) -> np.ndarray:
+        """``v`` validated as one vector per member, as an ``(S, k)`` stack."""
+        arr = as_vector(v, name, self.stacked)
+        if self.stacked and arr.shape[0] != self.matrix.shape[0]:
+            raise InvalidMatrixError(
+                f"{name} has {arr.shape[0]} members but the stack has {self.matrix.shape[0]}"
+            )
+        return arr if self.stacked else arr[None]
+
+    def result(self, w: np.ndarray) -> np.ndarray:
+        """A ``(S, d)`` stack of solutions, in the form of the input."""
+        return w if self.stacked else w[0]
 
 
 def _as_factored(x, name: str) -> Factored:
     return x if isinstance(x, Factored) else Factored(x, name)
+
+
+def _one_member(arr: np.ndarray, sv_cutoff: float | None):
+    """The truncated factors of one matrix, as 2-D arrays."""
+    [(_, u, s, v)] = _truncated_svd(arr[None], sv_cutoff)
+    return u[0], s[0], v[0]
 
 
 def pseudoinverse(a, sv_cutoff: float | None = None) -> np.ndarray:
@@ -200,7 +314,7 @@ def pseudoinverse(a, sv_cutoff: float | None = None) -> np.ndarray:
     The default cutoff is ``max(rows, cols) * eps * s_max``.
     """
     arr = as_matrix(a)
-    u, s, v = _truncated_svd(arr, sv_cutoff)
+    u, s, v = _one_member(arr, sv_cutoff)
     if s.size == 0:
         return np.zeros((arr.shape[1], arr.shape[0]))
     return (v / s) @ u.T
@@ -212,9 +326,31 @@ def projector(x, sv_cutoff: float | None = None) -> Projector:
     Computed as ``U_r U_r^T`` from the retained left singular vectors; for
     full-column-rank ``x`` this equals ``X (X^T X)^{-1} X^T``.
     """
-    arr = as_matrix(x)
-    u, _, _ = _truncated_svd(arr, sv_cutoff)
+    u, _, _ = _one_member(as_matrix(x), sv_cutoff)
     return Projector(matrix=u @ u.T, rank=u.shape[1])
+
+
+def _min_norm(factored: Factored, rhs: np.ndarray) -> np.ndarray:
+    """``(X^T)^+ y`` of each member, for ``rhs`` ``(S, n)``; ``(S, d)``.
+
+    Members of one rank are solved by one broadcasting product per step.
+    Raises :class:`InconsistentSystemError` with the residual of the
+    first member whose residual is above its :func:`consistency_tol`.
+    """
+    arr = factored.matrix
+    w = np.zeros(arr.shape[:2])
+    for members, u, s, v in factored.truncated_svd:
+        if s.shape[1]:
+            # (X^T)^+ = U diag(1/s) V^T from the thin SVD X = U diag(s) V^T.
+            coef = (_transposed(v) @ rhs[members][..., None]) / s[..., None]
+            w[members] = (u @ coef)[..., 0]
+    residual = np.sqrt(squared_norms((_transposed(arr) @ w[..., None])[..., 0] - rhs))
+    inconsistent = np.flatnonzero(residual > consistency_tol(rhs))
+    if inconsistent.size:
+        raise InconsistentSystemError(
+            f"system X^T w = y is inconsistent: residual {residual[inconsistent[0]]:.3e}"
+        )
+    return w
 
 
 def min_norm_solve(x, y) -> np.ndarray:
@@ -222,25 +358,18 @@ def min_norm_solve(x, y) -> np.ndarray:
 
     Returns ``(X^T)^+ y``, which interpolates the data and lies in the
     column space of ``x``.  ``x`` is an array or a :class:`Factored`
-    matrix.  Raises :class:`InconsistentSystemError` when no interpolating
-    solution exists (residual above :func:`consistency_tol`).
+    matrix; for a stack ``(S, d, n)`` with ``y`` ``(S, n)`` each member is
+    solved, giving ``(S, d)``.  Raises :class:`InconsistentSystemError`
+    when no interpolating solution exists (residual above
+    :func:`consistency_tol`).
     """
     factored = _as_factored(x, "x")
-    arr = factored.matrix
-    rhs = as_vector(y, "y")
-    if arr.shape[1] != rhs.shape[0]:
+    rhs = factored.vectors(y, "y")
+    if factored.matrix.shape[2] != rhs.shape[1]:
         raise InvalidMatrixError(
-            f"x has {arr.shape[1]} samples but y has {rhs.shape[0]} entries"
+            f"x has {factored.matrix.shape[2]} samples but y has {rhs.shape[1]} entries"
         )
-    u, s, v = factored.truncated_svd
-    # (X^T)^+ = U diag(1/s) V^T from the thin SVD X = U diag(s) V^T.
-    w = u @ ((v.T @ rhs) / s) if s.size else np.zeros(arr.shape[0])
-    residual = float(np.linalg.norm(arr.T @ w - rhs))
-    if residual > consistency_tol(rhs):
-        raise InconsistentSystemError(
-            f"system X^T w = y is inconsistent: residual {residual:.3e}"
-        )
-    return w
+    return factored.result(_min_norm(factored, rhs))
 
 
 def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
@@ -249,23 +378,29 @@ def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
     Returns ``w_o + (X_t^T)^+ (y_t - X_t^T w_o)``; with a zero anchor this
     reduces to :func:`min_norm_solve`, and when the anchor already
     interpolates it is returned unchanged up to round-off.  ``x_t`` is an
-    array or a :class:`Factored` matrix.
+    array or a :class:`Factored` matrix; for a stack, ``y_t`` and ``w_o``
+    hold one row per member.
     """
-    anchor = as_vector(w_o, "w_o")
     factored = _as_factored(x_t, "x_t")
+    anchor = factored.vectors(w_o, "w_o")
     arr = factored.matrix
-    rhs = as_vector(y_t, "y_t")
-    if arr.shape[0] != anchor.shape[0]:
+    rhs = factored.vectors(y_t, "y_t")
+    if arr.shape[1] != anchor.shape[1]:
         raise InvalidMatrixError(
-            f"x_t has {arr.shape[0]} features but w_o has {anchor.shape[0]}"
+            f"x_t has {arr.shape[1]} features but w_o has {anchor.shape[1]}"
         )
+    if arr.shape[2] != rhs.shape[1]:
+        raise InvalidMatrixError(
+            f"x_t has {arr.shape[2]} samples but y_t has {rhs.shape[1]} entries"
+        )
+    shifted = as_vector(rhs - (_transposed(arr) @ anchor[..., None])[..., 0], "y", True)
     try:
-        correction = min_norm_solve(factored, rhs - arr.T @ anchor)
+        correction = _min_norm(factored, shifted)
     except InconsistentSystemError as exc:
         raise InconsistentSystemError(
             f"anchored system X_t^T w = y_t is inconsistent ({exc})"
         ) from exc
-    return anchor + correction
+    return factored.result(anchor + correction)
 
 
 def weighted_seminorm_sq(v, x, n: int) -> float:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ProvenanceMismatchError
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, squared_norms
 from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, TheoremPrediction, within_tolerance
 from .scenarios import SyntheticScenario
 
@@ -57,28 +57,39 @@ class Metrics:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-def mse_loss(w, x, y) -> float:
-    """Mean-squared loss ``(1/m) ||X^T w - y||^2`` over ``m`` samples."""
-    weights = as_vector(w, "w")
-    data = as_matrix(x, "x")
-    targets = as_vector(y, "y")
-    if data.shape[0] != weights.shape[0] or data.shape[1] != targets.shape[0]:
+def mse_loss(w, x, y):
+    """Mean-squared loss ``(1/m) ||X^T w - y||^2`` over ``m`` samples.
+
+    For a stack (``w`` ``(S, d)``, ``x`` ``(S, d, m)``, ``y`` ``(S, m)``)
+    one loss per member, each with the bits of its own call.
+    """
+    stacked = np.ndim(x) == 3
+    weights = as_vector(w, "w", stacked)
+    data = as_matrix(x, "x", stacked)
+    targets = as_vector(y, "y", stacked)
+    if (data.shape[-2] != weights.shape[-1] or data.shape[-1] != targets.shape[-1]
+            or data.shape[:-2] != weights.shape[:-1] or data.shape[:-2] != targets.shape[:-1]):
         raise ValueError(
             f"shape mismatch: x {data.shape}, w {weights.shape}, y {targets.shape}"
         )
-    if targets.shape[0] < 1:
+    if targets.shape[-1] < 1:
         raise ValueError("need at least one sample")
-    residual = data.T @ weights - targets
-    return float(residual @ residual) / targets.shape[0]
+    residual = (np.swapaxes(data, -1, -2) @ weights[..., None])[..., 0] - targets
+    losses = squared_norms(residual) / targets.shape[-1]
+    return losses if stacked else float(losses)
 
 
-def measure_losses(w, scenario: SyntheticScenario, model_tag: str) -> LossReport:
-    """Remaining and unlearning loss of ``w`` on a scenario's two subsets."""
-    return LossReport(
-        rl=mse_loss(w, scenario.x_r, scenario.y_r),
-        ul=mse_loss(w, scenario.x_f, scenario.y_f),
-        model_tag=model_tag,
-    )
+def measure_losses(w, scenario: SyntheticScenario, model_tag: str):
+    """Remaining and unlearning loss of ``w`` on a scenario's two subsets.
+
+    For a stack of scenarios and weights ``(S, d)``, one report per
+    member, in order.
+    """
+    rl = mse_loss(w, scenario.x_r, scenario.y_r)
+    ul = mse_loss(w, scenario.x_f, scenario.y_f)
+    if np.ndim(rl) == 0:
+        return LossReport(rl=rl, ul=ul, model_tag=model_tag)
+    return [LossReport(rl=float(r), ul=float(u), model_tag=model_tag) for r, u in zip(rl, ul)]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ interact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +68,9 @@ class SyntheticScenario:
 
     ``x_r`` is ``d x n_r`` and ``x_f`` is ``d x n_f`` (features by
     samples); ``y_r = x_r^T w_star`` and ``y_f = x_f^T w_star`` hold by
-    construction.
+    construction.  A stack of scenarios (:func:`stack_scenarios`) has the
+    same fields with a leading seed axis on every array, and ``seed``
+    holds the members' seeds.
     """
 
     layout: FeatureLayout
@@ -76,7 +79,7 @@ class SyntheticScenario:
     y_r: np.ndarray = field(repr=False)
     y_f: np.ndarray = field(repr=False)
     w_star: np.ndarray = field(repr=False)
-    seed: int
+    seed: int | tuple[int, ...]
     dist: str = "standard-normal"
 
     @property
@@ -85,11 +88,11 @@ class SyntheticScenario:
 
     @property
     def n_r(self) -> int:
-        return self.x_r.shape[1]
+        return self.x_r.shape[-1]
 
     @property
     def n_f(self) -> int:
-        return self.x_f.shape[1]
+        return self.x_f.shape[-1]
 
     @property
     def n(self) -> int:
@@ -98,8 +101,8 @@ class SyntheticScenario:
     def joint_data(self) -> tuple[np.ndarray, np.ndarray]:
         """Full training set: remaining columns followed by forgetting columns."""
         return (
-            np.hstack([self.x_r, self.x_f]),
-            np.concatenate([self.y_r, self.y_f]),
+            np.concatenate([self.x_r, self.x_f], axis=-1),
+            np.concatenate([self.y_r, self.y_f], axis=-1),
         )
 
 
@@ -176,6 +179,25 @@ def gen_scenario(
     )
 
 
+def stack_scenarios(scenarios: Sequence[SyntheticScenario]) -> SyntheticScenario:
+    """One scenario whose arrays stack those of ``scenarios`` along a
+    leading seed axis; they must share one layout and distribution.
+
+    Each member of a stacked array is a C-ordered copy of its scenario's,
+    so a solver sees the memory layout of that scenario alone.
+    """
+    first = scenarios[0]
+    if any((s.layout, s.dist) != (first.layout, first.dist) for s in scenarios):
+        raise ValueError("stacked scenarios must share one layout and distribution")
+    return SyntheticScenario(
+        layout=first.layout,
+        **{name: np.stack([getattr(s, name) for s in scenarios])
+           for name in ("x_r", "x_f", "y_r", "y_f", "w_star")},
+        seed=tuple(s.seed for s in scenarios),
+        dist=first.dist,
+    )
+
+
 def decompose_w_star(scenario: SyntheticScenario) -> WStarDecomposition:
     """Coordinate-mask split of the true weights by layout block."""
     layout = scenario.layout
@@ -188,8 +210,9 @@ def decompose_w_star(scenario: SyntheticScenario) -> WStarDecomposition:
 
 
 def fine_tune_subset(scenario: SyntheticScenario, n_t: int) -> tuple[np.ndarray, np.ndarray]:
-    """First ``n_t`` remaining samples and their labels, in order."""
+    """First ``n_t`` remaining samples and their labels, in order (of
+    each member, for a stack)."""
     if not 1 <= n_t <= scenario.n_r:
         raise ValueError(f"n_t must be in [1, {scenario.n_r}], got {n_t}")
-    return scenario.x_r[:, :n_t], scenario.y_r[:n_t]
+    return scenario.x_r[..., :n_t], scenario.y_r[..., :n_t]
 

@@ -7,6 +7,10 @@ set of a remaining-data subset, and the golden model retrains from
 scratch on the remaining data only.  Editing zeroes the pretrained
 coordinates tied to the forgetting block before fine-tuning, either
 keeping or dropping the overlap block.
+
+The solvers and the edit also take a stack of scenarios (see
+:func:`~unlearn_lab.scenarios.stack_scenarios`), with weights ``(S, d)``:
+each member gets the bits of its own call.
 """
 
 from __future__ import annotations
@@ -65,7 +69,8 @@ def _validate_option(layout: FeatureLayout, option: EditOption) -> None:
 
 
 def edit_pretrained(w_o: np.ndarray, layout: FeatureLayout, option: EditOption) -> np.ndarray:
-    """Zero the forgetting-related coordinates of a pretrained model.
+    """Zero the forgetting-related coordinates of a pretrained model
+    (of each row, for a stack ``(S, d)``).
 
     ``DISTINCT_ZERO_FORGET`` and ``OVERLAP_DISCARD`` keep only the
     remaining-only block; ``OVERLAP_RETAIN`` keeps the remaining and
@@ -73,14 +78,14 @@ def edit_pretrained(w_o: np.ndarray, layout: FeatureLayout, option: EditOption) 
     idempotent and commutes with scalar rescaling of ``w_o``.
     """
     w_o = np.asarray(w_o, dtype=np.float64)
-    if w_o.shape != (layout.d,):
+    if w_o.ndim not in (1, 2) or w_o.shape[-1] != layout.d:
         raise LayoutMismatchError(
             f"weights have shape {w_o.shape} but the layout has d = {layout.d}"
         )
     _validate_option(layout, option)
     keep = layout.d_r if option is not EditOption.OVERLAP_RETAIN else layout.d_r + layout.d_lap
     edited = w_o.copy()
-    edited[keep:] = 0.0
+    edited[..., keep:] = 0.0
     return edited
 
 

@@ -1,5 +1,6 @@
 """Tests for the experiment runner, CSV/JSON outputs, and the CLI."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 from unlearn_lab import experiments, linalg
 from unlearn_lab.cli import main
 from unlearn_lab.errors import ConfigError, DivergenceError
+from unlearn_lab.scenarios import FeatureLayout
 from unlearn_lab.experiments import (
     COLUMNS,
     render_csv,
@@ -101,19 +103,19 @@ class TestConfigValidation:
 class TestSchemas:
     def test_pinned_column_sets(self):
         # Schema stability: these exact names and orders are the contract.
-        assert COLUMNS["verify-theorems/v1"] == [
+        assert COLUMNS["verify-theorems/v2"] == [
             "experiment", "seed", "check", "option",
             "d_r", "d_lap", "d_f", "n_r", "n_f", "n_t_min", "n_t_max",
             "rl_ft_max", "ul_ft_max", "rl_gold", "ul_gold", "ul_gold_pred",
             "ul_gold_rel_gap", "rl_edit_max", "ul_edit_max",
             "edit_rl_gap_max", "edit_ul_gap_max", "pass", "runtime_seconds",
         ]
-        assert COLUMNS["sweep-nt/v1"] == [
+        assert COLUMNS["sweep-nt/v2"] == [
             "experiment", "seed", "n_t", "rl_ft", "ul_ft", "rl_gold", "ul_gold",
             "rl_edit_zero", "ul_edit_zero", "rl_edit_retain", "ul_edit_retain",
             "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
         ]
-        assert COLUMNS["sweep-overlap/v1"] == [
+        assert COLUMNS["sweep-overlap/v2"] == [
             "experiment", "seed", "d_lap", "d_r", "d_f", "n_t",
             "rl_gold", "ul_gold", "rl_edit_retain", "ul_edit_retain",
             "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
@@ -132,9 +134,9 @@ class TestSchemas:
         result = run_experiment("verify-theorems", cfg)
         text = render_csv(result)
         lines = text.splitlines()
-        assert lines[0] == "# schema: verify-theorems/v1"
+        assert lines[0] == "# schema: verify-theorems/v2"
         assert lines[1].startswith("# config: {")
-        assert lines[2] == ",".join(COLUMNS["verify-theorems/v1"])
+        assert lines[2] == ",".join(COLUMNS["verify-theorems/v2"])
         # Config echo is valid canonical JSON.
         echoed = json.loads(lines[1][len("# config: "):])
         assert echoed["experiment"] == "verify-theorems"
@@ -156,7 +158,7 @@ class TestSchemas:
             del row["ul_ft"]
         else:
             row["ul_extra"] = 0.0
-        with pytest.raises(ValueError, match="sweep-nt/v1"):
+        with pytest.raises(ValueError, match="sweep-nt/v2"):
             render_csv(result)
 
 
@@ -205,11 +207,14 @@ class TestPrefixFactorization:
     """Solver prefixes are factored once per seed, apart from the oracle's SVDs."""
 
     @staticmethod
-    def _shipped(experiment, seeds):
+    def _shipped_raw(experiment):
         name = experiment.replace("-", "_")
         path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        return validate_config(dict(raw, seeds=seeds), experiment)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    @classmethod
+    def _shipped(cls, experiment, seeds):
+        return validate_config(dict(cls._shipped_raw(experiment), seeds=seeds), experiment)
 
     @classmethod
     def _shipped_verify(cls, seeds):
@@ -243,24 +248,55 @@ class TestPrefixFactorization:
         exact = linalg.Factored.truncated_svd.func
 
         def tilted(factored):
-            # Tilt the left singular vectors out of the column space.  The
-            # solves still interpolate (no InconsistentSystemError), but they
-            # are no longer minimum-norm; only predictions made from the
-            # oracle's own SVDs can notice.
-            u, s, v = exact(factored)
-            off = 1.0 - u @ u.sum(axis=0)
-            if np.linalg.norm(off) < 1e-6:
-                return u, s, v
-            return u + 1e-3 * np.outer(off / np.linalg.norm(off), np.ones(s.size)), s, v
+            # Tilt each member's left singular vectors out of its column
+            # space.  The solves still interpolate (no
+            # InconsistentSystemError), but they are no longer minimum-norm;
+            # only predictions made from the oracle's own SVDs can notice.
+            groups = []
+            for members, u, s, v in exact(factored):
+                u = u.copy()
+                for member in u:
+                    off = 1.0 - member @ member.sum(axis=0)
+                    if np.linalg.norm(off) >= 1e-6:
+                        member += 1e-3 * np.outer(off / np.linalg.norm(off), np.ones(s.shape[1]))
+                groups.append((members, u, s, v))
+            return groups
 
         monkeypatch.setattr(linalg.Factored, "truncated_svd", property(tilted))
-        result = run_experiment("verify-theorems", self._shipped_verify([0]))
+        result = run_experiment("verify-theorems", self._shipped_verify([0, 1, 2]))
         assert result.numerical_failures == 0
         assert result.passed is False
         # The rows whose solves move the model: retraining and the discard
         # edit.  The other edits already fit every prefix, so nothing moves.
-        failed = {(row["check"], row["option"]) for row in result.rows if not row["pass"]}
-        assert failed == {("distinct", ""), ("overlap", ""), ("edit", "overlap-discard")}
+        for seed in (0, 1, 2):
+            failed = {(row["check"], row["option"]) for row in result.rows
+                      if row["seed"] == seed and not row["pass"]}
+            assert failed == {("distinct", ""), ("overlap", ""), ("edit", "overlap-discard")}
+
+    @pytest.mark.parametrize(
+        "experiment,solver,oracle",
+        [("verify-theorems", 62, 32), ("sweep-nt", 31, 0), ("sweep-overlap", 18, 0)],
+        ids=["verify-theorems", "sweep-nt", "sweep-overlap"],
+    )
+    def test_stacked_seeds_make_the_solver_svds_of_one(self, monkeypatch, experiment, solver,
+                                                        oracle):
+        # The solvers factor each input once for all seeds; the oracle
+        # still factors its own matrices, seed by seed.
+        counts = Counter()
+        exact = linalg.svd
+
+        def counting_svd(a):
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"] not in ("unlearn_lab.oracle", "unlearn_lab.solvers"):
+                frame = frame.f_back
+            counts[frame.f_globals["__name__"], np.ndim(a)] += 1
+            return exact(a)
+
+        monkeypatch.setattr(linalg, "svd", counting_svd)
+        result = run_experiment(experiment, self._shipped(experiment, [0, 1, 2]))
+        assert result.failures == [] and result.passed in (True, None)
+        assert counts == Counter({("unlearn_lab.solvers", 3): solver,
+                                  ("unlearn_lab.oracle", 3): 3 * oracle})
 
     def test_no_factor_outlives_its_seed(self):
         def live_factors():
@@ -271,6 +307,143 @@ class TestPrefixFactorization:
         result = run_experiment("verify-theorems", self._shipped_verify([0, 1]))
         assert result.passed is True
         assert live_factors() == before
+
+
+def _rows_by_seed(result) -> dict:
+    """Each seed's rows without ``runtime_seconds``, as reprs (exact floats, NaN included)."""
+    rows: dict = {}
+    for row in result.rows:
+        cells = {name: value for name, value in row.items() if name != "runtime_seconds"}
+        rows.setdefault(row["seed"], []).append(repr(cells))
+    return rows
+
+
+def _collinear(scenario, cosine):
+    """``scenario`` with its second remaining column at ``cosine`` to its
+    first (equal to it at cosine 1), and labels that fit."""
+    x_r = scenario.x_r.copy()
+    first = x_r[:, 0]
+    other = np.zeros_like(first)
+    other[scenario.layout.remaining_block] = np.random.default_rng(7).standard_normal(
+        scenario.layout.d_r)
+    other -= (other @ first) / (first @ first) * first
+    other *= np.linalg.norm(first) / np.linalg.norm(other)
+    angle = np.arccos(cosine) if cosine < 1.0 else 0.0
+    x_r[:, 1] = first if cosine == 1.0 else np.cos(angle) * first + np.sin(angle) * other
+    return dataclasses.replace(scenario, x_r=x_r, y_r=x_r.T @ scenario.w_star)
+
+
+class TestLinearSeedStack:
+    """A linear config solves all its seeds as one stack per layout, and
+    each seed gets the rows, failure and rank-deficiency count of its own run."""
+
+    @staticmethod
+    def _stacked_and_alone(experiment, raw, seeds):
+        stacked = run_experiment(experiment, validate_config(dict(raw, seeds=seeds), experiment))
+        alone = [run_experiment(experiment, validate_config(dict(raw, seeds=[seed]), experiment))
+                 for seed in seeds]
+        return stacked, alone
+
+    @staticmethod
+    def _assert_each_seed_as_alone(stacked, alone):
+        rows = _rows_by_seed(stacked)
+        assert rows == {seed: seed_rows for run in alone
+                        for seed, seed_rows in _rows_by_seed(run).items()}
+        assert stacked.failures == [failure for run in alone for failure in run.failures]
+        assert stacked.rank_deficient_solves == {
+            kind: sum(run.rank_deficient_solves[kind] for run in alone)
+            for kind in ("solvers", "oracle")}
+
+    @pytest.mark.parametrize("experiment,raw", [
+        ("verify-theorems", VERIFY_CFG),
+        ("verify-theorems", {"n_r": 30, "dist": "uniform",
+                             "distinct_layout": [4, 0, 36], "overlap_layout": [3, 2, 35]}),
+        ("sweep-nt", NT_CFG),
+        ("sweep-nt", NT_DISTINCT_CFG),
+        ("sweep-overlap", OVERLAP_CFG),
+    ], ids=["verify", "verify-rank-deficient", "sweep-nt", "sweep-nt-distinct", "sweep-overlap"])
+    def test_stacked_seeds_equal_their_own_runs(self, experiment, raw):
+        stacked, alone = self._stacked_and_alone(experiment, raw, [0, 1, 2])
+        assert stacked.failures == [] and stacked.passed in (True, None)
+        self._assert_each_seed_as_alone(stacked, alone)
+
+    @pytest.mark.parametrize("experiment,raw,fault", [
+        ("verify-theorems", VERIFY_CFG, "non-finite"),
+        ("verify-theorems", VERIFY_CFG, 8),
+        ("sweep-overlap", OVERLAP_CFG, 2),
+    ], ids=["verify-non-finite", "verify-inconsistent-overlap", "sweep-overlap-inconsistent"])
+    def test_a_failing_seed_between_two_clean_ones_fails_alone(
+        self, monkeypatch, experiment, raw, fault
+    ):
+        # Seed 1's data holds a NaN, which its first solve rejects; or, in
+        # the layout whose overlap block has width ``fault``, its remaining
+        # labels leave the span of its rank-deficient remaining data, so
+        # its retrain fails after its stack has factored and after an
+        # earlier layout has passed.  In sweep-overlap the next layout
+        # (width 4) is rank-deficient too, so solving it for seed 1 would
+        # show in the counts.
+        real = experiments.gen_scenario
+
+        def faulty(n_r, n_f, layout, seed, dist):
+            scenario = real(n_r, n_f, layout, seed, dist)
+            if seed == 1 and fault == "non-finite":
+                x_f = scenario.x_f.copy()
+                x_f[-1, 0] = NAN
+                return dataclasses.replace(scenario, x_f=x_f)
+            if seed == 1 and layout.d_lap == fault:
+                return dataclasses.replace(scenario, y_r=scenario.y_r + 1.0)
+            return scenario
+
+        monkeypatch.setattr(experiments, "gen_scenario", faulty)
+        stacked, alone = self._stacked_and_alone(experiment, raw, [0, 1, 2])
+        [failure] = stacked.failures
+        assert failure["seed"] == 1
+        assert failure["type"] == ("InvalidMatrixError" if fault == "non-finite"
+                                   else "InconsistentSystemError")
+        assert experiments.exit_code_for(stacked) == 1
+        self._assert_each_seed_as_alone(stacked, alone)
+        if experiment == "sweep-overlap":
+            # Seed 1's run solves no layout past the one it fails on.
+            widths = raw["d_lap_values"]
+            cut = dict(raw, seeds=[1], d_lap_values=widths[:widths.index(fault) + 1])
+            assert run_experiment(experiment, validate_config(cut, experiment)) \
+                .rank_deficient_solves == alone[1].rank_deficient_solves
+
+    def test_near_collinear_remaining_columns_beside_generic_seeds(self, monkeypatch):
+        # A hard input: seed 1's first two remaining columns meet at
+        # cosine 1 - 1e-12, so its smallest singular values are about 1e-6
+        # of the largest, far above the cutoff; seed 3's are equal, so its
+        # prefixes of 2 to d_r columns are one rank short and solve as
+        # their own sub-stack beside seeds 0 and 2.
+        real = experiments.gen_scenario
+        cosines = {1: 1.0 - 1e-12, 3: 1.0}
+
+        def hard(n_r, n_f, layout, seed, dist):
+            scenario = real(n_r, n_f, layout, seed, dist)
+            if seed in cosines and layout.is_distinct:
+                return _collinear(scenario, cosines[seed])
+            return scenario
+
+        monkeypatch.setattr(experiments, "gen_scenario", hard)
+        x_r = hard(30, 10, FeatureLayout(20, 0, 20), 1, "standard-normal").x_r
+        cosine = x_r[:, 0] @ x_r[:, 1] / np.linalg.norm(x_r[:, 0]) / np.linalg.norm(x_r[:, 1])
+        assert abs(cosine - (1.0 - 1e-12)) < 1e-15
+
+        groups = []
+        exact = linalg._truncated_svd
+
+        def grouping(a, sv_cutoff):
+            factors = exact(a, sv_cutoff)
+            groups.append([members for members, *_ in factors])
+            return factors
+
+        monkeypatch.setattr(linalg, "_truncated_svd", grouping)
+        shipped = TestPrefixFactorization._shipped_raw("verify-theorems")
+        stacked, alone = self._stacked_and_alone("verify-theorems", shipped, [0, 1, 2, 3])
+        assert stacked.passed is True and stacked.failures == []
+        self._assert_each_seed_as_alone(stacked, alone)
+        # The n_t = 2 ... 20 distinct prefixes of the four-member stack.
+        assert groups.count([[0, 1, 2], [3]]) == 19
 
 
 class TestSweepNt:
@@ -705,12 +878,12 @@ class TestLogLevel:
         assert sum("shape (40, 29) has rank 20 " in line for line in lines) == 1
 
     @staticmethod
-    def _shipped(tmp_path, capsys, experiment, *flags):
+    def _shipped(tmp_path, capsys, experiment, *flags, seeds="0"):
         config = Path(__file__).resolve().parents[1] / "configs" / (
             experiment.replace("-", "_") + ".json")
         out = tmp_path / f"{experiment}.csv"
         code = main([experiment, "--config", str(config), "--out", str(out),
-                     "--seeds", "0", *flags])
+                     "--seeds", seeds, *flags])
         assert code == 0
         summary = json.loads(summary_path_for(out).read_text(encoding="utf-8"))
         return summary["rank_deficient_solves"], capsys.readouterr().err.splitlines()
@@ -725,6 +898,17 @@ class TestLogLevel:
         assert counts == {"solvers": 18, "oracle": 8}
         # The count does not depend on the log level.
         assert self._shipped(tmp_path, capsys, "verify-theorems") == (counts, [])
+
+    @pytest.mark.parametrize("experiment", ["verify-theorems", "sweep-nt", "sweep-overlap"])
+    def test_a_stack_logs_and_counts_the_lines_of_its_seeds(self, tmp_path, capsys, experiment):
+        counts, lines = self._shipped(
+            tmp_path, capsys, experiment, "--log-level", "DEBUG", seeds="0,1,2")
+        alone = [self._shipped(tmp_path, capsys, experiment, "--log-level", "DEBUG", seeds=seed)
+                 for seed in "012"]
+        assert Counter(lines) == sum((Counter(seed_lines) for _, seed_lines in alone), Counter())
+        assert counts == {kind: sum(seed_counts[kind] for seed_counts, _ in alone)
+                          for kind in ("solvers", "oracle")}
+        assert sum(counts.values()) == len(lines) > 0
 
     def test_a_classifier_run_reports_no_rank_deficient_solves(self, tmp_path, capsys):
         assert self._shipped(tmp_path, capsys, "classifier-demo", "--log-level", "DEBUG") == (
@@ -746,7 +930,7 @@ class TestWriteOutputs:
         cfg = validate_config(dict(NT_DISTINCT_CFG, nt_values=[1]), "sweep-nt")
         result = run_experiment("sweep-nt", cfg)
         csv_path = write_outputs(result, tmp_path / "out" / "nt.csv")
-        assert csv_path.read_text().startswith("# schema: sweep-nt/v1")
+        assert csv_path.read_text().startswith("# schema: sweep-nt/v2")
         summary = json.loads(summary_path_for(csv_path).read_text())
         assert summary["experiment"] == "sweep-nt"
         assert summary["rows"] == 1

@@ -267,7 +267,8 @@ class TestFactored:
         w = min_norm_solve(factored, y)
         min_norm_anchor_solve(factored, y, rng.standard_normal(6))
         min_norm_anchor_solve(factored, y, np.zeros(6))
-        assert calls == [(6, 3)]
+        # A matrix is factored as a one-member stack.
+        assert calls == [(1, 6, 3)]
         assert np.array_equal(w, min_norm_solve(x, y))
 
     def test_validates_on_construction(self):
@@ -284,6 +285,106 @@ class TestFactored:
             projector(factored)
         with pytest.raises(TypeError):
             pseudoinverse(factored)
+
+
+class TestStackedSolves:
+    """A stack ``(S, d, n)`` solves each member with the bits of its own call."""
+
+    @staticmethod
+    def _stack(shape, seed=0):
+        # Generic members, members with a zero feature row and members with
+        # two equal columns (one rank short).  d * n odd leaves every other
+        # member off the 16-byte alignment of a fresh array.
+        members, d, n = shape
+        x = np.random.default_rng(seed).standard_normal(shape)
+        x[1::3, 0] = 0.0
+        x[2::3, :, 1] = x[2::3, :, 0]
+        w = np.random.default_rng(seed + 1).standard_normal((members, d))
+        y = np.einsum("sdn,sd->sn", x, w)
+        return x, y
+
+    @pytest.mark.parametrize("shape", [(7, 5, 3), (6, 9, 7), (4, 3, 5), (1, 40, 29)])
+    def test_each_member_gets_the_bits_of_its_own_solve(self, shape):
+        x, y = self._stack(shape)
+        anchors = np.random.default_rng(2).standard_normal(shape[:2])
+        factored = Factored(x)
+        stacked = min_norm_solve(factored, y)
+        anchored = min_norm_anchor_solve(factored, y, anchors)
+        assert stacked.shape == anchored.shape == shape[:2]
+        for i in range(shape[0]):
+            assert np.array_equal(stacked[i], min_norm_solve(x[i], y[i]))
+            assert np.array_equal(anchored[i], min_norm_anchor_solve(x[i], y[i], anchors[i]))
+            assert np.array_equal(anchored[i], min_norm_anchor_solve(x[i:i + 1], y[i:i + 1],
+                                                                     anchors[i:i + 1])[0])
+
+    def test_members_of_one_rank_share_one_group(self):
+        x, _ = self._stack((7, 5, 3))
+        groups = Factored(x).truncated_svd
+        ranks = [np.linalg.matrix_rank(member) for member in x]
+        assert [s.shape[1] for _, _, s, _ in groups] == list(dict.fromkeys(ranks))
+        for members, u, s, v in groups:
+            assert members == [i for i, rank in enumerate(ranks) if rank == s.shape[1]]
+            assert u.shape == (len(members), 5, s.shape[1])
+            assert v.shape == (len(members), 3, s.shape[1])
+        [(members, _, s, _)] = Factored(x[:1]).truncated_svd
+        assert members == slice(None) and s.shape == (1, 3)
+
+    def test_svd_of_a_stack_is_each_members_svd(self):
+        x, _ = self._stack((6, 9, 7))
+        for stacked, alone in zip(zip(*svd(x)), map(svd, x)):
+            assert all(np.array_equal(a, b) for a, b in zip(stacked, alone))
+
+    def test_each_member_logs_and_counts_its_own_rank_deficiency(self, caplog):
+        x, _ = self._stack((6, 5, 3))
+        with caplog.at_level("DEBUG", logger="unlearn_lab.linalg"):
+            with linalg.RankDeficiencyCount() as stacked:
+                Factored(x).truncated_svd
+            lines = [record.getMessage() for record in caplog.records]
+            caplog.clear()
+            with linalg.RankDeficiencyCount() as alone:
+                for member in x:
+                    Factored(member).truncated_svd
+            assert [record.getMessage() for record in caplog.records] == lines
+        # Members 2 and 5 have two equal columns.
+        assert stacked.counts == alone.counts == {"solvers": 2, "oracle": 0}
+        assert all(line.startswith("rank-deficient matrix: shape (5, 3) has rank 2 ")
+                   for line in lines)
+
+    def test_held_records_count_once_released(self, caplog):
+        x, _ = self._stack((6, 5, 3))
+        with caplog.at_level("DEBUG", logger="unlearn_lab.linalg"):
+            with linalg.RankDeficiencyCount() as outer:
+                with linalg.RankDeficiencyCount(hold=True) as dropped:
+                    Factored(x).truncated_svd
+                assert outer.counts["solvers"] == 0 and not caplog.records
+                with linalg.RankDeficiencyCount(hold=True) as kept:
+                    Factored(x).truncated_svd
+                kept.release()
+        assert outer.counts["solvers"] == 2 and len(caplog.records) == 2
+        assert dropped.counts == kept.counts == {"solvers": 0, "oracle": 0}
+
+    def test_an_inconsistent_member_fails_the_stack_with_its_own_residual(self):
+        x, y = self._stack((6, 5, 3))
+        # Two equal columns cannot fit unequal labels; the first
+        # inconsistent member (2) has the smaller residual.
+        y[2, 1] += 1.0
+        y[5, 1] += 10.0
+        with pytest.raises(InconsistentSystemError) as alone:
+            min_norm_solve(x[2], y[2])
+        with pytest.raises(InconsistentSystemError) as stacked:
+            min_norm_solve(x, y)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_vectors_must_match_the_stack(self):
+        x, y = self._stack((4, 5, 3))
+        with pytest.raises(InvalidMatrixError, match="y has 3 members but the stack has 4"):
+            min_norm_solve(x, y[:3])
+        with pytest.raises(InvalidMatrixError, match="y must be 2-D"):
+            min_norm_solve(x, y[0])
+        with pytest.raises(InvalidMatrixError, match="w_o must be 2-D"):
+            min_norm_anchor_solve(x, y, np.zeros(5))
+        with pytest.raises(InvalidMatrixError, match="x_t has 5 features but w_o has 4"):
+            min_norm_anchor_solve(x, y, np.zeros((4, 4)))
 
 
 class TestWeightedSeminorm:

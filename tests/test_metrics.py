@@ -51,6 +51,15 @@ class TestMseLoss:
         with pytest.raises(ValueError):
             mse_loss(np.zeros(3), np.zeros((3, 4)), np.zeros(5))
 
+    def test_a_stack_measures_each_member_alone(self):
+        rng = np.random.default_rng(3)
+        w, x, y = (rng.standard_normal(shape) for shape in ((5, 7), (5, 7, 9), (5, 9)))
+        losses = mse_loss(w, x, y)
+        assert losses.shape == (5,)
+        assert all(loss == mse_loss(*member) for loss, member in zip(losses, zip(w, x, y)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mse_loss(w[:4], x, y)
+
 
 class TestLossReport:
     def test_fine_tuned_losses_vanish_for_unedited_pipelines(self):

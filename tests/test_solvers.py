@@ -11,11 +11,13 @@ from unlearn_lab.linalg import (
     min_norm_solve,
     projector,
 )
+from unlearn_lab.metrics import measure_losses
 from unlearn_lab.scenarios import (
     FeatureLayout,
     decompose_w_star,
     fine_tune_subset,
     gen_scenario,
+    stack_scenarios,
 )
 from unlearn_lab.solvers import (
     EditOption,
@@ -134,8 +136,8 @@ class TestFactoredPrefix:
                 assert np.array_equal(shared, min_norm_anchor_solve(x_t, y_t, anchor))
                 assert np.array_equal(shared, fine_tune_unlearn(anchor, factored, y_t))
             # Prefixes wider than the kept blocks are rank-deficient.
-            rank = factored.truncated_svd[1].size
-            assert rank == min(n_t, kept)
+            [(_, _, s_t, _)] = factored.truncated_svd
+            assert s_t.shape == (1, min(n_t, kept))
 
     @pytest.mark.parametrize("layout", [DISTINCT, OVERLAP], ids=["distinct", "overlap"])
     def test_inconsistent_rhs_raises_the_same_error(self, layout):
@@ -154,6 +156,33 @@ class TestFactoredPrefix:
         with pytest.raises(InconsistentSystemError) as shared:
             min_norm_anchor_solve(factored, y_bad, w_o)
         assert str(shared.value) == str(fresh.value)
+
+
+class TestStackedScenarios:
+    """A stack of scenarios trains, retrains, edits and measures each member alone."""
+
+    @pytest.mark.parametrize("layout", [DISTINCT, OVERLAP], ids=["distinct", "overlap"])
+    def test_each_member_gets_the_bits_of_its_own_pipeline(self, layout):
+        scenarios = [gen_scenario(30, 10, layout, seed) for seed in (0, 4, 9)]
+        stack = stack_scenarios(scenarios)
+        assert stack.seed == (0, 4, 9) and (stack.n_r, stack.n_f) == (30, 10)
+        w_o, w_g = train_original(stack), retrain_golden(stack)
+        edited = edit_pretrained(w_o, layout, EditOption.OVERLAP_DISCARD)
+        x_t, y_t = fine_tune_subset(stack, 12)
+        w_t = fine_tune_unlearn(edited, Factored(x_t), y_t)
+        reports = measure_losses(w_t, stack, "edited_fine_tuned")
+        for i, s in enumerate(scenarios):
+            alone = train_original(s)
+            assert np.array_equal(w_o[i], alone)
+            assert np.array_equal(w_g[i], retrain_golden(s))
+            assert np.array_equal(
+                edited[i], edit_pretrained(alone, layout, EditOption.OVERLAP_DISCARD))
+            assert np.array_equal(w_t[i], fine_tune_unlearn(edited[i], *fine_tune_subset(s, 12)))
+            assert reports[i] == measure_losses(w_t[i], s, "edited_fine_tuned")
+
+    def test_members_must_share_one_layout(self):
+        with pytest.raises(ValueError, match="one layout"):
+            stack_scenarios([gen_scenario(30, 10, DISTINCT, 0), gen_scenario(30, 10, OVERLAP, 0)])
 
 
 class TestRetrainGolden:
