@@ -31,9 +31,10 @@ scenario of ``verify-theorems``, per ``d_lap`` of ``sweep-overlap``) in
 one measured pass, :func:`_solve`, which trains and retrains once,
 factors each fine-tuning prefix once, edits and fine-tunes, and
 measures every model.  A stack that raises is solved again seed by
-seed, so a failing seed fails alone with the error of its own run.  The
-oracle predicts seed by seed, from that seed's own scenario and its own
-factorizations, when the loop asks for the seed's rows.
+seed, so a failing seed fails alone with the error of its own run.
+``verify-theorems`` then checks all its seeds in one stacked oracle pass
+per layout, which restacks the seeds' own scenarios and factors them
+itself, and which is rerun seed by seed in the same way if it raises.
 Rows are dicts keyed by column name; :data:`COLUMNS` alone fixes the
 order of the cells, and :func:`render_csv` checks each row against it.
 """
@@ -460,28 +461,46 @@ def _each(results: list):
 
 
 def _verify_rows(cfg: dict):
-    """Solve both layouts of every seed, one stack per layout; returns the
-    function that gives a seed's baseline row per scenario (distinct,
-    overlap), then one per edit, from the oracle's predictions on that
-    seed's own scenarios."""
+    """Solve both layouts of every seed, one stack per layout, then predict
+    them in one oracle pass per layout; returns the function that gives a
+    seed's baseline row per scenario (distinct, overlap), then one per
+    edit.
+
+    The oracle pass restacks the seeds' own scenarios and factors them
+    itself; nothing the solvers built reaches it.  It runs through
+    :func:`_stacked`, so a seed whose prediction raises fails alone.  A
+    seed reaches a layout's prediction as its own run would: once that
+    layout's solve and every earlier solve and prediction have succeeded.
+    """
     rel, floor = cfg["tolerance"]["rel"], cfg["tolerance"]["abs_floor"]
     nt_values = cfg["nt_values"]
+    seeds = cfg["seeds"]
     checks = [
         ("distinct", predict_distinct, [EditOption.DISTINCT_ZERO_FORGET]),
         ("overlap", predict_overlap, [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD]),
     ]
-    solved = _solve_seeds(cfg["seeds"], [
+    solved = _solve_seeds(seeds, [
         _stacked_pass(cfg, FeatureLayout(*cfg[f"{check}_layout"]), nt_values, [None, *options])
         for check, _, options in checks
     ])
+    predicted: dict[int, list] = {seed: [] for seed in seeds}
+    for k, (_, predict, options) in enumerate(checks):
+        def oracle(members, k=k, predict=predict, options=options):
+            scenario = stack_scenarios([solved[seed][k][0] for seed in members])
+            return list(zip(predict(scenario), predict_edited(scenario, options, nt_values)))
+
+        live = [seed for seed in seeds if not any(
+            isinstance(result, UnlearnLabError)
+            for result in [*solved[seed][:k + 1], *predicted[seed]])]
+        for seed, result in _stacked(live, oracle).items():
+            predicted[seed].append(result)
 
     def rows_for_seed(seed: int) -> list[dict]:
         rows, edit_rows = [], []
-        for (check, predict, options), (scenario, gold, runtime, fits) in zip(
-                checks, _each(solved[seed])):
+        for (check, _, options), (scenario, gold, runtime, fits), (baseline, edits) in zip(
+                checks, _each(solved[seed]), _each(predicted[seed])):
             layout = scenario.layout
-            predicted = predict(scenario)
-            gold_gaps = gap_report(gold, predicted, rel, floor)
+            gold_gaps = gap_report(gold, baseline, rel, floor)
             fine_tuned = [losses for losses, _ in fits[None]]
             common = {
                 **dict.fromkeys(COLUMNS[SCHEMAS["verify-theorems"]], float("nan")),
@@ -494,15 +513,14 @@ def _verify_rows(cfg: dict):
                 **common, "check": check, "option": "",
                 "rl_ft_max": max(ft.rl for ft in fine_tuned),
                 "ul_ft_max": max(ft.ul for ft in fine_tuned),
-                "rl_gold": gold.rl, "ul_gold": gold.ul, "ul_gold_pred": predicted.ul_gold,
+                "rl_gold": gold.rl, "ul_gold": gold.ul, "ul_gold_pred": baseline.ul_gold,
                 "ul_gold_rel_gap": gold_gaps.ul.rel_gap,
-                "pass": all(gap_report(ft, predicted, rel, floor).passed for ft in fine_tuned)
+                "pass": all(gap_report(ft, baseline, rel, floor).passed for ft in fine_tuned)
                 and gold_gaps.passed,
                 "runtime_seconds": sum((seconds for _, seconds in fits[None]), runtime),
             })
-            for option in options:
+            for option, predictions in zip(options, edits):
                 edited = [losses for losses, _ in fits[option]]
-                predictions = predict_edited(scenario, option, nt_values)
                 gaps = [gap_report(m, p, rel, floor) for m, p in zip(edited, predictions)]
                 edit_rows.append({
                     **common, "check": "edit", "option": option.value,

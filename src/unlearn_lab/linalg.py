@@ -7,16 +7,18 @@ derived from it, which keeps rank-deficient inputs well defined and
 numerically stable.  Projectors are always formed from retained left
 singular vectors, never from the normal-equations formula.
 
-The SVD and the two solvers also take a stack of matrices ``(S, d, n)``
-(with right-hand sides and anchors ``(S, n)`` and ``(S, d)``), one
-member per seed, and a single matrix is the one-member case of the same
-code.  Each member keeps its own cutoff, rank, consistency check and
-rank-deficiency record; members of one rank are solved by one
-broadcasting product, and members of another rank as their own
-sub-stack.  Stacked LAPACK SVDs, matrix-vector products and row dot
-products give every member the bits of its own call.  The projector,
-the pseudoinverse and the seminorm, which only the oracle uses, take
-single matrices.
+The SVD, the two solvers, the projector and the seminorm also take a
+stack of matrices ``(S, d, n)`` (with right-hand sides, anchors and
+seminorm vectors ``(S, n)`` or ``(S, d)``), one member per seed, and a
+single matrix is the one-member case of the same code.  Each member
+keeps its own cutoff, rank, consistency check and rank-deficiency
+record; members of one rank are solved or projected by one broadcasting
+product, and members of another rank as their own sub-stack.  Stacked
+LAPACK SVDs, matrix products and row dot products give every member the
+bits of its own call.  The solvers serve the measured pipeline, the
+projector and the seminorm the oracle, which stacks and factors its own
+matrices; the pseudoinverse, which only the oracle's independent block
+form uses, takes a single matrix.
 
 A :class:`RankDeficiencyCount` counts, inside its ``with`` block, the
 members of truncated SVDs whose rank falls short of the matrix's
@@ -103,21 +105,32 @@ def _transposed(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _as_stack(a, name: str) -> tuple[np.ndarray, bool]:
+    """``a`` validated as a stack ``(S, d, n)``, a matrix being its
+    one-member case, and whether it was given as a stack."""
+    arr = np.asarray(a, dtype=np.float64)
+    stacked = arr.ndim == 3
+    arr = as_matrix(arr, name, stacked)
+    return (arr if stacked else arr[None]), stacked
+
+
 @dataclass(frozen=True)
 class Projector:
     """Orthogonal projector onto the column space of a data matrix.
 
     ``matrix`` is symmetric and idempotent to within :data:`TOL_SYM` /
     :data:`TOL_IDEM`; ``rank`` is the number of singular values of the
-    source matrix retained above the cutoff.
+    source matrix retained above the cutoff.  For a stack of data
+    matrices, ``matrix`` is ``(S, d, d)`` and ``rank`` a tuple with one
+    rank per member.
     """
 
     matrix: np.ndarray = field(repr=False)
-    rank: int
+    rank: int | tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def complement(self) -> np.ndarray:
         """The projector onto the orthogonal complement, ``I - P``."""
@@ -274,10 +287,7 @@ class Factored:
     """
 
     def __init__(self, x, name: str = "x"):
-        arr = np.asarray(x, dtype=np.float64)
-        self.stacked = arr.ndim == 3
-        arr = as_matrix(arr, name, self.stacked)
-        self.matrix = arr if self.stacked else arr[None]
+        self.matrix, self.stacked = _as_stack(x, name)
 
     @cached_property
     def truncated_svd(self) -> list[tuple]:
@@ -324,10 +334,23 @@ def projector(x, sv_cutoff: float | None = None) -> Projector:
     """Orthogonal projector onto the column space of ``x``.
 
     Computed as ``U_r U_r^T`` from the retained left singular vectors; for
-    full-column-rank ``x`` this equals ``X (X^T X)^{-1} X^T``.
+    full-column-rank ``x`` this equals ``X (X^T X)^{-1} X^T``.  For a
+    stack ``(S, d, n)`` each member is projected with its own cutoff and
+    rank, and gets the bits of its own call.
     """
-    u, _, _ = _one_member(as_matrix(x), sv_cutoff)
-    return Projector(matrix=u @ u.T, rank=u.shape[1])
+    arr, stacked = _as_stack(x, "x")
+    matrix = np.empty(arr.shape[:2] + arr.shape[1:2])
+    rank = np.empty(len(arr), dtype=int)
+    for members, u, _, _ in _truncated_svd(arr, sv_cutoff):
+        if isinstance(members, slice):
+            # In place: a fresh product would double the stack's peak memory.
+            np.matmul(u, _transposed(u), out=matrix)
+        else:
+            matrix[members] = u @ _transposed(u)
+        rank[members] = u.shape[-1]
+    if stacked:
+        return Projector(matrix=matrix, rank=tuple(rank.tolist()))
+    return Projector(matrix=matrix[0], rank=int(rank[0]))
 
 
 def _min_norm(factored: Factored, rhs: np.ndarray) -> np.ndarray:
@@ -403,22 +426,27 @@ def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
     return factored.result(anchor + correction)
 
 
-def weighted_seminorm_sq(v, x, n: int) -> float:
+def weighted_seminorm_sq(v, x, n: int):
     """Squared seminorm ``v^T A v`` with ``A = (1/n) X X^T``.
 
     Equals ``(1/n) ||X^T v||^2``, hence nonnegative, and zero exactly when
-    ``v`` is orthogonal to the columns of ``x``.
+    ``v`` is orthogonal to the columns of ``x``.  For a stack ``x``
+    ``(S, d, m)`` with ``v`` ``(S, d)``, one value per member, each with
+    the bits of its own call.
     """
-    vec = as_vector(v, "v")
-    arr = as_matrix(x, "x")
+    arr, stacked = _as_stack(x, "x")
+    vec = as_vector(v, "v", stacked)
+    vec = vec if stacked else vec[None]
     if n < 1:
         raise ValueError("n must be >= 1")
-    if arr.shape[0] != vec.shape[0]:
+    if arr.shape[1] != vec.shape[1]:
         raise InvalidMatrixError(
-            f"x has {arr.shape[0]} features but v has {vec.shape[0]}"
+            f"x has {arr.shape[1]} features but v has {vec.shape[1]}"
         )
-    t = arr.T @ vec
-    return float(t @ t) / n
+    if len(arr) != len(vec):
+        raise InvalidMatrixError(f"v has {len(vec)} members but the stack has {len(arr)}")
+    values = squared_norms((_transposed(arr) @ vec[..., None])[..., 0]) / n
+    return values if stacked else float(values[0])
 
 
 def gradient_descent_solve(

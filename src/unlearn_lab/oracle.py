@@ -19,6 +19,14 @@ true weights on the kept blocks: unconditionally for distinct layouts
 whenever the remaining data spans the remaining-plus-overlap coordinate
 blocks (rank(X_r) = d_r + d_lap, generic once n_r >= d_r + d_lap).  The
 verification protocol operates in that regime.
+
+The three predictors also take a stack of scenarios
+(:func:`~unlearn_lab.scenarios.stack_scenarios`) and return one
+prediction per member, each with the bits of that member's own call: a
+scenario is the one-member case of the same code.  They factor every
+matrix themselves, one stacked projector per matrix for all members, so
+a measured solve and its prediction never share a factorization.  The
+block form is a single-scenario cross-check.
 """
 
 from __future__ import annotations
@@ -26,9 +34,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import LayoutMismatchError
 from .linalg import oracle_work, projector, pseudoinverse, weighted_seminorm_sq
-from .scenarios import SyntheticScenario, decompose_w_star, fine_tune_subset
+from .scenarios import SyntheticScenario, as_stack, decompose_w_star, fine_tune_subset
 from .solvers import EditOption
 
 # Tolerance policy for oracle-versus-measurement comparisons.
@@ -69,35 +79,51 @@ def within_tolerance(
     return abs(measured - predicted) <= max(abs_floor, rel_tol * abs(predicted))
 
 
+def _times(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each member's matrix-vector product, for ``p`` ``(S, d, d)`` and
+    ``v`` ``(S, d)``."""
+    return (p @ v[..., None])[..., 0]
+
+
+def _unedited(scenario: SyntheticScenario, stack: SyntheticScenario, gap: np.ndarray):
+    """The unedited predictions of ``scenario``, whose golden model misses
+    the true weights by ``gap`` (one row per member of ``stack``)."""
+    ul_gold = weighted_seminorm_sq(gap, stack.x_f, stack.n_f)
+    predictions = [TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=float(ul))
+                   for ul in ul_gold]
+    return predictions if scenario.stacked else predictions[0]
+
+
 @oracle_work
-def predict_distinct(scenario: SyntheticScenario) -> TheoremPrediction:
+def predict_distinct(scenario: SyntheticScenario):
     """Predicted losses for a layout with no overlap block.
 
     Fine-tuned RL and UL and golden RL are all zero; the golden UL equals
     the squared forgetting-block weights in the forgetting-data seminorm.
+    For a stacked scenario, one prediction per member.
     """
     if not scenario.layout.is_distinct:
         raise LayoutMismatchError(
             f"distinct prediction requires d_lap = 0, got {scenario.layout.d_lap}"
         )
-    parts = decompose_w_star(scenario)
-    ul_gold = weighted_seminorm_sq(parts.w_f, scenario.x_f, scenario.n_f)
-    return TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=ul_gold)
+    stack = as_stack(scenario)
+    return _unedited(scenario, stack, decompose_w_star(stack).w_f)
 
 
 @oracle_work
-def predict_overlap(scenario: SyntheticScenario) -> TheoremPrediction:
+def predict_overlap(scenario: SyntheticScenario):
     """Predicted losses for a general (possibly overlapping) layout.
 
     The golden UL is the seminorm of ``P_r (w_r + w_lap) - (w_f + w_lap)``
     with ``P_r`` the remaining-data projector; with an empty overlap block
-    this reduces to the distinct-layout value.
+    this reduces to the distinct-layout value.  For a stacked scenario,
+    one prediction per member.
     """
-    parts = decompose_w_star(scenario)
-    p_r = projector(scenario.x_r).matrix
-    gap = p_r @ (parts.w_r + parts.w_lap) - (parts.w_f + parts.w_lap)
-    ul_gold = weighted_seminorm_sq(gap, scenario.x_f, scenario.n_f)
-    return TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=ul_gold)
+    stack = as_stack(scenario)
+    parts = decompose_w_star(stack)
+    p_r = projector(stack.x_r).matrix
+    gap = _times(p_r, parts.w_r + parts.w_lap) - (parts.w_f + parts.w_lap)
+    return _unedited(scenario, stack, gap)
 
 
 @oracle_work
@@ -127,14 +153,16 @@ def golden_ul_block_form(scenario: SyntheticScenario) -> float:
 
 @oracle_work
 def predict_edited(
-    scenario: SyntheticScenario, option: EditOption, nt_values: Sequence[int]
-) -> list[TheoremPrediction]:
+    scenario: SyntheticScenario, options: Sequence[EditOption], nt_values: Sequence[int]
+) -> list:
     """Predicted losses after editing the pretrained model, then fine-tuning.
 
-    Returns one prediction per fine-tuning subset size in ``nt_values``,
-    in order.  Zeroing the forgetting block (and, for the discard option,
-    the overlap block) before fine-tuning removes the residual influence
-    of the forgetting data:
+    Returns one list per edit option in ``options``, in order, each with
+    one prediction per fine-tuning subset size in ``nt_values``, in
+    order; for a stacked scenario, one such list of lists per member.
+    Zeroing the forgetting block (and, for the discard option, the
+    overlap block) before fine-tuning removes the residual influence of
+    the forgetting data:
 
     - ``DISTINCT_ZERO_FORGET``: RL stays zero and UL rises to the golden
       value, closing the gap entirely.
@@ -145,33 +173,45 @@ def predict_edited(
       projector on the overlap weights.
 
     Only the discard option depends on ``n_t``; the other two repeat one
-    prediction.  For the overlap options the values are exact when
-    ``n_r >= d_r + d_lap`` (see the module docstring); outside that regime
-    they are the idealized closed forms, not guarantees about the
-    measured pipeline.
+    prediction.  The two overlap options share one joint-data projector.
+    For the overlap options the values are exact when ``n_r >= d_r +
+    d_lap`` (see the module docstring); outside that regime they are the
+    idealized closed forms, not guarantees about the measured pipeline.
     """
-    if option is EditOption.DISTINCT_ZERO_FORGET and not scenario.layout.is_distinct:
+    if EditOption.DISTINCT_ZERO_FORGET in options and not scenario.layout.is_distinct:
         raise LayoutMismatchError(
             "distinct-zero-forget prediction requires an empty overlap block"
         )
-    subsets = [fine_tune_subset(scenario, n_t)[0] for n_t in nt_values]
-    parts = decompose_w_star(scenario)
+    stack = as_stack(scenario)
+    subsets = [fine_tune_subset(stack, n_t)[0] for n_t in nt_values]
+    parts = decompose_w_star(stack)
+    w_f_lap = parts.w_f + parts.w_lap
 
     def edited(rl_edit, gap):
-        ul_edit = weighted_seminorm_sq(gap, scenario.x_f, scenario.n_f)
-        return TheoremPrediction(rl_edit=rl_edit, ul_edit=ul_edit)
+        ul_edit = weighted_seminorm_sq(gap, stack.x_f, stack.n_f)
+        return [TheoremPrediction(rl_edit=float(rl), ul_edit=float(ul))
+                for rl, ul in zip(np.broadcast_to(rl_edit, ul_edit.shape), ul_edit)]
 
-    if option is EditOption.DISTINCT_ZERO_FORGET:
-        return [edited(0.0, parts.w_f)] * len(subsets)
-    p = projector(scenario.joint_data()[0]).matrix
-    if option is EditOption.OVERLAP_RETAIN:
-        gap = p @ (parts.w_r + parts.w_lap) - (parts.w_f + parts.w_lap)
-        return [edited(0.0, gap)] * len(subsets)
-    predictions = []
-    for x_t in subsets:
-        p_t = projector(x_t).matrix
-        left_out = parts.w_lap - p_t @ parts.w_lap
-        rl_edit = weighted_seminorm_sq(left_out, scenario.x_r, scenario.n_r)
-        gap = p @ parts.w_r + p_t @ parts.w_lap - (parts.w_f + parts.w_lap)
-        predictions.append(edited(rl_edit, gap))
-    return predictions
+    by_option = []  # [option][n_t][member]
+    joint = None
+    for option in options:
+        if option is EditOption.DISTINCT_ZERO_FORGET:
+            by_option.append([edited(0.0, parts.w_f)] * len(subsets))
+            continue
+        if joint is None:
+            joint = projector(stack.joint_data()[0]).matrix
+        if option is EditOption.OVERLAP_RETAIN:
+            gap = _times(joint, parts.w_r + parts.w_lap) - w_f_lap
+            by_option.append([edited(0.0, gap)] * len(subsets))
+            continue
+        runs = []
+        joint_w_r = _times(joint, parts.w_r)
+        for x_t in subsets:
+            # Each prefix's projector stack is dropped once its n_t is predicted.
+            kept = _times(projector(x_t).matrix, parts.w_lap)
+            rl_edit = weighted_seminorm_sq(parts.w_lap - kept, stack.x_r, stack.n_r)
+            runs.append(edited(rl_edit, joint_w_r + kept - w_f_lap))
+        by_option.append(runs)
+    predictions = [[[at_nt[member] for at_nt in runs] for runs in by_option]
+                   for member in range(len(stack.seed))]
+    return predictions if scenario.stacked else predictions[0]

@@ -16,7 +16,7 @@ interact.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from . import rng
 from .errors import RegimeViolationError
 
 DIST_TAGS = ("standard-normal", "uniform")
+# The arrays of a scenario, which a stack of scenarios stacks.
+_ARRAYS = ("x_r", "x_f", "y_r", "y_f", "w_star")
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,11 @@ class SyntheticScenario:
     w_star: np.ndarray = field(repr=False)
     seed: int | tuple[int, ...]
     dist: str = "standard-normal"
+
+    @property
+    def stacked(self) -> bool:
+        """True for a stack of scenarios, one member per seed."""
+        return isinstance(self.seed, tuple)
 
     @property
     def d(self) -> int:
@@ -191,20 +198,29 @@ def stack_scenarios(scenarios: Sequence[SyntheticScenario]) -> SyntheticScenario
         raise ValueError("stacked scenarios must share one layout and distribution")
     return SyntheticScenario(
         layout=first.layout,
-        **{name: np.stack([getattr(s, name) for s in scenarios])
-           for name in ("x_r", "x_f", "y_r", "y_f", "w_star")},
+        **{name: np.stack([getattr(s, name) for s in scenarios]) for name in _ARRAYS},
         seed=tuple(s.seed for s in scenarios),
         dist=first.dist,
     )
 
 
+def as_stack(scenario: SyntheticScenario) -> SyntheticScenario:
+    """``scenario`` if it is a stack, else its one-member stack, whose
+    arrays are views of its own."""
+    if scenario.stacked:
+        return scenario
+    return replace(scenario, **{name: getattr(scenario, name)[None] for name in _ARRAYS},
+                   seed=(scenario.seed,))
+
+
 def decompose_w_star(scenario: SyntheticScenario) -> WStarDecomposition:
-    """Coordinate-mask split of the true weights by layout block."""
+    """Coordinate-mask split of the true weights by layout block (of each
+    member's, for a stack, with parts ``(S, d)``)."""
     layout = scenario.layout
     parts = []
     for block in (layout.remaining_block, layout.overlap_block, layout.forgetting_block):
-        part = np.zeros(layout.d)
-        part[block] = scenario.w_star[block]
+        part = np.zeros(scenario.w_star.shape)
+        part[..., block] = scenario.w_star[..., block]
         parts.append(part)
     return WStarDecomposition(w_r=parts[0], w_lap=parts[1], w_f=parts[2])
 

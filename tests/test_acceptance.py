@@ -127,18 +127,18 @@ def test_criterion_3_edited_pipeline_reproduction():
             discard_positive = False
             for n_t in NT_VALUES:
                 m = _edited_pipeline(distinct, w_o["d"], EditOption.DISTINCT_ZERO_FORGET, n_t)
-                p = predict_edited(distinct, EditOption.DISTINCT_ZERO_FORGET, [n_t])[0]
+                [[p]] = predict_edited(distinct, [EditOption.DISTINCT_ZERO_FORGET], [n_t])
                 check(m.rl, p.rl_edit)
                 check(m.ul, p.ul_edit)
 
                 m = _edited_pipeline(overlap, w_o["o"], EditOption.OVERLAP_RETAIN, n_t)
-                p = predict_edited(overlap, EditOption.OVERLAP_RETAIN, [n_t])[0]
+                [[p]] = predict_edited(overlap, [EditOption.OVERLAP_RETAIN], [n_t])
                 assert m.rl < 1e-9  # retaining the overlap keeps RL at zero
                 check(m.rl, p.rl_edit)
                 check(m.ul, p.ul_edit)
 
                 m = _edited_pipeline(overlap, w_o["o"], EditOption.OVERLAP_DISCARD, n_t)
-                p = predict_edited(overlap, EditOption.OVERLAP_DISCARD, [n_t])[0]
+                [[p]] = predict_edited(overlap, [EditOption.OVERLAP_DISCARD], [n_t])
                 check(m.rl, p.rl_edit)
                 check(m.ul, p.ul_edit)
                 discard_positive = discard_positive or m.rl > 1e-6

@@ -204,7 +204,7 @@ class TestVerifyTheorems:
 
 
 class TestPrefixFactorization:
-    """Solver prefixes are factored once per seed, apart from the oracle's SVDs."""
+    """Solver prefixes are factored once per config, apart from the oracle's SVDs."""
 
     @staticmethod
     def _shipped_raw(experiment):
@@ -222,12 +222,13 @@ class TestPrefixFactorization:
 
     @pytest.mark.parametrize(
         "experiment,solver,oracle",
-        [("verify-theorems", 62, 32), ("sweep-nt", 31, 0), ("sweep-overlap", 18, 0)],
+        [("verify-theorems", 62, 31), ("sweep-nt", 31, 0), ("sweep-overlap", 18, 0)],
         ids=["verify-theorems", "sweep-nt", "sweep-overlap"],
     )
     def test_one_shipped_seed_svd_counts(self, monkeypatch, experiment, solver, oracle):
         # One SVD per distinct solver input (the data, the remaining data
-        # and each prefix), and the oracle's own.
+        # and each prefix), and the oracle's own: the remaining data, the
+        # joint data (once for both overlap edits) and each prefix.
         counts = Counter()
         exact = linalg.svd
         layers = ("unlearn_lab.oracle", "unlearn_lab.solvers")
@@ -273,15 +274,49 @@ class TestPrefixFactorization:
                       if row["seed"] == seed and not row["pass"]}
             assert failed == {("distinct", ""), ("overlap", ""), ("edit", "overlap-discard")}
 
+    def test_a_faulty_oracle_factorization_fails_the_oracle_checks(self, monkeypatch):
+        exact = linalg._truncated_svd
+
+        def tilted(a, sv_cutoff):
+            # The mirror of the solver tilt above: only the oracle's own
+            # factorizations are tilted, the solvers stay exact.
+            groups = exact(a, sv_cutoff)
+            if not linalg._ORACLE_WORK.get():
+                return groups
+            tilted_groups = []
+            for members, u, s, v in groups:
+                u = u.copy()
+                for member in u:
+                    off = 1.0 - member @ member.sum(axis=0)
+                    if np.linalg.norm(off) >= 1e-6:
+                        member += 1e-3 * np.outer(off / np.linalg.norm(off), np.ones(s.shape[1]))
+                tilted_groups.append((members, u, s, v))
+            return tilted_groups
+
+        monkeypatch.setattr(linalg, "_truncated_svd", tilted)
+        result = run_experiment("verify-theorems", self._shipped_verify([0, 1, 2]))
+        assert result.numerical_failures == 0
+        assert result.passed is False
+        # The overlap golden UL (through the remaining-data projector) and
+        # the discard edit (through each prefix's).  The distinct rows use
+        # no projector.  The retain edit's joint data spans the remaining
+        # and overlap blocks, so its tilt leaves that span only inside the
+        # forgetting block, where the kept weights are zero and which the
+        # forgetting data, inside the span, cannot see.
+        for seed in (0, 1, 2):
+            failed = {(row["check"], row["option"]) for row in result.rows
+                      if row["seed"] == seed and not row["pass"]}
+            assert failed == {("overlap", ""), ("edit", "overlap-discard")}
+
     @pytest.mark.parametrize(
         "experiment,solver,oracle",
-        [("verify-theorems", 62, 32), ("sweep-nt", 31, 0), ("sweep-overlap", 18, 0)],
+        [("verify-theorems", 62, 31), ("sweep-nt", 31, 0), ("sweep-overlap", 18, 0)],
         ids=["verify-theorems", "sweep-nt", "sweep-overlap"],
     )
     def test_stacked_seeds_make_the_solver_svds_of_one(self, monkeypatch, experiment, solver,
                                                         oracle):
-        # The solvers factor each input once for all seeds; the oracle
-        # still factors its own matrices, seed by seed.
+        # The solvers factor each input once for all seeds, and so does
+        # the oracle, in calls of its own.
         counts = Counter()
         exact = linalg.svd
 
@@ -296,7 +331,7 @@ class TestPrefixFactorization:
         result = run_experiment(experiment, self._shipped(experiment, [0, 1, 2]))
         assert result.failures == [] and result.passed in (True, None)
         assert counts == Counter({("unlearn_lab.solvers", 3): solver,
-                                  ("unlearn_lab.oracle", 3): 3 * oracle})
+                                  ("unlearn_lab.oracle", 3): oracle})
 
     def test_no_factor_outlives_its_seed(self):
         def live_factors():
@@ -408,6 +443,62 @@ class TestLinearSeedStack:
             cut = dict(raw, seeds=[1], d_lap_values=widths[:widths.index(fault) + 1])
             assert run_experiment(experiment, validate_config(cut, experiment)) \
                 .rank_deficient_solves == alone[1].rank_deficient_solves
+
+    @pytest.mark.parametrize("layout", ["distinct", "overlap"])
+    def test_a_failing_oracle_seed_between_two_clean_ones_fails_alone(
+        self, monkeypatch, caplog, layout
+    ):
+        # Seed 1's prediction raises while every solve passes: in the
+        # distinct layout its baseline prediction, or in the overlap layout
+        # the oracle's SVD of its joint data.  By then the stacked overlap
+        # pass has projected the three seeds' rank-deficient remaining
+        # data, which it must not count.
+        message = "SVD did not converge for shape (40, 40)"
+        raised = []
+        if layout == "distinct":
+            real = experiments.predict_distinct
+
+            def failing_prediction(scenario):
+                if 1 in scenario.seed:
+                    raised.append(len(scenario.seed))
+                    raise linalg.SvdFailureError(message)
+                return real(scenario)
+
+            monkeypatch.setattr(experiments, "predict_distinct", failing_prediction)
+        else:
+            target = experiments.gen_scenario(
+                30, 10, FeatureLayout(16, 8, 16), 1, "standard-normal").joint_data()[0]
+            exact = linalg.svd
+
+            def failing_svd(a):
+                if linalg._ORACLE_WORK.get() and any(
+                        np.array_equal(member, target) for member in np.asarray(a)):
+                    raised.append(len(a))
+                    raise linalg.SvdFailureError(message)
+                return exact(a)
+
+            monkeypatch.setattr(linalg, "svd", failing_svd)
+
+        def run(seeds):
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="unlearn_lab.linalg"):
+                result = run_experiment(
+                    "verify-theorems", validate_config(dict(VERIFY_CFG, seeds=seeds),
+                                                       "verify-theorems"))
+            return result, Counter(record.getMessage() for record in caplog.records)
+
+        stacked, stacked_lines = run([0, 1, 2])
+        assert raised == [3, 1]
+        alone = [run([seed]) for seed in (0, 1, 2)]
+        assert stacked.failures == [{"seed": 1, "type": "SvdFailureError", "message": message}]
+        assert sorted(_rows_by_seed(stacked)) == [0, 2]
+        self._assert_each_seed_as_alone(stacked, [run for run, _ in alone])
+        assert stacked_lines == sum((lines for _, lines in alone), Counter())
+        assert sum(stacked_lines.values()) == sum(stacked.rank_deficient_solves.values())
+        # Seed 1's run predicts no layout past the one it fails on: its one
+        # oracle record is the remaining-data projector of the overlap pass.
+        oracle_records = alone[1][0].rank_deficient_solves["oracle"]
+        assert oracle_records == {"distinct": 0, "overlap": 1}[layout]
 
     def test_near_collinear_remaining_columns_beside_generic_seeds(self, monkeypatch):
         # A hard input: seed 1's first two remaining columns meet at
@@ -893,9 +984,9 @@ class TestLogLevel:
         count = sum(counts.values())
         assert count > 0
         assert count == sum("rank-deficient matrix" in line for line in lines) == len(lines)
-        # 18 of seed 0's factorizations are the solvers', 8 the oracle's
-        # projectors and pseudoinverses.
-        assert counts == {"solvers": 18, "oracle": 8}
+        # 18 of seed 0's factorizations are the solvers', 7 the oracle's
+        # projectors: the remaining data, the joint data and five prefixes.
+        assert counts == {"solvers": 18, "oracle": 7}
         # The count does not depend on the log level.
         assert self._shipped(tmp_path, capsys, "verify-theorems") == (counts, [])
 

@@ -387,6 +387,41 @@ class TestStackedSolves:
             min_norm_anchor_solve(x, y, np.zeros((4, 4)))
 
 
+class TestStackedOracleKernels:
+    """The projector and the seminorm give each member of a stack the bits
+    of its own call, ranks mixed and members off 16-byte alignment."""
+
+    @pytest.mark.parametrize("shape", [(7, 5, 3), (6, 9, 7), (4, 3, 5), (1, 40, 29)])
+    def test_each_member_gets_the_bits_of_its_own_call(self, shape):
+        x, _ = TestStackedSolves._stack(shape)
+        v = np.random.default_rng(3).standard_normal(shape[:2])
+        p = projector(x)
+        values = weighted_seminorm_sq(v, x, 4)
+        assert p.matrix.shape == (shape[0], shape[1], shape[1]) and values.shape == shape[:1]
+        assert p.rank == tuple(int(np.linalg.matrix_rank(member)) for member in x)
+        for i, member in enumerate(x):
+            alone = projector(member)
+            assert np.array_equal(p.matrix[i], alone.matrix) and p.rank[i] == alone.rank
+            assert values[i] == weighted_seminorm_sq(v[i], member, 4)
+        if shape[0] > 1:
+            assert len(set(p.rank)) > 1
+
+    def test_a_stack_projector_keeps_the_projector_api(self):
+        x, _ = TestStackedSolves._stack((6, 5, 3))
+        p = projector(x, sv_cutoff=1e-8)
+        assert p.dim == 5
+        assert np.array_equal(p.complement(), np.eye(5) - p.matrix)
+
+    def test_vectors_must_match_the_stack(self):
+        x, _ = TestStackedSolves._stack((4, 5, 3))
+        with pytest.raises(InvalidMatrixError, match="v has 3 members but the stack has 4"):
+            weighted_seminorm_sq(np.zeros((3, 5)), x, 3)
+        with pytest.raises(InvalidMatrixError, match="v must be 2-D"):
+            weighted_seminorm_sq(np.zeros(5), x, 3)
+        with pytest.raises(InvalidMatrixError, match="x has 5 features but v has 4"):
+            weighted_seminorm_sq(np.zeros((4, 4)), x, 3)
+
+
 class TestWeightedSeminorm:
     def test_zero_vector(self):
         assert weighted_seminorm_sq(np.zeros(3), np.eye(3), 3) == 0.0

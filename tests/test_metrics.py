@@ -121,7 +121,7 @@ class TestGapReport:
 
     def test_golden_tag_against_edit_prediction_is_rejected(self):
         s = gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed=3)
-        predicted = predict_edited(s, EditOption.DISTINCT_ZERO_FORGET, [15])[0]
+        [[predicted]] = predict_edited(s, [EditOption.DISTINCT_ZERO_FORGET], [15])
         measured = measure_losses(retrain_golden(s), s, "golden")
         with pytest.raises(ProvenanceMismatchError):
             gap_report(measured, predicted)

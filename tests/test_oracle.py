@@ -1,5 +1,7 @@
 """Closed-form predictions versus directly measured pipeline losses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,13 @@ from unlearn_lab.oracle import (
     predict_overlap,
     within_tolerance,
 )
+from unlearn_lab.linalg import projector
 from unlearn_lab.scenarios import (
     FeatureLayout,
     SyntheticScenario,
     fine_tune_subset,
     gen_scenario,
+    stack_scenarios,
 )
 from unlearn_lab.solvers import (
     EditOption,
@@ -131,7 +135,7 @@ class TestPredictEdited:
     def test_distinct_edit_equals_golden_prediction(self):
         s = gen_scenario(30, 10, DISTINCT, seed=6)
         base = predict_distinct(s)
-        edited = predict_edited(s, EditOption.DISTINCT_ZERO_FORGET, [15])[0]
+        [[edited]] = predict_edited(s, [EditOption.DISTINCT_ZERO_FORGET], [15])
         assert edited.rl_edit == base.rl_gold == 0.0
         assert edited.ul_edit == base.ul_gold
 
@@ -139,12 +143,12 @@ class TestPredictEdited:
         # With n_t = n_r the fine-tuning span contains all remaining
         # data, so the discard option loses nothing on the remaining set.
         s = gen_scenario(30, 10, OVERLAP, seed=7)
-        p = predict_edited(s, EditOption.OVERLAP_DISCARD, [30])[0]
+        [[p]] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [30])
         assert p.rl_edit < 1e-18
 
     def test_discard_option_end_to_end(self):
         s = gen_scenario(30, 10, OVERLAP, seed=7)
-        predicted = predict_edited(s, EditOption.OVERLAP_DISCARD, [15])[0]
+        [[predicted]] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [15])
         measured = _edited_pipeline_losses(s, EditOption.OVERLAP_DISCARD, 15)
         assert predicted.rl_edit > 1e-10
         assert within_tolerance(measured.rl, predicted.rl_edit)
@@ -152,7 +156,7 @@ class TestPredictEdited:
 
     def test_retain_option_end_to_end(self):
         s = gen_scenario(30, 10, OVERLAP, seed=7)
-        predicted = predict_edited(s, EditOption.OVERLAP_RETAIN, [15])[0]
+        [[predicted]] = predict_edited(s, [EditOption.OVERLAP_RETAIN], [15])
         measured = _edited_pipeline_losses(s, EditOption.OVERLAP_RETAIN, 15)
         assert predicted.rl_edit == 0.0
         assert measured.rl < 1e-18
@@ -161,35 +165,81 @@ class TestPredictEdited:
     def test_layout_guard(self):
         s = gen_scenario(30, 10, OVERLAP, seed=8)
         with pytest.raises(LayoutMismatchError):
-            predict_edited(s, EditOption.DISTINCT_ZERO_FORGET, [5])
+            predict_edited(s, [EditOption.DISTINCT_ZERO_FORGET], [5])
 
     @pytest.mark.parametrize("option", list(EditOption))
     def test_many_nt_values_equal_single_calls(self, option):
         layout = DISTINCT if option is EditOption.DISTINCT_ZERO_FORGET else OVERLAP
         s = gen_scenario(30, 10, layout, seed=9)
         nt_values = [29, 1, 15, 2, 30]
-        together = predict_edited(s, option, nt_values)
-        assert together == [predict_edited(s, option, [n_t])[0] for n_t in nt_values]
+        [together] = predict_edited(s, [option], nt_values)
+        assert together == [predict_edited(s, [option], [n_t])[0][0] for n_t in nt_values]
 
     @pytest.mark.parametrize(
         "option,layout",
         [(EditOption.DISTINCT_ZERO_FORGET, DISTINCT), (EditOption.OVERLAP_RETAIN, OVERLAP)],
     )
     def test_retain_and_distinct_do_not_depend_on_nt(self, option, layout):
-        predictions = predict_edited(gen_scenario(30, 10, layout, seed=10), option, [1, 15, 29])
+        [predictions] = predict_edited(
+            gen_scenario(30, 10, layout, seed=10), [option], [1, 15, 29])
         assert predictions[0] == predictions[1] == predictions[2]
+
+    @pytest.mark.parametrize("layout", [DISTINCT, OVERLAP])
+    def test_options_together_equal_each_alone(self, layout):
+        # The overlap options share one joint-data projector.
+        s = gen_scenario(30, 10, layout, seed=9)
+        options = list(EditOption) if layout.is_distinct else list(EditOption)[1:]
+        nt_values = [1, 15, 29]
+        together = predict_edited(s, options, nt_values)
+        assert together == [predict_edited(s, [option], nt_values)[0] for option in options]
 
     def test_every_nt_is_validated(self):
         s = gen_scenario(30, 10, DISTINCT, seed=11)
         with pytest.raises(ValueError):
-            predict_edited(s, EditOption.DISTINCT_ZERO_FORGET, [15, 31])
+            predict_edited(s, [EditOption.DISTINCT_ZERO_FORGET], [15, 31])
 
     def test_only_edit_losses_are_predicted(self):
         s = gen_scenario(30, 10, OVERLAP, seed=12)
-        p = predict_edited(s, EditOption.OVERLAP_DISCARD, [15])[0]
+        [[p]] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [15])
         assert p.rl_edit is not None and p.ul_edit is not None
         assert p.rl_ft is p.ul_ft is p.rl_gold is p.ul_gold is None
         assert predict_overlap(s).rl_edit is predict_overlap(s).ul_edit is None
+
+
+def _equal_columns(scenario):
+    """``scenario`` with its second remaining column equal to its first,
+    so that its prefixes of two or more columns are one rank short."""
+    x_r = scenario.x_r.copy()
+    x_r[:, 1] = x_r[:, 0]
+    return dataclasses.replace(scenario, x_r=x_r, y_r=x_r.T @ scenario.w_star)
+
+
+class TestStackedPredictions:
+    """A stacked scenario gets, member by member, the bits of each seed's
+    own predictions."""
+
+    @pytest.mark.parametrize("layout,dist", [
+        (DISTINCT, "standard-normal"),
+        (OVERLAP, "standard-normal"),
+        (FeatureLayout(4, 0, 36), "uniform"),
+        (FeatureLayout(3, 2, 35), "uniform"),
+    ], ids=["distinct", "overlap", "distinct-rank-deficient", "overlap-rank-deficient"])
+    def test_each_member_equals_its_own_call(self, layout, dist):
+        # Seed 1's equal columns put its prefixes in a rank group of their
+        # own; in the rank-deficient layouts every member's remaining data
+        # is rank-deficient too.
+        scenarios = [gen_scenario(30, 10, layout, seed, dist) for seed in range(3)]
+        scenarios[1] = _equal_columns(scenarios[1])
+        stack = stack_scenarios(scenarios)
+        assert len(set(projector(fine_tune_subset(stack, 3)[0]).rank)) == 2
+
+        predictors = [predict_overlap] + ([predict_distinct] if layout.is_distinct else [])
+        for predict in predictors:
+            assert predict(stack) == [predict(s) for s in scenarios]
+        options = list(EditOption) if layout.is_distinct else list(EditOption)[1:]
+        nt_values = list(range(1, 31))
+        assert predict_edited(stack, options, nt_values) == [
+            predict_edited(s, options, nt_values) for s in scenarios]
 
 
 class TestOracleMeasurementAgreement:
@@ -247,8 +297,7 @@ class TestOracleMeasurementAgreement:
             if scenario.layout.is_distinct:
                 options.append(EditOption.DISTINCT_ZERO_FORGET)
             n_t = int(rng.integers(1, n_r + 1))
-            for option in options:
-                predicted = predict_edited(scenario, option, [n_t])[0]
+            for option, [predicted] in zip(options, predict_edited(scenario, options, [n_t])):
                 measured = _edited_pipeline_losses(scenario, option, n_t)
                 assert within_tolerance(measured.rl, predicted.rl_edit)
                 assert within_tolerance(measured.ul, predicted.ul_edit)
@@ -279,7 +328,7 @@ class TestOverlapWidthTrend:
             values = []
             for seed in range(50):
                 scenario = gen_scenario(n_r, n_f, layout, seed=seed)
-                [predicted] = predict_edited(scenario, EditOption.OVERLAP_DISCARD, [n_t])
+                [[predicted]] = predict_edited(scenario, [EditOption.OVERLAP_DISCARD], [n_t])
                 values.append(predicted.rl_edit)
             medians.append(float(np.median(values)))
         assert all(b >= a - 1e-12 for a, b in zip(medians, medians[1:])), medians
