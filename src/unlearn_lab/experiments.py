@@ -30,8 +30,11 @@ and the linear ones solve one stack of all seeds per layout (per
 scenario of ``verify-theorems``, per ``d_lap`` of ``sweep-overlap``) in
 one measured pass, :func:`_solve`, which trains and retrains once,
 factors each fine-tuning prefix once, edits and fine-tunes, and
-measures every model.  A stack that raises is solved again seed by
-seed, so a failing seed fails alone with the error of its own run.
+measures every model, one :class:`LossReport` of all seeds per solve.
+A stack that raises is solved again seed by seed, so a failing seed
+fails alone with the error of its own run.  A seed's rows read its
+losses over ``nt_values`` as arrays, and each ``verify-theorems`` row
+compares them with its predictions in one :func:`gap_report`.
 ``verify-theorems`` then checks all its seeds in one stacked oracle pass
 per layout, which restacks the seeds' own scenarios and factors them
 itself, and which is rerun seed by seed in the same way if it raises.
@@ -53,8 +56,15 @@ import numpy as np
 from .classifier import VARIANTS, ClassTask, run_seed_grid
 from .errors import ConfigError, UnlearnLabError
 from .linalg import Factored, RankDeficiencyCount
-from .metrics import gap_report, measure_losses
-from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, predict_distinct, predict_edited, predict_overlap
+from .metrics import LossReport, gap_report, measure_losses
+from .oracle import (
+    PRED_ABS_FLOOR,
+    PRED_REL_TOL,
+    TheoremPrediction,
+    predict_distinct,
+    predict_edited,
+    predict_overlap,
+)
 from .scenarios import FeatureLayout, fine_tune_subset, gen_scenario, stack_scenarios
 from .solvers import (
     EditOption,
@@ -128,7 +138,8 @@ class Domain:
     ``kind`` is ``"int"`` or ``"number"`` from ``low`` to ``high`` (each
     end closed ``[]`` or open ``()`` as ``bounds`` marks), ``"enum"``,
     ``"layout"`` (three nonnegative ints), ``"path"`` or ``"object"`` (of
-    dotted fields).  With ``many``, a non-empty list of such values.
+    dotted fields).  With ``many``, a non-empty list of such values, and
+    with ``unique`` too, one in which no value repeats.
     """
 
     kind: str
@@ -137,10 +148,12 @@ class Domain:
     bounds: str = "[)"
     choices: tuple = ()
     many: bool = False
+    unique: bool = False
 
     def holds(self, value) -> bool:
         if self.many:
-            return isinstance(value, list) and bool(value) and all(map(self._holds_one, value))
+            return (isinstance(value, list) and bool(value) and all(map(self._holds_one, value))
+                    and not (self.unique and len(set(value)) < len(value)))
         return self._holds_one(value)
 
     def _holds_one(self, v) -> bool:
@@ -170,7 +183,9 @@ class Domain:
             "path": "a string",
             "object": "an object",
         }[self.kind]
-        return f"a non-empty list, each {one}" if self.many else one
+        if self.many:
+            return f"a non-empty list{' without repeats' if self.unique else ''}, each {one}"
+        return one
 
 
 #: The default of a field that must be given.
@@ -178,7 +193,9 @@ REQUIRED = object()
 
 _COUNT = Domain("int", 0)
 
-_SEEDS = (REQUIRED, Domain("int", 0, 1 << 64, many=True))
+# A repeated seed would repeat its rows, and its classifier mean/std rows
+# would count one run twice.
+_SEEDS = (REQUIRED, Domain("int", 0, 1 << 64, many=True, unique=True))
 _TOLERANCE = {
     "tolerance": (None, Domain("object")),
     "tolerance.rel": (PRED_REL_TOL, Domain("number", 0)),
@@ -304,7 +321,8 @@ def _fill(kind: str, raw: dict, fields: dict) -> dict:
 
 
 def as_seeds(kind, raw) -> list[int]:
-    """Validated seed list: non-empty, every seed an integer in ``[0, 2^64)``."""
+    """Validated seed list: non-empty, every seed an integer in ``[0, 2^64)``,
+    and no seed twice."""
     return _fill(kind, {"seeds": raw}, {"seeds": _SEEDS})["seeds"]
 
 
@@ -372,9 +390,11 @@ def _solve(scenarios, nt_values, edits) -> list[tuple]:
     fine-tunes them unedited.  Each prefix stack is factored once and
     shared by its fine-tunes, the first of which pays for the SVD; the
     oracle factors its own matrices.  Returns per scenario ``(scenario,
-    golden losses, retrain seconds, {edit: [(losses, seconds) per
-    n_t]})``, where the seconds are the member's equal share of the
-    stack's solver calls, never of data handling or measurement.
+    (golden rl, golden ul), retrain seconds, {edit: (rl, ul, [seconds
+    per n_t])})``: the edits' ``rl`` and ``ul`` are arrays over
+    ``nt_values``, read from the stack's validated loss reports, and the
+    seconds are the member's equal share of the stack's solver calls,
+    never of data handling or measurement.
     """
     scenario = stack_scenarios(scenarios)
     members = len(scenarios)
@@ -393,11 +413,17 @@ def _solve(scenarios, nt_values, edits) -> list[tuple]:
             seconds = (time.perf_counter() - start) / members
             tag = "fine_tuned" if edit is None else "edited_fine_tuned"
             solved[edit].append((measure_losses(w_t, scenario, tag), seconds))
+    gold = measure_losses(w_g, scenario, "golden")
+    # Each edit's losses as (members, len(nt_values)) arrays: row i is
+    # member i over nt_values.
+    fits = {edit: (np.stack([losses.rl for losses, _ in runs], axis=1),
+                   np.stack([losses.ul for losses, _ in runs], axis=1),
+                   [seconds for _, seconds in runs])
+            for edit, runs in solved.items()}
     return [
-        (scenarios[i], gold, gold_seconds,
-         {edit: [(losses[i], seconds) for losses, seconds in runs]
-          for edit, runs in solved.items()})
-        for i, gold in enumerate(measure_losses(w_g, scenario, "golden"))
+        (scenarios[i], gold_losses, gold_seconds,
+         {edit: (rl[i], ul[i], seconds) for edit, (rl, ul, seconds) in fits.items()})
+        for i, gold_losses in enumerate(zip(gold.rl.tolist(), gold.ul.tolist()))
     ]
 
 
@@ -497,11 +523,13 @@ def _verify_rows(cfg: dict):
 
     def rows_for_seed(seed: int) -> list[dict]:
         rows, edit_rows = [], []
-        for (check, _, options), (scenario, gold, runtime, fits), (baseline, edits) in zip(
-                checks, _each(solved[seed]), _each(predicted[seed])):
+        for (check, _, options), (scenario, (rl_gold, ul_gold), runtime, fits), (baseline, edits) \
+                in zip(checks, _each(solved[seed]), _each(predicted[seed])):
             layout = scenario.layout
+            gold = LossReport(rl=rl_gold, ul=ul_gold, model_tag="golden")
             gold_gaps = gap_report(gold, baseline, rel, floor)
-            fine_tuned = [losses for losses, _ in fits[None]]
+            rl_ft, ul_ft, ft_seconds = fits[None]
+            fine_tuned = LossReport(rl=rl_ft, ul=ul_ft, model_tag="fine_tuned")
             common = {
                 **dict.fromkeys(COLUMNS[SCHEMAS["verify-theorems"]], float("nan")),
                 "experiment": cfg["experiment"], "seed": seed,
@@ -511,30 +539,37 @@ def _verify_rows(cfg: dict):
             }
             rows.append({
                 **common, "check": check, "option": "",
-                "rl_ft_max": max(ft.rl for ft in fine_tuned),
-                "ul_ft_max": max(ft.ul for ft in fine_tuned),
-                "rl_gold": gold.rl, "ul_gold": gold.ul, "ul_gold_pred": baseline.ul_gold,
+                "rl_ft_max": float(rl_ft.max()),
+                "ul_ft_max": float(ul_ft.max()),
+                "rl_gold": rl_gold, "ul_gold": ul_gold, "ul_gold_pred": baseline.ul_gold,
                 "ul_gold_rel_gap": gold_gaps.ul.rel_gap,
-                "pass": all(gap_report(ft, baseline, rel, floor).passed for ft in fine_tuned)
-                and gold_gaps.passed,
-                "runtime_seconds": sum((seconds for _, seconds in fits[None]), runtime),
+                "pass": gap_report(fine_tuned, baseline, rel, floor).passed and gold_gaps.passed,
+                "runtime_seconds": sum(ft_seconds, runtime),
             })
             for option, predictions in zip(options, edits):
-                edited = [losses for losses, _ in fits[option]]
-                gaps = [gap_report(m, p, rel, floor) for m, p in zip(edited, predictions)]
+                rl, ul, seconds = fits[option]
+                edited = LossReport(rl=rl, ul=ul, model_tag="edited_fine_tuned")
+                gaps = gap_report(edited, _over_nt(predictions), rel, floor)
                 edit_rows.append({
                     **common, "check": "edit", "option": option.value,
-                    "rl_edit_max": max(m.rl for m in edited),
-                    "ul_edit_max": max(m.ul for m in edited),
+                    "rl_edit_max": float(rl.max()),
+                    "ul_edit_max": float(ul.max()),
                     # Starting from 0.0 keeps a NaN gap from deciding the maximum.
-                    "edit_rl_gap_max": max(0.0, *(g.rl.abs_gap for g in gaps)),
-                    "edit_ul_gap_max": max(0.0, *(g.ul.abs_gap for g in gaps)),
-                    "pass": all(g.passed for g in gaps),
-                    "runtime_seconds": sum(seconds for _, seconds in fits[option]),
+                    "edit_rl_gap_max": float(np.fmax.reduce(gaps.rl.abs_gap, initial=0.0)),
+                    "edit_ul_gap_max": float(np.fmax.reduce(gaps.ul.abs_gap, initial=0.0)),
+                    "pass": gaps.passed,
+                    "runtime_seconds": sum(seconds),
                 })
         return rows + edit_rows
 
     return rows_for_seed
+
+
+def _over_nt(predictions: list[TheoremPrediction]) -> TheoremPrediction:
+    """One edit option's predictions, one per ``n_t``, as one prediction
+    whose two edited losses are arrays over ``n_t``."""
+    return TheoremPrediction(rl_edit=np.array([p.rl_edit for p in predictions]),
+                             ul_edit=np.array([p.ul_edit for p in predictions]))
 
 
 def _sweep_nt_rows(cfg: dict):
@@ -547,22 +582,23 @@ def _sweep_nt_rows(cfg: dict):
     solved = _solve_seeds(cfg["seeds"], [_stacked_pass(cfg, layout, cfg["nt_values"], edits)])
 
     def rows_for_seed(seed: int) -> list[dict]:
-        [(_, gold, _, fits)] = _each(solved[seed])
-        rows = []
-        for i, n_t in enumerate(cfg["nt_values"]):
-            at = {edit: runs[i] for edit, runs in fits.items()}
-            ft, zero, retain, discard = (
-                at[e][0] if e in at else None for e in (None, *EditOption))
-            rows.append({
-                "experiment": cfg["experiment"], "seed": seed, "n_t": n_t,
-                "rl_ft": ft.rl, "ul_ft": ft.ul, "rl_gold": gold.rl, "ul_gold": gold.ul,
-                "rl_edit_zero": zero.rl if zero else float("nan"),
-                "ul_edit_zero": zero.ul if zero else float("nan"),
-                "rl_edit_retain": retain.rl, "ul_edit_retain": retain.ul,
-                "rl_edit_discard": discard.rl, "ul_edit_discard": discard.ul,
-                "runtime_seconds": sum(seconds for _, seconds in at.values()),
-            })
-        return rows
+        [(_, (rl_gold, ul_gold), _, fits)] = _each(solved[seed])
+        missing = (np.full(len(cfg["nt_values"]), np.nan),) * 2
+        columns = {
+            "n_t": cfg["nt_values"],
+            # Each n_t's fine-tunes, summed in the order they ran.
+            "runtime_seconds": [sum(at) for at in zip(*(seconds for *_, seconds in fits.values()))],
+        }
+        for name, edit in (("ft", None), ("edit_zero", EditOption.DISTINCT_ZERO_FORGET),
+                           ("edit_retain", EditOption.OVERLAP_RETAIN),
+                           ("edit_discard", EditOption.OVERLAP_DISCARD)):
+            rl, ul = fits[edit][:2] if edit in fits else missing
+            columns[f"rl_{name}"], columns[f"ul_{name}"] = rl.tolist(), ul.tolist()
+        return [
+            {"experiment": cfg["experiment"], "seed": seed, "rl_gold": rl_gold, "ul_gold": ul_gold,
+             **dict(zip(columns, at))}
+            for at in zip(*columns.values())
+        ]
 
     return rows_for_seed
 
@@ -579,14 +615,16 @@ def _sweep_overlap_rows(cfg: dict):
 
     def rows_for_seed(seed: int) -> list[dict]:
         rows = []
-        for layout, (_, gold, runtime, fits) in zip(layouts, _each(solved[seed])):
-            [(retain, retain_seconds)], [(discard, discard_seconds)] = fits.values()
+        for layout, (_, (rl_gold, ul_gold), runtime, fits) in zip(layouts, _each(solved[seed])):
+            # One n_t: each edit's losses are one-element arrays.
+            [(rl_retain, ul_retain, [retain_seconds]),
+             (rl_discard, ul_discard, [discard_seconds])] = fits.values()
             rows.append({
                 "experiment": cfg["experiment"], "seed": seed,
                 "d_lap": layout.d_lap, "d_r": layout.d_r, "d_f": layout.d_f, "n_t": cfg["n_t"],
-                "rl_gold": gold.rl, "ul_gold": gold.ul,
-                "rl_edit_retain": retain.rl, "ul_edit_retain": retain.ul,
-                "rl_edit_discard": discard.rl, "ul_edit_discard": discard.ul,
+                "rl_gold": rl_gold, "ul_gold": ul_gold,
+                "rl_edit_retain": float(rl_retain[0]), "ul_edit_retain": float(ul_retain[0]),
+                "rl_edit_discard": float(rl_discard[0]), "ul_edit_discard": float(ul_discard[0]),
                 "runtime_seconds": runtime + retain_seconds + discard_seconds,
             })
         return rows

@@ -339,9 +339,12 @@ def projector(x, sv_cutoff: float | None = None) -> Projector:
     rank, and gets the bits of its own call.
     """
     arr, stacked = _as_stack(x, "x")
+    # Only the left factors are kept, and the output is allocated once the
+    # right singular vectors are freed, so the two never coexist.
+    groups = [(members, u) for members, u, _, _ in _truncated_svd(arr, sv_cutoff)]
     matrix = np.empty(arr.shape[:2] + arr.shape[1:2])
     rank = np.empty(len(arr), dtype=int)
-    for members, u, _, _ in _truncated_svd(arr, sv_cutoff):
+    for members, u in groups:
         if isinstance(members, slice):
             # In place: a fresh product would double the stack's peak memory.
             np.matmul(u, _transposed(u), out=matrix)

@@ -4,6 +4,15 @@ Two metric families are kept strictly separate: mean-squared losses for
 the linear pipeline (:class:`LossReport`) and 0/1 accuracy fractions for
 the classifier pipeline (:class:`Metrics`).  Accuracies are reported as
 fractions in [0, 1]; rendering as percentages is a display concern.
+
+The linear measurement and comparison work on arrays, and one model is
+the 0-d case of the same code.  :func:`measure_losses` on a stacked
+scenario returns one :class:`LossReport` whose losses are ``(S,)``
+arrays, validated once; :func:`gap_report` compares arrays of measured
+losses, say one seed's over every fine-tuning subset size, with
+predictions of the same shape or with one prediction, elementwise
+through :func:`~unlearn_lab.oracle.within_tolerance`, with the bits of
+one call per element.
 """
 
 from __future__ import annotations
@@ -26,18 +35,28 @@ MODEL_TAGS = ("original", "fine_tuned", "golden", "edited_fine_tuned")
 
 @dataclass(frozen=True)
 class LossReport:
-    """Measured remaining/unlearning losses for one model of the pipeline."""
+    """Measured remaining/unlearning losses of one model of the pipeline.
 
-    rl: float
-    ul: float
+    ``rl`` and ``ul`` are floats for one model, or arrays of one shape
+    with one loss per model, such as one per member of a stack.
+    """
+
+    rl: float | np.ndarray
+    ul: float | np.ndarray
     model_tag: str
 
     def __post_init__(self):
         if self.model_tag not in MODEL_TAGS:
             raise ValueError(f"unknown model tag {self.model_tag!r}")
-        if not (np.isfinite(self.rl) and np.isfinite(self.ul)):
-            raise ValueError("losses must be finite")
-        if self.rl < 0 or self.ul < 0:
+        if np.shape(self.rl) != np.shape(self.ul):
+            raise ValueError(
+                f"rl and ul must have one shape, got {np.shape(self.rl)} and {np.shape(self.ul)}"
+            )
+        losses = np.array((self.rl, self.ul), dtype=np.float64)
+        # One pass over the losses: NaN fails both comparisons.
+        if not ((losses >= 0.0) & (losses < np.inf)).all():
+            if not np.isfinite(losses).all():
+                raise ValueError("losses must be finite")
             raise ValueError("losses must be nonnegative")
 
 
@@ -79,28 +98,33 @@ def mse_loss(w, x, y):
     return losses if stacked else float(losses)
 
 
-def measure_losses(w, scenario: SyntheticScenario, model_tag: str):
+def measure_losses(w, scenario: SyntheticScenario, model_tag: str) -> LossReport:
     """Remaining and unlearning loss of ``w`` on a scenario's two subsets.
 
-    For a stack of scenarios and weights ``(S, d)``, one report per
-    member, in order.
+    For a stack of scenarios and weights ``(S, d)``, one report whose
+    ``rl`` and ``ul`` are ``(S,)`` arrays, each member with the bits of
+    its own call.
     """
-    rl = mse_loss(w, scenario.x_r, scenario.y_r)
-    ul = mse_loss(w, scenario.x_f, scenario.y_f)
-    if np.ndim(rl) == 0:
-        return LossReport(rl=rl, ul=ul, model_tag=model_tag)
-    return [LossReport(rl=float(r), ul=float(u), model_tag=model_tag) for r, u in zip(rl, ul)]
+    return LossReport(
+        rl=mse_loss(w, scenario.x_r, scenario.y_r),
+        ul=mse_loss(w, scenario.x_f, scenario.y_f),
+        model_tag=model_tag,
+    )
 
 
 @dataclass(frozen=True)
 class GapEntry:
-    """One measured-versus-predicted comparison."""
+    """One measured-versus-predicted comparison, or one per element.
 
-    measured: float
-    predicted: float
-    abs_gap: float
-    rel_gap: float
-    ok: bool
+    The fields are floats and a bool for a pair of scalars, and arrays of
+    the pair's broadcast shape otherwise.
+    """
+
+    measured: float | np.ndarray
+    predicted: float | np.ndarray
+    abs_gap: float | np.ndarray
+    rel_gap: float | np.ndarray
+    ok: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,7 +136,8 @@ class GapReport:
 
     @property
     def passed(self) -> bool:
-        return self.rl.ok and self.ul.ok
+        """Whether every comparison of both entries is within tolerance."""
+        return bool(np.all(self.rl.ok & self.ul.ok))
 
 
 # The prediction fields that describe each measured model.
@@ -124,9 +149,16 @@ _PREDICTED_PAIR = {
 
 
 def _gap_entry(measured, predicted, rel_tol, abs_floor) -> GapEntry:
-    abs_gap = abs(measured - predicted)
-    rel_gap = abs_gap / abs(predicted) if predicted != 0.0 else (0.0 if abs_gap == 0.0 else np.inf)
+    # Measured losses are finite, so against a zero prediction a zero gap
+    # is 0 / 0, taken as 0, and any other gap is x / 0 = inf.  Python
+    # float arithmetic would neither warn nor raise here; the arrays
+    # follow it.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        abs_gap = np.abs(np.subtract(measured, predicted))
+        rel_gap = np.where(abs_gap == 0.0, 0.0, abs_gap / np.abs(predicted))
     ok = within_tolerance(measured, predicted, rel_tol, abs_floor)
+    if rel_gap.ndim == 0:
+        return GapEntry(measured, predicted, float(abs_gap), float(rel_gap), ok)
     return GapEntry(measured, predicted, abs_gap, rel_gap, ok)
 
 
@@ -142,11 +174,16 @@ def gap_report(
     predicted counterpart ("original", or a model the prediction leaves
     unpredicted) raises :class:`ProvenanceMismatchError`.  Each entry
     passes when its absolute gap is at most
-    ``max(abs_floor, rel_tol * |predicted|)``.
+    ``max(abs_floor, rel_tol * |predicted|)``.  The measured losses and
+    the predicted ones may be arrays, compared elementwise under
+    broadcasting: a report over every ``n_t`` against one prediction, or
+    against a prediction whose fields hold one value per ``n_t``.  A
+    zero prediction gives a relative gap of 0 when the gap is zero too and
+    ``inf`` otherwise; a NaN gap never passes.
     """
     fields = _PREDICTED_PAIR.get(measured.model_tag, ())
     pair = [getattr(predicted, name) for name in fields]
-    if not pair or None in pair:
+    if not pair or any(value is None for value in pair):
         raise ProvenanceMismatchError(
             f"the prediction carries no losses for model tag {measured.model_tag!r}"
         )

@@ -54,7 +54,9 @@ class TheoremPrediction:
     fine-tuned model, exactly zero) and ``rl_gold``/``ul_gold`` (the
     retrained-from-scratch model).  The edited predictions fill only
     ``rl_edit``/``ul_edit`` (the edited-then-fine-tuned model).  Every
-    filled value is nonnegative.
+    filled value is nonnegative.  A field may also hold an array, one
+    value per comparison, for :func:`~unlearn_lab.metrics.gap_report` to
+    compare a series of measurements in one call.
     """
 
     rl_ft: float | None = None
@@ -66,17 +68,25 @@ class TheoremPrediction:
 
 
 def within_tolerance(
-    measured: float,
-    predicted: float,
+    measured,
+    predicted,
     rel_tol: float = PRED_REL_TOL,
     abs_floor: float = PRED_ABS_FLOOR,
-) -> bool:
+):
     """True when ``measured`` matches ``predicted`` within policy.
 
     The bound is ``max(abs_floor, rel_tol * |predicted|)``; the floor
-    keeps near-zero predictions from demanding exact equality.
+    keeps near-zero predictions from demanding exact equality.  Arrays
+    are compared elementwise under broadcasting, giving a bool array; a
+    pair of scalars is the 0-d case and gives a bool.  A NaN anywhere
+    fails.
     """
-    return abs(measured - predicted) <= max(abs_floor, rel_tol * abs(predicted))
+    # Python float arithmetic neither warns nor raises on overflow or on
+    # inf - inf; the arrays follow it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        ok = np.abs(np.subtract(measured, predicted)) <= np.maximum(
+            abs_floor, rel_tol * np.abs(predicted))
+    return ok if ok.ndim else bool(ok)
 
 
 def _times(p: np.ndarray, v: np.ndarray) -> np.ndarray:

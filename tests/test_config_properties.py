@@ -106,8 +106,9 @@ def _outside(domain, default):
     """Values just outside ``domain``, from its kind and bounds alone."""
     values = [] if default is None else [None]
     if domain.many:
-        one = dataclasses.replace(domain, many=False)
-        return values + [[], "x"] + [[value] for value in _outside(one, 0)]
+        one = dataclasses.replace(domain, many=False, unique=False)
+        repeated = [[domain.low] * 2] if domain.unique else []
+        return values + [[], "x"] + repeated + [[value] for value in _outside(one, 0)]
     if domain.kind in ("int", "number"):
         closed_low, closed_high = domain.bounds[0] == "[", domain.bounds[1] == "]"
         step = 1 if domain.kind == "int" else 0.5

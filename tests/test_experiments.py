@@ -57,6 +57,15 @@ class TestConfigValidation:
         assert cfg["nt_values"] == list(range(1, 30))
         assert cfg["tolerance"] == {"rel": 1e-8, "abs_floor": 1e-10}
 
+    def test_repeated_seeds_rejected(self):
+        for seeds in ([3, 3], [0, 1, 0]):
+            with pytest.raises(ConfigError, match="without repeats") as excinfo:
+                validate_config({"seeds": seeds}, "sweep-nt")
+            assert str(excinfo.value).endswith(f"(got {seeds})")
+        assert experiments.as_seeds("--seeds", [2, 0, 1]) == [2, 0, 1]
+        with pytest.raises(ConfigError, match="^--seeds: field 'seeds' must be"):
+            experiments.as_seeds("--seeds", [1, 1])
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigError):
             validate_config({"seeds": []}, "verify-theorems")
@@ -201,6 +210,66 @@ class TestVerifyTheorems:
         )
         result = run_experiment("verify-theorems", cfg)
         assert result.passed is True and len(result.rows) == 10
+
+
+class TestVerifyRowsFromArrays:
+    """The verify rows read each seed's losses over n_t as arrays and
+    compare them in one gap report per row."""
+
+    @staticmethod
+    def _with_nan_predictions(monkeypatch, first_only):
+        real = experiments.predict_edited
+        nan = experiments.TheoremPrediction(rl_edit=NAN, ul_edit=NAN)
+
+        def predict(scenario, options, nt_values):
+            return [[[nan, *runs[1:]] if first_only else [nan] * len(runs) for runs in member]
+                    for member in real(scenario, options, nt_values)]
+
+        monkeypatch.setattr(experiments, "predict_edited", predict)
+
+    @staticmethod
+    def _edit_rows(nt_values):
+        cfg = validate_config(dict(VERIFY_CFG, nt_values=nt_values), "verify-theorems")
+        result = run_experiment("verify-theorems", cfg)
+        return result, [row for row in result.rows if row["check"] == "edit"]
+
+    def test_a_nan_gap_never_decides_the_edit_gap_maximum(self, monkeypatch):
+        # A NaN prediction at n_t = 1 leaves the maximum of the other sizes'
+        # gaps, which a run over those sizes alone reports; all-NaN gaps
+        # leave the 0.0 the maximum starts from.
+        _, clean = self._edit_rows([10, 29])
+        self._with_nan_predictions(monkeypatch, first_only=True)
+        result, partly_nan = self._edit_rows([1, 10, 29])
+        assert result.passed is False and len(partly_nan) == len(clean) == 6
+        for nan_row, clean_row in zip(partly_nan, clean):
+            assert nan_row["pass"] is False and clean_row["pass"] is True
+            for column in ("edit_rl_gap_max", "edit_ul_gap_max"):
+                assert nan_row[column] == clean_row[column], column
+                assert type(nan_row[column]) is float
+        self._with_nan_predictions(monkeypatch, first_only=False)
+        _, all_nan = self._edit_rows([1, 10, 29])
+        assert [(row["edit_rl_gap_max"], row["edit_ul_gap_max"], row["pass"])
+                for row in all_nan] == [(0.0, 0.0, False)] * 6
+
+    @pytest.mark.parametrize("rel", [1e-8, 0.0])
+    def test_pass_cells_are_python_bools_and_render_true_or_false(self, rel):
+        cfg = validate_config(dict(VERIFY_CFG, tolerance={"rel": rel, "abs_floor": rel}),
+                              "verify-theorems")
+        result = run_experiment("verify-theorems", cfg)
+        assert all(type(row["pass"]) is bool for row in result.rows)
+        lines = render_csv(result).splitlines()
+        column = lines[2].split(",").index("pass")
+        cells = {line.split(",")[column] for line in lines[3:]}
+        assert cells == ({"true"} if rel else {"false"})
+
+    def test_every_number_cell_is_a_python_number(self):
+        # A numpy scalar would still format like a float; the rows hold
+        # plain Python values so that no cell depends on it.
+        for experiment, raw in (("verify-theorems", VERIFY_CFG), ("sweep-nt", NT_CFG),
+                                ("sweep-nt", NT_DISTINCT_CFG), ("sweep-overlap", OVERLAP_CFG)):
+            result = run_experiment(experiment, validate_config(raw, experiment))
+            for row in result.rows:
+                assert {type(value) for value in row.values()} <= {str, int, float, bool}, row
 
 
 class TestPrefixFactorization:
@@ -750,6 +819,22 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["sweep-nt", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("experiment,config,flags", [
+        ("sweep-nt", NT_CFG, ["--seeds", "3,3"]),
+        ("verify-theorems", VERIFY_CFG, ["--seeds", "0,1,0"]),
+        ("classifier-demo", dict(DEMO_CFG, seeds=[1, 1]), []),
+        ("sweep-overlap", dict(OVERLAP_CFG, seeds=[2, 0, 2]), []),
+    ])
+    def test_repeated_seeds_exit_two_with_one_line(self, tmp_path, capsys, experiment, config,
+                                                   flags):
+        out = tmp_path / "run.csv"
+        code = main([experiment, "--config", str(self._write_config(tmp_path, config)),
+                     "--out", str(out), *flags])
+        assert code == 2 and not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert "field 'seeds' must be a non-empty list without repeats" in lines[0]
 
     def test_bad_seeds_exits_two(self, tmp_path):
         config = self._write_config(tmp_path, VERIFY_CFG)

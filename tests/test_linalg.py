@@ -1,5 +1,7 @@
 """Unit and property tests for the dense linear-algebra kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -411,6 +413,27 @@ class TestStackedOracleKernels:
         p = projector(x, sv_cutoff=1e-8)
         assert p.dim == 5
         assert np.array_equal(p.complement(), np.eye(5) - p.matrix)
+
+    def test_a_stack_projector_never_holds_its_output_beside_the_right_factors(self):
+        # Holding the output, U, S and V^T at once is the least a projector
+        # that allocates its output before the SVD and keeps every factor
+        # until it returns needs; keeping only U, and allocating after the
+        # SVD, must lower the peak by at least the size of V^T.
+        x = np.random.default_rng(5).standard_normal((20, 40, 29))
+        u, s, vh = np.linalg.svd(x, full_matrices=False)
+        output = np.empty((20, 40, 40))
+        all_at_once = output.nbytes + u.nbytes + s.nbytes + vh.nbytes
+        del u, s, output
+        projector(x)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            p = projector(x)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert p.rank == (29,) * 20
+        assert all_at_once - peak >= vh.nbytes, (peak, all_at_once, vh.nbytes)
 
     def test_vectors_must_match_the_stack(self):
         x, _ = TestStackedSolves._stack((4, 5, 3))

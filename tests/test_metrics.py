@@ -1,5 +1,7 @@
 """Tests for loss measurement, gap reporting, and accuracy metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,21 @@ from unlearn_lab.metrics import (
     measure_losses,
     mse_loss,
 )
-from unlearn_lab.oracle import TheoremPrediction, predict_distinct, predict_edited
-from unlearn_lab.scenarios import FeatureLayout, fine_tune_subset, gen_scenario
-from unlearn_lab.solvers import EditOption, fine_tune_unlearn, retrain_golden, train_original
+from unlearn_lab.oracle import (
+    TheoremPrediction,
+    predict_distinct,
+    predict_edited,
+    predict_overlap,
+    within_tolerance,
+)
+from unlearn_lab.scenarios import FeatureLayout, fine_tune_subset, gen_scenario, stack_scenarios
+from unlearn_lab.solvers import (
+    EditOption,
+    edit_pretrained,
+    fine_tune_unlearn,
+    retrain_golden,
+    train_original,
+)
 
 
 class TestMseLoss:
@@ -132,6 +146,121 @@ class TestGapReport:
         assert (report.rl.measured, report.rl.predicted) == (0.25, 0.0)
         assert (report.ul.measured, report.ul.predicted) == (0.5, 0.5)
         assert not report.passed and not report.rl.ok and report.ul.ok
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestStackedReports:
+    """A stacked report and its comparisons give each member, and each
+    ``n_t``, the bits of its own scalar call."""
+
+    NT_VALUES = [1, 7, 15, 29]
+    # The shipped layouts, and a uniform one whose remaining data is rank
+    # deficient (30 samples on 6 coordinates).
+    CASES = [
+        (FeatureLayout(20, 0, 20), "standard-normal"),
+        (FeatureLayout(16, 8, 16), "standard-normal"),
+        (FeatureLayout(4, 2, 34), "uniform"),
+    ]
+
+    @pytest.mark.parametrize("layout,dist", CASES, ids=["distinct", "overlap", "rank-deficient"])
+    def test_stacked_losses_and_gaps_equal_each_members_scalar_calls(self, layout, dist):
+        scenarios = [gen_scenario(30, 10, layout, seed, dist) for seed in (0, 3, 8)]
+        stack = stack_scenarios(scenarios)
+        option = (EditOption.DISTINCT_ZERO_FORGET if layout.is_distinct
+                  else EditOption.OVERLAP_DISCARD)
+        w_o = train_original(stack)
+        edited = edit_pretrained(w_o, layout, option)
+        gold = measure_losses(retrain_golden(stack), stack, "golden")
+        by_nt = [measure_losses(fine_tune_unlearn(w, *fine_tune_subset(stack, n_t)), stack, tag)
+                 for n_t in self.NT_VALUES
+                 for w, tag in ((w_o, "fine_tuned"), (edited, "edited_fine_tuned"))]
+        assert gold.rl.shape == gold.ul.shape == (3,)
+        baselines = (predict_distinct if layout.is_distinct else predict_overlap)(stack)
+        edit_predictions = [runs for [runs] in predict_edited(stack, [option], self.NT_VALUES)]
+        for i, s in enumerate(scenarios):
+            own_gold = measure_losses(retrain_golden(s), s, "golden")
+            assert _bits([gold.rl[i], gold.ul[i]]) == _bits([own_gold.rl, own_gold.ul])
+            # One member's losses over n_t, as the row builders read them.
+            series = {tag: LossReport(rl=np.array([r.rl[i] for r in by_nt if r.model_tag == tag]),
+                                      ul=np.array([r.ul[i] for r in by_nt if r.model_tag == tag]),
+                                      model_tag=tag)
+                      for tag in ("fine_tuned", "edited_fine_tuned")}
+            predictions = edit_predictions[i]
+            over_nt = TheoremPrediction(rl_edit=np.array([p.rl_edit for p in predictions]),
+                                        ul_edit=np.array([p.ul_edit for p in predictions]))
+            for measured, predicted, each in (
+                    (series["fine_tuned"], baselines[i], [baselines[i]] * len(self.NT_VALUES)),
+                    (series["edited_fine_tuned"], over_nt, predictions)):
+                stacked = gap_report(measured, predicted)
+                alone = [gap_report(LossReport(rl=float(rl), ul=float(ul),
+                                               model_tag=measured.model_tag), p)
+                         for rl, ul, p in zip(measured.rl, measured.ul, each)]
+                for name in ("rl", "ul"):
+                    entry = getattr(stacked, name)
+                    entries = [getattr(report, name) for report in alone]
+                    for field in ("measured", "predicted", "abs_gap", "rel_gap"):
+                        stacked_field = np.broadcast_to(getattr(entry, field), len(entries))
+                        assert _bits(stacked_field) == _bits(
+                            [getattr(e, field) for e in entries]), (name, field)
+                    assert entry.ok.tolist() == [e.ok for e in entries]
+                assert stacked.passed is all(report.passed for report in alone) is True
+
+    def test_a_stacked_report_is_validated_once_as_a_whole(self):
+        report = LossReport(rl=np.zeros(3), ul=np.ones(3), model_tag="golden")
+        assert report.ul.shape == (3,)
+        with pytest.raises(ValueError, match="finite"):
+            LossReport(rl=np.array([0.0, np.nan]), ul=np.zeros(2), model_tag="golden")
+        with pytest.raises(ValueError, match="finite"):
+            LossReport(rl=np.array([-1.0, np.inf]), ul=np.zeros(2), model_tag="golden")
+        with pytest.raises(ValueError, match="nonnegative"):
+            LossReport(rl=np.zeros(2), ul=np.array([0.0, -1e-300]), model_tag="golden")
+        with pytest.raises(ValueError, match="one shape"):
+            LossReport(rl=np.zeros(2), ul=np.zeros(3), model_tag="golden")
+        with pytest.raises(ValueError, match="unknown model tag"):
+            LossReport(rl=np.zeros(2), ul=np.zeros(2), model_tag="mystery")
+
+    def test_zero_and_nan_predictions_compare_without_warnings(self):
+        # Zero prediction: zero gap -> rel 0 and pass; nonzero gap -> rel inf
+        # and fail.  NaN prediction: NaN gaps, and a fail.
+        measured = LossReport(rl=np.array([0.0, 0.5, 0.5]), ul=np.array([0.0, 1e-12, 0.5]),
+                              model_tag="edited_fine_tuned")
+        predicted = TheoremPrediction(rl_edit=np.array([0.0, 0.0, np.nan]),
+                                      ul_edit=np.array([0.0, 0.0, np.nan]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = gap_report(measured, predicted)
+            alone = [gap_report(LossReport(rl=rl, ul=ul, model_tag="edited_fine_tuned"),
+                                TheoremPrediction(rl_edit=p_rl, ul_edit=p_ul))
+                     for rl, ul, p_rl, p_ul in zip(measured.rl.tolist(), measured.ul.tolist(),
+                                                   predicted.rl_edit.tolist(),
+                                                   predicted.ul_edit.tolist())]
+            assert within_tolerance(np.array([1e300, np.inf]), np.array([-1e300, np.inf])).tolist() \
+                == [False, False]
+        assert report.rl.rel_gap[:2].tolist() == [0.0, np.inf]
+        assert report.ul.rel_gap[:2].tolist() == [0.0, np.inf]
+        assert np.isnan(report.rl.abs_gap[2]) and np.isnan(report.rl.rel_gap[2])
+        assert report.rl.ok.tolist() == [True, False, False]
+        # The absolute floor passes the tiny gap against a zero prediction.
+        assert report.ul.ok.tolist() == [True, True, False]
+        assert not report.passed
+        assert [a.rl.rel_gap for a in alone[:2]] == [0.0, np.inf]
+        assert np.isnan(alone[2].rl.rel_gap)
+        assert [a.rl.ok for a in alone] == [True, False, False]
+        assert [a.passed for a in alone] == [True, False, False]
+
+    def test_scalars_are_the_zero_dimensional_case(self):
+        report = gap_report(LossReport(rl=0.0, ul=0.6, model_tag="golden"), TestGapReport.PRED)
+        for entry in (report.rl, report.ul):
+            assert type(entry.abs_gap) is float and type(entry.rel_gap) is float
+            assert type(entry.ok) is bool
+        assert type(report.passed) is bool
+        assert within_tolerance(1.0, 1.0) is True and within_tolerance(1.0, 2.0) is False
+        ok = within_tolerance(np.array([1.0, 1.0 + 1e-9, 2.0]), 1.0)
+        assert ok.tolist() == [within_tolerance(m, 1.0) for m in (1.0, 1.0 + 1e-9, 2.0)]
+        assert ok.tolist() == [True, True, False]
 
 
 def _constant_logit_model(num_classes, feature_dim, favored):
