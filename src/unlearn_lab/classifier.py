@@ -32,6 +32,13 @@ stack.  A seed whose members run out of step-size halvings fails alone.
 Gradients are computed analytically and are checked against finite
 differences in the test suite.
 
+Every :class:`LabeledSet` holds C-contiguous features, whatever layout it
+was built from.  Gemm bits depend on the operands' layout, so one layout
+for every set is what lets a stack member reproduce its own run, and
+numpy's stacked gemms take their fast path on C-ordered features; a
+boolean-mask column selection (:func:`split_class`) returns Fortran
+order, on which the same products take two to five times as long.
+
 Each fit builds what its epochs share once and drops it when it ends:
 per set the ``(K, m)`` one-hot targets and the flat target index, which
 all seeds share (:class:`_Targets`), and the logits and column buffers
@@ -67,13 +74,18 @@ class LabeledSet:
     """Feature matrix (feature_dim x m) with integer class labels.
 
     A stack of sets that share their labels, one per seed, holds
-    ``(S, feature_dim, m)`` features.
+    ``(S, feature_dim, m)`` features.  The features are held C-contiguous,
+    whatever layout they are given in, so every set reaches the
+    cross-entropy kernel in the one layout whose gemms are fast and whose
+    bits a stack member shares with its own run.
     """
 
     features: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        # Copies only features in another layout.
+        object.__setattr__(self, "features", np.ascontiguousarray(self.features))
         if self.features.ndim not in (2, 3) or self.labels.ndim != 1:
             raise ValueError("features must be 2-D (3-D when stacked) and labels 1-D")
         if self.features.shape[-1] != self.labels.shape[0]:
@@ -252,7 +264,9 @@ class _StackCE:
     to seed ``n // (N // S)``.  The whole stack runs as
     ``(S, N // S, K, D)`` parameters against ``(S, 1, D, m)`` features,
     one broadcasting gemm per product; a stack that shrank after a
-    divergence pairs each member with its own seed's features.  Either
+    divergence pairs each member with its own seed's features.  The
+    features are C-contiguous (:class:`LabeledSet`), and so is each
+    seed's slice of them and each copy fancy indexing makes, so either
     way a member gets the bits of its seed's run alone.  A call returns
     the ``(n,)``, ``(n, K, D)`` and ``(n, K)`` outputs of its ``n``
     members.
@@ -277,7 +291,7 @@ class _StackCE:
         else:
             data, out, columns = self.targets, self.out[:n], self.columns[:, :n]
             if data.features.ndim == 3:
-                # Fancy indexing keeps each feature slice in its memory order.
+                # Fancy indexing copies each seed's C-ordered slice as it is.
                 seeds = members // (len(self.out) // len(data.features))
                 data = _Targets(data.features[seeds], data.onehot, data.flat)
         loss, grad_w, grad_b = _ce_value_and_grad(weights, bias, data, out, columns)
@@ -564,8 +578,9 @@ def run_seed_grid(
     grid = {}
     alive = seeds
     while alive:
-        # np.stack keeps each feature slice in its seed's memory order, and
-        # so the gemm bits of the seed's own run.
+        # Every seed's features are C-ordered (LabeledSet), and np.stack
+        # copies each one as it is: a seed's slice has the layout, and so
+        # the gemm bits, of its own run.
         train, remain, relabeled = (
             LabeledSet(np.stack([sets[seed][i].features for seed in alive]),
                        sets[alive[0]][i].labels)

@@ -194,7 +194,8 @@ REQUIRED = object()
 _COUNT = Domain("int", 0)
 
 # A repeated seed would repeat its rows, and its classifier mean/std rows
-# would count one run twice.
+# would count one run twice; a repeated value of any other list field
+# would repeat its rows too.
 _SEEDS = (REQUIRED, Domain("int", 0, 1 << 64, many=True, unique=True))
 _TOLERANCE = {
     "tolerance": (None, Domain("object")),
@@ -203,7 +204,8 @@ _TOLERANCE = {
 }
 _SIZES = {"n_r": (30, Domain("int", 2)), "n_f": (10, Domain("int", 1))}
 _DIST = ("standard-normal", Domain("enum", choices=("standard-normal", "uniform")))
-_LINEAR = {**_SIZES, "dist": _DIST, "nt_values": (None, Domain("int", 1, many=True))}
+_LINEAR = {**_SIZES, "dist": _DIST,
+           "nt_values": (None, Domain("int", 1, many=True, unique=True))}
 _CLASSIFIER = {
     "task": ({}, Domain("object")),
     "task.num_classes": (5, Domain("int", 2)),
@@ -214,7 +216,7 @@ _CLASSIFIER = {
     "epochs": (500, _COUNT),
     "step_size": (0.1, Domain("number", 0, bounds="()")),
 }
-_VARIANTS = Domain("enum", choices=VARIANTS + ("retrain",), many=True)
+_VARIANTS = Domain("enum", choices=VARIANTS + ("retrain",), many=True, unique=True)
 
 #: Each experiment's fields: name -> (default, domain).  A dotted name is
 #: a field of the object named by its prefix, which comes first.  Where
@@ -240,7 +242,7 @@ FIELDS = {
             **_SIZES,
             "n_t": (15, Domain("int", 1)),
             "dist": _DIST,
-            "d_lap_values": ([0, 2, 4, 8], Domain("int", 0, many=True)),
+            "d_lap_values": ([0, 2, 4, 8], Domain("int", 0, many=True, unique=True)),
         },
         "classifier-demo": {
             **_CLASSIFIER,
@@ -250,7 +252,8 @@ FIELDS = {
         "sweep-alpha": {
             **_CLASSIFIER,
             "variants": (["kl-ft"], _VARIANTS),
-            "alphas": ([0.1, 0.2, 0.4, 0.8], Domain("number", 0, 1, bounds="[]", many=True)),
+            "alphas": ([0.1, 0.2, 0.4, 0.8],
+                       Domain("number", 0, 1, bounds="[]", many=True, unique=True)),
         },
     }.items()
 }

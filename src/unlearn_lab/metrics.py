@@ -83,9 +83,12 @@ def mse_loss(w, x, y):
     one loss per member, each with the bits of its own call.
     """
     stacked = np.ndim(x) == 3
-    weights = as_vector(w, "w", stacked)
-    data = as_matrix(x, "x", stacked)
-    targets = as_vector(y, "y", stacked)
+    return _mse(as_vector(w, "w", stacked), as_matrix(x, "x", stacked),
+                as_vector(y, "y", stacked))
+
+
+def _mse(weights, data, targets):
+    """:func:`mse_loss` of validated arrays."""
     if (data.shape[-2] != weights.shape[-1] or data.shape[-1] != targets.shape[-1]
             or data.shape[:-2] != weights.shape[:-1] or data.shape[:-2] != targets.shape[:-1]):
         raise ValueError(
@@ -95,7 +98,7 @@ def mse_loss(w, x, y):
         raise ValueError("need at least one sample")
     residual = (np.swapaxes(data, -1, -2) @ weights[..., None])[..., 0] - targets
     losses = squared_norms(residual) / targets.shape[-1]
-    return losses if stacked else float(losses)
+    return losses if data.ndim == 3 else float(losses)
 
 
 def measure_losses(w, scenario: SyntheticScenario, model_tag: str) -> LossReport:
@@ -103,13 +106,13 @@ def measure_losses(w, scenario: SyntheticScenario, model_tag: str) -> LossReport
 
     For a stack of scenarios and weights ``(S, d)``, one report whose
     ``rl`` and ``ul`` are ``(S,)`` arrays, each member with the bits of
-    its own call.
+    its own call.  ``w`` is validated on every call and the scenario's
+    data once per scenario (:attr:`SyntheticScenario.checked_data`).
     """
+    x_r, y_r, x_f, y_f = scenario.checked_data
+    weights = as_vector(w, "w", x_r.ndim == 3)
     return LossReport(
-        rl=mse_loss(w, scenario.x_r, scenario.y_r),
-        ul=mse_loss(w, scenario.x_f, scenario.y_f),
-        model_tag=model_tag,
-    )
+        rl=_mse(weights, x_r, y_r), ul=_mse(weights, x_f, y_f), model_tag=model_tag)
 
 
 @dataclass(frozen=True)

@@ -438,8 +438,9 @@ def _assert_same_bits(got, want):
 class TestKernelExactness:
     """A member of a stacked cross-entropy evaluation gets the bits of its
     own 2-D evaluation.  Gemm results depend on the memory layout of the
-    features, so both the layout ``split_class`` returns (Fortran order)
-    and C order are held."""
+    features; a :class:`LabeledSet` holds them in C order, both as
+    ``split_class`` returns them and as an explicit C-ordered copy
+    (:class:`TestLayoutContract` holds other layouts to the same bits)."""
 
     @pytest.mark.parametrize("layout", ["as-split", "c-order"])
     def test_stack_of_24_equals_each_member_alone(self, layout):
@@ -450,8 +451,8 @@ class TestKernelExactness:
         for data in split_class(train, 0):
             if layout == "c-order":
                 data = LabeledSet(np.ascontiguousarray(data.features), data.labels)
-            assert data.features.flags.f_contiguous == (layout == "as-split")
-            assert data.features.flags.c_contiguous == (layout == "c-order")
+            assert data.features.flags.c_contiguous
+            assert not data.features.flags.f_contiguous
             loss, grad_w, grad_b = _ce_value_and_grad(weights, bias, data)
             for i in range(24):
                 alone = _ce_value_and_grad(weights[i], bias[i], data)
@@ -462,7 +463,8 @@ class TestKernelExactness:
     @staticmethod
     def _sets(layout):
         """A shipped-size remain set, a set whose labels miss the highest
-        class, and a set of 1e308 features whose logits overflow."""
+        class, and a set of 1e308 features whose logits overflow, built
+        from features in ``layout``; every set holds them in C order."""
         train, _ = gen_class_task(5, 100, 20, sep=4.0, seed=2)
         _, remain = split_class(train, 0)
         rng = np.random.default_rng(5)
@@ -476,6 +478,7 @@ class TestKernelExactness:
         else:
             sets = [LabeledSet(np.asfortranarray(s.features), s.labels) for s in sets]
         assert 4 not in sets[1].labels
+        assert all(s.features.flags.c_contiguous for s in sets)
         return sets
 
     @pytest.mark.parametrize("layout", ["fortran-order", "c-order"])
@@ -497,6 +500,102 @@ class TestKernelExactness:
                 _assert_same_bits(
                     _ce_value_and_grad(weights[0], bias[0], targets),
                     _reference_ce(weights[0], bias[0], data))
+
+
+class TestLayoutContract:
+    """A :class:`LabeledSet` holds C-contiguous features whatever layout it
+    is given, so every set of the pipeline reaches the kernel in one
+    layout and features given in Fortran order give the bits of their
+    C-ordered copy: through the kernel, through a fit and through
+    :func:`run_seed_grid`."""
+
+    TASK = ClassTask(num_classes=5, per_class=40, feature_dim=20, sep=4.0, forget_class=0)
+    PAIRS = [("retrain", 0.0), ("naive-ft", 0.5), ("kl-ft", 0.3), ("ice-ft", 0.3),
+             ("ce-ft", 0.6)]
+
+    @staticmethod
+    def _fortran(data):
+        features = np.asfortranarray(data.features)
+        assert not features.flags.c_contiguous
+        return LabeledSet(features, data.labels)
+
+    def test_the_pipeline_sets_hold_c_contiguous_features(self, monkeypatch):
+        train, test = gen_class_task(5, 40, 20, 4.0, seed=0)
+        forget, remain = split_class(train, 0)
+        relabeled = LabeledSet(forget.features, relabel_forget(forget.labels, 5))
+        sets = [train, test, forget, remain, relabeled, *split_class(test, 0)]
+        # run_seed_grid's stacked sets, as pretrain and unlearn_ft receive them.
+        stacked = []
+        real_pretrain, real_unlearn_ft = classifier.pretrain, classifier.unlearn_ft
+
+        def pretrain_spy(train, *args, **kwargs):
+            stacked.append(train)
+            return real_pretrain(train, *args, **kwargs)
+
+        def unlearn_ft_spy(starts, coefs, remain, forget, *args):
+            stacked.extend([remain, forget])
+            return real_unlearn_ft(starts, coefs, remain, forget, *args)
+
+        monkeypatch.setattr(classifier, "pretrain", pretrain_spy)
+        monkeypatch.setattr(classifier, "unlearn_ft", unlearn_ft_spy)
+        run_seed_grid(self.TASK, self.PAIRS, [0, 1], 5, 0.1)
+        assert [data.features.shape[0] for data in stacked] == [2, 2, 2]
+        for data in sets + stacked:
+            assert data.features.flags.c_contiguous
+
+    def test_a_fortran_ordered_input_gives_the_bits_of_its_c_copy(self):
+        train, _ = gen_class_task(5, 40, 20, 4.0, seed=4)
+        other, _ = gen_class_task(5, 40, 20, 4.0, seed=5)
+        c_sets = []
+        for data in (train, other):
+            forget, remain = split_class(data, 0)
+            relabeled = LabeledSet(forget.features, relabel_forget(forget.labels, 5))
+            c_sets.append([data, remain, relabeled])
+        # Two seeds' sets stacked as run_seed_grid stacks them.
+        c_sets.append([LabeledSet(np.stack([a.features, b.features]), a.labels)
+                       for a, b in zip(*c_sets)])
+        rng = np.random.default_rng(11)
+        weights, bias = rng.standard_normal((6, 5, 20)), rng.standard_normal((6, 5))
+        for sets in c_sets[:2]:
+            for data in sets:
+                fortran = self._fortran(data)
+                for w, b in ((weights, bias), (weights[0], bias[0])):
+                    _assert_same_bits(_ce_value_and_grad(w, b, fortran),
+                                      _ce_value_and_grad(w, b, data))
+
+        def fit(train, remain, relabeled):
+            model = pretrain(train, 50, 0.1, num_classes=5)
+            pairs = [("kl-ft", 0.3), ("ce-ft", 0.6), ("naive-ft", 0.0)]
+            return [model, *_unlearn_pairs(model, pairs, remain, relabeled, 50, 0.1)]
+
+        for sets in c_sets:
+            for got, want in zip(fit(*map(self._fortran, sets)), fit(*sets)):
+                assert np.array_equal(got.weights, want.weights)
+                assert np.array_equal(got.bias, want.bias)
+
+    def test_run_seed_grid_on_fortran_ordered_tasks_gives_the_same_models(self, monkeypatch):
+        real_metrics, real_task = classifier.classifier_metrics, classifier.gen_class_task
+
+        def run():
+            scored = []
+
+            def capture(final, *args, **kwargs):
+                scored.append(final)
+                return real_metrics(final, *args, **kwargs)
+
+            monkeypatch.setattr(classifier, "classifier_metrics", capture)
+            grid = run_seed_grid(self.TASK, self.PAIRS, [0, 1], 60, 0.1)
+            return [(m.ua, m.ra, m.ta) for seed in (0, 1) for m in grid[seed]], scored
+
+        want_rows, want_models = run()
+        monkeypatch.setattr(classifier, "gen_class_task", lambda *args: tuple(
+            self._fortran(data) for data in real_task(*args)))
+        got_rows, got_models = run()
+        assert got_rows == want_rows
+        assert len(got_models) == len(want_models) == 8
+        for got, want in zip(got_models, want_models):
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.bias, want.bias)
 
 
 class TestMixingExactness:

@@ -107,7 +107,8 @@ def _outside(domain, default):
     values = [] if default is None else [None]
     if domain.many:
         one = dataclasses.replace(domain, many=False, unique=False)
-        repeated = [[domain.low] * 2] if domain.unique else []
+        first = domain.choices[0] if domain.kind == "enum" else domain.low
+        repeated = [[first, first]] if domain.unique else []
         return values + [[], "x"] + repeated + [[value] for value in _outside(one, 0)]
     if domain.kind in ("int", "number"):
         closed_low, closed_high = domain.bounds[0] == "[", domain.bounds[1] == "]"

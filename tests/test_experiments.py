@@ -836,6 +836,22 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert "field 'seeds' must be a non-empty list without repeats" in lines[0]
 
+    @pytest.mark.parametrize("experiment,config,field,values", [
+        ("sweep-nt", NT_CFG, "nt_values", [5, 5, 7]),
+        ("sweep-overlap", OVERLAP_CFG, "d_lap_values", [0, 2, 4, 2]),
+        ("classifier-demo", DEMO_CFG, "variants", ["kl-ft", "retrain", "kl-ft"]),
+        ("sweep-alpha", ALPHA_CFG, "alphas", [0.1, 0.1]),
+    ])
+    def test_repeated_list_values_exit_two_with_one_line(self, tmp_path, capsys, experiment,
+                                                         config, field, values):
+        out = tmp_path / "run.csv"
+        config = self._write_config(tmp_path, dict(config, **{field: values}))
+        code = main([experiment, "--config", str(config), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert f"field '{field}' must be a non-empty list without repeats" in lines[0]
+
     def test_bad_seeds_exits_two(self, tmp_path):
         config = self._write_config(tmp_path, VERIFY_CFG)
         code = main([

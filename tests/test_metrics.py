@@ -1,12 +1,14 @@
 """Tests for loss measurement, gap reporting, and accuracy metrics."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from unlearn_lab import scenarios
 from unlearn_lab.classifier import LabeledSet, SoftmaxClassifier
-from unlearn_lab.errors import ProvenanceMismatchError
+from unlearn_lab.errors import InvalidMatrixError, ProvenanceMismatchError
 from unlearn_lab.metrics import (
     LossReport,
     Metrics,
@@ -88,6 +90,40 @@ class TestLossReport:
                     )
                     assert report.rl < 1e-9
                     assert report.ul < 1e-9
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    @pytest.mark.parametrize("name", ["x_r", "y_r", "x_f", "y_f"])
+    def test_a_non_finite_scenario_array_raises_the_error_of_mse_loss(self, name, stacked):
+        members = [gen_scenario(30, 10, FeatureLayout(16, 8, 16), seed) for seed in (0, 1)]
+        s = stack_scenarios(members) if stacked else members[0]
+        w = retrain_golden(s)
+        bad = getattr(s, name).copy()
+        bad[(-1,) * bad.ndim] = np.nan
+        s = dataclasses.replace(s, **{name: bad})
+        x, y = (s.x_r, s.y_r) if name.endswith("_r") else (s.x_f, s.y_f)
+        with pytest.raises(InvalidMatrixError) as direct:
+            mse_loss(w, x, y)
+        # A failed check is not remembered: every call raises.
+        for _ in range(2):
+            with pytest.raises(type(direct.value), match=f"^{name} contains non-finite entries$"):
+                measure_losses(w, s, "golden")
+
+    def test_the_data_is_checked_once_per_scenario_and_the_weights_on_every_call(
+        self, monkeypatch
+    ):
+        checked = []
+        real = scenarios.as_matrix
+        monkeypatch.setattr(scenarios, "as_matrix",
+                            lambda a, name, stacked: checked.append(name) or real(a, name, stacked))
+        s = stack_scenarios([gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed)
+                             for seed in (0, 1)])
+        w = retrain_golden(s)
+        reports = [measure_losses(w, s, "golden") for _ in range(3)]
+        assert checked == ["x_r", "x_f"]
+        assert all(_bits([r.rl, r.ul]) == _bits([reports[0].rl, reports[0].ul]) for r in reports)
+        w[1, 0] = np.inf
+        with pytest.raises(InvalidMatrixError, match="^w contains non-finite entries$"):
+            measure_losses(w, s, "golden")
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
