@@ -23,7 +23,7 @@ it would follow alone.  A config's seeds share their labels (the task
 layout fixes them), so :func:`run_seed_grid` stacks their features as
 ``(S, D, m)``: :func:`pretrain` trains every seed in one stack, and
 :func:`unlearn_ft`, the one stacked fine-tune, descends every seed's
-whole (variant, alpha) grid as a single ``(S, M, K, D)`` gradient
+whole (variant, alpha) grid as a single ``(S, M, K, D + 1)`` gradient
 descent, one broadcasting gemm per product.  A member is keyed by its
 start and its weights ``(c_r, c_f)``, and each distinct key descends
 once per seed: the ``kl-ft``/``ice-ft`` twins share one member, and the
@@ -39,15 +39,20 @@ numpy's stacked gemms take their fast path on C-ordered features; a
 boolean-mask column selection (:func:`split_class`) returns Fortran
 order, on which the same products take two to five times as long.
 
-Each fit builds what its epochs share once and drops it when it ends:
-per set the ``(K, m)`` one-hot targets and the flat target index, which
-all seeds share (:class:`_Targets`), and the logits and column buffers
-for the stack (:class:`_StackCE`), and for the fine-tune the mixing
-weights and the masks of members that use one term alone
-(:class:`_Objective`).  An epoch is then one stacked cross-entropy
-evaluation per set and one pass per mixed output, with the
-floating-point operations, and so the bits, of indexing the targets on
-every call.
+A fit carries each member as one ``(K, D + 1)`` parameter array whose
+last column is the bias: :func:`pretrain` starts it at zero,
+:func:`unlearn_ft` packs its starts into it, and both split their
+results back into weights and bias.  Each fit builds what its epochs
+share once and drops it when it ends: per set the ``(..., D + 1, m)``
+features with a ones row appended, so that one gemm adds the bias and
+one returns its gradient, and the ``(K, m)`` one-hot targets and the
+flat target index, which all seeds share (:class:`_Targets`); the logits
+and column buffers for the stack (:class:`_StackCE`); and for the
+fine-tune the mixing weights and the masks of members that use one term
+alone (:class:`_Objective`).  An epoch is then one stacked cross-entropy
+evaluation per set, one mix of the losses and one of the gradients, and
+one parameter update, with the floating-point operations, and so the
+bits, of indexing the targets on every call.
 """
 
 from __future__ import annotations
@@ -191,6 +196,10 @@ def relabel_forget(labels, num_classes: int) -> np.ndarray:
 class _Targets:
     """A labeled set as the cross-entropy kernel reads it, built once per fit.
 
+    ``features`` are the set's ``(..., D, m)`` features with a ones row
+    appended, C-contiguous ``(..., D + 1, m)``: against ``(K, D + 1)``
+    parameters whose last column is the bias, the forward gemm adds the
+    bias and the gradient gemm returns its gradient as the last column.
     ``onehot`` is the ``(K, m)`` target matrix, 1.0 at each column's
     label; ``flat`` indexes the targets of a ``(K, m)`` logits block
     flattened to ``K * m``, as ``labels * m + arange(m)``.  Stacked sets
@@ -207,19 +216,25 @@ class _Targets:
         cols = np.arange(m)
         onehot = np.zeros((num_classes, m))
         onehot[data.labels, cols] = 1.0
-        return cls(data.features, onehot, data.labels * m + cols)
+        lead, dim = data.features.shape[:-2], data.features.shape[-2]
+        features = np.empty(lead + (dim + 1, m))
+        features[..., :dim, :] = data.features
+        features[..., dim, :] = 1.0
+        return cls(features, onehot, data.labels * m + cols)
 
     @property
     def size(self) -> int:
         return self.flat.shape[0]
 
 
-def _ce_value_and_grad(weights, bias, data, out=None, columns=None):
+def _ce_value_and_grad(params, data, out=None, columns=None):
     """Mean cross-entropy against the labels of ``data`` and its parameter gradient.
 
-    ``weights`` is ``(..., K, D)`` and ``bias`` ``(..., K)``; leading axes
-    index a stack of models and carry over to the losses and gradients.
-    ``data`` is a :class:`LabeledSet`, or its :class:`_Targets`, which a fit
+    ``params`` is ``(..., K, D + 1)``: the weights, then the bias as the
+    last column.  Leading axes index a stack of models and carry over to
+    the ``(...)`` losses and the ``(..., K, D + 1)`` gradients, whose last
+    column is the bias gradient.  ``data`` is a :class:`LabeledSet`, or its
+    :class:`_Targets`, whose ones row the bias multiplies and which a fit
     builds once for all its epochs.  ``out``, if given, is the
     ``(..., K, m)`` buffer the logits use, and ``columns`` the
     ``(2, ..., m)`` buffer of the per-column maxima, sums and targets.
@@ -230,13 +245,12 @@ def _ce_value_and_grad(weights, bias, data, out=None, columns=None):
     ``0.0`` and NaN and inf pass through unchanged.
     """
     if isinstance(data, LabeledSet):
-        data = _Targets.of(data, weights.shape[-2])
+        data = _Targets.of(data, params.shape[-2])
     m = data.size
     # The logits turn into the logit gradient in place, and the per-column
     # values share two rows: a stack's fresh temporaries would cost more
     # than its arithmetic.
-    z = np.matmul(weights, data.features, out=out)
-    z += bias[..., None]
+    z = np.matmul(params, data.features, out=out)
     if columns is None:
         columns = np.empty((2,) + z.shape[:-2] + (m,))
     total, shifted_target = columns
@@ -250,8 +264,10 @@ def _ce_value_and_grad(weights, bias, data, out=None, columns=None):
     # np.add.reduce(...) / m is what .mean computes, without its overhead.
     loss = -(np.add.reduce(shifted_target, axis=-1) / m)
     z -= data.onehot
-    z /= m
-    return loss, z @ np.swapaxes(data.features, -1, -2), np.add.reduce(z, axis=-1)
+    # Dividing the (K, D + 1) gradient by m is cheaper than the (K, m) z.
+    grad = z @ np.swapaxes(data.features, -1, -2)
+    grad /= m
+    return loss, grad
 
 
 class _StackCE:
@@ -262,14 +278,15 @@ class _StackCE:
     column buffers of :func:`_ce_value_and_grad`.  With the ``(S, D, m)``
     features of ``S`` seeds the stack is seed-major: member ``n`` belongs
     to seed ``n // (N // S)``.  The whole stack runs as
-    ``(S, N // S, K, D)`` parameters against ``(S, 1, D, m)`` features,
-    one broadcasting gemm per product; a stack that shrank after a
-    divergence pairs each member with its own seed's features.  The
-    features are C-contiguous (:class:`LabeledSet`), and so is each
-    seed's slice of them and each copy fancy indexing makes, so either
-    way a member gets the bits of its seed's run alone.  A call returns
-    the ``(n,)``, ``(n, K, D)`` and ``(n, K)`` outputs of its ``n``
-    members.
+    ``(S, N // S, K, D + 1)`` parameters, the bias as their last column,
+    against ``(S, 1, D + 1, m)`` features with their ones row, one
+    broadcasting gemm per product; a stack that shrank after a divergence
+    pairs each member with its own seed's features.  The features are
+    C-contiguous (:class:`_Targets`), and so is each seed's slice of them
+    and each copy fancy indexing makes, so either way a member gets the
+    bits of its seed's run alone.  A call on the ``(n, K, D + 1)``
+    parameters of ``n`` members returns their ``(n,)`` losses and
+    ``(n, K, D + 1)`` gradients.
     """
 
     def __init__(self, data: LabeledSet, num_classes: int, stack: int):
@@ -283,19 +300,19 @@ class _StackCE:
             self.columns.reshape((2,) + self.lead + (data.size,)),
         )
 
-    def __call__(self, weights, bias, members):
-        n, k, d = weights.shape
+    def __call__(self, params, members):
+        n, k, d = params.shape
         if n == len(self.out):
             data, out, columns = self.whole
-            weights, bias = weights.reshape(self.lead + (k, d)), bias.reshape(self.lead + (k,))
+            params = params.reshape(self.lead + (k, d))
         else:
             data, out, columns = self.targets, self.out[:n], self.columns[:, :n]
             if data.features.ndim == 3:
                 # Fancy indexing copies each seed's C-ordered slice as it is.
                 seeds = members // (len(self.out) // len(data.features))
                 data = _Targets(data.features[seeds], data.onehot, data.flat)
-        loss, grad_w, grad_b = _ce_value_and_grad(weights, bias, data, out, columns)
-        return loss.reshape(n), grad_w.reshape(n, k, d), grad_b.reshape(n, k)
+        loss, grad = _ce_value_and_grad(params, data, out, columns)
+        return loss.reshape(n), grad.reshape(n, k, d)
 
 
 def ft_coefficients(variant: str, alpha: float) -> tuple[float, float]:
@@ -317,7 +334,8 @@ def ft_coefficients(variant: str, alpha: float) -> tuple[float, float]:
 def _mixing(coef_r: np.ndarray, coef_f: np.ndarray) -> list[tuple]:
     """How :func:`_mix` combines each output of a stack of objectives.
 
-    Per output (loss, weight gradient, bias gradient): ``coef_r`` and
+    Per output, the ``(n,)`` losses and the ``(n, K, D + 1)`` gradients
+    whose last column is the bias gradient: ``coef_r`` and
     ``coef_f`` shaped to broadcast against it, then the masks of the
     members that use the remain term alone (``coef_f == 0``) and the
     forget term alone (``coef_r == 0``), each ``None`` where no member
@@ -329,14 +347,16 @@ def _mixing(coef_r: np.ndarray, coef_f: np.ndarray) -> list[tuple]:
     return [
         tuple(None if part is None else part.reshape(part.shape + (1,) * extra)
               for part in parts)
-        for extra in (0, 2, 1)
+        for extra in (0, 2)
     ]
 
 
 def _mix(r, f, coef_r, coef_f, remain_only, forget_only):
     """``coef_r * r + coef_f * f``, but ``r`` where ``remain_only`` and else
     ``f`` where ``forget_only``: an unused term is selected away rather
-    than multiplied by zero, so it cannot leak a non-finite value."""
+    than multiplied by zero, so it cannot leak a non-finite value.  A
+    gradient carries the bias gradient as its last column, so one mix
+    covers every parameter."""
     mixed = np.asarray(coef_r * r)
     mixed += coef_f * f
     if forget_only is not None:
@@ -368,29 +388,30 @@ class _Objective:
         self.mixing = _mixing(*self.coefs)
         self.terms = [_StackCE(data, num_classes, self.coefs[0].size) for data in (remain, forget)]
 
-    def __call__(self, weights, bias, members):
+    def __call__(self, params, members):
         mixing = self.mixing
         if members.size < self.coefs[0].size:
             mixing = _mixing(*(coef[members] for coef in self.coefs))
-        remain_terms, forget_terms = (term(weights, bias, members) for term in self.terms)
+        remain_terms, forget_terms = (term(params, members) for term in self.terms)
         return tuple(_mix(r, f, *how) for r, f, how in zip(remain_terms, forget_terms, mixing))
 
 
 def fit_softmax(
-    weights: np.ndarray,
-    bias: np.ndarray,
+    params: np.ndarray,
     value_and_grad: Callable,
     epochs: int,
     step_size: float,
 ):
     """Full-batch gradient descent engine for a stack of models.
 
-    ``weights`` is ``(M, K, D)`` and ``bias`` ``(M, K)``: M members that
-    descend together for ``epochs`` deterministic steps.
-    ``value_and_grad(w, b, members)`` receives the parameters of the
-    members still running and their indices into the stack, and returns
-    their losses ``(m,)`` and gradients.  Members never interact, so each
-    one follows exactly the trajectory it would follow alone.
+    ``params`` is ``(M, K, D + 1)``, each member's weights with its bias as
+    the last column: M members that descend together for ``epochs``
+    deterministic steps, one update of one array per epoch.
+    ``value_and_grad(p, members)`` receives the parameters of the members
+    still running and their indices into the stack, and returns their
+    losses ``(m,)`` and their gradients, shaped like ``p``.  Members never
+    interact, so each one follows exactly the trajectory it would follow
+    alone.
 
     A member whose loss turns non-finite leaves the stack.  When the
     others have finished, the members that left restart together from
@@ -400,37 +421,36 @@ def fit_softmax(
     step-size hint; its ``members`` are the indices of every member that
     ran out of halvings.
 
-    Returns the final parameters and the ``(M, epochs)`` loss trace of
-    each member's successful attempt.
+    Returns the final ``(M, K, D + 1)`` parameters and the ``(M, epochs)``
+    loss trace of each member's successful attempt.
     """
-    if weights.ndim != 3 or bias.ndim != 2:
-        raise ValueError("fit_softmax takes a stack: weights (M, K, D) and bias (M, K)")
-    final_w, final_b = weights.copy(), bias.copy()
-    trace = np.empty((weights.shape[0], epochs))
-    pending = np.arange(weights.shape[0])
+    if params.ndim != 3:
+        raise ValueError("fit_softmax takes a stack: parameters (M, K, D + 1)")
+    final = params.copy()
+    trace = np.empty((params.shape[0], epochs))
+    pending = np.arange(params.shape[0])
     for attempt in range(MAX_HALVINGS + 1):
         step = step_size / (2.0 ** attempt)
         members = pending
-        w, b = weights[members], bias[members]
+        p = params[members]
         diverged = []
         for epoch in range(epochs):
             # Divergence is detected via the loss value; silence the
             # redundant overflow warnings on that path.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grad_w, grad_b = value_and_grad(w, b, members)
+                loss, grad = value_and_grad(p, members)
             finite = np.isfinite(loss)
             if not finite.all():
                 diverged.append(members[~finite])
-                members, w, b = members[finite], w[finite], b[finite]
-                loss, grad_w, grad_b = loss[finite], grad_w[finite], grad_b[finite]
+                members, p = members[finite], p[finite]
+                loss, grad = loss[finite], grad[finite]
                 if not members.size:
                     break
             trace[members, epoch] = loss
-            w -= step * grad_w
-            b -= step * grad_b
-        final_w[members], final_b[members] = w, b
+            p -= step * grad
+        final[members] = p
         if not diverged:
-            return final_w, final_b, trace
+            return final, trace
         pending = np.sort(np.concatenate(diverged))
     raise _divergence(pending, step)
 
@@ -440,6 +460,15 @@ def _divergence(members: np.ndarray, step: float) -> DivergenceError:
     return DivergenceError(
         f"loss of {members.size} model(s) became non-finite even at step size "
         f"{step:.3e}; try a smaller step_size", members)
+
+
+def _split(params: np.ndarray) -> SoftmaxClassifier:
+    """The model of ``(..., K, D + 1)`` parameters whose last column is the
+    bias.  The weights are copied to C order: gemm bits depend on the
+    operands' layout, and so scoring a model multiplies C-ordered weights
+    whichever stack they came from."""
+    return SoftmaxClassifier(
+        weights=np.ascontiguousarray(params[..., :-1]), bias=params[..., -1].copy())
 
 
 def pretrain(
@@ -459,14 +488,12 @@ def pretrain(
         num_classes = int(train.labels.max()) + 1
     lead = train.features.shape[:-2]
     stack = math.prod(lead)
-    w, b, _ = fit_softmax(
-        np.zeros((stack, num_classes, train.features.shape[-2])),
-        np.zeros((stack, num_classes)),
+    params, _ = fit_softmax(
+        np.zeros((stack, num_classes, train.features.shape[-2] + 1)),
         _StackCE(train, num_classes, stack),
         epochs, step_size,
     )
-    return SoftmaxClassifier(
-        weights=w.reshape(lead + w.shape[1:]), bias=b.reshape(lead + b.shape[1:]))
+    return _split(params.reshape(lead + params.shape[1:]))
 
 
 def unlearn_ft(
@@ -499,21 +526,21 @@ def unlearn_ft(
         np.column_stack([start_of, coefs]), axis=0, return_inverse=True
     )
     key_start = keys[:, 0].astype(int)
-    # (..., M, K, D): one member per key of each seed, seed-major when flat.
-    weights = np.stack([starts[i].weights for i in key_start], axis=-3)
-    bias = np.stack([starts[i].bias for i in key_start], axis=-2)
+    # (..., M, K, D + 1): one member per key of each seed, seed-major when
+    # flat, each the start's weights and then its bias as the last column.
+    params = np.stack([np.concatenate([starts[i].weights, starts[i].bias[..., None]], axis=-1)
+                       for i in key_start], axis=-3)
     try:
-        w, b, _ = fit_softmax(
-            weights.reshape((-1,) + weights.shape[-2:]), bias.reshape(-1, bias.shape[-1]),
+        final, _ = fit_softmax(
+            params.reshape((-1,) + params.shape[-2:]),
             _Objective(remain, forget, keys[:, 1], keys[:, 2], starts[0].num_classes),
             epochs, step_size,
         )
     except DivergenceError as exc:
         exc.members = exc.members // len(keys)
         raise
-    w, b = w.reshape(weights.shape), b.reshape(bias.shape)
-    finals = [SoftmaxClassifier(weights=w[..., k, :, :], bias=b[..., k, :])
-              for k in range(len(keys))]
+    final = final.reshape(params.shape)
+    finals = [_split(final[..., k, :, :]) for k in range(len(keys))]
     return [finals[k] for k in inverse.ravel()]
 
 

@@ -4,11 +4,17 @@ These evaluate an objective once, at given parameters, through the same
 cross-entropy kernel and mixing that a fit's stacked objective uses, but
 without its per-fit targets, buffers or flat stack; the tests compare
 the fits against them and against finite differences.
+
+The kernel and the engine carry each model as one ``(K, D + 1)``
+parameter array whose last column is the bias.  The helpers here take
+and return weights and bias apart: they pack ``[W | b]`` on the way in
+and split the gradient's last column off as the bias gradient on the way
+out, which moves bits without rounding them.
 """
 
 import numpy as np
 
-from unlearn_lab.classifier import _ce_value_and_grad, _mix, _mixing, ft_coefficients
+from unlearn_lab.classifier import _ce_value_and_grad, _mix, _mixing, fit_softmax, ft_coefficients
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -16,6 +22,35 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-2, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-2, keepdims=True)
+
+
+def pack(weights, bias):
+    """``(..., K, D + 1)`` parameters: the weights, then the bias column."""
+    return np.concatenate([weights, np.asarray(bias)[..., None]], axis=-1)
+
+
+def split(loss, grad):
+    """``(loss, grad)`` of packed parameters as ``(loss, grad_w, grad_b)``."""
+    return loss, grad[..., :-1], grad[..., -1]
+
+
+def ce_value_and_grad(weights, bias, data):
+    """The cross-entropy kernel at weights and bias given apart."""
+    return split(*_ce_value_and_grad(pack(weights, bias), data))
+
+
+def fit_softmax_split(weights, bias, value_and_grad, epochs, step_size):
+    """:func:`fit_softmax` on weights and bias given apart.
+
+    ``value_and_grad(w, b, members)`` returns ``(loss, grad_w, grad_b)``;
+    the result is ``(weights, bias, trace)``.
+    """
+    def packed(params, members):
+        loss, grad_w, grad_b = value_and_grad(params[..., :-1], params[..., -1], members)
+        return loss, pack(grad_w, grad_b)
+
+    params, trace = fit_softmax(pack(weights, bias), packed, epochs, step_size)
+    return params[..., :-1], params[..., -1], trace
 
 
 def _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f):
@@ -27,9 +62,10 @@ def _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f):
     cannot make the loss non-finite, and a one-weight term contributes
     its exact bits.
     """
+    params = pack(weights, bias)
     mixing = _mixing(np.asarray(coef_r, dtype=np.float64), np.asarray(coef_f, dtype=np.float64))
-    terms = (_ce_value_and_grad(weights, bias, data) for data in (remain, forget))
-    return tuple(_mix(r, f, *how) for r, f, how in zip(*terms, mixing))
+    terms = (_ce_value_and_grad(params, data) for data in (remain, forget))
+    return split(*(_mix(r, f, *how) for r, f, how in zip(*terms, mixing)))
 
 
 def objective_value_and_grad(weights, bias, remain, forget, variant, alpha):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unlearn_lab import classifier, experiments
 from unlearn_lab.cli import main
@@ -16,7 +18,6 @@ from unlearn_lab.classifier import (
     _ce_value_and_grad,
     _Objective,
     _Targets,
-    fit_softmax,
     ft_coefficients,
     gen_class_task,
     pretrain,
@@ -26,10 +27,19 @@ from unlearn_lab.classifier import (
     unlearn_ft,
 )
 from unlearn_lab.errors import DivergenceError
+from unlearn_lab.experiments import FIELDS, validate_config
 from unlearn_lab.linalg import TOL_IDEM, projector
 from unlearn_lab.metrics import accuracy
 
-from softmax_reference import _mixed_value_and_grad, objective_value_and_grad, softmax_probs
+from softmax_reference import (
+    _mixed_value_and_grad,
+    ce_value_and_grad,
+    fit_softmax_split,
+    objective_value_and_grad,
+    pack,
+    softmax_probs,
+    split,
+)
 
 
 def _small_problem(seed, num_classes=5, dim=8, per_class=6):
@@ -58,7 +68,7 @@ def _fit_alone(weights, bias, value_and_grad, epochs, step_size):
         loss, grad_w, grad_b = value_and_grad(w[0], b[0])
         return np.asarray(loss)[None], grad_w[None], grad_b[None]
 
-    w, b, trace = fit_softmax(weights[None], bias[None], stacked, epochs, step_size)
+    w, b, trace = fit_softmax_split(weights[None], bias[None], stacked, epochs, step_size)
     return w[0], b[0], trace[0].tolist()
 
 
@@ -214,7 +224,10 @@ class TestObjectiveStructure:
         # The kl-ft regularizer runs through the cross-entropy kernel; this
         # pins the identity it relies on, from the divergence formula.
         _, forget, weights, bias = _small_problem(16)
-        logits = weights @ forget.features + bias[:, None]
+        # The logits of [W | b] @ [X; 1], the product the kernel makes.
+        params = pack(weights, bias)
+        features = np.vstack([forget.features, np.ones(forget.size)])
+        logits = params @ features
         shifted = logits - logits.max(axis=0, keepdims=True)
         log_p = shifted - np.log(np.exp(shifted).sum(axis=0, keepdims=True))
         cols = np.arange(forget.size)
@@ -224,12 +237,11 @@ class TestObjectiveStructure:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(onehot > 0.0, onehot * (np.log(onehot) - log_p), 0.0)
         kl = terms.sum(axis=0).mean()
-        kl_grad_logits = (softmax_probs(logits) - onehot) / forget.size
+        kl_grad = (softmax_probs(logits) - onehot) @ features.T / forget.size
 
-        ce, grad_w, grad_b = _ce_value_and_grad(weights, bias, forget)
+        ce, grad = _ce_value_and_grad(params, forget)
         assert kl == ce
-        np.testing.assert_array_equal(grad_w, kl_grad_logits @ forget.features.T)
-        np.testing.assert_array_equal(grad_b, kl_grad_logits.sum(axis=1))
+        np.testing.assert_array_equal(grad, kl_grad)
 
 
 class TestFitEngine:
@@ -266,7 +278,7 @@ class TestFitEngine:
     def test_unstacked_parameters_rejected(self):
         remain, forget, weights, bias = _small_problem(18)
         with pytest.raises(ValueError, match="stack"):
-            fit_softmax(
+            fit_softmax_split(
                 weights, bias,
                 lambda w, b, _members: objective_value_and_grad(
                     w, b, remain, forget, "naive-ft", 0.0
@@ -397,10 +409,30 @@ class TestSeedGrid:
                 self.TASK, [("kl-ft", 0.5), ("gradient-ascent", 0.5)], [0], *self.SCHEDULE)
 
 
-def _reference_ce(weights, bias, data):
-    """The cross-entropy kernel as first written: fancy-index gather and
-    scatter of the targets and ``.mean`` for the loss.  The rewritten
-    kernel must give these bits."""
+def _reference_ce(params, data):
+    """The cross-entropy kernel written plainly, in its operation order:
+    the bias as a ones row of the features, fancy-index gather and scatter
+    of the targets, ``.mean`` for the loss and ``/ m`` after the gradient
+    gemm.  The kernel must give these bits."""
+    m = data.size
+    cols = np.arange(m)
+    features = np.concatenate([data.features, np.ones(data.features.shape[:-2] + (1, m))], axis=-2)
+    z = params @ features
+    z -= z.max(axis=-2, keepdims=True)
+    shifted_target = z[..., data.labels, cols]
+    np.exp(z, out=z)
+    total = z.sum(axis=-2, keepdims=True)
+    loss = -(shifted_target - np.log(total[..., 0, :])).mean(axis=-1)
+    z /= total
+    z[..., data.labels, cols] -= 1.0
+    return loss, z @ np.swapaxes(features, -1, -2) / m
+
+
+def _first_written_ce(weights, bias, data):
+    """The cross-entropy kernel as first written, with weights and bias
+    apart: the bias added to the logits, ``/ m`` on the logit gradient and
+    a sum over it for the bias gradient.  Its rounding differs from the
+    kernel's, so it checks the kernel to a tolerance."""
     m = data.size
     cols = np.arange(m)
     z = np.matmul(weights, data.features)
@@ -416,11 +448,11 @@ def _reference_ce(weights, bias, data):
     return loss, z @ data.features.T, z.sum(axis=-1)
 
 
-def _reference_mixed(weights, bias, remain, forget, coef_r, coef_f):
+def _reference_mixed(params, remain, forget, coef_r, coef_f):
     """The mixing as first written: nested ``np.where`` over the
     reference kernel's terms."""
     mixed = []
-    for r, f in zip(_reference_ce(weights, bias, remain), _reference_ce(weights, bias, forget)):
+    for r, f in zip(_reference_ce(params, remain), _reference_ce(params, forget)):
         shape = np.shape(coef_r) + (1,) * (r.ndim - np.ndim(coef_r))
         c_r = np.reshape(coef_r, shape)
         c_f = np.reshape(coef_f, shape)
@@ -429,7 +461,7 @@ def _reference_mixed(weights, bias, remain, forget, coef_r, coef_f):
 
 
 def _assert_same_bits(got, want):
-    assert len(got) == len(want) == 3
+    assert len(got) == len(want) in (2, 3)
     for g, w in zip(got, want):
         assert np.shape(g) == np.shape(w)
         assert np.array_equal(g, w, equal_nan=True)
@@ -446,19 +478,17 @@ class TestKernelExactness:
     def test_stack_of_24_equals_each_member_alone(self, layout):
         train, _ = gen_class_task(5, 100, 20, sep=4.0, seed=0)
         rng = np.random.default_rng(8)
-        weights = rng.standard_normal((24, 5, 20))
-        bias = rng.standard_normal((24, 5))
+        params = pack(rng.standard_normal((24, 5, 20)), rng.standard_normal((24, 5)))
         for data in split_class(train, 0):
             if layout == "c-order":
                 data = LabeledSet(np.ascontiguousarray(data.features), data.labels)
             assert data.features.flags.c_contiguous
             assert not data.features.flags.f_contiguous
-            loss, grad_w, grad_b = _ce_value_and_grad(weights, bias, data)
+            loss, grad = _ce_value_and_grad(params, data)
             for i in range(24):
-                alone = _ce_value_and_grad(weights[i], bias[i], data)
+                alone = _ce_value_and_grad(params[i], data)
                 assert np.array_equal(loss[i], alone[0])
-                assert np.array_equal(grad_w[i], alone[1])
-                assert np.array_equal(grad_b[i], alone[2])
+                assert np.array_equal(grad[i], alone[1])
 
     @staticmethod
     def _sets(layout):
@@ -485,21 +515,89 @@ class TestKernelExactness:
     @pytest.mark.parametrize("stack", [1, 4, 24])
     def test_kernel_equals_the_reference_formula(self, layout, stack):
         rng = np.random.default_rng(stack)
-        weights = rng.standard_normal((stack, 5, 20))
-        bias = rng.standard_normal((stack, 5))
+        params = pack(rng.standard_normal((stack, 5, 20)), rng.standard_normal((stack, 5)))
         for data in self._sets(layout):
             with np.errstate(all="ignore"):
-                want = _reference_ce(weights, bias, data)
-                _assert_same_bits(_ce_value_and_grad(weights, bias, data), want)
+                want = _reference_ce(params, data)
+                _assert_same_bits(_ce_value_and_grad(params, data), want)
                 # As a fit calls it: targets built once, one reused buffer.
                 targets = _Targets.of(data, 5)
                 buffer = np.empty((stack, 5, data.size))
                 for _ in range(2):
-                    _assert_same_bits(_ce_value_and_grad(weights, bias, targets, buffer), want)
+                    _assert_same_bits(_ce_value_and_grad(params, targets, buffer), want)
                 # An unstacked model.
                 _assert_same_bits(
-                    _ce_value_and_grad(weights[0], bias[0], targets),
-                    _reference_ce(weights[0], bias[0], data))
+                    _ce_value_and_grad(params[0], targets), _reference_ce(params[0], data))
+
+    @pytest.mark.parametrize("stack", [1, 4, 24])
+    def test_kernel_is_close_to_the_formula_as_first_written(self, stack):
+        # The 1e308 set overflows, so only the finite sets compare.  The two
+        # orders differ by a few eps of each output's largest entry (at most
+        # 3.2 over 30 draws of these sets); small gradient entries cancel,
+        # so the bound is on that scale, not on each entry's own.
+        rng = np.random.default_rng(stack)
+        weights, bias = rng.standard_normal((stack, 5, 20)), rng.standard_normal((stack, 5))
+        for data in self._sets("c-order")[:2]:
+            got = split(*_ce_value_and_grad(pack(weights, bias), data))
+            for g, w in zip(got, _first_written_ce(weights, bias, data)):
+                assert np.isfinite(w).all()
+                bound = 16 * np.finfo(np.float64).eps * np.abs(w).max()
+                np.testing.assert_allclose(g, w, rtol=0.0, atol=bound)
+
+
+class TestOnesRowContract:
+    """A fit reads each set as C-contiguous ``(..., D + 1, m)`` features
+    whose last row is exactly 1.0, built once per set per fit, and carries
+    each model as ``(K, D + 1)`` parameters whose last column is the bias:
+    the models it returns hold those columns apart, bit for bit."""
+
+    @staticmethod
+    def _stacked_sets():
+        sets = []
+        for seed in (0, 1):
+            train, _ = gen_class_task(4, 6, 5, sep=3.0, seed=seed)
+            forget, remain = split_class(train, 1)
+            sets.append([train, remain, LabeledSet(forget.features,
+                                                   relabel_forget(forget.labels, 4))])
+        return [LabeledSet(np.stack([a.features, b.features]), a.labels)
+                for a, b in zip(*sets)]
+
+    def test_targets_append_a_ones_row_to_c_contiguous_features(self):
+        train, _ = gen_class_task(4, 6, 5, sep=3.0, seed=0)
+        fortran = LabeledSet(np.asfortranarray(train.features), train.labels)
+        for data in (train, *split_class(train, 1), fortran, *self._stacked_sets()):
+            features = _Targets.of(data, 4).features
+            assert features.shape == data.features.shape[:-2] + (6, data.size)
+            assert features.flags.c_contiguous
+            assert np.array_equal(features[..., :-1, :], data.features)
+            assert np.all(features[..., -1, :] == 1.0)
+
+    def test_one_build_per_set_per_fit_and_the_bias_is_the_last_column(self, monkeypatch):
+        train, remain, relabeled = self._stacked_sets()
+        built, fitted = [], []
+        real_of, real_fit = _Targets.of, classifier.fit_softmax
+
+        def counting(cls, data, num_classes):
+            built.append(data)
+            return real_of(data, num_classes)
+
+        def keeping(*args, **kwargs):
+            params, trace = real_fit(*args, **kwargs)
+            fitted.append(params)
+            return params, trace
+
+        monkeypatch.setattr(_Targets, "of", classmethod(counting))
+        monkeypatch.setattr(classifier, "fit_softmax", keeping)
+        model = pretrain(train, 20, 0.1, num_classes=4)
+        assert [id(data) for data in built] == [id(train)]
+        coefs = [ft_coefficients("naive-ft", 0.0), ft_coefficients("kl-ft", 0.5)]
+        finals = unlearn_ft([model, model], coefs, remain, relabeled, 20, 0.1)
+        assert [id(data) for data in built] == [id(train), id(remain), id(relabeled)]
+        # Flat stacks, seed-major: (S, K, D + 1) and then (S, M, K, D + 1).
+        pretrained, tuned = fitted[0].reshape(2, 4, 6), fitted[1].reshape(2, 2, 4, 6)
+        for got, params in ((model, pretrained), *zip(finals, np.swapaxes(tuned, 0, 1))):
+            assert np.array_equal(got.weights, params[..., :-1])
+            assert np.array_equal(got.bias, params[..., -1])
 
 
 class TestLayoutContract:
@@ -560,8 +658,8 @@ class TestLayoutContract:
             for data in sets:
                 fortran = self._fortran(data)
                 for w, b in ((weights, bias), (weights[0], bias[0])):
-                    _assert_same_bits(_ce_value_and_grad(w, b, fortran),
-                                      _ce_value_and_grad(w, b, data))
+                    _assert_same_bits(ce_value_and_grad(w, b, fortran),
+                                      ce_value_and_grad(w, b, data))
 
         def fit(train, remain, relabeled):
             model = pretrain(train, 50, 0.1, num_classes=5)
@@ -619,21 +717,24 @@ class TestMixingExactness:
     @pytest.mark.parametrize("overflow", [False, True])
     def test_one_call_equals_the_nested_where(self, overflow):
         remain, forget, weights, bias = self._problem(overflow)
+        params = pack(weights, bias)
         c_r, c_f = self.COEFS.T
         with np.errstate(all="ignore"):
-            want = _reference_mixed(weights, bias, remain, forget, c_r, c_f)
-            _assert_same_bits(_mixed_value_and_grad(weights, bias, remain, forget, c_r, c_f), want)
+            want = _reference_mixed(params, remain, forget, c_r, c_f)
+            _assert_same_bits(_mixed_value_and_grad(weights, bias, remain, forget, c_r, c_f),
+                              split(*want))
         assert np.isfinite(want[0]).tolist() == [True, not overflow, not overflow,
                                                  not overflow, True, True]
         for i, (a, b) in enumerate(self.COEFS):
             with np.errstate(all="ignore"):
                 _assert_same_bits(
                     _mixed_value_and_grad(weights[i], bias[i], remain, forget, a, b),
-                    _reference_mixed(weights[i], bias[i], remain, forget, a, b))
+                    split(*_reference_mixed(params[i], remain, forget, a, b)))
 
     @pytest.mark.parametrize("overflow", [False, True])
     def test_a_fit_objective_equals_the_nested_where_after_the_stack_shrinks(self, overflow):
         remain, forget, weights, bias = self._problem(overflow)
+        params = pack(weights, bias)
         c_r, c_f = self.COEFS.T
         objective = _Objective(remain, forget, c_r, c_f, 5)
         everyone = np.arange(len(self.COEFS))
@@ -641,9 +742,9 @@ class TestMixingExactness:
         # divergence, then the full stack again on the reused buffers.
         for members in (everyone, np.array([1, 3, 5]), np.array([0]), everyone):
             with np.errstate(all="ignore"):
-                got = objective(weights[members], bias[members], members)
+                got = objective(params[members], members)
                 want = _reference_mixed(
-                    weights[members], bias[members], remain, forget, c_r[members], c_f[members])
+                    params[members], remain, forget, c_r[members], c_f[members])
             _assert_same_bits(got, want)
 
 
@@ -654,15 +755,15 @@ def fits(monkeypatch):
     calls = []
     real = classifier.fit_softmax
 
-    def recording(weights, bias, value_and_grad, epochs, step_size):
+    def recording(params, value_and_grad, epochs, step_size):
         evaluations = []
-        calls.append((weights.shape[0], evaluations))
+        calls.append((params.shape[0], evaluations))
 
-        def counted(w, b, members):
+        def counted(p, members):
             evaluations.append(members.tolist())
-            return value_and_grad(w, b, members)
+            return value_and_grad(p, members)
 
-        return real(weights, bias, counted, epochs, step_size)
+        return real(params, counted, epochs, step_size)
 
     monkeypatch.setattr(classifier, "fit_softmax", recording)
     return calls
@@ -903,6 +1004,53 @@ class TestSeedStack:
             assert np.array_equal(w, w_alone) and np.array_equal(b, b_alone)
 
 
+@st.composite
+def _small_classifier_configs(draw):
+    """A valid ``classifier-demo`` or ``sweep-alpha`` config of small sizes
+    and 2-4 distinct seeds, each field drawn inside its domain in
+    :data:`FIELDS`."""
+    experiment = draw(st.sampled_from(["classifier-demo", "sweep-alpha"]))
+    fields = FIELDS[experiment]
+
+    def small(name, high):
+        return draw(st.integers(fields[name][1].low, high))
+
+    num_classes = small("task.num_classes", 4)
+    unit = st.floats(0.0, 1.0)
+    raw = {
+        "experiment": experiment,
+        "seeds": draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=2, max_size=4,
+                               unique=True)),
+        "task": {
+            "num_classes": num_classes,
+            "per_class": small("task.per_class", 6),
+            "feature_dim": draw(st.integers(num_classes, 6)),
+            "sep": draw(st.floats(0.0, 10.0, exclude_min=True)),
+            "forget_class": draw(st.integers(0, num_classes - 1)),
+        },
+        "epochs": small("epochs", 20),
+        "step_size": draw(st.floats(0.0, 1.0, exclude_min=True)),
+        "variants": draw(st.lists(st.sampled_from(fields["variants"][1].choices),
+                                  min_size=1, unique=True)),
+    }
+    if experiment == "sweep-alpha":
+        raw["alphas"] = draw(st.lists(unit, min_size=1, max_size=3, unique=True))
+    else:
+        raw["alpha"] = draw(unit)
+    return experiment, validate_config(raw, experiment)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_small_classifier_configs())
+def test_stacked_seeds_equal_their_own_runs_on_drawn_configs(case):
+    experiment, cfg = case
+    stacked = experiments.run_experiment(experiment, cfg)
+    alone = [experiments.run_experiment(experiment, dict(cfg, seeds=[seed]))
+             for seed in cfg["seeds"]]
+    assert _seed_rows(stacked) == [row for run in alone for row in _seed_rows(run)]
+    assert stacked.failures == [failure for run in alone for failure in run.failures]
+
+
 class TestRetainedSubspace:
     """The paper's retention mechanism, exact for the softmax model.  Every
     CE(remain) gradient ``Z X_r^T`` has its rows in the span of the remain
@@ -1037,7 +1185,7 @@ class TestStackedDivergence:
             )
 
         count = len(self.MEMBERS)
-        w, b, trace = fit_softmax(
+        w, b, trace = fit_softmax_split(
             np.repeat(weights[None], count, axis=0), np.repeat(bias[None], count, axis=0),
             value_and_grad, self.EPOCHS, 0.1,
         )
@@ -1090,7 +1238,7 @@ class TestStackedDivergence:
         remain, _, weights, bias = _small_problem(17, num_classes=3, dim=4)
         huge = LabeledSet(features=np.full((4, 3), 1e308), labels=np.array([0, 1, 2]))
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(_ce_value_and_grad(weights, bias, huge)[0])
+            assert not np.isfinite(ce_value_and_grad(weights, bias, huge)[0])
         members = [("naive-ft", 0.5), ("kl-ft", 0.0), ("ice-ft", 0.0)]
         coef = np.array([ft_coefficients(v, a) for v, a in members])
         calls = []
@@ -1099,13 +1247,13 @@ class TestStackedDivergence:
             calls.append(idx.tolist())
             return _mixed_value_and_grad(w, b, remain, huge, coef[idx, 0], coef[idx, 1])
 
-        w, b, _ = fit_softmax(
+        w, b, _ = fit_softmax_split(
             np.repeat(weights[None], 3, axis=0), np.repeat(bias[None], 3, axis=0),
             value_and_grad, 25, 0.1,
         )
         assert calls == [[0, 1, 2]] * 25
         w_naive, b_naive, _ = _fit_alone(
-            weights, bias, lambda w_, b_: _ce_value_and_grad(w_, b_, remain), 25, 0.1
+            weights, bias, lambda w_, b_: ce_value_and_grad(w_, b_, remain), 25, 0.1
         )
         for i in range(3):
             np.testing.assert_array_equal(w[i], w_naive)
