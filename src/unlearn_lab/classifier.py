@@ -28,7 +28,9 @@ descent, one broadcasting gemm per product.  A member is keyed by its
 start and its weights ``(c_r, c_f)``, and each distinct key descends
 once per seed: the ``kl-ft``/``ice-ft`` twins share one member, and the
 golden ``retrain`` model is the zero-start ``(1, 0)`` member of the same
-stack.  A seed whose members run out of step-size halvings fails alone.
+stack.  A member that runs out of step-size halvings fails its whole
+stack; the experiment runner then runs each seed alone, so a diverging
+seed fails alone with its own run's error.
 Gradients are computed analytically and are checked against finite
 differences in the test suite.
 
@@ -74,7 +76,7 @@ VARIANTS = ("naive-ft", "kl-ft", "ce-ft", "ice-ft")
 MAX_HALVINGS = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledSet:
     """Feature matrix (feature_dim x m) with integer class labels.
 
@@ -103,7 +105,7 @@ class LabeledSet:
         return self.labels.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoftmaxClassifier:
     """Linear softmax model: logits are ``W x + b`` per column of ``x``.
 
@@ -192,7 +194,7 @@ def relabel_forget(labels, num_classes: int) -> np.ndarray:
     return (labels + 1) % num_classes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Targets:
     """A labeled set as the cross-entropy kernel reads it, built once per fit.
 
@@ -417,9 +419,9 @@ def fit_softmax(
     others have finished, the members that left restart together from
     their start parameters at half the step size; members that never
     diverge are not recomputed.  A member still diverging after
-    :data:`MAX_HALVINGS` halvings raises :class:`DivergenceError` with a
-    step-size hint; its ``members`` are the indices of every member that
-    ran out of halvings.
+    :data:`MAX_HALVINGS` halvings ends the fit: it raises
+    :class:`DivergenceError` with a step-size hint and the number of
+    members that ran out of halvings.
 
     Returns the final ``(M, K, D + 1)`` parameters and the ``(M, epochs)``
     loss trace of each member's successful attempt.
@@ -452,14 +454,9 @@ def fit_softmax(
         if not diverged:
             return final, trace
         pending = np.sort(np.concatenate(diverged))
-    raise _divergence(pending, step)
-
-
-def _divergence(members: np.ndarray, step: float) -> DivergenceError:
-    """The error of a fit whose ``members`` still diverge at step size ``step``."""
-    return DivergenceError(
-        f"loss of {members.size} model(s) became non-finite even at step size "
-        f"{step:.3e}; try a smaller step_size", members)
+    raise DivergenceError(
+        f"loss of {pending.size} model(s) became non-finite even at step size "
+        f"{step:.3e}; try a smaller step_size")
 
 
 def _split(params: np.ndarray) -> SoftmaxClassifier:
@@ -515,9 +512,9 @@ def unlearn_ft(
 
     With the stacked sets of ``S`` seeds, every start holds one model per
     seed, ``(S, K, D)`` weights, and so does every returned model: each
-    distinct pair descends once per seed, all in one stack.  A
-    :class:`DivergenceError` then gives in ``members`` the seed position
-    of each member that ran out of halvings.
+    distinct pair descends once per seed, all in one stack, and a member
+    of any seed that runs out of halvings raises the stack's
+    :class:`DivergenceError`.
     """
     # A pair's key is the first pair with its start object, then its weights.
     first = {}
@@ -530,15 +527,11 @@ def unlearn_ft(
     # flat, each the start's weights and then its bias as the last column.
     params = np.stack([np.concatenate([starts[i].weights, starts[i].bias[..., None]], axis=-1)
                        for i in key_start], axis=-3)
-    try:
-        final, _ = fit_softmax(
-            params.reshape((-1,) + params.shape[-2:]),
-            _Objective(remain, forget, keys[:, 1], keys[:, 2], starts[0].num_classes),
-            epochs, step_size,
-        )
-    except DivergenceError as exc:
-        exc.members = exc.members // len(keys)
-        raise
+    final, _ = fit_softmax(
+        params.reshape((-1,) + params.shape[-2:]),
+        _Objective(remain, forget, keys[:, 1], keys[:, 2], starts[0].num_classes),
+        epochs, step_size,
+    )
     final = final.reshape(params.shape)
     finals = [_split(final[..., k, :, :]) for k in range(len(keys))]
     return [finals[k] for k in inverse.ravel()]
@@ -561,7 +554,7 @@ def run_seed_grid(
     seeds: Sequence[int],
     epochs: int,
     step_size: float,
-) -> dict[int, list[Metrics] | DivergenceError]:
+) -> dict[int, list[Metrics]]:
     """Full class-wise forgetting pipeline for many seeds and many pairs.
 
     Generates each seed's task, splits off the forgetting class and
@@ -575,14 +568,14 @@ def run_seed_grid(
     once and its pairs share the scores.
 
     Returns, per distinct seed in order, UA/RA/TA per pair, in order (TA
-    is measured on held-out samples of the remaining classes), or the
-    :class:`DivergenceError` the seed's own run raises.  A seed whose
-    members run out of halvings is set aside and the others descend
-    again; members never interact, so every seed gets the bits of its
-    own run.  ``runtime_seconds`` of every pair of every seed, retrain
-    included, is its equal share of the fine-tune stack's wall time.  An
-    unknown variant, or an ``alpha`` that :func:`ft_coefficients`
-    rejects, raises :class:`ValueError` before any work.
+    is measured on held-out samples of the remaining classes).  A member
+    of either stack that runs out of halvings raises the stack's
+    :class:`DivergenceError`, and no seed gets a result.  Members never
+    interact, so each seed run alone gets the bits it gets in the stack.
+    ``runtime_seconds`` of every pair of every seed, retrain included, is
+    its equal share of the fine-tune stack's wall time.  An unknown
+    variant, or an ``alpha`` that :func:`ft_coefficients` rejects, raises
+    :class:`ValueError` before any work.
     """
     coefs = [
         (1.0, 0.0) if variant == "retrain" else ft_coefficients(variant, alpha)
@@ -602,34 +595,20 @@ def run_seed_grid(
             labels=relabel_forget(forget.labels, task.num_classes),
         )
         sets[seed] = train, remain, relabeled, forget, split_class(test, task.forget_class)[1]
+    # Every seed's features are C-ordered (LabeledSet), and np.stack copies
+    # each one as it is: a seed's slice has the layout, and so the gemm
+    # bits, of its own run.
+    train, remain, relabeled = (
+        LabeledSet(np.stack([sets[seed][i].features for seed in seeds]), sets[seeds[0]][i].labels)
+        for i in range(3))
+    model = pretrain(train, epochs, step_size, num_classes=task.num_classes)
+    zero = SoftmaxClassifier(weights=np.zeros_like(model.weights), bias=np.zeros_like(model.bias))
+    starts = [zero if variant == "retrain" else model for variant, _ in pairs]
+    start = time.perf_counter()
+    finals = unlearn_ft(starts, coefs, remain, relabeled, epochs, step_size)
+    share = (time.perf_counter() - start) / (len(seeds) * len(pairs))
     grid = {}
-    alive = seeds
-    while alive:
-        # Every seed's features are C-ordered (LabeledSet), and np.stack
-        # copies each one as it is: a seed's slice has the layout, and so
-        # the gemm bits, of its own run.
-        train, remain, relabeled = (
-            LabeledSet(np.stack([sets[seed][i].features for seed in alive]),
-                       sets[alive[0]][i].labels)
-            for i in range(3))
-        try:
-            model = pretrain(train, epochs, step_size, num_classes=task.num_classes)
-            zero = SoftmaxClassifier(
-                weights=np.zeros_like(model.weights), bias=np.zeros_like(model.bias)
-            )
-            starts = [zero if variant == "retrain" else model for variant, _ in pairs]
-            start = time.perf_counter()
-            finals = unlearn_ft(starts, coefs, remain, relabeled, epochs, step_size)
-            share = (time.perf_counter() - start) / (len(alive) * len(pairs))
-            break
-        except DivergenceError as exc:
-            if not len(exc.members):
-                raise
-            for i in np.unique(exc.members):
-                grid[alive[i]] = _divergence(
-                    exc.members[exc.members == i], step_size / 2.0 ** MAX_HALVINGS)
-            alive = [seed for seed in alive if seed not in grid]
-    for i, seed in enumerate(alive):
+    for i, seed in enumerate(seeds):
         _, remain, _, forget, test_remain = sets[seed]
         # Each distinct model is scored once, in the order its first pair appears.
         distinct = {id(final): final for final in finals}
@@ -640,4 +619,4 @@ def run_seed_grid(
             for key, final in distinct.items()
         }
         grid[seed] = [scores[id(final)] for final in finals]
-    return {seed: grid[seed] for seed in seeds}
+    return grid

@@ -26,15 +26,7 @@ class LayoutMismatchError(UnlearnLabError):
 
 
 class DivergenceError(UnlearnLabError):
-    """Gradient descent produced a non-finite loss.
-
-    ``members`` says which members of a stack of models ran out of
-    step-size halvings, where the raiser knows.
-    """
-
-    def __init__(self, message: str, members=()):
-        super().__init__(message)
-        self.members = members
+    """Gradient descent produced a non-finite loss."""
 
 
 class ProvenanceMismatchError(UnlearnLabError):

@@ -23,21 +23,22 @@ edit (``/v1`` timed that seed's own solver calls).
 A config is checked against its experiment's field table,
 :data:`FIELDS`, and the rules that relate fields, :data:`ACROSS`.
 :func:`run_experiment` runs every experiment through one seed loop.
-Before it, each experiment solves all its seeds at once and hands the
-loop a function that gives one seed's rows or raises its failure: the
-classifier experiments descend every seed in one :func:`run_seed_grid`,
-and the linear ones solve one stack of all seeds per layout (per
-scenario of ``verify-theorems``, per ``d_lap`` of ``sweep-overlap``) in
-one measured pass, :func:`_solve`, which trains and retrains once,
-factors each fine-tuning prefix once, edits and fine-tunes, and
-measures every model, one :class:`LossReport` of all seeds per solve.
-A stack that raises is solved again seed by seed, so a failing seed
-fails alone with the error of its own run.  A seed's rows read its
-losses over ``nt_values`` as arrays, and each ``verify-theorems`` row
-compares them with its predictions in one :func:`gap_report`.
-``verify-theorems`` then checks all its seeds in one stacked oracle pass
-per layout, which restacks the seeds' own scenarios and factors them
-itself, and which is rerun seed by seed in the same way if it raises.
+Before it, each experiment solves all its seeds at once, as a list of
+stacked passes that :func:`_solve_seeds` runs, and hands the loop a
+function that gives one seed's rows or raises its failure.  The
+classifier experiments descend every seed in one :func:`run_seed_grid`.
+The linear ones solve one stack of all seeds per layout (per scenario of
+``verify-theorems``, per ``d_lap`` of ``sweep-overlap``) in one measured
+pass, :func:`_solve`, which trains and retrains once, factors each
+fine-tuning prefix once, edits and fine-tunes, and measures every model,
+one :class:`LossReport` of all seeds per solve.  In ``verify-theorems``
+each layout's pass then predicts the same seeds with the oracle, which
+restacks the seeds' own scenarios and factors them itself.  A
+stacked pass that raises is run again seed by seed (:func:`_stacked`,
+the one place that decides it), so a failing seed fails alone with the
+error of its own run.  A seed's rows read its losses over ``nt_values``
+as arrays, and each ``verify-theorems`` row compares them with its
+predictions in one :func:`gap_report`.
 Rows are dicts keyed by column name; :data:`COLUMNS` alone fixes the
 order of the cells, and :func:`render_csv` checks each row against it.
 """
@@ -442,9 +443,12 @@ def _stacked(seeds: list[int], solve) -> dict:
     """``solve`` all ``seeds`` as one stack; returns their results by seed.
 
     If the stack raises a package error, each seed is solved again alone,
-    as a one-member stack, and gets its own result or error.  The
-    stacked attempt's rank deficiencies are held until it succeeds, so a
-    dropped attempt is neither counted nor logged.
+    as a one-member stack, and gets its own result or error.  This is the
+    only place where a stack is rerun seed by seed: a pass is a solver
+    stack, a solver stack and its oracle checks, or a classifier grid,
+    and it raises as a whole.  The stacked attempt's rank deficiencies
+    are held until it succeeds, so a dropped attempt is neither counted
+    nor logged.
     """
     if len(seeds) > 1:
         held = RankDeficiencyCount(hold=True)
@@ -490,44 +494,43 @@ def _each(results: list):
 
 
 def _verify_rows(cfg: dict):
-    """Solve both layouts of every seed, one stack per layout, then predict
-    them in one oracle pass per layout; returns the function that gives a
-    seed's baseline row per scenario (distinct, overlap), then one per
-    edit.
+    """Solve and then predict both layouts of every seed, one stacked pass
+    per layout; returns the function that gives a seed's baseline row per
+    scenario (distinct, overlap), then one per edit.
 
-    The oracle pass restacks the seeds' own scenarios and factors them
-    itself; nothing the solvers built reaches it.  It runs through
-    :func:`_stacked`, so a seed whose prediction raises fails alone.  A
-    seed reaches a layout's prediction as its own run would: once that
-    layout's solve and every earlier solve and prediction have succeeded.
+    A layout's pass solves its stack, then predicts the same seeds with
+    the oracle, which restacks the seeds' own scenarios and factors them
+    itself; nothing the solvers built reaches it.  A seed stops at the
+    first step of its own run that raises: solve distinct, predict
+    distinct, solve overlap, predict overlap.
     """
     rel, floor = cfg["tolerance"]["rel"], cfg["tolerance"]["abs_floor"]
     nt_values = cfg["nt_values"]
-    seeds = cfg["seeds"]
     checks = [
         ("distinct", predict_distinct, [EditOption.DISTINCT_ZERO_FORGET]),
         ("overlap", predict_overlap, [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD]),
     ]
-    solved = _solve_seeds(seeds, [
-        _stacked_pass(cfg, FeatureLayout(*cfg[f"{check}_layout"]), nt_values, [None, *options])
-        for check, _, options in checks
-    ])
-    predicted: dict[int, list] = {seed: [] for seed in seeds}
-    for k, (_, predict, options) in enumerate(checks):
-        def oracle(members, k=k, predict=predict, options=options):
-            scenario = stack_scenarios([solved[seed][k][0] for seed in members])
-            return list(zip(predict(scenario), predict_edited(scenario, options, nt_values)))
 
-        live = [seed for seed in seeds if not any(
-            isinstance(result, UnlearnLabError)
-            for result in [*solved[seed][:k + 1], *predicted[seed]])]
-        for seed, result in _stacked(live, oracle).items():
-            predicted[seed].append(result)
+    def solve_and_predict(layout, predict, options):
+        solve = _stacked_pass(cfg, layout, nt_values, [None, *options])
+
+        def run(seeds):
+            solved = solve(seeds)
+            scenario = stack_scenarios([scenario for scenario, *_ in solved])
+            return list(zip(solved, predict(scenario),
+                            predict_edited(scenario, options, nt_values)))
+
+        return run
+
+    results = _solve_seeds(cfg["seeds"], [
+        solve_and_predict(FeatureLayout(*cfg[f"{check}_layout"]), predict, options)
+        for check, predict, options in checks
+    ])
 
     def rows_for_seed(seed: int) -> list[dict]:
         rows, edit_rows = [], []
-        for (check, _, options), (scenario, (rl_gold, ul_gold), runtime, fits), (baseline, edits) \
-                in zip(checks, _each(solved[seed]), _each(predicted[seed])):
+        for (check, _, options), ((scenario, (rl_gold, ul_gold), runtime, fits), baseline, edits) \
+                in zip(checks, _each(results[seed])):
             layout = scenario.layout
             gold = LossReport(rl=rl_gold, ul=ul_gold, model_tag="golden")
             gold_gaps = gap_report(gold, baseline, rel, floor)
@@ -648,19 +651,19 @@ def _classifier_rows(cfg: dict):
     function that gives one seed's rows or raises its failure."""
     alphas = cfg["alphas"] if "alphas" in cfg else [cfg["alpha"]]
     pairs = [(variant, float(alpha)) for variant in cfg["variants"] for alpha in alphas]
-    grid = run_seed_grid(
-        ClassTask(**cfg["task"]), pairs, cfg["seeds"], cfg["epochs"], cfg["step_size"])
+    task = ClassTask(**cfg["task"])
+    grid = _solve_seeds(cfg["seeds"], [lambda seeds: list(run_seed_grid(
+        task, pairs, seeds, cfg["epochs"], cfg["step_size"]).values())])
 
     def rows_for_seed(seed: int) -> list[dict]:
-        if isinstance(grid[seed], UnlearnLabError):
-            raise grid[seed]
+        [scores] = _each(grid[seed])
         return [
             {
                 "experiment": cfg["experiment"], "variant": variant,
                 "alpha": float("nan") if variant == "retrain" else alpha, "seed": seed,
                 **{name: getattr(metrics, name) for name in _MEASURES},
             }
-            for (variant, alpha), metrics in zip(pairs, grid[seed])
+            for (variant, alpha), metrics in zip(pairs, scores)
         ]
 
     return rows_for_seed

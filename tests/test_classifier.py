@@ -355,6 +355,22 @@ class TestSplitClass:
         assert np.all(remain.labels != 2)
 
 
+class TestArrayHoldersCompareByIdentity:
+    """Sets, models and kernel targets hold arrays, so they compare, hash
+    and test membership by identity instead of raising."""
+
+    def test_equal_valued_holders_are_distinct_and_hashable(self):
+        train, _ = gen_class_task(3, 4, 5, sep=2.0, seed=0)
+        weights, bias = np.ones((3, 5)), np.zeros(3)
+        for make in (lambda: LabeledSet(train.features.copy(), train.labels.copy()),
+                     lambda: SoftmaxClassifier(weights.copy(), bias.copy()),
+                     lambda: _Targets.of(train, 3)):
+            first, second = make(), make()
+            assert first == first and first != second
+            assert first in [second, first] and first not in [second]
+            assert hash(first) == hash(first) and len({first, second}) == 2
+
+
 class TestUnlearnFtStartsFromPretrained:
     def test_zero_epoch_unlearning_returns_pretrained(self):
         train, _ = gen_class_task(3, 10, 5, sep=3.0, seed=6)
@@ -1002,6 +1018,47 @@ class TestSeedStack:
         assert len(models) == len(alone_models) == 8
         for (w, b), (w_alone, b_alone) in zip(models, alone_models):
             assert np.array_equal(w, w_alone) and np.array_equal(b, b_alone)
+
+    @pytest.mark.parametrize("case,step_size,message", [
+        ("non-finite-task", 0.1,
+         "loss of 1 model(s) became non-finite even at step size 3.125e-03; "
+         "try a smaller step_size"),
+        ("huge-sep-and-step", 1e10,
+         "loss of 2 model(s) became non-finite even at step size 3.125e+08; "
+         "try a smaller step_size"),
+    ], ids=["non-finite-task", "huge-sep-and-step"])
+    def test_a_grid_with_a_diverging_seed_raises_and_one_without_it_returns(
+        self, monkeypatch, case, step_size, message
+    ):
+        # run_seed_grid leaves the rerun to its caller: a stack that holds
+        # the diverging seed raises the stack's error, and the clean seeds
+        # stacked alone get the scores of their own runs.
+        real = classifier.gen_class_task
+
+        def seed_one_diverges(num_classes, per_class, feature_dim, sep, seed):
+            if seed == 1 and case == "huge-sep-and-step":
+                sep = 1e150
+            train, test = real(num_classes, per_class, feature_dim, sep, seed)
+            if seed == 1 and case == "non-finite-task":
+                train = LabeledSet(np.full_like(train.features, np.nan), train.labels)
+            return train, test
+
+        monkeypatch.setattr(classifier, "gen_class_task", seed_one_diverges)
+        cfg = _shipped_config("classifier-demo", step_size=step_size)
+        task = ClassTask(**cfg["task"])
+        pairs = [(variant, cfg["alpha"]) for variant in cfg["variants"]]
+        schedule = 100, step_size
+        with pytest.raises(DivergenceError) as excinfo:
+            run_seed_grid(task, pairs, [0, 1, 2], *schedule)
+        assert str(excinfo.value) == message
+
+        def scores(grid):
+            return {seed: [(m.ua, m.ra, m.ta) for m in metrics] for seed, metrics in grid.items()}
+
+        clean = run_seed_grid(task, pairs, [0, 2], *schedule)
+        assert list(clean) == [0, 2]
+        assert scores(clean) == {
+            seed: scores(run_seed_grid(task, pairs, [seed], *schedule))[seed] for seed in (0, 2)}
 
 
 @st.composite

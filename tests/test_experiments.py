@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unlearn_lab import experiments, linalg
 from unlearn_lab.cli import main
@@ -18,6 +20,7 @@ from unlearn_lab.errors import ConfigError, DivergenceError
 from unlearn_lab.scenarios import FeatureLayout
 from unlearn_lab.experiments import (
     COLUMNS,
+    FIELDS,
     render_csv,
     run_experiment,
     summary_path_for,
@@ -569,6 +572,35 @@ class TestLinearSeedStack:
         oracle_records = alone[1][0].rank_deficient_solves["oracle"]
         assert oracle_records == {"distinct": 0, "overlap": 1}[layout]
 
+    def test_a_seed_stops_at_the_first_failing_step_of_its_own_run(self, monkeypatch):
+        # Seed 1's distinct prediction raises, and its overlap retrain would
+        # raise too (its remaining labels leave the span of its data).  Its
+        # run predicts the distinct layout before it solves the overlap one,
+        # so it gets the prediction's error and never solves that layout.
+        message = "SVD did not converge for shape (40, 40)"
+        real_predict, real_scenario = experiments.predict_distinct, experiments.gen_scenario
+        generated = []
+
+        def failing_prediction(scenario):
+            if 1 in scenario.seed:
+                raise linalg.SvdFailureError(message)
+            return real_predict(scenario)
+
+        def faulty(n_r, n_f, layout, seed, dist):
+            generated.append((seed, layout.d_lap))
+            scenario = real_scenario(n_r, n_f, layout, seed, dist)
+            if seed == 1 and layout.d_lap == 8:
+                return dataclasses.replace(scenario, y_r=scenario.y_r + 1.0)
+            return scenario
+
+        monkeypatch.setattr(experiments, "predict_distinct", failing_prediction)
+        monkeypatch.setattr(experiments, "gen_scenario", faulty)
+        stacked, alone = self._stacked_and_alone("verify-theorems", VERIFY_CFG, [0, 1, 2])
+        assert alone[1].failures == [{"seed": 1, "type": "SvdFailureError", "message": message}]
+        assert sorted(_rows_by_seed(stacked)) == [0, 2]
+        self._assert_each_seed_as_alone(stacked, alone)
+        assert (1, 8) not in generated
+
     def test_near_collinear_remaining_columns_beside_generic_seeds(self, monkeypatch):
         # A hard input: seed 1's first two remaining columns meet at
         # cosine 1 - 1e-12, so its smallest singular values are about 1e-6
@@ -604,6 +636,52 @@ class TestLinearSeedStack:
         self._assert_each_seed_as_alone(stacked, alone)
         # The n_t = 2 ... 20 distinct prefixes of the four-member stack.
         assert groups.count([[0, 1, 2], [3]]) == 19
+
+
+@st.composite
+def _small_linear_configs(draw):
+    """A valid ``verify-theorems``, ``sweep-nt`` or ``sweep-overlap`` config
+    of small sizes and 2-4 distinct seeds, each field drawn inside its
+    domain in :data:`FIELDS`.  Layouts range from rank-deficient, where the
+    remaining and overlap blocks together are narrower than ``n_r``, to
+    generic."""
+    experiment = draw(st.sampled_from(["verify-theorems", "sweep-nt", "sweep-overlap"]))
+    fields = FIELDS[experiment]
+    n_r = draw(st.integers(fields["n_r"][1].low, 8))
+    n_f = draw(st.integers(fields["n_f"][1].low, 4))
+    raw = {
+        "experiment": experiment,
+        "seeds": draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=2, max_size=4,
+                               unique=True)),
+        "n_r": n_r, "n_f": n_f,
+        "dist": draw(st.sampled_from(fields["dist"][1].choices)),
+    }
+
+    def layout(d_lap):
+        d_r = draw(st.integers(0, 12))
+        return [d_r, d_lap, draw(st.integers(max(0, n_r + n_f - d_r - d_lap), 12))]
+
+    if experiment == "sweep-overlap":
+        d = draw(st.integers(n_r + n_f, 16))
+        raw.update(d=d, n_t=draw(st.integers(1, n_r - 1)), d_lap_values=draw(st.lists(
+            st.integers(0, d - 1).filter(lambda d_lap: (d - d_lap) % 2 == 0),
+            min_size=1, max_size=3, unique=True)))
+    else:
+        raw["nt_values"] = draw(st.none() | st.lists(st.integers(1, n_r - 1), min_size=1,
+                                                     max_size=4, unique=True))
+        if experiment == "sweep-nt":
+            raw["layout"] = layout(draw(st.integers(0, 6)))
+        else:
+            raw.update(distinct_layout=layout(0), overlap_layout=layout(draw(st.integers(0, 6))))
+    return experiment, validate_config(raw, experiment)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_small_linear_configs())
+def test_stacked_linear_seeds_equal_their_own_runs_on_drawn_configs(case):
+    experiment, cfg = case
+    stacked, alone = TestLinearSeedStack._stacked_and_alone(experiment, cfg, cfg["seeds"])
+    TestLinearSeedStack._assert_each_seed_as_alone(stacked, alone)
 
 
 class TestSweepNt:
@@ -726,10 +804,11 @@ class TestClassifierExperiments:
         real_grid = experiments.run_seed_grid
 
         def flaky_grid(task, pairs, seeds, epochs, step_size):
-            grid = real_grid(task, pairs, [seed for seed in seeds if seed != 1], epochs, step_size)
-            grid[1] = DivergenceError(
-                "loss of 1 model(s) became non-finite; try a smaller step_size")
-            return grid
+            # A stack that holds seed 1 diverges; the runner reruns each seed alone.
+            if 1 in seeds:
+                raise DivergenceError(
+                    "loss of 1 model(s) became non-finite; try a smaller step_size")
+            return real_grid(task, pairs, seeds, epochs, step_size)
 
         monkeypatch.setattr(experiments, "run_seed_grid", flaky_grid)
         cfg = validate_config(dict(DEMO_CFG, seeds=[0, 1, 2], variants=["kl-ft"]),
