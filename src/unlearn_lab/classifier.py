@@ -45,20 +45,24 @@ A fit carries each member as one ``(K, D + 1)`` parameter array whose
 last column is the bias: :func:`pretrain` starts it at zero,
 :func:`unlearn_ft` packs its starts into it, and both split their
 results back into weights and bias.  Each fit builds what its epochs
-share once and drops it when it ends: per set the ``(..., D + 1, m)``
+share once and drops it when it ends (:class:`_Targets`,
+:class:`_StackCE`, :class:`_Objective`): the ``(..., D + 1, m)``
 features with a ones row appended, so that one gemm adds the bias and
-one returns its gradient, and the ``(K, m)`` one-hot targets and the
-flat target index, which all seeds share (:class:`_Targets`); the logits
-and column buffers for the stack (:class:`_StackCE`); and for the
-fine-tune the mixing weights and the masks of members that use one term
-alone (:class:`_Objective`).  An epoch is then one stacked cross-entropy
-evaluation per set, one mix of the losses and one of the gradients, and
-one parameter update, with the floating-point operations, and so the
-bits, of indexing the targets on every call.
+one returns its gradient, where the fine-tune lays its remain and
+relabeled forget sets side by side as two column segments; the ``(K,
+m)`` one-hot targets and the flat target index, which all seeds share;
+the logits and column buffers for the stack and the views of them the
+kernel reads; and for the fine-tune the mixing weights and the masks of
+members that use one term alone.  An epoch is then one stacked
+cross-entropy pass over both sets, one mix of the two segments' losses
+and one of their gradients, and one parameter update.  Each segment
+gets the bits of a pass over its own set, with the floating-point
+operations of indexing the targets on every call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -196,50 +200,94 @@ def relabel_forget(labels, num_classes: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Targets:
-    """A labeled set as the cross-entropy kernel reads it, built once per fit.
+    """Labeled sets as the cross-entropy kernel reads them, built once per fit.
 
-    ``features`` are the set's ``(..., D, m)`` features with a ones row
-    appended, C-contiguous ``(..., D + 1, m)``: against ``(K, D + 1)``
-    parameters whose last column is the bias, the forward gemm adds the
-    bias and the gradient gemm returns its gradient as the last column.
-    ``onehot`` is the ``(K, m)`` target matrix, 1.0 at each column's
-    label; ``flat`` indexes the targets of a ``(K, m)`` logits block
-    flattened to ``K * m``, as ``labels * m + arange(m)``.  Stacked sets
-    share their labels, so all their seeds share one of each.
+    A fit reads one set, or, for the fine-tune, the remain and relabeled
+    forget sets side by side as the segments of one column range.
+    ``features`` are the sets' ``(..., D, m_t)`` features concatenated
+    along their columns with a ones row appended, C-contiguous
+    ``(..., D + 1, m)``: against ``(K, D + 1)`` parameters whose last
+    column is the bias, the forward gemm adds the bias and the gradient
+    gemm returns its gradient as the last column.  ``onehot`` is the
+    ``(K, m)`` target matrix, 1.0 at each column's label; ``flat``
+    indexes the targets of a ``(K, m)`` logits block flattened to
+    ``K * m``, as ``labels * m + arange(m)``; ``ends`` are the segments'
+    end columns, ``(m,)`` for one set and ``(m_r, m_r + m_f)`` for a
+    remain and a forget set.  Stacked sets share their labels, so all
+    their seeds share one of each.
     """
 
     features: np.ndarray = field(repr=False)
     onehot: np.ndarray = field(repr=False)
     flat: np.ndarray = field(repr=False)
+    ends: tuple[int, ...]
 
     @classmethod
-    def of(cls, data: LabeledSet, num_classes: int) -> "_Targets":
-        m = data.size
+    def of(cls, data: LabeledSet | Sequence[LabeledSet], num_classes: int) -> "_Targets":
+        sets = (data,) if isinstance(data, LabeledSet) else tuple(data)
+        labels = np.concatenate([s.labels for s in sets])
+        m = labels.shape[0]
         cols = np.arange(m)
         onehot = np.zeros((num_classes, m))
-        onehot[data.labels, cols] = 1.0
-        lead, dim = data.features.shape[:-2], data.features.shape[-2]
+        onehot[labels, cols] = 1.0
+        lead, dim = sets[0].features.shape[:-2], sets[0].features.shape[-2]
         features = np.empty(lead + (dim + 1, m))
-        features[..., :dim, :] = data.features
+        ends = tuple(itertools.accumulate(s.size for s in sets))
+        for s, lo, hi in zip(sets, (0,) + ends, ends):
+            features[..., :dim, lo:hi] = s.features
         features[..., dim, :] = 1.0
-        return cls(features, onehot, data.labels * m + cols)
+        return cls(features, onehot, labels * m + cols, ends)
 
     @property
     def size(self) -> int:
         return self.flat.shape[0]
 
 
-def _ce_value_and_grad(params, data, out=None, columns=None):
-    """Mean cross-entropy against the labels of ``data`` and its parameter gradient.
+def _kernel_views(data: _Targets, z: np.ndarray, columns: np.ndarray):
+    """The views :func:`_ce_value_and_grad` reads of the ``(..., K, m)``
+    logits ``z``, its ``(2, ..., m)`` column buffers and the features of
+    ``data``: the logits flattened to ``(..., K * m)`` for the target
+    take, the column totals broadcast against the logits, per segment its
+    column count and its slices of the features, of the logits, of the
+    shifted targets and of the transposed ``(..., m, D + 1)`` features,
+    and the logits and totals of each segment of one column."""
+    total, shifted_target = columns
+    features, features_t = data.features, data.features.swapaxes(-1, -2)
+    bounds = list(zip((0,) + data.ends, data.ends))
+    return (
+        z.reshape(z.shape[:-2] + (-1,)),
+        total[..., None, :],
+        [(hi - lo, features[..., lo:hi], z[..., lo:hi], shifted_target[..., lo:hi],
+          features_t[..., lo:hi, :]) for lo, hi in bounds],
+        [(z[..., lo:hi], total[..., lo:hi]) for lo, hi in bounds if hi - lo == 1],
+    )
+
+
+def _ce_value_and_grad(params, data, out=None, columns=None, views=None):
+    """Mean cross-entropy against the labels of each set of ``data`` and its parameter gradient.
 
     ``params`` is ``(..., K, D + 1)``: the weights, then the bias as the
     last column.  Leading axes index a stack of models and carry over to
     the ``(...)`` losses and the ``(..., K, D + 1)`` gradients, whose last
-    column is the bias gradient.  ``data`` is a :class:`LabeledSet`, or its
-    :class:`_Targets`, whose ones row the bias multiplies and which a fit
-    builds once for all its epochs.  ``out``, if given, is the
-    ``(..., K, m)`` buffer the logits use, and ``columns`` the
-    ``(2, ..., m)`` buffer of the per-column maxima, sums and targets.
+    column is the bias gradient.  ``data`` is a :class:`LabeledSet`, or
+    :class:`_Targets` of one or more sets, whose ones row the bias
+    multiplies and which a fit builds once for all its epochs.  ``out``,
+    if given, is the ``(..., K, m)`` buffer the logits use, ``columns``
+    the ``(2, ..., m)`` buffer of the per-column maxima, sums and targets,
+    and ``views`` what :func:`_kernel_views` makes of them.
+
+    Each segment's forward gemm writes its columns of one logits buffer,
+    and one pass over all the columns then makes the softmax and the
+    log-sum-exp.  That pass works column by column, and a segment of one
+    column sums its column again the way a pass over it alone does, so
+    each column gets the bits of a pass over its own set.  The gemms do
+    not: the BLAS
+    blocks a product's columns and treats a remainder apart, so a column's
+    bits can depend on the count of its neighbours, and every gemm spans
+    one segment.  Each segment then takes the mean of its columns and one
+    gradient gemm over them.  Returns each segment's loss and gradient in
+    order, flat: ``(loss, grad)`` for one set, ``(loss_r, grad_r, loss_f,
+    grad_f)`` for a remain and a forget set.
 
     The targets are gathered with one flat take and the one-hot matrix is
     subtracted from the probabilities: the bits of indexing ``[labels,
@@ -248,73 +296,91 @@ def _ce_value_and_grad(params, data, out=None, columns=None):
     """
     if isinstance(data, LabeledSet):
         data = _Targets.of(data, params.shape[-2])
-    m = data.size
     # The logits turn into the logit gradient in place, and the per-column
     # values share two rows: a stack's fresh temporaries would cost more
     # than its arithmetic.
-    z = np.matmul(params, data.features, out=out)
+    z = out
+    if z is None:
+        lead = np.broadcast_shapes(params.shape[:-2], data.features.shape[:-2])
+        z = np.empty(lead + (params.shape[-2], data.size))
     if columns is None:
-        columns = np.empty((2,) + z.shape[:-2] + (m,))
+        columns = np.empty((2,) + z.shape[:-2] + (data.size,))
+    if views is None:
+        views = _kernel_views(data, z, columns)
+    flat, totals, segments, lone = views
+    for _, features, logits, _, _ in segments:
+        np.matmul(params, features, out=logits)
     total, shifted_target = columns
-    z -= np.maximum.reduce(z, axis=-2, out=total)[..., None, :]
+    np.maximum.reduce(z, axis=-2, out=total)
+    z -= totals
     # mode="clip" lets take write into its output unbuffered; no index clips.
-    np.take(z.reshape(z.shape[:-2] + (-1,)), data.flat, axis=-1, out=shifted_target, mode="clip")
+    flat.take(data.flat, axis=-1, out=shifted_target, mode="clip")
     np.exp(z, out=z)
     np.add.reduce(z, axis=-2, out=total)
-    z /= total[..., None, :]
+    for logits, column_total in lone:
+        # numpy sums the K entries of a lone column pairwise and those of
+        # wider blocks row by row; this is the sum of its set's own pass.
+        np.add.reduce(logits, axis=-2, out=column_total)
+    z /= totals
     shifted_target -= np.log(total, out=total)
-    # np.add.reduce(...) / m is what .mean computes, without its overhead.
-    loss = -(np.add.reduce(shifted_target, axis=-1) / m)
     z -= data.onehot
-    # Dividing the (K, D + 1) gradient by m is cheaper than the (K, m) z.
-    grad = z @ np.swapaxes(data.features, -1, -2)
-    grad /= m
-    return loss, grad
+    result = []
+    for m, _, logit_grad, target, features_t in segments:
+        # np.add.reduce(...) / m is what .mean computes, without its overhead.
+        result.append(-(np.add.reduce(target, axis=-1) / m))
+        # Dividing the (K, D + 1) gradient by m is cheaper than the (K, m) z.
+        grad = logit_grad @ features_t
+        grad /= m
+        result.append(grad)
+    return result
 
 
 class _StackCE:
-    """CE(``data``) of the running members of a flat stack of ``stack`` models.
+    """CE of each set of ``data`` for the running members of a flat stack of ``stack`` models.
 
-    A fit builds one per set, with what its epochs share: the set's
-    :class:`_Targets` and the ``(N, K, m)`` logits and ``(2, N, m)``
-    column buffers of :func:`_ce_value_and_grad`.  With the ``(S, D, m)``
-    features of ``S`` seeds the stack is seed-major: member ``n`` belongs
-    to seed ``n // (N // S)``.  The whole stack runs as
-    ``(S, N // S, K, D + 1)`` parameters, the bias as their last column,
-    against ``(S, 1, D + 1, m)`` features with their ones row, one
-    broadcasting gemm per product; a stack that shrank after a divergence
-    pairs each member with its own seed's features.  The features are
-    C-contiguous (:class:`_Targets`), and so is each seed's slice of them
-    and each copy fancy indexing makes, so either way a member gets the
-    bits of its seed's run alone.  A call on the ``(n, K, D + 1)``
-    parameters of ``n`` members returns their ``(n,)`` losses and
-    ``(n, K, D + 1)`` gradients.
+    A fit builds one, with what its epochs share: the :class:`_Targets`
+    of its set, or of the fine-tune's remain and forget sets side by
+    side, the ``(N, K, m)`` logits and ``(2, N, m)`` column buffers of
+    :func:`_ce_value_and_grad`, and the views of the whole stack that the
+    kernel reads (:func:`_kernel_views`).  With the ``(S, D, m)`` features
+    of ``S`` seeds the stack is seed-major: member ``n`` belongs to seed
+    ``n // (N // S)``.  The whole stack runs as ``(S, N // S, K, D + 1)``
+    parameters, the bias as their last column, against ``(S, 1, D + 1,
+    m)`` features with their ones row, one broadcasting gemm per product;
+    a stack that shrank after a divergence pairs each member with its own
+    seed's features and takes the same joint pass on them.  The features
+    are C-contiguous (:class:`_Targets`), and so is each seed's slice of
+    them and each copy fancy indexing makes, so either way a member gets
+    the bits of its seed's run alone.  A call on the ``(n, K, D + 1)``
+    parameters of ``n`` members returns, per set, their ``(n,)`` losses
+    and ``(n, K, D + 1)`` gradients, flat as the kernel returns them.
     """
 
-    def __init__(self, data: LabeledSet, num_classes: int, stack: int):
+    def __init__(self, data: LabeledSet | Sequence[LabeledSet], num_classes: int, stack: int):
         self.targets = targets = _Targets.of(data, num_classes)
-        self.out = np.empty((stack, num_classes, data.size))
-        self.columns = np.empty((2, stack, data.size))
+        self.out = np.empty((stack, num_classes, targets.size))
+        self.columns = np.empty((2, stack, targets.size))
         self.lead = targets.features.shape[:-2] + (-1,)
-        self.whole = (
-            _Targets(targets.features[..., None, :, :], targets.onehot, targets.flat),
-            self.out.reshape(self.lead + self.out.shape[1:]),
-            self.columns.reshape((2,) + self.lead + (data.size,)),
-        )
+        whole = _Targets(targets.features[..., None, :, :], targets.onehot, targets.flat,
+                         targets.ends)
+        out = self.out.reshape(self.lead + self.out.shape[1:])
+        columns = self.columns.reshape((2,) + self.lead + (targets.size,))
+        self.whole = whole, out, columns, _kernel_views(whole, out, columns)
 
     def __call__(self, params, members):
         n, k, d = params.shape
         if n == len(self.out):
-            data, out, columns = self.whole
+            data, out, columns, views = self.whole
             params = params.reshape(self.lead + (k, d))
         else:
-            data, out, columns = self.targets, self.out[:n], self.columns[:, :n]
+            data, out, columns, views = self.targets, self.out[:n], self.columns[:, :n], None
             if data.features.ndim == 3:
                 # Fancy indexing copies each seed's C-ordered slice as it is.
                 seeds = members // (len(self.out) // len(data.features))
-                data = _Targets(data.features[seeds], data.onehot, data.flat)
-        loss, grad = _ce_value_and_grad(params, data, out, columns)
-        return loss.reshape(n), grad.reshape(n, k, d)
+                data = _Targets(data.features[seeds], data.onehot, data.flat, data.ends)
+        terms = _ce_value_and_grad(params, data, out, columns, views)
+        shapes = ((n,), (n, k, d)) * len(data.ends)
+        return [term.reshape(shape) for term, shape in zip(terms, shapes)]
 
 
 def ft_coefficients(variant: str, alpha: float) -> tuple[float, float]:
@@ -375,12 +441,14 @@ class _Objective:
     sets of ``S`` seeds the stack holds every objective of every seed,
     seed-major (see :class:`_StackCE`): ``S * M`` members.  Everything
     that stays the same between epochs is built once, when the fit builds
-    this object: the :class:`_StackCE` of both sets, with their targets
-    and buffers (a fresh stack-sized buffer per epoch can make the
-    allocator map new pages every epoch), and the mixing weights and
-    masks of :func:`_mixing`.  A call with ``members``, the indices of
-    the members still running, re-indexes the mixing weights and masks
-    only when the stack has shrunk after a divergence.
+    this object: one :class:`_StackCE` of the remain and forget sets side
+    by side, with their joint targets, buffers and views (a fresh
+    stack-sized buffer per epoch can make the allocator map new pages
+    every epoch), and the mixing weights and masks of :func:`_mixing`.  A
+    call makes one cross-entropy pass over both sets and mixes its two
+    segments; with ``members``, the indices of the members still running,
+    it re-indexes the mixing weights and masks only when the stack has
+    shrunk after a divergence.
     """
 
     def __init__(self, remain, forget, coef_r, coef_f, num_classes):
@@ -388,14 +456,15 @@ class _Objective:
         self.coefs = tuple(np.tile(np.asarray(coef, dtype=np.float64), seeds)
                            for coef in (coef_r, coef_f))
         self.mixing = _mixing(*self.coefs)
-        self.terms = [_StackCE(data, num_classes, self.coefs[0].size) for data in (remain, forget)]
+        self.term = _StackCE((remain, forget), num_classes, self.coefs[0].size)
 
     def __call__(self, params, members):
-        mixing = self.mixing
+        loss_mixing, grad_mixing = self.mixing
         if members.size < self.coefs[0].size:
-            mixing = _mixing(*(coef[members] for coef in self.coefs))
-        remain_terms, forget_terms = (term(params, members) for term in self.terms)
-        return tuple(_mix(r, f, *how) for r, f, how in zip(remain_terms, forget_terms, mixing))
+            coef_r, coef_f = self.coefs
+            loss_mixing, grad_mixing = _mixing(coef_r[members], coef_f[members])
+        loss_r, grad_r, loss_f, grad_f = self.term(params, members)
+        return _mix(loss_r, loss_f, *loss_mixing), _mix(grad_r, grad_f, *grad_mixing)
 
 
 def fit_softmax(
@@ -411,7 +480,8 @@ def fit_softmax(
     deterministic steps, one update of one array per epoch.
     ``value_and_grad(p, members)`` receives the parameters of the members
     still running and their indices into the stack, and returns their
-    losses ``(m,)`` and their gradients, shaped like ``p``.  Members never
+    losses ``(m,)`` and their gradients, shaped like ``p``, in arrays of
+    its own: the engine scales the gradients in place.  Members never
     interact, so each one follows exactly the trajectory it would follow
     alone.
 
@@ -449,7 +519,9 @@ def fit_softmax(
                 if not members.size:
                     break
             trace[members, epoch] = loss
-            p -= step * grad
+            # The bits of p -= step * grad, without the temporary.
+            grad *= step
+            p -= grad
         final[members] = p
         if not diverged:
             return final, trace

@@ -114,7 +114,7 @@ def _as_stack(a, name: str) -> tuple[np.ndarray, bool]:
     return (arr if stacked else arr[None]), stacked
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projector:
     """Orthogonal projector onto the column space of a data matrix.
 

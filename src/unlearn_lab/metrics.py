@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 MODEL_TAGS = ("original", "fine_tuned", "golden", "edited_fine_tuned")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossReport:
     """Measured remaining/unlearning losses of one model of the pipeline.
 
@@ -115,7 +115,7 @@ def measure_losses(w, scenario: SyntheticScenario, model_tag: str) -> LossReport
         rl=_mse(weights, x_r, y_r), ul=_mse(weights, x_f, y_f), model_tag=model_tag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapEntry:
     """One measured-versus-predicted comparison, or one per element.
 

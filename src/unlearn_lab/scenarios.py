@@ -66,7 +66,7 @@ class FeatureLayout:
         return slice(self.d_r + self.d_lap, self.d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticScenario:
     """Generated data matrices, noiseless labels, and the true weights.
 
@@ -126,7 +126,7 @@ class SyntheticScenario:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WStarDecomposition:
     """Split of the true weights onto the three coordinate blocks.
 

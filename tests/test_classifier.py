@@ -594,7 +594,7 @@ class TestOnesRowContract:
         real_of, real_fit = _Targets.of, classifier.fit_softmax
 
         def counting(cls, data, num_classes):
-            built.append(data)
+            built.append(data if isinstance(data, LabeledSet) else tuple(data))
             return real_of(data, num_classes)
 
         def keeping(*args, **kwargs):
@@ -605,15 +605,72 @@ class TestOnesRowContract:
         monkeypatch.setattr(_Targets, "of", classmethod(counting))
         monkeypatch.setattr(classifier, "fit_softmax", keeping)
         model = pretrain(train, 20, 0.1, num_classes=4)
-        assert [id(data) for data in built] == [id(train)]
+        assert built == [train]
         coefs = [ft_coefficients("naive-ft", 0.0), ft_coefficients("kl-ft", 0.5)]
         finals = unlearn_ft([model, model], coefs, remain, relabeled, 20, 0.1)
-        assert [id(data) for data in built] == [id(train), id(remain), id(relabeled)]
+        # The fine-tune builds its two sets once, as one joint target.
+        assert built == [train, (remain, relabeled)]
         # Flat stacks, seed-major: (S, K, D + 1) and then (S, M, K, D + 1).
         pretrained, tuned = fitted[0].reshape(2, 4, 6), fitted[1].reshape(2, 2, 4, 6)
         for got, params in ((model, pretrained), *zip(finals, np.swapaxes(tuned, 0, 1))):
             assert np.array_equal(got.weights, params[..., :-1])
             assert np.array_equal(got.bias, params[..., -1])
+
+
+class TestJointPass:
+    """The fine-tune reads its remain and forget sets as the two segments
+    of one :class:`_Targets`, and an epoch makes one cross-entropy pass
+    over both: each segment gets the bits of a pass over its own set.
+    The draws reach the cases where numpy and the BLAS change their order
+    of summation: segments of one column, at least eight classes, and
+    column counts that leave a remainder of the BLAS's column blocks."""
+
+    def test_an_epoch_makes_one_kernel_call(self, monkeypatch):
+        train, remain, relabeled = TestOnesRowContract._stacked_sets()
+        model = pretrain(train, 5, 0.1, num_classes=4)
+        calls = []
+        real = classifier._ce_value_and_grad
+
+        def counting(params, data, *args):
+            calls.append(data.ends)
+            return real(params, data, *args)
+
+        monkeypatch.setattr(classifier, "_ce_value_and_grad", counting)
+        pairs = [("naive-ft", 0.0), ("kl-ft", 0.5), ("ce-ft", 0.5)]
+        _unlearn_pairs(model, pairs, remain, relabeled, 7, 0.1)
+        assert calls == [(remain.size, remain.size + relabeled.size)] * 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seeds=st.integers(1, 3), members=st.integers(1, 5), num_classes=st.integers(2, 12),
+        dim=st.integers(1, 6), m_r=st.integers(1, 12), m_f=st.integers(1, 8),
+        draw_seed=st.integers(0, 2**32 - 1), data=st.data(),
+    )
+    def test_each_segment_equals_a_pass_over_its_own_set(
+        self, seeds, members, num_classes, dim, m_r, m_f, draw_seed, data
+    ):
+        rng = np.random.default_rng(draw_seed)
+        sets = [LabeledSet(3.0 * rng.standard_normal((seeds, dim, m)),
+                           rng.integers(0, num_classes, size=m))
+                for m in (m_r, m_f)]
+        stack = seeds * members
+        params = pack(rng.standard_normal((stack, num_classes, dim)),
+                      rng.standard_normal((stack, num_classes)))
+        joint = classifier._StackCE(sets, num_classes, stack)
+        alone = [classifier._StackCE(s, num_classes, stack) for s in sets]
+        shrunk = np.array(sorted(data.draw(
+            st.lists(st.integers(0, stack - 1), min_size=1, max_size=stack, unique=True))))
+        # The whole stack, a shrunken one as fit_softmax makes after a
+        # divergence, then the whole stack again on the reused buffers.
+        for running in (np.arange(stack), shrunk, np.arange(stack)):
+            got = joint(params[running], running)
+            assert len(got) == 4
+            for segment, s, separate in zip((got[:2], got[2:]), sets, alone):
+                _assert_same_bits(segment, separate(params[running], running))
+                for i, member in enumerate(running):
+                    own = LabeledSet(s.features[member // members], s.labels)
+                    _assert_same_bits([term[i] for term in segment],
+                                      _ce_value_and_grad(params[member], own))
 
 
 class TestLayoutContract:

@@ -9,7 +9,9 @@ import pytest
 from unlearn_lab import scenarios
 from unlearn_lab.classifier import LabeledSet, SoftmaxClassifier
 from unlearn_lab.errors import InvalidMatrixError, ProvenanceMismatchError
+from unlearn_lab.linalg import projector
 from unlearn_lab.metrics import (
+    GapEntry,
     LossReport,
     Metrics,
     accuracy,
@@ -25,7 +27,13 @@ from unlearn_lab.oracle import (
     predict_overlap,
     within_tolerance,
 )
-from unlearn_lab.scenarios import FeatureLayout, fine_tune_subset, gen_scenario, stack_scenarios
+from unlearn_lab.scenarios import (
+    FeatureLayout,
+    decompose_w_star,
+    fine_tune_subset,
+    gen_scenario,
+    stack_scenarios,
+)
 from unlearn_lab.solvers import (
     EditOption,
     edit_pretrained,
@@ -347,3 +355,24 @@ class TestClassifierMetrics:
     def test_fraction_bounds_enforced(self):
         with pytest.raises(ValueError):
             Metrics(ua=1.2, ra=0.0, ta=0.0, runtime_seconds=0.0)
+
+
+class TestArrayHoldersCompareByIdentity:
+    """The linear side's scenarios, projectors, loss reports and gap
+    entries hold arrays, so they compare, hash and test membership by
+    identity instead of raising."""
+
+    def test_equal_valued_holders_are_distinct_and_hashable(self):
+        def scenario():
+            return gen_scenario(5, 2, FeatureLayout(4, 0, 4), 0)
+
+        losses = np.array([1.0, 2.0])
+        for make in (scenario,
+                     lambda: decompose_w_star(scenario()),
+                     lambda: projector(scenario().x_r),
+                     lambda: LossReport(rl=losses.copy(), ul=losses.copy(), model_tag="golden"),
+                     lambda: GapEntry(losses, losses, np.zeros(2), np.zeros(2), np.ones(2, bool))):
+            first, second = make(), make()
+            assert first == first and first != second
+            assert first in [second, first] and first not in [second]
+            assert hash(first) == hash(first) and len({first, second}) == 2
