@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -72,7 +71,7 @@ import numpy as np
 
 from . import rng
 from .errors import DivergenceError
-from .metrics import Metrics, classifier_metrics
+from .metrics import Metrics, classifier_metrics, stage
 
 VARIANTS = ("naive-ft", "kl-ft", "ce-ft", "ice-ft")
 
@@ -644,8 +643,8 @@ def run_seed_grid(
     of either stack that runs out of halvings raises the stack's
     :class:`DivergenceError`, and no seed gets a result.  Members never
     interact, so each seed run alone gets the bits it gets in the stack.
-    ``runtime_seconds`` of every pair of every seed, retrain included, is
-    its equal share of the fine-tune stack's wall time.  An unknown
+    The generation, the two stacks and the scoring each time one
+    :func:`~unlearn_lab.metrics.stage`.  An unknown
     variant, or an ``alpha`` that :func:`ft_coefficients` rejects, raises
     :class:`ValueError` before any work.
     """
@@ -656,39 +655,42 @@ def run_seed_grid(
     seeds = list(dict.fromkeys(seeds))
     if not pairs:
         return {seed: [] for seed in seeds}
-    sets = {}
-    for seed in seeds:
-        train, test = gen_class_task(
-            task.num_classes, task.per_class, task.feature_dim, task.sep, seed
-        )
-        forget, remain = split_class(train, task.forget_class)
-        relabeled = LabeledSet(
-            features=forget.features,
-            labels=relabel_forget(forget.labels, task.num_classes),
-        )
-        sets[seed] = train, remain, relabeled, forget, split_class(test, task.forget_class)[1]
-    # Every seed's features are C-ordered (LabeledSet), and np.stack copies
-    # each one as it is: a seed's slice has the layout, and so the gemm
-    # bits, of its own run.
-    train, remain, relabeled = (
-        LabeledSet(np.stack([sets[seed][i].features for seed in seeds]), sets[seeds[0]][i].labels)
-        for i in range(3))
-    model = pretrain(train, epochs, step_size, num_classes=task.num_classes)
+    with stage("generate"):
+        sets = {}
+        for seed in seeds:
+            train, test = gen_class_task(
+                task.num_classes, task.per_class, task.feature_dim, task.sep, seed
+            )
+            forget, remain = split_class(train, task.forget_class)
+            relabeled = LabeledSet(
+                features=forget.features,
+                labels=relabel_forget(forget.labels, task.num_classes),
+            )
+            sets[seed] = train, remain, relabeled, forget, split_class(test, task.forget_class)[1]
+        # Every seed's features are C-ordered (LabeledSet), and np.stack copies
+        # each one as it is: a seed's slice has the layout, and so the gemm
+        # bits, of its own run.
+        train, remain, relabeled = (
+            LabeledSet(np.stack([sets[seed][i].features for seed in seeds]),
+                       sets[seeds[0]][i].labels)
+            for i in range(3))
+    with stage("pretrain"):
+        model = pretrain(train, epochs, step_size, num_classes=task.num_classes)
     zero = SoftmaxClassifier(weights=np.zeros_like(model.weights), bias=np.zeros_like(model.bias))
     starts = [zero if variant == "retrain" else model for variant, _ in pairs]
-    start = time.perf_counter()
-    finals = unlearn_ft(starts, coefs, remain, relabeled, epochs, step_size)
-    share = (time.perf_counter() - start) / (len(seeds) * len(pairs))
+    with stage("fine_tune"):
+        finals = unlearn_ft(starts, coefs, remain, relabeled, epochs, step_size)
+    # Each distinct model is scored once, in the order its first pair appears.
+    distinct = {id(final): final for final in finals}
     grid = {}
-    for i, seed in enumerate(seeds):
-        _, remain, _, forget, test_remain = sets[seed]
-        # Each distinct model is scored once, in the order its first pair appears.
-        distinct = {id(final): final for final in finals}
-        scores = {
-            key: classifier_metrics(
-                SoftmaxClassifier(weights=final.weights[i], bias=final.bias[i]),
-                forget, remain, test_remain, runtime_seconds=share)
-            for key, final in distinct.items()
-        }
-        grid[seed] = [scores[id(final)] for final in finals]
+    with stage("score"):
+        for i, seed in enumerate(seeds):
+            _, remain, _, forget, test_remain = sets[seed]
+            scores = {
+                key: classifier_metrics(
+                    SoftmaxClassifier(weights=final.weights[i], bias=final.bias[i]),
+                    forget, remain, test_remain)
+                for key, final in distinct.items()
+            }
+            grid[seed] = [scores[id(final)] for final in finals]
     return grid

@@ -8,17 +8,10 @@ classifier demo and its regularization sweep (``classifier-demo``,
 
 Output contract: one CSV per run whose header comments materialize the
 full, defaulted configuration (so the file is self-describing), plus a
-JSON summary with pass/fail and a config echo.  Re-running a config
-reproduces the CSV byte for byte except for the trailing runtime column.
-Column sets are versioned via the ``# schema:`` header line.  In
-``classifier/v4`` every row of every seed, ``retrain`` included, comes
-from one config-wide stacked fine-tune in which each seed's identical
-objectives descend once and ``retrain`` is the zero-start member;
-``runtime_seconds`` is each row's equal share of that descent's wall
-time (``classifier/v3`` shared one seed's descent among that seed's
-rows).  In the ``/v2`` linear schemas a row's ``runtime_seconds`` is its
-equal share of the config-wide stacked solver calls of its scenario and
-edit (``/v1`` timed that seed's own solver calls).
+JSON summary with pass/fail, a config echo, and the run's wall time
+with its share per stage (:data:`STAGES`).  Re-running a config
+reproduces the CSV byte for byte.  Column sets are versioned via the
+``# schema:`` header line.
 
 A config is checked against its experiment's field table,
 :data:`FIELDS`, and the rules that relate fields, :data:`ACROSS`.
@@ -29,14 +22,14 @@ function that gives one seed's rows or raises its failure.  The
 classifier experiments descend every seed in one :func:`run_seed_grid`.
 The linear ones solve one stack of all seeds per layout (per scenario of
 ``verify-theorems``, per ``d_lap`` of ``sweep-overlap``) in one measured
-pass, :func:`_solve`, which trains and retrains once, factors each
-fine-tuning prefix once, edits and fine-tunes, and measures every model,
-one :class:`LossReport` of all seeds per solve.  In ``verify-theorems``
-each layout's pass then predicts the same seeds with the oracle, which
-restacks the seeds' own scenarios and factors them itself.  A
-stacked pass that raises is run again seed by seed (:func:`_stacked`,
-the one place that decides it), so a failing seed fails alone with the
-error of its own run.  A seed's rows read its losses over ``nt_values``
+pass, :func:`_solve`, which generates the scenarios, trains and retrains
+once, factors each fine-tuning prefix once, edits and fine-tunes, and
+measures every model, one :class:`LossReport` of all seeds per solve.
+In ``verify-theorems`` each layout's pass then predicts the same seeds
+with the oracle, which restacks the seeds' own scenarios and factors
+them itself.  A stacked pass that raises is run again seed by seed
+(:func:`_stacked`, the one place that decides it), so a failing seed
+fails alone with the error of its own run.  A seed's rows read its losses over ``nt_values``
 as arrays, and each ``verify-theorems`` row compares them with its
 predictions in one :func:`gap_report`.
 Rows are dicts keyed by column name; :data:`COLUMNS` alone fixes the
@@ -50,6 +43,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +51,7 @@ import numpy as np
 from .classifier import VARIANTS, ClassTask, run_seed_grid
 from .errors import ConfigError, UnlearnLabError
 from .linalg import Factored, RankDeficiencyCount
-from .metrics import LossReport, gap_report, measure_losses
+from .metrics import LossReport, gap_report, measure_losses, stage, stage_record
 from .oracle import (
     PRED_ABS_FLOOR,
     PRED_REL_TOL,
@@ -76,36 +70,42 @@ from .solvers import (
 )
 
 SCHEMAS = {
-    "verify-theorems": "verify-theorems/v2",
-    "sweep-nt": "sweep-nt/v2",
-    "sweep-overlap": "sweep-overlap/v2",
-    "classifier-demo": "classifier/v4",
-    "sweep-alpha": "classifier/v4",
+    "verify-theorems": "verify-theorems/v3",
+    "sweep-nt": "sweep-nt/v3",
+    "sweep-overlap": "sweep-overlap/v3",
+    "classifier-demo": "classifier/v5",
+    "sweep-alpha": "classifier/v5",
 }
 EXPERIMENTS = tuple(SCHEMAS)
 
+#: The stages whose wall seconds a run's summary reports.  ``solve``
+#: includes the factorizations, which the first solve on a matrix makes.
+STAGES = {
+    "verify-theorems": ("generate", "solve", "measure", "oracle", "report"),
+    **dict.fromkeys(("sweep-nt", "sweep-overlap"), ("generate", "solve", "measure", "report")),
+    **dict.fromkeys(("classifier-demo", "sweep-alpha"),
+                    ("generate", "pretrain", "fine_tune", "score", "report")),
+}
+
 COLUMNS = {
-    "verify-theorems/v2": [
+    "verify-theorems/v3": [
         "experiment", "seed", "check", "option",
         "d_r", "d_lap", "d_f", "n_r", "n_f", "n_t_min", "n_t_max",
         "rl_ft_max", "ul_ft_max", "rl_gold", "ul_gold", "ul_gold_pred",
         "ul_gold_rel_gap", "rl_edit_max", "ul_edit_max",
-        "edit_rl_gap_max", "edit_ul_gap_max", "pass", "runtime_seconds",
+        "edit_rl_gap_max", "edit_ul_gap_max", "pass",
     ],
-    "sweep-nt/v2": [
+    "sweep-nt/v3": [
         "experiment", "seed", "n_t", "rl_ft", "ul_ft", "rl_gold", "ul_gold",
         "rl_edit_zero", "ul_edit_zero", "rl_edit_retain", "ul_edit_retain",
-        "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
+        "rl_edit_discard", "ul_edit_discard",
     ],
-    "sweep-overlap/v2": [
+    "sweep-overlap/v3": [
         "experiment", "seed", "d_lap", "d_r", "d_f", "n_t",
         "rl_gold", "ul_gold", "rl_edit_retain", "ul_edit_retain",
-        "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
+        "rl_edit_discard", "ul_edit_discard",
     ],
-    "classifier/v4": [
-        "experiment", "variant", "alpha", "seed", "ua", "ra", "ta",
-        "runtime_seconds",
-    ],
+    "classifier/v5": ["experiment", "variant", "alpha", "seed", "ua", "ra", "ta"],
 }
 
 
@@ -120,6 +120,7 @@ class ExperimentResult:
     passed: bool | None = None
     failures: list[dict] = field(default_factory=list)
     total_runtime_seconds: float = 0.0
+    stages: dict = field(default_factory=dict)
     rank_deficient_solves: dict = field(default_factory=dict)
 
     @property
@@ -384,59 +385,45 @@ def load_config(path: str | Path, experiment: str) -> dict:
 # Linear experiments: one stacked pass per layout, all seeds at once
 # ----------------------------------------------------------------------
 
-def _solve(scenarios, nt_values, edits) -> list[tuple]:
-    """Train, retrain and fine-tune a stack of scenarios, and measure every model.
+def _solve(cfg: dict, layout: FeatureLayout, nt_values, edits, seeds) -> list[tuple]:
+    """Generate the scenarios of ``seeds`` on one layout, then train,
+    retrain and fine-tune them as one stack, and measure every model.
 
-    The scenarios share one layout and stack along a leading seed axis,
-    so every solver call serves all of them.  On the prefix of each
-    ``n_t`` this fine-tunes once per entry of ``edits``: an
-    :class:`EditOption` edits the pretrained weights first, and ``None``
-    fine-tunes them unedited.  Each prefix stack is factored once and
-    shared by its fine-tunes, the first of which pays for the SVD; the
-    oracle factors its own matrices.  Returns per scenario ``(scenario,
-    (golden rl, golden ul), retrain seconds, {edit: (rl, ul, [seconds
-    per n_t])})``: the edits' ``rl`` and ``ul`` are arrays over
-    ``nt_values``, read from the stack's validated loss reports, and the
-    seconds are the member's equal share of the stack's solver calls,
-    never of data handling or measurement.
+    On the prefix of each ``n_t`` this fine-tunes once per entry of
+    ``edits``: an :class:`EditOption` edits the pretrained weights first,
+    and ``None`` fine-tunes them unedited.  Each prefix stack is factored
+    once and shared by its fine-tunes, the first of which pays for the
+    SVD; the oracle factors its own matrices.  Returns per seed
+    ``(scenario, (golden rl, golden ul), {edit: (rl, ul)})``, where the
+    edits' ``rl`` and ``ul`` are arrays over ``nt_values``, read from the
+    stack's validated loss reports.
     """
-    scenario = stack_scenarios(scenarios)
-    members = len(scenarios)
-    w_o = train_original(scenario)
-    start = time.perf_counter()
-    w_g = retrain_golden(scenario)
-    gold_seconds = (time.perf_counter() - start) / members
-    solved = {edit: [] for edit in edits}
-    for n_t in nt_values:
-        x_t, y_t = fine_tune_subset(scenario, n_t)
-        x_t = Factored(x_t, "x_t")
-        for edit in edits:
-            start = time.perf_counter()
-            w = w_o if edit is None else edit_pretrained(w_o, scenario.layout, edit)
-            w_t = fine_tune_unlearn(w, x_t, y_t)
-            seconds = (time.perf_counter() - start) / members
+    with stage("generate"):
+        scenarios = [gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"])
+                     for seed in seeds]
+        scenario = stack_scenarios(scenarios)
+    with stage("solve"):
+        w_o = train_original(scenario)
+        w_g = retrain_golden(scenario)
+        solved = {edit: [] for edit in edits}
+        for n_t in nt_values:
+            x_t, y_t = fine_tune_subset(scenario, n_t)
+            x_t = Factored(x_t, "x_t")
+            for edit in edits:
+                w = w_o if edit is None else edit_pretrained(w_o, scenario.layout, edit)
+                solved[edit].append(fine_tune_unlearn(w, x_t, y_t))
+    with stage("measure"):
+        # Each edit's losses as (members, len(nt_values)) arrays: row i is
+        # member i over nt_values.
+        fits = {}
+        for edit, weights in solved.items():
             tag = "fine_tuned" if edit is None else "edited_fine_tuned"
-            solved[edit].append((measure_losses(w_t, scenario, tag), seconds))
-    gold = measure_losses(w_g, scenario, "golden")
-    # Each edit's losses as (members, len(nt_values)) arrays: row i is
-    # member i over nt_values.
-    fits = {edit: (np.stack([losses.rl for losses, _ in runs], axis=1),
-                   np.stack([losses.ul for losses, _ in runs], axis=1),
-                   [seconds for _, seconds in runs])
-            for edit, runs in solved.items()}
-    return [
-        (scenarios[i], gold_losses, gold_seconds,
-         {edit: (rl[i], ul[i], seconds) for edit, (rl, ul, seconds) in fits.items()})
-        for i, gold_losses in enumerate(zip(gold.rl.tolist(), gold.ul.tolist()))
-    ]
-
-
-def _stacked_pass(cfg: dict, layout: FeatureLayout, nt_values, edits):
-    """The pass of one layout: a list of seeds -> one :func:`_solve` result
-    per seed, their scenarios generated one by one and solved as a stack."""
-    return lambda seeds: _solve(
-        [gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"]) for seed in seeds],
-        nt_values, edits)
+            runs = [measure_losses(w_t, scenario, tag) for w_t in weights]
+            fits[edit] = (np.stack([losses.rl for losses in runs], axis=1),
+                          np.stack([losses.ul for losses in runs], axis=1))
+        gold = measure_losses(w_g, scenario, "golden")
+    return [(scenarios[i], gold_losses, {edit: (rl[i], ul[i]) for edit, (rl, ul) in fits.items()})
+            for i, gold_losses in enumerate(zip(gold.rl.tolist(), gold.ul.tolist()))]
 
 
 def _stacked(seeds: list[int], solve) -> dict:
@@ -511,30 +498,26 @@ def _verify_rows(cfg: dict):
         ("overlap", predict_overlap, [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD]),
     ]
 
-    def solve_and_predict(layout, predict, options):
-        solve = _stacked_pass(cfg, layout, nt_values, [None, *options])
-
-        def run(seeds):
-            solved = solve(seeds)
+    def solve_and_predict(layout, predict, options, seeds):
+        solved = _solve(cfg, layout, nt_values, [None, *options], seeds)
+        with stage("oracle"):
             scenario = stack_scenarios([scenario for scenario, *_ in solved])
             return list(zip(solved, predict(scenario),
                             predict_edited(scenario, options, nt_values)))
 
-        return run
-
     results = _solve_seeds(cfg["seeds"], [
-        solve_and_predict(FeatureLayout(*cfg[f"{check}_layout"]), predict, options)
+        partial(solve_and_predict, FeatureLayout(*cfg[f"{check}_layout"]), predict, options)
         for check, predict, options in checks
     ])
 
     def rows_for_seed(seed: int) -> list[dict]:
         rows, edit_rows = [], []
-        for (check, _, options), ((scenario, (rl_gold, ul_gold), runtime, fits), baseline, edits) \
+        for (check, _, options), ((scenario, (rl_gold, ul_gold), fits), baseline, edits) \
                 in zip(checks, _each(results[seed])):
             layout = scenario.layout
             gold = LossReport(rl=rl_gold, ul=ul_gold, model_tag="golden")
             gold_gaps = gap_report(gold, baseline, rel, floor)
-            rl_ft, ul_ft, ft_seconds = fits[None]
+            rl_ft, ul_ft = fits[None]
             fine_tuned = LossReport(rl=rl_ft, ul=ul_ft, model_tag="fine_tuned")
             common = {
                 **dict.fromkeys(COLUMNS[SCHEMAS["verify-theorems"]], float("nan")),
@@ -550,10 +533,9 @@ def _verify_rows(cfg: dict):
                 "rl_gold": rl_gold, "ul_gold": ul_gold, "ul_gold_pred": baseline.ul_gold,
                 "ul_gold_rel_gap": gold_gaps.ul.rel_gap,
                 "pass": gap_report(fine_tuned, baseline, rel, floor).passed and gold_gaps.passed,
-                "runtime_seconds": sum(ft_seconds, runtime),
             })
             for option, predictions in zip(options, edits):
-                rl, ul, seconds = fits[option]
+                rl, ul = fits[option]
                 edited = LossReport(rl=rl, ul=ul, model_tag="edited_fine_tuned")
                 gaps = gap_report(edited, _over_nt(predictions), rel, floor)
                 edit_rows.append({
@@ -564,7 +546,6 @@ def _verify_rows(cfg: dict):
                     "edit_rl_gap_max": float(np.fmax.reduce(gaps.rl.abs_gap, initial=0.0)),
                     "edit_ul_gap_max": float(np.fmax.reduce(gaps.ul.abs_gap, initial=0.0)),
                     "pass": gaps.passed,
-                    "runtime_seconds": sum(seconds),
                 })
         return rows + edit_rows
 
@@ -580,25 +561,21 @@ def _over_nt(predictions: list[TheoremPrediction]) -> TheoremPrediction:
 
 def _sweep_nt_rows(cfg: dict):
     """Solve every seed as one stack; returns the function that gives a
-    seed's row per ``n_t``, whose runtime covers that row's fine-tunes."""
+    seed's row per ``n_t``."""
     layout = FeatureLayout(*cfg["layout"])
     edits = [None, *EditOption]
     if not layout.is_distinct:
         edits.remove(EditOption.DISTINCT_ZERO_FORGET)
-    solved = _solve_seeds(cfg["seeds"], [_stacked_pass(cfg, layout, cfg["nt_values"], edits)])
+    solved = _solve_seeds(cfg["seeds"], [partial(_solve, cfg, layout, cfg["nt_values"], edits)])
 
     def rows_for_seed(seed: int) -> list[dict]:
-        [(_, (rl_gold, ul_gold), _, fits)] = _each(solved[seed])
+        [(_, (rl_gold, ul_gold), fits)] = _each(solved[seed])
         missing = (np.full(len(cfg["nt_values"]), np.nan),) * 2
-        columns = {
-            "n_t": cfg["nt_values"],
-            # Each n_t's fine-tunes, summed in the order they ran.
-            "runtime_seconds": [sum(at) for at in zip(*(seconds for *_, seconds in fits.values()))],
-        }
+        columns = {"n_t": cfg["nt_values"]}
         for name, edit in (("ft", None), ("edit_zero", EditOption.DISTINCT_ZERO_FORGET),
                            ("edit_retain", EditOption.OVERLAP_RETAIN),
                            ("edit_discard", EditOption.OVERLAP_DISCARD)):
-            rl, ul = fits[edit][:2] if edit in fits else missing
+            rl, ul = fits.get(edit, missing)
             columns[f"rl_{name}"], columns[f"ul_{name}"] = rl.tolist(), ul.tolist()
         return [
             {"experiment": cfg["experiment"], "seed": seed, "rl_gold": rl_gold, "ul_gold": ul_gold,
@@ -611,27 +588,24 @@ def _sweep_nt_rows(cfg: dict):
 
 def _sweep_overlap_rows(cfg: dict):
     """Solve every seed, one stack per ``d_lap``; returns the function that
-    gives a seed's row per ``d_lap``, whose runtime covers the retrain and
-    both edits."""
+    gives a seed's row per ``d_lap``."""
     layouts = [FeatureLayout((cfg["d"] - d_lap) // 2, d_lap, (cfg["d"] - d_lap) // 2)
                for d_lap in cfg["d_lap_values"]]
     edits = [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD]
     solved = _solve_seeds(
-        cfg["seeds"], [_stacked_pass(cfg, layout, [cfg["n_t"]], edits) for layout in layouts])
+        cfg["seeds"], [partial(_solve, cfg, layout, [cfg["n_t"]], edits) for layout in layouts])
 
     def rows_for_seed(seed: int) -> list[dict]:
         rows = []
-        for layout, (_, (rl_gold, ul_gold), runtime, fits) in zip(layouts, _each(solved[seed])):
+        for layout, (_, (rl_gold, ul_gold), fits) in zip(layouts, _each(solved[seed])):
             # One n_t: each edit's losses are one-element arrays.
-            [(rl_retain, ul_retain, [retain_seconds]),
-             (rl_discard, ul_discard, [discard_seconds])] = fits.values()
+            [(rl_retain, ul_retain), (rl_discard, ul_discard)] = fits.values()
             rows.append({
                 "experiment": cfg["experiment"], "seed": seed,
                 "d_lap": layout.d_lap, "d_r": layout.d_r, "d_f": layout.d_f, "n_t": cfg["n_t"],
                 "rl_gold": rl_gold, "ul_gold": ul_gold,
                 "rl_edit_retain": float(rl_retain[0]), "ul_edit_retain": float(ul_retain[0]),
                 "rl_edit_discard": float(rl_discard[0]), "ul_edit_discard": float(ul_discard[0]),
-                "runtime_seconds": runtime + retain_seconds + discard_seconds,
             })
         return rows
 
@@ -643,7 +617,7 @@ def _sweep_overlap_rows(cfg: dict):
 # ----------------------------------------------------------------------
 
 # Per-seed measurements of a classifier row; the mean/std rows average them.
-_MEASURES = ("ua", "ra", "ta", "runtime_seconds")
+_MEASURES = ("ua", "ra", "ta")
 
 
 def _classifier_rows(cfg: dict):
@@ -707,26 +681,28 @@ def run_experiment(experiment: str, cfg: dict) -> ExperimentResult:
     ``verify-theorems`` sets ``passed``.  The classifier schema appends
     mean and std rows after the per-seed rows.  ``rank_deficient_solves``
     counts the run's rank-deficient factorizations, failed seeds
-    included: ``{"solvers": ..., "oracle": ...}``, by whose work they are.
+    included: ``{"solvers": ..., "oracle": ...}``, by whose work they are,
+    and ``stages`` the wall seconds of each of the experiment's :data:`STAGES`.
     """
     if experiment not in _ROWS_FOR_SEED:
         raise ConfigError(f"unknown experiment {experiment!r}")
     result = ExperimentResult(experiment, SCHEMAS[experiment], cfg)
     start = time.perf_counter()
-    with RankDeficiencyCount() as rank_deficient:
+    with RankDeficiencyCount() as rank_count, stage_record(STAGES[experiment]) as result.stages:
         rows_for_seed = _ROWS_FOR_SEED[experiment](cfg)
-        for seed in cfg["seeds"]:
-            try:
-                result.rows.extend(rows_for_seed(seed))
-            except UnlearnLabError as exc:
-                result.failures.append(
-                    {"seed": seed, "type": type(exc).__name__, "message": str(exc)}
-                )
-    result.rank_deficient_solves = rank_deficient.counts
-    if experiment == "verify-theorems":
-        result.passed = not result.failures and all(row["pass"] for row in result.rows)
-    if result.schema == "classifier/v4":
-        result.rows += _mean_std_rows(result.rows)
+        with stage("report"):
+            for seed in cfg["seeds"]:
+                try:
+                    result.rows.extend(rows_for_seed(seed))
+                except UnlearnLabError as exc:
+                    result.failures.append(
+                        {"seed": seed, "type": type(exc).__name__, "message": str(exc)}
+                    )
+            if experiment == "verify-theorems":
+                result.passed = not result.failures and all(row["pass"] for row in result.rows)
+            if result.schema == "classifier/v5":
+                result.rows += _mean_std_rows(result.rows)
+    result.rank_deficient_solves = rank_count.counts
     result.total_runtime_seconds = time.perf_counter() - start
     return result
 
@@ -779,6 +755,7 @@ def write_outputs(result: ExperimentResult, csv_path: str | Path) -> Path:
         "failures": result.failures,
         "rank_deficient_solves": result.rank_deficient_solves,
         "total_runtime_seconds": result.total_runtime_seconds,
+        "stages": result.stages,
     }
     summary_path_for(csv_path).write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -13,12 +13,18 @@ losses, say one seed's over every fine-tuning subset size, with
 predictions of the same shape or with one prediction, elementwise
 through :func:`~unlearn_lab.oracle.within_tolerance`, with the bits of
 one call per element.
+
+A run's :func:`stage_record` holds the wall seconds of each stage, which
+coarse ``with stage(name)`` blocks add to; they never nest.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -31,6 +37,29 @@ if TYPE_CHECKING:
     from .classifier import LabeledSet, SoftmaxClassifier
 
 MODEL_TAGS = ("original", "fine_tuned", "golden", "edited_fine_tuned")
+
+_STAGES: ContextVar[dict[str, float] | None] = ContextVar("stages", default=None)
+
+
+@contextmanager
+def stage_record(names) -> Iterator[dict[str, float]]:
+    """``{name: 0.0}`` per stage, which the :func:`stage` blocks inside add to."""
+    token = _STAGES.set(seconds := dict.fromkeys(names, 0.0))
+    try:
+        yield seconds
+    finally:
+        _STAGES.reset(token)
+
+
+@contextmanager
+def stage(name: str) -> Iterator[None]:
+    """Add the block's wall seconds to stage ``name`` of the innermost record."""
+    seconds, start = _STAGES.get(), time.perf_counter()
+    try:
+        yield
+    finally:
+        if seconds is not None:
+            seconds[name] += time.perf_counter() - start
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +96,6 @@ class Metrics:
     ua: float
     ra: float
     ta: float
-    runtime_seconds: float
 
     def __post_init__(self):
         for name in ("ua", "ra", "ta"):
@@ -208,17 +236,8 @@ def accuracy(model: SoftmaxClassifier, data: LabeledSet) -> float:
     return float(np.mean(predicted == data.labels))
 
 
-def classifier_metrics(
-    model: SoftmaxClassifier,
-    forget_set: LabeledSet,
-    remain_set: LabeledSet,
-    test_set: LabeledSet,
-    runtime_seconds: float = 0.0,
-) -> Metrics:
+def classifier_metrics(model: SoftmaxClassifier, forget_set: LabeledSet,
+                       remain_set: LabeledSet, test_set: LabeledSet) -> Metrics:
     """UA/RA/TA of a classifier: ``UA = 1 - accuracy`` on the forget set."""
-    return Metrics(
-        ua=1.0 - accuracy(model, forget_set),
-        ra=accuracy(model, remain_set),
-        ta=accuracy(model, test_set),
-        runtime_seconds=runtime_seconds,
-    )
+    return Metrics(ua=1.0 - accuracy(model, forget_set), ra=accuracy(model, remain_set),
+                   ta=accuracy(model, test_set))

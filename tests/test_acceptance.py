@@ -356,17 +356,10 @@ DETERMINISM_CONFIGS = [
 ]
 
 
-def _strip_runtime_column(csv_text):
-    lines = []
-    for line in csv_text.splitlines():
-        lines.append(line if line.startswith("#") else line.rsplit(",", 1)[0])
-    return "\n".join(lines)
-
-
 def test_criterion_9_determinism_across_reruns():
     with criterion(9, "identical configs reproduce every CSV byte for byte"):
         for experiment, raw in DETERMINISM_CONFIGS:
             cfg = validate_config(raw, experiment)
             first = render_csv(run_experiment(experiment, cfg))
             second = render_csv(run_experiment(experiment, cfg))
-            assert _strip_runtime_column(first) == _strip_runtime_column(second), experiment
+            assert first == second, experiment

@@ -1006,12 +1006,9 @@ def _run_scoring(monkeypatch, experiment, cfg):
 
 
 def _seed_rows(result):
-    """The per-seed rows, every cell as the CSV writes it, runtime aside."""
-    return [
-        [experiments._format_cell(value)
-         for name, value in row.items() if name != "runtime_seconds"]
-        for row in result.rows if isinstance(row["seed"], int)
-    ]
+    """The per-seed rows, every cell as the CSV writes it."""
+    return [[experiments._format_cell(value) for value in row.values()]
+            for row in result.rows if isinstance(row["seed"], int)]
 
 
 class TestSeedStack:
@@ -1253,7 +1250,7 @@ class TestHardInputs:
     ):
         code, rows, summary = self._run(tmp_path, capsys, 100.0)
         assert code == 0 and summary["failures"] == [] and len(rows) == 3 * 5
-        measures = ("ua", "ra", "ta", "runtime_seconds")
+        measures = ("ua", "ra", "ta")
         for row in rows:
             assert all(np.isfinite(float(row[name])) for name in measures)
             if row["seed"] != "std":

@@ -42,16 +42,6 @@ ALPHA_CFG = {"seeds": [0], "epochs": 120, "task": {"per_class": 25},
              "variants": ["kl-ft"], "alphas": [0.1, 0.8]}
 
 
-def _strip_runtime(csv_text: str) -> str:
-    lines = []
-    for line in csv_text.splitlines():
-        if line.startswith("#"):
-            lines.append(line)
-        else:
-            lines.append(line.rsplit(",", 1)[0])
-    return "\n".join(lines)
-
-
 class TestConfigValidation:
     def test_defaults_materialized(self):
         cfg = validate_config({"seeds": [1]}, "verify-theorems")
@@ -115,40 +105,59 @@ class TestConfigValidation:
 class TestSchemas:
     def test_pinned_column_sets(self):
         # Schema stability: these exact names and orders are the contract.
-        assert COLUMNS["verify-theorems/v2"] == [
+        assert COLUMNS.keys() == {
+            "verify-theorems/v3", "sweep-nt/v3", "sweep-overlap/v3", "classifier/v5"}
+        assert COLUMNS["verify-theorems/v3"] == [
             "experiment", "seed", "check", "option",
             "d_r", "d_lap", "d_f", "n_r", "n_f", "n_t_min", "n_t_max",
             "rl_ft_max", "ul_ft_max", "rl_gold", "ul_gold", "ul_gold_pred",
             "ul_gold_rel_gap", "rl_edit_max", "ul_edit_max",
-            "edit_rl_gap_max", "edit_ul_gap_max", "pass", "runtime_seconds",
+            "edit_rl_gap_max", "edit_ul_gap_max", "pass",
         ]
-        assert COLUMNS["sweep-nt/v2"] == [
+        assert COLUMNS["sweep-nt/v3"] == [
             "experiment", "seed", "n_t", "rl_ft", "ul_ft", "rl_gold", "ul_gold",
             "rl_edit_zero", "ul_edit_zero", "rl_edit_retain", "ul_edit_retain",
-            "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
+            "rl_edit_discard", "ul_edit_discard",
         ]
-        assert COLUMNS["sweep-overlap/v2"] == [
+        assert COLUMNS["sweep-overlap/v3"] == [
             "experiment", "seed", "d_lap", "d_r", "d_f", "n_t",
             "rl_gold", "ul_gold", "rl_edit_retain", "ul_edit_retain",
-            "rl_edit_discard", "ul_edit_discard", "runtime_seconds",
+            "rl_edit_discard", "ul_edit_discard",
         ]
-        assert COLUMNS["classifier/v4"] == [
+        assert COLUMNS["classifier/v5"] == [
             "experiment", "variant", "alpha", "seed", "ua", "ra", "ta",
-            "runtime_seconds",
         ]
 
-    def test_runtime_is_always_last(self):
-        for columns in COLUMNS.values():
-            assert columns[-1] == "runtime_seconds"
+    # Each experiment's small config and the stages its summary must name.
+    STAGED = [
+        ("verify-theorems", dict(VERIFY_CFG, nt_values=[1, 10]),
+         {"generate", "solve", "measure", "oracle", "report"}),
+        ("sweep-nt", NT_DISTINCT_CFG, {"generate", "solve", "measure", "report"}),
+        ("sweep-overlap", OVERLAP_CFG, {"generate", "solve", "measure", "report"}),
+        ("classifier-demo", dict(DEMO_CFG, variants=["naive-ft", "retrain"]),
+         {"generate", "pretrain", "fine_tune", "score", "report"}),
+        ("sweep-alpha", ALPHA_CFG, {"generate", "pretrain", "fine_tune", "score", "report"}),
+    ]
+
+    @pytest.mark.parametrize("experiment,cfg,names", STAGED)
+    def test_summary_stages_split_the_runtime(self, tmp_path, experiment, cfg, names):
+        result = run_experiment(experiment, validate_config(cfg, experiment))
+        csv_path = write_outputs(result, tmp_path / "run.csv")
+        summary = json.loads(summary_path_for(csv_path).read_text())
+        stages = summary["stages"]
+        assert stages.keys() == names
+        assert all(seconds >= 0.0 for seconds in stages.values())
+        # The stages never nest, so their sum cannot exceed the run's time.
+        assert sum(stages.values()) <= summary["total_runtime_seconds"]
 
     def test_csv_header_lines(self):
         cfg = validate_config(dict(VERIFY_CFG, nt_values=[1]), "verify-theorems")
         result = run_experiment("verify-theorems", cfg)
         text = render_csv(result)
         lines = text.splitlines()
-        assert lines[0] == "# schema: verify-theorems/v2"
+        assert lines[0] == "# schema: verify-theorems/v3"
         assert lines[1].startswith("# config: {")
-        assert lines[2] == ",".join(COLUMNS["verify-theorems/v2"])
+        assert lines[2] == ",".join(COLUMNS["verify-theorems/v3"])
         # Config echo is valid canonical JSON.
         echoed = json.loads(lines[1][len("# config: "):])
         assert echoed["experiment"] == "verify-theorems"
@@ -170,7 +179,7 @@ class TestSchemas:
             del row["ul_ft"]
         else:
             row["ul_extra"] = 0.0
-        with pytest.raises(ValueError, match="sweep-nt/v2"):
+        with pytest.raises(ValueError, match="sweep-nt/v3"):
             render_csv(result)
 
 
@@ -417,11 +426,10 @@ class TestPrefixFactorization:
 
 
 def _rows_by_seed(result) -> dict:
-    """Each seed's rows without ``runtime_seconds``, as reprs (exact floats, NaN included)."""
+    """Each seed's rows as reprs (exact floats, NaN included)."""
     rows: dict = {}
     for row in result.rows:
-        cells = {name: value for name, value in row.items() if name != "runtime_seconds"}
-        rows.setdefault(row["seed"], []).append(repr(cells))
+        rows.setdefault(row["seed"], []).append(repr(row))
     return rows
 
 
@@ -771,7 +779,7 @@ class TestClassifierExperiments:
             group = [r for r in per_seed if (r["variant"], r["alpha"]) == (row["variant"], row["alpha"])]
             assert [r["seed"] for r in group] == [0, 1, 2]
             reduce = np.mean if row["seed"] == "mean" else lambda v: np.std(v, ddof=0)
-            for name in ("ua", "ra", "ta", "runtime_seconds"):
+            for name in ("ua", "ra", "ta"):
                 assert row[name] == reduce([r[name] for r in group])
 
     def test_demo_retrain_rows_form_one_cell(self):
@@ -789,16 +797,6 @@ class TestClassifierExperiments:
         assert len(retrain) == 3
         assert aggregates[0]["ua"] == np.mean([r["ua"] for r in retrain])
         assert aggregates[1]["ua"] == np.std([r["ua"] for r in retrain], ddof=0)
-
-    def test_fine_tuned_rows_share_the_stacked_runtime(self):
-        cfg = validate_config(
-            dict(DEMO_CFG, seeds=[0], variants=["retrain", "naive-ft", "kl-ft", "ice-ft"]),
-            "classifier-demo",
-        )
-        rows = run_experiment("classifier-demo", cfg).rows
-        runtime = {r["variant"]: r["runtime_seconds"] for r in rows if r["seed"] == 0}
-        assert runtime["retrain"] == runtime["naive-ft"] == runtime["kl-ft"] == runtime["ice-ft"]
-        assert runtime["retrain"] > 0.0
 
     def test_failed_seed_is_listed_in_the_summary(self, tmp_path, monkeypatch):
         real_grid = experiments.run_seed_grid
@@ -840,11 +838,11 @@ class TestDeterminism:
             ("sweep-alpha", ALPHA_CFG),
         ],
     )
-    def test_rerun_is_byte_identical_modulo_runtime(self, experiment, cfg):
+    def test_rerun_is_byte_identical(self, experiment, cfg):
         validated = validate_config(cfg, experiment)
         first = render_csv(run_experiment(experiment, validated))
         second = render_csv(run_experiment(experiment, validated))
-        assert _strip_runtime(first) == _strip_runtime(second)
+        assert first == second
 
 
 class TestCli:
@@ -1129,8 +1127,8 @@ class TestLogLevel:
         ])
         assert code == 0
         summary = json.loads(summary_path_for(out).read_text(encoding="utf-8"))
-        del summary["csv"], summary["total_runtime_seconds"]
-        return _strip_runtime(out.read_text(encoding="utf-8")), summary, capsys.readouterr().err
+        del summary["csv"], summary["total_runtime_seconds"], summary["stages"]
+        return out.read_text(encoding="utf-8"), summary, capsys.readouterr().err
 
     def test_debug_logs_each_rank_deficient_factorization_and_keeps_outputs(
         self, tmp_path, capsys
@@ -1201,7 +1199,7 @@ class TestWriteOutputs:
         cfg = validate_config(dict(NT_DISTINCT_CFG, nt_values=[1]), "sweep-nt")
         result = run_experiment("sweep-nt", cfg)
         csv_path = write_outputs(result, tmp_path / "out" / "nt.csv")
-        assert csv_path.read_text().startswith("# schema: sweep-nt/v2")
+        assert csv_path.read_text().startswith("# schema: sweep-nt/v3")
         summary = json.loads(summary_path_for(csv_path).read_text())
         assert summary["experiment"] == "sweep-nt"
         assert summary["rows"] == 1

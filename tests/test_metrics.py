@@ -354,7 +354,7 @@ class TestClassifierMetrics:
 
     def test_fraction_bounds_enforced(self):
         with pytest.raises(ValueError):
-            Metrics(ua=1.2, ra=0.0, ta=0.0, runtime_seconds=0.0)
+            Metrics(ua=1.2, ra=0.0, ta=0.0)
 
 
 class TestArrayHoldersCompareByIdentity:
