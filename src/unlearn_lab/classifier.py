@@ -21,16 +21,19 @@ beyond data generation.  The engine, :func:`fit_softmax`, descends a
 stack of models at once; every member follows bit for bit the trajectory
 it would follow alone.  A config's seeds share their labels (the task
 layout fixes them), so :func:`run_seed_grid` stacks their features as
-``(S, D, m)``: :func:`pretrain` trains every seed in one stack, and
-:func:`unlearn_ft`, the one stacked fine-tune, descends every seed's
-whole (variant, alpha) grid as a single ``(S, M, K, D + 1)`` gradient
-descent, one broadcasting gemm per product.  A member is keyed by its
-start and its weights ``(c_r, c_f)``, and each distinct key descends
-once per seed: the ``kl-ft``/``ice-ft`` twins share one member, and the
-golden ``retrain`` model is the zero-start ``(1, 0)`` member of the same
-stack.  A member that runs out of step-size halvings fails its whole
-stack; the experiment runner then runs each seed alone, so a diverging
-seed fails alone with its own run's error.
+``(S, D, m)``: :func:`pretrain` trains every seed in one ``(S, 1, K, D
++ 1)`` stack, and :func:`unlearn_ft`, the one stacked fine-tune, descends
+every seed's whole (variant, alpha) grid as a single ``(S, M, K, D + 1)``
+gradient descent, one broadcasting gemm per product.  A stack keeps its
+shape through the whole fit: a member that diverges halves its own step
+size and the whole stack restarts, every other member replaying its own
+trajectory.  A member is keyed by its start and its weights ``(c_r,
+c_f)``, and each distinct key descends once per seed: the
+``kl-ft``/``ice-ft`` twins share one member, and the golden ``retrain``
+model is the zero-start ``(1, 0)`` member of the same stack.  A member
+that runs out of step-size halvings fails its whole stack; the
+experiment runner then runs each seed alone, so a diverging seed fails
+alone with its own run's error.
 Gradients are computed analytically and are checked against finite
 differences in the test suite.
 
@@ -63,7 +66,6 @@ operations of indexing the targets on every call.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -335,51 +337,35 @@ def _ce_value_and_grad(params, data, out=None, columns=None, views=None):
 
 
 class _StackCE:
-    """CE of each set of ``data`` for the running members of a flat stack of ``stack`` models.
+    """CE of each set of ``data`` for a stack of models of leading shape ``lead``.
 
     A fit builds one, with what its epochs share: the :class:`_Targets`
     of its set, or of the fine-tune's remain and forget sets side by
-    side, the ``(N, K, m)`` logits and ``(2, N, m)`` column buffers of
-    :func:`_ce_value_and_grad`, and the views of the whole stack that the
-    kernel reads (:func:`_kernel_views`).  With the ``(S, D, m)`` features
-    of ``S`` seeds the stack is seed-major: member ``n`` belongs to seed
-    ``n // (N // S)``.  The whole stack runs as ``(S, N // S, K, D + 1)``
-    parameters, the bias as their last column, against ``(S, 1, D + 1,
-    m)`` features with their ones row, one broadcasting gemm per product;
-    a stack that shrank after a divergence pairs each member with its own
-    seed's features and takes the same joint pass on them.  The features
-    are C-contiguous (:class:`_Targets`), and so is each seed's slice of
-    them and each copy fancy indexing makes, so either way a member gets
-    the bits of its seed's run alone.  A call on the ``(n, K, D + 1)``
-    parameters of ``n`` members returns, per set, their ``(n,)`` losses
-    and ``(n, K, D + 1)`` gradients, flat as the kernel returns them.
+    side, the ``(..., K, m)`` logits and ``(2, ..., m)`` column buffers of
+    :func:`_ce_value_and_grad`, and the views of them that the kernel
+    reads (:func:`_kernel_views`).  The stack is ``(M, K, D + 1)``
+    parameters, the bias as their last column, or with the ``(S, D, m)``
+    features of ``S`` seeds ``(S, M, K, D + 1)``: the features get a
+    member axis, ``(S, 1, D + 1, m)`` with their ones row, so that one
+    broadcasting gemm per product pairs every member with its own seed's
+    features.  The features are C-contiguous (:class:`_Targets`), and so
+    is each seed's slice of them, so a member gets the bits of its seed's
+    run alone.  A call on the stack's parameters returns, per set, the
+    ``lead`` losses and the gradients shaped like the parameters, flat as
+    the kernel returns them.
     """
 
-    def __init__(self, data: LabeledSet | Sequence[LabeledSet], num_classes: int, stack: int):
-        self.targets = targets = _Targets.of(data, num_classes)
-        self.out = np.empty((stack, num_classes, targets.size))
-        self.columns = np.empty((2, stack, targets.size))
-        self.lead = targets.features.shape[:-2] + (-1,)
-        whole = _Targets(targets.features[..., None, :, :], targets.onehot, targets.flat,
-                         targets.ends)
-        out = self.out.reshape(self.lead + self.out.shape[1:])
-        columns = self.columns.reshape((2,) + self.lead + (targets.size,))
-        self.whole = whole, out, columns, _kernel_views(whole, out, columns)
+    def __init__(self, data: LabeledSet | Sequence[LabeledSet], num_classes: int,
+                 lead: tuple[int, ...]):
+        targets = _Targets.of(data, num_classes)
+        self.targets = _Targets(targets.features[..., None, :, :], targets.onehot, targets.flat,
+                                targets.ends)
+        out = np.empty(lead + (num_classes, targets.size))
+        columns = np.empty((2,) + lead + (targets.size,))
+        self.buffers = out, columns, _kernel_views(self.targets, out, columns)
 
-    def __call__(self, params, members):
-        n, k, d = params.shape
-        if n == len(self.out):
-            data, out, columns, views = self.whole
-            params = params.reshape(self.lead + (k, d))
-        else:
-            data, out, columns, views = self.targets, self.out[:n], self.columns[:, :n], None
-            if data.features.ndim == 3:
-                # Fancy indexing copies each seed's C-ordered slice as it is.
-                seeds = members // (len(self.out) // len(data.features))
-                data = _Targets(data.features[seeds], data.onehot, data.flat, data.ends)
-        terms = _ce_value_and_grad(params, data, out, columns, views)
-        shapes = ((n,), (n, k, d)) * len(data.ends)
-        return [term.reshape(shape) for term, shape in zip(terms, shapes)]
+    def __call__(self, params):
+        return _ce_value_and_grad(params, self.targets, *self.buffers)
 
 
 def ft_coefficients(variant: str, alpha: float) -> tuple[float, float]:
@@ -401,12 +387,12 @@ def ft_coefficients(variant: str, alpha: float) -> tuple[float, float]:
 def _mixing(coef_r: np.ndarray, coef_f: np.ndarray) -> list[tuple]:
     """How :func:`_mix` combines each output of a stack of objectives.
 
-    Per output, the ``(n,)`` losses and the ``(n, K, D + 1)`` gradients
-    whose last column is the bias gradient: ``coef_r`` and
-    ``coef_f`` shaped to broadcast against it, then the masks of the
-    members that use the remain term alone (``coef_f == 0``) and the
-    forget term alone (``coef_r == 0``), each ``None`` where no member
-    does.
+    Per output, the ``(..., M)`` losses and the ``(..., M, K, D + 1)``
+    gradients whose last column is the bias gradient: the ``(M,)``
+    ``coef_r`` and ``coef_f`` shaped to broadcast against it, over any
+    seed axis too, then the masks of the members that use the remain term
+    alone (``coef_f == 0``) and the forget term alone (``coef_r == 0``),
+    each ``None`` where no member does.
     """
     parts = [coef_r, coef_f]
     for alone in (coef_f == 0.0, coef_r == 0.0):
@@ -434,35 +420,30 @@ def _mix(r, f, coef_r, coef_f, remain_only, forget_only):
 
 
 class _Objective:
-    """``coef_r * CE(remain) + coef_f * CE(forget)`` of a flat stack of models.
+    """``coef_r * CE(remain) + coef_f * CE(forget)`` of a stack of models.
 
-    ``coef_r`` and ``coef_f`` weigh ``M`` objectives.  With the stacked
-    sets of ``S`` seeds the stack holds every objective of every seed,
-    seed-major (see :class:`_StackCE`): ``S * M`` members.  Everything
-    that stays the same between epochs is built once, when the fit builds
-    this object: one :class:`_StackCE` of the remain and forget sets side
-    by side, with their joint targets, buffers and views (a fresh
-    stack-sized buffer per epoch can make the allocator map new pages
-    every epoch), and the mixing weights and masks of :func:`_mixing`.  A
-    call makes one cross-entropy pass over both sets and mixes its two
-    segments; with ``members``, the indices of the members still running,
-    it re-indexes the mixing weights and masks only when the stack has
-    shrunk after a divergence.
+    ``coef_r`` and ``coef_f`` weigh ``M`` objectives, one per member of
+    the stack's last leading axis: ``(M, K, D + 1)`` parameters, or with
+    the stacked sets of ``S`` seeds ``(S, M, K, D + 1)``, every objective
+    once per seed (see :class:`_StackCE`).  Everything that stays the
+    same between epochs is built once, when the fit builds this object:
+    one :class:`_StackCE` of the remain and forget sets side by side, with
+    their joint targets, buffers and views (a fresh stack-sized buffer per
+    epoch can make the allocator map new pages every epoch), and the
+    mixing weights and masks of :func:`_mixing`, which broadcast over the
+    seeds.  A call makes one cross-entropy pass over both sets and mixes
+    its two segments.
     """
 
     def __init__(self, remain, forget, coef_r, coef_f, num_classes):
-        seeds = len(remain.features) if remain.features.ndim == 3 else 1
-        self.coefs = tuple(np.tile(np.asarray(coef, dtype=np.float64), seeds)
-                           for coef in (coef_r, coef_f))
-        self.mixing = _mixing(*self.coefs)
-        self.term = _StackCE((remain, forget), num_classes, self.coefs[0].size)
+        coef_r, coef_f = (np.asarray(coef, dtype=np.float64) for coef in (coef_r, coef_f))
+        self.mixing = _mixing(coef_r, coef_f)
+        self.term = _StackCE((remain, forget), num_classes,
+                             remain.features.shape[:-2] + coef_r.shape)
 
-    def __call__(self, params, members):
+    def __call__(self, params):
         loss_mixing, grad_mixing = self.mixing
-        if members.size < self.coefs[0].size:
-            coef_r, coef_f = self.coefs
-            loss_mixing, grad_mixing = _mixing(coef_r[members], coef_f[members])
-        loss_r, grad_r, loss_f, grad_f = self.term(params, members)
+        loss_r, grad_r, loss_f, grad_f = self.term(params)
         return _mix(loss_r, loss_f, *loss_mixing), _mix(grad_r, grad_f, *grad_mixing)
 
 
@@ -474,60 +455,59 @@ def fit_softmax(
 ):
     """Full-batch gradient descent engine for a stack of models.
 
-    ``params`` is ``(M, K, D + 1)``, each member's weights with its bias as
-    the last column: M members that descend together for ``epochs``
-    deterministic steps, one update of one array per epoch.
-    ``value_and_grad(p, members)`` receives the parameters of the members
-    still running and their indices into the stack, and returns their
-    losses ``(m,)`` and their gradients, shaped like ``p``, in arrays of
-    its own: the engine scales the gradients in place.  Members never
-    interact, so each one follows exactly the trajectory it would follow
-    alone.
+    ``params`` is ``(..., M, K, D + 1)``, each member's weights with its
+    bias as the last column: members that descend together for
+    ``epochs`` deterministic steps, one update of one array per epoch.
+    ``value_and_grad(p)`` receives the parameters of the whole stack and
+    returns the ``(..., M)`` losses and the gradients, shaped like ``p``,
+    in arrays of its own: the engine scales the gradients in place.
+    Members never interact, so each one follows exactly the trajectory
+    it would follow alone.
 
-    A member whose loss turns non-finite leaves the stack.  When the
-    others have finished, the members that left restart together from
-    their start parameters at half the step size; members that never
-    diverge are not recomputed.  A member still diverging after
-    :data:`MAX_HALVINGS` halvings ends the fit: it raises
-    :class:`DivergenceError` with a step-size hint and the number of
-    members that ran out of halvings.
+    The stack keeps its shape through the whole fit.  A member whose loss
+    turns non-finite counts one halving and descends on with the others.
+    Once no member still owed a result is finite, or when the epochs end
+    with a member that diverged, the whole stack restarts from its start
+    parameters, each member at ``step_size / 2 ** halvings``: a member
+    that converged replays its own trajectory bit for bit, and one that
+    diverged tries again at half its last step size.  An attempt lasts as
+    long as the longest attempt of its members that are owed a result.  A
+    member still diverging after :data:`MAX_HALVINGS` halvings ends the
+    fit: it raises :class:`DivergenceError` with a step-size hint and the
+    number of members that ran out of halvings.
 
-    Returns the final ``(M, K, D + 1)`` parameters and the ``(M, epochs)``
-    loss trace of each member's successful attempt.
+    Returns the final parameters, shaped like ``params``, and the ``(...,
+    M, epochs)`` loss trace of each member's successful attempt.
     """
-    if params.ndim != 3:
-        raise ValueError("fit_softmax takes a stack: parameters (M, K, D + 1)")
-    final = params.copy()
-    trace = np.empty((params.shape[0], epochs))
-    pending = np.arange(params.shape[0])
+    if params.ndim < 3:
+        raise ValueError("fit_softmax takes a stack: parameters (..., M, K, D + 1)")
+    trace = np.empty(params.shape[:-2] + (epochs,))
+    halvings = np.zeros(params.shape[:-2], dtype=np.int64)
     for attempt in range(MAX_HALVINGS + 1):
-        step = step_size / (2.0 ** attempt)
-        members = pending
-        p = params[members]
-        diverged = []
+        p = params.copy()
+        step = (step_size / 2.0 ** halvings)[..., None, None]
         for epoch in range(epochs):
             # Divergence is detected via the loss value; silence the
-            # redundant overflow warnings on that path.
+            # redundant overflow warnings on that path, where a member that
+            # diverged descends on until the restart.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grad = value_and_grad(p, members)
-            finite = np.isfinite(loss)
-            if not finite.all():
-                diverged.append(members[~finite])
-                members, p = members[finite], p[finite]
-                loss, grad = loss[finite], grad[finite]
-                if not members.size:
-                    break
-            trace[members, epoch] = loss
-            # The bits of p -= step * grad, without the temporary.
-            grad *= step
-            p -= grad
-        final[members] = p
-        if not diverged:
-            return final, trace
-        pending = np.sort(np.concatenate(diverged))
+                loss, grad = value_and_grad(p)
+                finite = np.isfinite(loss)
+                if not finite.all():
+                    # One halving per attempt, however long a member that
+                    # diverged stays non-finite.
+                    halvings[~finite] = attempt + 1
+                    if not (halvings == attempt).any():
+                        break
+                trace[..., epoch] = loss
+                # The bits of p -= step * grad, without the temporary.
+                grad *= step
+                p -= grad
+        if not (halvings > attempt).any():
+            return p, trace
     raise DivergenceError(
-        f"loss of {pending.size} model(s) became non-finite even at step size "
-        f"{step:.3e}; try a smaller step_size")
+        f"loss of {np.count_nonzero(halvings > MAX_HALVINGS)} model(s) became non-finite even "
+        f"at step size {step_size / 2.0 ** MAX_HALVINGS:.3e}; try a smaller step_size")
 
 
 def _split(params: np.ndarray) -> SoftmaxClassifier:
@@ -554,14 +534,13 @@ def pretrain(
     """
     if num_classes is None:
         num_classes = int(train.labels.max()) + 1
-    lead = train.features.shape[:-2]
-    stack = math.prod(lead)
+    lead = train.features.shape[:-2] + (1,)
     params, _ = fit_softmax(
-        np.zeros((stack, num_classes, train.features.shape[-2] + 1)),
-        _StackCE(train, num_classes, stack),
+        np.zeros(lead + (num_classes, train.features.shape[-2] + 1)),
+        _StackCE(train, num_classes, lead),
         epochs, step_size,
     )
-    return _split(params.reshape(lead + params.shape[1:]))
+    return _split(params[..., 0, :, :])
 
 
 def unlearn_ft(
@@ -594,16 +573,15 @@ def unlearn_ft(
         np.column_stack([start_of, coefs]), axis=0, return_inverse=True
     )
     key_start = keys[:, 0].astype(int)
-    # (..., M, K, D + 1): one member per key of each seed, seed-major when
-    # flat, each the start's weights and then its bias as the last column.
+    # (..., M, K, D + 1): one member per key of each seed, each the start's
+    # weights and then its bias as the last column.
     params = np.stack([np.concatenate([starts[i].weights, starts[i].bias[..., None]], axis=-1)
                        for i in key_start], axis=-3)
     final, _ = fit_softmax(
-        params.reshape((-1,) + params.shape[-2:]),
+        params,
         _Objective(remain, forget, keys[:, 1], keys[:, 2], starts[0].num_classes),
         epochs, step_size,
     )
-    final = final.reshape(params.shape)
     finals = [_split(final[..., k, :, :]) for k in range(len(keys))]
     return [finals[k] for k in inverse.ravel()]
 

@@ -27,6 +27,7 @@ from .experiments import (
     exit_code_for,
     load_config,
     run_experiment,
+    validate_config,
     write_outputs,
 )
 
@@ -93,6 +94,8 @@ def _run(args: argparse.Namespace) -> int:
             cfg["tolerance"] = as_tolerance(
                 "--tolerance", {"rel": args.tolerance, "abs_floor": args.tolerance}
             )
+        # The rules that relate fields hold for the flags' values too.
+        cfg = validate_config(cfg, args.experiment)
         result = run_experiment(args.experiment, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -287,6 +287,11 @@ ACROSS = [
      " must take < 2^63 bytes",
      lambda c: 8 * math.prod(c["task"][k] for k in ("feature_dim", "num_classes", "per_class"))
      < 2**63),
+    # A classifier fit traces the loss of every member at every epoch.
+    (("seeds", "variants", "epochs"), "the seeds x variants x alphas x epochs float64 loss"
+     " trace must take < 2^63 bytes",
+     lambda c: 8 * len(c["seeds"]) * len(c["variants"]) * len(c.get("alphas", [None]))
+     * c["epochs"] < 2**63),
     (("distinct_layout",), "distinct_layout must have d_lap = 0",
      lambda c: c["distinct_layout"][1] == 0),
     (("n_r", "n_t"), "n_t must be <= n_r - 1", lambda c: c["n_t"] <= c["n_r"] - 1),

@@ -2,7 +2,7 @@
 
 These evaluate an objective once, at given parameters, through the same
 cross-entropy kernel and mixing that a fit's stacked objective uses, but
-without its per-fit targets, buffers or flat stack; the tests compare
+without its per-fit targets or buffers; the tests compare
 the fits against them and against finite differences.
 
 The kernel and the engine carry each model as one ``(K, D + 1)``
@@ -42,11 +42,11 @@ def ce_value_and_grad(weights, bias, data):
 def fit_softmax_split(weights, bias, value_and_grad, epochs, step_size):
     """:func:`fit_softmax` on weights and bias given apart.
 
-    ``value_and_grad(w, b, members)`` returns ``(loss, grad_w, grad_b)``;
-    the result is ``(weights, bias, trace)``.
+    ``value_and_grad(w, b)`` returns ``(loss, grad_w, grad_b)`` of the
+    whole stack; the result is ``(weights, bias, trace)``.
     """
-    def packed(params, members):
-        loss, grad_w, grad_b = value_and_grad(params[..., :-1], params[..., -1], members)
+    def packed(params):
+        loss, grad_w, grad_b = value_and_grad(params[..., :-1], params[..., -1])
         return loss, pack(grad_w, grad_b)
 
     params, trace = fit_softmax(pack(weights, bias), packed, epochs, step_size)

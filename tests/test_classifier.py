@@ -64,12 +64,47 @@ def _fit_alone(weights, bias, value_and_grad, epochs, step_size):
     The engine sees a one-member stack; the kernel sees the unstacked
     model, so this is the reference trajectory a stack member must match.
     """
-    def stacked(w, b, _members):
+    def stacked(w, b):
         loss, grad_w, grad_b = value_and_grad(w[0], b[0])
         return np.asarray(loss)[None], grad_w[None], grad_b[None]
 
     w, b, trace = fit_softmax_split(weights[None], bias[None], stacked, epochs, step_size)
     return w[0], b[0], trace[0].tolist()
+
+
+def _attempts(finite):
+    """The length of each attempt of a one-member fit whose evaluations
+    gave the losses flagged ``finite``, in order: an attempt ends at its
+    first non-finite loss, and the last one runs every epoch."""
+    lengths = [0]
+    for ok in finite:
+        lengths[-1] += 1
+        if not ok:
+            lengths.append(0)
+    return lengths
+
+
+def _stack_evaluations(attempts):
+    """The evaluations of a stack whose members alone take ``attempts``.
+
+    The stack restarts once every member still owed a result has
+    diverged, so its attempt ``a`` lasts as long as the longest attempt
+    ``a`` of the members that get one."""
+    return sum(max(own[a] for own in attempts if len(own) > a)
+               for a in range(max(map(len, attempts))))
+
+
+def _objective_alone(weights, bias, remain, forget, variant, alpha, epochs, step_size):
+    """``_fit_alone`` of one objective; returns its weights, bias, trace
+    and the length of each of its attempts."""
+    finite = []
+
+    def value_and_grad(w, b):
+        loss, grad_w, grad_b = objective_value_and_grad(w, b, remain, forget, variant, alpha)
+        finite.append(np.isfinite(loss))
+        return loss, grad_w, grad_b
+
+    return (*_fit_alone(weights, bias, value_and_grad, epochs, step_size), _attempts(finite))
 
 
 def _unlearn_pairs(model, pairs, remain, forget, epochs, step_size):
@@ -280,11 +315,28 @@ class TestFitEngine:
         with pytest.raises(ValueError, match="stack"):
             fit_softmax_split(
                 weights, bias,
-                lambda w, b, _members: objective_value_and_grad(
+                lambda w, b: objective_value_and_grad(
                     w, b, remain, forget, "naive-ft", 0.0
                 ),
                 epochs=5, step_size=0.1,
             )
+
+    def test_a_diverged_member_descends_on_without_a_warning(self):
+        # Member 1 diverges at once and descends with member 0 until the
+        # epochs end: its infinite gradients take its parameter to +inf and
+        # then to NaN (inf - inf), which must not warn.  It then runs out of
+        # halvings, one evaluation per attempt.
+        calls = []
+
+        def value_and_grad(p):
+            calls.append(p.shape)
+            grad = np.zeros_like(p)
+            grad[1] = (-1.0) ** len(calls) * np.inf
+            return np.array([1.0, np.nan]), grad
+
+        with pytest.raises(DivergenceError, match=r"loss of 1 model\(s\) .* 3\.125e-03;"):
+            classifier.fit_softmax(np.zeros((2, 1, 1)), value_and_grad, 3, 0.1)
+        assert calls == [(2, 1, 1)] * (3 + classifier.MAX_HALVINGS)
 
     def test_divergence_raises_with_hint(self):
         broken = LabeledSet(
@@ -610,9 +662,10 @@ class TestOnesRowContract:
         finals = unlearn_ft([model, model], coefs, remain, relabeled, 20, 0.1)
         # The fine-tune builds its two sets once, as one joint target.
         assert built == [train, (remain, relabeled)]
-        # Flat stacks, seed-major: (S, K, D + 1) and then (S, M, K, D + 1).
-        pretrained, tuned = fitted[0].reshape(2, 4, 6), fitted[1].reshape(2, 2, 4, 6)
-        for got, params in ((model, pretrained), *zip(finals, np.swapaxes(tuned, 0, 1))):
+        # The stacks keep their seed axis: (S, 1, K, D + 1), then (S, M, K, D + 1).
+        assert [params.shape for params in fitted] == [(2, 1, 4, 6), (2, 2, 4, 6)]
+        pretrained, tuned = fitted
+        for got, params in ((model, pretrained[:, 0]), *zip(finals, np.swapaxes(tuned, 0, 1))):
             assert np.array_equal(got.weights, params[..., :-1])
             assert np.array_equal(got.bias, params[..., -1])
 
@@ -642,34 +695,32 @@ class TestJointPass:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        seeds=st.integers(1, 3), members=st.integers(1, 5), num_classes=st.integers(2, 12),
+        seeds=st.integers(0, 3), members=st.integers(1, 5), num_classes=st.integers(2, 12),
         dim=st.integers(1, 6), m_r=st.integers(1, 12), m_f=st.integers(1, 8),
-        draw_seed=st.integers(0, 2**32 - 1), data=st.data(),
+        draw_seed=st.integers(0, 2**32 - 1),
     )
     def test_each_segment_equals_a_pass_over_its_own_set(
-        self, seeds, members, num_classes, dim, m_r, m_f, draw_seed, data
+        self, seeds, members, num_classes, dim, m_r, m_f, draw_seed
     ):
+        # Zero seeds draws unstacked (D, m) sets and an (M, K, D + 1) stack.
         rng = np.random.default_rng(draw_seed)
-        sets = [LabeledSet(3.0 * rng.standard_normal((seeds, dim, m)),
+        lead = (seeds, members) if seeds else (members,)
+        sets = [LabeledSet(3.0 * rng.standard_normal(lead[:-1] + (dim, m)),
                            rng.integers(0, num_classes, size=m))
                 for m in (m_r, m_f)]
-        stack = seeds * members
-        params = pack(rng.standard_normal((stack, num_classes, dim)),
-                      rng.standard_normal((stack, num_classes)))
-        joint = classifier._StackCE(sets, num_classes, stack)
-        alone = [classifier._StackCE(s, num_classes, stack) for s in sets]
-        shrunk = np.array(sorted(data.draw(
-            st.lists(st.integers(0, stack - 1), min_size=1, max_size=stack, unique=True))))
-        # The whole stack, a shrunken one as fit_softmax makes after a
-        # divergence, then the whole stack again on the reused buffers.
-        for running in (np.arange(stack), shrunk, np.arange(stack)):
-            got = joint(params[running], running)
+        params = pack(rng.standard_normal(lead + (num_classes, dim)),
+                      rng.standard_normal(lead + (num_classes,)))
+        joint = classifier._StackCE(sets, num_classes, lead)
+        alone = [classifier._StackCE(s, num_classes, lead) for s in sets]
+        # Twice: the second call runs on the buffers the first one used.
+        for _ in range(2):
+            got = joint(params)
             assert len(got) == 4
             for segment, s, separate in zip((got[:2], got[2:]), sets, alone):
-                _assert_same_bits(segment, separate(params[running], running))
-                for i, member in enumerate(running):
-                    own = LabeledSet(s.features[member // members], s.labels)
-                    _assert_same_bits([term[i] for term in segment],
+                _assert_same_bits(segment, separate(params))
+                for member in np.ndindex(lead):
+                    own = LabeledSet(s.features[member[:-1]], s.labels)
+                    _assert_same_bits([term[member] for term in segment],
                                       _ce_value_and_grad(params[member], own))
 
 
@@ -805,36 +856,47 @@ class TestMixingExactness:
                     split(*_reference_mixed(params[i], remain, forget, a, b)))
 
     @pytest.mark.parametrize("overflow", [False, True])
-    def test_a_fit_objective_equals_the_nested_where_after_the_stack_shrinks(self, overflow):
+    def test_a_fit_objective_equals_the_nested_where_on_every_seed(self, overflow):
         remain, forget, weights, bias = self._problem(overflow)
         params = pack(weights, bias)
         c_r, c_f = self.COEFS.T
-        objective = _Objective(remain, forget, c_r, c_f, 5)
-        everyone = np.arange(len(self.COEFS))
-        # The full stack, two shrunken ones as fit_softmax makes after a
-        # divergence, then the full stack again on the reused buffers.
-        for members in (everyone, np.array([1, 3, 5]), np.array([0]), everyone):
-            with np.errstate(all="ignore"):
-                got = objective(params[members], members)
-                want = _reference_mixed(
-                    params[members], remain, forget, c_r[members], c_f[members])
-            _assert_same_bits(got, want)
+        # A second seed: the sets scaled, so its rows overflow alike, and
+        # the members' parameters in reverse order.
+        other = [LabeledSet(0.5 * s.features, s.labels) for s in (remain, forget)]
+        stacked = [LabeledSet(np.stack([a.features, b.features]), a.labels)
+                   for a, b in zip((remain, forget), other)]
+        seeds = [(params, remain, forget), (params[::-1].copy(), *other)]
+        cases = [((remain, forget), params, {(): seeds[0]}),
+                 (stacked, np.stack([seed[0] for seed in seeds]), dict(enumerate(seeds)))]
+        for sets, stack, per_seed in cases:
+            objective = _Objective(*sets, c_r, c_f, 5)
+            # Twice: the second call runs on the buffers the first one used.
+            for _ in range(2):
+                with np.errstate(all="ignore"):
+                    got = objective(stack)
+                    for index, (p, r, f) in per_seed.items():
+                        _assert_same_bits([term[index] for term in got],
+                                          _reference_mixed(p, r, f, c_r, c_f))
 
 
 @pytest.fixture
 def fits(monkeypatch):
     """Every ``fit_softmax`` call made through the classifier module, as
-    ``(stack size, members of each gradient evaluation)`` in call order."""
+    ``(stack shape, gradient evaluations)`` in call order: the leading
+    shape of the stack's parameters, and per evaluation, each of which
+    must see the whole stack, the finite flags of its losses."""
     calls = []
     real = classifier.fit_softmax
 
     def recording(params, value_and_grad, epochs, step_size):
         evaluations = []
-        calls.append((params.shape[0], evaluations))
+        calls.append((params.shape[:-2], evaluations))
 
-        def counted(p, members):
-            evaluations.append(members.tolist())
-            return value_and_grad(p, members)
+        def counted(p):
+            assert p.shape == params.shape
+            loss, grad = value_and_grad(p)
+            evaluations.append(np.isfinite(loss))
+            return loss, grad
 
         return real(params, counted, epochs, step_size)
 
@@ -850,8 +912,8 @@ class TestDistinctObjectives:
     SCHEDULE = (100, 0.1)  # epochs, step_size
 
     @pytest.mark.parametrize("experiment,stacks", [
-        ("sweep-alpha", [1, 16]),
-        ("classifier-demo", [1, 4]),
+        ("sweep-alpha", [(1, 1), (1, 16)]),
+        ("classifier-demo", [(1, 1), (1, 4)]),
     ])
     def test_a_shipped_seed_descends_each_objective_once(
         self, fits, monkeypatch, experiment, stacks
@@ -864,7 +926,7 @@ class TestDistinctObjectives:
         def recording(*args, **kwargs):
             before = len(fits)
             finals = real(*args, **kwargs)
-            inside.append([size for size, _ in fits[before:]])
+            inside.append([shape for shape, _ in fits[before:]])
             return finals
 
         monkeypatch.setattr(classifier, "unlearn_ft", recording)
@@ -873,7 +935,7 @@ class TestDistinctObjectives:
         cfg = experiments.load_config(path, experiment)
         cfg["seeds"], cfg["epochs"] = [0], 5
         experiments.run_experiment(experiment, cfg)
-        assert [size for size, _ in fits] == stacks
+        assert [shape for shape, _ in fits] == stacks
         assert inside == [stacks[1:]]
 
     @staticmethod
@@ -931,7 +993,7 @@ class TestDistinctObjectives:
         del fits[:]
         pairs = [("retrain", 0.0), ("naive-ft", 0.5), ("kl-ft", 0.5), ("ce-ft", 0.5)]
         run_seed_grid(task, pairs, [seed], *self.SCHEDULE)
-        assert [size for size, _ in fits] == [1, 4]
+        assert [shape for shape, _ in fits] == [(1, 1), (1, 4)]
         assert np.array_equal(models[0].weights, golden.weights)
         assert np.array_equal(models[0].bias, golden.bias)
 
@@ -944,7 +1006,7 @@ class TestDistinctObjectives:
                  ("ice-ft", 0.0), ("ce-ft", 0.3)]
         del fits[:]
         finals = _unlearn_pairs(model, pairs, remain, relabeled, 60, 0.2)
-        assert [size for size, _ in fits] == [3]
+        assert [shape for shape, _ in fits] == [(3,)]
         for group in ([0, 1], [2, 3, 4], [5]):
             for i in group:
                 assert finals[i] is finals[group[0]]
@@ -960,18 +1022,16 @@ class TestDistinctObjectives:
         epochs = TestStackedDivergence.EPOCHS
         pairs = [("ice-ft", 1.0), ("kl-ft", 1.0), ("ice-ft", 0.05)]
         finals = _unlearn_pairs(model, pairs, remain, forget, epochs, 0.1)
-        [(size, evaluations)] = fits
-        assert size == 2
-        solo_calls = []
-
-        def solo(w, b):
-            solo_calls.append(1)
-            return objective_value_and_grad(w, b, remain, forget, "ice-ft", 1.0)
-
-        w, b, _ = _fit_alone(weights, bias, solo, epochs, 0.1)
-        assert len(solo_calls) > epochs  # the objective needed halvings
-        # Keys sort by (c_r, c_f), so member 1 is the (1, 1) objective.
-        assert sum(1 in members for members in evaluations) == len(solo_calls)
+        [(shape, evaluations)] = fits
+        assert shape == (2,)
+        w, b, _, attempts = _objective_alone(
+            weights, bias, remain, forget, "ice-ft", 1.0, epochs, 0.1)
+        assert len(attempts) > 1  # the objective needed halvings
+        *_, small = _objective_alone(weights, bias, remain, forget, "ice-ft", 0.05, epochs, 0.1)
+        assert small == [epochs]
+        # The twins' one member restarts as often as the objective alone,
+        # and each attempt sees the two-member stack.
+        assert len(evaluations) == _stack_evaluations([attempts, small])
         for final in finals[:2]:
             np.testing.assert_array_equal(final.weights, w)
             np.testing.assert_array_equal(final.bias, b)
@@ -1017,20 +1077,20 @@ class TestSeedStack:
     out of halvings fails alone, with its own run's message."""
 
     @pytest.mark.parametrize("experiment,epochs,stacks", [
-        ("classifier-demo", 500, [3, 12]),
-        ("sweep-alpha", 100, [3, 48]),
+        ("classifier-demo", 500, [(3, 1), (3, 4)]),
+        ("sweep-alpha", 100, [(3, 1), (3, 16)]),
     ])
     def test_stacked_seeds_equal_their_own_runs(
         self, fits, monkeypatch, experiment, epochs, stacks
     ):
         cfg = _shipped_config(experiment, seeds=[0, 1, 2], epochs=epochs)
         stacked, models = _run_scoring(monkeypatch, experiment, cfg)
-        assert [size for size, _ in fits] == stacks
+        assert [shape for shape, _ in fits] == stacks
         alone = [_run_scoring(monkeypatch, experiment, dict(cfg, seeds=[seed]))
                  for seed in (0, 1, 2)]
         assert _seed_rows(stacked) == [row for result, _ in alone for row in _seed_rows(result)]
         alone_models = [model for _, scored in alone for model in scored]
-        assert len(models) == len(alone_models) == stacks[1]
+        assert len(models) == len(alone_models) == np.prod(stacks[1])
         for (w, b), (w_alone, b_alone) in zip(models, alone_models):
             assert np.array_equal(w, w_alone) and np.array_equal(b, b_alone)
 
@@ -1236,10 +1296,10 @@ class TestHardInputs:
         self, fits, tmp_path, capsys
     ):
         code, rows, summary = self._run(tmp_path, capsys, 1e150, step_size=1e10)
-        (pretrain_size, pretrain_evals), (stack_size, _) = fits
+        (pretrain_shape, pretrain_evals), (stack_shape, _) = fits
         # The pretrain diverges, halves its step and recovers; the fine-tune
         # stack runs out of halvings and its seed fails with one entry.
-        assert (pretrain_size, len(pretrain_evals), stack_size) == (1, 508, 4)
+        assert (pretrain_shape, len(pretrain_evals), stack_shape) == ((1, 1), 508, (1, 4))
         assert code == 1 and rows == [] and summary["rows"] == 0
         [failure] = summary["failures"]
         assert failure["seed"] == 0 and failure["type"] == "DivergenceError"
@@ -1287,13 +1347,11 @@ class TestStackedDivergence:
 
     def _stacked_run(self, remain, forget, weights, bias):
         coef = np.array([ft_coefficients(v, a) for v, a in self.MEMBERS])
-        evaluations = np.zeros(len(self.MEMBERS), dtype=int)
+        evaluations = []
 
-        def value_and_grad(w, b, members):
-            evaluations[members] += 1
-            return _mixed_value_and_grad(
-                w, b, remain, forget, coef[members, 0], coef[members, 1]
-            )
+        def value_and_grad(w, b):
+            evaluations.append(w.shape[:-2])
+            return _mixed_value_and_grad(w, b, remain, forget, coef[:, 0], coef[:, 1])
 
         count = len(self.MEMBERS)
         w, b, trace = fit_softmax_split(
@@ -1305,22 +1363,18 @@ class TestStackedDivergence:
     def test_every_member_equals_its_own_run(self):
         remain, forget, weights, bias = _exploding_forget_problem()
         w, b, trace, evaluations = self._stacked_run(remain, forget, weights, bias)
-        solo_evaluations = []
+        solo_attempts = []
         for i, (variant, alpha) in enumerate(self.MEMBERS):
-            calls = []
-
-            def value_and_grad(w_, b_, v=variant, a=alpha):
-                calls.append(1)
-                return objective_value_and_grad(w_, b_, remain, forget, v, a)
-
-            w_i, b_i, losses = _fit_alone(weights, bias, value_and_grad, self.EPOCHS, 0.1)
+            w_i, b_i, losses, attempts = _objective_alone(
+                weights, bias, remain, forget, variant, alpha, self.EPOCHS, 0.1)
             np.testing.assert_array_equal(w[i], w_i)
             np.testing.assert_array_equal(b[i], b_i)
             assert trace[i].tolist() == losses
-            solo_evaluations.append(len(calls))
-        # Each member is evaluated exactly as often as alone: members that
-        # never diverge run once, the others pay only for their own restarts.
-        assert evaluations.tolist() == solo_evaluations
+            solo_attempts.append(attempts)
+        # Every evaluation sees the whole stack, and the stack restarts only
+        # when every member still owed a result has diverged.
+        assert evaluations == [(len(self.MEMBERS),)] * _stack_evaluations(solo_attempts)
+        evaluations = np.array([sum(attempts) for attempts in solo_attempts])
         assert evaluations[0] == self.EPOCHS
         assert evaluations[4] == self.EPOCHS  # naive-ft ignores the forget set
         assert (evaluations > self.EPOCHS).sum() >= 3
@@ -1334,6 +1388,53 @@ class TestStackedDivergence:
         for i, member in enumerate(finals):
             np.testing.assert_array_equal(member.weights, w[i])
             np.testing.assert_array_equal(member.bias, b[i])
+
+    @pytest.mark.parametrize("exploding", [(False, True, False), (True, False, True)],
+                             ids=["middle-seed", "outer-seeds"])
+    def test_a_restart_inside_a_seed_stack_gives_every_seed_its_own_run(self, fits, exploding):
+        remain, forget, weights, bias = _exploding_forget_problem()
+        # The clean seeds' forget sets lack the enormous row, so none of
+        # their members diverges.
+        clean = forget.features.copy()
+        clean[2] = 0.0
+        forgets = [LabeledSet(forget.features if huge else clean, forget.labels)
+                   for huge in exploding]
+
+        def stack(sets):
+            return LabeledSet(np.stack([s.features for s in sets]), sets[0].labels)
+
+        model = SoftmaxClassifier(np.stack([weights] * 3), np.stack([bias] * 3))
+        finals = _unlearn_pairs(
+            model, self.MEMBERS, stack([remain] * 3), stack(forgets), self.EPOCHS, 0.1)
+        alone = [_unlearn_pairs(SoftmaxClassifier(weights, bias), self.MEMBERS, remain, f,
+                                self.EPOCHS, 0.1) for f in forgets]
+        [(shape, evaluations), *own] = fits
+        assert shape == (3, len(self.MEMBERS))
+        assert [len(e) > self.EPOCHS for _, e in own] == list(exploding)
+        # A clean seed's one attempt is as long as any first attempt, so the
+        # stack restarts exactly as an exploding seed alone does.
+        assert len(evaluations) == max(len(e) for _, e in own)
+        for i, members in enumerate(alone):
+            for final, member in zip(finals, members):
+                assert np.array_equal(final.weights[i], member.weights)
+                assert np.array_equal(final.bias[i], member.bias)
+
+    @pytest.mark.parametrize("diverging", [0, 1])
+    def test_a_pretrain_seed_that_halves_gives_every_seed_its_own_run(self, fits, diverging):
+        # sep 1e150 at step 1e10 halves through pretraining (TestHardInputs).
+        tasks = [gen_class_task(5, 100, 20, 1e150 if seed == diverging else 4.0, seed)[0]
+                 for seed in range(3)]
+        model = pretrain(LabeledSet(np.stack([t.features for t in tasks]), tasks[0].labels),
+                         500, 1e10, num_classes=5)
+        alone = [pretrain(t, 500, 1e10, num_classes=5) for t in tasks]
+        [(shape, evaluations), *own] = fits
+        assert shape == (3, 1) and [s for s, _ in own] == [(1,)] * 3
+        attempts = [_attempts(flags.all() for flags in e) for _, e in own]
+        assert [len(a) > 1 for a in attempts] == [seed == diverging for seed in range(3)]
+        assert len(evaluations) == _stack_evaluations(attempts)
+        for i, seed_model in enumerate(alone):
+            assert np.array_equal(model.weights[i], seed_model.weights)
+            assert np.array_equal(model.bias[i], seed_model.bias)
 
     def test_exhausted_halvings_raise(self):
         remain, forget, weights, bias = _exploding_forget_problem()
@@ -1354,15 +1455,15 @@ class TestStackedDivergence:
         coef = np.array([ft_coefficients(v, a) for v, a in members])
         calls = []
 
-        def value_and_grad(w, b, idx):
-            calls.append(idx.tolist())
-            return _mixed_value_and_grad(w, b, remain, huge, coef[idx, 0], coef[idx, 1])
+        def value_and_grad(w, b):
+            calls.append(w.shape[:-2])
+            return _mixed_value_and_grad(w, b, remain, huge, coef[:, 0], coef[:, 1])
 
         w, b, _ = fit_softmax_split(
             np.repeat(weights[None], 3, axis=0), np.repeat(bias[None], 3, axis=0),
             value_and_grad, 25, 0.1,
         )
-        assert calls == [[0, 1, 2]] * 25
+        assert calls == [(3,)] * 25
         w_naive, b_naive, _ = _fit_alone(
             weights, bias, lambda w_, b_: ce_value_and_grad(w_, b_, remain), 25, 0.1
         )

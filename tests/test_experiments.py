@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -438,13 +439,18 @@ def _collinear(scenario, cosine):
     first (equal to it at cosine 1), and labels that fit."""
     x_r = scenario.x_r.copy()
     first = x_r[:, 0]
-    other = np.zeros_like(first)
-    other[scenario.layout.remaining_block] = np.random.default_rng(7).standard_normal(
-        scenario.layout.d_r)
-    other -= (other @ first) / (first @ first) * first
-    other *= np.linalg.norm(first) / np.linalg.norm(other)
-    angle = np.arccos(cosine) if cosine < 1.0 else 0.0
-    x_r[:, 1] = first if cosine == 1.0 else np.cos(angle) * first + np.sin(angle) * other
+    if cosine == 1.0:
+        # No other direction is needed, so any layout will do, even one
+        # whose remaining block is empty.
+        x_r[:, 1] = first
+    else:
+        other = np.zeros_like(first)
+        other[scenario.layout.remaining_block] = np.random.default_rng(7).standard_normal(
+            scenario.layout.d_r)
+        other -= (other @ first) / (first @ first) * first
+        other *= np.linalg.norm(first) / np.linalg.norm(other)
+        angle = np.arccos(cosine)
+        x_r[:, 1] = np.cos(angle) * first + np.sin(angle) * other
     return dataclasses.replace(scenario, x_r=x_r, y_r=x_r.T @ scenario.w_star)
 
 
@@ -652,7 +658,10 @@ def _small_linear_configs(draw):
     of small sizes and 2-4 distinct seeds, each field drawn inside its
     domain in :data:`FIELDS`.  Layouts range from rank-deficient, where the
     remaining and overlap blocks together are narrower than ``n_r``, to
-    generic."""
+    generic.  Also draws some but not all of the seeds to have a second
+    remaining column equal to their first: beside the other seeds of a
+    layout, their prefixes of two or more columns can solve as a rank
+    group of their own."""
     experiment = draw(st.sampled_from(["verify-theorems", "sweep-nt", "sweep-overlap"]))
     fields = FIELDS[experiment]
     n_r = draw(st.integers(fields["n_r"][1].low, 8))
@@ -681,14 +690,23 @@ def _small_linear_configs(draw):
             raw["layout"] = layout(draw(st.integers(0, 6)))
         else:
             raw.update(distinct_layout=layout(0), overlap_layout=layout(draw(st.integers(0, 6))))
-    return experiment, validate_config(raw, experiment)
+    collinear = draw(st.sets(st.sampled_from(raw["seeds"]), min_size=1,
+                             max_size=len(raw["seeds"]) - 1))
+    return experiment, validate_config(raw, experiment), collinear
 
 
 @settings(max_examples=50, deadline=None)
 @given(case=_small_linear_configs())
 def test_stacked_linear_seeds_equal_their_own_runs_on_drawn_configs(case):
-    experiment, cfg = case
-    stacked, alone = TestLinearSeedStack._stacked_and_alone(experiment, cfg, cfg["seeds"])
+    experiment, cfg, collinear = case
+    real = experiments.gen_scenario
+
+    def ragged(n_r, n_f, layout, seed, dist):
+        scenario = real(n_r, n_f, layout, seed, dist)
+        return _collinear(scenario, 1.0) if seed in collinear else scenario
+
+    with mock.patch.object(experiments, "gen_scenario", ragged):
+        stacked, alone = TestLinearSeedStack._stacked_and_alone(experiment, cfg, cfg["seeds"])
     TestLinearSeedStack._assert_each_seed_as_alone(stacked, alone)
 
 
@@ -929,6 +947,18 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert f"field '{field}' must be a non-empty list without repeats" in lines[0]
 
+    def test_seeds_flag_is_held_to_the_rules_that_relate_fields(self, tmp_path, capsys):
+        # One seed's loss trace takes 2^61 bytes, five seeds' 5 * 2^61.
+        payload = dict(DEMO_CFG, seeds=[0], variants=["kl-ft"], epochs=2**58)
+        validate_config(payload, "classifier-demo")
+        out = tmp_path / "run.csv"
+        code = main(["classifier-demo", "--config", str(self._write_config(tmp_path, payload)),
+                     "--out", str(out), "--seeds", "0,1,2,3,4"])
+        assert code == 2 and not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert "loss trace must take < 2^63 bytes" in lines[0]
+
     def test_bad_seeds_exits_two(self, tmp_path):
         config = self._write_config(tmp_path, VERIFY_CFG)
         code = main([
@@ -975,6 +1005,7 @@ class TestCli:
             ("sweep-nt", {"seeds": [0], "layout": [2**64, 0, 10], "nt_values": [1]}),
             ("sweep-nt", {"seeds": [0], "n_r": 2**64, "layout": [2**64, 0, 10]}),
             ("classifier-demo", {"seeds": [0], "task": {"per_class": 10**20}}),
+            ("classifier-demo", {"seeds": [0], "epochs": 2**60}),
         ],
     )
     def test_json_booleans_are_not_numbers(self, tmp_path, capsys, experiment, payload):
