@@ -47,20 +47,17 @@ order, on which the same products take two to five times as long.
 A fit carries each member as one ``(K, D + 1)`` parameter array whose
 last column is the bias: :func:`pretrain` starts it at zero,
 :func:`unlearn_ft` packs its starts into it, and both split their
-results back into weights and bias.  Each fit builds what its epochs
-share once and drops it when it ends (:class:`_Targets`,
-:class:`_StackCE`, :class:`_Objective`): the ``(..., D + 1, m)``
-features with a ones row appended, so that one gemm adds the bias and
-one returns its gradient, where the fine-tune lays its remain and
-relabeled forget sets side by side as two column segments; the ``(K,
-m)`` one-hot targets and the flat target index, which all seeds share;
-the logits and column buffers for the stack and the views of them the
-kernel reads; and for the fine-tune the mixing weights and the masks of
-members that use one term alone.  An epoch is then one stacked
-cross-entropy pass over both sets, one mix of the two segments' losses
-and one of their gradients, and one parameter update.  Each segment
-gets the bits of a pass over its own set, with the floating-point
-operations of indexing the targets on every call.
+results back into weights and bias.  The cross-entropy kernel has one
+form, :class:`_StackCE`, built once per fit for the stack's leading
+shape.  It holds what the epochs share: the :class:`_Targets` of its
+sets, whose features carry a ones row so that one gemm adds the bias and
+one returns its gradient; the logits and column buffers; and the views
+of them that the pass reads.  A call is one pass.  The fine-tune lays
+its remain and relabeled forget sets side by side as the two column
+segments of one pass, and its :class:`_Objective` mixes the segments'
+losses and gradients.  An epoch is then one pass, one mix and one
+parameter update, and each segment gets the bits of a pass over its own
+set.
 """
 
 from __future__ import annotations
@@ -201,9 +198,9 @@ def relabel_forget(labels, num_classes: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Targets:
-    """Labeled sets as the cross-entropy kernel reads them, built once per fit.
+    """Labeled sets as :class:`_StackCE` reads them, built once per pass object.
 
-    A fit reads one set, or, for the fine-tune, the remain and relabeled
+    A pass reads one set, or, for the fine-tune, the remain and relabeled
     forget sets side by side as the segments of one column range.
     ``features`` are the sets' ``(..., D, m_t)`` features concatenated
     along their columns with a ones row appended, C-contiguous
@@ -244,128 +241,93 @@ class _Targets:
         return self.flat.shape[0]
 
 
-def _kernel_views(data: _Targets, z: np.ndarray, columns: np.ndarray):
-    """The views :func:`_ce_value_and_grad` reads of the ``(..., K, m)``
-    logits ``z``, its ``(2, ..., m)`` column buffers and the features of
-    ``data``: the logits flattened to ``(..., K * m)`` for the target
-    take, the column totals broadcast against the logits, per segment its
-    column count and its slices of the features, of the logits, of the
-    shifted targets and of the transposed ``(..., m, D + 1)`` features,
-    and the logits and totals of each segment of one column."""
-    total, shifted_target = columns
-    features, features_t = data.features, data.features.swapaxes(-1, -2)
-    bounds = list(zip((0,) + data.ends, data.ends))
-    return (
-        z.reshape(z.shape[:-2] + (-1,)),
-        total[..., None, :],
-        [(hi - lo, features[..., lo:hi], z[..., lo:hi], shifted_target[..., lo:hi],
-          features_t[..., lo:hi, :]) for lo, hi in bounds],
-        [(z[..., lo:hi], total[..., lo:hi]) for lo, hi in bounds if hi - lo == 1],
-    )
-
-
-def _ce_value_and_grad(params, data, out=None, columns=None, views=None):
-    """Mean cross-entropy against the labels of each set of ``data`` and its parameter gradient.
-
-    ``params`` is ``(..., K, D + 1)``: the weights, then the bias as the
-    last column.  Leading axes index a stack of models and carry over to
-    the ``(...)`` losses and the ``(..., K, D + 1)`` gradients, whose last
-    column is the bias gradient.  ``data`` is a :class:`LabeledSet`, or
-    :class:`_Targets` of one or more sets, whose ones row the bias
-    multiplies and which a fit builds once for all its epochs.  ``out``,
-    if given, is the ``(..., K, m)`` buffer the logits use, ``columns``
-    the ``(2, ..., m)`` buffer of the per-column maxima, sums and targets,
-    and ``views`` what :func:`_kernel_views` makes of them.
-
-    Each segment's forward gemm writes its columns of one logits buffer,
-    and one pass over all the columns then makes the softmax and the
-    log-sum-exp.  That pass works column by column, and a segment of one
-    column sums its column again the way a pass over it alone does, so
-    each column gets the bits of a pass over its own set.  The gemms do
-    not: the BLAS
-    blocks a product's columns and treats a remainder apart, so a column's
-    bits can depend on the count of its neighbours, and every gemm spans
-    one segment.  Each segment then takes the mean of its columns and one
-    gradient gemm over them.  Returns each segment's loss and gradient in
-    order, flat: ``(loss, grad)`` for one set, ``(loss_r, grad_r, loss_f,
-    grad_f)`` for a remain and a forget set.
-
-    The targets are gathered with one flat take and the one-hot matrix is
-    subtracted from the probabilities: the bits of indexing ``[labels,
-    arange(m)]`` for both, because a non-target entry ``p >= +0`` loses
-    ``0.0`` and NaN and inf pass through unchanged.
-    """
-    if isinstance(data, LabeledSet):
-        data = _Targets.of(data, params.shape[-2])
-    # The logits turn into the logit gradient in place, and the per-column
-    # values share two rows: a stack's fresh temporaries would cost more
-    # than its arithmetic.
-    z = out
-    if z is None:
-        lead = np.broadcast_shapes(params.shape[:-2], data.features.shape[:-2])
-        z = np.empty(lead + (params.shape[-2], data.size))
-    if columns is None:
-        columns = np.empty((2,) + z.shape[:-2] + (data.size,))
-    if views is None:
-        views = _kernel_views(data, z, columns)
-    flat, totals, segments, lone = views
-    for _, features, logits, _, _ in segments:
-        np.matmul(params, features, out=logits)
-    total, shifted_target = columns
-    np.maximum.reduce(z, axis=-2, out=total)
-    z -= totals
-    # mode="clip" lets take write into its output unbuffered; no index clips.
-    flat.take(data.flat, axis=-1, out=shifted_target, mode="clip")
-    np.exp(z, out=z)
-    np.add.reduce(z, axis=-2, out=total)
-    for logits, column_total in lone:
-        # numpy sums the K entries of a lone column pairwise and those of
-        # wider blocks row by row; this is the sum of its set's own pass.
-        np.add.reduce(logits, axis=-2, out=column_total)
-    z /= totals
-    shifted_target -= np.log(total, out=total)
-    z -= data.onehot
-    result = []
-    for m, _, logit_grad, target, features_t in segments:
-        # np.add.reduce(...) / m is what .mean computes, without its overhead.
-        result.append(-(np.add.reduce(target, axis=-1) / m))
-        # Dividing the (K, D + 1) gradient by m is cheaper than the (K, m) z.
-        grad = logit_grad @ features_t
-        grad /= m
-        result.append(grad)
-    return result
-
-
 class _StackCE:
-    """CE of each set of ``data`` for a stack of models of leading shape ``lead``.
+    """The cross-entropy pass over each set of ``data`` of a stack of
+    models of leading shape ``lead``: the one form of the kernel.
 
-    A fit builds one, with what its epochs share: the :class:`_Targets`
-    of its set, or of the fine-tune's remain and forget sets side by
-    side, the ``(..., K, m)`` logits and ``(2, ..., m)`` column buffers of
-    :func:`_ce_value_and_grad`, and the views of them that the kernel
-    reads (:func:`_kernel_views`).  The stack is ``(M, K, D + 1)``
-    parameters, the bias as their last column, or with the ``(S, D, m)``
-    features of ``S`` seeds ``(S, M, K, D + 1)``: the features get a
-    member axis, ``(S, 1, D + 1, m)`` with their ones row, so that one
-    broadcasting gemm per product pairs every member with its own seed's
-    features.  The features are C-contiguous (:class:`_Targets`), and so
-    is each seed's slice of them, so a member gets the bits of its seed's
-    run alone.  A call on the stack's parameters returns, per set, the
-    ``lead`` losses and the gradients shaped like the parameters, flat as
-    the kernel returns them.
+    Building it makes what every call shares, once per fit: the
+    :class:`_Targets` of one set or of the fine-tune's remain and forget
+    sets side by side; the ``(*lead, K, m)`` logits buffer and the ``(2,
+    *lead, m)`` buffer of the per-column maxima, sums and targets (a fresh
+    stack-sized buffer per epoch would let the allocator map new pages
+    every epoch); and the views of them and of the features that the pass
+    reads.  The features get a member axis for each axis of ``lead`` they
+    lack, so one broadcasting gemm per product pairs every member with its
+    own seed's features: ``lead=()`` is one ``(K, D + 1)`` model, ``(M,)``
+    a stack over ``(D, m)`` sets, and ``(S, M)`` a stack over the ``(S, D,
+    m)`` sets of ``S`` seeds, read as ``(S, 1, D + 1, m)``.  Each seed's
+    slice of the C-contiguous features is C-contiguous too, so a member
+    gets the bits of its seed's run alone.
     """
 
     def __init__(self, data: LabeledSet | Sequence[LabeledSet], num_classes: int,
                  lead: tuple[int, ...]):
-        targets = _Targets.of(data, num_classes)
-        self.targets = _Targets(targets.features[..., None, :, :], targets.onehot, targets.flat,
-                                targets.ends)
-        out = np.empty(lead + (num_classes, targets.size))
-        columns = np.empty((2,) + lead + (targets.size,))
-        self.buffers = out, columns, _kernel_views(self.targets, out, columns)
+        self.targets = targets = _Targets.of(data, num_classes)
+        features = targets.features
+        features = features.reshape(
+            features.shape[:-2] + (1,) * (len(lead) + 2 - features.ndim) + features.shape[-2:])
+        features_t = features.swapaxes(-1, -2)
+        # The logits turn into the logit gradient in place, and the per-column
+        # values share two rows: a stack's fresh temporaries would cost more
+        # than its arithmetic.
+        self.z = z = np.empty(lead + (num_classes, targets.size))
+        self.columns = np.empty((2,) + lead + (targets.size,))
+        total, shifted_target = self.columns
+        # The logits flat for the target take, the totals broadcast against
+        # them, per segment its column count and its slices of the features,
+        # logits, targets and transposed features, and each one-column segment.
+        self.flat, self.totals = z.reshape(lead + (-1,)), total[..., None, :]
+        bounds = list(zip((0,) + targets.ends, targets.ends))
+        self.segments = [(hi - lo, features[..., lo:hi], z[..., lo:hi], shifted_target[..., lo:hi],
+                          features_t[..., lo:hi, :]) for lo, hi in bounds]
+        self.lone = [(z[..., lo:hi], total[..., lo:hi]) for lo, hi in bounds if hi - lo == 1]
 
     def __call__(self, params):
-        return _ce_value_and_grad(params, self.targets, *self.buffers)
+        """Each set's mean cross-entropy at ``(*lead, K, D + 1)`` parameters,
+        the bias as their last column, and its gradient: ``(loss, grad)`` for
+        one set, ``(loss_r, grad_r, loss_f, grad_f)`` for a remain and a
+        forget set, the losses ``lead`` and the gradients shaped like
+        ``params``.
+
+        Each segment's forward gemm writes its columns of the logits, and
+        one pass over all the columns then makes the softmax and the
+        log-sum-exp.  That pass works column by column, and a segment of one
+        column sums its column again the way a pass over it alone does, so
+        each column gets the bits of a pass over its own set.  The gemms do
+        not: the BLAS blocks a product's columns and treats a remainder
+        apart, so a column's bits can depend on the count of its neighbours,
+        and every gemm spans one segment.  The targets are gathered with one
+        flat take and the one-hot matrix is subtracted from the
+        probabilities: the bits of indexing ``[labels, arange(m)]`` for both,
+        because a non-target entry ``p >= +0`` loses ``0.0`` and NaN and inf
+        pass through unchanged.
+        """
+        z = self.z
+        for _, features, logits, _, _ in self.segments:
+            np.matmul(params, features, out=logits)
+        total, shifted_target = self.columns
+        np.maximum.reduce(z, axis=-2, out=total)
+        z -= self.totals
+        # mode="clip" lets take write into its output unbuffered; no index clips.
+        self.flat.take(self.targets.flat, axis=-1, out=shifted_target, mode="clip")
+        np.exp(z, out=z)
+        np.add.reduce(z, axis=-2, out=total)
+        for logits, column_total in self.lone:
+            # numpy sums the K entries of a lone column pairwise and those of
+            # wider blocks row by row; this is the sum of its set's own pass.
+            np.add.reduce(logits, axis=-2, out=column_total)
+        z /= self.totals
+        shifted_target -= np.log(total, out=total)
+        z -= self.targets.onehot
+        result = []
+        for m, _, logit_grad, target, features_t in self.segments:
+            # np.add.reduce(...) / m is what .mean computes, without its overhead.
+            result.append(-(np.add.reduce(target, axis=-1) / m))
+            # Dividing the (K, D + 1) gradient by m is cheaper than the (K, m) z.
+            grad = logit_grad @ features_t
+            grad /= m
+            result.append(grad)
+        return result
 
 
 def ft_coefficients(variant: str, alpha: float) -> tuple[float, float]:
@@ -425,14 +387,10 @@ class _Objective:
     ``coef_r`` and ``coef_f`` weigh ``M`` objectives, one per member of
     the stack's last leading axis: ``(M, K, D + 1)`` parameters, or with
     the stacked sets of ``S`` seeds ``(S, M, K, D + 1)``, every objective
-    once per seed (see :class:`_StackCE`).  Everything that stays the
-    same between epochs is built once, when the fit builds this object:
-    one :class:`_StackCE` of the remain and forget sets side by side, with
-    their joint targets, buffers and views (a fresh stack-sized buffer per
-    epoch can make the allocator map new pages every epoch), and the
-    mixing weights and masks of :func:`_mixing`, which broadcast over the
-    seeds.  A call makes one cross-entropy pass over both sets and mixes
-    its two segments.
+    once per seed.  A fit builds one, and with it the :class:`_StackCE`
+    of the remain and forget sets side by side for that leading shape and
+    the mixing weights and masks of :func:`_mixing`, which broadcast over
+    the seeds.  A call runs that pass once and mixes its two segments.
     """
 
     def __init__(self, remain, forget, coef_r, coef_f, num_classes):

@@ -11,6 +11,8 @@ failed checks, 2 on configuration errors, bad flags, outputs that cannot
 be written and arrays too large to allocate, each reported in one line
 on stderr.  ``--log-level`` sends the package's log records at
 that level and above to stderr; it never changes the CSV or the summary.
+``INFO`` shows each stage's seconds and each failed seed's error, and
+``DEBUG`` adds each rank-deficient factorization.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--log-level", choices=("WARNING", "INFO", "DEBUG"), default="WARNING",
-        help="log records to show on stderr (DEBUG shows each rank-deficient factorization)",
+        help="log records to show on stderr (INFO: each stage's seconds and each failed seed; "
+             "DEBUG: also each rank-deficient factorization)",
     )
     return parser
 

@@ -39,6 +39,7 @@ order of the cells, and :func:`render_csv` checks each row against it.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import sys
 import time
@@ -77,6 +78,8 @@ SCHEMAS = {
     "sweep-alpha": "classifier/v5",
 }
 EXPERIMENTS = tuple(SCHEMAS)
+
+logger = logging.getLogger(__name__)
 
 #: The stages whose wall seconds a run's summary reports.  ``solve``
 #: includes the factorizations, which the first solve on a matrix makes.
@@ -688,6 +691,9 @@ def run_experiment(experiment: str, cfg: dict) -> ExperimentResult:
     counts the run's rank-deficient factorizations, failed seeds
     included: ``{"solvers": ..., "oracle": ...}``, by whose work they are,
     and ``stages`` the wall seconds of each of the experiment's :data:`STAGES`.
+    At ``INFO`` it logs one line per failed seed, with its error, as the
+    seed fails, and one line per stage with its seconds, in
+    :data:`STAGES` order, once the run ends.
     """
     if experiment not in _ROWS_FOR_SEED:
         raise ConfigError(f"unknown experiment {experiment!r}")
@@ -700,15 +706,17 @@ def run_experiment(experiment: str, cfg: dict) -> ExperimentResult:
                 try:
                     result.rows.extend(rows_for_seed(seed))
                 except UnlearnLabError as exc:
-                    result.failures.append(
-                        {"seed": seed, "type": type(exc).__name__, "message": str(exc)}
-                    )
+                    failure = {"seed": seed, "type": type(exc).__name__, "message": str(exc)}
+                    result.failures.append(failure)
+                    logger.info("seed %(seed)d failed: %(type)s: %(message)s", failure)
             if experiment == "verify-theorems":
                 result.passed = not result.failures and all(row["pass"] for row in result.rows)
             if result.schema == "classifier/v5":
                 result.rows += _mean_std_rows(result.rows)
     result.rank_deficient_solves = rank_count.counts
     result.total_runtime_seconds = time.perf_counter() - start
+    for name, seconds in result.stages.items():
+        logger.info("stage %s: %.6f s", name, seconds)
     return result
 
 

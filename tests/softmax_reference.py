@@ -1,9 +1,10 @@
 """Reference evaluations of the classifier's objectives, for the tests.
 
 These evaluate an objective once, at given parameters, through the same
-cross-entropy kernel and mixing that a fit's stacked objective uses, but
-without its per-fit targets or buffers; the tests compare
-the fits against them and against finite differences.
+cross-entropy kernel and mixing that a fit's stacked objective uses: each
+evaluation builds its own :class:`_StackCE` for the parameters' leading
+shape, so a ``(K, D + 1)`` model is a real 2-D evaluation.  The tests
+compare the fits against them and against finite differences.
 
 The kernel and the engine carry each model as one ``(K, D + 1)``
 parameter array whose last column is the bias.  The helpers here take
@@ -14,7 +15,7 @@ out, which moves bits without rounding them.
 
 import numpy as np
 
-from unlearn_lab.classifier import _ce_value_and_grad, _mix, _mixing, fit_softmax, ft_coefficients
+from unlearn_lab.classifier import _mix, _mixing, _StackCE, fit_softmax, ft_coefficients
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -34,9 +35,15 @@ def split(loss, grad):
     return loss, grad[..., :-1], grad[..., -1]
 
 
+def kernel(params, data):
+    """One cross-entropy pass over each set of ``data`` at ``(..., K, D + 1)``
+    parameters, through a :class:`_StackCE` built for their leading shape."""
+    return _StackCE(data, params.shape[-2], params.shape[:-2])(params)
+
+
 def ce_value_and_grad(weights, bias, data):
     """The cross-entropy kernel at weights and bias given apart."""
-    return split(*_ce_value_and_grad(pack(weights, bias), data))
+    return split(*kernel(pack(weights, bias), data))
 
 
 def fit_softmax_split(weights, bias, value_and_grad, epochs, step_size):
@@ -64,7 +71,7 @@ def _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f):
     """
     params = pack(weights, bias)
     mixing = _mixing(np.asarray(coef_r, dtype=np.float64), np.asarray(coef_f, dtype=np.float64))
-    terms = (_ce_value_and_grad(params, data) for data in (remain, forget))
+    terms = (kernel(params, data) for data in (remain, forget))
     return split(*(_mix(r, f, *how) for r, f, how in zip(*terms, mixing)))
 
 

@@ -1149,6 +1149,9 @@ class TestCli:
 
 
 class TestLogLevel:
+    # The run's own INFO lines: each failed seed, then each stage's seconds.
+    INFO = "INFO unlearn_lab.experiments: "
+
     def _run(self, tmp_path, capsys, name, *flags):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(dict(VERIFY_CFG, nt_values=[1, 29])), encoding="utf-8")
@@ -1161,6 +1164,16 @@ class TestLogLevel:
         del summary["csv"], summary["total_runtime_seconds"], summary["stages"]
         return out.read_text(encoding="utf-8"), summary, capsys.readouterr().err
 
+    @classmethod
+    def _info_lines(cls, summary_path):
+        """The INFO lines of the run whose summary is at ``summary_path``,
+        its stages in STAGES order (the summary sorts its keys)."""
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        return ([f"{cls.INFO}seed {f['seed']} failed: {f['type']}: {f['message']}"
+                 for f in summary["failures"]]
+                + [f"{cls.INFO}stage {name}: {summary['stages'][name]:.6f} s"
+                   for name in experiments.STAGES[summary["experiment"]]])
+
     def test_debug_logs_each_rank_deficient_factorization_and_keeps_outputs(
         self, tmp_path, capsys
     ):
@@ -1169,7 +1182,7 @@ class TestLogLevel:
         debug_csv, debug_summary, debug_err = self._run(
             tmp_path, capsys, "debug", "--log-level", "DEBUG")
         assert (debug_csv, debug_summary) == (csv, summary)
-        lines = debug_err.splitlines()
+        lines = [line for line in debug_err.splitlines() if not line.startswith(self.INFO)]
         assert lines and all(
             line.startswith("DEBUG unlearn_lab.linalg: rank-deficient matrix: ") for line in lines)
         # The distinct n_t = 29 prefix (rank d_r = 20) is factored once and
@@ -1186,7 +1199,9 @@ class TestLogLevel:
                      "--seeds", seeds, *flags])
         assert code == 0
         summary = json.loads(summary_path_for(out).read_text(encoding="utf-8"))
-        return summary["rank_deficient_solves"], capsys.readouterr().err.splitlines()
+        lines = capsys.readouterr().err.splitlines()
+        return summary["rank_deficient_solves"], [
+            line for line in lines if not line.startswith(TestLogLevel.INFO)]
 
     def test_summary_counts_the_rank_deficient_lines_debug_prints(self, tmp_path, capsys):
         counts, lines = self._shipped(tmp_path, capsys, "verify-theorems", "--log-level", "DEBUG")
@@ -1216,7 +1231,37 @@ class TestLogLevel:
 
     def test_info_shows_no_debug_lines(self, tmp_path, capsys):
         _, _, err = self._run(tmp_path, capsys, "info", "--log-level", "INFO")
+        # One line per stage, in STAGES order, with the summary's seconds.
+        assert err.splitlines() == self._info_lines(summary_path_for(tmp_path / "info.csv"))
+
+    def test_outputs_are_the_same_at_every_level(self, tmp_path, capsys):
+        outputs = {level: self._run(tmp_path, capsys, level, "--log-level", level)
+                   for level in ("WARNING", "INFO", "DEBUG")}
+        csv, summary, err = outputs["WARNING"]
         assert err == ""
+        assert all(output[:2] == (csv, summary) for output in outputs.values())
+        # DEBUG shows the INFO lines too, beside the rank-deficiency lines.
+        debug_info = [line for line in outputs["DEBUG"][2].splitlines()
+                      if line.startswith(self.INFO)]
+        assert debug_info == self._info_lines(summary_path_for(tmp_path / "DEBUG.csv"))
+
+    def test_info_shows_each_failed_seed_with_its_error(self, tmp_path, capsys):
+        # sep 1e150 at step 1e10: each seed's fine-tune runs out of halvings.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(
+            DEMO_CFG, variants=["kl-ft"], step_size=1e10,
+            task=dict(DEMO_CFG["task"], sep=1e150))), encoding="utf-8")
+        out = tmp_path / "diverge.csv"
+        code = main(["classifier-demo", "--config", str(config), "--out", str(out),
+                     "--log-level", "INFO"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == self._info_lines(summary_path_for(out))
+        message = ("loss of 1 model(s) became non-finite even at step size 3.125e+08; "
+                   "try a smaller step_size")
+        assert lines[:2] == [f"{self.INFO}seed {seed} failed: DivergenceError: {message}"
+                             for seed in (0, 1)]
+        assert len(lines) == 2 + len(experiments.STAGES["classifier-demo"])
 
     def test_invalid_level_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
