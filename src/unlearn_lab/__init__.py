@@ -32,7 +32,6 @@ from .errors import (
 )
 from .linalg import (
     Factored,
-    Projector,
     gradient_descent_solve,
     min_norm_anchor_solve,
     min_norm_solve,

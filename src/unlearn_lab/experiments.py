@@ -30,8 +30,9 @@ with the oracle, which restacks the seeds' own scenarios and factors
 them itself.  A stacked pass that raises is run again seed by seed
 (:func:`_stacked`, the one place that decides it), so a failing seed
 fails alone with the error of its own run.  A seed's rows read its losses over ``nt_values``
-as arrays, and each ``verify-theorems`` row compares them with its
-predictions in one :func:`gap_report`.
+as arrays.  The oracle's predictions hold one value per seed, and each
+``verify-theorems`` row compares its seed's losses with that seed's
+slice of them in one :func:`gap_report`.
 Rows are dicts keyed by column name; :data:`COLUMNS` alone fixes the
 order of the cells, and :func:`render_csv` checks each row against it.
 """
@@ -43,7 +44,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -53,15 +54,8 @@ from .classifier import VARIANTS, ClassTask, run_seed_grid
 from .errors import ConfigError, UnlearnLabError
 from .linalg import Factored, RankDeficiencyCount
 from .metrics import LossReport, gap_report, measure_losses, stage, stage_record
-from .oracle import (
-    PRED_ABS_FLOOR,
-    PRED_REL_TOL,
-    TheoremPrediction,
-    predict_distinct,
-    predict_edited,
-    predict_overlap,
-)
-from .scenarios import FeatureLayout, fine_tune_subset, gen_scenario, stack_scenarios
+from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, predict_distinct, predict_edited, predict_overlap
+from .scenarios import DIST_TAGS, FeatureLayout, fine_tune_subset, gen_scenario, stack_scenarios
 from .solvers import (
     EditOption,
     edit_pretrained,
@@ -208,7 +202,7 @@ _TOLERANCE = {
     "tolerance.abs_floor": (PRED_ABS_FLOOR, Domain("number", 0)),
 }
 _SIZES = {"n_r": (30, Domain("int", 2)), "n_f": (10, Domain("int", 1))}
-_DIST = ("standard-normal", Domain("enum", choices=("standard-normal", "uniform")))
+_DIST = ("standard-normal", Domain("enum", choices=DIST_TAGS))
 _LINEAR = {**_SIZES, "dist": _DIST,
            "nt_values": (None, Domain("int", 1, many=True, unique=True))}
 _CLASSIFIER = {
@@ -510,8 +504,12 @@ def _verify_rows(cfg: dict):
         solved = _solve(cfg, layout, nt_values, [None, *options], seeds)
         with stage("oracle"):
             scenario = stack_scenarios([scenario for scenario, *_ in solved])
-            return list(zip(solved, predict(scenario),
-                            predict_edited(scenario, options, nt_values)))
+            baseline = predict(scenario)
+            edits = predict_edited(scenario, options, nt_values)
+        # Each seed gets its own row of the stacked predictions.
+        return [(own, replace(baseline, ul_gold=float(baseline.ul_gold[i])),
+                 [replace(p, rl_edit=p.rl_edit[i], ul_edit=p.ul_edit[i]) for p in edits])
+                for i, own in enumerate(solved)]
 
     results = _solve_seeds(cfg["seeds"], [
         partial(solve_and_predict, FeatureLayout(*cfg[f"{check}_layout"]), predict, options)
@@ -542,10 +540,10 @@ def _verify_rows(cfg: dict):
                 "ul_gold_rel_gap": gold_gaps.ul.rel_gap,
                 "pass": gap_report(fine_tuned, baseline, rel, floor).passed and gold_gaps.passed,
             })
-            for option, predictions in zip(options, edits):
+            for option, predicted in zip(options, edits):
                 rl, ul = fits[option]
                 edited = LossReport(rl=rl, ul=ul, model_tag="edited_fine_tuned")
-                gaps = gap_report(edited, _over_nt(predictions), rel, floor)
+                gaps = gap_report(edited, predicted, rel, floor)
                 edit_rows.append({
                     **common, "check": "edit", "option": option.value,
                     "rl_edit_max": float(rl.max()),
@@ -558,13 +556,6 @@ def _verify_rows(cfg: dict):
         return rows + edit_rows
 
     return rows_for_seed
-
-
-def _over_nt(predictions: list[TheoremPrediction]) -> TheoremPrediction:
-    """One edit option's predictions, one per ``n_t``, as one prediction
-    whose two edited losses are arrays over ``n_t``."""
-    return TheoremPrediction(rl_edit=np.array([p.rl_edit for p in predictions]),
-                             ul_edit=np.array([p.ul_edit for p in predictions]))
 
 
 def _sweep_nt_rows(cfg: dict):
@@ -770,9 +761,7 @@ def write_outputs(result: ExperimentResult, csv_path: str | Path) -> Path:
         "total_runtime_seconds": result.total_runtime_seconds,
         "stages": result.stages,
     }
-    summary_path_for(csv_path).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    summary_path_for(csv_path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return csv_path
 
 

@@ -10,15 +10,16 @@ singular vectors, never from the normal-equations formula.
 The SVD, the two solvers, the projector and the seminorm also take a
 stack of matrices ``(S, d, n)`` (with right-hand sides, anchors and
 seminorm vectors ``(S, n)`` or ``(S, d)``), one member per seed, and a
-single matrix is the one-member case of the same code.  Each member
-keeps its own cutoff, rank, consistency check and rank-deficiency
-record; members of one rank are solved or projected by one broadcasting
-product, and members of another rank as their own sub-stack.  Stacked
-LAPACK SVDs, matrix products and row dot products give every member the
-bits of its own call.  The solvers serve the measured pipeline, the
-projector and the seminorm the oracle, which stacks and factors its own
-matrices; the pseudoinverse, which only the oracle's independent block
-form uses, takes a single matrix.
+single matrix is the one-member case of the same code.  Results are
+plain arrays: a projector is its ``(d, d)`` matrix, or ``(S, d, d)`` for
+a stack.  Each member keeps its own cutoff, rank, consistency check and
+rank-deficiency record; members of one rank are solved or projected by
+one broadcasting product, and members of another rank as their own
+sub-stack.  Stacked LAPACK SVDs, matrix products and row dot products
+give every member the bits of its own call.  The solvers serve the
+measured pipeline, the projector and the seminorm the oracle, which
+stacks and factors its own matrices; the pseudoinverse, which only the
+oracle's independent block form uses, takes a single matrix.
 
 A :class:`RankDeficiencyCount` counts, inside its ``with`` block, the
 members of truncated SVDs whose rank falls short of the matrix's
@@ -37,8 +38,8 @@ module level.
 
 Conventions: a data matrix ``X`` is ``d x n`` (features by samples), the
 linear system it induces is ``X^T w = y``, singular values are reported
-in descending order, and values are retained only when strictly greater
-than the cutoff.
+in descending order, and every factorization retains only the values
+strictly greater than its :func:`default_sv_cutoff`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from __future__ import annotations
 import functools
 import logging
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -112,29 +112,6 @@ def _as_stack(a, name: str) -> tuple[np.ndarray, bool]:
     stacked = arr.ndim == 3
     arr = as_matrix(arr, name, stacked)
     return (arr if stacked else arr[None]), stacked
-
-
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Orthogonal projector onto the column space of a data matrix.
-
-    ``matrix`` is symmetric and idempotent to within :data:`TOL_SYM` /
-    :data:`TOL_IDEM`; ``rank`` is the number of singular values of the
-    source matrix retained above the cutoff.  For a stack of data
-    matrices, ``matrix`` is ``(S, d, d)`` and ``rank`` a tuple with one
-    rank per member.
-    """
-
-    matrix: np.ndarray = field(repr=False)
-    rank: int | tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
-
-    def complement(self) -> np.ndarray:
-        """The projector onto the orthogonal complement, ``I - P``."""
-        return np.eye(self.dim) - self.matrix
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,12 +207,12 @@ def _rank_deficient(oracle: bool, shape: tuple, rank: int, cutoff: float) -> Non
     )
 
 
-def _truncated_svd(a: np.ndarray, sv_cutoff: float | None) -> list[tuple]:
+def _truncated_svd(a: np.ndarray) -> list[tuple]:
     """SVD of each member of a stack ``(S, d, n)``, restricted to its
-    singular values strictly above its cutoff.
+    singular values strictly above its :func:`default_sv_cutoff`.
 
-    Every member has its own cutoff (the default one scales with its own
-    largest singular value), its own rank and, when that rank falls short
+    Every member has its own cutoff, which scales with its own largest
+    singular value, its own rank and, when that rank falls short
     of ``min(d, n)``, its own DEBUG record.  Returns one ``(members, u,
     s, v)`` group per distinct rank, in the order the members first reach
     it: ``members`` indexes the stack, ``slice(None)`` when every member
@@ -246,12 +223,7 @@ def _truncated_svd(a: np.ndarray, sv_cutoff: float | None) -> list[tuple]:
     """
     u, s, v = svd(a)
     shape = a.shape[1:]
-    if sv_cutoff is None:
-        cutoff = default_sv_cutoff(shape, s[:, 0] if s.shape[1] else np.zeros(len(s)))
-    elif sv_cutoff < 0:
-        raise ValueError("sv_cutoff must be nonnegative")
-    else:
-        cutoff = np.full(len(s), float(sv_cutoff))
+    cutoff = default_sv_cutoff(shape, s[:, 0] if s.shape[1] else np.zeros(len(s)))
     ranks = (s > cutoff[:, None]).sum(axis=1).tolist()
     oracle = _ORACLE_WORK.get()
     for member, rank in enumerate(ranks):
@@ -278,12 +250,10 @@ class Factored:
     ``x`` is a matrix ``(d, n)`` or a stack ``(S, d, n)``.  ``matrix`` is
     always the stack, a matrix being its one-member case, and the solvers
     return results in the form of their input: one vector for a matrix,
-    one row per member for a stack.  ``truncated_svd`` is
-    ``_truncated_svd(matrix, None)``, the default cutoffs as in
-    :func:`min_norm_solve`.  Every solve on one object reuses that one
-    factorization, which is what a fresh solve would compute, so the
-    results are bit for bit those of solving on the array, and each
-    member's those of solving on that member alone.
+    one row per member for a stack.  Every solve on one object reuses one
+    :func:`_truncated_svd` of ``matrix``, which is what a fresh solve
+    would compute, so the results are bit for bit those of solving on the
+    array, and each member's those of solving on that member alone.
     """
 
     def __init__(self, x, name: str = "x"):
@@ -291,7 +261,7 @@ class Factored:
 
     @cached_property
     def truncated_svd(self) -> list[tuple]:
-        return _truncated_svd(self.matrix, None)
+        return _truncated_svd(self.matrix)
 
     def vectors(self, v, name: str) -> np.ndarray:
         """``v`` validated as one vector per member, as an ``(S, k)`` stack."""
@@ -311,49 +281,42 @@ def _as_factored(x, name: str) -> Factored:
     return x if isinstance(x, Factored) else Factored(x, name)
 
 
-def _one_member(arr: np.ndarray, sv_cutoff: float | None):
-    """The truncated factors of one matrix, as 2-D arrays."""
-    [(_, u, s, v)] = _truncated_svd(arr[None], sv_cutoff)
-    return u[0], s[0], v[0]
-
-
-def pseudoinverse(a, sv_cutoff: float | None = None) -> np.ndarray:
+def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via truncated SVD.
 
-    Singular values at or below the cutoff are treated as exact zeros.
-    The default cutoff is ``max(rows, cols) * eps * s_max``.
+    Singular values at or below :func:`default_sv_cutoff` are treated as
+    exact zeros.
     """
     arr = as_matrix(a)
-    u, s, v = _one_member(arr, sv_cutoff)
-    if s.size == 0:
+    [(_, u, s, v)] = _truncated_svd(arr[None])
+    if s.shape[1] == 0:
         return np.zeros((arr.shape[1], arr.shape[0]))
-    return (v / s) @ u.T
+    return (v[0] / s[0]) @ u[0].T
 
 
-def projector(x, sv_cutoff: float | None = None) -> Projector:
+def projector(x) -> np.ndarray:
     """Orthogonal projector onto the column space of ``x``.
 
     Computed as ``U_r U_r^T`` from the retained left singular vectors; for
-    full-column-rank ``x`` this equals ``X (X^T X)^{-1} X^T``.  For a
-    stack ``(S, d, n)`` each member is projected with its own cutoff and
-    rank, and gets the bits of its own call.
+    full-column-rank ``x`` this equals ``X (X^T X)^{-1} X^T``.  It is
+    symmetric and idempotent to within :data:`TOL_SYM` / :data:`TOL_IDEM`,
+    and its rank is the number of singular values of ``x`` above
+    :func:`default_sv_cutoff`.  A matrix ``(d, n)`` gives ``(d, d)``; a
+    stack ``(S, d, n)`` gives ``(S, d, d)``, each member projected with
+    its own cutoff and rank and with the bits of its own call.
     """
     arr, stacked = _as_stack(x, "x")
     # Only the left factors are kept, and the output is allocated once the
     # right singular vectors are freed, so the two never coexist.
-    groups = [(members, u) for members, u, _, _ in _truncated_svd(arr, sv_cutoff)]
+    groups = [(members, u) for members, u, _, _ in _truncated_svd(arr)]
     matrix = np.empty(arr.shape[:2] + arr.shape[1:2])
-    rank = np.empty(len(arr), dtype=int)
     for members, u in groups:
         if isinstance(members, slice):
             # In place: a fresh product would double the stack's peak memory.
             np.matmul(u, _transposed(u), out=matrix)
         else:
             matrix[members] = u @ _transposed(u)
-        rank[members] = u.shape[-1]
-    if stacked:
-        return Projector(matrix=matrix, rank=tuple(rank.tolist()))
-    return Projector(matrix=matrix[0], rank=int(rank[0]))
+    return matrix if stacked else matrix[0]
 
 
 def _min_norm(factored: Factored, rhs: np.ndarray) -> np.ndarray:

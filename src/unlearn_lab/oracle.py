@@ -21,10 +21,10 @@ blocks (rank(X_r) = d_r + d_lap, generic once n_r >= d_r + d_lap).  The
 verification protocol operates in that regime.
 
 The three predictors also take a stack of scenarios
-(:func:`~unlearn_lab.scenarios.stack_scenarios`) and return one
-prediction per member, each with the bits of that member's own call: a
-scenario is the one-member case of the same code.  They factor every
-matrix themselves, one stacked projector per matrix for all members, so
+(:func:`~unlearn_lab.scenarios.stack_scenarios`), whose predictions
+hold one value per member, each with the bits of that member's own
+call: a scenario is the one-member case.  They factor every matrix
+themselves, one stacked projector per matrix for all members, so
 a measured solve and its prediction never share a factorization.  The
 block form is a single-scenario cross-check.
 """
@@ -46,17 +46,17 @@ PRED_REL_TOL = 1e-8
 PRED_ABS_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TheoremPrediction:
-    """Predicted losses for one scenario; ``None`` where nothing is predicted.
+    """Predicted losses; ``None`` where nothing is predicted.
 
     The unedited predictions fill ``rl_ft``/``ul_ft`` (the plain
     fine-tuned model, exactly zero) and ``rl_gold``/``ul_gold`` (the
     retrained-from-scratch model).  The edited predictions fill only
     ``rl_edit``/``ul_edit`` (the edited-then-fine-tuned model).  Every
-    filled value is nonnegative.  A field may also hold an array, one
-    value per comparison, for :func:`~unlearn_lab.metrics.gap_report` to
-    compare a series of measurements in one call.
+    filled value is nonnegative.  A field may hold an array, which
+    :func:`~unlearn_lab.metrics.gap_report` compares elementwise; like
+    the other array holders, two predictions compare by identity.
     """
 
     rl_ft: float | None = None
@@ -96,12 +96,11 @@ def _times(p: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _unedited(scenario: SyntheticScenario, stack: SyntheticScenario, gap: np.ndarray):
-    """The unedited predictions of ``scenario``, whose golden model misses
+    """The unedited prediction of ``scenario``, whose golden model misses
     the true weights by ``gap`` (one row per member of ``stack``)."""
     ul_gold = weighted_seminorm_sq(gap, stack.x_f, stack.n_f)
-    predictions = [TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=float(ul))
-                   for ul in ul_gold]
-    return predictions if scenario.stacked else predictions[0]
+    return TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0,
+                             ul_gold=ul_gold if scenario.stacked else float(ul_gold[0]))
 
 
 @oracle_work
@@ -110,7 +109,7 @@ def predict_distinct(scenario: SyntheticScenario):
 
     Fine-tuned RL and UL and golden RL are all zero; the golden UL equals
     the squared forgetting-block weights in the forgetting-data seminorm.
-    For a stacked scenario, one prediction per member.
+    For a stacked scenario, ``ul_gold`` holds one value per member.
     """
     if not scenario.layout.is_distinct:
         raise LayoutMismatchError(
@@ -127,11 +126,11 @@ def predict_overlap(scenario: SyntheticScenario):
     The golden UL is the seminorm of ``P_r (w_r + w_lap) - (w_f + w_lap)``
     with ``P_r`` the remaining-data projector; with an empty overlap block
     this reduces to the distinct-layout value.  For a stacked scenario,
-    one prediction per member.
+    ``ul_gold`` holds one value per member.
     """
     stack = as_stack(scenario)
     parts = decompose_w_star(stack)
-    p_r = projector(stack.x_r).matrix
+    p_r = projector(stack.x_r)
     gap = _times(p_r, parts.w_r + parts.w_lap) - (parts.w_f + parts.w_lap)
     return _unedited(scenario, stack, gap)
 
@@ -164,12 +163,13 @@ def golden_ul_block_form(scenario: SyntheticScenario) -> float:
 @oracle_work
 def predict_edited(
     scenario: SyntheticScenario, options: Sequence[EditOption], nt_values: Sequence[int]
-) -> list:
+) -> list[TheoremPrediction]:
     """Predicted losses after editing the pretrained model, then fine-tuning.
 
-    Returns one list per edit option in ``options``, in order, each with
-    one prediction per fine-tuning subset size in ``nt_values``, in
-    order; for a stacked scenario, one such list of lists per member.
+    Returns one prediction per edit option in ``options``, in order,
+    whose ``rl_edit`` and ``ul_edit`` hold one value per fine-tuning
+    subset size in ``nt_values``, in order: ``(len(nt_values),)``, or
+    ``(S, len(nt_values))`` for a stack of ``S`` scenarios.
     Zeroing the forgetting block (and, for the discard option, the
     overlap block) before fine-tuning removes the residual influence of
     the forgetting data:
@@ -196,32 +196,35 @@ def predict_edited(
     subsets = [fine_tune_subset(stack, n_t)[0] for n_t in nt_values]
     parts = decompose_w_star(stack)
     w_f_lap = parts.w_f + parts.w_lap
+    shape = (len(stack.seed), len(subsets))
 
-    def edited(rl_edit, gap):
+    def edited(rl_edit, ul_edit):
+        if not scenario.stacked:
+            rl_edit, ul_edit = rl_edit[0], ul_edit[0]
+        return TheoremPrediction(rl_edit=rl_edit, ul_edit=ul_edit)
+
+    def repeated(gap):
+        """Zero RL, and the UL of ``gap`` at every ``n_t``."""
         ul_edit = weighted_seminorm_sq(gap, stack.x_f, stack.n_f)
-        return [TheoremPrediction(rl_edit=float(rl), ul_edit=float(ul))
-                for rl, ul in zip(np.broadcast_to(rl_edit, ul_edit.shape), ul_edit)]
+        return edited(np.zeros(shape), np.repeat(ul_edit[:, None], shape[1], axis=1))
 
-    by_option = []  # [option][n_t][member]
+    predictions = []
     joint = None
     for option in options:
         if option is EditOption.DISTINCT_ZERO_FORGET:
-            by_option.append([edited(0.0, parts.w_f)] * len(subsets))
+            predictions.append(repeated(parts.w_f))
             continue
         if joint is None:
-            joint = projector(stack.joint_data()[0]).matrix
+            joint = projector(stack.joint_data()[0])
         if option is EditOption.OVERLAP_RETAIN:
-            gap = _times(joint, parts.w_r + parts.w_lap) - w_f_lap
-            by_option.append([edited(0.0, gap)] * len(subsets))
+            predictions.append(repeated(_times(joint, parts.w_r + parts.w_lap) - w_f_lap))
             continue
-        runs = []
+        rl_edit, ul_edit = np.empty(shape), np.empty(shape)
         joint_w_r = _times(joint, parts.w_r)
-        for x_t in subsets:
+        for i, x_t in enumerate(subsets):
             # Each prefix's projector stack is dropped once its n_t is predicted.
-            kept = _times(projector(x_t).matrix, parts.w_lap)
-            rl_edit = weighted_seminorm_sq(parts.w_lap - kept, stack.x_r, stack.n_r)
-            runs.append(edited(rl_edit, joint_w_r + kept - w_f_lap))
-        by_option.append(runs)
-    predictions = [[[at_nt[member] for at_nt in runs] for runs in by_option]
-                   for member in range(len(stack.seed))]
-    return predictions if scenario.stacked else predictions[0]
+            kept = _times(projector(x_t), parts.w_lap)
+            rl_edit[:, i] = weighted_seminorm_sq(parts.w_lap - kept, stack.x_r, stack.n_r)
+            ul_edit[:, i] = weighted_seminorm_sq(joint_w_r + kept - w_f_lap, stack.x_f, stack.n_f)
+        predictions.append(edited(rl_edit, ul_edit))
+    return predictions

@@ -101,7 +101,7 @@ def closed_form_wt_distinct(scenario: SyntheticScenario, n_t: int) -> np.ndarray
         raise LayoutMismatchError("closed form requires a layout with no overlap block")
     x, _ = scenario.joint_data()
     x_t, _ = fine_tune_subset(scenario, n_t)
-    p = projector(x).matrix
-    p_t = projector(x_t).matrix
+    p = projector(x)
+    p_t = projector(x_t)
     parts = decompose_w_star(scenario)
     return p @ parts.w_r + (p - p_t) @ parts.w_f

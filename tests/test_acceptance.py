@@ -127,20 +127,20 @@ def test_criterion_3_edited_pipeline_reproduction():
             discard_positive = False
             for n_t in NT_VALUES:
                 m = _edited_pipeline(distinct, w_o["d"], EditOption.DISTINCT_ZERO_FORGET, n_t)
-                [[p]] = predict_edited(distinct, [EditOption.DISTINCT_ZERO_FORGET], [n_t])
-                check(m.rl, p.rl_edit)
-                check(m.ul, p.ul_edit)
+                [p] = predict_edited(distinct, [EditOption.DISTINCT_ZERO_FORGET], [n_t])
+                check(m.rl, p.rl_edit[0])
+                check(m.ul, p.ul_edit[0])
 
                 m = _edited_pipeline(overlap, w_o["o"], EditOption.OVERLAP_RETAIN, n_t)
-                [[p]] = predict_edited(overlap, [EditOption.OVERLAP_RETAIN], [n_t])
+                [p] = predict_edited(overlap, [EditOption.OVERLAP_RETAIN], [n_t])
                 assert m.rl < 1e-9  # retaining the overlap keeps RL at zero
-                check(m.rl, p.rl_edit)
-                check(m.ul, p.ul_edit)
+                check(m.rl, p.rl_edit[0])
+                check(m.ul, p.ul_edit[0])
 
                 m = _edited_pipeline(overlap, w_o["o"], EditOption.OVERLAP_DISCARD, n_t)
-                [[p]] = predict_edited(overlap, [EditOption.OVERLAP_DISCARD], [n_t])
-                check(m.rl, p.rl_edit)
-                check(m.ul, p.ul_edit)
+                [p] = predict_edited(overlap, [EditOption.OVERLAP_DISCARD], [n_t])
+                check(m.rl, p.rl_edit[0])
+                check(m.ul, p.ul_edit[0])
                 discard_positive = discard_positive or m.rl > 1e-6
             assert discard_positive  # discarding the overlap must cost RL somewhere
 
@@ -166,9 +166,8 @@ def test_criterion_5_projection_property_suite():
         for _ in range(100):
             d = int(rng.integers(2, 14))
             n = int(rng.integers(1, d + 1))
-            p = projector(rng.standard_normal((d, n)))
-            m = p.matrix
-            q = p.complement()
+            m = projector(rng.standard_normal((d, n)))
+            q = np.eye(d) - m
             v = rng.standard_normal(d)
             assert np.max(np.abs(m - m.T)) <= 1e-9
             assert np.max(np.abs(m @ m - m)) <= 1e-9
@@ -187,9 +186,9 @@ def test_criterion_5_projection_property_suite():
             n_f = int(rng.integers(1, d_r + d_f - n_r + 1))
             s = gen_scenario(n_r, n_f, FeatureLayout(d_r, 0, d_f), seed=case)
             x, y = s.joint_data()
-            p = projector(x).matrix
-            p_r = projector(s.x_r).matrix
-            p_f = projector(s.x_f).matrix
+            p = projector(x)
+            p_r = projector(s.x_r)
+            p_f = projector(s.x_f)
             assert np.max(np.abs(p - (p_r + p_f))) <= 1e-9
             assert np.max(np.abs((np.eye(s.d) - p) @ x)) <= 1e-9
             assert np.max(np.abs(p @ s.x_r - s.x_r)) <= 1e-9
@@ -209,8 +208,8 @@ def test_criterion_5_projection_property_suite():
             s = gen_scenario(n_r, n_f, FeatureLayout(d_r, d_lap, d_f), seed=case)
             parts = decompose_w_star(s)
             x, y = s.joint_data()
-            p = projector(x).matrix
-            p_r = projector(s.x_r).matrix
+            p = projector(x)
+            p_r = projector(s.x_r)
             w_o = train_original(s)
             w_g = retrain_golden(s)
             assert np.max(np.abs(w_o - p @ s.w_star)) <= 1e-9
@@ -219,7 +218,7 @@ def test_criterion_5_projection_property_suite():
             x_t, y_t = fine_tune_subset(s, n_t)
             w_t = fine_tune_unlearn(w_o, x_t, y_t)
             p_t = projector(x_t)
-            direct = p_t.complement() @ w_o + p_t.matrix @ (parts.w_r + parts.w_lap)
+            direct = (np.eye(d) - p_t) @ w_o + p_t @ (parts.w_r + parts.w_lap)
             assert np.max(np.abs(w_t - direct)) <= 1e-9
             assert np.max(np.abs(s.x_r.T @ parts.w_f)) == 0.0
             assert np.max(np.abs(s.x_f.T @ parts.w_r)) == 0.0

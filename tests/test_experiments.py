@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from unlearn_lab import experiments, linalg
 from unlearn_lab.cli import main
 from unlearn_lab.errors import ConfigError, DivergenceError
-from unlearn_lab.scenarios import FeatureLayout
+from unlearn_lab.scenarios import DIST_TAGS, FeatureLayout
 from unlearn_lab.experiments import (
     COLUMNS,
     FIELDS,
@@ -96,6 +96,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(bad, "sweep-overlap")
 
+    def test_dist_choices_are_the_generators_tags(self):
+        # The config domain and the scenario generator read one list.
+        linear = [e for e, fields in FIELDS.items() if "dist" in fields]
+        assert sorted(linear) == ["sweep-nt", "sweep-overlap", "verify-theorems"]
+        for experiment in linear:
+            assert FIELDS[experiment]["dist"][1].choices == DIST_TAGS
+            for dist in DIST_TAGS:
+                cfg = validate_config({"seeds": [0], "dist": dist}, experiment)
+                assert cfg["dist"] == dist
+            with pytest.raises(ConfigError):
+                validate_config({"seeds": [0], "dist": "gaussian"}, experiment)
+
     def test_bad_variant_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(
@@ -146,6 +158,7 @@ class TestSchemas:
         csv_path = write_outputs(result, tmp_path / "run.csv")
         summary = json.loads(summary_path_for(csv_path).read_text())
         stages = summary["stages"]
+        assert list(stages) == list(experiments.STAGES[experiment])
         assert stages.keys() == names
         assert all(seconds >= 0.0 for seconds in stages.values())
         # The stages never nest, so their sum cannot exceed the run's time.
@@ -232,11 +245,13 @@ class TestVerifyRowsFromArrays:
     @staticmethod
     def _with_nan_predictions(monkeypatch, first_only):
         real = experiments.predict_edited
-        nan = experiments.TheoremPrediction(rl_edit=NAN, ul_edit=NAN)
 
         def predict(scenario, options, nt_values):
-            return [[[nan, *runs[1:]] if first_only else [nan] * len(runs) for runs in member]
-                    for member in real(scenario, options, nt_values)]
+            predictions = real(scenario, options, nt_values)
+            for p in predictions:
+                for losses in (p.rl_edit, p.ul_edit):
+                    losses[..., slice(1) if first_only else slice(None)] = NAN
+            return predictions
 
         monkeypatch.setattr(experiments, "predict_edited", predict)
 
@@ -359,10 +374,10 @@ class TestPrefixFactorization:
     def test_a_faulty_oracle_factorization_fails_the_oracle_checks(self, monkeypatch):
         exact = linalg._truncated_svd
 
-        def tilted(a, sv_cutoff):
+        def tilted(a):
             # The mirror of the solver tilt above: only the oracle's own
             # factorizations are tilted, the solvers stay exact.
-            groups = exact(a, sv_cutoff)
+            groups = exact(a)
             if not linalg._ORACLE_WORK.get():
                 return groups
             tilted_groups = []
@@ -638,8 +653,8 @@ class TestLinearSeedStack:
         groups = []
         exact = linalg._truncated_svd
 
-        def grouping(a, sv_cutoff):
-            factors = exact(a, sv_cutoff)
+        def grouping(a):
+            factors = exact(a)
             groups.append([members for members, *_ in factors])
             return factors
 
@@ -1167,7 +1182,7 @@ class TestLogLevel:
     @classmethod
     def _info_lines(cls, summary_path):
         """The INFO lines of the run whose summary is at ``summary_path``,
-        its stages in STAGES order (the summary sorts its keys)."""
+        its stages in STAGES order."""
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
         return ([f"{cls.INFO}seed {f['seed']} failed: {f['type']}: {f['message']}"
                  for f in summary["failures"]]

@@ -86,9 +86,15 @@ class TestPseudoinverse:
     def test_zero_matrix_maps_to_zero(self):
         np.testing.assert_array_equal(pseudoinverse(np.zeros((3, 2))), np.zeros((2, 3)))
 
-    def test_negative_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            pseudoinverse(np.eye(2), sv_cutoff=-1.0)
+    def test_values_at_the_default_cutoff_are_zeroed(self):
+        # The pseudoinverse drops a singular value exactly at the default
+        # cutoff (strict comparison) and inverts the next float up.
+        cutoff = linalg.default_sv_cutoff((2, 2), 1.0)
+        above = np.nextafter(cutoff, np.inf)
+        np.testing.assert_array_equal(
+            pseudoinverse(np.diag([1.0, cutoff])), np.diag([1.0, 0.0]))
+        np.testing.assert_array_equal(
+            pseudoinverse(np.diag([1.0, above])), np.diag([1.0, 1.0 / above]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidMatrixError):
@@ -98,25 +104,32 @@ class TestPseudoinverse:
 class TestProjector:
     def test_axis_projector(self):
         p = projector(np.array([[1.0], [0.0]]))
-        np.testing.assert_allclose(p.matrix, np.diag([1.0, 0.0]), atol=1e-15)
-        assert p.rank == 1
+        np.testing.assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-15)
+        assert np.linalg.matrix_rank(p) == 1
 
     def test_full_rank_square_is_identity(self):
         rng = np.random.default_rng(3)
         p = projector(rng.standard_normal((4, 4)))
-        np.testing.assert_allclose(p.matrix, np.eye(4), atol=1e-12)
-        assert p.rank == 4
+        np.testing.assert_allclose(p, np.eye(4), atol=1e-12)
+        assert np.linalg.matrix_rank(p) == 4
 
     def test_ones_column(self):
         p = projector(np.array([[1.0], [1.0]]))
-        np.testing.assert_allclose(p.matrix, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        np.testing.assert_allclose(p, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_rank_counts_values_above_cutoff(self):
-        x = np.diag([5.0, 1e-3, 0.0])
-        assert projector(x).rank == 2
-        assert projector(x, sv_cutoff=1e-2).rank == 1
-        # Values exactly at the cutoff are dropped (strict comparison).
-        assert projector(np.diag([2.0, 1.0]), sv_cutoff=1.0).rank == 1
+        assert np.linalg.matrix_rank(projector(np.diag([5.0, 1e-3, 0.0]))) == 2
+        # A second singular value exactly at the default cutoff is dropped
+        # (strict comparison); the next float up is kept.
+        cutoff = linalg.default_sv_cutoff((2, 2), 1.0)
+        for value, rank in [(cutoff, 1), (np.nextafter(cutoff, np.inf), 2)]:
+            x = np.diag([1.0, value])
+            # LAPACK returns a diagonal matrix's values exactly.
+            assert svd(x)[1].tolist() == [1.0, value]
+            with linalg.RankDeficiencyCount() as counting:
+                p = projector(x)
+            assert counting.counts == {"solvers": 2 - rank, "oracle": 0}
+            assert np.linalg.matrix_rank(p) == rank
 
 
 class TestProjectorProperties:
@@ -127,39 +140,38 @@ class TestProjectorProperties:
         for _ in range(count):
             d = int(rng.integers(2, 12))
             n = int(rng.integers(1, d + 1))
-            yield projector(rng.standard_normal((d, n))), rng
+            yield projector(rng.standard_normal((d, n))), rng, d
 
     def test_symmetric_and_idempotent(self):
-        for p, _ in self._random_projectors():
-            m = p.matrix
+        for m, _, _ in self._random_projectors():
             assert np.max(np.abs(m - m.T)) <= TOL_SYM
             assert np.max(np.abs(m @ m - m)) <= TOL_IDEM
 
     def test_eigenvalues_in_unit_interval(self):
-        for p, _ in self._random_projectors():
-            eigs = np.linalg.eigvalsh(p.matrix)
+        for p, _, _ in self._random_projectors():
+            eigs = np.linalg.eigvalsh(p)
             assert eigs.min() >= -1e-10
             assert eigs.max() <= 1 + 1e-10
 
     def test_contraction(self):
-        for p, rng in self._random_projectors():
+        for p, rng, d in self._random_projectors():
             for _ in range(5):
-                v = rng.standard_normal(p.dim)
-                assert np.linalg.norm(p.matrix @ v) <= np.linalg.norm(v) + 1e-12
+                v = rng.standard_normal(d)
+                assert np.linalg.norm(p @ v) <= np.linalg.norm(v) + 1e-12
 
     def test_complement_is_projector_and_annihilates(self):
-        for p, _ in self._random_projectors():
-            q = p.complement()
+        for p, _, d in self._random_projectors():
+            q = np.eye(d) - p
             assert np.max(np.abs(q - q.T)) <= TOL_SYM
             assert np.max(np.abs(q @ q - q)) <= TOL_IDEM
-            assert np.max(np.abs(q @ p.matrix)) <= 1e-10
+            assert np.max(np.abs(q @ p)) <= 1e-10
 
     def test_norm_decomposition(self):
         # ||(I-P)v||^2 = ||v||^2 - ||Pv||^2
-        for p, rng in self._random_projectors():
-            v = rng.standard_normal(p.dim)
-            lhs = np.linalg.norm(p.complement() @ v) ** 2
-            rhs = np.linalg.norm(v) ** 2 - np.linalg.norm(p.matrix @ v) ** 2
+        for p, rng, d in self._random_projectors():
+            v = rng.standard_normal(d)
+            lhs = np.linalg.norm((np.eye(d) - p) @ v) ** 2
+            rhs = np.linalg.norm(v) ** 2 - np.linalg.norm(p @ v) ** 2
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
     def test_submatrix_identities(self):
@@ -171,8 +183,8 @@ class TestProjectorProperties:
             x = rng.standard_normal((d, n))
             k = int(rng.integers(1, n + 1))
             a = x[:, :k]
-            p = projector(x).matrix
-            p_a = projector(a).matrix
+            p = projector(x)
+            p_a = projector(a)
             assert np.max(np.abs(p @ a - a)) <= 1e-9
             assert np.max(np.abs(p @ p_a - p_a)) <= 1e-9
 
@@ -193,15 +205,14 @@ class TestMinNormSolve:
         y = x.T @ rng.standard_normal(20)
         w = min_norm_solve(x, y)
         assert np.linalg.norm(x.T @ w - y) < 1e-10
-        p = projector(x)
-        assert np.linalg.norm(p.complement() @ w) < 1e-10
+        assert np.linalg.norm((np.eye(20) - projector(x)) @ w) < 1e-10
 
     def test_smallest_norm_among_solutions(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((15, 6))
         y = x.T @ rng.standard_normal(15)
         w = min_norm_solve(x, y)
-        q = projector(x).complement()
+        q = np.eye(15) - projector(x)
         for _ in range(100):
             alt = w + q @ rng.standard_normal(15)
             assert np.linalg.norm(w) <= np.linalg.norm(alt) + 1e-12
@@ -250,7 +261,7 @@ class TestMinNormAnchorSolve:
         w_o = rng.standard_normal(12)
         w = min_norm_anchor_solve(x, y, w_o)
         assert np.linalg.norm(x.T @ w - y) < 1e-10
-        q = projector(x).complement()
+        q = np.eye(12) - projector(x)
         for _ in range(50):
             alt = w + q @ rng.standard_normal(12)
             assert np.linalg.norm(w - w_o) <= np.linalg.norm(alt - w_o) + 1e-12
@@ -399,20 +410,14 @@ class TestStackedOracleKernels:
         v = np.random.default_rng(3).standard_normal(shape[:2])
         p = projector(x)
         values = weighted_seminorm_sq(v, x, 4)
-        assert p.matrix.shape == (shape[0], shape[1], shape[1]) and values.shape == shape[:1]
-        assert p.rank == tuple(int(np.linalg.matrix_rank(member)) for member in x)
+        assert p.shape == (shape[0], shape[1], shape[1]) and values.shape == shape[:1]
+        ranks = [np.linalg.matrix_rank(member) for member in x]
         for i, member in enumerate(x):
-            alone = projector(member)
-            assert np.array_equal(p.matrix[i], alone.matrix) and p.rank[i] == alone.rank
+            assert np.array_equal(p[i], projector(member))
+            assert np.linalg.matrix_rank(p[i]) == ranks[i]
             assert values[i] == weighted_seminorm_sq(v[i], member, 4)
         if shape[0] > 1:
-            assert len(set(p.rank)) > 1
-
-    def test_a_stack_projector_keeps_the_projector_api(self):
-        x, _ = TestStackedSolves._stack((6, 5, 3))
-        p = projector(x, sv_cutoff=1e-8)
-        assert p.dim == 5
-        assert np.array_equal(p.complement(), np.eye(5) - p.matrix)
+            assert len(set(ranks)) > 1
 
     def test_a_stack_projector_never_holds_its_output_beside_the_right_factors(self):
         # Holding the output, U, S and V^T at once is the least a projector
@@ -432,7 +437,8 @@ class TestStackedOracleKernels:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert p.rank == (29,) * 20
+        assert p.shape == (20, 40, 40)
+        assert {np.linalg.matrix_rank(member) for member in x} == {29}
         assert all_at_once - peak >= vh.nbytes, (peak, all_at_once, vh.nbytes)
 
     def test_vectors_must_match_the_stack(self):
@@ -458,7 +464,7 @@ class TestWeightedSeminorm:
     def test_null_space_vector_measures_zero(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((8, 3))
-        v = projector(x).complement() @ rng.standard_normal(8)
+        v = (np.eye(8) - projector(x)) @ rng.standard_normal(8)
         assert weighted_seminorm_sq(v, x, 3) < 1e-20
 
     def test_nonnegative(self):
@@ -490,15 +496,15 @@ class TestBlockStructure:
 
     def test_projector_additivity(self):
         x_r, x_f = self._block_pair(14)
-        p = projector(np.hstack([x_r, x_f])).matrix
-        p_r = projector(x_r).matrix
-        p_f = projector(x_f).matrix
+        p = projector(np.hstack([x_r, x_f]))
+        p_r = projector(x_r)
+        p_f = projector(x_f)
         assert np.max(np.abs(p - (p_r + p_f))) <= 1e-9
 
     def test_cross_projections_vanish(self):
         x_r, x_f = self._block_pair(15)
-        p_f = projector(x_f).matrix
-        p_r = projector(x_r).matrix
+        p_f = projector(x_f)
+        p_r = projector(x_r)
         assert np.max(np.abs(x_r.T @ p_f)) <= 1e-12
         assert np.max(np.abs(x_f.T @ p_r)) <= 1e-12
 

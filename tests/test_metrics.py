@@ -9,7 +9,6 @@ import pytest
 from unlearn_lab import scenarios
 from unlearn_lab.classifier import LabeledSet, SoftmaxClassifier
 from unlearn_lab.errors import InvalidMatrixError, ProvenanceMismatchError
-from unlearn_lab.linalg import projector
 from unlearn_lab.metrics import (
     GapEntry,
     LossReport,
@@ -179,7 +178,7 @@ class TestGapReport:
 
     def test_golden_tag_against_edit_prediction_is_rejected(self):
         s = gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed=3)
-        [[predicted]] = predict_edited(s, [EditOption.DISTINCT_ZERO_FORGET], [15])
+        [predicted] = predict_edited(s, [EditOption.DISTINCT_ZERO_FORGET], [15])
         measured = measure_losses(retrain_golden(s), s, "golden")
         with pytest.raises(ProvenanceMismatchError):
             gap_report(measured, predicted)
@@ -222,8 +221,9 @@ class TestStackedReports:
                  for n_t in self.NT_VALUES
                  for w, tag in ((w_o, "fine_tuned"), (edited, "edited_fine_tuned"))]
         assert gold.rl.shape == gold.ul.shape == (3,)
-        baselines = (predict_distinct if layout.is_distinct else predict_overlap)(stack)
-        edit_predictions = [runs for [runs] in predict_edited(stack, [option], self.NT_VALUES)]
+        # The fine-tuned rows read only the baseline's zero RL and UL.
+        baseline = (predict_distinct if layout.is_distinct else predict_overlap)(stack)
+        [edit_prediction] = predict_edited(stack, [option], self.NT_VALUES)
         for i, s in enumerate(scenarios):
             own_gold = measure_losses(retrain_golden(s), s, "golden")
             assert _bits([gold.rl[i], gold.ul[i]]) == _bits([own_gold.rl, own_gold.ul])
@@ -232,11 +232,13 @@ class TestStackedReports:
                                       ul=np.array([r.ul[i] for r in by_nt if r.model_tag == tag]),
                                       model_tag=tag)
                       for tag in ("fine_tuned", "edited_fine_tuned")}
-            predictions = edit_predictions[i]
-            over_nt = TheoremPrediction(rl_edit=np.array([p.rl_edit for p in predictions]),
-                                        ul_edit=np.array([p.ul_edit for p in predictions]))
+            # One member's predictions over n_t, as the verify pass slices them.
+            over_nt = TheoremPrediction(rl_edit=edit_prediction.rl_edit[i],
+                                        ul_edit=edit_prediction.ul_edit[i])
+            predictions = [TheoremPrediction(rl_edit=float(rl), ul_edit=float(ul))
+                           for rl, ul in zip(over_nt.rl_edit, over_nt.ul_edit)]
             for measured, predicted, each in (
-                    (series["fine_tuned"], baselines[i], [baselines[i]] * len(self.NT_VALUES)),
+                    (series["fine_tuned"], baseline, [baseline] * len(self.NT_VALUES)),
                     (series["edited_fine_tuned"], over_nt, predictions)):
                 stacked = gap_report(measured, predicted)
                 alone = [gap_report(LossReport(rl=float(rl), ul=float(ul),
@@ -358,7 +360,7 @@ class TestClassifierMetrics:
 
 
 class TestArrayHoldersCompareByIdentity:
-    """The linear side's scenarios, projectors, loss reports and gap
+    """The linear side's scenarios, predictions, loss reports and gap
     entries hold arrays, so they compare, hash and test membership by
     identity instead of raising."""
 
@@ -369,7 +371,7 @@ class TestArrayHoldersCompareByIdentity:
         losses = np.array([1.0, 2.0])
         for make in (scenario,
                      lambda: decompose_w_star(scenario()),
-                     lambda: projector(scenario().x_r),
+                     lambda: TheoremPrediction(rl_edit=losses.copy(), ul_edit=losses.copy()),
                      lambda: LossReport(rl=losses.copy(), ul=losses.copy(), model_tag="golden"),
                      lambda: GapEntry(losses, losses, np.zeros(2), np.zeros(2), np.ones(2, bool))):
             first, second = make(), make()

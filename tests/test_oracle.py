@@ -103,7 +103,7 @@ class TestPredictOverlap:
         from unlearn_lab.scenarios import decompose_w_star
 
         parts = decompose_w_star(t)
-        p_r = projector(t.x_r).matrix
+        p_r = projector(t.x_r)
         expected = weighted_seminorm_sq(p_r @ parts.w_r - parts.w_f, t.x_f, t.n_f)
         assert abs(predict_overlap(t).ul_gold - expected) <= 1e-12 * max(expected, 1.0)
 
@@ -135,32 +135,34 @@ class TestPredictEdited:
     def test_distinct_edit_equals_golden_prediction(self):
         s = gen_scenario(30, 10, DISTINCT, seed=6)
         base = predict_distinct(s)
-        [[edited]] = predict_edited(s, [EditOption.DISTINCT_ZERO_FORGET], [15])
-        assert edited.rl_edit == base.rl_gold == 0.0
-        assert edited.ul_edit == base.ul_gold
+        [edited] = predict_edited(s, [EditOption.DISTINCT_ZERO_FORGET], [15])
+        assert edited.rl_edit.tolist() == [base.rl_gold] == [0.0]
+        assert edited.ul_edit.tolist() == [base.ul_gold]
 
     def test_full_subset_spans_remaining_data(self):
         # With n_t = n_r the fine-tuning span contains all remaining
         # data, so the discard option loses nothing on the remaining set.
         s = gen_scenario(30, 10, OVERLAP, seed=7)
-        [[p]] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [30])
-        assert p.rl_edit < 1e-18
+        [p] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [30])
+        assert p.rl_edit.shape == (1,) and p.rl_edit[0] < 1e-18
 
     def test_discard_option_end_to_end(self):
         s = gen_scenario(30, 10, OVERLAP, seed=7)
-        [[predicted]] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [15])
+        [predicted] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [15])
         measured = _edited_pipeline_losses(s, EditOption.OVERLAP_DISCARD, 15)
-        assert predicted.rl_edit > 1e-10
-        assert within_tolerance(measured.rl, predicted.rl_edit)
-        assert within_tolerance(measured.ul, predicted.ul_edit)
+        [rl], [ul] = predicted.rl_edit, predicted.ul_edit
+        assert rl > 1e-10
+        assert within_tolerance(measured.rl, rl)
+        assert within_tolerance(measured.ul, ul)
 
     def test_retain_option_end_to_end(self):
         s = gen_scenario(30, 10, OVERLAP, seed=7)
-        [[predicted]] = predict_edited(s, [EditOption.OVERLAP_RETAIN], [15])
+        [predicted] = predict_edited(s, [EditOption.OVERLAP_RETAIN], [15])
         measured = _edited_pipeline_losses(s, EditOption.OVERLAP_RETAIN, 15)
-        assert predicted.rl_edit == 0.0
+        [rl], [ul] = predicted.rl_edit, predicted.ul_edit
+        assert rl == 0.0
         assert measured.rl < 1e-18
-        assert within_tolerance(measured.ul, predicted.ul_edit)
+        assert within_tolerance(measured.ul, ul)
 
     def test_layout_guard(self):
         s = gen_scenario(30, 10, OVERLAP, seed=8)
@@ -173,16 +175,18 @@ class TestPredictEdited:
         s = gen_scenario(30, 10, layout, seed=9)
         nt_values = [29, 1, 15, 2, 30]
         [together] = predict_edited(s, [option], nt_values)
-        assert together == [predict_edited(s, [option], [n_t])[0][0] for n_t in nt_values]
+        alone = [predict_edited(s, [option], [n_t])[0] for n_t in nt_values]
+        assert np.array_equal(together.rl_edit, [p.rl_edit[0] for p in alone])
+        assert np.array_equal(together.ul_edit, [p.ul_edit[0] for p in alone])
 
     @pytest.mark.parametrize(
         "option,layout",
         [(EditOption.DISTINCT_ZERO_FORGET, DISTINCT), (EditOption.OVERLAP_RETAIN, OVERLAP)],
     )
     def test_retain_and_distinct_do_not_depend_on_nt(self, option, layout):
-        [predictions] = predict_edited(
-            gen_scenario(30, 10, layout, seed=10), [option], [1, 15, 29])
-        assert predictions[0] == predictions[1] == predictions[2]
+        [p] = predict_edited(gen_scenario(30, 10, layout, seed=10), [option], [1, 15, 29])
+        assert p.rl_edit.tolist() == [0.0] * 3
+        assert p.ul_edit.tolist() == [p.ul_edit[0]] * 3
 
     @pytest.mark.parametrize("layout", [DISTINCT, OVERLAP])
     def test_options_together_equal_each_alone(self, layout):
@@ -191,16 +195,29 @@ class TestPredictEdited:
         options = list(EditOption) if layout.is_distinct else list(EditOption)[1:]
         nt_values = [1, 15, 29]
         together = predict_edited(s, options, nt_values)
-        assert together == [predict_edited(s, [option], nt_values)[0] for option in options]
+        assert len(together) == len(options)
+        for option, p in zip(options, together):
+            [alone] = predict_edited(s, [option], nt_values)
+            assert np.array_equal(p.rl_edit, alone.rl_edit)
+            assert np.array_equal(p.ul_edit, alone.ul_edit)
 
     def test_every_nt_is_validated(self):
         s = gen_scenario(30, 10, DISTINCT, seed=11)
         with pytest.raises(ValueError):
             predict_edited(s, [EditOption.DISTINCT_ZERO_FORGET], [15, 31])
 
+    def test_one_scenario_gives_a_float_gold_and_a_value_per_nt(self):
+        s = gen_scenario(30, 10, DISTINCT, seed=13)
+        for predict in (predict_distinct, predict_overlap):
+            assert type(predict(s).ul_gold) is float
+        nt_values = [1, 15, 29]
+        for p in predict_edited(s, list(EditOption), nt_values):
+            assert isinstance(p.rl_edit, np.ndarray) and isinstance(p.ul_edit, np.ndarray)
+            assert p.rl_edit.shape == p.ul_edit.shape == (len(nt_values),)
+
     def test_only_edit_losses_are_predicted(self):
         s = gen_scenario(30, 10, OVERLAP, seed=12)
-        [[p]] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [15])
+        [p] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [15])
         assert p.rl_edit is not None and p.ul_edit is not None
         assert p.rl_ft is p.ul_ft is p.rl_gold is p.ul_gold is None
         assert predict_overlap(s).rl_edit is predict_overlap(s).ul_edit is None
@@ -231,15 +248,26 @@ class TestStackedPredictions:
         scenarios = [gen_scenario(30, 10, layout, seed, dist) for seed in range(3)]
         scenarios[1] = _equal_columns(scenarios[1])
         stack = stack_scenarios(scenarios)
-        assert len(set(projector(fine_tune_subset(stack, 3)[0]).rank)) == 2
+        prefixes = fine_tune_subset(stack, 3)[0]
+        assert len({np.linalg.matrix_rank(member) for member in prefixes}) == 2
 
         predictors = [predict_overlap] + ([predict_distinct] if layout.is_distinct else [])
         for predict in predictors:
-            assert predict(stack) == [predict(s) for s in scenarios]
+            stacked = predict(stack)
+            assert stacked.ul_gold.shape == (3,)
+            for member, s in enumerate(scenarios):
+                alone = predict(s)
+                assert np.array_equal(stacked.ul_gold[member], alone.ul_gold)
+                assert stacked.rl_gold == alone.rl_gold == 0.0
         options = list(EditOption) if layout.is_distinct else list(EditOption)[1:]
         nt_values = list(range(1, 31))
-        assert predict_edited(stack, options, nt_values) == [
-            predict_edited(s, options, nt_values) for s in scenarios]
+        stacked = predict_edited(stack, options, nt_values)
+        for member, s in enumerate(scenarios):
+            for together, alone in zip(stacked, predict_edited(s, options, nt_values),
+                                       strict=True):
+                assert together.rl_edit.shape == together.ul_edit.shape == (3, 30)
+                assert np.array_equal(together.rl_edit[member], alone.rl_edit)
+                assert np.array_equal(together.ul_edit[member], alone.ul_edit)
 
 
 class TestOracleMeasurementAgreement:
@@ -297,10 +325,11 @@ class TestOracleMeasurementAgreement:
             if scenario.layout.is_distinct:
                 options.append(EditOption.DISTINCT_ZERO_FORGET)
             n_t = int(rng.integers(1, n_r + 1))
-            for option, [predicted] in zip(options, predict_edited(scenario, options, [n_t])):
+            for option, predicted in zip(options, predict_edited(scenario, options, [n_t])):
                 measured = _edited_pipeline_losses(scenario, option, n_t)
-                assert within_tolerance(measured.rl, predicted.rl_edit)
-                assert within_tolerance(measured.ul, predicted.ul_edit)
+                [rl], [ul] = predicted.rl_edit, predicted.ul_edit
+                assert within_tolerance(measured.rl, rl)
+                assert within_tolerance(measured.ul, ul)
 
     def test_zero_claims_stay_below_threshold(self):
         for seed in range(10):
@@ -328,7 +357,7 @@ class TestOverlapWidthTrend:
             values = []
             for seed in range(50):
                 scenario = gen_scenario(n_r, n_f, layout, seed=seed)
-                [[predicted]] = predict_edited(scenario, [EditOption.OVERLAP_DISCARD], [n_t])
-                values.append(predicted.rl_edit)
+                [predicted] = predict_edited(scenario, [EditOption.OVERLAP_DISCARD], [n_t])
+                values.append(predicted.rl_edit[0])
             medians.append(float(np.median(values)))
         assert all(b >= a - 1e-12 for a, b in zip(medians, medians[1:])), medians

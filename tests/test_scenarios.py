@@ -58,9 +58,9 @@ class TestGenScenario:
     def test_distinct_blocks_make_projectors_additive(self):
         s = gen_scenario(10, 5, FeatureLayout(9, 0, 9), seed=5)
         x, _ = s.joint_data()
-        p = projector(x).matrix
-        p_r = projector(s.x_r).matrix
-        p_f = projector(s.x_f).matrix
+        p = projector(x)
+        p_r = projector(s.x_r)
+        p_f = projector(s.x_f)
         assert np.max(np.abs(p - (p_r + p_f))) <= 1e-9
 
     def test_reproducible_bit_for_bit(self):

@@ -50,15 +50,15 @@ class TestTrainOriginal:
         s = gen_scenario(14, 6, FeatureLayout(12, 4, 12), seed=2)
         w_o = train_original(s)
         x, _ = s.joint_data()
-        p = projector(x).matrix
+        p = projector(x)
         assert np.max(np.abs(w_o - p @ s.w_star)) <= 1e-9
 
     def test_distinct_layout_block_decomposition(self):
         s = gen_scenario(12, 6, FeatureLayout(10, 0, 10), seed=3)
         w_o = train_original(s)
         parts = decompose_w_star(s)
-        p_r = projector(s.x_r).matrix
-        p_f = projector(s.x_f).matrix
+        p_r = projector(s.x_r)
+        p_f = projector(s.x_f)
         assert np.max(np.abs(w_o - (p_r @ parts.w_r + p_f @ parts.w_f))) <= 1e-9
 
 
@@ -92,7 +92,7 @@ class TestFineTuneUnlearn:
             x_t, y_t = fine_tune_subset(s, n_t)
             w_t = fine_tune_unlearn(w_o, x_t, y_t)
             p_t = projector(x_t)
-            direct = p_t.complement() @ w_o + p_t.matrix @ min_norm_solve(x_t, y_t)
+            direct = (np.eye(s.d) - p_t) @ w_o + p_t @ min_norm_solve(x_t, y_t)
             assert np.max(np.abs(w_t - direct)) <= 1e-9
 
     def test_matches_gradient_descent_from_anchor(self):
@@ -196,14 +196,14 @@ class TestRetrainGolden:
         s = gen_scenario(18, 8, FeatureLayout(14, 6, 14), seed=8)
         w_g = retrain_golden(s)
         parts = decompose_w_star(s)
-        p_r = projector(s.x_r).matrix
+        p_r = projector(s.x_r)
         assert np.max(np.abs(w_g - p_r @ (parts.w_r + parts.w_lap))) <= 1e-9
 
     def test_distinct_layout_uses_remaining_weights_only(self):
         s = gen_scenario(12, 6, FeatureLayout(10, 0, 10), seed=9)
         w_g = retrain_golden(s)
         parts = decompose_w_star(s)
-        p_r = projector(s.x_r).matrix
+        p_r = projector(s.x_r)
         assert np.max(np.abs(w_g - p_r @ parts.w_r)) <= 1e-9
 
     def test_determined_remaining_subsystem(self):
@@ -295,7 +295,7 @@ class TestClosedFormDistinct:
             w_star=zeroed, seed=s.seed, dist=s.dist,
         )
         x, _ = t.joint_data()
-        p = projector(x).matrix
+        p = projector(x)
         parts = decompose_w_star(t)
         for n_t in (1, 6, 12):
             w_cf = closed_form_wt_distinct(t, n_t)
