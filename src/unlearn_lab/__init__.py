@@ -31,7 +31,6 @@ from .errors import (
     UnlearnLabError,
 )
 from .linalg import (
-    Factored,
     gradient_descent_solve,
     min_norm_anchor_solve,
     min_norm_solve,

@@ -52,7 +52,7 @@ import numpy as np
 
 from .classifier import VARIANTS, ClassTask, run_seed_grid
 from .errors import ConfigError, UnlearnLabError
-from .linalg import Factored, RankDeficiencyCount
+from .linalg import RankDeficiencyCount
 from .metrics import LossReport, gap_report, measure_losses, stage, stage_record
 from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, predict_distinct, predict_edited, predict_overlap
 from .scenarios import DIST_TAGS, FeatureLayout, fine_tune_subset, gen_scenario, stack_scenarios
@@ -371,13 +371,22 @@ def validate_config(raw: dict, experiment: str) -> dict:
 
 
 def load_config(path: str | Path, experiment: str) -> dict:
-    """Read and validate a JSON config file."""
+    """Read and validate a JSON config file.  A key that one object
+    repeats, at any depth, raises :class:`ConfigError`."""
+    def unique(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"config file {path} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return validate_config(raw, experiment)
@@ -391,14 +400,14 @@ def _solve(cfg: dict, layout: FeatureLayout, nt_values, edits, seeds) -> list[tu
     """Generate the scenarios of ``seeds`` on one layout, then train,
     retrain and fine-tune them as one stack, and measure every model.
 
-    On the prefix of each ``n_t`` this fine-tunes once per entry of
-    ``edits``: an :class:`EditOption` edits the pretrained weights first,
-    and ``None`` fine-tunes them unedited.  Each prefix stack is factored
-    once and shared by its fine-tunes, the first of which pays for the
-    SVD; the oracle factors its own matrices.  Returns per seed
-    ``(scenario, (golden rl, golden ul), {edit: (rl, ul)})``, where the
-    edits' ``rl`` and ``ul`` are arrays over ``nt_values``, read from the
-    stack's validated loss reports.
+    Each entry of ``edits`` gives one start: an :class:`EditOption` edits
+    the pretrained weights, and ``None`` leaves them unedited.  All the
+    starts, ``(E, S, d)``, fine-tune on the prefix of each ``n_t`` in one
+    call, on one SVD of that prefix; the oracle factors its own matrices.
+    Each edit's models over every ``n_t`` are then measured in one call.
+    Returns per seed ``(scenario, (golden rl, golden ul), {edit: (rl,
+    ul)})``, where the edits' ``rl`` and ``ul`` are arrays over
+    ``nt_values``.
     """
     with stage("generate"):
         scenarios = [gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"])
@@ -407,22 +416,19 @@ def _solve(cfg: dict, layout: FeatureLayout, nt_values, edits, seeds) -> list[tu
     with stage("solve"):
         w_o = train_original(scenario)
         w_g = retrain_golden(scenario)
-        solved = {edit: [] for edit in edits}
-        for n_t in nt_values:
-            x_t, y_t = fine_tune_subset(scenario, n_t)
-            x_t = Factored(x_t, "x_t")
-            for edit in edits:
-                w = w_o if edit is None else edit_pretrained(w_o, scenario.layout, edit)
-                solved[edit].append(fine_tune_unlearn(w, x_t, y_t))
+        starts = np.stack([w_o if edit is None else edit_pretrained(w_o, layout, edit)
+                           for edit in edits])
+        # (E, len(nt_values), S, d): each edit's fine-tunes over nt_values.
+        solved = np.stack([fine_tune_unlearn(starts, *fine_tune_subset(scenario, n_t))
+                           for n_t in nt_values], axis=1)
     with stage("measure"):
-        # Each edit's losses as (members, len(nt_values)) arrays: row i is
-        # member i over nt_values.
+        # Each edit's losses as (S, len(nt_values)) arrays: row i is member
+        # i over nt_values.
         fits = {}
-        for edit, weights in solved.items():
-            tag = "fine_tuned" if edit is None else "edited_fine_tuned"
-            runs = [measure_losses(w_t, scenario, tag) for w_t in weights]
-            fits[edit] = (np.stack([losses.rl for losses in runs], axis=1),
-                          np.stack([losses.ul for losses in runs], axis=1))
+        for edit, weights in zip(edits, solved):
+            losses = measure_losses(weights, scenario, "fine_tuned" if edit is None
+                                    else "edited_fine_tuned")
+            fits[edit] = (losses.rl.T, losses.ul.T)
         gold = measure_losses(w_g, scenario, "golden")
     return [(scenarios[i], gold_losses, {edit: (rl[i], ul[i]) for edit, (rl, ul) in fits.items()})
             for i, gold_losses in enumerate(zip(gold.rl.tolist(), gold.ul.tolist()))]

@@ -29,12 +29,11 @@ level and apart for the solvers and for the functions marked
 released, so a stack that is dropped and rerun seed by seed is counted
 once.
 
-A :class:`Factored` matrix (or stack) holds validated data and computes
-its truncated SVD once, on first use.  The two solvers accept one in
-place of an array, so several solves on the same matrix share one
-factorization and give the same bits as separate solves.  A caller keeps
-a factor only as long as it solves on that matrix; nothing is cached at
-module level.
+The anchored solve also takes anchors with leading axes, ``(..., S, d)``
+for a stack or ``(..., d)`` for one matrix: the fine-tunes of one prefix
+from several starts are one call, which factors the matrix once, and
+each anchor gets the bits of its own call.  Nothing is cached: every
+call validates and factors its own input.
 
 Conventions: a data matrix ``X`` is ``d x n`` (features by samples), the
 linear system it induces is ``X^T w = y``, singular values are reported
@@ -47,7 +46,6 @@ from __future__ import annotations
 import functools
 import logging
 from contextvars import ContextVar
-from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +96,15 @@ def as_vector(v, name: str = "vector", stacked: bool = False) -> np.ndarray:
     """Validate and return ``v`` as a finite 1-D float64 array, or with
     ``stacked`` as a finite 2-D stack ``(S, n)`` of them."""
     return _validated(v, name, 1 + stacked)
+
+
+def as_vectors(v, name: str = "vectors", stacked: bool = False) -> np.ndarray:
+    """:func:`as_vector` with any leading axes: ``(..., n)``, or with
+    ``stacked`` ``(..., S, n)``."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim < 1 + stacked:
+        raise InvalidMatrixError(f"{name} must be {1 + stacked}-D or more, got shape {arr.shape}")
+    return _validated(arr, name, arr.ndim)
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
@@ -244,41 +251,11 @@ def _truncated_svd(a: np.ndarray) -> list[tuple]:
     return groups
 
 
-class Factored:
-    """A validated data matrix with its truncated SVD, computed on first use.
-
-    ``x`` is a matrix ``(d, n)`` or a stack ``(S, d, n)``.  ``matrix`` is
-    always the stack, a matrix being its one-member case, and the solvers
-    return results in the form of their input: one vector for a matrix,
-    one row per member for a stack.  Every solve on one object reuses one
-    :func:`_truncated_svd` of ``matrix``, which is what a fresh solve
-    would compute, so the results are bit for bit those of solving on the
-    array, and each member's those of solving on that member alone.
-    """
-
-    def __init__(self, x, name: str = "x"):
-        self.matrix, self.stacked = _as_stack(x, name)
-
-    @cached_property
-    def truncated_svd(self) -> list[tuple]:
-        return _truncated_svd(self.matrix)
-
-    def vectors(self, v, name: str) -> np.ndarray:
-        """``v`` validated as one vector per member, as an ``(S, k)`` stack."""
-        arr = as_vector(v, name, self.stacked)
-        if self.stacked and arr.shape[0] != self.matrix.shape[0]:
-            raise InvalidMatrixError(
-                f"{name} has {arr.shape[0]} members but the stack has {self.matrix.shape[0]}"
-            )
-        return arr if self.stacked else arr[None]
-
-    def result(self, w: np.ndarray) -> np.ndarray:
-        """A ``(S, d)`` stack of solutions, in the form of the input."""
-        return w if self.stacked else w[0]
-
-
-def _as_factored(x, name: str) -> Factored:
-    return x if isinstance(x, Factored) else Factored(x, name)
+def _members(vec: np.ndarray, name: str, arr: np.ndarray, stacked: bool) -> np.ndarray:
+    """Validated vectors as one per member of the stack ``arr``, ``(..., S, k)``."""
+    if stacked and vec.shape[-2] != len(arr):
+        raise InvalidMatrixError(f"{name} has {vec.shape[-2]} members but the stack has {len(arr)}")
+    return vec if stacked else vec[..., None, :]
 
 
 def pseudoinverse(a) -> np.ndarray:
@@ -319,25 +296,24 @@ def projector(x) -> np.ndarray:
     return matrix if stacked else matrix[0]
 
 
-def _min_norm(factored: Factored, rhs: np.ndarray) -> np.ndarray:
-    """``(X^T)^+ y`` of each member, for ``rhs`` ``(S, n)``; ``(S, d)``.
-
-    Members of one rank are solved by one broadcasting product per step.
-    Raises :class:`InconsistentSystemError` with the residual of the
-    first member whose residual is above its :func:`consistency_tol`.
+def _min_norm(arr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``(X^T)^+ y`` of each member of the stack ``arr``, for ``rhs``
+    ``(..., S, n)``; ``(..., S, d)``.  Factors ``arr`` once, and solves
+    members of one rank by one broadcasting product per step.  Raises
+    :class:`InconsistentSystemError` with the residual of the first
+    ``rhs`` vector, in C order, above its :func:`consistency_tol`.
     """
-    arr = factored.matrix
-    w = np.zeros(arr.shape[:2])
-    for members, u, s, v in factored.truncated_svd:
+    w = np.zeros(rhs.shape[:-1] + arr.shape[1:2])
+    for members, u, s, v in _truncated_svd(arr):
         if s.shape[1]:
             # (X^T)^+ = U diag(1/s) V^T from the thin SVD X = U diag(s) V^T.
-            coef = (_transposed(v) @ rhs[members][..., None]) / s[..., None]
-            w[members] = (u @ coef)[..., 0]
+            coef = (_transposed(v) @ rhs[..., members, :][..., None]) / s[..., None]
+            w[..., members, :] = (u @ coef)[..., 0]
     residual = np.sqrt(squared_norms((_transposed(arr) @ w[..., None])[..., 0] - rhs))
     inconsistent = np.flatnonzero(residual > consistency_tol(rhs))
     if inconsistent.size:
         raise InconsistentSystemError(
-            f"system X^T w = y is inconsistent: residual {residual[inconsistent[0]]:.3e}"
+            f"system X^T w = y is inconsistent: residual {residual.flat[inconsistent[0]]:.3e}"
         )
     return w
 
@@ -346,19 +322,17 @@ def min_norm_solve(x, y) -> np.ndarray:
     """Minimum-Euclidean-norm solution of ``X^T w = y``.
 
     Returns ``(X^T)^+ y``, which interpolates the data and lies in the
-    column space of ``x``.  ``x`` is an array or a :class:`Factored`
-    matrix; for a stack ``(S, d, n)`` with ``y`` ``(S, n)`` each member is
-    solved, giving ``(S, d)``.  Raises :class:`InconsistentSystemError`
-    when no interpolating solution exists (residual above
-    :func:`consistency_tol`).
+    column space of ``x``.  For a stack ``x`` ``(S, d, n)`` with ``y``
+    ``(S, n)`` each member is solved, giving ``(S, d)``.  Raises
+    :class:`InconsistentSystemError` when no interpolating solution exists
+    (residual above :func:`consistency_tol`).
     """
-    factored = _as_factored(x, "x")
-    rhs = factored.vectors(y, "y")
-    if factored.matrix.shape[2] != rhs.shape[1]:
-        raise InvalidMatrixError(
-            f"x has {factored.matrix.shape[2]} samples but y has {rhs.shape[1]} entries"
-        )
-    return factored.result(_min_norm(factored, rhs))
+    arr, stacked = _as_stack(x, "x")
+    rhs = _members(as_vector(y, "y", stacked), "y", arr, stacked)
+    if arr.shape[2] != rhs.shape[-1]:
+        raise InvalidMatrixError(f"x has {arr.shape[2]} samples but y has {rhs.shape[-1]} entries")
+    w = _min_norm(arr, rhs)
+    return w if stacked else w[0]
 
 
 def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
@@ -366,30 +340,31 @@ def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
 
     Returns ``w_o + (X_t^T)^+ (y_t - X_t^T w_o)``; with a zero anchor this
     reduces to :func:`min_norm_solve`, and when the anchor already
-    interpolates it is returned unchanged up to round-off.  ``x_t`` is an
-    array or a :class:`Factored` matrix; for a stack, ``y_t`` and ``w_o``
-    hold one row per member.
+    interpolates it is returned unchanged up to round-off.  For a stack
+    ``x_t``, ``y_t`` holds one row per member.  ``w_o`` may have leading
+    axes, ``(..., d)`` or ``(..., S, d)`` for a stack: every anchor is
+    solved against one factorization of ``x_t``, with the bits of its own
+    call, and an inconsistent system raises the error of the first
+    anchor that fails.
     """
-    factored = _as_factored(x_t, "x_t")
-    anchor = factored.vectors(w_o, "w_o")
-    arr = factored.matrix
-    rhs = factored.vectors(y_t, "y_t")
-    if arr.shape[1] != anchor.shape[1]:
+    arr, stacked = _as_stack(x_t, "x_t")
+    anchor = _members(as_vectors(w_o, "w_o", stacked), "w_o", arr, stacked)
+    rhs = _members(as_vector(y_t, "y_t", stacked), "y_t", arr, stacked)
+    if arr.shape[1] != anchor.shape[-1]:
+        raise InvalidMatrixError(f"x_t has {arr.shape[1]} features but w_o has {anchor.shape[-1]}")
+    if arr.shape[2] != rhs.shape[-1]:
         raise InvalidMatrixError(
-            f"x_t has {arr.shape[1]} features but w_o has {anchor.shape[1]}"
+            f"x_t has {arr.shape[2]} samples but y_t has {rhs.shape[-1]} entries"
         )
-    if arr.shape[2] != rhs.shape[1]:
-        raise InvalidMatrixError(
-            f"x_t has {arr.shape[2]} samples but y_t has {rhs.shape[1]} entries"
-        )
-    shifted = as_vector(rhs - (_transposed(arr) @ anchor[..., None])[..., 0], "y", True)
+    shifted = as_vectors(rhs - (_transposed(arr) @ anchor[..., None])[..., 0], "y")
     try:
-        correction = _min_norm(factored, shifted)
+        correction = _min_norm(arr, shifted)
     except InconsistentSystemError as exc:
         raise InconsistentSystemError(
             f"anchored system X_t^T w = y_t is inconsistent ({exc})"
         ) from exc
-    return factored.result(anchor + correction)
+    w = anchor + correction
+    return w if stacked else w[..., 0, :]
 
 
 def weighted_seminorm_sq(v, x, n: int):

@@ -8,11 +8,12 @@ fractions in [0, 1]; rendering as percentages is a display concern.
 The linear measurement and comparison work on arrays, and one model is
 the 0-d case of the same code.  :func:`measure_losses` on a stacked
 scenario returns one :class:`LossReport` whose losses are ``(S,)``
-arrays, validated once; :func:`gap_report` compares arrays of measured
-losses, say one seed's over every fine-tuning subset size, with
-predictions of the same shape or with one prediction, elementwise
-through :func:`~unlearn_lab.oracle.within_tolerance`, with the bits of
-one call per element.
+arrays, or ``(N, S)`` for weights ``(N, S, d)``; :func:`gap_report`
+compares arrays of measured losses, say one seed's over every
+fine-tuning subset size, with predictions of the same shape or with one
+prediction, elementwise through
+:func:`~unlearn_lab.oracle.within_tolerance`, with the bits of one call
+per element.
 
 A run's :func:`stage_record` holds the wall seconds of each stage, which
 coarse ``with stage(name)`` blocks add to; they never nest.
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .errors import ProvenanceMismatchError
-from .linalg import as_matrix, as_vector, squared_norms
+from .linalg import as_matrix, as_vector, as_vectors, squared_norms
 from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, TheoremPrediction, within_tolerance
 from .scenarios import SyntheticScenario
 
@@ -116,9 +117,10 @@ def mse_loss(w, x, y):
 
 
 def _mse(weights, data, targets):
-    """:func:`mse_loss` of validated arrays."""
+    """:func:`mse_loss` of validated arrays; ``weights`` may have leading axes."""
+    members = data.shape[:-2]
     if (data.shape[-2] != weights.shape[-1] or data.shape[-1] != targets.shape[-1]
-            or data.shape[:-2] != weights.shape[:-1] or data.shape[:-2] != targets.shape[:-1]):
+            or weights.shape[-1 - len(members):-1] != members or targets.shape[:-1] != members):
         raise ValueError(
             f"shape mismatch: x {data.shape}, w {weights.shape}, y {targets.shape}"
         )
@@ -126,19 +128,21 @@ def _mse(weights, data, targets):
         raise ValueError("need at least one sample")
     residual = (np.swapaxes(data, -1, -2) @ weights[..., None])[..., 0] - targets
     losses = squared_norms(residual) / targets.shape[-1]
-    return losses if data.ndim == 3 else float(losses)
+    return losses if losses.ndim else float(losses)
 
 
 def measure_losses(w, scenario: SyntheticScenario, model_tag: str) -> LossReport:
     """Remaining and unlearning loss of ``w`` on a scenario's two subsets.
 
-    For a stack of scenarios and weights ``(S, d)``, one report whose
-    ``rl`` and ``ul`` are ``(S,)`` arrays, each member with the bits of
-    its own call.  ``w`` is validated on every call and the scenario's
-    data once per scenario (:attr:`SyntheticScenario.checked_data`).
+    ``w`` is ``(..., d)``, or ``(..., S, d)`` for a stack of scenarios:
+    one report whose ``rl`` and ``ul`` have the shape ``w.shape[:-1]``,
+    each model with the bits of its own call, and floats for one model of
+    one scenario.  The data and ``w`` are validated on every call.
     """
-    x_r, y_r, x_f, y_f = scenario.checked_data
-    weights = as_vector(w, "w", x_r.ndim == 3)
+    stacked = np.ndim(scenario.x_r) == 3
+    x_r, y_r = as_matrix(scenario.x_r, "x_r", stacked), as_vector(scenario.y_r, "y_r", stacked)
+    x_f, y_f = as_matrix(scenario.x_f, "x_f", stacked), as_vector(scenario.y_f, "y_f", stacked)
+    weights = as_vectors(w, "w", stacked)
     return LossReport(
         rl=_mse(weights, x_r, y_r), ul=_mse(weights, x_f, y_f), model_tag=model_tag)
 

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import rng
 from .errors import RegimeViolationError
-from .linalg import as_matrix, as_vector
 
 DIST_TAGS = ("standard-normal", "uniform")
 # The arrays of a scenario, which a stack of scenarios stacks.
@@ -74,7 +72,8 @@ class SyntheticScenario:
     samples); ``y_r = x_r^T w_star`` and ``y_f = x_f^T w_star`` hold by
     construction.  A stack of scenarios (:func:`stack_scenarios`) has the
     same fields with a leading seed axis on every array, and ``seed``
-    holds the members' seeds.
+    holds the members' seeds.  The object caches nothing: each call that
+    reads the arrays validates them itself.
     """
 
     layout: FeatureLayout
@@ -106,17 +105,6 @@ class SyntheticScenario:
     @property
     def n(self) -> int:
         return self.n_r + self.n_f
-
-    @cached_property
-    def checked_data(self) -> tuple[np.ndarray, ...]:
-        """``(x_r, y_r, x_f, y_f)`` validated as finite float64 arrays.
-
-        Validated once per scenario object: a measurement pass reads the
-        same data for every model it measures.
-        """
-        stacked = np.ndim(self.x_r) == 3
-        return (as_matrix(self.x_r, "x_r", stacked), as_vector(self.y_r, "y_r", stacked),
-                as_matrix(self.x_f, "x_f", stacked), as_vector(self.y_f, "y_f", stacked))
 
     def joint_data(self) -> tuple[np.ndarray, np.ndarray]:
         """Full training set: remaining columns followed by forgetting columns."""

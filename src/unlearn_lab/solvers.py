@@ -48,9 +48,9 @@ def fine_tune_unlearn(w_o: np.ndarray, x_t, y_t) -> np.ndarray:
 
     Returns the interpolant of the subset nearest to the pretrained
     weights.  When ``w_o`` already fits the subset (always the case when
-    the subset comes from the pretraining data) this is a no-op.  ``x_t``
-    may be a :class:`~unlearn_lab.linalg.Factored` matrix, so that several
-    fine-tunes on one subset share its SVD.
+    the subset comes from the pretraining data) this is a no-op.  ``w_o``
+    may stack several starts on leading axes, ``(E, d)`` or ``(E, S, d)``:
+    they are fine-tuned in one call, on one SVD of the subset.
     """
     return min_norm_anchor_solve(x_t, y_t, w_o)
 

@@ -1,7 +1,6 @@
 """Tests for the experiment runner, CSV/JSON outputs, and the CLI."""
 
 import dataclasses
-import gc
 import json
 import os
 import subprocess
@@ -343,24 +342,28 @@ class TestPrefixFactorization:
         assert counts == Counter({"unlearn_lab.solvers": solver, "unlearn_lab.oracle": oracle})
 
     def test_a_faulty_solver_factorization_fails_the_oracle_checks(self, monkeypatch):
-        exact = linalg.Factored.truncated_svd.func
+        exact = linalg._truncated_svd
 
-        def tilted(factored):
+        def tilted(a):
             # Tilt each member's left singular vectors out of its column
-            # space.  The solves still interpolate (no
-            # InconsistentSystemError), but they are no longer minimum-norm;
-            # only predictions made from the oracle's own SVDs can notice.
-            groups = []
-            for members, u, s, v in exact(factored):
+            # space, in the solvers' factorizations only.  The solves still
+            # interpolate (no InconsistentSystemError), but they are no
+            # longer minimum-norm; only predictions made from the oracle's
+            # own SVDs can notice.
+            groups = exact(a)
+            if linalg._ORACLE_WORK.get():
+                return groups
+            tilted_groups = []
+            for members, u, s, v in groups:
                 u = u.copy()
                 for member in u:
                     off = 1.0 - member @ member.sum(axis=0)
                     if np.linalg.norm(off) >= 1e-6:
                         member += 1e-3 * np.outer(off / np.linalg.norm(off), np.ones(s.shape[1]))
-                groups.append((members, u, s, v))
-            return groups
+                tilted_groups.append((members, u, s, v))
+            return tilted_groups
 
-        monkeypatch.setattr(linalg.Factored, "truncated_svd", property(tilted))
+        monkeypatch.setattr(linalg, "_truncated_svd", tilted)
         result = run_experiment("verify-theorems", self._shipped_verify([0, 1, 2]))
         assert result.numerical_failures == 0
         assert result.passed is False
@@ -429,16 +432,6 @@ class TestPrefixFactorization:
         assert result.failures == [] and result.passed in (True, None)
         assert counts == Counter({("unlearn_lab.solvers", 3): solver,
                                   ("unlearn_lab.oracle", 3): oracle})
-
-    def test_no_factor_outlives_its_seed(self):
-        def live_factors():
-            gc.collect()
-            return sum(isinstance(obj, linalg.Factored) for obj in gc.get_objects())
-
-        before = live_factors()
-        result = run_experiment("verify-theorems", self._shipped_verify([0, 1]))
-        assert result.passed is True
-        assert live_factors() == before
 
 
 def _rows_by_seed(result) -> dict:
@@ -929,6 +922,25 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["sweep-nt", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("experiment,text,key", [
+        ("sweep-nt", '{"seeds": [0], "seeds": [1, 2]}', "seeds"),
+        ("classifier-demo", '{"seeds": [0], "task": {"sep": 4.0, "sep": 1e150}}', "sep"),
+    ], ids=["top-level", "nested"])
+    def test_a_repeated_key_is_rejected_not_overwritten(self, tmp_path, experiment, text, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as excinfo:
+            experiments.load_config(path, experiment)
+        assert str(excinfo.value) == f"config file {path} repeats the key {key!r}"
+
+    def test_a_repeated_key_exits_two_with_one_line(self, tmp_path, capsys):
+        path, out = tmp_path / "repeated.json", tmp_path / "run.csv"
+        path.write_text('{"seeds": [0], "nt_values": [1], "seeds": [1, 2]}', encoding="utf-8")
+        assert main(["sweep-nt", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"config error: config file {path} repeats the key 'seeds'\n"
 
     @pytest.mark.parametrize("experiment,config,flags", [
         ("sweep-nt", NT_CFG, ["--seeds", "3,3"]),

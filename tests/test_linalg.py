@@ -10,7 +10,6 @@ from unlearn_lab.errors import InconsistentSystemError, InvalidMatrixError, SvdF
 from unlearn_lab.linalg import (
     TOL_IDEM,
     TOL_SYM,
-    Factored,
     gradient_descent_solve,
     min_norm_anchor_solve,
     min_norm_solve,
@@ -267,37 +266,32 @@ class TestMinNormAnchorSolve:
             assert np.linalg.norm(w - w_o) <= np.linalg.norm(alt - w_o) + 1e-12
 
 
-class TestFactored:
-    def test_factors_once_on_first_solve(self, monkeypatch):
+class TestOneFactorizationPerCall:
+    def test_every_anchor_of_a_call_shares_its_one_svd(self, monkeypatch):
         calls = []
         exact = linalg.svd
         monkeypatch.setattr(linalg, "svd", lambda a: calls.append(a.shape) or exact(a))
         rng = np.random.default_rng(4)
         x = rng.standard_normal((6, 3))
-        factored = Factored(x)
-        assert calls == []
         y = x.T @ rng.standard_normal(6)
-        w = min_norm_solve(factored, y)
-        min_norm_anchor_solve(factored, y, rng.standard_normal(6))
-        min_norm_anchor_solve(factored, y, np.zeros(6))
-        # A matrix is factored as a one-member stack.
+        anchors = np.stack([rng.standard_normal(6), np.zeros(6), x @ rng.standard_normal(3)])
+        w = min_norm_anchor_solve(x, y, anchors)
+        # A matrix is factored as a one-member stack, once for all anchors.
         assert calls == [(1, 6, 3)]
-        assert np.array_equal(w, min_norm_solve(x, y))
+        assert w.shape == (3, 6)
+        for anchor, row in zip(anchors, w):
+            assert np.array_equal(row, min_norm_anchor_solve(x, y, anchor))
+        assert np.array_equal(w[1], min_norm_solve(x, y))
 
-    def test_validates_on_construction(self):
+    def test_x_t_is_validated_inside_the_solve_before_it_is_factored(self, monkeypatch):
+        calls = []
+        exact = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda a: calls.append(a.shape) or exact(a))
         with pytest.raises(InvalidMatrixError, match="x_t contains non-finite"):
-            Factored(np.array([[1.0, np.nan]]), "x_t")
+            min_norm_anchor_solve(np.array([[1.0, np.nan]]), np.ones(2), np.ones((3, 1)))
         with pytest.raises(InvalidMatrixError, match="x_t must be 2-D"):
             min_norm_anchor_solve(np.ones(3), np.ones(1), np.ones(3))
-
-    def test_projector_and_pseudoinverse_take_only_arrays(self):
-        # The oracle's kernels factor their input themselves, so a
-        # measured solve and a prediction never share one factorization.
-        factored = Factored(np.eye(3))
-        with pytest.raises(TypeError):
-            projector(factored)
-        with pytest.raises(TypeError):
-            pseudoinverse(factored)
+        assert calls == []
 
 
 class TestStackedSolves:
@@ -320,9 +314,8 @@ class TestStackedSolves:
     def test_each_member_gets_the_bits_of_its_own_solve(self, shape):
         x, y = self._stack(shape)
         anchors = np.random.default_rng(2).standard_normal(shape[:2])
-        factored = Factored(x)
-        stacked = min_norm_solve(factored, y)
-        anchored = min_norm_anchor_solve(factored, y, anchors)
+        stacked = min_norm_solve(x, y)
+        anchored = min_norm_anchor_solve(x, y, anchors)
         assert stacked.shape == anchored.shape == shape[:2]
         for i in range(shape[0]):
             assert np.array_equal(stacked[i], min_norm_solve(x[i], y[i]))
@@ -332,14 +325,14 @@ class TestStackedSolves:
 
     def test_members_of_one_rank_share_one_group(self):
         x, _ = self._stack((7, 5, 3))
-        groups = Factored(x).truncated_svd
+        groups = linalg._truncated_svd(x)
         ranks = [np.linalg.matrix_rank(member) for member in x]
         assert [s.shape[1] for _, _, s, _ in groups] == list(dict.fromkeys(ranks))
         for members, u, s, v in groups:
             assert members == [i for i, rank in enumerate(ranks) if rank == s.shape[1]]
             assert u.shape == (len(members), 5, s.shape[1])
             assert v.shape == (len(members), 3, s.shape[1])
-        [(members, _, s, _)] = Factored(x[:1]).truncated_svd
+        [(members, _, s, _)] = linalg._truncated_svd(x[:1])
         assert members == slice(None) and s.shape == (1, 3)
 
     def test_svd_of_a_stack_is_each_members_svd(self):
@@ -351,12 +344,12 @@ class TestStackedSolves:
         x, _ = self._stack((6, 5, 3))
         with caplog.at_level("DEBUG", logger="unlearn_lab.linalg"):
             with linalg.RankDeficiencyCount() as stacked:
-                Factored(x).truncated_svd
+                linalg._truncated_svd(x)
             lines = [record.getMessage() for record in caplog.records]
             caplog.clear()
             with linalg.RankDeficiencyCount() as alone:
                 for member in x:
-                    Factored(member).truncated_svd
+                    linalg._truncated_svd(member[None])
             assert [record.getMessage() for record in caplog.records] == lines
         # Members 2 and 5 have two equal columns.
         assert stacked.counts == alone.counts == {"solvers": 2, "oracle": 0}
@@ -368,10 +361,10 @@ class TestStackedSolves:
         with caplog.at_level("DEBUG", logger="unlearn_lab.linalg"):
             with linalg.RankDeficiencyCount() as outer:
                 with linalg.RankDeficiencyCount(hold=True) as dropped:
-                    Factored(x).truncated_svd
+                    linalg._truncated_svd(x)
                 assert outer.counts["solvers"] == 0 and not caplog.records
                 with linalg.RankDeficiencyCount(hold=True) as kept:
-                    Factored(x).truncated_svd
+                    linalg._truncated_svd(x)
                 kept.release()
         assert outer.counts["solvers"] == 2 and len(caplog.records) == 2
         assert dropped.counts == kept.counts == {"solvers": 0, "oracle": 0}
@@ -398,6 +391,8 @@ class TestStackedSolves:
             min_norm_anchor_solve(x, y, np.zeros(5))
         with pytest.raises(InvalidMatrixError, match="x_t has 5 features but w_o has 4"):
             min_norm_anchor_solve(x, y, np.zeros((4, 4)))
+        with pytest.raises(InvalidMatrixError, match="w_o has 3 members but the stack has 4"):
+            min_norm_anchor_solve(x, y, np.zeros((2, 3, 5)))
 
 
 class TestStackedOracleKernels:

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from unlearn_lab import scenarios
 from unlearn_lab.classifier import LabeledSet, SoftmaxClassifier
 from unlearn_lab.errors import InvalidMatrixError, ProvenanceMismatchError
 from unlearn_lab.metrics import (
@@ -115,22 +114,25 @@ class TestLossReport:
             with pytest.raises(type(direct.value), match=f"^{name} contains non-finite entries$"):
                 measure_losses(w, s, "golden")
 
-    def test_the_data_is_checked_once_per_scenario_and_the_weights_on_every_call(
-        self, monkeypatch
-    ):
-        checked = []
-        real = scenarios.as_matrix
-        monkeypatch.setattr(scenarios, "as_matrix",
-                            lambda a, name, stacked: checked.append(name) or real(a, name, stacked))
+    def test_weights_with_a_leading_axis_give_the_bits_of_one_call_each(self):
         s = stack_scenarios([gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed)
                              for seed in (0, 1)])
-        w = retrain_golden(s)
-        reports = [measure_losses(w, s, "golden") for _ in range(3)]
-        assert checked == ["x_r", "x_f"]
-        assert all(_bits([r.rl, r.ul]) == _bits([reports[0].rl, reports[0].ul]) for r in reports)
-        w[1, 0] = np.inf
-        with pytest.raises(InvalidMatrixError, match="^w contains non-finite entries$"):
-            measure_losses(w, s, "golden")
+        w = np.stack([retrain_golden(s), train_original(s),
+                      np.random.default_rng(2).standard_normal((2, 40))])
+        report = measure_losses(w, s, "golden")
+        assert np.shape(report.rl) == np.shape(report.ul) == (3, 2)
+        for i, w_i in enumerate(w):
+            own = measure_losses(w_i, s, "golden")
+            assert _bits([report.rl[i], report.ul[i]]) == _bits([own.rl, own.ul])
+
+    def test_non_finite_weights_raise_on_every_call(self):
+        s = stack_scenarios([gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed)
+                             for seed in (0, 1)])
+        w = np.stack([retrain_golden(s)] * 3)
+        w[1, 1, 0] = np.inf
+        for _ in range(2):
+            with pytest.raises(InvalidMatrixError, match="^w contains non-finite entries$"):
+                measure_losses(w, s, "golden")
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):

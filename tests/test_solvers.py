@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unlearn_lab import linalg
 from unlearn_lab.errors import InconsistentSystemError, LayoutMismatchError
 from unlearn_lab.linalg import (
-    Factored,
     gradient_descent_solve,
     min_norm_anchor_solve,
     min_norm_solve,
@@ -14,6 +16,7 @@ from unlearn_lab.linalg import (
 from unlearn_lab.metrics import measure_losses
 from unlearn_lab.scenarios import (
     FeatureLayout,
+    SyntheticScenario,
     decompose_w_star,
     fine_tune_subset,
     gen_scenario,
@@ -107,8 +110,9 @@ class TestFineTuneUnlearn:
         assert np.max(np.abs(w_closed - w_gd)) < 1e-6
 
 
-class TestFactoredPrefix:
-    """A prefix factored once gives every fine-tune the bits of a fresh solve."""
+class TestAnchorStack:
+    """All the starts of a prefix fine-tune in one call, each with the bits
+    of its own call."""
 
     @staticmethod
     def _anchors(s):
@@ -117,7 +121,7 @@ class TestFactoredPrefix:
         if s.layout.is_distinct:
             options.append(EditOption.DISTINCT_ZERO_FORGET)
         rng = np.random.default_rng(11)
-        return (
+        return np.stack(
             [w_o, np.zeros(s.layout.d), rng.standard_normal(s.layout.d)]
             + [edit_pretrained(w_o, s.layout, option) for option in options]
         )
@@ -130,32 +134,72 @@ class TestFactoredPrefix:
         kept = layout.d_r + layout.d_lap
         for n_t in range(1, s.n_r):
             x_t, y_t = fine_tune_subset(s, n_t)
-            factored = Factored(x_t)
-            for anchor in anchors:
-                shared = min_norm_anchor_solve(factored, y_t, anchor)
-                assert np.array_equal(shared, min_norm_anchor_solve(x_t, y_t, anchor))
-                assert np.array_equal(shared, fine_tune_unlearn(anchor, factored, y_t))
+            shared = fine_tune_unlearn(anchors, x_t, y_t)
+            assert shared.shape == anchors.shape
+            for anchor, w_t in zip(anchors, shared):
+                assert np.array_equal(w_t, min_norm_anchor_solve(x_t, y_t, anchor))
             # Prefixes wider than the kept blocks are rank-deficient.
-            [(_, _, s_t, _)] = factored.truncated_svd
+            [(_, _, s_t, _)] = linalg._truncated_svd(x_t[None])
             assert s_t.shape == (1, min(n_t, kept))
 
     @pytest.mark.parametrize("layout", [DISTINCT, OVERLAP], ids=["distinct", "overlap"])
-    def test_inconsistent_rhs_raises_the_same_error(self, layout):
+    def test_an_inconsistent_prefix_raises_the_first_failing_anchors_error(self, layout):
         s = gen_scenario(30, 10, layout, seed=3)
         n_t = layout.d_r + layout.d_lap + 3
         x_t, y_t = fine_tune_subset(s, n_t)
         # A rank-deficient prefix cannot fit labels with a generic offset.
-        y_bad = y_t + np.random.default_rng(5).standard_normal(n_t)
+        y_bad = y_t + 1e-3 * np.random.default_rng(5).standard_normal(n_t)
         w_o = train_original(s)
-        with pytest.raises(InconsistentSystemError) as fresh:
+        # A huge anchor raises its own consistency bound above the offset's
+        # residual, so it passes alone; the anchors after it fail.
+        huge = 1e9 * np.random.default_rng(6).standard_normal(layout.d)
+        min_norm_anchor_solve(x_t, y_bad, huge)
+        with pytest.raises(InconsistentSystemError) as alone:
             min_norm_anchor_solve(x_t, y_bad, w_o)
-        factored = Factored(x_t)
-        assert np.array_equal(
-            min_norm_anchor_solve(factored, y_t, w_o), min_norm_anchor_solve(x_t, y_t, w_o)
-        )
         with pytest.raises(InconsistentSystemError) as shared:
-            min_norm_anchor_solve(factored, y_bad, w_o)
-        assert str(shared.value) == str(fresh.value)
+            min_norm_anchor_solve(x_t, y_bad, np.stack([huge, w_o, np.zeros(layout.d)]))
+        assert str(shared.value) == str(alone.value)
+        assert np.array_equal(min_norm_anchor_solve(x_t, y_t, np.stack([huge, w_o]))[1],
+                              min_norm_anchor_solve(x_t, y_t, w_o))
+
+
+@st.composite
+def _anchored_stacks(draw):
+    """Scenarios ``(S, d, n)`` of ragged ranks, with 1-4 anchors per member,
+    ``(E, S, d)``.  Each member's first rows are zero, so its rank is at
+    most the rows left, and some members have two equal columns."""
+    members, d, n, m = (draw(st.integers(1, 4)), draw(st.integers(1, 8)),
+                        draw(st.integers(1, 8)), draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x_r, x_f = rng.standard_normal((members, d, n)), rng.standard_normal((members, d, m))
+    for member in x_r:
+        member[:draw(st.integers(0, d - 1))] = 0.0
+        if n > 1 and draw(st.booleans()):
+            member[:, 1] = member[:, 0]
+    w_star = rng.standard_normal((members, d))
+    scenarios = [
+        SyntheticScenario(FeatureLayout(d, 0, 0), x_r=x_r[i], x_f=x_f[i], y_r=x_r[i].T @ w_star[i],
+                          y_f=x_f[i].T @ w_star[i], w_star=w_star[i], seed=i)
+        for i in range(members)
+    ]
+    return scenarios, rng.standard_normal((draw(st.integers(1, 4)), members, d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_anchored_stacks())
+def test_one_call_fine_tunes_and_measures_every_anchor_of_every_member_as_alone(case):
+    scenarios, anchors = case
+    stack = stack_scenarios(scenarios)
+    w = fine_tune_unlearn(anchors, stack.x_r, stack.y_r)
+    assert w.shape == anchors.shape
+    stacked = measure_losses(w, stack, "fine_tuned")
+    assert np.shape(stacked.rl) == np.shape(stacked.ul) == anchors.shape[:2]
+    for e, i in np.ndindex(anchors.shape[:2]):
+        s = scenarios[i]
+        alone = fine_tune_unlearn(anchors[e, i], s.x_r, s.y_r)
+        assert np.array_equal(w[e, i], alone)
+        own = measure_losses(alone, s, "fine_tuned")
+        assert (stacked.rl[e, i], stacked.ul[e, i]) == (own.rl, own.ul)
 
 
 class TestStackedScenarios:
@@ -169,7 +213,7 @@ class TestStackedScenarios:
         w_o, w_g = train_original(stack), retrain_golden(stack)
         edited = edit_pretrained(w_o, layout, EditOption.OVERLAP_DISCARD)
         x_t, y_t = fine_tune_subset(stack, 12)
-        w_t = fine_tune_unlearn(edited, Factored(x_t), y_t)
+        w_t = fine_tune_unlearn(edited, x_t, y_t)
         stacked = measure_losses(w_t, stack, "edited_fine_tuned")
         for i, s in enumerate(scenarios):
             alone = train_original(s)
