@@ -291,6 +291,10 @@ ACROSS = [
      * c["epochs"] < 2**63),
     (("distinct_layout",), "distinct_layout must have d_lap = 0",
      lambda c: c["distinct_layout"][1] == 0),
+    # The overlap edit predictions are exact only once the remaining data
+    # can span the remaining and overlap blocks (see the oracle module).
+    (("n_r", "overlap_layout"), "overlap_layout must have d_lap = 0 or d_r + d_lap <= n_r",
+     lambda c: c["overlap_layout"][1] == 0 or sum(c["overlap_layout"][:2]) <= c["n_r"]),
     (("n_r", "n_t"), "n_t must be <= n_r - 1", lambda c: c["n_t"] <= c["n_r"] - 1),
     (("n_r", "nt_values"), "every n_t in nt_values must be <= n_r - 1",
      lambda c: c["nt_values"] is None or max(c["nt_values"]) <= c["n_r"] - 1),

@@ -7,19 +7,26 @@ derived from it, which keeps rank-deficient inputs well defined and
 numerically stable.  Projectors are always formed from retained left
 singular vectors, never from the normal-equations formula.
 
-The SVD, the two solvers, the projector and the seminorm also take a
-stack of matrices ``(S, d, n)`` (with right-hand sides, anchors and
-seminorm vectors ``(S, n)`` or ``(S, d)``), one member per seed, and a
-single matrix is the one-member case of the same code.  Results are
-plain arrays: a projector is its ``(d, d)`` matrix, or ``(S, d, d)`` for
-a stack.  Each member keeps its own cutoff, rank, consistency check and
+One shape rule holds for every kernel, and this module alone applies
+it (:func:`seed_stack`, :func:`seed_vectors`): a matrix argument is
+``(d, n)`` or ``(S, d, n)``, and its leading axes, ``()`` or ``(S,)``,
+are its seed axes, one member per seed.  Each vector argument carries
+the same seed axes, and anchors and weights may add axes in front of
+them: the fine-tunes of one prefix from several starts are one call,
+which factors the matrix once.  A lone matrix is flattened to a
+one-member stack before it is factored or multiplied, the zero-lead
+case of the one path, and results keep the arguments' axes: a projector
+is a plain ``(d, d)`` or ``(S, d, d)`` array, a seminorm a float or
+``(S,)``.  Each member keeps its own cutoff, rank, consistency check and
 rank-deficiency record; members of one rank are solved or projected by
 one broadcasting product, and members of another rank as their own
 sub-stack.  Stacked LAPACK SVDs, matrix products and row dot products
-give every member the bits of its own call.  The solvers serve the
-measured pipeline, the projector and the seminorm the oracle, which
-stacks and factors its own matrices; the pseudoinverse, which only the
-oracle's independent block form uses, takes a single matrix.
+give every member, and every anchor, the bits of its own call.  The
+solvers serve the measured pipeline, the projector and the seminorm the
+oracle, which factors its own matrices; the pseudoinverse, which only
+the oracle's independent block form uses, and the gradient-descent
+oracle take a single matrix.  Nothing is cached: every call validates
+and factors its own input.
 
 A :class:`RankDeficiencyCount` counts, inside its ``with`` block, the
 members of truncated SVDs whose rank falls short of the matrix's
@@ -28,12 +35,6 @@ level and apart for the solvers and for the functions marked
 :func:`oracle_work`.  A held block keeps its records until they are
 released, so a stack that is dropped and rerun seed by seed is counted
 once.
-
-The anchored solve also takes anchors with leading axes, ``(..., S, d)``
-for a stack or ``(..., d)`` for one matrix: the fine-tunes of one prefix
-from several starts are one call, which factors the matrix once, and
-each anchor gets the bits of its own call.  Nothing is cached: every
-call validates and factors its own input.
 
 Conventions: a data matrix ``X`` is ``d x n`` (features by samples), the
 linear system it induces is ``X^T w = y``, singular values are reported
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from contextvars import ContextVar
 
 import numpy as np
@@ -77,48 +79,58 @@ def squared_norms(v: np.ndarray):
     return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _validated(a, name: str, ndim: int) -> np.ndarray:
+def _validated(a, name: str, want: str, fits) -> np.ndarray:
+    """``a`` as a finite float64 array whose number of axes ``fits``."""
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise InvalidMatrixError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if not fits(arr.ndim):
+        raise InvalidMatrixError(f"{name} must be {want}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidMatrixError(f"{name} contains non-finite entries")
     return arr
 
 
-def as_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
-    """Validate and return ``a`` as a finite 2-D float64 array, or with
-    ``stacked`` as a finite 3-D stack ``(S, d, n)`` of them."""
-    return _validated(a, name, 2 + stacked)
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate and return ``a`` as a finite float64 matrix ``(d, n)`` or
+    a stack ``(S, d, n)`` of them."""
+    return _validated(a, name, "2-D, or 3-D for a stack", lambda ndim: ndim in (2, 3))
 
 
-def as_vector(v, name: str = "vector", stacked: bool = False) -> np.ndarray:
-    """Validate and return ``v`` as a finite 1-D float64 array, or with
-    ``stacked`` as a finite 2-D stack ``(S, n)`` of them."""
-    return _validated(v, name, 1 + stacked)
+def as_vector(v, name: str = "vector") -> np.ndarray:
+    """Validate and return ``v`` as a finite 1-D float64 array."""
+    return _validated(v, name, "1-D", lambda ndim: ndim == 1)
 
 
-def as_vectors(v, name: str = "vectors", stacked: bool = False) -> np.ndarray:
-    """:func:`as_vector` with any leading axes: ``(..., n)``, or with
-    ``stacked`` ``(..., S, n)``."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim < 1 + stacked:
-        raise InvalidMatrixError(f"{name} must be {1 + stacked}-D or more, got shape {arr.shape}")
-    return _validated(arr, name, arr.ndim)
+def as_vectors(v, name: str = "vectors") -> np.ndarray:
+    """Validate and return ``v`` as finite float64 vectors ``(..., k)``."""
+    return _validated(v, name, "1-D or more", lambda ndim: ndim >= 1)
+
+
+def seed_stack(x, name: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A matrix argument, validated by :func:`as_matrix`, as a stack
+    ``(S, d, n)``, and its seed axes: ``(S,)``, or ``()`` for a lone
+    matrix, which is a one-member stack."""
+    arr = as_matrix(x, name)
+    return arr.reshape((math.prod(arr.shape[:-2]),) + arr.shape[-2:]), arr.shape[:-2]
+
+
+def seed_vectors(v, name: str, seeds: tuple[int, ...], front: bool = False) -> np.ndarray:
+    """A vector argument, validated as carrying its matrix's seed axes,
+    ``seeds + (k,)``, or with ``front`` ``(..., *seeds, k)``, and returned
+    as ``(..., S, k)`` like :func:`seed_stack`; any other shape raises
+    :class:`InvalidMatrixError` naming ``name``."""
+    arr = as_vectors(v, name)
+    lead = arr.shape[:-1]
+    extra = len(lead) - len(seeds)
+    if extra < 0 or lead[extra:] != seeds or extra and not front:
+        want = ", ".join(["..."] * front + [str(size) for size in seeds] + ["k"])
+        raise InvalidMatrixError(
+            f"{name} must have shape ({want}) over its matrix's seed axes, got {arr.shape}")
+    return arr.reshape(lead[:extra] + (math.prod(seeds), arr.shape[-1]))
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
     """Each member's transpose, as a view."""
     return np.swapaxes(a, -1, -2)
-
-
-def _as_stack(a, name: str) -> tuple[np.ndarray, bool]:
-    """``a`` validated as a stack ``(S, d, n)``, a matrix being its
-    one-member case, and whether it was given as a stack."""
-    arr = np.asarray(a, dtype=np.float64)
-    stacked = arr.ndim == 3
-    arr = as_matrix(arr, name, stacked)
-    return (arr if stacked else arr[None]), stacked
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,8 +142,7 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     :class:`InvalidMatrixError` on non-finite input and
     :class:`SvdFailureError` if the iteration does not converge.
     """
-    arr = np.asarray(a, dtype=np.float64)
-    arr = as_matrix(arr, stacked=arr.ndim == 3)
+    arr = as_matrix(a)
     try:
         u, s, vh = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -251,20 +262,13 @@ def _truncated_svd(a: np.ndarray) -> list[tuple]:
     return groups
 
 
-def _members(vec: np.ndarray, name: str, arr: np.ndarray, stacked: bool) -> np.ndarray:
-    """Validated vectors as one per member of the stack ``arr``, ``(..., S, k)``."""
-    if stacked and vec.shape[-2] != len(arr):
-        raise InvalidMatrixError(f"{name} has {vec.shape[-2]} members but the stack has {len(arr)}")
-    return vec if stacked else vec[..., None, :]
-
-
 def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via truncated SVD.
 
     Singular values at or below :func:`default_sv_cutoff` are treated as
     exact zeros.
     """
-    arr = as_matrix(a)
+    arr = _validated(a, "matrix", "2-D", lambda ndim: ndim == 2)
     [(_, u, s, v)] = _truncated_svd(arr[None])
     if s.shape[1] == 0:
         return np.zeros((arr.shape[1], arr.shape[0]))
@@ -282,7 +286,7 @@ def projector(x) -> np.ndarray:
     stack ``(S, d, n)`` gives ``(S, d, d)``, each member projected with
     its own cutoff and rank and with the bits of its own call.
     """
-    arr, stacked = _as_stack(x, "x")
+    arr, seeds = seed_stack(x, "x")
     # Only the left factors are kept, and the output is allocated once the
     # right singular vectors are freed, so the two never coexist.
     groups = [(members, u) for members, u, _, _ in _truncated_svd(arr)]
@@ -293,7 +297,7 @@ def projector(x) -> np.ndarray:
             np.matmul(u, _transposed(u), out=matrix)
         else:
             matrix[members] = u @ _transposed(u)
-    return matrix if stacked else matrix[0]
+    return matrix.reshape(seeds + matrix.shape[1:])
 
 
 def _min_norm(arr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -327,12 +331,11 @@ def min_norm_solve(x, y) -> np.ndarray:
     :class:`InconsistentSystemError` when no interpolating solution exists
     (residual above :func:`consistency_tol`).
     """
-    arr, stacked = _as_stack(x, "x")
-    rhs = _members(as_vector(y, "y", stacked), "y", arr, stacked)
+    arr, seeds = seed_stack(x, "x")
+    rhs = seed_vectors(y, "y", seeds)
     if arr.shape[2] != rhs.shape[-1]:
         raise InvalidMatrixError(f"x has {arr.shape[2]} samples but y has {rhs.shape[-1]} entries")
-    w = _min_norm(arr, rhs)
-    return w if stacked else w[0]
+    return _min_norm(arr, rhs).reshape(seeds + arr.shape[1:2])
 
 
 def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
@@ -347,9 +350,9 @@ def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
     call, and an inconsistent system raises the error of the first
     anchor that fails.
     """
-    arr, stacked = _as_stack(x_t, "x_t")
-    anchor = _members(as_vectors(w_o, "w_o", stacked), "w_o", arr, stacked)
-    rhs = _members(as_vector(y_t, "y_t", stacked), "y_t", arr, stacked)
+    arr, seeds = seed_stack(x_t, "x_t")
+    anchor = seed_vectors(w_o, "w_o", seeds, front=True)
+    rhs = seed_vectors(y_t, "y_t", seeds)
     if arr.shape[1] != anchor.shape[-1]:
         raise InvalidMatrixError(f"x_t has {arr.shape[1]} features but w_o has {anchor.shape[-1]}")
     if arr.shape[2] != rhs.shape[-1]:
@@ -364,7 +367,7 @@ def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
             f"anchored system X_t^T w = y_t is inconsistent ({exc})"
         ) from exc
     w = anchor + correction
-    return w if stacked else w[..., 0, :]
+    return w.reshape(w.shape[:-2] + seeds + w.shape[-1:])
 
 
 def weighted_seminorm_sq(v, x, n: int):
@@ -375,19 +378,16 @@ def weighted_seminorm_sq(v, x, n: int):
     ``(S, d, m)`` with ``v`` ``(S, d)``, one value per member, each with
     the bits of its own call.
     """
-    arr, stacked = _as_stack(x, "x")
-    vec = as_vector(v, "v", stacked)
-    vec = vec if stacked else vec[None]
+    arr, seeds = seed_stack(x, "x")
+    vec = seed_vectors(v, "v", seeds)
     if n < 1:
         raise ValueError("n must be >= 1")
     if arr.shape[1] != vec.shape[1]:
         raise InvalidMatrixError(
             f"x has {arr.shape[1]} features but v has {vec.shape[1]}"
         )
-    if len(arr) != len(vec):
-        raise InvalidMatrixError(f"v has {len(vec)} members but the stack has {len(arr)}")
     values = squared_norms((_transposed(arr) @ vec[..., None])[..., 0]) / n
-    return values if stacked else float(values[0])
+    return values if seeds else float(values[0])
 
 
 def gradient_descent_solve(
@@ -407,7 +407,7 @@ def gradient_descent_solve(
     0.4 * n / s_max^2, safely inside the stable region.  ``stop_tol`` > 0
     stops early once the gradient norm falls below it.
     """
-    arr = as_matrix(x, "x")
+    arr = _validated(x, "x", "2-D", lambda ndim: ndim == 2)
     rhs = as_vector(y, "y")
     n = arr.shape[1]
     w = np.zeros(arr.shape[0]) if w0 is None else as_vector(w0, "w0").copy()

@@ -6,14 +6,17 @@ the classifier pipeline (:class:`Metrics`).  Accuracies are reported as
 fractions in [0, 1]; rendering as percentages is a display concern.
 
 The linear measurement and comparison work on arrays, and one model is
-the 0-d case of the same code.  :func:`measure_losses` on a stacked
-scenario returns one :class:`LossReport` whose losses are ``(S,)``
-arrays, or ``(N, S)`` for weights ``(N, S, d)``; :func:`gap_report`
-compares arrays of measured losses, say one seed's over every
-fine-tuning subset size, with predictions of the same shape or with one
-prediction, elementwise through
-:func:`~unlearn_lab.oracle.within_tolerance`, with the bits of one call
-per element.
+the 0-d case of the same code.  The data and weights follow the shape
+rule of :mod:`~unlearn_lab.linalg`, which checks them: a lone scenario
+is a one-member stack, and weights carry the data's seed axes, with any
+axes in front of them, or raise :class:`InvalidMatrixError`.
+:func:`measure_losses` on a stacked scenario returns one
+:class:`LossReport` whose losses are ``(S,)`` arrays, or ``(N, S)`` for
+weights ``(N, S, d)``; :func:`gap_report` compares arrays of measured
+losses, say one seed's over every fine-tuning subset size, with
+predictions of the same shape or with one prediction, elementwise
+through :func:`~unlearn_lab.oracle.within_tolerance`, with the bits of
+one call per element.
 
 A run's :func:`stage_record` holds the wall seconds of each stage, which
 coarse ``with stage(name)`` blocks add to; they never nest.
@@ -29,8 +32,8 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .errors import ProvenanceMismatchError
-from .linalg import as_matrix, as_vector, as_vectors, squared_norms
+from .errors import InvalidMatrixError, ProvenanceMismatchError
+from .linalg import seed_stack, seed_vectors, squared_norms
 from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, TheoremPrediction, within_tolerance
 from .scenarios import SyntheticScenario
 
@@ -111,23 +114,24 @@ def mse_loss(w, x, y):
     For a stack (``w`` ``(S, d)``, ``x`` ``(S, d, m)``, ``y`` ``(S, m)``)
     one loss per member, each with the bits of its own call.
     """
-    stacked = np.ndim(x) == 3
-    return _mse(as_vector(w, "w", stacked), as_matrix(x, "x", stacked),
-                as_vector(y, "y", stacked))
+    return _mse(w, x, y, ("w", "x", "y"))
 
 
-def _mse(weights, data, targets):
-    """:func:`mse_loss` of validated arrays; ``weights`` may have leading axes."""
-    members = data.shape[:-2]
-    if (data.shape[-2] != weights.shape[-1] or data.shape[-1] != targets.shape[-1]
-            or weights.shape[-1 - len(members):-1] != members or targets.shape[:-1] != members):
-        raise ValueError(
-            f"shape mismatch: x {data.shape}, w {weights.shape}, y {targets.shape}"
-        )
+def _mse(w, x, y, names: tuple[str, str, str], front: bool = False):
+    """:func:`mse_loss` with its arguments named ``names``; with
+    ``front``, ``w`` may have axes in front of its seed axes, which
+    the losses keep."""
+    data, seeds = seed_stack(x, names[1])
+    weights = seed_vectors(w, names[0], seeds, front)
+    targets = seed_vectors(y, names[2], seeds)
+    if data.shape[1] != weights.shape[-1] or data.shape[2] != targets.shape[-1]:
+        raise InvalidMatrixError(
+            f"{names[1]} has {data.shape[1]} features and {data.shape[2]} samples, but "
+            f"{names[0]} has {weights.shape[-1]} entries and {names[2]} {targets.shape[-1]}")
     if targets.shape[-1] < 1:
         raise ValueError("need at least one sample")
     residual = (np.swapaxes(data, -1, -2) @ weights[..., None])[..., 0] - targets
-    losses = squared_norms(residual) / targets.shape[-1]
+    losses = (squared_norms(residual) / targets.shape[-1]).reshape(weights.shape[:-2] + seeds)
     return losses if losses.ndim else float(losses)
 
 
@@ -139,12 +143,9 @@ def measure_losses(w, scenario: SyntheticScenario, model_tag: str) -> LossReport
     each model with the bits of its own call, and floats for one model of
     one scenario.  The data and ``w`` are validated on every call.
     """
-    stacked = np.ndim(scenario.x_r) == 3
-    x_r, y_r = as_matrix(scenario.x_r, "x_r", stacked), as_vector(scenario.y_r, "y_r", stacked)
-    x_f, y_f = as_matrix(scenario.x_f, "x_f", stacked), as_vector(scenario.y_f, "y_f", stacked)
-    weights = as_vectors(w, "w", stacked)
-    return LossReport(
-        rl=_mse(weights, x_r, y_r), ul=_mse(weights, x_f, y_f), model_tag=model_tag)
+    return LossReport(rl=_mse(w, scenario.x_r, scenario.y_r, ("w", "x_r", "y_r"), front=True),
+                      ul=_mse(w, scenario.x_f, scenario.y_f, ("w", "x_f", "y_f"), front=True),
+                      model_tag=model_tag)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,10 +23,13 @@ verification protocol operates in that regime.
 The three predictors also take a stack of scenarios
 (:func:`~unlearn_lab.scenarios.stack_scenarios`), whose predictions
 hold one value per member, each with the bits of that member's own
-call: a scenario is the one-member case.  They factor every matrix
-themselves, one stacked projector per matrix for all members, so
-a measured solve and its prediction never share a factorization.  The
-block form is a single-scenario cross-check.
+call.  They read the scenario's arrays as given and leave the shapes to
+the :mod:`~unlearn_lab.linalg` kernels: one scenario is their zero-lead
+case, so ``ul_gold`` is a float for one scenario and ``(S,)`` for a
+stack.  They factor every matrix themselves, one stacked projector per
+matrix for all members, so a measured solve and its prediction never
+share a factorization.  The block form is a single-scenario
+cross-check.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from .errors import LayoutMismatchError
 from .linalg import oracle_work, projector, pseudoinverse, weighted_seminorm_sq
-from .scenarios import SyntheticScenario, as_stack, decompose_w_star, fine_tune_subset
+from .scenarios import SyntheticScenario, decompose_w_star, fine_tune_subset
 from .solvers import EditOption
 
 # Tolerance policy for oracle-versus-measurement comparisons.
@@ -90,17 +93,16 @@ def within_tolerance(
 
 
 def _times(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Each member's matrix-vector product, for ``p`` ``(S, d, d)`` and
-    ``v`` ``(S, d)``."""
+    """Each member's matrix-vector product, for ``p`` ``(..., d, d)`` and
+    ``v`` ``(..., d)``."""
     return (p @ v[..., None])[..., 0]
 
 
-def _unedited(scenario: SyntheticScenario, stack: SyntheticScenario, gap: np.ndarray):
+def _unedited(scenario: SyntheticScenario, gap: np.ndarray):
     """The unedited prediction of ``scenario``, whose golden model misses
-    the true weights by ``gap`` (one row per member of ``stack``)."""
-    ul_gold = weighted_seminorm_sq(gap, stack.x_f, stack.n_f)
+    the true weights by ``gap``."""
     return TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0,
-                             ul_gold=ul_gold if scenario.stacked else float(ul_gold[0]))
+                             ul_gold=weighted_seminorm_sq(gap, scenario.x_f, scenario.n_f))
 
 
 @oracle_work
@@ -115,8 +117,7 @@ def predict_distinct(scenario: SyntheticScenario):
         raise LayoutMismatchError(
             f"distinct prediction requires d_lap = 0, got {scenario.layout.d_lap}"
         )
-    stack = as_stack(scenario)
-    return _unedited(scenario, stack, decompose_w_star(stack).w_f)
+    return _unedited(scenario, decompose_w_star(scenario).w_f)
 
 
 @oracle_work
@@ -128,11 +129,10 @@ def predict_overlap(scenario: SyntheticScenario):
     this reduces to the distinct-layout value.  For a stacked scenario,
     ``ul_gold`` holds one value per member.
     """
-    stack = as_stack(scenario)
-    parts = decompose_w_star(stack)
-    p_r = projector(stack.x_r)
+    parts = decompose_w_star(scenario)
+    p_r = projector(scenario.x_r)
     gap = _times(p_r, parts.w_r + parts.w_lap) - (parts.w_f + parts.w_lap)
-    return _unedited(scenario, stack, gap)
+    return _unedited(scenario, gap)
 
 
 @oracle_work
@@ -192,21 +192,16 @@ def predict_edited(
         raise LayoutMismatchError(
             "distinct-zero-forget prediction requires an empty overlap block"
         )
-    stack = as_stack(scenario)
-    subsets = [fine_tune_subset(stack, n_t)[0] for n_t in nt_values]
-    parts = decompose_w_star(stack)
+    subsets = [fine_tune_subset(scenario, n_t)[0] for n_t in nt_values]
+    parts = decompose_w_star(scenario)
     w_f_lap = parts.w_f + parts.w_lap
-    shape = (len(stack.seed), len(subsets))
-
-    def edited(rl_edit, ul_edit):
-        if not scenario.stacked:
-            rl_edit, ul_edit = rl_edit[0], ul_edit[0]
-        return TheoremPrediction(rl_edit=rl_edit, ul_edit=ul_edit)
+    shape = scenario.w_star.shape[:-1] + (len(subsets),)
 
     def repeated(gap):
         """Zero RL, and the UL of ``gap`` at every ``n_t``."""
-        ul_edit = weighted_seminorm_sq(gap, stack.x_f, stack.n_f)
-        return edited(np.zeros(shape), np.repeat(ul_edit[:, None], shape[1], axis=1))
+        ul_edit = weighted_seminorm_sq(gap, scenario.x_f, scenario.n_f)
+        return TheoremPrediction(rl_edit=np.zeros(shape),
+                                 ul_edit=np.full(shape, np.expand_dims(ul_edit, -1)))
 
     predictions = []
     joint = None
@@ -215,7 +210,7 @@ def predict_edited(
             predictions.append(repeated(parts.w_f))
             continue
         if joint is None:
-            joint = projector(stack.joint_data()[0])
+            joint = projector(scenario.joint_data()[0])
         if option is EditOption.OVERLAP_RETAIN:
             predictions.append(repeated(_times(joint, parts.w_r + parts.w_lap) - w_f_lap))
             continue
@@ -224,7 +219,8 @@ def predict_edited(
         for i, x_t in enumerate(subsets):
             # Each prefix's projector stack is dropped once its n_t is predicted.
             kept = _times(projector(x_t), parts.w_lap)
-            rl_edit[:, i] = weighted_seminorm_sq(parts.w_lap - kept, stack.x_r, stack.n_r)
-            ul_edit[:, i] = weighted_seminorm_sq(joint_w_r + kept - w_f_lap, stack.x_f, stack.n_f)
-        predictions.append(edited(rl_edit, ul_edit))
+            rl_edit[..., i] = weighted_seminorm_sq(parts.w_lap - kept, scenario.x_r, scenario.n_r)
+            ul_edit[..., i] = weighted_seminorm_sq(joint_w_r + kept - w_f_lap, scenario.x_f,
+                                                   scenario.n_f)
+        predictions.append(TheoremPrediction(rl_edit=rl_edit, ul_edit=ul_edit))
     return predictions

@@ -7,6 +7,11 @@ matrix only on the last two, and labels are generated noiselessly from a
 dense ground-truth weight vector.  With an empty overlap block the two
 sample sets touch disjoint coordinates.
 
+A stack of scenarios (:func:`stack_scenarios`) is a scenario whose
+arrays carry a leading seed axis.  Only the :mod:`~unlearn_lab.linalg`
+kernels read that axis; the functions here slice the trailing axes, so
+they treat one scenario and a stack alike.
+
 Generation is reproducible: each block (remaining features, the two
 overlap slabs, forgetting features, ground-truth weights) is drawn from
 its own named random stream, so block shapes and generation order never
@@ -16,7 +21,7 @@ interact.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,11 +89,6 @@ class SyntheticScenario:
     w_star: np.ndarray = field(repr=False)
     seed: int | tuple[int, ...]
     dist: str = "standard-normal"
-
-    @property
-    def stacked(self) -> bool:
-        """True for a stack of scenarios, one member per seed."""
-        return isinstance(self.seed, tuple)
 
     @property
     def d(self) -> int:
@@ -203,15 +203,6 @@ def stack_scenarios(scenarios: Sequence[SyntheticScenario]) -> SyntheticScenario
         seed=tuple(s.seed for s in scenarios),
         dist=first.dist,
     )
-
-
-def as_stack(scenario: SyntheticScenario) -> SyntheticScenario:
-    """``scenario`` if it is a stack, else its one-member stack, whose
-    arrays are views of its own."""
-    if scenario.stacked:
-        return scenario
-    return replace(scenario, **{name: getattr(scenario, name)[None] for name in _ARRAYS},
-                   seed=(scenario.seed,))
 
 
 def decompose_w_star(scenario: SyntheticScenario) -> WStarDecomposition:

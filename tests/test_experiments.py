@@ -666,10 +666,12 @@ def _small_linear_configs(draw):
     of small sizes and 2-4 distinct seeds, each field drawn inside its
     domain in :data:`FIELDS`.  Layouts range from rank-deficient, where the
     remaining and overlap blocks together are narrower than ``n_r``, to
-    generic.  Also draws some but not all of the seeds to have a second
-    remaining column equal to their first: beside the other seeds of a
-    layout, their prefixes of two or more columns can solve as a rank
-    group of their own."""
+    generic; a ``verify-theorems`` overlap block keeps ``d_r + d_lap <=
+    n_r``, as :data:`~unlearn_lab.experiments.ACROSS` requires.  Also
+    draws some but not all of the seeds to have a second remaining column
+    equal to their first: beside the other seeds of a layout, their
+    prefixes of two or more columns can solve as a rank group of their
+    own."""
     experiment = draw(st.sampled_from(["verify-theorems", "sweep-nt", "sweep-overlap"]))
     fields = FIELDS[experiment]
     n_r = draw(st.integers(fields["n_r"][1].low, 8))
@@ -682,8 +684,8 @@ def _small_linear_configs(draw):
         "dist": draw(st.sampled_from(fields["dist"][1].choices)),
     }
 
-    def layout(d_lap):
-        d_r = draw(st.integers(0, 12))
+    def layout(d_lap, widest=12):
+        d_r = draw(st.integers(0, widest))
         return [d_r, d_lap, draw(st.integers(max(0, n_r + n_f - d_r - d_lap), 12))]
 
     if experiment == "sweep-overlap":
@@ -697,7 +699,9 @@ def _small_linear_configs(draw):
         if experiment == "sweep-nt":
             raw["layout"] = layout(draw(st.integers(0, 6)))
         else:
-            raw.update(distinct_layout=layout(0), overlap_layout=layout(draw(st.integers(0, 6))))
+            d_lap = draw(st.integers(0, min(6, n_r)))
+            raw.update(distinct_layout=layout(0),
+                       overlap_layout=layout(d_lap, n_r - d_lap if d_lap else 12))
     collinear = draw(st.sets(st.sampled_from(raw["seeds"]), min_size=1,
                              max_size=len(raw["seeds"]) - 1))
     return experiment, validate_config(raw, experiment), collinear
@@ -913,6 +917,30 @@ class TestCli:
         code = main(["verify-theorems", "--config", str(config)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overlap_layout", [[16, 8, 16], [30, 2, 8], [20, 0, 20]])
+    def test_an_overlap_layout_wider_than_n_r_exits_two_with_one_line(
+            self, tmp_path, capsys, overlap_layout):
+        # The overlap edit predictions hold once n_r >= d_r + d_lap; an
+        # empty overlap block holds at any n_r.
+        d_r, d_lap, _ = overlap_layout
+        widest = d_r + d_lap if d_lap else 4
+        for n_r, expected in ((widest - 1, 2 if d_lap else 0), (widest, 0)):
+            payload = {"seeds": [0, 1, 2], "n_r": n_r, "n_f": 5,
+                       "overlap_layout": overlap_layout, "nt_values": [1, n_r - 1]}
+            out = tmp_path / f"{n_r}.csv"
+            code = main(["verify-theorems", "--config", str(self._write_config(tmp_path, payload)),
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == expected, (n_r, err)
+            if expected:
+                assert not out.exists()
+                assert err == (
+                    "config error: verify-theorems: overlap_layout must have d_lap = 0 or"
+                    f" d_r + d_lap <= n_r (got {{'n_r': {n_r}, 'overlap_layout':"
+                    f" {overlap_layout}}})\n")
+            else:
+                assert json.loads(summary_path_for(out).read_text())["passed"] is True
 
     def test_missing_config_file_exits_two(self, tmp_path):
         code = main(["sweep-nt", "--config", str(tmp_path / "nope.json")])

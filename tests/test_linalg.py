@@ -383,15 +383,15 @@ class TestStackedSolves:
 
     def test_vectors_must_match_the_stack(self):
         x, y = self._stack((4, 5, 3))
-        with pytest.raises(InvalidMatrixError, match="y has 3 members but the stack has 4"):
+        with pytest.raises(InvalidMatrixError, match=r"^y must have shape \(4, k\) .* \(3, 3\)$"):
             min_norm_solve(x, y[:3])
-        with pytest.raises(InvalidMatrixError, match="y must be 2-D"):
+        with pytest.raises(InvalidMatrixError, match=r"^y must have shape \(4, k\) .* \(3,\)$"):
             min_norm_solve(x, y[0])
-        with pytest.raises(InvalidMatrixError, match="w_o must be 2-D"):
+        with pytest.raises(InvalidMatrixError, match=r"^w_o must have shape \(\.\.\., 4, k\) "):
             min_norm_anchor_solve(x, y, np.zeros(5))
         with pytest.raises(InvalidMatrixError, match="x_t has 5 features but w_o has 4"):
             min_norm_anchor_solve(x, y, np.zeros((4, 4)))
-        with pytest.raises(InvalidMatrixError, match="w_o has 3 members but the stack has 4"):
+        with pytest.raises(InvalidMatrixError, match=r"^w_o must have .* got \(2, 3, 5\)$"):
             min_norm_anchor_solve(x, y, np.zeros((2, 3, 5)))
 
 
@@ -438,12 +438,43 @@ class TestStackedOracleKernels:
 
     def test_vectors_must_match_the_stack(self):
         x, _ = TestStackedSolves._stack((4, 5, 3))
-        with pytest.raises(InvalidMatrixError, match="v has 3 members but the stack has 4"):
+        with pytest.raises(InvalidMatrixError, match=r"^v must have shape \(4, k\) .* \(3, 5\)$"):
             weighted_seminorm_sq(np.zeros((3, 5)), x, 3)
-        with pytest.raises(InvalidMatrixError, match="v must be 2-D"):
+        with pytest.raises(InvalidMatrixError, match=r"^v must have shape \(4, k\) .* \(5,\)$"):
             weighted_seminorm_sq(np.zeros(5), x, 3)
         with pytest.raises(InvalidMatrixError, match="x has 5 features but v has 4"):
             weighted_seminorm_sq(np.zeros((4, 4)), x, 3)
+
+
+class TestSeedAxes:
+    """Every vector argument carries its matrix's seed axes: ``(S,)`` for
+    a stack ``(S, d, n)``, none for a lone matrix.  Anchors may add axes
+    in front of them.  Any other leading axes raise
+    :class:`InvalidMatrixError` naming the vector; the member-count cases
+    of a stack are in ``test_vectors_must_match_the_stack``."""
+
+    @pytest.mark.parametrize("name,call", [
+        ("y", lambda x, y, v: min_norm_solve(x[0], y)),
+        ("y", lambda x, y, v: min_norm_solve(x, y[None])),
+        ("w_o", lambda x, y, v: min_norm_anchor_solve(x, y, np.zeros((3, 2, 5)))),
+        ("y_t", lambda x, y, v: min_norm_anchor_solve(x, y[:2], v)),
+        ("y_t", lambda x, y, v: min_norm_anchor_solve(x[0], y, v)),
+        ("v", lambda x, y, v: weighted_seminorm_sq(v, x[0], 4)),
+        ("v", lambda x, y, v: weighted_seminorm_sq(v[None], x, 4)),
+    ])
+    def test_mismatched_leading_axes_name_the_vector(self, name, call):
+        x, y = TestStackedSolves._stack((3, 5, 4))
+        with pytest.raises(InvalidMatrixError, match=f"^{name} must have shape "):
+            call(x, y, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 5, 4)])
+    def test_a_matrix_is_2_d_or_3_d(self, shape):
+        for call in (svd, projector, lambda x: min_norm_solve(x, np.zeros(4))):
+            with pytest.raises(InvalidMatrixError,
+                               match=r"^(x|matrix) must be 2-D, or 3-D for a stack, got shape "):
+                call(np.zeros(shape))
+        with pytest.raises(InvalidMatrixError, match="^matrix must be 2-D, got shape"):
+            pseudoinverse(np.zeros((3, 5, 4)))
 
 
 class TestWeightedSeminorm:

@@ -70,7 +70,7 @@ class TestMseLoss:
         assert abs(mse_loss(w, x, y) - mse_loss(w, x[:, perm], y[perm])) < 1e-12
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidMatrixError, match="^x has 3 features and 4 samples, but "):
             mse_loss(np.zeros(3), np.zeros((3, 4)), np.zeros(5))
 
     def test_a_stack_measures_each_member_alone(self):
@@ -79,11 +79,40 @@ class TestMseLoss:
         losses = mse_loss(w, x, y)
         assert losses.shape == (5,)
         assert all(loss == mse_loss(*member) for loss, member in zip(losses, zip(w, x, y)))
-        with pytest.raises(ValueError, match="shape mismatch"):
+        with pytest.raises(InvalidMatrixError, match=r"^w must have shape \(5, k\) "):
             mse_loss(w[:4], x, y)
+
+    @pytest.mark.parametrize("name,args", [
+        ("w", lambda w, x, y: (w[0], x, y)),
+        ("w", lambda w, x, y: (w[None], x, y)),
+        ("w", lambda w, x, y: (w, x[0], y[0])),
+        ("y", lambda w, x, y: (w, x, y[:2])),
+        ("y", lambda w, x, y: (w[0], x[0], y)),
+    ])
+    def test_mismatched_leading_axes_name_the_vector(self, name, args):
+        rng = np.random.default_rng(4)
+        w, x, y = (rng.standard_normal(shape) for shape in ((3, 7), (3, 7, 9), (3, 9)))
+        with pytest.raises(InvalidMatrixError, match=f"^{name} must have shape "):
+            mse_loss(*args(w, x, y))
 
 
 class TestLossReport:
+    @pytest.mark.parametrize("name,w,arrays", [
+        ("w", np.zeros((4, 40)), {}),
+        ("w", np.zeros(40), {}),
+        ("y_r", np.zeros((3, 40)), {"y_r": lambda s: s.y_r[:2]}),
+        ("y_f", np.zeros((3, 40)), {"y_f": lambda s: s.y_f[0]}),
+        # A lone scenario's y_r with the stack's seed axis.
+        ("y_r", np.zeros((2, 40)), {name: lambda s, name=name: getattr(s, name)[0]
+                                    for name in ("x_r", "x_f", "y_f")}),
+    ], ids=["seeds", "no-seeds", "y_r", "y_f", "lone-x_r"])
+    def test_mismatched_leading_axes_name_the_vector(self, name, w, arrays):
+        s = stack_scenarios([gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed)
+                             for seed in range(3)])
+        s = dataclasses.replace(s, **{key: take(s) for key, take in arrays.items()})
+        with pytest.raises(InvalidMatrixError, match=f"^{name} must have shape "):
+            measure_losses(w, s, "golden")
+
     def test_fine_tuned_losses_vanish_for_unedited_pipelines(self):
         for layout in (FeatureLayout(20, 0, 20), FeatureLayout(16, 8, 16)):
             for seed in range(3):

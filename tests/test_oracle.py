@@ -14,7 +14,13 @@ from unlearn_lab.oracle import (
     predict_overlap,
     within_tolerance,
 )
-from unlearn_lab.linalg import projector
+from unlearn_lab.linalg import (
+    min_norm_anchor_solve,
+    min_norm_solve,
+    projector,
+    svd,
+    weighted_seminorm_sq,
+)
 from unlearn_lab.scenarios import (
     FeatureLayout,
     SyntheticScenario,
@@ -268,6 +274,58 @@ class TestStackedPredictions:
                 assert together.rl_edit.shape == together.ul_edit.shape == (3, 30)
                 assert np.array_equal(together.rl_edit[member], alone.rl_edit)
                 assert np.array_equal(together.ul_edit[member], alone.ul_edit)
+
+
+class TestLoneCallIsAOneMemberStack:
+    """A lone matrix or scenario is the zero-lead case of the stack path:
+    each linear function's lone call gives the bits of member 0 of its
+    one-member stack's call, with that member's shape, and a float where
+    the stack gives one value per member."""
+
+    @staticmethod
+    def _same(lone, stacked, axis=0):
+        member = np.take(stacked, 0, axis=axis)
+        if np.ndim(member) == 0:
+            assert type(lone) is float
+        else:
+            assert type(lone) is np.ndarray and lone.shape == member.shape
+        assert np.array_equal(lone, member)
+
+    @pytest.mark.parametrize("dist", ["standard-normal", "uniform"])
+    @pytest.mark.parametrize("layout", [DISTINCT, OVERLAP], ids=["distinct", "overlap"])
+    def test_every_linear_function(self, layout, dist):
+        s = gen_scenario(30, 10, layout, 4, dist)
+        stack = stack_scenarios([s])
+        (x, y), (xs, ys) = s.joint_data(), stack.joint_data()
+        (x_t, y_t), (xs_t, ys_t) = fine_tune_subset(s, 7), fine_tune_subset(stack, 7)
+        # Two by three anchors in front of the seed axis.
+        anchors = np.random.default_rng(0).standard_normal((2, 3, s.d))
+        w = min_norm_anchor_solve(x_t, y_t, anchors)
+        for lone, stacked in zip(svd(x), svd(xs), strict=True):
+            self._same(lone, stacked)
+        self._same(projector(x), projector(xs))
+        self._same(min_norm_solve(x, y), min_norm_solve(xs, ys))
+        self._same(w, min_norm_anchor_solve(xs_t, ys_t, anchors[..., None, :]), axis=-2)
+        self._same(weighted_seminorm_sq(w[0, 0], s.x_f, s.n_f),
+                   weighted_seminorm_sq(w[0, :1], stack.x_f, stack.n_f))
+        self._same(mse_loss(w[0, 0], s.x_r, s.y_r), mse_loss(w[0, :1], stack.x_r, stack.y_r))
+        for tag, weights in (("golden", w[0, 0]), ("fine_tuned", w)):
+            lone, stacked = (measure_losses(weights, s, tag),
+                             measure_losses(weights[..., None, :], stack, tag))
+            self._same(lone.rl, stacked.rl, axis=-1)
+            self._same(lone.ul, stacked.ul, axis=-1)
+
+        predictors = [predict_overlap] + ([predict_distinct] if layout.is_distinct else [])
+        for predict in predictors:
+            lone, stacked = predict(s), predict(stack)
+            self._same(lone.ul_gold, stacked.ul_gold)
+            assert lone.rl_ft == lone.ul_ft == lone.rl_gold == 0.0
+        options = list(EditOption) if layout.is_distinct else list(EditOption)[1:]
+        nt_values = [1, 7, 16, 24, 29]
+        for lone, stacked in zip(predict_edited(s, options, nt_values),
+                                 predict_edited(stack, options, nt_values), strict=True):
+            self._same(lone.rl_edit, stacked.rl_edit)
+            self._same(lone.ul_edit, stacked.ul_edit)
 
 
 class TestOracleMeasurementAgreement:
