@@ -49,10 +49,10 @@ last column is the bias: :func:`pretrain` starts it at zero,
 :func:`unlearn_ft` packs its starts into it, and both split their
 results back into weights and bias.  The cross-entropy kernel has one
 form, :class:`_StackCE`, built once per fit for the stack's leading
-shape.  It holds what the epochs share: the :class:`_Targets` of its
-sets, whose features carry a ones row so that one gemm adds the bias and
-one returns its gradient; the logits and column buffers; and the views
-of them that the pass reads.  A call is one pass.  The fine-tune lays
+shape.  It holds what the epochs share: its sets' targets and their
+features with a ones row, so that one gemm adds the bias and one returns
+its gradient; the logits and column buffers; and the views of them that
+the pass reads.  A call is one pass.  The fine-tune lays
 its remain and relabeled forget sets side by side as the two column
 segments of one pass, and its :class:`_Objective` mixes the segments'
 losses and gradients.  An epoch is then one pass, one mix and one
@@ -196,65 +196,34 @@ def relabel_forget(labels, num_classes: int) -> np.ndarray:
     return (labels + 1) % num_classes
 
 
-@dataclass(frozen=True, eq=False)
-class _Targets:
-    """Labeled sets as :class:`_StackCE` reads them, built once per pass object.
-
-    A pass reads one set, or, for the fine-tune, the remain and relabeled
-    forget sets side by side as the segments of one column range.
-    ``features`` are the sets' ``(..., D, m_t)`` features concatenated
-    along their columns with a ones row appended, C-contiguous
-    ``(..., D + 1, m)``: against ``(K, D + 1)`` parameters whose last
-    column is the bias, the forward gemm adds the bias and the gradient
-    gemm returns its gradient as the last column.  ``onehot`` is the
-    ``(K, m)`` target matrix, 1.0 at each column's label; ``flat``
-    indexes the targets of a ``(K, m)`` logits block flattened to
-    ``K * m``, as ``labels * m + arange(m)``; ``ends`` are the segments'
-    end columns, ``(m,)`` for one set and ``(m_r, m_r + m_f)`` for a
-    remain and a forget set.  Stacked sets share their labels, so all
-    their seeds share one of each.
-    """
-
-    features: np.ndarray = field(repr=False)
-    onehot: np.ndarray = field(repr=False)
-    flat: np.ndarray = field(repr=False)
-    ends: tuple[int, ...]
-
-    @classmethod
-    def of(cls, data: LabeledSet | Sequence[LabeledSet], num_classes: int) -> "_Targets":
-        sets = (data,) if isinstance(data, LabeledSet) else tuple(data)
-        labels = np.concatenate([s.labels for s in sets])
-        m = labels.shape[0]
-        cols = np.arange(m)
-        onehot = np.zeros((num_classes, m))
-        onehot[labels, cols] = 1.0
-        lead, dim = sets[0].features.shape[:-2], sets[0].features.shape[-2]
-        features = np.empty(lead + (dim + 1, m))
-        ends = tuple(itertools.accumulate(s.size for s in sets))
-        for s, lo, hi in zip(sets, (0,) + ends, ends):
-            features[..., :dim, lo:hi] = s.features
-        features[..., dim, :] = 1.0
-        return cls(features, onehot, labels * m + cols, ends)
-
-    @property
-    def size(self) -> int:
-        return self.flat.shape[0]
-
-
 class _StackCE:
     """The cross-entropy pass over each set of ``data`` of a stack of
     models of leading shape ``lead``: the one form of the kernel.
 
-    Building it makes what every call shares, once per fit: the
-    :class:`_Targets` of one set or of the fine-tune's remain and forget
-    sets side by side; the ``(*lead, K, m)`` logits buffer and the ``(2,
-    *lead, m)`` buffer of the per-column maxima, sums and targets (a fresh
-    stack-sized buffer per epoch would let the allocator map new pages
-    every epoch); and the views of them and of the features that the pass
-    reads.  The features get a member axis for each axis of ``lead`` they
-    lack, so one broadcasting gemm per product pairs every member with its
-    own seed's features: ``lead=()`` is one ``(K, D + 1)`` model, ``(M,)``
-    a stack over ``(D, m)`` sets, and ``(S, M)`` a stack over the ``(S, D,
+    A pass reads one set, or, for the fine-tune, the remain and relabeled
+    forget sets side by side as the segments of one column range.
+    Building it makes what every call shares, once per fit:
+
+    - ``features``, the sets' ``(..., D, m_t)`` features concatenated
+      along their columns with a ones row appended, C-contiguous ``(...,
+      D + 1, m)``: against ``(K, D + 1)`` parameters whose last column is
+      the bias, the forward gemm adds the bias and the gradient gemm
+      returns its gradient as the last column;
+    - ``onehot``, the ``(K, m)`` target matrix, 1.0 at each column's
+      label, and ``target_index``, the targets of a ``(K, m)`` logits
+      block flattened to ``K * m``, as ``labels * m + arange(m)``.
+      Stacked sets share their labels, so all their seeds share both;
+    - ``ends``, the segments' end columns: ``(m,)`` for one set and
+      ``(m_r, m_r + m_f)`` for a remain and a forget set;
+    - the ``(*lead, K, m)`` logits buffer and the ``(2, *lead, m)`` buffer
+      of the per-column maxima, sums and targets (a fresh stack-sized
+      buffer per epoch would let the allocator map new pages every epoch),
+      and the views of them and of the features that the pass reads.
+
+    The features get a member axis for each axis of ``lead`` they lack,
+    so one broadcasting gemm per product pairs every member with its own
+    seed's features: ``lead=()`` is one ``(K, D + 1)`` model, ``(M,)`` a
+    stack over ``(D, m)`` sets, and ``(S, M)`` a stack over the ``(S, D,
     m)`` sets of ``S`` seeds, read as ``(S, 1, D + 1, m)``.  Each seed's
     slice of the C-contiguous features is C-contiguous too, so a member
     gets the bits of its seed's run alone.
@@ -262,22 +231,33 @@ class _StackCE:
 
     def __init__(self, data: LabeledSet | Sequence[LabeledSet], num_classes: int,
                  lead: tuple[int, ...]):
-        self.targets = targets = _Targets.of(data, num_classes)
-        features = targets.features
+        sets = (data,) if isinstance(data, LabeledSet) else tuple(data)
+        labels = np.concatenate([s.labels for s in sets])
+        m = labels.shape[0]
+        cols = np.arange(m)
+        self.onehot = np.zeros((num_classes, m))
+        self.onehot[labels, cols] = 1.0
+        self.target_index = labels * m + cols
+        self.ends = ends = tuple(itertools.accumulate(s.size for s in sets))
+        bounds = list(zip((0,) + ends, ends))
+        dim = sets[0].features.shape[-2]
+        self.features = features = np.empty(sets[0].features.shape[:-2] + (dim + 1, m))
+        for s, (lo, hi) in zip(sets, bounds):
+            features[..., :dim, lo:hi] = s.features
+        features[..., dim, :] = 1.0
         features = features.reshape(
             features.shape[:-2] + (1,) * (len(lead) + 2 - features.ndim) + features.shape[-2:])
         features_t = features.swapaxes(-1, -2)
         # The logits turn into the logit gradient in place, and the per-column
         # values share two rows: a stack's fresh temporaries would cost more
         # than its arithmetic.
-        self.z = z = np.empty(lead + (num_classes, targets.size))
-        self.columns = np.empty((2,) + lead + (targets.size,))
+        self.z = z = np.empty(lead + (num_classes, m))
+        self.columns = np.empty((2,) + lead + (m,))
         total, shifted_target = self.columns
         # The logits flat for the target take, the totals broadcast against
         # them, per segment its column count and its slices of the features,
         # logits, targets and transposed features, and each one-column segment.
         self.flat, self.totals = z.reshape(lead + (-1,)), total[..., None, :]
-        bounds = list(zip((0,) + targets.ends, targets.ends))
         self.segments = [(hi - lo, features[..., lo:hi], z[..., lo:hi], shifted_target[..., lo:hi],
                           features_t[..., lo:hi, :]) for lo, hi in bounds]
         self.lone = [(z[..., lo:hi], total[..., lo:hi]) for lo, hi in bounds if hi - lo == 1]
@@ -309,7 +289,7 @@ class _StackCE:
         np.maximum.reduce(z, axis=-2, out=total)
         z -= self.totals
         # mode="clip" lets take write into its output unbuffered; no index clips.
-        self.flat.take(self.targets.flat, axis=-1, out=shifted_target, mode="clip")
+        self.flat.take(self.target_index, axis=-1, out=shifted_target, mode="clip")
         np.exp(z, out=z)
         np.add.reduce(z, axis=-2, out=total)
         for logits, column_total in self.lone:
@@ -318,7 +298,7 @@ class _StackCE:
             np.add.reduce(logits, axis=-2, out=column_total)
         z /= self.totals
         shifted_target -= np.log(total, out=total)
-        z -= self.targets.onehot
+        z -= self.onehot
         result = []
         for m, _, logit_grad, target, features_t in self.segments:
             # np.add.reduce(...) / m is what .mean computes, without its overhead.

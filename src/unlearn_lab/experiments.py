@@ -111,7 +111,6 @@ class ExperimentResult:
     """Rows plus bookkeeping for one experiment run."""
 
     experiment: str
-    schema: str
     config: dict
     rows: list[dict] = field(default_factory=list)
     passed: bool | None = None
@@ -119,6 +118,11 @@ class ExperimentResult:
     total_runtime_seconds: float = 0.0
     stages: dict = field(default_factory=dict)
     rank_deficient_solves: dict = field(default_factory=dict)
+
+    @property
+    def schema(self) -> str:
+        """The CSV schema of ``experiment``, from :data:`SCHEMAS`."""
+        return SCHEMAS[self.experiment]
 
     @property
     def numerical_failures(self) -> int:
@@ -698,7 +702,7 @@ def run_experiment(experiment: str, cfg: dict) -> ExperimentResult:
     """
     if experiment not in _ROWS_FOR_SEED:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    result = ExperimentResult(experiment, SCHEMAS[experiment], cfg)
+    result = ExperimentResult(experiment, cfg)
     start = time.perf_counter()
     with RankDeficiencyCount() as rank_count, stage_record(STAGES[experiment]) as result.stages:
         rows_for_seed = _ROWS_FOR_SEED[experiment](cfg)

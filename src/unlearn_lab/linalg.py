@@ -370,23 +370,25 @@ def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
     return w.reshape(w.shape[:-2] + seeds + w.shape[-1:])
 
 
-def weighted_seminorm_sq(v, x, n: int):
-    """Squared seminorm ``v^T A v`` with ``A = (1/n) X X^T``.
+def weighted_seminorm_sq(v, x):
+    """Squared seminorm ``v^T A v`` with ``A = (1/n) X X^T``, ``n`` the
+    column count of ``x``: its samples.
 
     Equals ``(1/n) ||X^T v||^2``, hence nonnegative, and zero exactly when
     ``v`` is orthogonal to the columns of ``x``.  For a stack ``x``
-    ``(S, d, m)`` with ``v`` ``(S, d)``, one value per member, each with
-    the bits of its own call.
+    ``(S, d, n)`` with ``v`` ``(S, d)``, one value per member, each with
+    the bits of its own call.  An ``x`` without columns raises
+    :class:`InvalidMatrixError`.
     """
     arr, seeds = seed_stack(x, "x")
     vec = seed_vectors(v, "v", seeds)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if arr.shape[1] != vec.shape[1]:
         raise InvalidMatrixError(
             f"x has {arr.shape[1]} features but v has {vec.shape[1]}"
         )
-    values = squared_norms((_transposed(arr) @ vec[..., None])[..., 0]) / n
+    if arr.shape[2] < 1:
+        raise InvalidMatrixError("x has no samples")
+    values = squared_norms((_transposed(arr) @ vec[..., None])[..., 0]) / arr.shape[2]
     return values if seeds else float(values[0])
 
 

@@ -129,7 +129,7 @@ def _mse(w, x, y, names: tuple[str, str, str], front: bool = False):
             f"{names[1]} has {data.shape[1]} features and {data.shape[2]} samples, but "
             f"{names[0]} has {weights.shape[-1]} entries and {names[2]} {targets.shape[-1]}")
     if targets.shape[-1] < 1:
-        raise ValueError("need at least one sample")
+        raise InvalidMatrixError(f"{names[1]} has no samples")
     residual = (np.swapaxes(data, -1, -2) @ weights[..., None])[..., 0] - targets
     losses = (squared_norms(residual) / targets.shape[-1]).reshape(weights.shape[:-2] + seeds)
     return losses if losses.ndim else float(losses)

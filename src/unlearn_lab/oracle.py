@@ -102,7 +102,7 @@ def _unedited(scenario: SyntheticScenario, gap: np.ndarray):
     """The unedited prediction of ``scenario``, whose golden model misses
     the true weights by ``gap``."""
     return TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0,
-                             ul_gold=weighted_seminorm_sq(gap, scenario.x_f, scenario.n_f))
+                             ul_gold=weighted_seminorm_sq(gap, scenario.x_f))
 
 
 @oracle_work
@@ -199,7 +199,7 @@ def predict_edited(
 
     def repeated(gap):
         """Zero RL, and the UL of ``gap`` at every ``n_t``."""
-        ul_edit = weighted_seminorm_sq(gap, scenario.x_f, scenario.n_f)
+        ul_edit = weighted_seminorm_sq(gap, scenario.x_f)
         return TheoremPrediction(rl_edit=np.zeros(shape),
                                  ul_edit=np.full(shape, np.expand_dims(ul_edit, -1)))
 
@@ -219,8 +219,7 @@ def predict_edited(
         for i, x_t in enumerate(subsets):
             # Each prefix's projector stack is dropped once its n_t is predicted.
             kept = _times(projector(x_t), parts.w_lap)
-            rl_edit[..., i] = weighted_seminorm_sq(parts.w_lap - kept, scenario.x_r, scenario.n_r)
-            ul_edit[..., i] = weighted_seminorm_sq(joint_w_r + kept - w_f_lap, scenario.x_f,
-                                                   scenario.n_f)
+            rl_edit[..., i] = weighted_seminorm_sq(parts.w_lap - kept, scenario.x_r)
+            ul_edit[..., i] = weighted_seminorm_sq(joint_w_r + kept - w_f_lap, scenario.x_f)
         predictions.append(TheoremPrediction(rl_edit=rl_edit, ul_edit=ul_edit))
     return predictions

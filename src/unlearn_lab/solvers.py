@@ -69,8 +69,8 @@ def _validate_option(layout: FeatureLayout, option: EditOption) -> None:
 
 
 def edit_pretrained(w_o: np.ndarray, layout: FeatureLayout, option: EditOption) -> np.ndarray:
-    """Zero the forgetting-related coordinates of a pretrained model
-    (of each row, for a stack ``(S, d)``).
+    """Zero the forgetting-related coordinates of a pretrained model, or
+    of each model of a stack ``(..., d)`` with any leading axes.
 
     ``DISTINCT_ZERO_FORGET`` and ``OVERLAP_DISCARD`` keep only the
     remaining-only block; ``OVERLAP_RETAIN`` keeps the remaining and
@@ -78,7 +78,7 @@ def edit_pretrained(w_o: np.ndarray, layout: FeatureLayout, option: EditOption) 
     idempotent and commutes with scalar rescaling of ``w_o``.
     """
     w_o = np.asarray(w_o, dtype=np.float64)
-    if w_o.ndim not in (1, 2) or w_o.shape[-1] != layout.d:
+    if w_o.shape[-1:] != (layout.d,):
         raise LayoutMismatchError(
             f"weights have shape {w_o.shape} but the layout has d = {layout.d}"
         )

@@ -18,7 +18,6 @@ from unlearn_lab.classifier import (
     SoftmaxClassifier,
     _Objective,
     _StackCE,
-    _Targets,
     ft_coefficients,
     gen_class_task,
     pretrain,
@@ -410,15 +409,15 @@ class TestSplitClass:
 
 
 class TestArrayHoldersCompareByIdentity:
-    """Sets, models and kernel targets hold arrays, so they compare, hash
-    and test membership by identity instead of raising."""
+    """Sets, models and cross-entropy passes hold arrays, so they compare,
+    hash and test membership by identity instead of raising."""
 
     def test_equal_valued_holders_are_distinct_and_hashable(self):
         train, _ = gen_class_task(3, 4, 5, sep=2.0, seed=0)
         weights, bias = np.ones((3, 5)), np.zeros(3)
         for make in (lambda: LabeledSet(train.features.copy(), train.labels.copy()),
                      lambda: SoftmaxClassifier(weights.copy(), bias.copy()),
-                     lambda: _Targets.of(train, 3)):
+                     lambda: _StackCE(train, 3, (1,))):
             first, second = make(), make()
             assert first == first and first != second
             assert first in [second, first] and first not in [second]
@@ -634,7 +633,7 @@ class TestOnesRowContract:
         train, _ = gen_class_task(4, 6, 5, sep=3.0, seed=0)
         fortran = LabeledSet(np.asfortranarray(train.features), train.labels)
         for data in (train, *split_class(train, 1), fortran, *self._stacked_sets()):
-            features = _Targets.of(data, 4).features
+            features = _StackCE(data, 4, data.features.shape[:-2] + (1,)).features
             assert features.shape == data.features.shape[:-2] + (6, data.size)
             assert features.flags.c_contiguous
             assert np.array_equal(features[..., :-1, :], data.features)
@@ -643,24 +642,24 @@ class TestOnesRowContract:
     def test_one_build_per_set_per_fit_and_the_bias_is_the_last_column(self, monkeypatch):
         train, remain, relabeled = self._stacked_sets()
         built, fitted = [], []
-        real_of, real_fit = _Targets.of, classifier.fit_softmax
+        real_init, real_fit = _StackCE.__init__, classifier.fit_softmax
 
-        def counting(cls, data, num_classes):
+        def counting(self, data, num_classes, lead):
             built.append(data if isinstance(data, LabeledSet) else tuple(data))
-            return real_of(data, num_classes)
+            real_init(self, data, num_classes, lead)
 
         def keeping(*args, **kwargs):
             params, trace = real_fit(*args, **kwargs)
             fitted.append(params)
             return params, trace
 
-        monkeypatch.setattr(_Targets, "of", classmethod(counting))
+        monkeypatch.setattr(_StackCE, "__init__", counting)
         monkeypatch.setattr(classifier, "fit_softmax", keeping)
         model = pretrain(train, 20, 0.1, num_classes=4)
         assert built == [train]
         coefs = [ft_coefficients("naive-ft", 0.0), ft_coefficients("kl-ft", 0.5)]
         finals = unlearn_ft([model, model], coefs, remain, relabeled, 20, 0.1)
-        # The fine-tune builds its two sets once, as one joint target.
+        # The fine-tune builds its two sets once, as one joint pass.
         assert built == [train, (remain, relabeled)]
         # The stacks keep their seed axis: (S, 1, K, D + 1), then (S, M, K, D + 1).
         assert [params.shape for params in fitted] == [(2, 1, 4, 6), (2, 2, 4, 6)]
@@ -672,7 +671,7 @@ class TestOnesRowContract:
 
 class TestJointPass:
     """The fine-tune reads its remain and forget sets as the two segments
-    of one :class:`_Targets`, and an epoch makes one cross-entropy pass
+    of one :class:`_StackCE`, and an epoch makes one cross-entropy pass
     over both: each segment gets the bits of a pass over its own set.
     The draws reach the cases where numpy and the BLAS change their order
     of summation: segments of one column, at least eight classes, and
@@ -685,7 +684,7 @@ class TestJointPass:
         real = _StackCE.__call__
 
         def counting(self, params):
-            calls.append(self.targets.ends)
+            calls.append(self.ends)
             return real(self, params)
 
         monkeypatch.setattr(_StackCE, "__call__", counting)

@@ -404,13 +404,13 @@ class TestStackedOracleKernels:
         x, _ = TestStackedSolves._stack(shape)
         v = np.random.default_rng(3).standard_normal(shape[:2])
         p = projector(x)
-        values = weighted_seminorm_sq(v, x, 4)
+        values = weighted_seminorm_sq(v, x)
         assert p.shape == (shape[0], shape[1], shape[1]) and values.shape == shape[:1]
         ranks = [np.linalg.matrix_rank(member) for member in x]
         for i, member in enumerate(x):
             assert np.array_equal(p[i], projector(member))
             assert np.linalg.matrix_rank(p[i]) == ranks[i]
-            assert values[i] == weighted_seminorm_sq(v[i], member, 4)
+            assert values[i] == weighted_seminorm_sq(v[i], member)
         if shape[0] > 1:
             assert len(set(ranks)) > 1
 
@@ -439,11 +439,11 @@ class TestStackedOracleKernels:
     def test_vectors_must_match_the_stack(self):
         x, _ = TestStackedSolves._stack((4, 5, 3))
         with pytest.raises(InvalidMatrixError, match=r"^v must have shape \(4, k\) .* \(3, 5\)$"):
-            weighted_seminorm_sq(np.zeros((3, 5)), x, 3)
+            weighted_seminorm_sq(np.zeros((3, 5)), x)
         with pytest.raises(InvalidMatrixError, match=r"^v must have shape \(4, k\) .* \(5,\)$"):
-            weighted_seminorm_sq(np.zeros(5), x, 3)
+            weighted_seminorm_sq(np.zeros(5), x)
         with pytest.raises(InvalidMatrixError, match="x has 5 features but v has 4"):
-            weighted_seminorm_sq(np.zeros((4, 4)), x, 3)
+            weighted_seminorm_sq(np.zeros((4, 4)), x)
 
 
 class TestSeedAxes:
@@ -459,8 +459,8 @@ class TestSeedAxes:
         ("w_o", lambda x, y, v: min_norm_anchor_solve(x, y, np.zeros((3, 2, 5)))),
         ("y_t", lambda x, y, v: min_norm_anchor_solve(x, y[:2], v)),
         ("y_t", lambda x, y, v: min_norm_anchor_solve(x[0], y, v)),
-        ("v", lambda x, y, v: weighted_seminorm_sq(v, x[0], 4)),
-        ("v", lambda x, y, v: weighted_seminorm_sq(v[None], x, 4)),
+        ("v", lambda x, y, v: weighted_seminorm_sq(v, x[0])),
+        ("v", lambda x, y, v: weighted_seminorm_sq(v[None], x)),
     ])
     def test_mismatched_leading_axes_name_the_vector(self, name, call):
         x, y = TestStackedSolves._stack((3, 5, 4))
@@ -479,34 +479,37 @@ class TestSeedAxes:
 
 class TestWeightedSeminorm:
     def test_zero_vector(self):
-        assert weighted_seminorm_sq(np.zeros(3), np.eye(3), 3) == 0.0
+        assert weighted_seminorm_sq(np.zeros(3), np.eye(3)) == 0.0
 
     def test_identity_weighting(self):
         rng = np.random.default_rng(11)
         v = rng.standard_normal(5)
         expected = float(v @ v) / 5
-        assert abs(weighted_seminorm_sq(v, np.eye(5), 5) - expected) < 1e-14
+        assert abs(weighted_seminorm_sq(v, np.eye(5)) - expected) < 1e-14
 
     def test_null_space_vector_measures_zero(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((8, 3))
         v = (np.eye(8) - projector(x)) @ rng.standard_normal(8)
-        assert weighted_seminorm_sq(v, x, 3) < 1e-20
+        assert weighted_seminorm_sq(v, x) < 1e-20
 
     def test_nonnegative(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             x = rng.standard_normal((6, 4))
             v = rng.standard_normal(6)
-            assert weighted_seminorm_sq(v, x, 4) >= 0.0
+            assert weighted_seminorm_sq(v, x) >= 0.0
 
-    def test_bad_n_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_seminorm_sq(np.zeros(2), np.eye(2), 0)
+    def test_zero_samples_rejected(self):
+        # The sample count is the column count of x; InvalidMatrixError is
+        # the package error that a seed's rerun catches.
+        for x, v in ((np.zeros((2, 0)), np.zeros(2)), (np.zeros((3, 2, 0)), np.zeros((3, 2)))):
+            with pytest.raises(InvalidMatrixError, match="^x has no samples$"):
+                weighted_seminorm_sq(v, x)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidMatrixError):
-            weighted_seminorm_sq(np.zeros(3), np.eye(2), 2)
+            weighted_seminorm_sq(np.zeros(3), np.eye(2))
 
 
 class TestBlockStructure:

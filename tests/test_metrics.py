@@ -73,6 +73,13 @@ class TestMseLoss:
         with pytest.raises(InvalidMatrixError, match="^x has 3 features and 4 samples, but "):
             mse_loss(np.zeros(3), np.zeros((3, 4)), np.zeros(5))
 
+    def test_zero_samples_rejected(self):
+        # InvalidMatrixError is the package error that a seed's rerun catches.
+        for w, x, y in ((np.zeros(3), np.zeros((3, 0)), np.zeros(0)),
+                        (np.zeros((2, 3)), np.zeros((2, 3, 0)), np.zeros((2, 0)))):
+            with pytest.raises(InvalidMatrixError, match="^x has no samples$"):
+                mse_loss(w, x, y)
+
     def test_a_stack_measures_each_member_alone(self):
         rng = np.random.default_rng(3)
         w, x, y = (rng.standard_normal(shape) for shape in ((5, 7), (5, 7, 9), (5, 9)))

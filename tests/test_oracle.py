@@ -110,7 +110,7 @@ class TestPredictOverlap:
 
         parts = decompose_w_star(t)
         p_r = projector(t.x_r)
-        expected = weighted_seminorm_sq(p_r @ parts.w_r - parts.w_f, t.x_f, t.n_f)
+        expected = weighted_seminorm_sq(p_r @ parts.w_r - parts.w_f, t.x_f)
         assert abs(predict_overlap(t).ul_gold - expected) <= 1e-12 * max(expected, 1.0)
 
     def test_reference_geometry_matches_measurement(self):
@@ -306,21 +306,23 @@ class TestLoneCallIsAOneMemberStack:
         self._same(projector(x), projector(xs))
         self._same(min_norm_solve(x, y), min_norm_solve(xs, ys))
         self._same(w, min_norm_anchor_solve(xs_t, ys_t, anchors[..., None, :]), axis=-2)
-        self._same(weighted_seminorm_sq(w[0, 0], s.x_f, s.n_f),
-                   weighted_seminorm_sq(w[0, :1], stack.x_f, stack.n_f))
+        self._same(weighted_seminorm_sq(w[0, 0], s.x_f), weighted_seminorm_sq(w[0, :1], stack.x_f))
         self._same(mse_loss(w[0, 0], s.x_r, s.y_r), mse_loss(w[0, :1], stack.x_r, stack.y_r))
         for tag, weights in (("golden", w[0, 0]), ("fine_tuned", w)):
             lone, stacked = (measure_losses(weights, s, tag),
                              measure_losses(weights[..., None, :], stack, tag))
             self._same(lone.rl, stacked.rl, axis=-1)
             self._same(lone.ul, stacked.ul, axis=-1)
+        options = list(EditOption) if layout.is_distinct else list(EditOption)[1:]
+        for option in options:
+            self._same(edit_pretrained(w, s.layout, option),
+                       edit_pretrained(w[..., None, :], stack.layout, option), axis=-2)
 
         predictors = [predict_overlap] + ([predict_distinct] if layout.is_distinct else [])
         for predict in predictors:
             lone, stacked = predict(s), predict(stack)
             self._same(lone.ul_gold, stacked.ul_gold)
             assert lone.rl_ft == lone.ul_ft == lone.rl_gold == 0.0
-        options = list(EditOption) if layout.is_distinct else list(EditOption)[1:]
         nt_values = [1, 7, 16, 24, 29]
         for lone, stacked in zip(predict_edited(s, options, nt_values),
                                  predict_edited(stack, options, nt_values), strict=True):

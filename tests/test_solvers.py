@@ -312,6 +312,16 @@ class TestEditPretrained:
             edit_pretrained(np.zeros(5), FeatureLayout(2, 2, 2),
                             EditOption.OVERLAP_RETAIN)
 
+    def test_any_leading_axes_edit_each_start_alone(self):
+        starts = np.random.default_rng(2).standard_normal((2, 3, 40))
+        edited = edit_pretrained(starts, DISTINCT, EditOption.OVERLAP_RETAIN)
+        assert edited.shape == starts.shape
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(
+                edited[index], edit_pretrained(starts[index], DISTINCT, EditOption.OVERLAP_RETAIN))
+        with pytest.raises(LayoutMismatchError, match=r"shape \(2, 3, 39\) but the layout has d = 40"):
+            edit_pretrained(starts[..., :39], DISTINCT, EditOption.OVERLAP_RETAIN)
+
 
 class TestClosedFormDistinct:
     def test_matches_fine_tuning_across_subset_sizes(self):
