@@ -58,6 +58,17 @@ segments of one pass, and its :class:`_Objective` mixes the segments'
 losses and gradients.  An epoch is then one pass, one mix and one
 parameter update, and each segment gets the bits of a pass over its own
 set.
+
+The logits buffer is held class-first, ``(K, *lead, m)``: the gemms
+write and read its ``(*lead, K, m)`` view, and each class-axis step of
+the pass (the max, the shift, the sum, the divide and the one-hot
+subtraction) is then one contiguous sweep per class instead of a loop of
+``m``-column rows per member and class.  Only the gemms' leading
+dimension changes, which leaves their bits alone.  numpy adds the
+classes of a column of this buffer row by row, but those of a pass over
+one column alone pairwise, and the two orders round differently from
+eight classes up; so a segment of one column copies each member's
+classes to a small buffer and adds them again as its own pass does.
 """
 
 from __future__ import annotations
@@ -209,16 +220,26 @@ class _StackCE:
       D + 1, m)``: against ``(K, D + 1)`` parameters whose last column is
       the bias, the forward gemm adds the bias and the gradient gemm
       returns its gradient as the last column;
-    - ``onehot``, the ``(K, m)`` target matrix, 1.0 at each column's
-      label, and ``target_index``, the targets of a ``(K, m)`` logits
-      block flattened to ``K * m``, as ``labels * m + arange(m)``.
-      Stacked sets share their labels, so all their seeds share both;
+    - ``z``, the logits buffer, held class-first: C-contiguous ``(K,
+      *lead, m)``.  The gemms write and read its ``(*lead, K, m)`` view
+      (the buffer's axis moved, so only their leading dimension changes),
+      and every per-column value, ``(*lead, m)``, broadcasts against it
+      over the leading axis alone: each class-axis step of the pass is
+      one contiguous sweep per class, and the max and the sum over the
+      classes are ``K - 1`` elementwise row operations;
+    - ``onehot``, the target matrix at the buffer's shape, 1.0 at each
+      column's label, so that subtracting it is a same-shape pass, and
+      ``target_index``, each member's targets in the flattened buffer,
+      ``labels * J * m + j * m + arange(m)`` for member ``j`` of the ``J =
+      prod(lead)``.  Stacked sets share their labels, so all their seeds
+      share both;
     - ``ends``, the segments' end columns: ``(m,)`` for one set and
       ``(m_r, m_r + m_f)`` for a remain and a forget set;
-    - the ``(*lead, K, m)`` logits buffer and the ``(2, *lead, m)`` buffer
-      of the per-column maxima, sums and targets (a fresh stack-sized
-      buffer per epoch would let the allocator map new pages every epoch),
-      and the views of them and of the features that the pass reads.
+    - the ``(2, *lead, m)`` buffer of the per-column maxima, sums and
+      targets and the ``(*lead, K)`` buffer of a lone column's classes (a
+      fresh stack-sized buffer per epoch would let the allocator map new
+      pages every epoch), and the views of them and of the features that
+      the pass reads.
 
     The features get a member axis for each axis of ``lead`` they lack,
     so one broadcasting gemm per product pairs every member with its own
@@ -234,10 +255,6 @@ class _StackCE:
         sets = (data,) if isinstance(data, LabeledSet) else tuple(data)
         labels = np.concatenate([s.labels for s in sets])
         m = labels.shape[0]
-        cols = np.arange(m)
-        self.onehot = np.zeros((num_classes, m))
-        self.onehot[labels, cols] = 1.0
-        self.target_index = labels * m + cols
         self.ends = ends = tuple(itertools.accumulate(s.size for s in sets))
         bounds = list(zip((0,) + ends, ends))
         dim = sets[0].features.shape[-2]
@@ -251,16 +268,21 @@ class _StackCE:
         # The logits turn into the logit gradient in place, and the per-column
         # values share two rows: a stack's fresh temporaries would cost more
         # than its arithmetic.
-        self.z = z = np.empty(lead + (num_classes, m))
+        self.z = z = np.empty((num_classes,) + lead + (m,))
+        logits = np.moveaxis(z, 0, -2)
+        self.onehot = np.zeros_like(z)
+        np.moveaxis(self.onehot, 0, -2)[..., labels, np.arange(m)] = 1.0
+        self.target_index = labels * z[0].size + np.arange(z[0].size).reshape(z.shape[1:])
         self.columns = np.empty((2,) + lead + (m,))
         total, shifted_target = self.columns
-        # The logits flat for the target take, the totals broadcast against
-        # them, per segment its column count and its slices of the features,
-        # logits, targets and transposed features, and each one-column segment.
-        self.flat, self.totals = z.reshape(lead + (-1,)), total[..., None, :]
-        self.segments = [(hi - lo, features[..., lo:hi], z[..., lo:hi], shifted_target[..., lo:hi],
-                          features_t[..., lo:hi, :]) for lo, hi in bounds]
-        self.lone = [(z[..., lo:hi], total[..., lo:hi]) for lo, hi in bounds if hi - lo == 1]
+        # Per segment its column count and its slices of the features,
+        # logits, targets and transposed features; per one-column segment,
+        # its classes member-major and its total.
+        self.segments = [(hi - lo, features[..., lo:hi], logits[..., lo:hi],
+                          shifted_target[..., lo:hi], features_t[..., lo:hi, :])
+                         for lo, hi in bounds]
+        self.lone_classes = np.empty(lead + (num_classes,))
+        self.lone = [(logits[..., lo], total[..., lo]) for lo, hi in bounds if hi - lo == 1]
 
     def __call__(self, params):
         """Each set's mean cross-entropy at ``(*lead, K, D + 1)`` parameters,
@@ -286,17 +308,19 @@ class _StackCE:
         for _, features, logits, _, _ in self.segments:
             np.matmul(params, features, out=logits)
         total, shifted_target = self.columns
-        np.maximum.reduce(z, axis=-2, out=total)
-        z -= self.totals
+        np.maximum.reduce(z, axis=0, out=total)
+        z -= total
         # mode="clip" lets take write into its output unbuffered; no index clips.
-        self.flat.take(self.target_index, axis=-1, out=shifted_target, mode="clip")
+        z.take(self.target_index, out=shifted_target, mode="clip")
         np.exp(z, out=z)
-        np.add.reduce(z, axis=-2, out=total)
+        np.add.reduce(z, axis=0, out=total)
         for logits, column_total in self.lone:
-            # numpy sums the K entries of a lone column pairwise and those of
-            # wider blocks row by row; this is the sum of its set's own pass.
-            np.add.reduce(logits, axis=-2, out=column_total)
-        z /= self.totals
+            # Over the buffer numpy adds a column's K entries row by row; a
+            # pass over one column alone adds them pairwise, as a reduction
+            # along a contiguous last axis does.
+            np.copyto(self.lone_classes, logits)
+            np.add.reduce(self.lone_classes, axis=-1, out=column_total)
+        z /= total
         shifted_target -= np.log(total, out=total)
         z -= self.onehot
         result = []
@@ -424,11 +448,12 @@ def fit_softmax(
     for attempt in range(MAX_HALVINGS + 1):
         p = params.copy()
         step = (step_size / 2.0 ** halvings)[..., None, None]
-        for epoch in range(epochs):
-            # Divergence is detected via the loss value; silence the
-            # redundant overflow warnings on that path, where a member that
-            # diverged descends on until the restart.
-            with np.errstate(over="ignore", invalid="ignore"):
+        # Divergence is detected via the loss value; silence the redundant
+        # overflow warnings on that path, where a member that diverged
+        # descends on until the restart.  Entered once per attempt, not once
+        # per epoch: each entry has a fixed cost of its own.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(epochs):
                 loss, grad = value_and_grad(p)
                 finite = np.isfinite(loss)
                 if not finite.all():

@@ -39,13 +39,14 @@ order of the cells, and :func:`render_csv` checks each row against it.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
 import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -757,6 +758,49 @@ def summary_path_for(csv_path: Path) -> Path:
     return csv_path.with_suffix(".summary.json")
 
 
+#: Where numpy's wheels bundle OpenBLAS, relative to the directory that
+#: holds the ``numpy`` package: ``numpy.libs`` on Linux and Windows,
+#: ``numpy/.dylibs`` on macOS.
+OPENBLAS_GLOBS = ("numpy.libs/libscipy_openblas64_*", "numpy/.dylibs/libscipy_openblas64_*")
+
+
+def _openblas_string(lib: ctypes.CDLL, name: str) -> str | None:
+    """The string that ``lib``'s query function ``name`` returns, or None
+    where the library has no such function."""
+    try:
+        query = getattr(lib, name)
+    except AttributeError:
+        return None
+    query.argtypes, query.restype = [], ctypes.c_char_p
+    value = query()
+    return None if value is None else value.decode("ascii", "replace").strip()
+
+
+@cache
+def _openblas() -> tuple[str | None, str | None]:
+    """The core name of the OpenBLAS kernel this process runs and the
+    library's config string, read from numpy's bundled OpenBLAS once per
+    process; each is None where it cannot be read."""
+    packages = Path(np.__file__).resolve().parent.parent
+    for pattern in OPENBLAS_GLOBS:
+        for path in sorted(packages.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            return (_openblas_string(lib, "scipy_openblas_get_corename64_"),
+                    _openblas_string(lib, "scipy_openblas_get_config64_"))
+    return None, None
+
+
+def platform_record() -> dict:
+    """What a run's floating-point bits depend on: numpy's version and the
+    OpenBLAS kernel's core name and config string (None where unreadable).
+    The linear CSVs repeat byte for byte only on the same numpy and kernel."""
+    core, config = _openblas()
+    return {"numpy": np.__version__, "openblas_core": core, "openblas_config": config}
+
+
 def write_outputs(result: ExperimentResult, csv_path: str | Path) -> Path:
     """Write the CSV and its JSON summary; returns the CSV path."""
     csv_path = Path(csv_path)
@@ -774,6 +818,7 @@ def write_outputs(result: ExperimentResult, csv_path: str | Path) -> Path:
         "rank_deficient_solves": result.rank_deficient_solves,
         "total_runtime_seconds": result.total_runtime_seconds,
         "stages": result.stages,
+        "platform": platform_record(),
     }
     summary_path_for(csv_path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return csv_path

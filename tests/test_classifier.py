@@ -709,8 +709,63 @@ class TestJointPass:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert term.z.shape == (1, 16, 5, remain.size + relabeled.size)
+        assert term.z.shape == (5, 1, 16, remain.size + relabeled.size)
         assert peak < term.z.nbytes
+
+    def test_the_logits_are_held_class_first(self):
+        # Held class-first, every per-column value broadcasts over the
+        # buffer's leading axis alone, and the one-hot is subtracted as a
+        # same-shape pass.
+        train, _ = gen_class_task(4, 5, 4, sep=3.0, seed=1)
+        forget, remain = split_class(train, 2)
+        relabeled = LabeledSet(forget.features, relabel_forget(forget.labels, 4))
+        lead, sets = (2, 3), [LabeledSet(np.stack([s.features] * 2), s.labels)
+                              for s in (remain, relabeled)]
+        labels = np.concatenate([remain.labels, relabeled.labels])
+        m, cols = labels.size, np.arange(labels.size)
+        term = _StackCE(sets, 4, lead)
+        assert term.z.shape == term.onehot.shape == (4,) + lead + (m,)
+        assert term.z.flags.c_contiguous
+        logits = np.moveaxis(term.z, 0, -2)
+        onehot = np.zeros(lead + (4, m))
+        onehot[..., labels, cols] = 1.0
+        assert np.array_equal(np.moveaxis(term.onehot, 0, -2), onehot)
+        # The flat take gathers each member's targets from the buffer.
+        term.z[...] = np.arange(term.z.size).reshape(term.z.shape)
+        assert np.array_equal(term.z.take(term.target_index), logits[..., labels, cols])
+        params = np.random.default_rng(2).standard_normal(lead + (4, 5))
+        got = term(params)
+        # The forward gemms write the (*lead, K, m) view, which holds the
+        # logit gradient at the end, and the gradient gemms read it.
+        features = term.features[:, None]
+        want = softmax_probs(params @ features) - onehot
+        np.testing.assert_allclose(logits, want, rtol=0.0, atol=1e-15)
+        for (lo, hi), grad in zip(((0, remain.size), (remain.size, m)), got[1::2]):
+            assert np.array_equal(
+                grad, logits[..., lo:hi] @ np.swapaxes(features[..., lo:hi], -1, -2) / (hi - lo))
+
+    def test_a_lone_column_sums_its_classes_as_its_own_pass(self):
+        # A one-column forget segment of 12 classes: over the class-first
+        # buffer numpy adds a column's classes row by row, and a pass over
+        # the column alone adds them pairwise.  The draw is one where the
+        # two orders differ, so only the lone re-sum gives the member its
+        # own pass's bits.
+        num_classes, lead = 12, (2, 3)
+        rng = np.random.default_rng(3)
+        remain = LabeledSet(rng.standard_normal((2, 4, 9)), rng.integers(0, num_classes, size=9))
+        forget = LabeledSet(rng.standard_normal((2, 4, 1)), np.array([7]))
+        params = pack(rng.standard_normal(lead + (num_classes, 4)),
+                      rng.standard_normal(lead + (num_classes,)))
+        z = params @ np.concatenate([forget.features, np.ones((2, 1, 1))], axis=-2)[:, None]
+        exp = np.exp(z - z.max(axis=-2, keepdims=True))[..., 0]
+        row_by_row = np.add.reduce(np.ascontiguousarray(np.moveaxis(exp, -1, 0)), axis=0)
+        assert not np.array_equal(row_by_row, np.add.reduce(exp, axis=-1))
+        got = _StackCE([remain, forget], num_classes, lead)(params)
+        for member in np.ndindex(lead):
+            for segment, s in zip((got[:2], got[2:]), (remain, forget)):
+                own = LabeledSet(s.features[member[:-1]], s.labels)
+                _assert_same_bits([term[member] for term in segment],
+                                  kernel(params[member], own))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,5 +1,6 @@
 """Tests for the experiment runner, CSV/JSON outputs, and the CLI."""
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -1335,3 +1336,45 @@ class TestWriteOutputs:
         assert summary["experiment"] == "sweep-nt"
         assert summary["rows"] == 1
         assert summary["passed"] is None
+
+
+class TestPlatformRecord:
+    """The summary names what the run's bits depend on: numpy's version and
+    the OpenBLAS kernel, read once per process and null where unreadable."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_read(self):
+        experiments._openblas.cache_clear()
+        yield
+        experiments._openblas.cache_clear()
+
+    def test_the_summary_records_the_platform_read_once(self, tmp_path, monkeypatch):
+        opened = []
+        real = ctypes.CDLL
+
+        def counting(name, *args, **kwargs):
+            opened.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", counting)
+        cfg = validate_config(dict(NT_DISTINCT_CFG, nt_values=[1]), "sweep-nt")
+        result = run_experiment("sweep-nt", cfg)
+        csvs = []
+        for run in range(2):
+            csv_path = write_outputs(result, tmp_path / f"{run}.csv")
+            csvs.append(csv_path.read_text())
+            platform = json.loads(summary_path_for(csv_path).read_text())["platform"]
+            assert platform == experiments.platform_record()
+            assert platform["numpy"] == np.__version__
+            for name in ("openblas_core", "openblas_config"):
+                assert platform[name] is None or (isinstance(platform[name], str)
+                                                  and platform[name])
+        assert len(opened) <= 1 and (platform["openblas_core"] is None or opened)
+        assert csvs[0] == csvs[1] == render_csv(result)
+
+    def test_an_unreadable_library_is_null(self, monkeypatch):
+        monkeypatch.setattr(experiments, "OPENBLAS_GLOBS", ("no-such-directory/*",))
+        assert experiments.platform_record() == {
+            "numpy": np.__version__, "openblas_core": None, "openblas_config": None}
+        # A library without the query function.
+        assert experiments._openblas_string(object(), "scipy_openblas_get_corename64_") is None
