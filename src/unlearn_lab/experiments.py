@@ -298,13 +298,18 @@ ACROSS = [
      lambda c: c["distinct_layout"][1] == 0),
     # The overlap edit predictions are exact only once the remaining data
     # can span the remaining and overlap blocks (see the oracle module).
-    (("n_r", "overlap_layout"), "overlap_layout must have d_lap = 0 or d_r + d_lap <= n_r",
-     lambda c: c["overlap_layout"][1] == 0 or sum(c["overlap_layout"][:2]) <= c["n_r"]),
+    *((("n_r", size), f"{size} must have d_lap = 0 or d_r + d_lap <= n_r",
+       lambda c, size=size: c[size][1] == 0 or sum(c[size][:2]) <= c["n_r"])
+      for size in ("overlap_layout", "layout")),
     (("n_r", "n_t"), "n_t must be <= n_r - 1", lambda c: c["n_t"] <= c["n_r"] - 1),
     (("n_r", "nt_values"), "every n_t in nt_values must be <= n_r - 1",
      lambda c: c["nt_values"] is None or max(c["nt_values"]) <= c["n_r"] - 1),
     (("d", "d_lap_values"), "every d_lap must be < d, with d - d_lap even",
      lambda c: all(d_lap < c["d"] and (c["d"] - d_lap) % 2 == 0 for d_lap in c["d_lap_values"])),
+    # The same regime for sweep-overlap, whose layouts have
+    # d_r = (d - d_lap) / 2.
+    (("d", "n_r", "d_lap_values"), "every d_lap > 0 must have (d + d_lap) / 2 <= n_r",
+     lambda c: all(d_lap == 0 or c["d"] + d_lap <= 2 * c["n_r"] for d_lap in c["d_lap_values"])),
 ]
 
 
@@ -695,8 +700,9 @@ def run_experiment(experiment: str, cfg: dict) -> ExperimentResult:
     ``verify-theorems`` sets ``passed``.  The classifier schema appends
     mean and std rows after the per-seed rows.  ``rank_deficient_solves``
     counts the run's rank-deficient factorizations, failed seeds
-    included: ``{"solvers": ..., "oracle": ...}``, by whose work they are,
-    and ``stages`` the wall seconds of each of the experiment's :data:`STAGES`.
+    included: ``{"solvers": ..., "oracle": ...}``, by the side of the
+    kernel that factored them, and ``stages`` the wall seconds of each of
+    the experiment's :data:`STAGES`.
     At ``INFO`` it logs one line per failed seed, with its error, as the
     seed fails, and one line per stage with its seconds, in
     :data:`STAGES` order, once the run ends.

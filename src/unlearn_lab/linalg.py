@@ -31,10 +31,11 @@ and factors its own input.
 A :class:`RankDeficiencyCount` counts, inside its ``with`` block, the
 members of truncated SVDs whose rank falls short of the matrix's
 smaller side: the event ``--log-level DEBUG`` shows, counted at every
-level and apart for the solvers and for the functions marked
-:func:`oracle_work`.  A held block keeps its records until they are
-released, so a stack that is dropped and rerun seed by seed is counted
-once.
+level and by the side of the kernel that factored them, ``"solvers"``
+for the min-norm solves and ``"oracle"`` for the projector and the
+pseudoinverse, whoever calls them.  A held block keeps its records
+until they are released, so a stack that is dropped and rerun seed by
+seed is counted once.
 
 Conventions: a data matrix ``X`` is ``d x n`` (features by samples), the
 linear system it induces is ``X^T w = y``, singular values are reported
@@ -44,7 +45,6 @@ strictly greater than its :func:`default_sv_cutoff`.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from contextvars import ContextVar
@@ -161,11 +161,11 @@ def default_sv_cutoff(shape: tuple[int, int], s_max):
 class RankDeficiencyCount:
     """Counts the rank-deficient truncated SVDs made inside ``with`` blocks.
 
-    ``counts["oracle"]`` grows by one wherever :func:`_truncated_svd`
-    finds a member rank-deficient inside a function marked
-    :func:`oracle_work`, and ``counts["solvers"]`` wherever it finds one
-    elsewhere, whatever the log level.  The counts live in the caller's
-    object; only the innermost open block counts.
+    ``counts[side]`` grows by one wherever :func:`_truncated_svd` finds
+    a member rank-deficient for ``side``, whatever the log level:
+    ``"solvers"`` in the min-norm solves, ``"oracle"`` in
+    :func:`projector` and :func:`pseudoinverse`, whoever calls them.  The
+    counts live in the caller's object; only the innermost open block counts.
 
     A block opened with ``hold=True`` counts and logs nothing yet: it
     keeps each record until :meth:`release` passes them on to the block
@@ -195,43 +195,29 @@ class RankDeficiencyCount:
 
 _RANK_DEFICIENCY_COUNT: ContextVar[RankDeficiencyCount | None] = ContextVar(
     "rank_deficiency_count", default=None)
-_ORACLE_WORK: ContextVar[bool] = ContextVar("oracle_work", default=False)
 
 
-def oracle_work(fn):
-    """Mark ``fn`` as the oracle's: :class:`RankDeficiencyCount` counts the
-    rank-deficient SVDs made inside it as ``"oracle"``."""
-    @functools.wraps(fn)
-    def marked(*args, **kwargs):
-        token = _ORACLE_WORK.set(True)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _ORACLE_WORK.reset(token)
-
-    return marked
-
-
-def _rank_deficient(oracle: bool, shape: tuple, rank: int, cutoff: float) -> None:
+def _rank_deficient(side: str, shape: tuple, rank: int, cutoff: float) -> None:
     counting = _RANK_DEFICIENCY_COUNT.get()
     if counting is not None and counting.held is not None:
-        counting.held.append((oracle, shape, rank, cutoff))
+        counting.held.append((side, shape, rank, cutoff))
         return
     if counting is not None:
-        counting.counts["oracle" if oracle else "solvers"] += 1
+        counting.counts[side] += 1
     # Routine for block-structured data (zero feature rows), hence debug.
     logger.debug(
         "rank-deficient matrix: shape %s has rank %d (cutoff %.3e)", shape, rank, cutoff,
     )
 
 
-def _truncated_svd(a: np.ndarray) -> list[tuple]:
+def _truncated_svd(a: np.ndarray, side: str) -> list[tuple]:
     """SVD of each member of a stack ``(S, d, n)``, restricted to its
     singular values strictly above its :func:`default_sv_cutoff`.
 
     Every member has its own cutoff, which scales with its own largest
-    singular value, its own rank and, when that rank falls short
-    of ``min(d, n)``, its own DEBUG record.  Returns one ``(members, u,
+    singular value, its own rank and, when that rank falls short of
+    ``min(d, n)``, its own DEBUG record, counted for ``side``, the
+    caller's: ``"solvers"`` or ``"oracle"``.  Returns one ``(members, u,
     s, v)`` group per distinct rank, in the order the members first reach
     it: ``members`` indexes the stack, ``slice(None)`` when every member
     has that rank, and ``u``, ``s``, ``v`` stack those members' truncated
@@ -243,10 +229,9 @@ def _truncated_svd(a: np.ndarray) -> list[tuple]:
     shape = a.shape[1:]
     cutoff = default_sv_cutoff(shape, s[:, 0] if s.shape[1] else np.zeros(len(s)))
     ranks = (s > cutoff[:, None]).sum(axis=1).tolist()
-    oracle = _ORACLE_WORK.get()
     for member, rank in enumerate(ranks):
         if rank < min(shape):
-            _rank_deficient(oracle, shape, rank, float(cutoff[member]))
+            _rank_deficient(side, shape, rank, float(cutoff[member]))
     vh = _transposed(v)
     distinct = dict.fromkeys(ranks)
     groups = []
@@ -269,7 +254,7 @@ def pseudoinverse(a) -> np.ndarray:
     exact zeros.
     """
     arr = _validated(a, "matrix", "2-D", lambda ndim: ndim == 2)
-    [(_, u, s, v)] = _truncated_svd(arr[None])
+    [(_, u, s, v)] = _truncated_svd(arr[None], "oracle")
     if s.shape[1] == 0:
         return np.zeros((arr.shape[1], arr.shape[0]))
     return (v[0] / s[0]) @ u[0].T
@@ -289,7 +274,7 @@ def projector(x) -> np.ndarray:
     arr, seeds = seed_stack(x, "x")
     # Only the left factors are kept, and the output is allocated once the
     # right singular vectors are freed, so the two never coexist.
-    groups = [(members, u) for members, u, _, _ in _truncated_svd(arr)]
+    groups = [(members, u) for members, u, _, _ in _truncated_svd(arr, "oracle")]
     matrix = np.empty(arr.shape[:2] + arr.shape[1:2])
     for members, u in groups:
         if isinstance(members, slice):
@@ -308,7 +293,7 @@ def _min_norm(arr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``rhs`` vector, in C order, above its :func:`consistency_tol`.
     """
     w = np.zeros(rhs.shape[:-1] + arr.shape[1:2])
-    for members, u, s, v in _truncated_svd(arr):
+    for members, u, s, v in _truncated_svd(arr, "solvers"):
         if s.shape[1]:
             # (X^T)^+ = U diag(1/s) V^T from the thin SVD X = U diag(s) V^T.
             coef = (_transposed(v) @ rhs[..., members, :][..., None]) / s[..., None]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayoutMismatchError
-from .linalg import oracle_work, projector, pseudoinverse, weighted_seminorm_sq
+from .linalg import projector, pseudoinverse, weighted_seminorm_sq
 from .scenarios import SyntheticScenario, decompose_w_star, fine_tune_subset
 from .solvers import EditOption
 
@@ -105,7 +105,6 @@ def _unedited(scenario: SyntheticScenario, gap: np.ndarray):
                              ul_gold=weighted_seminorm_sq(gap, scenario.x_f))
 
 
-@oracle_work
 def predict_distinct(scenario: SyntheticScenario):
     """Predicted losses for a layout with no overlap block.
 
@@ -120,7 +119,6 @@ def predict_distinct(scenario: SyntheticScenario):
     return _unedited(scenario, decompose_w_star(scenario).w_f)
 
 
-@oracle_work
 def predict_overlap(scenario: SyntheticScenario):
     """Predicted losses for a general (possibly overlapping) layout.
 
@@ -135,7 +133,6 @@ def predict_overlap(scenario: SyntheticScenario):
     return _unedited(scenario, gap)
 
 
-@oracle_work
 def golden_ul_block_form(scenario: SyntheticScenario) -> float:
     """Golden UL expanded into explicit overlap/feature blocks.
 
@@ -160,7 +157,6 @@ def golden_ul_block_form(scenario: SyntheticScenario) -> float:
     return float(residual @ residual) / scenario.n_f
 
 
-@oracle_work
 def predict_edited(
     scenario: SyntheticScenario, options: Sequence[EditOption], nt_values: Sequence[int]
 ) -> list[TheoremPrediction]:

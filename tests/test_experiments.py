@@ -345,14 +345,14 @@ class TestPrefixFactorization:
     def test_a_faulty_solver_factorization_fails_the_oracle_checks(self, monkeypatch):
         exact = linalg._truncated_svd
 
-        def tilted(a):
+        def tilted(a, side):
             # Tilt each member's left singular vectors out of its column
             # space, in the solvers' factorizations only.  The solves still
             # interpolate (no InconsistentSystemError), but they are no
             # longer minimum-norm; only predictions made from the oracle's
             # own SVDs can notice.
-            groups = exact(a)
-            if linalg._ORACLE_WORK.get():
+            groups = exact(a, side)
+            if side == "oracle":
                 return groups
             tilted_groups = []
             for members, u, s, v in groups:
@@ -378,11 +378,11 @@ class TestPrefixFactorization:
     def test_a_faulty_oracle_factorization_fails_the_oracle_checks(self, monkeypatch):
         exact = linalg._truncated_svd
 
-        def tilted(a):
+        def tilted(a, side):
             # The mirror of the solver tilt above: only the oracle's own
             # factorizations are tilted, the solvers stay exact.
-            groups = exact(a)
-            if not linalg._ORACLE_WORK.get():
+            groups = exact(a, side)
+            if side == "solvers":
                 return groups
             tilted_groups = []
             for members, u, s, v in groups:
@@ -563,16 +563,15 @@ class TestLinearSeedStack:
         else:
             target = experiments.gen_scenario(
                 30, 10, FeatureLayout(16, 8, 16), 1, "standard-normal").joint_data()[0]
-            exact = linalg.svd
+            exact = linalg._truncated_svd
 
-            def failing_svd(a):
-                if linalg._ORACLE_WORK.get() and any(
-                        np.array_equal(member, target) for member in np.asarray(a)):
+            def failing_svd(a, side):
+                if side == "oracle" and any(np.array_equal(member, target) for member in a):
                     raised.append(len(a))
                     raise linalg.SvdFailureError(message)
-                return exact(a)
+                return exact(a, side)
 
-            monkeypatch.setattr(linalg, "svd", failing_svd)
+            monkeypatch.setattr(linalg, "_truncated_svd", failing_svd)
 
         def run(seeds):
             caplog.clear()
@@ -647,8 +646,8 @@ class TestLinearSeedStack:
         groups = []
         exact = linalg._truncated_svd
 
-        def grouping(a):
-            factors = exact(a)
+        def grouping(a, side):
+            factors = exact(a, side)
             groups.append([members for members, *_ in factors])
             return factors
 
@@ -662,18 +661,17 @@ class TestLinearSeedStack:
 
 
 @st.composite
-def _small_linear_configs(draw):
-    """A valid ``verify-theorems``, ``sweep-nt`` or ``sweep-overlap`` config
-    of small sizes and 2-4 distinct seeds, each field drawn inside its
-    domain in :data:`FIELDS`.  Layouts range from rank-deficient, where the
+def _small_linear_configs(draw, among=("verify-theorems", "sweep-nt", "sweep-overlap")):
+    """A valid config of one of the linear experiments ``among``, of small
+    sizes and 2-4 distinct seeds, each field drawn inside its domain in
+    :data:`FIELDS`.  Layouts range from rank-deficient, where the
     remaining and overlap blocks together are narrower than ``n_r``, to
-    generic; a ``verify-theorems`` overlap block keeps ``d_r + d_lap <=
-    n_r``, as :data:`~unlearn_lab.experiments.ACROSS` requires.  Also
-    draws some but not all of the seeds to have a second remaining column
-    equal to their first: beside the other seeds of a layout, their
-    prefixes of two or more columns can solve as a rank group of their
-    own."""
-    experiment = draw(st.sampled_from(["verify-theorems", "sweep-nt", "sweep-overlap"]))
+    generic; an overlap block keeps ``d_r + d_lap <= n_r``, as
+    :data:`~unlearn_lab.experiments.ACROSS` requires.  Also draws some but
+    not all of the seeds to have a second remaining column equal to their
+    first: beside the other seeds of a layout, their prefixes of two or
+    more columns can solve as a rank group of their own."""
+    experiment = draw(st.sampled_from(among))
     fields = FIELDS[experiment]
     n_r = draw(st.integers(fields["n_r"][1].low, 8))
     n_f = draw(st.integers(fields["n_f"][1].low, 4))
@@ -685,24 +683,25 @@ def _small_linear_configs(draw):
         "dist": draw(st.sampled_from(fields["dist"][1].choices)),
     }
 
-    def layout(d_lap, widest=12):
-        d_r = draw(st.integers(0, widest))
+    def layout(d_lap):
+        d_r = draw(st.integers(0, n_r - d_lap if d_lap else 12))
         return [d_r, d_lap, draw(st.integers(max(0, n_r + n_f - d_r - d_lap), 12))]
 
     if experiment == "sweep-overlap":
-        d = draw(st.integers(n_r + n_f, 16))
+        # An odd d needs an odd d_lap > 0, which needs d + 1 <= 2 n_r.
+        d = draw(st.sampled_from([d for d in range(n_r + n_f, 17) if d % 2 == 0 or d < 2 * n_r]))
+        widths = [d_lap for d_lap in range(d) if (d - d_lap) % 2 == 0
+                  and (d_lap == 0 or d + d_lap <= 2 * n_r)]
         raw.update(d=d, n_t=draw(st.integers(1, n_r - 1)), d_lap_values=draw(st.lists(
-            st.integers(0, d - 1).filter(lambda d_lap: (d - d_lap) % 2 == 0),
-            min_size=1, max_size=3, unique=True)))
+            st.sampled_from(widths), min_size=1, max_size=3, unique=True)))
     else:
         raw["nt_values"] = draw(st.none() | st.lists(st.integers(1, n_r - 1), min_size=1,
                                                      max_size=4, unique=True))
+        overlap = layout(draw(st.integers(0, min(6, n_r))))
         if experiment == "sweep-nt":
-            raw["layout"] = layout(draw(st.integers(0, 6)))
+            raw["layout"] = overlap
         else:
-            d_lap = draw(st.integers(0, min(6, n_r)))
-            raw.update(distinct_layout=layout(0),
-                       overlap_layout=layout(d_lap, n_r - d_lap if d_lap else 12))
+            raw.update(distinct_layout=layout(0), overlap_layout=overlap)
     collinear = draw(st.sets(st.sampled_from(raw["seeds"]), min_size=1,
                              max_size=len(raw["seeds"]) - 1))
     return experiment, validate_config(raw, experiment), collinear
@@ -721,6 +720,15 @@ def test_stacked_linear_seeds_equal_their_own_runs_on_drawn_configs(case):
     with mock.patch.object(experiments, "gen_scenario", ragged):
         stacked, alone = TestLinearSeedStack._stacked_and_alone(experiment, cfg, cfg["seeds"])
     TestLinearSeedStack._assert_each_seed_as_alone(stacked, alone)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_small_linear_configs(among=["verify-theorems"]))
+def test_drawn_verify_configs_pass_the_oracle_checks(case):
+    # Plain draws: a duplicated column leaves the theorem's generic regime.
+    _, cfg, _ = case
+    result = run_experiment("verify-theorems", cfg)
+    assert result.failures == [] and result.passed is True
 
 
 class TestSweepNt:
@@ -942,6 +950,44 @@ class TestCli:
                     f" {overlap_layout}}})\n")
             else:
                 assert json.loads(summary_path_for(out).read_text())["passed"] is True
+
+    @pytest.mark.parametrize("layout", [[16, 8, 16], [30, 2, 8], [20, 0, 20]])
+    def test_a_sweep_nt_layout_wider_than_n_r_exits_two_with_one_line(
+            self, tmp_path, capsys, layout):
+        # The rule of the verify overlap layout above, on the sweep's one layout.
+        d_r, d_lap, _ = layout
+        widest = d_r + d_lap if d_lap else 4
+        for n_r, expected in ((widest - 1, 2 if d_lap else 0), (widest, 0)):
+            payload = {"seeds": [0, 1], "n_r": n_r, "n_f": 5, "layout": layout,
+                       "nt_values": [1, n_r - 1]}
+            out = tmp_path / f"{n_r}.csv"
+            code = main(["sweep-nt", "--config", str(self._write_config(tmp_path, payload)),
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == expected, (n_r, err)
+            assert out.exists() == (expected == 0)
+            if expected:
+                assert err == ("config error: sweep-nt: layout must have d_lap = 0 or"
+                               f" d_r + d_lap <= n_r (got {{'n_r': {n_r}, 'layout': {layout}}})\n")
+
+    @pytest.mark.parametrize("d_lap_values,widest", [([0, 2, 8], 14), ([4], 12), ([0], 4)])
+    def test_a_sweep_overlap_width_beyond_n_r_exits_two_with_one_line(
+            self, tmp_path, capsys, d_lap_values, widest):
+        # A sweep-overlap layout of width d_lap has d_r + d_lap = (d + d_lap) / 2,
+        # here with d = 20.
+        for n_r, expected in ((widest - 1, 2 if max(d_lap_values) else 0), (widest, 0)):
+            payload = {"seeds": [0, 1], "d": 20, "n_r": n_r, "n_f": 5, "n_t": n_r - 1,
+                       "d_lap_values": d_lap_values}
+            out = tmp_path / f"{n_r}.csv"
+            code = main(["sweep-overlap", "--config",
+                         str(self._write_config(tmp_path, payload)), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == expected, (n_r, err)
+            assert out.exists() == (expected == 0)
+            if expected:
+                assert err == (
+                    "config error: sweep-overlap: every d_lap > 0 must have (d + d_lap) / 2"
+                    f" <= n_r (got {{'d': 20, 'n_r': {n_r}, 'd_lap_values': {d_lap_values}}})\n")
 
     def test_missing_config_file_exits_two(self, tmp_path):
         code = main(["sweep-nt", "--config", str(tmp_path / "nope.json")])

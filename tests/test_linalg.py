@@ -18,6 +18,8 @@ from unlearn_lab.linalg import (
     svd,
     weighted_seminorm_sq,
 )
+from unlearn_lab.scenarios import FeatureLayout, gen_scenario
+from unlearn_lab.solvers import closed_form_wt_distinct
 
 
 class TestSvd:
@@ -127,7 +129,7 @@ class TestProjector:
             assert svd(x)[1].tolist() == [1.0, value]
             with linalg.RankDeficiencyCount() as counting:
                 p = projector(x)
-            assert counting.counts == {"solvers": 2 - rank, "oracle": 0}
+            assert counting.counts == {"solvers": 0, "oracle": 2 - rank}
             assert np.linalg.matrix_rank(p) == rank
 
 
@@ -325,14 +327,14 @@ class TestStackedSolves:
 
     def test_members_of_one_rank_share_one_group(self):
         x, _ = self._stack((7, 5, 3))
-        groups = linalg._truncated_svd(x)
+        groups = linalg._truncated_svd(x, "solvers")
         ranks = [np.linalg.matrix_rank(member) for member in x]
         assert [s.shape[1] for _, _, s, _ in groups] == list(dict.fromkeys(ranks))
         for members, u, s, v in groups:
             assert members == [i for i, rank in enumerate(ranks) if rank == s.shape[1]]
             assert u.shape == (len(members), 5, s.shape[1])
             assert v.shape == (len(members), 3, s.shape[1])
-        [(members, _, s, _)] = linalg._truncated_svd(x[:1])
+        [(members, _, s, _)] = linalg._truncated_svd(x[:1], "solvers")
         assert members == slice(None) and s.shape == (1, 3)
 
     def test_svd_of_a_stack_is_each_members_svd(self):
@@ -344,12 +346,12 @@ class TestStackedSolves:
         x, _ = self._stack((6, 5, 3))
         with caplog.at_level("DEBUG", logger="unlearn_lab.linalg"):
             with linalg.RankDeficiencyCount() as stacked:
-                linalg._truncated_svd(x)
+                linalg._truncated_svd(x, "solvers")
             lines = [record.getMessage() for record in caplog.records]
             caplog.clear()
             with linalg.RankDeficiencyCount() as alone:
                 for member in x:
-                    linalg._truncated_svd(member[None])
+                    linalg._truncated_svd(member[None], "solvers")
             assert [record.getMessage() for record in caplog.records] == lines
         # Members 2 and 5 have two equal columns.
         assert stacked.counts == alone.counts == {"solvers": 2, "oracle": 0}
@@ -361,10 +363,10 @@ class TestStackedSolves:
         with caplog.at_level("DEBUG", logger="unlearn_lab.linalg"):
             with linalg.RankDeficiencyCount() as outer:
                 with linalg.RankDeficiencyCount(hold=True) as dropped:
-                    linalg._truncated_svd(x)
+                    linalg._truncated_svd(x, "solvers")
                 assert outer.counts["solvers"] == 0 and not caplog.records
                 with linalg.RankDeficiencyCount(hold=True) as kept:
-                    linalg._truncated_svd(x)
+                    linalg._truncated_svd(x, "solvers")
                 kept.release()
         assert outer.counts["solvers"] == 2 and len(caplog.records) == 2
         assert dropped.counts == kept.counts == {"solvers": 0, "oracle": 0}
@@ -444,6 +446,51 @@ class TestStackedOracleKernels:
             weighted_seminorm_sq(np.zeros(5), x)
         with pytest.raises(InvalidMatrixError, match="x has 5 features but v has 4"):
             weighted_seminorm_sq(np.zeros((4, 4)), x)
+
+
+class TestRankDeficiencySides:
+    """A rank-deficient member counts for the side of the kernel that
+    factors it, whoever calls that kernel: ``"solvers"`` in the min-norm
+    solves, ``"oracle"`` in the projector and the pseudoinverse."""
+
+    @pytest.mark.parametrize("side,call,stacks", [
+        ("solvers", lambda x, y: min_norm_solve(x, y), True),
+        ("solvers", lambda x, y: min_norm_anchor_solve(x, y, np.ones(x.shape[:-1])), True),
+        ("oracle", lambda x, y: projector(x), True),
+        ("oracle", lambda x, y: pseudoinverse(x), False),
+    ], ids=["min_norm_solve", "min_norm_anchor_solve", "projector", "pseudoinverse"])
+    def test_a_stack_and_each_member_count_for_the_kernels_side(self, side, call, stacks):
+        # Members 2 and 5 have two equal columns.
+        x, y = TestStackedSolves._stack((6, 5, 3))
+        expected = {"solvers": 0, "oracle": 0, side: 2}
+        if stacks:
+            with linalg.RankDeficiencyCount() as stacked:
+                call(x, y)
+            assert stacked.counts == expected
+        with linalg.RankDeficiencyCount() as alone:
+            for member, labels in zip(x, y):
+                call(member, labels)
+        assert alone.counts == expected
+
+    def test_a_projector_outside_the_oracle_counts_for_the_oracle(self):
+        # The joint data of a distinct layout spans 30 of its 40 features,
+        # and a 25-column prefix 20 of its 25 columns.
+        scenario = gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed=3)
+        with linalg.RankDeficiencyCount() as counting:
+            closed_form_wt_distinct(scenario, 25)
+        assert counting.counts == {"solvers": 0, "oracle": 2}
+
+    def test_a_held_record_keeps_its_side(self, caplog):
+        x, y = TestStackedSolves._stack((6, 5, 3))
+        with caplog.at_level("DEBUG", logger="unlearn_lab.linalg"):
+            with linalg.RankDeficiencyCount() as outer:
+                with linalg.RankDeficiencyCount(hold=True) as held:
+                    projector(x)
+                    min_norm_solve(x[:3], y[:3])
+                assert outer.counts == {"solvers": 0, "oracle": 0} and not caplog.records
+                held.release()
+        assert outer.counts == {"solvers": 1, "oracle": 2} and len(caplog.records) == 3
+        assert held.counts == {"solvers": 0, "oracle": 0}
 
 
 class TestSeedAxes:

@@ -139,7 +139,7 @@ class TestAnchorStack:
             for anchor, w_t in zip(anchors, shared):
                 assert np.array_equal(w_t, min_norm_anchor_solve(x_t, y_t, anchor))
             # Prefixes wider than the kept blocks are rank-deficient.
-            [(_, _, s_t, _)] = linalg._truncated_svd(x_t[None])
+            [(_, _, s_t, _)] = linalg._truncated_svd(x_t[None], "solvers")
             assert s_t.shape == (1, min(n_t, kept))
 
     @pytest.mark.parametrize("layout", [DISTINCT, OVERLAP], ids=["distinct", "overlap"])
