@@ -25,7 +25,6 @@ from .errors import (
     InconsistentSystemError,
     InvalidMatrixError,
     LayoutMismatchError,
-    ProvenanceMismatchError,
     RegimeViolationError,
     SvdFailureError,
     UnlearnLabError,
@@ -49,7 +48,6 @@ from .metrics import (
     mse_loss,
 )
 from .oracle import (
-    TheoremPrediction,
     golden_ul_block_form,
     predict_distinct,
     predict_edited,

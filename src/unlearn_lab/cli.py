@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 
 from .errors import ConfigError, UnlearnLabError
@@ -65,12 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One --seeds entry: a decimal integer, with spaces around it.
+_SEED = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def _parse_seeds(raw: str) -> list[int]:
-    try:
-        seeds = [int(part) for part in raw.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"--seeds must be comma-separated integers, got {raw!r}") from exc
-    return as_seeds("--seeds", seeds)
+    parts = raw.split(",")
+    if not all(_SEED.fullmatch(part) for part in parts):
+        raise ConfigError(f"--seeds must be comma-separated integers, got {raw!r}")
+    return as_seeds("--seeds", [int(part) for part in parts])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,9 +29,5 @@ class DivergenceError(UnlearnLabError):
     """Gradient descent produced a non-finite loss."""
 
 
-class ProvenanceMismatchError(UnlearnLabError):
-    """Measured losses and predictions do not describe the same model."""
-
-
 class ConfigError(UnlearnLabError):
     """Experiment configuration is missing fields or holds invalid values."""

@@ -31,8 +31,11 @@ them itself.  A stacked pass that raises is run again seed by seed
 (:func:`_stacked`, the one place that decides it), so a failing seed
 fails alone with the error of its own run.  A seed's rows read its losses over ``nt_values``
 as arrays.  The oracle's predictions hold one value per seed, and each
-``verify-theorems`` row compares its seed's losses with that seed's
-slice of them in one :func:`gap_report`.
+``verify-theorems`` row compares its seed's measured ``(rl, ul)`` pair
+with that seed's slice of the predicted pair in one :func:`gap_report`:
+the plain fine-tuned model against
+:data:`~unlearn_lab.oracle.FINE_TUNED`, the golden model against its
+layout's prediction, and each edited model against its option's.
 Rows are dicts keyed by column name; :data:`COLUMNS` alone fixes the
 order of the cells, and :func:`render_csv` checks each row against it.
 """
@@ -45,7 +48,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, partial
 from pathlib import Path
 
@@ -54,8 +57,15 @@ import numpy as np
 from .classifier import VARIANTS, ClassTask, run_seed_grid
 from .errors import ConfigError, UnlearnLabError
 from .linalg import RankDeficiencyCount
-from .metrics import LossReport, gap_report, measure_losses, stage, stage_record
-from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, predict_distinct, predict_edited, predict_overlap
+from .metrics import gap_report, measure_losses, stage, stage_record
+from .oracle import (
+    FINE_TUNED,
+    PRED_ABS_FLOOR,
+    PRED_REL_TOL,
+    predict_distinct,
+    predict_edited,
+    predict_overlap,
+)
 from .scenarios import DIST_TAGS, FeatureLayout, fine_tune_subset, gen_scenario, stack_scenarios
 from .solvers import (
     EditOption,
@@ -440,10 +450,9 @@ def _solve(cfg: dict, layout: FeatureLayout, nt_values, edits, seeds) -> list[tu
         # i over nt_values.
         fits = {}
         for edit, weights in zip(edits, solved):
-            losses = measure_losses(weights, scenario, "fine_tuned" if edit is None
-                                    else "edited_fine_tuned")
+            losses = measure_losses(weights, scenario)
             fits[edit] = (losses.rl.T, losses.ul.T)
-        gold = measure_losses(w_g, scenario, "golden")
+        gold = measure_losses(w_g, scenario)
     return [(scenarios[i], gold_losses, {edit: (rl[i], ul[i]) for edit, (rl, ul) in fits.items()})
             for i, gold_losses in enumerate(zip(gold.rl.tolist(), gold.ul.tolist()))]
 
@@ -524,11 +533,10 @@ def _verify_rows(cfg: dict):
         solved = _solve(cfg, layout, nt_values, [None, *options], seeds)
         with stage("oracle"):
             scenario = stack_scenarios([scenario for scenario, *_ in solved])
-            baseline = predict(scenario)
+            rl_gold, ul_gold = predict(scenario)
             edits = predict_edited(scenario, options, nt_values)
         # Each seed gets its own row of the stacked predictions.
-        return [(own, replace(baseline, ul_gold=float(baseline.ul_gold[i])),
-                 [replace(p, rl_edit=p.rl_edit[i], ul_edit=p.ul_edit[i]) for p in edits])
+        return [(own, (rl_gold, float(ul_gold[i])), [(rl[i], ul[i]) for rl, ul in edits])
                 for i, own in enumerate(solved)]
 
     results = _solve_seeds(cfg["seeds"], [
@@ -538,13 +546,11 @@ def _verify_rows(cfg: dict):
 
     def rows_for_seed(seed: int) -> list[dict]:
         rows, edit_rows = [], []
-        for (check, _, options), ((scenario, (rl_gold, ul_gold), fits), baseline, edits) \
+        for (check, _, options), ((scenario, (rl_gold, ul_gold), fits), gold_pred, edits) \
                 in zip(checks, _each(results[seed])):
             layout = scenario.layout
-            gold = LossReport(rl=rl_gold, ul=ul_gold, model_tag="golden")
-            gold_gaps = gap_report(gold, baseline, rel, floor)
+            gold_gaps = gap_report((rl_gold, ul_gold), gold_pred, rel, floor)
             rl_ft, ul_ft = fits[None]
-            fine_tuned = LossReport(rl=rl_ft, ul=ul_ft, model_tag="fine_tuned")
             common = {
                 **dict.fromkeys(COLUMNS[SCHEMAS["verify-theorems"]], float("nan")),
                 "experiment": cfg["experiment"], "seed": seed,
@@ -556,14 +562,13 @@ def _verify_rows(cfg: dict):
                 **common, "check": check, "option": "",
                 "rl_ft_max": float(rl_ft.max()),
                 "ul_ft_max": float(ul_ft.max()),
-                "rl_gold": rl_gold, "ul_gold": ul_gold, "ul_gold_pred": baseline.ul_gold,
+                "rl_gold": rl_gold, "ul_gold": ul_gold, "ul_gold_pred": gold_pred[1],
                 "ul_gold_rel_gap": gold_gaps.ul.rel_gap,
-                "pass": gap_report(fine_tuned, baseline, rel, floor).passed and gold_gaps.passed,
+                "pass": gap_report(fits[None], FINE_TUNED, rel, floor).passed and gold_gaps.passed,
             })
             for option, predicted in zip(options, edits):
                 rl, ul = fits[option]
-                edited = LossReport(rl=rl, ul=ul, model_tag="edited_fine_tuned")
-                gaps = gap_report(edited, predicted, rel, floor)
+                gaps = gap_report(fits[option], predicted, rel, floor)
                 edit_rows.append({
                     **common, "check": "edit", "option": option.value,
                     "rl_edit_max": float(rl.max()),

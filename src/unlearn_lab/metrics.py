@@ -12,11 +12,13 @@ is a one-member stack, and weights carry the data's seed axes, with any
 axes in front of them, or raise :class:`InvalidMatrixError`.
 :func:`measure_losses` on a stacked scenario returns one
 :class:`LossReport` whose losses are ``(S,)`` arrays, or ``(N, S)`` for
-weights ``(N, S, d)``; :func:`gap_report` compares arrays of measured
-losses, say one seed's over every fine-tuning subset size, with
-predictions of the same shape or with one prediction, elementwise
-through :func:`~unlearn_lab.oracle.within_tolerance`, with the bits of
-one call per element.
+weights ``(N, S, d)``.  :func:`gap_report` compares two ``(rl, ul)``
+pairs, measured against predicted, and leaves it to the caller to pair
+each model with its prediction.  The measured losses may be arrays, say
+one seed's over every fine-tuning subset size, compared with predictions
+of the same shape or with one prediction, elementwise through
+:func:`~unlearn_lab.oracle.within_tolerance`, with the bits of one call
+per element.
 
 A run's :func:`stage_record` holds the wall seconds of each stage, which
 coarse ``with stage(name)`` blocks add to; they never nest.
@@ -32,15 +34,13 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .errors import InvalidMatrixError, ProvenanceMismatchError
+from .errors import InvalidMatrixError
 from .linalg import seed_stack, seed_vectors, squared_norms
-from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, TheoremPrediction, within_tolerance
+from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, within_tolerance
 from .scenarios import SyntheticScenario
 
 if TYPE_CHECKING:
     from .classifier import LabeledSet, SoftmaxClassifier
-
-MODEL_TAGS = ("original", "fine_tuned", "golden", "edited_fine_tuned")
 
 _STAGES: ContextVar[dict[str, float] | None] = ContextVar("stages", default=None)
 
@@ -76,11 +76,8 @@ class LossReport:
 
     rl: float | np.ndarray
     ul: float | np.ndarray
-    model_tag: str
 
     def __post_init__(self):
-        if self.model_tag not in MODEL_TAGS:
-            raise ValueError(f"unknown model tag {self.model_tag!r}")
         if np.shape(self.rl) != np.shape(self.ul):
             raise ValueError(
                 f"rl and ul must have one shape, got {np.shape(self.rl)} and {np.shape(self.ul)}"
@@ -135,7 +132,7 @@ def _mse(w, x, y, names: tuple[str, str, str], front: bool = False):
     return losses if losses.ndim else float(losses)
 
 
-def measure_losses(w, scenario: SyntheticScenario, model_tag: str) -> LossReport:
+def measure_losses(w, scenario: SyntheticScenario) -> LossReport:
     """Remaining and unlearning loss of ``w`` on a scenario's two subsets.
 
     ``w`` is ``(..., d)``, or ``(..., S, d)`` for a stack of scenarios:
@@ -144,8 +141,7 @@ def measure_losses(w, scenario: SyntheticScenario, model_tag: str) -> LossReport
     one scenario.  The data and ``w`` are validated on every call.
     """
     return LossReport(rl=_mse(w, scenario.x_r, scenario.y_r, ("w", "x_r", "y_r"), front=True),
-                      ul=_mse(w, scenario.x_f, scenario.y_f, ("w", "x_f", "y_f"), front=True),
-                      model_tag=model_tag)
+                      ul=_mse(w, scenario.x_f, scenario.y_f, ("w", "x_f", "y_f"), front=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +152,6 @@ class GapEntry:
     the pair's broadcast shape otherwise.
     """
 
-    measured: float | np.ndarray
-    predicted: float | np.ndarray
     abs_gap: float | np.ndarray
     rel_gap: float | np.ndarray
     ok: bool | np.ndarray
@@ -165,7 +159,7 @@ class GapEntry:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Structured diff between a loss report and an oracle prediction."""
+    """Structured diff between measured losses and an oracle prediction."""
 
     rl: GapEntry
     ul: GapEntry
@@ -174,14 +168,6 @@ class GapReport:
     def passed(self) -> bool:
         """Whether every comparison of both entries is within tolerance."""
         return bool(np.all(self.rl.ok & self.ul.ok))
-
-
-# The prediction fields that describe each measured model.
-_PREDICTED_PAIR = {
-    "fine_tuned": ("rl_ft", "ul_ft"),
-    "golden": ("rl_gold", "ul_gold"),
-    "edited_fine_tuned": ("rl_edit", "ul_edit"),
-}
 
 
 def _gap_entry(measured, predicted, rel_tol, abs_floor) -> GapEntry:
@@ -194,39 +180,25 @@ def _gap_entry(measured, predicted, rel_tol, abs_floor) -> GapEntry:
         rel_gap = np.where(abs_gap == 0.0, 0.0, abs_gap / np.abs(predicted))
     ok = within_tolerance(measured, predicted, rel_tol, abs_floor)
     if rel_gap.ndim == 0:
-        return GapEntry(measured, predicted, float(abs_gap), float(rel_gap), ok)
-    return GapEntry(measured, predicted, abs_gap, rel_gap, ok)
+        return GapEntry(float(abs_gap), float(rel_gap), ok)
+    return GapEntry(abs_gap, rel_gap, ok)
 
 
-def gap_report(
-    measured: LossReport,
-    predicted: TheoremPrediction,
-    rel_tol: float = PRED_REL_TOL,
-    abs_floor: float = PRED_ABS_FLOOR,
-) -> GapReport:
-    """Compare measured losses against the prediction for the same model.
+def gap_report(measured, predicted, rel_tol: float = PRED_REL_TOL,
+               abs_floor: float = PRED_ABS_FLOOR) -> GapReport:
+    """Compare a model's measured ``(rl, ul)`` pair against its predicted one.
 
-    The model tag selects which predicted pair applies; a tag with no
-    predicted counterpart ("original", or a model the prediction leaves
-    unpredicted) raises :class:`ProvenanceMismatchError`.  Each entry
-    passes when its absolute gap is at most
+    Each entry passes when its absolute gap is at most
     ``max(abs_floor, rel_tol * |predicted|)``.  The measured losses and
     the predicted ones may be arrays, compared elementwise under
-    broadcasting: a report over every ``n_t`` against one prediction, or
-    against a prediction whose fields hold one value per ``n_t``.  A
-    zero prediction gives a relative gap of 0 when the gap is zero too and
-    ``inf`` otherwise; a NaN gap never passes.
+    broadcasting: the losses over every ``n_t`` against one prediction,
+    or against a prediction with one value per ``n_t``.  A zero prediction
+    gives a relative gap of 0 when the gap is zero too and ``inf``
+    otherwise; a NaN gap never passes.
     """
-    fields = _PREDICTED_PAIR.get(measured.model_tag, ())
-    pair = [getattr(predicted, name) for name in fields]
-    if not pair or any(value is None for value in pair):
-        raise ProvenanceMismatchError(
-            f"the prediction carries no losses for model tag {measured.model_tag!r}"
-        )
-    return GapReport(
-        rl=_gap_entry(measured.rl, pair[0], rel_tol, abs_floor),
-        ul=_gap_entry(measured.ul, pair[1], rel_tol, abs_floor),
-    )
+    (rl, ul), (rl_pred, ul_pred) = measured, predicted
+    return GapReport(rl=_gap_entry(rl, rl_pred, rel_tol, abs_floor),
+                     ul=_gap_entry(ul, ul_pred, rel_tol, abs_floor))
 
 
 def accuracy(model: SoftmaxClassifier, data: LabeledSet) -> float:

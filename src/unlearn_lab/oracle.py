@@ -1,10 +1,13 @@
 """Closed-form loss predictions for the linear unlearning pipeline.
 
-Each predictor returns the remaining loss (RL) and unlearning loss (UL)
-that the fine-tuned, golden, and (optionally) edited-then-fine-tuned
-models must attain, expressed through projectors and the data-weighted
-seminorm.  Measured losses from the actual solvers are compared against
-these values with a relative tolerance plus a small absolute floor that
+Every prediction is one ``(rl, ul)`` pair, the remaining loss (RL) and
+unlearning loss (UL) that one model of the pipeline must attain,
+expressed through projectors and the data-weighted seminorm: the plain
+fine-tuned model's is the constant :data:`FINE_TUNED`, the golden
+model's comes from :func:`predict_distinct` or :func:`predict_overlap`,
+and each edited-then-fine-tuned model's from :func:`predict_edited`.
+Measured losses from the actual solvers are compared against these
+values with a relative tolerance plus a small absolute floor that
 guards the exact-zero claims.
 
 The overlap-layout golden UL has two algebraically equivalent writings:
@@ -25,7 +28,7 @@ The three predictors also take a stack of scenarios
 hold one value per member, each with the bits of that member's own
 call.  They read the scenario's arrays as given and leave the shapes to
 the :mod:`~unlearn_lab.linalg` kernels: one scenario is their zero-lead
-case, so ``ul_gold`` is a float for one scenario and ``(S,)`` for a
+case, so the golden UL is a float for one scenario and ``(S,)`` for a
 stack.  They factor every matrix themselves, one stacked projector per
 matrix for all members, so a measured solve and its prediction never
 share a factorization.  The block form is a single-scenario
@@ -35,11 +38,9 @@ cross-check.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutMismatchError
 from .linalg import projector, pseudoinverse, weighted_seminorm_sq
 from .scenarios import SyntheticScenario, decompose_w_star, fine_tune_subset
 from .solvers import EditOption
@@ -49,25 +50,10 @@ PRED_REL_TOL = 1e-8
 PRED_ABS_FLOOR = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class TheoremPrediction:
-    """Predicted losses; ``None`` where nothing is predicted.
-
-    The unedited predictions fill ``rl_ft``/``ul_ft`` (the plain
-    fine-tuned model, exactly zero) and ``rl_gold``/``ul_gold`` (the
-    retrained-from-scratch model).  The edited predictions fill only
-    ``rl_edit``/``ul_edit`` (the edited-then-fine-tuned model).  Every
-    filled value is nonnegative.  A field may hold an array, which
-    :func:`~unlearn_lab.metrics.gap_report` compares elementwise; like
-    the other array holders, two predictions compare by identity.
-    """
-
-    rl_ft: float | None = None
-    ul_ft: float | None = None
-    rl_gold: float | None = None
-    ul_gold: float | None = None
-    rl_edit: float | None = None
-    ul_edit: float | None = None
+#: The plain fine-tuned model's predicted ``(rl, ul)``: fine-tuning the
+#: minimum-norm interpolant on a subset of its own training data leaves
+#: it interpolating every sample, so both losses are exactly zero.
+FINE_TUNED = (0.0, 0.0)
 
 
 def within_tolerance(
@@ -98,39 +84,31 @@ def _times(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (p @ v[..., None])[..., 0]
 
 
-def _unedited(scenario: SyntheticScenario, gap: np.ndarray):
-    """The unedited prediction of ``scenario``, whose golden model misses
-    the true weights by ``gap``."""
-    return TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0,
-                             ul_gold=weighted_seminorm_sq(gap, scenario.x_f))
-
-
 def predict_distinct(scenario: SyntheticScenario):
-    """Predicted losses for a layout with no overlap block.
+    """The golden model's ``(rl, ul)`` for a layout with no overlap block.
 
-    Fine-tuned RL and UL and golden RL are all zero; the golden UL equals
-    the squared forgetting-block weights in the forgetting-data seminorm.
-    For a stacked scenario, ``ul_gold`` holds one value per member.
+    The golden RL is zero; the golden UL equals the squared
+    forgetting-block weights in the forgetting-data seminorm, one value
+    per member for a stacked scenario.
     """
-    if not scenario.layout.is_distinct:
-        raise LayoutMismatchError(
-            f"distinct prediction requires d_lap = 0, got {scenario.layout.d_lap}"
-        )
-    return _unedited(scenario, decompose_w_star(scenario).w_f)
+    scenario.layout.require_distinct("the distinct prediction")
+    return 0.0, weighted_seminorm_sq(decompose_w_star(scenario).w_f, scenario.x_f)
 
 
 def predict_overlap(scenario: SyntheticScenario):
-    """Predicted losses for a general (possibly overlapping) layout.
+    """The golden model's ``(rl, ul)`` for a general (possibly
+    overlapping) layout.
 
-    The golden UL is the seminorm of ``P_r (w_r + w_lap) - (w_f + w_lap)``
-    with ``P_r`` the remaining-data projector; with an empty overlap block
-    this reduces to the distinct-layout value.  For a stacked scenario,
-    ``ul_gold`` holds one value per member.
+    The golden RL is zero, and the golden UL is the seminorm of
+    ``P_r (w_r + w_lap) - (w_f + w_lap)`` with ``P_r`` the remaining-data
+    projector; with an empty overlap block this reduces to the
+    distinct-layout value.  For a stacked scenario, the UL holds one value
+    per member.
     """
     parts = decompose_w_star(scenario)
     p_r = projector(scenario.x_r)
     gap = _times(p_r, parts.w_r + parts.w_lap) - (parts.w_f + parts.w_lap)
-    return _unedited(scenario, gap)
+    return 0.0, weighted_seminorm_sq(gap, scenario.x_f)
 
 
 def golden_ul_block_form(scenario: SyntheticScenario) -> float:
@@ -159,12 +137,12 @@ def golden_ul_block_form(scenario: SyntheticScenario) -> float:
 
 def predict_edited(
     scenario: SyntheticScenario, options: Sequence[EditOption], nt_values: Sequence[int]
-) -> list[TheoremPrediction]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Predicted losses after editing the pretrained model, then fine-tuning.
 
-    Returns one prediction per edit option in ``options``, in order,
-    whose ``rl_edit`` and ``ul_edit`` hold one value per fine-tuning
-    subset size in ``nt_values``, in order: ``(len(nt_values),)``, or
+    Returns one ``(rl, ul)`` pair per edit option in ``options``, in
+    order, whose arrays hold one value per fine-tuning subset size in
+    ``nt_values``, in order: ``(len(nt_values),)``, or
     ``(S, len(nt_values))`` for a stack of ``S`` scenarios.
     Zeroing the forgetting block (and, for the discard option, the
     overlap block) before fine-tuning removes the residual influence of
@@ -184,10 +162,8 @@ def predict_edited(
     d_lap`` (see the module docstring); outside that regime they are the
     idealized closed forms, not guarantees about the measured pipeline.
     """
-    if EditOption.DISTINCT_ZERO_FORGET in options and not scenario.layout.is_distinct:
-        raise LayoutMismatchError(
-            "distinct-zero-forget prediction requires an empty overlap block"
-        )
+    if EditOption.DISTINCT_ZERO_FORGET in options:
+        scenario.layout.require_distinct("the distinct-zero-forget prediction")
     subsets = [fine_tune_subset(scenario, n_t)[0] for n_t in nt_values]
     parts = decompose_w_star(scenario)
     w_f_lap = parts.w_f + parts.w_lap
@@ -196,8 +172,7 @@ def predict_edited(
     def repeated(gap):
         """Zero RL, and the UL of ``gap`` at every ``n_t``."""
         ul_edit = weighted_seminorm_sq(gap, scenario.x_f)
-        return TheoremPrediction(rl_edit=np.zeros(shape),
-                                 ul_edit=np.full(shape, np.expand_dims(ul_edit, -1)))
+        return np.zeros(shape), np.full(shape, np.expand_dims(ul_edit, -1))
 
     predictions = []
     joint = None
@@ -217,5 +192,5 @@ def predict_edited(
             kept = _times(projector(x_t), parts.w_lap)
             rl_edit[..., i] = weighted_seminorm_sq(parts.w_lap - kept, scenario.x_r)
             ul_edit[..., i] = weighted_seminorm_sq(joint_w_r + kept - w_f_lap, scenario.x_f)
-        predictions.append(TheoremPrediction(rl_edit=rl_edit, ul_edit=ul_edit))
+        predictions.append((rl_edit, ul_edit))
     return predictions

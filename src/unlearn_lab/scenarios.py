@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import RegimeViolationError
+from .errors import LayoutMismatchError, RegimeViolationError
 
 DIST_TAGS = ("standard-normal", "uniform")
 # The arrays of a scenario, which a stack of scenarios stacks.
@@ -55,6 +55,12 @@ class FeatureLayout:
     def is_distinct(self) -> bool:
         """True when there is no overlap block."""
         return self.d_lap == 0
+
+    def require_distinct(self, operation: str) -> None:
+        """Raise :class:`LayoutMismatchError`, naming ``operation``, unless
+        there is no overlap block."""
+        if not self.is_distinct:
+            raise LayoutMismatchError(f"{operation} requires d_lap = 0, got d_lap = {self.d_lap}")
 
     @property
     def remaining_block(self) -> slice:

@@ -60,14 +60,6 @@ def retrain_golden(scenario: SyntheticScenario) -> np.ndarray:
     return min_norm_solve(scenario.x_r, scenario.y_r)
 
 
-def _validate_option(layout: FeatureLayout, option: EditOption) -> None:
-    if option is EditOption.DISTINCT_ZERO_FORGET and layout.d_lap != 0:
-        raise LayoutMismatchError(
-            "distinct-zero-forget requires an empty overlap block, "
-            f"but d_lap = {layout.d_lap}"
-        )
-
-
 def edit_pretrained(w_o: np.ndarray, layout: FeatureLayout, option: EditOption) -> np.ndarray:
     """Zero the forgetting-related coordinates of a pretrained model, or
     of each model of a stack ``(..., d)`` with any leading axes.
@@ -82,7 +74,8 @@ def edit_pretrained(w_o: np.ndarray, layout: FeatureLayout, option: EditOption) 
         raise LayoutMismatchError(
             f"weights have shape {w_o.shape} but the layout has d = {layout.d}"
         )
-    _validate_option(layout, option)
+    if option is EditOption.DISTINCT_ZERO_FORGET:
+        layout.require_distinct("the distinct-zero-forget edit")
     keep = layout.d_r if option is not EditOption.OVERLAP_RETAIN else layout.d_r + layout.d_lap
     edited = w_o.copy()
     edited[..., keep:] = 0.0
@@ -97,8 +90,7 @@ def closed_form_wt_distinct(scenario: SyntheticScenario, n_t: int) -> np.ndarray
     full data and ``P_t`` onto the span of the fine-tuning subset.  Used
     as a cross-check against :func:`fine_tune_unlearn`.
     """
-    if not scenario.layout.is_distinct:
-        raise LayoutMismatchError("closed form requires a layout with no overlap block")
+    scenario.layout.require_distinct("the distinct closed form")
     x, _ = scenario.joint_data()
     x_t, _ = fine_tune_subset(scenario, n_t)
     p = projector(x)

@@ -62,7 +62,7 @@ def test_criterion_1_distinct_feature_reproduction():
         start = time.perf_counter()
         for seed in SEEDS:
             s = gen_scenario(30, 10, DISTINCT, seed=seed)
-            predicted = predict_distinct(s)
+            _, predicted_ul = predict_distinct(s)
             w_o = train_original(s)
             w_g = retrain_golden(s)
             for n_t in NT_VALUES:
@@ -72,7 +72,7 @@ def test_criterion_1_distinct_feature_reproduction():
                 assert mse_loss(w_t, s.x_f, s.y_f) < 1e-9
             assert mse_loss(w_g, s.x_r, s.y_r) < 1e-9
             measured_ul = mse_loss(w_g, s.x_f, s.y_f)
-            assert _rel_gap(measured_ul, predicted.ul_gold) <= 1e-8
+            assert _rel_gap(measured_ul, predicted_ul) <= 1e-8
         elapsed = time.perf_counter() - start
         print(f"  note: 20 seeds x 29 subset sizes in {elapsed:.2f}s (budget 10s)")
         assert elapsed < 10.0, f"distinct reproduction took {elapsed:.1f}s"
@@ -84,10 +84,10 @@ def test_criterion_2_overlap_reproduction():
         worst_form_gap = 0.0
         for seed in SEEDS:
             s = gen_scenario(30, 10, OVERLAP, seed=seed)
-            predicted = predict_overlap(s)
+            _, predicted_ul = predict_overlap(s)
             block_form = golden_ul_block_form(s)
             worst_form_gap = max(
-                worst_form_gap, _rel_gap(block_form, predicted.ul_gold)
+                worst_form_gap, _rel_gap(block_form, predicted_ul)
             )
             w_o = train_original(s)
             w_g = retrain_golden(s)
@@ -100,7 +100,7 @@ def test_criterion_2_overlap_reproduction():
             measured_ul = mse_loss(w_g, s.x_f, s.y_f)
             # Both writings of the golden forgetting loss must agree with
             # the measurement; no discrepancy between them was observed.
-            assert _rel_gap(measured_ul, predicted.ul_gold) <= 1e-8
+            assert _rel_gap(measured_ul, predicted_ul) <= 1e-8
             assert _rel_gap(measured_ul, block_form) <= 1e-8
         elapsed = time.perf_counter() - start
         print(f"  note: projector-form vs block-form golden loss, worst "
@@ -112,7 +112,7 @@ def _edited_pipeline(scenario, w_o, option, n_t):
     edited = edit_pretrained(w_o, scenario.layout, option)
     x_t, y_t = fine_tune_subset(scenario, n_t)
     w_hat = fine_tune_unlearn(edited, x_t, y_t)
-    return measure_losses(w_hat, scenario, "edited_fine_tuned")
+    return measure_losses(w_hat, scenario)
 
 
 def test_criterion_3_edited_pipeline_reproduction():
@@ -127,20 +127,20 @@ def test_criterion_3_edited_pipeline_reproduction():
             discard_positive = False
             for n_t in NT_VALUES:
                 m = _edited_pipeline(distinct, w_o["d"], EditOption.DISTINCT_ZERO_FORGET, n_t)
-                [p] = predict_edited(distinct, [EditOption.DISTINCT_ZERO_FORGET], [n_t])
-                check(m.rl, p.rl_edit[0])
-                check(m.ul, p.ul_edit[0])
+                [([rl], [ul])] = predict_edited(distinct, [EditOption.DISTINCT_ZERO_FORGET], [n_t])
+                check(m.rl, rl)
+                check(m.ul, ul)
 
                 m = _edited_pipeline(overlap, w_o["o"], EditOption.OVERLAP_RETAIN, n_t)
-                [p] = predict_edited(overlap, [EditOption.OVERLAP_RETAIN], [n_t])
+                [([rl], [ul])] = predict_edited(overlap, [EditOption.OVERLAP_RETAIN], [n_t])
                 assert m.rl < 1e-9  # retaining the overlap keeps RL at zero
-                check(m.rl, p.rl_edit[0])
-                check(m.ul, p.ul_edit[0])
+                check(m.rl, rl)
+                check(m.ul, ul)
 
                 m = _edited_pipeline(overlap, w_o["o"], EditOption.OVERLAP_DISCARD, n_t)
-                [p] = predict_edited(overlap, [EditOption.OVERLAP_DISCARD], [n_t])
-                check(m.rl, p.rl_edit[0])
-                check(m.ul, p.ul_edit[0])
+                [([rl], [ul])] = predict_edited(overlap, [EditOption.OVERLAP_DISCARD], [n_t])
+                check(m.rl, rl)
+                check(m.ul, ul)
                 discard_positive = discard_positive or m.rl > 1e-6
             assert discard_positive  # discarding the overlap must cost RL somewhere
 

@@ -41,6 +41,7 @@ from softmax_reference import (
     softmax_probs,
     split,
 )
+from strategies import distinct_seeds
 
 
 def _small_problem(seed, num_classes=5, dim=8, per_class=6):
@@ -1264,8 +1265,7 @@ def _small_classifier_configs(draw):
     unit = st.floats(0.0, 1.0)
     raw = {
         "experiment": experiment,
-        "seeds": draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=2, max_size=4,
-                               unique=True)),
+        "seeds": draw(distinct_seeds()),
         "task": {
             "num_classes": num_classes,
             "per_class": small("task.per_class", 6),

@@ -29,6 +29,8 @@ from unlearn_lab.experiments import (
     write_outputs,
 )
 
+from strategies import distinct_seeds
+
 INF = float("inf")
 NAN = float("nan")
 
@@ -249,7 +251,7 @@ class TestVerifyRowsFromArrays:
         def predict(scenario, options, nt_values):
             predictions = real(scenario, options, nt_values)
             for p in predictions:
-                for losses in (p.rl_edit, p.ul_edit):
+                for losses in p:
                     losses[..., slice(1) if first_only else slice(None)] = NAN
             return predictions
 
@@ -677,8 +679,7 @@ def _small_linear_configs(draw, among=("verify-theorems", "sweep-nt", "sweep-ove
     n_f = draw(st.integers(fields["n_f"][1].low, 4))
     raw = {
         "experiment": experiment,
-        "seeds": draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=2, max_size=4,
-                               unique=True)),
+        "seeds": draw(distinct_seeds()),
         "n_r": n_r, "n_f": n_f,
         "dist": draw(st.sampled_from(fields["dist"][1].choices)),
     }
@@ -1143,6 +1144,11 @@ class TestCli:
             ["--tolerance", "nan"],
             ["--seeds", "-1"],
             ["--seeds", "0,18446744073709551616"],
+            # Every entry is a decimal integer: no empty entry, no underscore.
+            ["--seeds", "1,,2"],
+            ["--seeds", "1,"],
+            ["--seeds", ",1"],
+            ["--seeds", "1_0"],
         ],
     )
     def test_bad_flags_exit_two(self, tmp_path, capsys, flags):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from unlearn_lab.classifier import LabeledSet, SoftmaxClassifier
-from unlearn_lab.errors import InvalidMatrixError, ProvenanceMismatchError
+from unlearn_lab.errors import InvalidMatrixError
 from unlearn_lab.metrics import (
     GapEntry,
     LossReport,
@@ -19,10 +19,9 @@ from unlearn_lab.metrics import (
     mse_loss,
 )
 from unlearn_lab.oracle import (
-    TheoremPrediction,
+    FINE_TUNED,
     predict_distinct,
     predict_edited,
-    predict_overlap,
     within_tolerance,
 )
 from unlearn_lab.scenarios import (
@@ -57,7 +56,7 @@ class TestMseLoss:
 
     def test_reference_golden_forget_loss_matches_oracle(self):
         s = gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed=7)
-        predicted = predict_distinct(s).ul_gold
+        _, predicted = predict_distinct(s)
         measured = mse_loss(retrain_golden(s), s.x_f, s.y_f)
         assert abs(measured - predicted) <= 1e-8 * predicted
 
@@ -118,7 +117,7 @@ class TestLossReport:
                              for seed in range(3)])
         s = dataclasses.replace(s, **{key: take(s) for key, take in arrays.items()})
         with pytest.raises(InvalidMatrixError, match=f"^{name} must have shape "):
-            measure_losses(w, s, "golden")
+            measure_losses(w, s)
 
     def test_fine_tuned_losses_vanish_for_unedited_pipelines(self):
         for layout in (FeatureLayout(20, 0, 20), FeatureLayout(16, 8, 16)):
@@ -127,9 +126,7 @@ class TestLossReport:
                 w_o = train_original(s)
                 for n_t in (1, 15, 29):
                     x_t, y_t = fine_tune_subset(s, n_t)
-                    report = measure_losses(
-                        fine_tune_unlearn(w_o, x_t, y_t), s, "fine_tuned"
-                    )
+                    report = measure_losses(fine_tune_unlearn(w_o, x_t, y_t), s)
                     assert report.rl < 1e-9
                     assert report.ul < 1e-9
 
@@ -148,17 +145,17 @@ class TestLossReport:
         # A failed check is not remembered: every call raises.
         for _ in range(2):
             with pytest.raises(type(direct.value), match=f"^{name} contains non-finite entries$"):
-                measure_losses(w, s, "golden")
+                measure_losses(w, s)
 
     def test_weights_with_a_leading_axis_give_the_bits_of_one_call_each(self):
         s = stack_scenarios([gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed)
                              for seed in (0, 1)])
         w = np.stack([retrain_golden(s), train_original(s),
                       np.random.default_rng(2).standard_normal((2, 40))])
-        report = measure_losses(w, s, "golden")
+        report = measure_losses(w, s)
         assert np.shape(report.rl) == np.shape(report.ul) == (3, 2)
         for i, w_i in enumerate(w):
-            own = measure_losses(w_i, s, "golden")
+            own = measure_losses(w_i, s)
             assert _bits([report.rl[i], report.ul[i]]) == _bits([own.rl, own.ul])
 
     def test_non_finite_weights_raise_on_every_call(self):
@@ -168,64 +165,40 @@ class TestLossReport:
         w[1, 1, 0] = np.inf
         for _ in range(2):
             with pytest.raises(InvalidMatrixError, match="^w contains non-finite entries$"):
-                measure_losses(w, s, "golden")
-
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
-            LossReport(rl=0.0, ul=0.0, model_tag="mystery")
+                measure_losses(w, s)
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ValueError):
-            LossReport(rl=-1.0, ul=0.0, model_tag="golden")
+            LossReport(rl=-1.0, ul=0.0)
 
 
 class TestGapReport:
-    PRED = TheoremPrediction(rl_ft=0.0, ul_ft=0.0, rl_gold=0.0, ul_gold=0.5)
+    PRED = (0.0, 0.5)
 
     def test_identical_values_pass_with_zero_gaps(self):
-        measured = LossReport(rl=0.0, ul=0.5, model_tag="golden")
+        measured = (0.0, 0.5)
         report = gap_report(measured, self.PRED)
         assert report.passed
         assert all(e.abs_gap == 0.0 and e.rel_gap == 0.0 for e in (report.rl, report.ul))
 
     def test_tiny_measurement_passes_absolute_floor(self):
-        measured = LossReport(rl=1e-12, ul=0.5, model_tag="golden")
+        measured = (1e-12, 0.5)
         assert gap_report(measured, self.PRED).passed
 
     def test_relative_gap_failure(self):
-        measured = LossReport(rl=0.0, ul=0.6, model_tag="golden")
+        measured = (0.0, 0.6)
         report = gap_report(measured, self.PRED)
         assert not report.passed
         ul_entry = report.ul
         assert abs(ul_entry.rel_gap - 0.2) < 1e-12
 
-    def test_original_model_has_no_counterpart(self):
-        measured = LossReport(rl=0.0, ul=0.0, model_tag="original")
-        with pytest.raises(ProvenanceMismatchError):
-            gap_report(measured, self.PRED)
-
-    def test_edited_tag_needs_edit_fields(self):
-        measured = LossReport(rl=0.0, ul=0.0, model_tag="edited_fine_tuned")
-        with pytest.raises(ProvenanceMismatchError):
-            gap_report(measured, self.PRED)
-
-    def test_edited_tag_with_edit_fields(self):
-        predicted = TheoremPrediction(rl_edit=0.0, ul_edit=1.0)
-        measured = LossReport(rl=0.0, ul=1.0 + 1e-11, model_tag="edited_fine_tuned")
-        assert gap_report(measured, predicted).passed
-
-    def test_golden_tag_against_edit_prediction_is_rejected(self):
-        s = gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed=3)
-        [predicted] = predict_edited(s, [EditOption.DISTINCT_ZERO_FORGET], [15])
-        measured = measure_losses(retrain_golden(s), s, "golden")
-        with pytest.raises(ProvenanceMismatchError):
-            gap_report(measured, predicted)
+    def test_edited_pair_within_the_floor(self):
+        assert gap_report((0.0, 1.0 + 1e-11), (0.0, 1.0)).passed
 
     def test_entries_are_named(self):
-        measured = LossReport(rl=0.25, ul=0.5, model_tag="golden")
+        measured = (0.25, 0.5)
         report = gap_report(measured, self.PRED)
-        assert (report.rl.measured, report.rl.predicted) == (0.25, 0.0)
-        assert (report.ul.measured, report.ul.predicted) == (0.5, 0.5)
+        assert (report.rl.abs_gap, report.ul.abs_gap) == (0.25, 0.0)
         assert not report.passed and not report.rl.ok and report.ul.ok
 
 
@@ -254,38 +227,32 @@ class TestStackedReports:
                   else EditOption.OVERLAP_DISCARD)
         w_o = train_original(stack)
         edited = edit_pretrained(w_o, layout, option)
-        gold = measure_losses(retrain_golden(stack), stack, "golden")
-        by_nt = [measure_losses(fine_tune_unlearn(w, *fine_tune_subset(stack, n_t)), stack, tag)
-                 for n_t in self.NT_VALUES
-                 for w, tag in ((w_o, "fine_tuned"), (edited, "edited_fine_tuned"))]
+        gold = measure_losses(retrain_golden(stack), stack)
+        by_nt = {start: [measure_losses(fine_tune_unlearn(w, *fine_tune_subset(stack, n_t)), stack)
+                         for n_t in self.NT_VALUES]
+                 for start, w in (("fine_tuned", w_o), ("edited", edited))}
         assert gold.rl.shape == gold.ul.shape == (3,)
-        # The fine-tuned rows read only the baseline's zero RL and UL.
-        baseline = (predict_distinct if layout.is_distinct else predict_overlap)(stack)
         [edit_prediction] = predict_edited(stack, [option], self.NT_VALUES)
         for i, s in enumerate(scenarios):
-            own_gold = measure_losses(retrain_golden(s), s, "golden")
+            own_gold = measure_losses(retrain_golden(s), s)
             assert _bits([gold.rl[i], gold.ul[i]]) == _bits([own_gold.rl, own_gold.ul])
             # One member's losses over n_t, as the row builders read them.
-            series = {tag: LossReport(rl=np.array([r.rl[i] for r in by_nt if r.model_tag == tag]),
-                                      ul=np.array([r.ul[i] for r in by_nt if r.model_tag == tag]),
-                                      model_tag=tag)
-                      for tag in ("fine_tuned", "edited_fine_tuned")}
+            series = {start: (np.array([r.rl[i] for r in reports]),
+                              np.array([r.ul[i] for r in reports]))
+                      for start, reports in by_nt.items()}
             # One member's predictions over n_t, as the verify pass slices them.
-            over_nt = TheoremPrediction(rl_edit=edit_prediction.rl_edit[i],
-                                        ul_edit=edit_prediction.ul_edit[i])
-            predictions = [TheoremPrediction(rl_edit=float(rl), ul_edit=float(ul))
-                           for rl, ul in zip(over_nt.rl_edit, over_nt.ul_edit)]
+            over_nt = tuple(losses[i] for losses in edit_prediction)
+            predictions = [(float(rl), float(ul)) for rl, ul in zip(*over_nt)]
             for measured, predicted, each in (
-                    (series["fine_tuned"], baseline, [baseline] * len(self.NT_VALUES)),
-                    (series["edited_fine_tuned"], over_nt, predictions)):
+                    (series["fine_tuned"], FINE_TUNED, [FINE_TUNED] * len(self.NT_VALUES)),
+                    (series["edited"], over_nt, predictions)):
                 stacked = gap_report(measured, predicted)
-                alone = [gap_report(LossReport(rl=float(rl), ul=float(ul),
-                                               model_tag=measured.model_tag), p)
-                         for rl, ul, p in zip(measured.rl, measured.ul, each)]
+                alone = [gap_report((float(rl), float(ul)), p)
+                         for rl, ul, p in zip(*measured, each)]
                 for name in ("rl", "ul"):
                     entry = getattr(stacked, name)
                     entries = [getattr(report, name) for report in alone]
-                    for field in ("measured", "predicted", "abs_gap", "rel_gap"):
+                    for field in ("abs_gap", "rel_gap"):
                         stacked_field = np.broadcast_to(getattr(entry, field), len(entries))
                         assert _bits(stacked_field) == _bits(
                             [getattr(e, field) for e in entries]), (name, field)
@@ -293,34 +260,27 @@ class TestStackedReports:
                 assert stacked.passed is all(report.passed for report in alone) is True
 
     def test_a_stacked_report_is_validated_once_as_a_whole(self):
-        report = LossReport(rl=np.zeros(3), ul=np.ones(3), model_tag="golden")
+        report = LossReport(rl=np.zeros(3), ul=np.ones(3))
         assert report.ul.shape == (3,)
         with pytest.raises(ValueError, match="finite"):
-            LossReport(rl=np.array([0.0, np.nan]), ul=np.zeros(2), model_tag="golden")
+            LossReport(rl=np.array([0.0, np.nan]), ul=np.zeros(2))
         with pytest.raises(ValueError, match="finite"):
-            LossReport(rl=np.array([-1.0, np.inf]), ul=np.zeros(2), model_tag="golden")
+            LossReport(rl=np.array([-1.0, np.inf]), ul=np.zeros(2))
         with pytest.raises(ValueError, match="nonnegative"):
-            LossReport(rl=np.zeros(2), ul=np.array([0.0, -1e-300]), model_tag="golden")
+            LossReport(rl=np.zeros(2), ul=np.array([0.0, -1e-300]))
         with pytest.raises(ValueError, match="one shape"):
-            LossReport(rl=np.zeros(2), ul=np.zeros(3), model_tag="golden")
-        with pytest.raises(ValueError, match="unknown model tag"):
-            LossReport(rl=np.zeros(2), ul=np.zeros(2), model_tag="mystery")
+            LossReport(rl=np.zeros(2), ul=np.zeros(3))
 
     def test_zero_and_nan_predictions_compare_without_warnings(self):
         # Zero prediction: zero gap -> rel 0 and pass; nonzero gap -> rel inf
         # and fail.  NaN prediction: NaN gaps, and a fail.
-        measured = LossReport(rl=np.array([0.0, 0.5, 0.5]), ul=np.array([0.0, 1e-12, 0.5]),
-                              model_tag="edited_fine_tuned")
-        predicted = TheoremPrediction(rl_edit=np.array([0.0, 0.0, np.nan]),
-                                      ul_edit=np.array([0.0, 0.0, np.nan]))
+        measured = (np.array([0.0, 0.5, 0.5]), np.array([0.0, 1e-12, 0.5]))
+        predicted = (np.array([0.0, 0.0, np.nan]), np.array([0.0, 0.0, np.nan]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = gap_report(measured, predicted)
-            alone = [gap_report(LossReport(rl=rl, ul=ul, model_tag="edited_fine_tuned"),
-                                TheoremPrediction(rl_edit=p_rl, ul_edit=p_ul))
-                     for rl, ul, p_rl, p_ul in zip(measured.rl.tolist(), measured.ul.tolist(),
-                                                   predicted.rl_edit.tolist(),
-                                                   predicted.ul_edit.tolist())]
+            alone = [gap_report((rl, ul), (p_rl, p_ul))
+                     for rl, ul, p_rl, p_ul in zip(*(a.tolist() for a in (*measured, *predicted)))]
             assert within_tolerance(np.array([1e300, np.inf]), np.array([-1e300, np.inf])).tolist() \
                 == [False, False]
         assert report.rl.rel_gap[:2].tolist() == [0.0, np.inf]
@@ -336,7 +296,7 @@ class TestStackedReports:
         assert [a.passed for a in alone] == [True, False, False]
 
     def test_scalars_are_the_zero_dimensional_case(self):
-        report = gap_report(LossReport(rl=0.0, ul=0.6, model_tag="golden"), TestGapReport.PRED)
+        report = gap_report((0.0, 0.6), TestGapReport.PRED)
         for entry in (report.rl, report.ul):
             assert type(entry.abs_gap) is float and type(entry.rel_gap) is float
             assert type(entry.ok) is bool
@@ -398,8 +358,8 @@ class TestClassifierMetrics:
 
 
 class TestArrayHoldersCompareByIdentity:
-    """The linear side's scenarios, predictions, loss reports and gap
-    entries hold arrays, so they compare, hash and test membership by
+    """The linear side's scenarios, loss reports and gap entries hold
+    arrays, so they compare, hash and test membership by
     identity instead of raising."""
 
     def test_equal_valued_holders_are_distinct_and_hashable(self):
@@ -409,9 +369,8 @@ class TestArrayHoldersCompareByIdentity:
         losses = np.array([1.0, 2.0])
         for make in (scenario,
                      lambda: decompose_w_star(scenario()),
-                     lambda: TheoremPrediction(rl_edit=losses.copy(), ul_edit=losses.copy()),
-                     lambda: LossReport(rl=losses.copy(), ul=losses.copy(), model_tag="golden"),
-                     lambda: GapEntry(losses, losses, np.zeros(2), np.zeros(2), np.ones(2, bool))):
+                     lambda: LossReport(rl=losses.copy(), ul=losses.copy()),
+                     lambda: GapEntry(np.zeros(2), np.zeros(2), np.ones(2, bool))):
             first, second = make(), make()
             assert first == first and first != second
             assert first in [second, first] and first not in [second]

@@ -8,6 +8,7 @@ import pytest
 from unlearn_lab.errors import LayoutMismatchError
 from unlearn_lab.metrics import measure_losses, mse_loss
 from unlearn_lab.oracle import (
+    FINE_TUNED,
     golden_ul_block_form,
     predict_distinct,
     predict_edited,
@@ -53,7 +54,7 @@ def _edited_pipeline_losses(scenario, option, n_t):
     edited = edit_pretrained(w_o, scenario.layout, option)
     x_t, y_t = fine_tune_subset(scenario, n_t)
     w_hat = fine_tune_unlearn(edited, x_t, y_t)
-    return measure_losses(w_hat, scenario, "edited_fine_tuned")
+    return measure_losses(w_hat, scenario)
 
 
 class TestPredictDistinct:
@@ -66,7 +67,7 @@ class TestPredictDistinct:
         s = gen_scenario(12, 6, FeatureLayout(10, 0, 10), seed=1)
         zeroed = s.w_star.copy()
         zeroed[10:] = 0.0
-        assert predict_distinct(_scenario_with_weights(s, zeroed)).ul_gold == 0.0
+        assert predict_distinct(_scenario_with_weights(s, zeroed))[1] == 0.0
 
     def test_identity_forgetting_features(self):
         # F = I makes the seminorm collapse to ||w_f||^2 / n_f.
@@ -78,26 +79,26 @@ class TestPredictDistinct:
             y_r=s.y_r, y_f=x_f.T @ s.w_star,
             w_star=s.w_star, seed=s.seed, dist=s.dist,
         )
-        predicted = predict_distinct(t).ul_gold
+        _, predicted = predict_distinct(t)
         expected = float(s.w_star[10:] @ s.w_star[10:]) / 10
         assert abs(predicted - expected) < 1e-14
 
     def test_reference_geometry_matches_measurement(self):
         s = gen_scenario(30, 10, DISTINCT, seed=7)
-        predicted = predict_distinct(s)
+        _, predicted = predict_distinct(s)
         measured = mse_loss(retrain_golden(s), s.x_f, s.y_f)
-        assert abs(measured - predicted.ul_gold) <= 1e-8 * predicted.ul_gold
+        assert abs(measured - predicted) <= 1e-8 * predicted
 
     def test_fine_tuned_zeros_exactly(self):
-        p = predict_distinct(gen_scenario(30, 10, DISTINCT, seed=3))
-        assert p.rl_ft == p.ul_ft == p.rl_gold == 0.0
+        rl_gold, _ = predict_distinct(gen_scenario(30, 10, DISTINCT, seed=3))
+        assert FINE_TUNED == (0.0, 0.0) and rl_gold == 0.0
 
 
 class TestPredictOverlap:
     def test_reduces_to_distinct_when_no_overlap(self):
         s = gen_scenario(30, 10, DISTINCT, seed=4)
-        a = predict_distinct(s).ul_gold
-        b = predict_overlap(s).ul_gold
+        _, a = predict_distinct(s)
+        _, b = predict_overlap(s)
         assert abs(a - b) <= 1e-10 * max(a, 1.0)
 
     def test_zero_overlap_weights_drop_out(self):
@@ -111,20 +112,20 @@ class TestPredictOverlap:
         parts = decompose_w_star(t)
         p_r = projector(t.x_r)
         expected = weighted_seminorm_sq(p_r @ parts.w_r - parts.w_f, t.x_f)
-        assert abs(predict_overlap(t).ul_gold - expected) <= 1e-12 * max(expected, 1.0)
+        assert abs(predict_overlap(t)[1] - expected) <= 1e-12 * max(expected, 1.0)
 
     def test_reference_geometry_matches_measurement(self):
         s = gen_scenario(30, 10, OVERLAP, seed=7)
-        predicted = predict_overlap(s)
+        _, predicted = predict_overlap(s)
         measured = mse_loss(retrain_golden(s), s.x_f, s.y_f)
-        assert abs(measured - predicted.ul_gold) <= 1e-8 * predicted.ul_gold
+        assert abs(measured - predicted) <= 1e-8 * predicted
 
     def test_projector_and_block_forms_agree(self):
         # Two writings of the same golden UL; the block expansion goes
         # through the remaining-data Gram pseudoinverse.
         for seed in range(10):
             s = gen_scenario(30, 10, OVERLAP, seed=seed)
-            a = predict_overlap(s).ul_gold
+            _, a = predict_overlap(s)
             b = golden_ul_block_form(s)
             assert abs(a - b) <= 1e-9 * max(a, 1.0)
 
@@ -133,30 +134,30 @@ class TestPredictOverlap:
         for seed in range(5):
             s = gen_scenario(12, 6, FeatureLayout(16, 8, 16), seed=seed)
             measured = mse_loss(retrain_golden(s), s.x_f, s.y_f)
-            for predicted in (predict_overlap(s).ul_gold, golden_ul_block_form(s)):
+            for predicted in (predict_overlap(s)[1], golden_ul_block_form(s)):
                 assert within_tolerance(measured, predicted)
 
 
 class TestPredictEdited:
     def test_distinct_edit_equals_golden_prediction(self):
         s = gen_scenario(30, 10, DISTINCT, seed=6)
-        base = predict_distinct(s)
-        [edited] = predict_edited(s, [EditOption.DISTINCT_ZERO_FORGET], [15])
-        assert edited.rl_edit.tolist() == [base.rl_gold] == [0.0]
-        assert edited.ul_edit.tolist() == [base.ul_gold]
+        rl_gold, ul_gold = predict_distinct(s)
+        [(rl_edit, ul_edit)] = predict_edited(s, [EditOption.DISTINCT_ZERO_FORGET], [15])
+        assert rl_edit.tolist() == [rl_gold] == [0.0]
+        assert ul_edit.tolist() == [ul_gold]
 
     def test_full_subset_spans_remaining_data(self):
         # With n_t = n_r the fine-tuning span contains all remaining
         # data, so the discard option loses nothing on the remaining set.
         s = gen_scenario(30, 10, OVERLAP, seed=7)
-        [p] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [30])
-        assert p.rl_edit.shape == (1,) and p.rl_edit[0] < 1e-18
+        [(rl_edit, _)] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [30])
+        assert rl_edit.shape == (1,) and rl_edit[0] < 1e-18
 
     def test_discard_option_end_to_end(self):
         s = gen_scenario(30, 10, OVERLAP, seed=7)
         [predicted] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [15])
         measured = _edited_pipeline_losses(s, EditOption.OVERLAP_DISCARD, 15)
-        [rl], [ul] = predicted.rl_edit, predicted.ul_edit
+        [rl], [ul] = predicted
         assert rl > 1e-10
         assert within_tolerance(measured.rl, rl)
         assert within_tolerance(measured.ul, ul)
@@ -165,7 +166,7 @@ class TestPredictEdited:
         s = gen_scenario(30, 10, OVERLAP, seed=7)
         [predicted] = predict_edited(s, [EditOption.OVERLAP_RETAIN], [15])
         measured = _edited_pipeline_losses(s, EditOption.OVERLAP_RETAIN, 15)
-        [rl], [ul] = predicted.rl_edit, predicted.ul_edit
+        [rl], [ul] = predicted
         assert rl == 0.0
         assert measured.rl < 1e-18
         assert within_tolerance(measured.ul, ul)
@@ -180,19 +181,20 @@ class TestPredictEdited:
         layout = DISTINCT if option is EditOption.DISTINCT_ZERO_FORGET else OVERLAP
         s = gen_scenario(30, 10, layout, seed=9)
         nt_values = [29, 1, 15, 2, 30]
-        [together] = predict_edited(s, [option], nt_values)
+        [(rl_edit, ul_edit)] = predict_edited(s, [option], nt_values)
         alone = [predict_edited(s, [option], [n_t])[0] for n_t in nt_values]
-        assert np.array_equal(together.rl_edit, [p.rl_edit[0] for p in alone])
-        assert np.array_equal(together.ul_edit, [p.ul_edit[0] for p in alone])
+        assert np.array_equal(rl_edit, [rl[0] for rl, _ in alone])
+        assert np.array_equal(ul_edit, [ul[0] for _, ul in alone])
 
     @pytest.mark.parametrize(
         "option,layout",
         [(EditOption.DISTINCT_ZERO_FORGET, DISTINCT), (EditOption.OVERLAP_RETAIN, OVERLAP)],
     )
     def test_retain_and_distinct_do_not_depend_on_nt(self, option, layout):
-        [p] = predict_edited(gen_scenario(30, 10, layout, seed=10), [option], [1, 15, 29])
-        assert p.rl_edit.tolist() == [0.0] * 3
-        assert p.ul_edit.tolist() == [p.ul_edit[0]] * 3
+        [(rl_edit, ul_edit)] = predict_edited(gen_scenario(30, 10, layout, seed=10), [option],
+                                              [1, 15, 29])
+        assert rl_edit.tolist() == [0.0] * 3
+        assert ul_edit.tolist() == [ul_edit[0]] * 3
 
     @pytest.mark.parametrize("layout", [DISTINCT, OVERLAP])
     def test_options_together_equal_each_alone(self, layout):
@@ -202,10 +204,10 @@ class TestPredictEdited:
         nt_values = [1, 15, 29]
         together = predict_edited(s, options, nt_values)
         assert len(together) == len(options)
-        for option, p in zip(options, together):
-            [alone] = predict_edited(s, [option], nt_values)
-            assert np.array_equal(p.rl_edit, alone.rl_edit)
-            assert np.array_equal(p.ul_edit, alone.ul_edit)
+        for option, (rl_edit, ul_edit) in zip(options, together):
+            [(rl_alone, ul_alone)] = predict_edited(s, [option], nt_values)
+            assert np.array_equal(rl_edit, rl_alone)
+            assert np.array_equal(ul_edit, ul_alone)
 
     def test_every_nt_is_validated(self):
         s = gen_scenario(30, 10, DISTINCT, seed=11)
@@ -215,18 +217,18 @@ class TestPredictEdited:
     def test_one_scenario_gives_a_float_gold_and_a_value_per_nt(self):
         s = gen_scenario(30, 10, DISTINCT, seed=13)
         for predict in (predict_distinct, predict_overlap):
-            assert type(predict(s).ul_gold) is float
+            assert type(predict(s)[1]) is float
         nt_values = [1, 15, 29]
-        for p in predict_edited(s, list(EditOption), nt_values):
-            assert isinstance(p.rl_edit, np.ndarray) and isinstance(p.ul_edit, np.ndarray)
-            assert p.rl_edit.shape == p.ul_edit.shape == (len(nt_values),)
+        for rl_edit, ul_edit in predict_edited(s, list(EditOption), nt_values):
+            assert isinstance(rl_edit, np.ndarray) and isinstance(ul_edit, np.ndarray)
+            assert rl_edit.shape == ul_edit.shape == (len(nt_values),)
 
-    def test_only_edit_losses_are_predicted(self):
+    def test_each_prediction_is_one_rl_ul_pair(self):
         s = gen_scenario(30, 10, OVERLAP, seed=12)
         [p] = predict_edited(s, [EditOption.OVERLAP_DISCARD], [15])
-        assert p.rl_edit is not None and p.ul_edit is not None
-        assert p.rl_ft is p.ul_ft is p.rl_gold is p.ul_gold is None
-        assert predict_overlap(s).rl_edit is predict_overlap(s).ul_edit is None
+        for pair in (p, predict_overlap(s), predict_distinct(gen_scenario(30, 10, DISTINCT, 12)),
+                     FINE_TUNED):
+            assert type(pair) is tuple and len(pair) == 2
 
 
 def _equal_columns(scenario):
@@ -259,21 +261,21 @@ class TestStackedPredictions:
 
         predictors = [predict_overlap] + ([predict_distinct] if layout.is_distinct else [])
         for predict in predictors:
-            stacked = predict(stack)
-            assert stacked.ul_gold.shape == (3,)
+            rl_stacked, ul_stacked = predict(stack)
+            assert ul_stacked.shape == (3,)
             for member, s in enumerate(scenarios):
-                alone = predict(s)
-                assert np.array_equal(stacked.ul_gold[member], alone.ul_gold)
-                assert stacked.rl_gold == alone.rl_gold == 0.0
+                rl_alone, ul_alone = predict(s)
+                assert np.array_equal(ul_stacked[member], ul_alone)
+                assert rl_stacked == rl_alone == 0.0
         options = list(EditOption) if layout.is_distinct else list(EditOption)[1:]
         nt_values = list(range(1, 31))
         stacked = predict_edited(stack, options, nt_values)
         for member, s in enumerate(scenarios):
-            for together, alone in zip(stacked, predict_edited(s, options, nt_values),
-                                       strict=True):
-                assert together.rl_edit.shape == together.ul_edit.shape == (3, 30)
-                assert np.array_equal(together.rl_edit[member], alone.rl_edit)
-                assert np.array_equal(together.ul_edit[member], alone.ul_edit)
+            for (rl_together, ul_together), (rl_alone, ul_alone) in zip(
+                    stacked, predict_edited(s, options, nt_values), strict=True):
+                assert rl_together.shape == ul_together.shape == (3, 30)
+                assert np.array_equal(rl_together[member], rl_alone)
+                assert np.array_equal(ul_together[member], ul_alone)
 
 
 class TestLoneCallIsAOneMemberStack:
@@ -308,9 +310,9 @@ class TestLoneCallIsAOneMemberStack:
         self._same(w, min_norm_anchor_solve(xs_t, ys_t, anchors[..., None, :]), axis=-2)
         self._same(weighted_seminorm_sq(w[0, 0], s.x_f), weighted_seminorm_sq(w[0, :1], stack.x_f))
         self._same(mse_loss(w[0, 0], s.x_r, s.y_r), mse_loss(w[0, :1], stack.x_r, stack.y_r))
-        for tag, weights in (("golden", w[0, 0]), ("fine_tuned", w)):
-            lone, stacked = (measure_losses(weights, s, tag),
-                             measure_losses(weights[..., None, :], stack, tag))
+        for weights in (w[0, 0], w):
+            lone, stacked = (measure_losses(weights, s),
+                             measure_losses(weights[..., None, :], stack))
             self._same(lone.rl, stacked.rl, axis=-1)
             self._same(lone.ul, stacked.ul, axis=-1)
         options = list(EditOption) if layout.is_distinct else list(EditOption)[1:]
@@ -320,14 +322,14 @@ class TestLoneCallIsAOneMemberStack:
 
         predictors = [predict_overlap] + ([predict_distinct] if layout.is_distinct else [])
         for predict in predictors:
-            lone, stacked = predict(s), predict(stack)
-            self._same(lone.ul_gold, stacked.ul_gold)
-            assert lone.rl_ft == lone.ul_ft == lone.rl_gold == 0.0
+            (rl_lone, ul_lone), (_, ul_stacked) = predict(s), predict(stack)
+            self._same(ul_lone, ul_stacked)
+            assert rl_lone == 0.0
         nt_values = [1, 7, 16, 24, 29]
         for lone, stacked in zip(predict_edited(s, options, nt_values),
                                  predict_edited(stack, options, nt_values), strict=True):
-            self._same(lone.rl_edit, stacked.rl_edit)
-            self._same(lone.ul_edit, stacked.ul_edit)
+            self._same(lone[0], stacked[0])
+            self._same(lone[1], stacked[1])
 
 
 class TestOracleMeasurementAgreement:
@@ -345,13 +347,13 @@ class TestOracleMeasurementAgreement:
         n_t = max(1, scenario.n_r // 2)
         x_t, y_t = fine_tune_subset(scenario, n_t)
         w_t = fine_tune_unlearn(w_o, x_t, y_t)
-        ft = measure_losses(w_t, scenario, "fine_tuned")
-        gold = measure_losses(w_g, scenario, "golden")
-        assert within_tolerance(ft.rl, predicted.rl_ft)
-        assert within_tolerance(ft.ul, predicted.ul_ft)
-        assert within_tolerance(gold.rl, predicted.rl_gold)
-        assert within_tolerance(gold.ul, predicted.ul_gold)
-        for value in (predicted.rl_ft, predicted.ul_ft, predicted.rl_gold, predicted.ul_gold):
+        ft = measure_losses(w_t, scenario)
+        gold = measure_losses(w_g, scenario)
+        assert within_tolerance(ft.rl, FINE_TUNED[0])
+        assert within_tolerance(ft.ul, FINE_TUNED[1])
+        assert within_tolerance(gold.rl, predicted[0])
+        assert within_tolerance(gold.ul, predicted[1])
+        for value in (*FINE_TUNED, *predicted):
             assert value >= 0.0
 
     def test_baseline_agreement_across_layouts(self):
@@ -387,7 +389,7 @@ class TestOracleMeasurementAgreement:
             n_t = int(rng.integers(1, n_r + 1))
             for option, predicted in zip(options, predict_edited(scenario, options, [n_t])):
                 measured = _edited_pipeline_losses(scenario, option, n_t)
-                [rl], [ul] = predicted.rl_edit, predicted.ul_edit
+                [rl], [ul] = predicted
                 assert within_tolerance(measured.rl, rl)
                 assert within_tolerance(measured.ul, ul)
 
@@ -398,8 +400,8 @@ class TestOracleMeasurementAgreement:
             w_g = retrain_golden(scenario)
             x_t, y_t = fine_tune_subset(scenario, 9)
             w_t = fine_tune_unlearn(w_o, x_t, y_t)
-            ft = measure_losses(w_t, scenario, "fine_tuned")
-            gold = measure_losses(w_g, scenario, "golden")
+            ft = measure_losses(w_t, scenario)
+            gold = measure_losses(w_g, scenario)
             assert ft.rl < 1e-9 and ft.ul < 1e-9
             assert gold.rl < 1e-9
 
@@ -417,7 +419,7 @@ class TestOverlapWidthTrend:
             values = []
             for seed in range(50):
                 scenario = gen_scenario(n_r, n_f, layout, seed=seed)
-                [predicted] = predict_edited(scenario, [EditOption.OVERLAP_DISCARD], [n_t])
-                values.append(predicted.rl_edit[0])
+                [(rl_edit, _)] = predict_edited(scenario, [EditOption.OVERLAP_DISCARD], [n_t])
+                values.append(rl_edit[0])
             medians.append(float(np.median(values)))
         assert all(b >= a - 1e-12 for a, b in zip(medians, medians[1:])), medians

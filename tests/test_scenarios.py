@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from unlearn_lab.errors import RegimeViolationError
+from unlearn_lab.errors import LayoutMismatchError, RegimeViolationError
 from unlearn_lab.linalg import min_norm_solve, projector
+from unlearn_lab.oracle import predict_distinct, predict_edited
 from unlearn_lab.scenarios import (
     FeatureLayout,
     decompose_w_star,
     fine_tune_subset,
     gen_scenario,
 )
+from unlearn_lab.solvers import EditOption, closed_form_wt_distinct, edit_pretrained
 
 REFERENCE_DISTINCT = FeatureLayout(20, 0, 20)
 REFERENCE_OVERLAP = FeatureLayout(16, 8, 16)
@@ -27,6 +29,22 @@ class TestFeatureLayout:
     def test_no_overlap_flag(self):
         assert FeatureLayout(4, 0, 4).is_distinct
         assert not FeatureLayout(4, 1, 4).is_distinct
+
+    def test_one_distinct_guard_names_each_operation(self):
+        FeatureLayout(4, 0, 4).require_distinct("any operation")
+        s = gen_scenario(30, 10, REFERENCE_OVERLAP, seed=0)
+        zero_forget = EditOption.DISTINCT_ZERO_FORGET
+        calls = {
+            "the distinct-zero-forget edit": lambda: edit_pretrained(
+                np.zeros(s.d), s.layout, zero_forget),
+            "the distinct closed form": lambda: closed_form_wt_distinct(s, 5),
+            "the distinct prediction": lambda: predict_distinct(s),
+            "the distinct-zero-forget prediction": lambda: predict_edited(s, [zero_forget], [5]),
+        }
+        for operation, call in calls.items():
+            with pytest.raises(LayoutMismatchError,
+                               match=f"^{operation} requires d_lap = 0, got d_lap = 8$"):
+                call()
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

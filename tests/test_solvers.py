@@ -192,13 +192,13 @@ def test_one_call_fine_tunes_and_measures_every_anchor_of_every_member_as_alone(
     stack = stack_scenarios(scenarios)
     w = fine_tune_unlearn(anchors, stack.x_r, stack.y_r)
     assert w.shape == anchors.shape
-    stacked = measure_losses(w, stack, "fine_tuned")
+    stacked = measure_losses(w, stack)
     assert np.shape(stacked.rl) == np.shape(stacked.ul) == anchors.shape[:2]
     for e, i in np.ndindex(anchors.shape[:2]):
         s = scenarios[i]
         alone = fine_tune_unlearn(anchors[e, i], s.x_r, s.y_r)
         assert np.array_equal(w[e, i], alone)
-        own = measure_losses(alone, s, "fine_tuned")
+        own = measure_losses(alone, s)
         assert (stacked.rl[e, i], stacked.ul[e, i]) == (own.rl, own.ul)
 
 
@@ -214,7 +214,7 @@ class TestStackedScenarios:
         edited = edit_pretrained(w_o, layout, EditOption.OVERLAP_DISCARD)
         x_t, y_t = fine_tune_subset(stack, 12)
         w_t = fine_tune_unlearn(edited, x_t, y_t)
-        stacked = measure_losses(w_t, stack, "edited_fine_tuned")
+        stacked = measure_losses(w_t, stack)
         for i, s in enumerate(scenarios):
             alone = train_original(s)
             assert np.array_equal(w_o[i], alone)
@@ -222,7 +222,7 @@ class TestStackedScenarios:
             assert np.array_equal(
                 edited[i], edit_pretrained(alone, layout, EditOption.OVERLAP_DISCARD))
             assert np.array_equal(w_t[i], fine_tune_unlearn(edited[i], *fine_tune_subset(s, 12)))
-            own = measure_losses(w_t[i], s, "edited_fine_tuned")
+            own = measure_losses(w_t[i], s)
             assert (stacked.rl[i], stacked.ul[i]) == (own.rl, own.ul)
 
     def test_members_must_share_one_layout(self):
