@@ -40,7 +40,6 @@ from .linalg import (
 )
 from .metrics import (
     GapReport,
-    LossReport,
     Metrics,
     classifier_metrics,
     gap_report,

@@ -233,8 +233,6 @@ class _StackCE:
       ``labels * J * m + j * m + arange(m)`` for member ``j`` of the ``J =
       prod(lead)``.  Stacked sets share their labels, so all their seeds
       share both;
-    - ``ends``, the segments' end columns: ``(m,)`` for one set and
-      ``(m_r, m_r + m_f)`` for a remain and a forget set;
     - the ``(2, *lead, m)`` buffer of the per-column maxima, sums and
       targets and the ``(*lead, K)`` buffer of a lone column's classes (a
       fresh stack-sized buffer per epoch would let the allocator map new
@@ -255,7 +253,7 @@ class _StackCE:
         sets = (data,) if isinstance(data, LabeledSet) else tuple(data)
         labels = np.concatenate([s.labels for s in sets])
         m = labels.shape[0]
-        self.ends = ends = tuple(itertools.accumulate(s.size for s in sets))
+        ends = tuple(itertools.accumulate(s.size for s in sets))
         bounds = list(zip((0,) + ends, ends))
         dim = sets[0].features.shape[-2]
         self.features = features = np.empty(sets[0].features.shape[:-2] + (dim + 1, m))

@@ -24,7 +24,7 @@ The linear ones solve one stack of all seeds per layout (per scenario of
 ``verify-theorems``, per ``d_lap`` of ``sweep-overlap``) in one measured
 pass, :func:`_solve`, which generates the scenarios, trains and retrains
 once, factors each fine-tuning prefix once, edits and fine-tunes, and
-measures every model, one :class:`LossReport` of all seeds per solve.
+measures every model, one ``(rl, ul)`` pair of all seeds per solve.
 In ``verify-theorems`` each layout's pass then predicts the same seeds
 with the oracle, which restacks the seeds' own scenarios and factors
 them itself.  A stacked pass that raises is run again seed by seed
@@ -450,11 +450,11 @@ def _solve(cfg: dict, layout: FeatureLayout, nt_values, edits, seeds) -> list[tu
         # i over nt_values.
         fits = {}
         for edit, weights in zip(edits, solved):
-            losses = measure_losses(weights, scenario)
-            fits[edit] = (losses.rl.T, losses.ul.T)
-        gold = measure_losses(w_g, scenario)
+            rl, ul = measure_losses(weights, scenario)
+            fits[edit] = (rl.T, ul.T)
+        rl_gold, ul_gold = measure_losses(w_g, scenario)
     return [(scenarios[i], gold_losses, {edit: (rl[i], ul[i]) for edit, (rl, ul) in fits.items()})
-            for i, gold_losses in enumerate(zip(gold.rl.tolist(), gold.ul.tolist()))]
+            for i, gold_losses in enumerate(zip(rl_gold.tolist(), ul_gold.tolist()))]
 
 
 def _stacked(seeds: list[int], solve) -> dict:

@@ -1,24 +1,23 @@
 """Loss measurement, oracle gap reporting, and classifier accuracy metrics.
 
 Two metric families are kept strictly separate: mean-squared losses for
-the linear pipeline (:class:`LossReport`) and 0/1 accuracy fractions for
-the classifier pipeline (:class:`Metrics`).  Accuracies are reported as
-fractions in [0, 1]; rendering as percentages is a display concern.
+the linear pipeline, as ``(rl, ul)`` pairs, and 0/1 accuracy fractions
+for the classifier pipeline (:class:`Metrics`).  Accuracies are reported
+as fractions in [0, 1]; rendering as percentages is a display concern.
 
 The linear measurement and comparison work on arrays, and one model is
 the 0-d case of the same code.  The data and weights follow the shape
 rule of :mod:`~unlearn_lab.linalg`, which checks them: a lone scenario
 is a one-member stack, and weights carry the data's seed axes, with any
 axes in front of them, or raise :class:`InvalidMatrixError`.
-:func:`measure_losses` on a stacked scenario returns one
-:class:`LossReport` whose losses are ``(S,)`` arrays, or ``(N, S)`` for
-weights ``(N, S, d)``.  :func:`gap_report` compares two ``(rl, ul)``
-pairs, measured against predicted, and leaves it to the caller to pair
-each model with its prediction.  The measured losses may be arrays, say
-one seed's over every fine-tuning subset size, compared with predictions
-of the same shape or with one prediction, elementwise through
-:func:`~unlearn_lab.oracle.within_tolerance`, with the bits of one call
-per element.
+:func:`measure_losses` on a stacked scenario returns a pair of ``(S,)``
+arrays, or of ``(N, S)`` for weights ``(N, S, d)``.  :func:`gap_report`
+compares two ``(rl, ul)`` pairs, measured against predicted, and leaves
+it to the caller to pair each model with its prediction.  The measured
+losses may be arrays, say one seed's over every fine-tuning subset size,
+compared with predictions of the same shape or with one prediction,
+elementwise through :func:`~unlearn_lab.oracle.within_tolerance`, with
+the bits of one call per element.
 
 A run's :func:`stage_record` holds the wall seconds of each stage, which
 coarse ``with stage(name)`` blocks add to; they never nest.
@@ -66,30 +65,6 @@ def stage(name: str) -> Iterator[None]:
             seconds[name] += time.perf_counter() - start
 
 
-@dataclass(frozen=True, eq=False)
-class LossReport:
-    """Measured remaining/unlearning losses of one model of the pipeline.
-
-    ``rl`` and ``ul`` are floats for one model, or arrays of one shape
-    with one loss per model, such as one per member of a stack.
-    """
-
-    rl: float | np.ndarray
-    ul: float | np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.rl) != np.shape(self.ul):
-            raise ValueError(
-                f"rl and ul must have one shape, got {np.shape(self.rl)} and {np.shape(self.ul)}"
-            )
-        losses = np.array((self.rl, self.ul), dtype=np.float64)
-        # One pass over the losses: NaN fails both comparisons.
-        if not ((losses >= 0.0) & (losses < np.inf)).all():
-            if not np.isfinite(losses).all():
-                raise ValueError("losses must be finite")
-            raise ValueError("losses must be nonnegative")
-
-
 @dataclass(frozen=True)
 class Metrics:
     """Classifier unlearning metrics: UA, RA, TA as fractions in [0, 1]."""
@@ -132,16 +107,24 @@ def _mse(w, x, y, names: tuple[str, str, str], front: bool = False):
     return losses if losses.ndim else float(losses)
 
 
-def measure_losses(w, scenario: SyntheticScenario) -> LossReport:
-    """Remaining and unlearning loss of ``w`` on a scenario's two subsets.
+def measure_losses(w, scenario: SyntheticScenario):
+    """Remaining and unlearning loss of ``w`` on a scenario's two subsets,
+    as an ``(rl, ul)`` pair.
 
     ``w`` is ``(..., d)``, or ``(..., S, d)`` for a stack of scenarios:
-    one report whose ``rl`` and ``ul`` have the shape ``w.shape[:-1]``,
-    each model with the bits of its own call, and floats for one model of
-    one scenario.  The data and ``w`` are validated on every call.
+    ``rl`` and ``ul`` have the shape ``w.shape[:-1]``, each model with the
+    bits of its own call, and are floats for one model of one scenario.
+    The data and ``w`` are validated on every call, and finite inputs
+    whose losses overflow raise :class:`InvalidMatrixError`.
     """
-    return LossReport(rl=_mse(w, scenario.x_r, scenario.y_r, ("w", "x_r", "y_r"), front=True),
-                      ul=_mse(w, scenario.x_f, scenario.y_f, ("w", "x_f", "y_f"), front=True))
+    # Finite inputs can overflow a loss: the check below raises for it
+    # instead of a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rl = _mse(w, scenario.x_r, scenario.y_r, ("w", "x_r", "y_r"), front=True)
+        ul = _mse(w, scenario.x_f, scenario.y_f, ("w", "x_f", "y_f"), front=True)
+    if not np.isfinite((rl, ul)).all():
+        raise InvalidMatrixError("the losses of w on the scenario overflow")
+    return rl, ul
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,10 +81,11 @@ class SyntheticScenario:
 
     ``x_r`` is ``d x n_r`` and ``x_f`` is ``d x n_f`` (features by
     samples); ``y_r = x_r^T w_star`` and ``y_f = x_f^T w_star`` hold by
-    construction.  A stack of scenarios (:func:`stack_scenarios`) has the
-    same fields with a leading seed axis on every array, and ``seed``
-    holds the members' seeds.  The object caches nothing: each call that
-    reads the arrays validates them itself.
+    construction.  A scenario is its layout and these arrays: the seed
+    and distribution that drew them are not kept.  A stack of scenarios
+    (:func:`stack_scenarios`) has the same fields with a leading seed
+    axis on every array.  The object caches nothing: each call that reads
+    the arrays validates them itself.
     """
 
     layout: FeatureLayout
@@ -93,8 +94,6 @@ class SyntheticScenario:
     y_r: np.ndarray = field(repr=False)
     y_f: np.ndarray = field(repr=False)
     w_star: np.ndarray = field(repr=False)
-    seed: int | tuple[int, ...]
-    dist: str = "standard-normal"
 
     @property
     def d(self) -> int:
@@ -188,26 +187,22 @@ def gen_scenario(
         y_r=x_r.T @ w_star,
         y_f=x_f.T @ w_star,
         w_star=w_star,
-        seed=int(seed),
-        dist=dist,
     )
 
 
 def stack_scenarios(scenarios: Sequence[SyntheticScenario]) -> SyntheticScenario:
     """One scenario whose arrays stack those of ``scenarios`` along a
-    leading seed axis; they must share one layout and distribution.
+    leading seed axis; they must share one layout.
 
     Each member of a stacked array is a C-ordered copy of its scenario's,
     so a solver sees the memory layout of that scenario alone.
     """
-    first = scenarios[0]
-    if any((s.layout, s.dist) != (first.layout, first.dist) for s in scenarios):
-        raise ValueError("stacked scenarios must share one layout and distribution")
+    layout = scenarios[0].layout
+    if any(s.layout != layout for s in scenarios):
+        raise ValueError("stacked scenarios must share one layout")
     return SyntheticScenario(
-        layout=first.layout,
+        layout=layout,
         **{name: np.stack([getattr(s, name) for s in scenarios]) for name in _ARRAYS},
-        seed=tuple(s.seed for s in scenarios),
-        dist=first.dist,
     )
 
 

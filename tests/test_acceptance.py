@@ -126,22 +126,23 @@ def test_criterion_3_edited_pipeline_reproduction():
             w_o = {"d": train_original(distinct), "o": train_original(overlap)}
             discard_positive = False
             for n_t in NT_VALUES:
-                m = _edited_pipeline(distinct, w_o["d"], EditOption.DISTINCT_ZERO_FORGET, n_t)
+                m_rl, m_ul = _edited_pipeline(
+                    distinct, w_o["d"], EditOption.DISTINCT_ZERO_FORGET, n_t)
                 [([rl], [ul])] = predict_edited(distinct, [EditOption.DISTINCT_ZERO_FORGET], [n_t])
-                check(m.rl, rl)
-                check(m.ul, ul)
+                check(m_rl, rl)
+                check(m_ul, ul)
 
-                m = _edited_pipeline(overlap, w_o["o"], EditOption.OVERLAP_RETAIN, n_t)
+                m_rl, m_ul = _edited_pipeline(overlap, w_o["o"], EditOption.OVERLAP_RETAIN, n_t)
                 [([rl], [ul])] = predict_edited(overlap, [EditOption.OVERLAP_RETAIN], [n_t])
-                assert m.rl < 1e-9  # retaining the overlap keeps RL at zero
-                check(m.rl, rl)
-                check(m.ul, ul)
+                assert m_rl < 1e-9  # retaining the overlap keeps RL at zero
+                check(m_rl, rl)
+                check(m_ul, ul)
 
-                m = _edited_pipeline(overlap, w_o["o"], EditOption.OVERLAP_DISCARD, n_t)
+                m_rl, m_ul = _edited_pipeline(overlap, w_o["o"], EditOption.OVERLAP_DISCARD, n_t)
                 [([rl], [ul])] = predict_edited(overlap, [EditOption.OVERLAP_DISCARD], [n_t])
-                check(m.rl, rl)
-                check(m.ul, ul)
-                discard_positive = discard_positive or m.rl > 1e-6
+                check(m_rl, rl)
+                check(m_ul, ul)
+                discard_positive = discard_positive or m_rl > 1e-6
             assert discard_positive  # discarding the overlap must cost RL somewhere
 
 

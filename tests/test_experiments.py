@@ -29,7 +29,7 @@ from unlearn_lab.experiments import (
     write_outputs,
 )
 
-from strategies import distinct_seeds
+from strategies import distinct_entries, distinct_seeds
 
 INF = float("inf")
 NAN = float("nan")
@@ -554,10 +554,12 @@ class TestLinearSeedStack:
         raised = []
         if layout == "distinct":
             real = experiments.predict_distinct
+            target = experiments.gen_scenario(
+                30, 10, FeatureLayout(20, 0, 20), 1, "standard-normal").x_r
 
             def failing_prediction(scenario):
-                if 1 in scenario.seed:
-                    raised.append(len(scenario.seed))
+                if any(np.array_equal(member, target) for member in scenario.x_r):
+                    raised.append(len(scenario.x_r))
                     raise linalg.SvdFailureError(message)
                 return real(scenario)
 
@@ -603,10 +605,11 @@ class TestLinearSeedStack:
         # so it gets the prediction's error and never solves that layout.
         message = "SVD did not converge for shape (40, 40)"
         real_predict, real_scenario = experiments.predict_distinct, experiments.gen_scenario
+        target = real_scenario(30, 10, FeatureLayout(20, 0, 20), 1, "standard-normal").x_r
         generated = []
 
         def failing_prediction(scenario):
-            if 1 in scenario.seed:
+            if any(np.array_equal(member, target) for member in scenario.x_r):
                 raise linalg.SvdFailureError(message)
             return real_predict(scenario)
 
@@ -693,18 +696,16 @@ def _small_linear_configs(draw, among=("verify-theorems", "sweep-nt", "sweep-ove
         d = draw(st.sampled_from([d for d in range(n_r + n_f, 17) if d % 2 == 0 or d < 2 * n_r]))
         widths = [d_lap for d_lap in range(d) if (d - d_lap) % 2 == 0
                   and (d_lap == 0 or d + d_lap <= 2 * n_r)]
-        raw.update(d=d, n_t=draw(st.integers(1, n_r - 1)), d_lap_values=draw(st.lists(
-            st.sampled_from(widths), min_size=1, max_size=3, unique=True)))
+        raw.update(d=d, n_t=draw(st.integers(1, n_r - 1)),
+                   d_lap_values=draw(distinct_entries(widths, 1, 3)))
     else:
-        raw["nt_values"] = draw(st.none() | st.lists(st.integers(1, n_r - 1), min_size=1,
-                                                     max_size=4, unique=True))
+        raw["nt_values"] = draw(st.none() | distinct_entries(range(1, n_r), 1, 4))
         overlap = layout(draw(st.integers(0, min(6, n_r))))
         if experiment == "sweep-nt":
             raw["layout"] = overlap
         else:
             raw.update(distinct_layout=layout(0), overlap_layout=overlap)
-    collinear = draw(st.sets(st.sampled_from(raw["seeds"]), min_size=1,
-                             max_size=len(raw["seeds"]) - 1))
+    collinear = set(draw(distinct_entries(raw["seeds"], 1, len(raw["seeds"]) - 1)))
     return experiment, validate_config(raw, experiment), collinear
 
 

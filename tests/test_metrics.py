@@ -10,7 +10,6 @@ from unlearn_lab.classifier import LabeledSet, SoftmaxClassifier
 from unlearn_lab.errors import InvalidMatrixError
 from unlearn_lab.metrics import (
     GapEntry,
-    LossReport,
     Metrics,
     accuracy,
     classifier_metrics,
@@ -102,7 +101,7 @@ class TestMseLoss:
             mse_loss(*args(w, x, y))
 
 
-class TestLossReport:
+class TestMeasureLosses:
     @pytest.mark.parametrize("name,w,arrays", [
         ("w", np.zeros((4, 40)), {}),
         ("w", np.zeros(40), {}),
@@ -126,9 +125,9 @@ class TestLossReport:
                 w_o = train_original(s)
                 for n_t in (1, 15, 29):
                     x_t, y_t = fine_tune_subset(s, n_t)
-                    report = measure_losses(fine_tune_unlearn(w_o, x_t, y_t), s)
-                    assert report.rl < 1e-9
-                    assert report.ul < 1e-9
+                    rl, ul = measure_losses(fine_tune_unlearn(w_o, x_t, y_t), s)
+                    assert rl < 1e-9
+                    assert ul < 1e-9
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
     @pytest.mark.parametrize("name", ["x_r", "y_r", "x_f", "y_f"])
@@ -152,11 +151,10 @@ class TestLossReport:
                              for seed in (0, 1)])
         w = np.stack([retrain_golden(s), train_original(s),
                       np.random.default_rng(2).standard_normal((2, 40))])
-        report = measure_losses(w, s)
-        assert np.shape(report.rl) == np.shape(report.ul) == (3, 2)
+        rl, ul = measure_losses(w, s)
+        assert np.shape(rl) == np.shape(ul) == (3, 2)
         for i, w_i in enumerate(w):
-            own = measure_losses(w_i, s)
-            assert _bits([report.rl[i], report.ul[i]]) == _bits([own.rl, own.ul])
+            assert _bits([rl[i], ul[i]]) == _bits(measure_losses(w_i, s))
 
     def test_non_finite_weights_raise_on_every_call(self):
         s = stack_scenarios([gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed)
@@ -167,9 +165,26 @@ class TestLossReport:
             with pytest.raises(InvalidMatrixError, match="^w contains non-finite entries$"):
                 measure_losses(w, s)
 
-    def test_negative_loss_rejected(self):
-        with pytest.raises(ValueError):
-            LossReport(rl=-1.0, ul=0.0)
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_finite_inputs_whose_losses_overflow_raise_invalid_matrix_error(self, stacked):
+        # InvalidMatrixError is the package error that a seed's rerun
+        # catches.  Residuals near 1e200 square past the float range.
+        members = [gen_scenario(30, 10, FeatureLayout(16, 8, 16), seed) for seed in (0, 1)]
+        s = stack_scenarios(members) if stacked else members[1]
+        w = retrain_golden(s)
+        # Huge weights (the last member's, for a stack), then huge data.
+        huge_w = w.copy()
+        huge_w[-1] = 1e200
+        for w_bad, s_bad in ((huge_w, s), (w, dataclasses.replace(s, x_r=s.x_r * 1e200))):
+            assert np.isfinite(w_bad).all() and np.isfinite(s_bad.x_r).all()
+            # A failed check is not remembered: every call raises.
+            for _ in range(2):
+                with pytest.raises(InvalidMatrixError,
+                                   match="^the losses of w on the scenario overflow$"):
+                    measure_losses(w_bad, s_bad)
+        if stacked:
+            # The first member alone measures finite losses.
+            assert np.isfinite(measure_losses(huge_w[0], members[0])).all()
 
 
 class TestGapReport:
@@ -207,7 +222,7 @@ def _bits(values) -> bytes:
 
 
 class TestStackedReports:
-    """A stacked report and its comparisons give each member, and each
+    """A stacked measurement and its comparisons give each member, and each
     ``n_t``, the bits of its own scalar call."""
 
     NT_VALUES = [1, 7, 15, 29]
@@ -227,19 +242,19 @@ class TestStackedReports:
                   else EditOption.OVERLAP_DISCARD)
         w_o = train_original(stack)
         edited = edit_pretrained(w_o, layout, option)
-        gold = measure_losses(retrain_golden(stack), stack)
+        rl_gold, ul_gold = measure_losses(retrain_golden(stack), stack)
         by_nt = {start: [measure_losses(fine_tune_unlearn(w, *fine_tune_subset(stack, n_t)), stack)
                          for n_t in self.NT_VALUES]
                  for start, w in (("fine_tuned", w_o), ("edited", edited))}
-        assert gold.rl.shape == gold.ul.shape == (3,)
+        assert rl_gold.shape == ul_gold.shape == (3,)
         [edit_prediction] = predict_edited(stack, [option], self.NT_VALUES)
         for i, s in enumerate(scenarios):
             own_gold = measure_losses(retrain_golden(s), s)
-            assert _bits([gold.rl[i], gold.ul[i]]) == _bits([own_gold.rl, own_gold.ul])
+            assert _bits([rl_gold[i], ul_gold[i]]) == _bits(own_gold)
             # One member's losses over n_t, as the row builders read them.
-            series = {start: (np.array([r.rl[i] for r in reports]),
-                              np.array([r.ul[i] for r in reports]))
-                      for start, reports in by_nt.items()}
+            series = {start: (np.array([rl[i] for rl, _ in pairs]),
+                              np.array([ul[i] for _, ul in pairs]))
+                      for start, pairs in by_nt.items()}
             # One member's predictions over n_t, as the verify pass slices them.
             over_nt = tuple(losses[i] for losses in edit_prediction)
             predictions = [(float(rl), float(ul)) for rl, ul in zip(*over_nt)]
@@ -258,18 +273,6 @@ class TestStackedReports:
                             [getattr(e, field) for e in entries]), (name, field)
                     assert entry.ok.tolist() == [e.ok for e in entries]
                 assert stacked.passed is all(report.passed for report in alone) is True
-
-    def test_a_stacked_report_is_validated_once_as_a_whole(self):
-        report = LossReport(rl=np.zeros(3), ul=np.ones(3))
-        assert report.ul.shape == (3,)
-        with pytest.raises(ValueError, match="finite"):
-            LossReport(rl=np.array([0.0, np.nan]), ul=np.zeros(2))
-        with pytest.raises(ValueError, match="finite"):
-            LossReport(rl=np.array([-1.0, np.inf]), ul=np.zeros(2))
-        with pytest.raises(ValueError, match="nonnegative"):
-            LossReport(rl=np.zeros(2), ul=np.array([0.0, -1e-300]))
-        with pytest.raises(ValueError, match="one shape"):
-            LossReport(rl=np.zeros(2), ul=np.zeros(3))
 
     def test_zero_and_nan_predictions_compare_without_warnings(self):
         # Zero prediction: zero gap -> rel 0 and pass; nonzero gap -> rel inf
@@ -358,18 +361,15 @@ class TestClassifierMetrics:
 
 
 class TestArrayHoldersCompareByIdentity:
-    """The linear side's scenarios, loss reports and gap entries hold
-    arrays, so they compare, hash and test membership by
-    identity instead of raising."""
+    """The linear side's scenarios and gap entries hold arrays, so they
+    compare, hash and test membership by identity instead of raising."""
 
     def test_equal_valued_holders_are_distinct_and_hashable(self):
         def scenario():
             return gen_scenario(5, 2, FeatureLayout(4, 0, 4), 0)
 
-        losses = np.array([1.0, 2.0])
         for make in (scenario,
                      lambda: decompose_w_star(scenario()),
-                     lambda: LossReport(rl=losses.copy(), ul=losses.copy()),
                      lambda: GapEntry(np.zeros(2), np.zeros(2), np.ones(2, bool))):
             first, second = make(), make()
             assert first == first and first != second

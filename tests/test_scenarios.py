@@ -161,7 +161,7 @@ class TestDecomposeWStar:
         zeroed = type(s)(
             layout=s.layout, x_r=s.x_r, x_f=s.x_f,
             y_r=np.zeros(s.n_r), y_f=np.zeros(s.n_f),
-            w_star=np.zeros(s.d), seed=s.seed, dist=s.dist,
+            w_star=np.zeros(s.d),
         )
         parts = decompose_w_star(zeroed)
         assert np.all(parts.w_r == 0.0)
