@@ -252,6 +252,8 @@ class _StackCE:
                  lead: tuple[int, ...]):
         sets = (data,) if isinstance(data, LabeledSet) else tuple(data)
         labels = np.concatenate([s.labels for s in sets])
+        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+            raise ValueError(f"labels outside [0, {num_classes})")
         m = labels.shape[0]
         ends = tuple(itertools.accumulate(s.size for s in sets))
         bounds = list(zip((0,) + ends, ends))
@@ -308,7 +310,8 @@ class _StackCE:
         total, shifted_target = self.columns
         np.maximum.reduce(z, axis=0, out=total)
         z -= total
-        # mode="clip" lets take write into its output unbuffered; no index clips.
+        # mode="clip" lets take write into its output unbuffered; no label
+        # is outside the classes (__init__), so no index clips.
         z.take(self.target_index, out=shifted_target, mode="clip")
         np.exp(z, out=z)
         np.add.reduce(z, axis=0, out=total)
@@ -436,12 +439,10 @@ def fit_softmax(
     fit: it raises :class:`DivergenceError` with a step-size hint and the
     number of members that ran out of halvings.
 
-    Returns the final parameters, shaped like ``params``, and the ``(...,
-    M, epochs)`` loss trace of each member's successful attempt.
+    Returns only the final parameters, shaped like ``params``.
     """
     if params.ndim < 3:
         raise ValueError("fit_softmax takes a stack: parameters (..., M, K, D + 1)")
-    trace = np.empty(params.shape[:-2] + (epochs,))
     halvings = np.zeros(params.shape[:-2], dtype=np.int64)
     for attempt in range(MAX_HALVINGS + 1):
         p = params.copy()
@@ -451,7 +452,7 @@ def fit_softmax(
         # descends on until the restart.  Entered once per attempt, not once
         # per epoch: each entry has a fixed cost of its own.
         with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(epochs):
+            for _ in range(epochs):
                 loss, grad = value_and_grad(p)
                 finite = np.isfinite(loss)
                 if not finite.all():
@@ -460,12 +461,11 @@ def fit_softmax(
                     halvings[~finite] = attempt + 1
                     if not (halvings == attempt).any():
                         break
-                trace[..., epoch] = loss
                 # The bits of p -= step * grad, without the temporary.
                 grad *= step
                 p -= grad
         if not (halvings > attempt).any():
-            return p, trace
+            return p
     raise DivergenceError(
         f"loss of {np.count_nonzero(halvings > MAX_HALVINGS)} model(s) became non-finite even "
         f"at step size {step_size / 2.0 ** MAX_HALVINGS:.3e}; try a smaller step_size")
@@ -485,18 +485,19 @@ def pretrain(
 ) -> SoftmaxClassifier:
     """Train a softmax classifier from zero-initialized parameters.
 
-    Plain cross-entropy on ``train`` for ``epochs`` full-batch steps; with
-    zero epochs the zero model is returned.  A stacked ``train`` of ``S``
-    seeds trains one model per seed in one stack and returns them as one
-    model with ``(S, K, D)`` weights; a 2-D ``train`` is a one-member
-    stack.  ``num_classes`` defaults to ``max(label) + 1`` and must be
-    given explicitly when the training split does not contain the highest
-    class.
+    Plain cross-entropy on ``train`` for ``epochs`` full-batch steps;
+    returns the model after the last step, and with zero epochs the zero
+    model.  A stacked ``train`` of ``S`` seeds trains one model per seed
+    in one stack and returns them as one model with ``(S, K, D)`` weights;
+    a 2-D ``train`` is a one-member stack.  ``num_classes`` defaults to
+    ``max(label) + 1`` and must be given explicitly when the training
+    split does not contain the highest class; a label outside ``[0,
+    num_classes)`` raises :class:`ValueError`.
     """
     if num_classes is None:
         num_classes = int(train.labels.max()) + 1
     lead = train.features.shape[:-2] + (1,)
-    params, _ = fit_softmax(
+    params = fit_softmax(
         np.zeros(lead + (num_classes, train.features.shape[-2] + 1)),
         _StackCE(train, num_classes, lead),
         epochs, step_size,
@@ -517,9 +518,10 @@ def unlearn_ft(
     Pair ``i`` starts from ``starts[i]`` and descends
     ``coefs[i][0] * CE(remain) + coefs[i][1] * CE(forget)``, with weights
     from :func:`ft_coefficients`; ``forget`` must already hold the
-    relabeled targets.  Pairs with the same start object and weights
-    follow one trajectory, so they share one stack member and get back
-    the same model object.  ``starts`` must be non-empty.
+    relabeled targets, each in ``[0, K)`` or :class:`ValueError`.  Pairs
+    with the same start object and weights follow one trajectory, so they
+    share one stack member and get back the same final model object.
+    ``starts`` must be non-empty.
 
     With the stacked sets of ``S`` seeds, every start holds one model per
     seed, ``(S, K, D)`` weights, and so does every returned model: each
@@ -538,7 +540,7 @@ def unlearn_ft(
     # weights and then its bias as the last column.
     params = np.stack([np.concatenate([starts[i].weights, starts[i].bias[..., None]], axis=-1)
                        for i in key_start], axis=-3)
-    final, _ = fit_softmax(
+    final = fit_softmax(
         params,
         _Objective(remain, forget, keys[:, 1], keys[:, 2], starts[0].num_classes),
         epochs, step_size,

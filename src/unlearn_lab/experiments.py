@@ -282,7 +282,8 @@ def _size(c: dict, size: str) -> int:
 
 
 #: The rules that relate fields: (fields, rule, check).  A rule applies
-#: to each experiment that has all of its fields.
+#: to each experiment that has all of its fields.  None names ``seeds`` or
+#: ``tolerance``, which the CLI's flags set after validation.
 ACROSS = [
     (("task",), "task.feature_dim must be >= task.num_classes > task.forget_class",
      lambda c: c["task"]["feature_dim"] >= c["task"]["num_classes"] > c["task"]["forget_class"]),
@@ -299,11 +300,6 @@ ACROSS = [
      " must take < 2^63 bytes",
      lambda c: 8 * math.prod(c["task"][k] for k in ("feature_dim", "num_classes", "per_class"))
      < 2**63),
-    # A classifier fit traces the loss of every member at every epoch.
-    (("seeds", "variants", "epochs"), "the seeds x variants x alphas x epochs float64 loss"
-     " trace must take < 2^63 bytes",
-     lambda c: 8 * len(c["seeds"]) * len(c["variants"]) * len(c.get("alphas", [None]))
-     * c["epochs"] < 2**63),
     (("distinct_layout",), "distinct_layout must have d_lap = 0",
      lambda c: c["distinct_layout"][1] == 0),
     # The overlap edit predictions are exact only once the remaining data

@@ -362,8 +362,8 @@ def weighted_seminorm_sq(v, x):
     Equals ``(1/n) ||X^T v||^2``, hence nonnegative, and zero exactly when
     ``v`` is orthogonal to the columns of ``x``.  For a stack ``x``
     ``(S, d, n)`` with ``v`` ``(S, d)``, one value per member, each with
-    the bits of its own call.  An ``x`` without columns raises
-    :class:`InvalidMatrixError`.
+    the bits of its own call.  An ``x`` without columns, and finite
+    inputs whose value overflows, raise :class:`InvalidMatrixError`.
     """
     arr, seeds = seed_stack(x, "x")
     vec = seed_vectors(v, "v", seeds)
@@ -373,7 +373,11 @@ def weighted_seminorm_sq(v, x):
         )
     if arr.shape[2] < 1:
         raise InvalidMatrixError("x has no samples")
-    values = squared_norms((_transposed(arr) @ vec[..., None])[..., 0]) / arr.shape[2]
+    # Finite inputs can overflow: the check raises, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = squared_norms((_transposed(arr) @ vec[..., None])[..., 0]) / arr.shape[2]
+    if not np.isfinite(values).all():
+        raise InvalidMatrixError("the seminorm of v on x overflows")
     return values if seeds else float(values[0])
 
 

@@ -84,7 +84,8 @@ def mse_loss(w, x, y):
     """Mean-squared loss ``(1/m) ||X^T w - y||^2`` over ``m`` samples.
 
     For a stack (``w`` ``(S, d)``, ``x`` ``(S, d, m)``, ``y`` ``(S, m)``)
-    one loss per member, each with the bits of its own call.
+    one loss per member, each with the bits of its own call.  Finite
+    inputs whose loss overflows raise :class:`InvalidMatrixError`.
     """
     return _mse(w, x, y, ("w", "x", "y"))
 
@@ -102,8 +103,12 @@ def _mse(w, x, y, names: tuple[str, str, str], front: bool = False):
             f"{names[0]} has {weights.shape[-1]} entries and {names[2]} {targets.shape[-1]}")
     if targets.shape[-1] < 1:
         raise InvalidMatrixError(f"{names[1]} has no samples")
-    residual = (np.swapaxes(data, -1, -2) @ weights[..., None])[..., 0] - targets
-    losses = (squared_norms(residual) / targets.shape[-1]).reshape(weights.shape[:-2] + seeds)
+    # Finite inputs can overflow a loss: the check raises, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = (np.swapaxes(data, -1, -2) @ weights[..., None])[..., 0] - targets
+        losses = (squared_norms(residual) / targets.shape[-1]).reshape(weights.shape[:-2] + seeds)
+    if not np.isfinite(losses).all():
+        raise InvalidMatrixError(f"the loss of {names[0]} on {names[1]} overflows")
     return losses if losses.ndim else float(losses)
 
 
@@ -117,14 +122,8 @@ def measure_losses(w, scenario: SyntheticScenario):
     The data and ``w`` are validated on every call, and finite inputs
     whose losses overflow raise :class:`InvalidMatrixError`.
     """
-    # Finite inputs can overflow a loss: the check below raises for it
-    # instead of a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rl = _mse(w, scenario.x_r, scenario.y_r, ("w", "x_r", "y_r"), front=True)
-        ul = _mse(w, scenario.x_f, scenario.y_f, ("w", "x_f", "y_f"), front=True)
-    if not np.isfinite((rl, ul)).all():
-        raise InvalidMatrixError("the losses of w on the scenario overflow")
-    return rl, ul
+    return (_mse(w, scenario.x_r, scenario.y_r, ("w", "x_r", "y_r"), front=True),
+            _mse(w, scenario.x_f, scenario.y_f, ("w", "x_f", "y_f"), front=True))
 
 
 @dataclass(frozen=True, eq=False)

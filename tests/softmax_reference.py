@@ -50,14 +50,21 @@ def fit_softmax_split(weights, bias, value_and_grad, epochs, step_size):
     """:func:`fit_softmax` on weights and bias given apart.
 
     ``value_and_grad(w, b)`` returns ``(loss, grad_w, grad_b)`` of the
-    whole stack; the result is ``(weights, bias, trace)``.
+    whole stack; the result is ``(weights, bias, trace)``, where ``trace``
+    holds the ``(..., M, epochs)`` losses of the fit's last attempt: the
+    last ``epochs`` evaluations, since a fit that returns ran that attempt
+    to the end with every member.
     """
+    losses = []
+
     def packed(params):
         loss, grad_w, grad_b = value_and_grad(params[..., :-1], params[..., -1])
+        losses.append(np.array(loss, dtype=np.float64))
         return loss, pack(grad_w, grad_b)
 
-    params, trace = fit_softmax(pack(weights, bias), packed, epochs, step_size)
-    return params[..., :-1], params[..., -1], trace
+    params = fit_softmax(pack(weights, bias), packed, epochs, step_size)
+    last = np.array(losses[len(losses) - epochs:]).reshape((epochs,) + params.shape[:-2])
+    return params[..., :-1], params[..., -1], np.moveaxis(last, 0, -1)
 
 
 def _mixed_value_and_grad(weights, bias, remain, forget, coef_r, coef_f):

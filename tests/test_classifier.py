@@ -312,6 +312,38 @@ class TestFitEngine:
         np.testing.assert_array_equal(results[0][1], results[1][1])
         assert results[0][2] == results[1][2]
 
+    def test_a_fit_holds_no_memory_per_epoch(self):
+        # A fit returns only its final parameters, so its peak does not grow
+        # with its epochs: a 16-member stack's losses over 10,000 epochs
+        # would take 1.28 MB.
+        def value_and_grad(p):
+            return np.zeros(p.shape[:-2]), np.zeros_like(p)
+
+        params, peaks = np.zeros((16, 5, 21)), []
+        # A first call makes numpy's and Python's one-time allocations.
+        classifier.fit_softmax(params, value_and_grad, 10, 0.1)
+        for epochs in (10, 10_000):
+            tracemalloc.start()
+            try:
+                classifier.fit_softmax(params, value_and_grad, epochs, 0.1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Epoch counts above 256 are int objects of their own: a few bytes.
+        assert abs(peaks[1] - peaks[0]) < 1024
+
+    def test_labels_outside_the_classes_are_rejected(self):
+        # Checked once per fit: a label of -1 would write the last class's
+        # one-hot entry but take its target from the logits' first entry.
+        train, _ = gen_class_task(5, 4, 5, sep=2.0, seed=0)
+        with pytest.raises(ValueError, match=r"labels outside \[0, 2\)"):
+            pretrain(train, 3, 0.1, num_classes=2)
+        model = pretrain(train, 3, 0.1)
+        forget, remain = split_class(train, 4)
+        wrapped = LabeledSet(forget.features, np.full(forget.size, -1))
+        with pytest.raises(ValueError, match=r"labels outside \[0, 5\)"):
+            unlearn_ft([model], [(1.0, 0.5)], remain, wrapped, 3, 0.1)
+
     def test_unstacked_parameters_rejected(self):
         remain, forget, weights, bias = _small_problem(18)
         with pytest.raises(ValueError, match="stack"):
@@ -650,9 +682,9 @@ class TestOnesRowContract:
             real_init(self, data, num_classes, lead)
 
         def keeping(*args, **kwargs):
-            params, trace = real_fit(*args, **kwargs)
+            params = real_fit(*args, **kwargs)
             fitted.append(params)
-            return params, trace
+            return params
 
         monkeypatch.setattr(_StackCE, "__init__", counting)
         monkeypatch.setattr(classifier, "fit_softmax", keeping)

@@ -558,6 +558,16 @@ class TestWeightedSeminorm:
         with pytest.raises(InvalidMatrixError):
             weighted_seminorm_sq(np.zeros(3), np.eye(2))
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_finite_inputs_whose_value_overflows_raise_invalid_matrix_error(self, stacked):
+        # Raised, not warned and returned as inf.
+        v, x = np.full(3, 1e200), np.ones((3, 4))
+        if stacked:
+            v, x = np.stack([np.ones(3), v]), np.stack([x, x])
+            assert weighted_seminorm_sq(v[0], x[0]) == 9.0
+        with pytest.raises(InvalidMatrixError, match="^the seminorm of v on x overflows$"):
+            weighted_seminorm_sq(v, x)
+
 
 class TestBlockStructure:
     """Projector additivity for block-disjoint data matrices."""

@@ -87,6 +87,17 @@ class TestMseLoss:
         with pytest.raises(InvalidMatrixError, match=r"^w must have shape \(5, k\) "):
             mse_loss(w[:4], x, y)
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_finite_inputs_whose_loss_overflows_raise_invalid_matrix_error(self, stacked):
+        # Raised, not warned and returned as inf: InvalidMatrixError is the
+        # package error that a seed's rerun catches.
+        w, x, y = np.full(3, 1e200), np.ones((3, 4)), np.zeros(4)
+        if stacked:
+            w, x, y = np.stack([np.ones(3), w]), np.stack([x, x]), np.stack([y, y])
+            assert mse_loss(w[0], x[0], y[0]) == 9.0
+        with pytest.raises(InvalidMatrixError, match="^the loss of w on x overflows$"):
+            mse_loss(w, x, y)
+
     @pytest.mark.parametrize("name,args", [
         ("w", lambda w, x, y: (w[0], x, y)),
         ("w", lambda w, x, y: (w[None], x, y)),
@@ -180,7 +191,7 @@ class TestMeasureLosses:
             # A failed check is not remembered: every call raises.
             for _ in range(2):
                 with pytest.raises(InvalidMatrixError,
-                                   match="^the losses of w on the scenario overflow$"):
+                                   match="^the loss of w on x_[rf] overflows$"):
                     measure_losses(w_bad, s_bad)
         if stacked:
             # The first member alone measures finite losses.

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from unlearn_lab.errors import LayoutMismatchError
+from unlearn_lab.errors import InvalidMatrixError, LayoutMismatchError
 from unlearn_lab.metrics import measure_losses, mse_loss
 from unlearn_lab.oracle import (
     FINE_TUNED,
@@ -92,6 +92,25 @@ class TestPredictDistinct:
     def test_fine_tuned_zeros_exactly(self):
         rl_gold, _ = predict_distinct(gen_scenario(30, 10, DISTINCT, seed=3))
         assert FINE_TUNED == (0.0, 0.0) and rl_gold == 0.0
+
+
+@pytest.mark.parametrize("predict,layout", [(predict_distinct, DISTINCT),
+                                            (predict_overlap, OVERLAP)],
+                         ids=["distinct", "overlap"])
+def test_a_prediction_that_overflows_raises_invalid_matrix_error(predict, layout):
+    # Forgetting data scaled by 1e200 (the last member's, for a stack)
+    # overflows the golden UL.  InvalidMatrixError, and no warning, lets
+    # the experiment rerun such a stack seed by seed, as it does for an
+    # overflowing measurement.
+    members = [gen_scenario(30, 10, layout, seed) for seed in (0, 1)]
+    stack = stack_scenarios(members)
+    x_f = stack.x_f.copy()
+    x_f[-1] *= 1e200
+    for s in (dataclasses.replace(members[1], x_f=x_f[-1]),
+              dataclasses.replace(stack, x_f=x_f)):
+        with pytest.raises(InvalidMatrixError, match="^the seminorm of v on x overflows$"):
+            predict(s)
+    assert np.isfinite(predict(members[0])[1])
 
 
 class TestPredictOverlap:
