@@ -30,7 +30,6 @@ from .errors import (
     UnlearnLabError,
 )
 from .linalg import (
-    gradient_descent_solve,
     min_norm_anchor_solve,
     min_norm_solve,
     projector,
@@ -47,7 +46,6 @@ from .metrics import (
     mse_loss,
 )
 from .oracle import (
-    golden_ul_block_form,
     predict_distinct,
     predict_edited,
     predict_overlap,
@@ -63,7 +61,6 @@ from .scenarios import (
 )
 from .solvers import (
     EditOption,
-    closed_form_wt_distinct,
     edit_pretrained,
     fine_tune_unlearn,
     retrain_golden,

@@ -23,10 +23,12 @@ one broadcasting product, and members of another rank as their own
 sub-stack.  Stacked LAPACK SVDs, matrix products and row dot products
 give every member, and every anchor, the bits of its own call.  The
 solvers serve the measured pipeline, the projector and the seminorm the
-oracle, which factors its own matrices; the pseudoinverse, which only
-the oracle's independent block form uses, and the gradient-descent
-oracle take a single matrix.  Nothing is cached: every call validates
-and factors its own input.
+oracle, which factors its own matrices; the pseudoinverse, which no
+experiment calls, takes a single matrix.  Nothing is cached: every call
+validates and factors its own input.  Finite inputs whose solution,
+residual or seminorm overflows raise :class:`InvalidMatrixError`, never
+a numpy warning, and the consistency check takes its norms scaled, so
+that finite inputs at any scale get a decision.
 
 A :class:`RankDeficiencyCount` counts, inside its ``with`` block, the
 members of truncated SVDs whose rank falls short of the matrix's
@@ -62,11 +64,29 @@ CONSISTENCY_REL_TOL = 1e-8
 
 
 def consistency_tol(y: np.ndarray):
-    """Residual bound under which ``X^T w = y`` counts as consistent.
+    """Residual bound under which ``X^T w = y`` counts as consistent:
+    ``CONSISTENCY_REL_TOL * (1 + ||y||)``.
 
-    For a stack ``y`` of shape ``(S, n)``, one bound per member.
+    For a stack ``y`` of shape ``(S, n)``, one bound per member.  ``y``
+    is scaled by the tolerance before its norm is taken, so the bound of
+    any finite ``y`` is finite.
     """
-    return CONSISTENCY_REL_TOL * (1.0 + np.sqrt(squared_norms(y)))
+    return CONSISTENCY_REL_TOL + _norms(CONSISTENCY_REL_TOL * y)
+
+
+def _norms(v: np.ndarray):
+    """Euclidean norm of a vector, or of each row of a stack ``(S, n)``.
+
+    Each row is divided by its largest magnitude before it is squared,
+    and its norm multiplied by it after, so the squares of finite entries
+    at any scale cannot overflow.  Only a norm beyond the float range
+    overflows, to ``inf``, with no warning.  A stacked row gives the bits
+    of the row alone.
+    """
+    scale = np.abs(v).max(axis=-1, initial=0.0)
+    unit = v / np.where(scale > 0.0, scale, 1.0)[..., None]
+    with np.errstate(over="ignore"):
+        return scale * np.sqrt(squared_norms(unit))
 
 
 def squared_norms(v: np.ndarray):
@@ -93,11 +113,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a finite float64 matrix ``(d, n)`` or
     a stack ``(S, d, n)`` of them."""
     return _validated(a, name, "2-D, or 3-D for a stack", lambda ndim: ndim in (2, 3))
-
-
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Validate and return ``v`` as a finite 1-D float64 array."""
-    return _validated(v, name, "1-D", lambda ndim: ndim == 1)
 
 
 def as_vectors(v, name: str = "vectors") -> np.ndarray:
@@ -285,20 +300,35 @@ def projector(x) -> np.ndarray:
     return matrix.reshape(seeds + matrix.shape[1:])
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, which finite inputs gave; raises
+    :class:`InvalidMatrixError` naming ``what`` if any overflowed."""
+    if not np.isfinite(values).all():
+        raise InvalidMatrixError(f"{what} overflows")
+    return values
+
+
 def _min_norm(arr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``(X^T)^+ y`` of each member of the stack ``arr``, for ``rhs``
     ``(..., S, n)``; ``(..., S, d)``.  Factors ``arr`` once, and solves
     members of one rank by one broadcasting product per step.  Raises
-    :class:`InconsistentSystemError` with the residual of the first
-    ``rhs`` vector, in C order, above its :func:`consistency_tol`.
+    :class:`InvalidMatrixError` when the solution or its residual
+    overflows, and :class:`InconsistentSystemError` with the residual of
+    the first ``rhs`` vector, in C order, above its
+    :func:`consistency_tol`.
     """
     w = np.zeros(rhs.shape[:-1] + arr.shape[1:2])
-    for members, u, s, v in _truncated_svd(arr, "solvers"):
-        if s.shape[1]:
-            # (X^T)^+ = U diag(1/s) V^T from the thin SVD X = U diag(s) V^T.
-            coef = (_transposed(v) @ rhs[..., members, :][..., None]) / s[..., None]
-            w[..., members, :] = (u @ coef)[..., 0]
-    residual = np.sqrt(squared_norms((_transposed(arr) @ w[..., None])[..., 0] - rhs))
+    # Finite inputs can overflow: the checks raise, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for members, u, s, v in _truncated_svd(arr, "solvers"):
+            if s.shape[1]:
+                # (X^T)^+ = U diag(1/s) V^T from the thin SVD X = U diag(s) V^T.
+                coef = (_transposed(v) @ rhs[..., members, :][..., None]) / s[..., None]
+                w[..., members, :] = (u @ coef)[..., 0]
+        _finite(w, "the solution of X^T w = y")
+        miss = _finite((_transposed(arr) @ w[..., None])[..., 0] - rhs,
+                       "the residual of X^T w = y")
+    residual = _norms(miss)
     inconsistent = np.flatnonzero(residual > consistency_tol(rhs))
     if inconsistent.size:
         raise InconsistentSystemError(
@@ -314,7 +344,9 @@ def min_norm_solve(x, y) -> np.ndarray:
     column space of ``x``.  For a stack ``x`` ``(S, d, n)`` with ``y``
     ``(S, n)`` each member is solved, giving ``(S, d)``.  Raises
     :class:`InconsistentSystemError` when no interpolating solution exists
-    (residual above :func:`consistency_tol`).
+    (residual above :func:`consistency_tol`), and
+    :class:`InvalidMatrixError` when finite inputs give a solution that
+    overflows.
     """
     arr, seeds = seed_stack(x, "x")
     rhs = seed_vectors(y, "y", seeds)
@@ -333,7 +365,8 @@ def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
     axes, ``(..., d)`` or ``(..., S, d)`` for a stack: every anchor is
     solved against one factorization of ``x_t``, with the bits of its own
     call, and an inconsistent system raises the error of the first
-    anchor that fails.
+    anchor that fails.  Finite inputs whose shifted targets or solution
+    overflow raise :class:`InvalidMatrixError`.
     """
     arr, seeds = seed_stack(x_t, "x_t")
     anchor = seed_vectors(w_o, "w_o", seeds, front=True)
@@ -344,14 +377,17 @@ def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
         raise InvalidMatrixError(
             f"x_t has {arr.shape[2]} samples but y_t has {rhs.shape[-1]} entries"
         )
-    shifted = as_vectors(rhs - (_transposed(arr) @ anchor[..., None])[..., 0], "y")
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = _finite(rhs - (_transposed(arr) @ anchor[..., None])[..., 0],
+                          "y_t - X_t^T w_o")
     try:
         correction = _min_norm(arr, shifted)
     except InconsistentSystemError as exc:
         raise InconsistentSystemError(
             f"anchored system X_t^T w = y_t is inconsistent ({exc})"
         ) from exc
-    w = anchor + correction
+    with np.errstate(over="ignore"):
+        w = _finite(anchor + correction, "the anchored solution")
     return w.reshape(w.shape[:-2] + seeds + w.shape[-1:])
 
 
@@ -375,39 +411,7 @@ def weighted_seminorm_sq(v, x):
         raise InvalidMatrixError("x has no samples")
     # Finite inputs can overflow: the check raises, not a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = squared_norms((_transposed(arr) @ vec[..., None])[..., 0]) / arr.shape[2]
-    if not np.isfinite(values).all():
-        raise InvalidMatrixError("the seminorm of v on x overflows")
+        values = _finite(squared_norms((_transposed(arr) @ vec[..., None])[..., 0]) / arr.shape[2],
+                         "the seminorm of v on x")
     return values if seeds else float(values[0])
 
-
-def gradient_descent_solve(
-    x,
-    y,
-    w0=None,
-    iters: int = 100_000,
-    step_size: float | None = None,
-    stop_tol: float = 0.0,
-) -> np.ndarray:
-    """Plain gradient descent on ``(1/n) ||X^T w - y||^2``.
-
-    This is a verification oracle, not a production solver: started from
-    zero it converges to the minimum-norm interpolant, and started from an
-    anchor it converges to the anchored minimum-norm solution, because the
-    iterates never leave ``w0 + colspace(x)``.  The default step size is
-    0.4 * n / s_max^2, safely inside the stable region.  ``stop_tol`` > 0
-    stops early once the gradient norm falls below it.
-    """
-    arr = _validated(x, "x", "2-D", lambda ndim: ndim == 2)
-    rhs = as_vector(y, "y")
-    n = arr.shape[1]
-    w = np.zeros(arr.shape[0]) if w0 is None else as_vector(w0, "w0").copy()
-    if step_size is None:
-        s_max = float(np.linalg.norm(arr, 2))
-        step_size = 0.4 * n / (s_max * s_max) if s_max > 0 else 1.0
-    for _ in range(iters):
-        grad = (2.0 / n) * (arr @ (arr.T @ w - rhs))
-        w -= step_size * grad
-        if stop_tol > 0.0 and float(np.linalg.norm(grad)) < stop_tol:
-            break
-    return w

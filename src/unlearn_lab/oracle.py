@@ -10,12 +10,6 @@ Measured losses from the actual solvers are compared against these
 values with a relative tolerance plus a small absolute floor that
 guards the exact-zero claims.
 
-The overlap-layout golden UL has two algebraically equivalent writings:
-one through the remaining-data projector and one expanded into the
-overlap/feature blocks.  Both are implemented
-(:func:`predict_overlap` and :func:`golden_ul_block_form`) so their
-numerical agreement can be checked rather than assumed.
-
 The edited-pipeline predictions are exact whenever the edit recovers the
 true weights on the kept blocks: unconditionally for distinct layouts
 (the joint projector is block diagonal), and for overlap layouts
@@ -31,8 +25,9 @@ the :mod:`~unlearn_lab.linalg` kernels: one scenario is their zero-lead
 case, so the golden UL is a float for one scenario and ``(S,)`` for a
 stack.  They factor every matrix themselves, one stacked projector per
 matrix for all members, so a measured solve and its prediction never
-share a factorization.  The block form is a single-scenario
-cross-check.
+share a factorization.  The tests also check them against independent
+writings, such as the golden UL expanded into the overlap and feature
+blocks, which live beside the tests, not in the package.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .linalg import projector, pseudoinverse, weighted_seminorm_sq
+from .linalg import projector, weighted_seminorm_sq
 from .scenarios import SyntheticScenario, decompose_w_star, fine_tune_subset
 from .solvers import EditOption
 
@@ -109,30 +104,6 @@ def predict_overlap(scenario: SyntheticScenario):
     p_r = projector(scenario.x_r)
     gap = _times(p_r, parts.w_r + parts.w_lap) - (parts.w_f + parts.w_lap)
     return 0.0, weighted_seminorm_sq(gap, scenario.x_f)
-
-
-def golden_ul_block_form(scenario: SyntheticScenario) -> float:
-    """Golden UL expanded into explicit overlap/feature blocks.
-
-    Algebraically identical to the projector form in
-    :func:`predict_overlap`; kept as an independent code path so tests
-    can adjudicate the two writings numerically.  The remaining-data Gram
-    matrix is inverted in the pseudoinverse sense, which is what extends
-    the expansion to rank-deficient remaining sets (more samples than
-    active features).
-    """
-    layout = scenario.layout
-    r = scenario.x_r[layout.remaining_block]
-    l1 = scenario.x_r[layout.overlap_block]
-    l2 = scenario.x_f[layout.overlap_block]
-    f = scenario.x_f[layout.forgetting_block]
-    a = scenario.w_star[layout.remaining_block]
-    b = scenario.w_star[layout.overlap_block]
-    c = scenario.w_star[layout.forgetting_block]
-    gram_inv = pseudoinverse(r.T @ r + l1.T @ l1)
-    through_overlap = l2.T @ (l1 @ (gram_inv @ (r.T @ a + l1.T @ b)))
-    residual = through_overlap - (l2.T @ b + f.T @ c)
-    return float(residual @ residual) / scenario.n_f
 
 
 def predict_edited(

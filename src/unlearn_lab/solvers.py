@@ -20,8 +20,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import LayoutMismatchError
-from .linalg import min_norm_anchor_solve, min_norm_solve, projector
-from .scenarios import FeatureLayout, SyntheticScenario, decompose_w_star, fine_tune_subset
+from .linalg import min_norm_anchor_solve, min_norm_solve
+from .scenarios import FeatureLayout, SyntheticScenario
 
 
 class EditOption(Enum):
@@ -81,19 +81,3 @@ def edit_pretrained(w_o: np.ndarray, layout: FeatureLayout, option: EditOption) 
     edited[..., keep:] = 0.0
     return edited
 
-
-def closed_form_wt_distinct(scenario: SyntheticScenario, n_t: int) -> np.ndarray:
-    """Projector-calculus reconstruction of the fine-tuned model.
-
-    For layouts without an overlap block the fine-tuned model equals
-    ``P w_r + (P - P_t) w_f``, where ``P`` projects onto the span of the
-    full data and ``P_t`` onto the span of the fine-tuning subset.  Used
-    as a cross-check against :func:`fine_tune_unlearn`.
-    """
-    scenario.layout.require_distinct("the distinct closed form")
-    x, _ = scenario.joint_data()
-    x_t, _ = fine_tune_subset(scenario, n_t)
-    p = projector(x)
-    p_t = projector(x_t)
-    parts = decompose_w_star(scenario)
-    return p @ parts.w_r + (p - p_t) @ parts.w_f

@@ -13,9 +13,9 @@ import numpy as np
 
 from unlearn_lab.classifier import ClassTask, LabeledSet, run_seed_grid
 from unlearn_lab.experiments import render_csv, run_experiment, validate_config
-from unlearn_lab.linalg import gradient_descent_solve, min_norm_solve, projector
+from unlearn_lab.linalg import min_norm_solve, projector
 from unlearn_lab.metrics import measure_losses, mse_loss
-from unlearn_lab.oracle import golden_ul_block_form, predict_distinct, predict_edited, predict_overlap
+from unlearn_lab.oracle import predict_distinct, predict_edited, predict_overlap
 from unlearn_lab.scenarios import (
     FeatureLayout,
     decompose_w_star,
@@ -30,6 +30,7 @@ from unlearn_lab.solvers import (
     train_original,
 )
 
+from linear_reference import golden_ul_block_form, gradient_descent_solve
 from softmax_reference import objective_value_and_grad
 
 SEEDS = list(range(20))

@@ -1,6 +1,7 @@
 """Unit and property tests for the dense linear-algebra kernels."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from unlearn_lab.errors import InconsistentSystemError, InvalidMatrixError, SvdF
 from unlearn_lab.linalg import (
     TOL_IDEM,
     TOL_SYM,
-    gradient_descent_solve,
     min_norm_anchor_solve,
     min_norm_solve,
     projector,
@@ -19,7 +19,8 @@ from unlearn_lab.linalg import (
     weighted_seminorm_sq,
 )
 from unlearn_lab.scenarios import FeatureLayout, gen_scenario
-from unlearn_lab.solvers import closed_form_wt_distinct
+
+from linear_reference import closed_form_wt_distinct, gradient_descent_solve
 
 
 class TestSvd:
@@ -235,6 +236,36 @@ class TestMinNormSolve:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidMatrixError):
             min_norm_solve(np.eye(3), np.array([1.0, 2.0]))
+
+    @staticmethod
+    def _extreme(y, x=((1.0, 1.0),), stacked=False):
+        """``min_norm_solve(x, y)`` with every warning an error; stacked,
+        after a well-scaled member of the same shape."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if stacked:
+            x, y = np.stack([np.ones_like(x), x]), np.stack([x.sum(axis=0), y])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return min_norm_solve(x, y)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_an_inconsistent_system_at_extreme_scale_is_rejected(self, stacked):
+        # Squaring the targets would overflow the bound and the residual,
+        # and inf > inf would accept a system with no interpolant.
+        with pytest.raises(InconsistentSystemError, match=r"residual 1\.414e\+200$"):
+            self._extreme([1e200, -1e200], stacked=stacked)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_a_consistent_system_at_extreme_scale_is_solved(self, stacked):
+        w = self._extreme([1e200, 1e200], stacked=stacked)
+        np.testing.assert_allclose(w[-1], [1e200], rtol=1e-15)
+        if stacked:
+            assert np.array_equal(w[-1], self._extreme([1e200, 1e200]))
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_finite_inputs_whose_solution_overflows_raise_invalid_matrix_error(self, stacked):
+        with pytest.raises(InvalidMatrixError, match="^the solution of X\\^T w = y overflows$"):
+            self._extreme([1e300], x=[[1e-300]], stacked=stacked)
 
 
 class TestMinNormAnchorSolve:

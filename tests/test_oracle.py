@@ -9,7 +9,6 @@ from unlearn_lab.errors import InvalidMatrixError, LayoutMismatchError
 from unlearn_lab.metrics import measure_losses, mse_loss
 from unlearn_lab.oracle import (
     FINE_TUNED,
-    golden_ul_block_form,
     predict_distinct,
     predict_edited,
     predict_overlap,
@@ -36,6 +35,8 @@ from unlearn_lab.solvers import (
     retrain_golden,
     train_original,
 )
+
+from linear_reference import golden_ul_block_form
 
 DISTINCT = FeatureLayout(20, 0, 20)
 OVERLAP = FeatureLayout(16, 8, 16)

@@ -12,7 +12,9 @@ from unlearn_lab.scenarios import (
     fine_tune_subset,
     gen_scenario,
 )
-from unlearn_lab.solvers import EditOption, closed_form_wt_distinct, edit_pretrained
+from unlearn_lab.solvers import EditOption, edit_pretrained
+
+from linear_reference import closed_form_wt_distinct
 
 REFERENCE_DISTINCT = FeatureLayout(20, 0, 20)
 REFERENCE_OVERLAP = FeatureLayout(16, 8, 16)

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from unlearn_lab import linalg
 from unlearn_lab.errors import InconsistentSystemError, LayoutMismatchError
-from unlearn_lab.linalg import (
-    gradient_descent_solve,
-    min_norm_anchor_solve,
-    min_norm_solve,
-    projector,
-)
+from unlearn_lab.linalg import min_norm_anchor_solve, min_norm_solve, projector
 from unlearn_lab.metrics import measure_losses
 from unlearn_lab.scenarios import (
     FeatureLayout,
@@ -24,12 +19,13 @@ from unlearn_lab.scenarios import (
 )
 from unlearn_lab.solvers import (
     EditOption,
-    closed_form_wt_distinct,
     edit_pretrained,
     fine_tune_unlearn,
     retrain_golden,
     train_original,
 )
+
+from linear_reference import closed_form_wt_distinct, gradient_descent_solve
 
 DISTINCT = FeatureLayout(20, 0, 20)
 OVERLAP = FeatureLayout(16, 8, 16)
