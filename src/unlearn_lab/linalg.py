@@ -13,22 +13,27 @@ it (:func:`seed_stack`, :func:`seed_vectors`): a matrix argument is
 are its seed axes, one member per seed.  Each vector argument carries
 the same seed axes, and anchors and weights may add axes in front of
 them: the fine-tunes of one prefix from several starts are one call,
-which factors the matrix once.  A lone matrix is flattened to a
-one-member stack before it is factored or multiplied, the zero-lead
-case of the one path, and results keep the arguments' axes: a projector
-is a plain ``(d, d)`` or ``(S, d, d)`` array, a seminorm a float or
-``(S,)``.  Each member keeps its own cutoff, rank, consistency check and
-rank-deficiency record; members of one rank are solved or projected by
-one broadcasting product, and members of another rank as their own
-sub-stack.  Stacked LAPACK SVDs, matrix products and row dot products
-give every member, and every anchor, the bits of its own call.  The
-solvers serve the measured pipeline, the projector and the seminorm the
-oracle, which factors its own matrices; the pseudoinverse, which no
-experiment calls, takes a single matrix.  Nothing is cached: every call
-validates and factors its own input.  Finite inputs whose solution,
-residual or seminorm overflows raise :class:`InvalidMatrixError`, never
-a numpy warning, and the consistency check takes its norms scaled, so
-that finite inputs at any scale get a decision.
+which factors the matrix once.  A vector's last axis is as long as the
+side of the matrix it meets, ``d`` for weights, anchors and seminorm
+vectors and ``n`` for labels.  Any other vector shape raises one
+:class:`InvalidMatrixError` message, such as
+``y must have shape (4, 30) over x, got (4, 29)``.  A lone matrix is
+flattened to a one-member stack before it is factored or multiplied,
+the zero-lead case of the one path, and results keep the arguments'
+axes: a projector is a plain ``(d, d)`` or ``(S, d, d)`` array, a
+seminorm a float or ``(S,)``.  Each member keeps its own cutoff, rank,
+consistency check and rank-deficiency record; members of one rank are
+solved or projected by one broadcasting product, and members of
+another rank as their own sub-stack.  Stacked LAPACK SVDs, matrix
+products and row dot products give every member, and every anchor, the
+bits of its own call.  The solvers serve the measured pipeline, the
+projector and the seminorm the oracle, which factors its own matrices;
+the pseudoinverse, which no experiment calls, takes a single matrix.
+Nothing is cached: every call validates and factors its own input.
+Finite inputs whose solution, residual or seminorm overflows raise
+:class:`InvalidMatrixError`, never a numpy warning, and the consistency
+check takes its norms scaled, so that finite inputs at any scale get a
+decision.
 
 A :class:`RankDeficiencyCount` counts, inside its ``with`` block, the
 members of truncated SVDs whose rank falls short of the matrix's
@@ -115,11 +120,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return _validated(a, name, "2-D, or 3-D for a stack", lambda ndim: ndim in (2, 3))
 
 
-def as_vectors(v, name: str = "vectors") -> np.ndarray:
-    """Validate and return ``v`` as finite float64 vectors ``(..., k)``."""
-    return _validated(v, name, "1-D or more", lambda ndim: ndim >= 1)
-
-
 def seed_stack(x, name: str) -> tuple[np.ndarray, tuple[int, ...]]:
     """A matrix argument, validated by :func:`as_matrix`, as a stack
     ``(S, d, n)``, and its seed axes: ``(S,)``, or ``()`` for a lone
@@ -128,19 +128,22 @@ def seed_stack(x, name: str) -> tuple[np.ndarray, tuple[int, ...]]:
     return arr.reshape((math.prod(arr.shape[:-2]),) + arr.shape[-2:]), arr.shape[:-2]
 
 
-def seed_vectors(v, name: str, seeds: tuple[int, ...], front: bool = False) -> np.ndarray:
-    """A vector argument, validated as carrying its matrix's seed axes,
-    ``seeds + (k,)``, or with ``front`` ``(..., *seeds, k)``, and returned
-    as ``(..., S, k)`` like :func:`seed_stack`; any other shape raises
-    :class:`InvalidMatrixError` naming ``name``."""
-    arr = as_vectors(v, name)
+def seed_vectors(v, name: str, seeds: tuple[int, ...], length: int, of: str,
+                 front: bool = False) -> np.ndarray:
+    """A vector argument of the matrix named ``of``, validated as finite
+    float64 of shape ``seeds + (length,)``, or with ``front``
+    ``(..., *seeds, length)``, and returned as ``(..., S, length)`` like
+    :func:`seed_stack`.  A non-finite entry, or a 0-d ``v``, raises
+    :class:`InvalidMatrixError` naming ``name``; so does any other shape,
+    with one message: ``y must have shape (4, 30) over x, got (4, 29)``."""
+    arr = _validated(v, name, "1-D or more", lambda ndim: ndim >= 1)
     lead = arr.shape[:-1]
     extra = len(lead) - len(seeds)
-    if extra < 0 or lead[extra:] != seeds or extra and not front:
-        want = ", ".join(["..."] * front + [str(size) for size in seeds] + ["k"])
-        raise InvalidMatrixError(
-            f"{name} must have shape ({want}) over its matrix's seed axes, got {arr.shape}")
-    return arr.reshape(lead[:extra] + (math.prod(seeds), arr.shape[-1]))
+    if extra < 0 or lead[extra:] != seeds or extra and not front or arr.shape[-1] != length:
+        want = seeds + (length,)
+        want = f"(..., {', '.join(map(str, want))})" if front else str(want)
+        raise InvalidMatrixError(f"{name} must have shape {want} over {of}, got {arr.shape}")
+    return arr.reshape(lead[:extra] + (math.prod(seeds), length))
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
@@ -346,12 +349,11 @@ def min_norm_solve(x, y) -> np.ndarray:
     :class:`InconsistentSystemError` when no interpolating solution exists
     (residual above :func:`consistency_tol`), and
     :class:`InvalidMatrixError` when finite inputs give a solution that
-    overflows.
+    overflows, or when ``y`` is not ``(n,)``, or ``(S, n)`` for a stack,
+    with the :func:`seed_vectors` message.
     """
     arr, seeds = seed_stack(x, "x")
-    rhs = seed_vectors(y, "y", seeds)
-    if arr.shape[2] != rhs.shape[-1]:
-        raise InvalidMatrixError(f"x has {arr.shape[2]} samples but y has {rhs.shape[-1]} entries")
+    rhs = seed_vectors(y, "y", seeds, arr.shape[2], "x")
     return _min_norm(arr, rhs).reshape(seeds + arr.shape[1:2])
 
 
@@ -366,17 +368,12 @@ def min_norm_anchor_solve(x_t, y_t, w_o) -> np.ndarray:
     solved against one factorization of ``x_t``, with the bits of its own
     call, and an inconsistent system raises the error of the first
     anchor that fails.  Finite inputs whose shifted targets or solution
-    overflow raise :class:`InvalidMatrixError`.
+    overflow raise :class:`InvalidMatrixError`, and so do a ``w_o`` and a
+    ``y_t`` of any other shape, with the :func:`seed_vectors` message.
     """
     arr, seeds = seed_stack(x_t, "x_t")
-    anchor = seed_vectors(w_o, "w_o", seeds, front=True)
-    rhs = seed_vectors(y_t, "y_t", seeds)
-    if arr.shape[1] != anchor.shape[-1]:
-        raise InvalidMatrixError(f"x_t has {arr.shape[1]} features but w_o has {anchor.shape[-1]}")
-    if arr.shape[2] != rhs.shape[-1]:
-        raise InvalidMatrixError(
-            f"x_t has {arr.shape[2]} samples but y_t has {rhs.shape[-1]} entries"
-        )
+    anchor = seed_vectors(w_o, "w_o", seeds, arr.shape[1], "x_t", front=True)
+    rhs = seed_vectors(y_t, "y_t", seeds, arr.shape[2], "x_t")
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = _finite(rhs - (_transposed(arr) @ anchor[..., None])[..., 0],
                           "y_t - X_t^T w_o")
@@ -398,15 +395,12 @@ def weighted_seminorm_sq(v, x):
     Equals ``(1/n) ||X^T v||^2``, hence nonnegative, and zero exactly when
     ``v`` is orthogonal to the columns of ``x``.  For a stack ``x``
     ``(S, d, n)`` with ``v`` ``(S, d)``, one value per member, each with
-    the bits of its own call.  An ``x`` without columns, and finite
-    inputs whose value overflows, raise :class:`InvalidMatrixError`.
+    the bits of its own call.  A ``v`` of any other shape raises
+    :class:`InvalidMatrixError` with the :func:`seed_vectors` message; so
+    do an ``x`` without columns and finite inputs whose value overflows.
     """
     arr, seeds = seed_stack(x, "x")
-    vec = seed_vectors(v, "v", seeds)
-    if arr.shape[1] != vec.shape[1]:
-        raise InvalidMatrixError(
-            f"x has {arr.shape[1]} features but v has {vec.shape[1]}"
-        )
+    vec = seed_vectors(v, "v", seeds, arr.shape[1], "x")
     if arr.shape[2] < 1:
         raise InvalidMatrixError("x has no samples")
     # Finite inputs can overflow: the check raises, not a numpy warning.

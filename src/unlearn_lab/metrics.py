@@ -9,7 +9,11 @@ The linear measurement and comparison work on arrays, and one model is
 the 0-d case of the same code.  The data and weights follow the shape
 rule of :mod:`~unlearn_lab.linalg`, which checks them: a lone scenario
 is a one-member stack, and weights carry the data's seed axes, with any
-axes in front of them, or raise :class:`InvalidMatrixError`.
+axes in front of them, and end in its ``d`` features; labels carry the
+seed axes and end in its ``n`` samples.  Any other shape raises the one
+:class:`InvalidMatrixError` message of
+:func:`~unlearn_lab.linalg.seed_vectors`, such as
+``w must have shape (..., 3, 40) over x_r, got (2, 40)``.
 :func:`measure_losses` on a stacked scenario returns a pair of ``(S,)``
 arrays, or of ``(N, S)`` for weights ``(N, S, d)``.  :func:`gap_report`
 compares two ``(rl, ul)`` pairs, measured against predicted, and leaves
@@ -34,7 +38,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .errors import InvalidMatrixError
-from .linalg import seed_stack, seed_vectors, squared_norms
+from .linalg import _finite, seed_stack, seed_vectors, squared_norms
 from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, within_tolerance
 from .scenarios import SyntheticScenario
 
@@ -84,8 +88,11 @@ def mse_loss(w, x, y):
     """Mean-squared loss ``(1/m) ||X^T w - y||^2`` over ``m`` samples.
 
     For a stack (``w`` ``(S, d)``, ``x`` ``(S, d, m)``, ``y`` ``(S, m)``)
-    one loss per member, each with the bits of its own call.  Finite
-    inputs whose loss overflows raise :class:`InvalidMatrixError`.
+    one loss per member, each with the bits of its own call.  A ``w`` or
+    ``y`` of any other shape raises :class:`InvalidMatrixError` with the
+    :func:`~unlearn_lab.linalg.seed_vectors` message, such as
+    ``y must have shape (5,) over x, got (4,)``, and so do finite inputs
+    whose loss overflows.
     """
     return _mse(w, x, y, ("w", "x", "y"))
 
@@ -95,20 +102,15 @@ def _mse(w, x, y, names: tuple[str, str, str], front: bool = False):
     ``front``, ``w`` may have axes in front of its seed axes, which
     the losses keep."""
     data, seeds = seed_stack(x, names[1])
-    weights = seed_vectors(w, names[0], seeds, front)
-    targets = seed_vectors(y, names[2], seeds)
-    if data.shape[1] != weights.shape[-1] or data.shape[2] != targets.shape[-1]:
-        raise InvalidMatrixError(
-            f"{names[1]} has {data.shape[1]} features and {data.shape[2]} samples, but "
-            f"{names[0]} has {weights.shape[-1]} entries and {names[2]} {targets.shape[-1]}")
+    weights = seed_vectors(w, names[0], seeds, data.shape[1], names[1], front)
+    targets = seed_vectors(y, names[2], seeds, data.shape[2], names[1])
     if targets.shape[-1] < 1:
         raise InvalidMatrixError(f"{names[1]} has no samples")
     # Finite inputs can overflow a loss: the check raises, not a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         residual = (np.swapaxes(data, -1, -2) @ weights[..., None])[..., 0] - targets
-        losses = (squared_norms(residual) / targets.shape[-1]).reshape(weights.shape[:-2] + seeds)
-    if not np.isfinite(losses).all():
-        raise InvalidMatrixError(f"the loss of {names[0]} on {names[1]} overflows")
+        losses = _finite((squared_norms(residual) / targets.shape[-1]).reshape(
+            weights.shape[:-2] + seeds), f"the loss of {names[0]} on {names[1]}")
     return losses if losses.ndim else float(losses)
 
 

@@ -1,5 +1,7 @@
 """Unit and property tests for the dense linear-algebra kernels."""
 
+import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -18,7 +20,8 @@ from unlearn_lab.linalg import (
     svd,
     weighted_seminorm_sq,
 )
-from unlearn_lab.scenarios import FeatureLayout, gen_scenario
+from unlearn_lab.metrics import measure_losses, mse_loss
+from unlearn_lab.scenarios import FeatureLayout, fine_tune_subset, gen_scenario, stack_scenarios
 
 from linear_reference import closed_form_wt_distinct, gradient_descent_solve
 
@@ -416,15 +419,21 @@ class TestStackedSolves:
 
     def test_vectors_must_match_the_stack(self):
         x, y = self._stack((4, 5, 3))
-        with pytest.raises(InvalidMatrixError, match=r"^y must have shape \(4, k\) .* \(3, 3\)$"):
+        with pytest.raises(InvalidMatrixError,
+                           match=r"^y must have shape \(4, 3\) over x, got \(3, 3\)$"):
             min_norm_solve(x, y[:3])
-        with pytest.raises(InvalidMatrixError, match=r"^y must have shape \(4, k\) .* \(3,\)$"):
+        with pytest.raises(InvalidMatrixError,
+                           match=r"^y must have shape \(4, 3\) over x, got \(3,\)$"):
             min_norm_solve(x, y[0])
-        with pytest.raises(InvalidMatrixError, match=r"^w_o must have shape \(\.\.\., 4, k\) "):
+        with pytest.raises(InvalidMatrixError,
+                           match=r"^w_o must have shape \(\.\.\., 4, 5\) over x_t, got \(5,\)$"):
             min_norm_anchor_solve(x, y, np.zeros(5))
-        with pytest.raises(InvalidMatrixError, match="x_t has 5 features but w_o has 4"):
+        with pytest.raises(InvalidMatrixError,
+                           match=r"^w_o must have shape \(\.\.\., 4, 5\) over x_t, got \(4, 4\)$"):
             min_norm_anchor_solve(x, y, np.zeros((4, 4)))
-        with pytest.raises(InvalidMatrixError, match=r"^w_o must have .* got \(2, 3, 5\)$"):
+        with pytest.raises(InvalidMatrixError,
+                           match=r"^w_o must have shape \(\.\.\., 4, 5\) over x_t, "
+                                 r"got \(2, 3, 5\)$"):
             min_norm_anchor_solve(x, y, np.zeros((2, 3, 5)))
 
 
@@ -471,12 +480,54 @@ class TestStackedOracleKernels:
 
     def test_vectors_must_match_the_stack(self):
         x, _ = TestStackedSolves._stack((4, 5, 3))
-        with pytest.raises(InvalidMatrixError, match=r"^v must have shape \(4, k\) .* \(3, 5\)$"):
+        with pytest.raises(InvalidMatrixError,
+                           match=r"^v must have shape \(4, 5\) over x, got \(3, 5\)$"):
             weighted_seminorm_sq(np.zeros((3, 5)), x)
-        with pytest.raises(InvalidMatrixError, match=r"^v must have shape \(4, k\) .* \(5,\)$"):
+        with pytest.raises(InvalidMatrixError,
+                           match=r"^v must have shape \(4, 5\) over x, got \(5,\)$"):
             weighted_seminorm_sq(np.zeros(5), x)
-        with pytest.raises(InvalidMatrixError, match="x has 5 features but v has 4"):
+        with pytest.raises(InvalidMatrixError,
+                           match=r"^v must have shape \(4, 5\) over x, got \(4, 4\)$"):
             weighted_seminorm_sq(np.zeros((4, 4)), x)
+
+
+class TestNearCollinearStacks:
+    """A seed whose second remaining sample is its first plus
+    ``delta * ||first||`` along a pinned unit direction, stacked between
+    two well-posed seeds.  The condition number of its prefixes of two or
+    more samples grows as ``1 / delta``: through the band, about 1e12 to
+    3e14, where ``verify-theorems`` fails its oracle checks with no seed
+    failure and, at 1e-16, past the cutoff, where each of those prefixes
+    loses a rank.  Every prefix still gives each member the bits of its
+    own call; which verdict a prefix in the band should get is not tested
+    here."""
+
+    @staticmethod
+    def _near_collinear(scenario, delta):
+        direction = np.zeros(scenario.d)
+        direction[scenario.layout.remaining_block] = np.random.default_rng(17).standard_normal(
+            scenario.layout.d_r)
+        direction /= np.linalg.norm(direction)
+        x_r = scenario.x_r.copy()
+        x_r[:, 1] = x_r[:, 0] + delta * np.linalg.norm(x_r[:, 0]) * direction
+        return dataclasses.replace(scenario, x_r=x_r, y_r=x_r.T @ scenario.w_star)
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-11, 1e-13, 1e-16])
+    def test_every_prefix_gives_each_member_the_bits_of_its_own_call(self, delta):
+        members = [gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed) for seed in (0, 1, 2)]
+        members[1] = self._near_collinear(members[1], delta)
+        s = stack_scenarios(members)
+        w_o = min_norm_solve(*s.joint_data())
+        for n_t in range(1, s.n_r + 1):
+            x_t, y_t = fine_tune_subset(s, n_t)
+            w = min_norm_anchor_solve(x_t, y_t, w_o)
+            p = projector(x_t)
+            rl, ul = measure_losses(w, s)
+            for i, member in enumerate(members):
+                x_i, y_i = fine_tune_subset(member, n_t)
+                assert np.array_equal(w[i], min_norm_anchor_solve(x_i, y_i, w_o[i]))
+                assert np.array_equal(p[i], projector(x_i))
+                assert np.array_equal((rl[i], ul[i]), measure_losses(w[i], member))
 
 
 class TestRankDeficiencySides:
@@ -524,12 +575,54 @@ class TestRankDeficiencySides:
         assert held.counts == {"solvers": 0, "oracle": 0}
 
 
+# Each vector argument of the kernels and the measurements: its function,
+# its name, the name of the matrix it is checked against, whether it may
+# have axes in front of its seed axes, and a call with it replaced by
+# ``v``, the other arguments taken from a stack ``x`` ``(S, 5, 3)``, its
+# labels ``y``, weights ``w`` ``(S, 5)`` and a stacked scenario ``s``.
+_VECTOR_ARGUMENTS = [
+    ("min_norm_solve", "y", "x", False, lambda x, y, w, s, v: min_norm_solve(x, v)),
+    ("min_norm_anchor_solve", "w_o", "x_t", True,
+     lambda x, y, w, s, v: min_norm_anchor_solve(x, y, v)),
+    ("min_norm_anchor_solve", "y_t", "x_t", False,
+     lambda x, y, w, s, v: min_norm_anchor_solve(x, v, w)),
+    ("weighted_seminorm_sq", "v", "x", False, lambda x, y, w, s, v: weighted_seminorm_sq(v, x)),
+    ("mse_loss", "w", "x", False, lambda x, y, w, s, v: mse_loss(v, x, y)),
+    ("mse_loss", "y", "x", False, lambda x, y, w, s, v: mse_loss(w, x, v)),
+    ("measure_losses", "w", "x_r", True, lambda x, y, w, s, v: measure_losses(v, s)),
+]
+
+
 class TestSeedAxes:
     """Every vector argument carries its matrix's seed axes: ``(S,)`` for
-    a stack ``(S, d, n)``, none for a lone matrix.  Anchors may add axes
-    in front of them.  Any other leading axes raise
-    :class:`InvalidMatrixError` naming the vector; the member-count cases
-    of a stack are in ``test_vectors_must_match_the_stack``."""
+    a stack ``(S, d, n)``, none for a lone matrix, and a last axis as long
+    as the side of the matrix it meets.  Anchors and measured weights may
+    add axes in front of the seed axes.  Any other shape raises
+    :class:`InvalidMatrixError` with one message, naming the vector and
+    its matrix."""
+
+    @pytest.mark.parametrize("members", [1, 4], ids=["one-member", "four-members"])
+    @pytest.mark.parametrize("function,name,matrix,front,call", _VECTOR_ARGUMENTS,
+                             ids=[f"{case[0]}-{case[1]}" for case in _VECTOR_ARGUMENTS])
+    def test_every_vector_argument_raises_one_message(self, function, name, matrix, front,
+                                                      call, members):
+        x, y = TestStackedSolves._stack((members, 5, 3))
+        w = np.random.default_rng(5).standard_normal((members, 5))
+        s = stack_scenarios([gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed)
+                             for seed in range(members)])
+        good = s.w_star if function == "measure_losses" else {"y": y, "y_t": y}.get(name, w)
+        call(x, y, w, s, good)
+        length = good.shape[-1]
+        bad_shapes = [(members, length - 1),    # a wrong length
+                      (members + 1, length),    # a wrong seed axis
+                      (length,)]                # a missing seed axis
+        if not front:
+            bad_shapes.append((2, members, length))
+        want = f"(..., {members}, {length})" if front else f"({members}, {length})"
+        for bad in bad_shapes:
+            message = f"{name} must have shape {want} over {matrix}, got {bad}"
+            with pytest.raises(InvalidMatrixError, match=f"^{re.escape(message)}$"):
+                call(x, y, w, s, np.zeros(bad))
 
     @pytest.mark.parametrize("name,call", [
         ("y", lambda x, y, v: min_norm_solve(x[0], y)),

@@ -68,7 +68,8 @@ class TestMseLoss:
         assert abs(mse_loss(w, x, y) - mse_loss(w, x[:, perm], y[perm])) < 1e-12
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidMatrixError, match="^x has 3 features and 4 samples, but "):
+        with pytest.raises(InvalidMatrixError,
+                           match=r"^y must have shape \(4,\) over x, got \(5,\)$"):
             mse_loss(np.zeros(3), np.zeros((3, 4)), np.zeros(5))
 
     def test_zero_samples_rejected(self):
@@ -84,7 +85,8 @@ class TestMseLoss:
         losses = mse_loss(w, x, y)
         assert losses.shape == (5,)
         assert all(loss == mse_loss(*member) for loss, member in zip(losses, zip(w, x, y)))
-        with pytest.raises(InvalidMatrixError, match=r"^w must have shape \(5, k\) "):
+        with pytest.raises(InvalidMatrixError,
+                           match=r"^w must have shape \(5, 7\) over x, got \(4, 7\)$"):
             mse_loss(w[:4], x, y)
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
