@@ -3,16 +3,18 @@
 Usage::
 
     unlearn-lab <experiment> --config <path> [--out <path>]
-                [--seeds s1,s2,...] [--tolerance x]
-                [--log-level WARNING|INFO|DEBUG]
+                [--seeds s1,s2,...] [--log-level WARNING|INFO|DEBUG]
+    unlearn-lab verify-theorems ... [--tolerance x]
 
 Exit status: 0 when every check passed, 1 on numerical failures or
-failed checks, 2 on configuration errors, bad flags, outputs that cannot
-be written and arrays too large to allocate, each reported in one line
-on stderr.  ``--log-level`` sends the package's log records at
-that level and above to stderr; it never changes the CSV or the summary.
-``INFO`` shows each stage's seconds and each failed seed's error, and
-``DEBUG`` adds each rank-deficient factorization.
+failed checks, 2 on configuration errors, bad flags (a flag is checked
+as the config field it names, so ``--tolerance`` exists in
+``verify-theorems`` alone), outputs that cannot be written and arrays
+too large to allocate, each reported in one line on stderr.
+``--log-level`` sends the package's log records at that level and above
+to stderr; it never changes the CSV or the summary.  ``INFO`` shows each
+stage's seconds and each failed seed's error, and ``DEBUG`` adds each
+rank-deficient factorization.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ import sys
 from .errors import ConfigError, UnlearnLabError
 from .experiments import (
     EXPERIMENTS,
-    as_seeds,
-    as_tolerance,
     exit_code_for,
+    flag_value,
     load_config,
     run_experiment,
     write_outputs,
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tolerance", type=float, default=None,
-        help="override both the relative tolerance and the absolute floor",
+        help="verify-theorems only: override both the relative tolerance and the absolute floor",
     )
     parser.add_argument(
         "--log-level", choices=("WARNING", "INFO", "DEBUG"), default="WARNING",
@@ -73,7 +74,7 @@ def _parse_seeds(raw: str) -> list[int]:
     parts = raw.split(",")
     if not all(_SEED.fullmatch(part) for part in parts):
         raise ConfigError(f"--seeds must be comma-separated integers, got {raw!r}")
-    return as_seeds("--seeds", [int(part) for part in parts])
+    return [int(part) for part in parts]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,11 +96,10 @@ def _run(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config, args.experiment)
         if args.seeds is not None:
-            cfg["seeds"] = _parse_seeds(args.seeds)
+            cfg["seeds"] = flag_value(args.experiment, "--seeds", _parse_seeds(args.seeds))
         if args.tolerance is not None:
-            cfg["tolerance"] = as_tolerance(
-                "--tolerance", {"rel": args.tolerance, "abs_floor": args.tolerance}
-            )
+            cfg["tolerance"] = flag_value(args.experiment, "--tolerance",
+                                          dict.fromkeys(("rel", "abs_floor"), args.tolerance))
         result = run_experiment(args.experiment, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

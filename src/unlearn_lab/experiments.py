@@ -211,11 +211,6 @@ _COUNT = Domain("int", 0)
 # would count one run twice; a repeated value of any other list field
 # would repeat its rows too.
 _SEEDS = (REQUIRED, Domain("int", 0, 1 << 64, many=True, unique=True))
-_TOLERANCE = {
-    "tolerance": (None, Domain("object")),
-    "tolerance.rel": (PRED_REL_TOL, Domain("number", 0)),
-    "tolerance.abs_floor": (PRED_ABS_FLOOR, Domain("number", 0)),
-}
 _SIZES = {"n_r": (30, Domain("int", 2)), "n_f": (10, Domain("int", 1))}
 _DIST = ("standard-normal", Domain("enum", choices=DIST_TAGS))
 _LINEAR = {**_SIZES, "dist": _DIST,
@@ -241,7 +236,6 @@ FIELDS = {
         "experiment": (experiment, Domain("enum", choices=(experiment,))),
         "seeds": _SEEDS,
         "out": (None, Domain("path")),
-        **_TOLERANCE,
         **fields,
     }
     for experiment, fields in {
@@ -249,6 +243,10 @@ FIELDS = {
             **_LINEAR,
             "distinct_layout": ([20, 0, 20], Domain("layout")),
             "overlap_layout": ([16, 8, 16], Domain("layout")),
+            # The oracle checks' tolerance, which no other experiment has.
+            "tolerance": (None, Domain("object")),
+            "tolerance.rel": (PRED_REL_TOL, Domain("number", 0)),
+            "tolerance.abs_floor": (PRED_ABS_FLOOR, Domain("number", 0)),
         },
         "sweep-nt": {**_LINEAR, "layout": ([20, 0, 20], Domain("layout"))},
         "sweep-overlap": {
@@ -320,8 +318,9 @@ ACROSS = [
 
 
 def _fill(kind: str, raw: dict, fields: dict) -> dict:
-    """Walk a field table over ``raw``: fill in the defaults, and reject
-    values outside their domain and keys the table does not name."""
+    """Walk a field table over ``raw``: fill in the defaults, store each
+    ``number`` as a float, and reject values outside their domain and keys
+    the table does not name."""
     cfg: dict = {}
     given, filled = {"": raw}, {"": cfg}
     for name, (default, domain) in fields.items():
@@ -336,6 +335,8 @@ def _fill(kind: str, raw: dict, fields: dict) -> dict:
         if domain.kind == "object":
             given[name], value = value, {}
             filled[name] = value
+        elif domain.kind == "number":
+            value = list(map(float, value)) if domain.many else float(value)
         elif isinstance(value, (list, tuple)):
             value = list(value)
         filled[group][key] = value
@@ -347,16 +348,15 @@ def _fill(kind: str, raw: dict, fields: dict) -> dict:
     return cfg
 
 
-def as_seeds(kind, raw) -> list[int]:
-    """Validated seed list: non-empty, every seed an integer in ``[0, 2^64)``,
-    and no seed twice."""
-    return _fill(kind, {"seeds": raw}, {"seeds": _SEEDS})["seeds"]
-
-
-def as_tolerance(kind, raw) -> dict:
-    """Validated tolerance: the defaults overridden by finite nonnegative numbers."""
-    tol = _fill(kind, {"tolerance": raw}, _TOLERANCE)["tolerance"]
-    return {key: float(value) for key, value in tol.items()}
+def flag_value(experiment: str, flag: str, value):
+    """The value of ``flag``, ``--seeds`` or ``--tolerance``, checked and
+    defaulted by :func:`_fill` as the field it names in ``FIELDS[experiment]``
+    (``--seeds: field 'seeds' must be ...``).  An experiment without that
+    field rejects the flag as an unknown key, as in ``sweep-nt --tolerance:
+    unknown config keys ['tolerance']``."""
+    name = flag.removeprefix("--")
+    fields = {key: spec for key, spec in FIELDS[experiment].items() if key.split(".")[0] == name}
+    return _fill(flag if fields else f"{experiment} {flag}", {name: value}, fields)[name]
 
 
 def validate_config(raw: dict, experiment: str) -> dict:
@@ -384,9 +384,6 @@ def validate_config(raw: dict, experiment: str) -> dict:
         np.empty((max(_size(cfg, size) for size in _SIZES_OF if size in cfg),
                   cfg["n_r"] + cfg["n_f"]))
         cfg["nt_values"] = list(range(1, cfg["n_r"]))
-    cfg["tolerance"] = {key: float(value) for key, value in cfg["tolerance"].items()}
-    if "alphas" in cfg:
-        cfg["alphas"] = [float(alpha) for alpha in cfg["alphas"]]
     return cfg
 
 
@@ -644,7 +641,9 @@ def _classifier_rows(cfg: dict):
     """Descend every seed's grid in one :func:`run_seed_grid`; returns the
     function that gives one seed's rows or raises its failure."""
     alphas = cfg["alphas"] if "alphas" in cfg else [cfg["alpha"]]
-    pairs = [(variant, float(alpha)) for variant in cfg["variants"] for alpha in alphas]
+    # retrain ignores alpha, so it gets one pair, whose alpha cell reads NaN.
+    pairs = [(variant, alpha) for variant in cfg["variants"]
+             for alpha in ([math.nan] if variant == "retrain" else alphas)]
     task = ClassTask(**cfg["task"])
     grid = _solve_seeds(cfg["seeds"], [lambda seeds: list(run_seed_grid(
         task, pairs, seeds, cfg["epochs"], cfg["step_size"]).values())])
@@ -653,8 +652,7 @@ def _classifier_rows(cfg: dict):
         [scores] = _each(grid[seed])
         return [
             {
-                "experiment": cfg["experiment"], "variant": variant,
-                "alpha": float("nan") if variant == "retrain" else alpha, "seed": seed,
+                "experiment": cfg["experiment"], "variant": variant, "alpha": alpha, "seed": seed,
                 **{name: getattr(metrics, name) for name in _MEASURES},
             }
             for (variant, alpha), metrics in zip(pairs, scores)

@@ -29,7 +29,9 @@ when every check holds, and 1 with the first failure on stderr.
 - ``against REV``: each config with this tree's code and config, and with
   the code and config of a git worktree of ``REV``, on the shipped seeds
   and on ``--seeds 3,11,5``, at ``--log-level DEBUG``; the two runs agree
-  (:func:`compare_against`).  A config that ``REV`` lacks is skipped.
+  (:func:`compare_against`).  The note names each top-level config key
+  whose ``# config:`` echo changed, which the CSV comparison skips.  A
+  config that ``REV`` lacks is skipped.
 - ``all REV``: the four above.
 
 It needs only the standard library.  The comparisons are pure functions
@@ -116,6 +118,29 @@ def data_lines(text: str) -> list[str]:
 
 def schema_line(text: str) -> str | None:
     return next((line for line in comment_lines(text) if line.startswith("# schema:")), None)
+
+
+def config_echo(text: str) -> dict:
+    """The ``# config:`` echo of a CSV, or ``{}`` where it has none."""
+    line = next((line for line in comment_lines(text) if line.startswith("# config:")), None)
+    return {} if line is None else json.loads(line.removeprefix("# config:"))
+
+
+def echo_changes(theirs: str, ours: str) -> list[str]:
+    """The top-level keys whose value is echoed differently in the
+    ``# config:`` lines of two CSVs, in key order, each as ``'key'
+    added``, ``'key' removed`` or ``'key' changed``.  Values compare as
+    JSON text, so ``4`` and ``4.0`` differ."""
+    before, after = config_echo(theirs), config_echo(ours)
+    changes = []
+    for key in sorted(before.keys() | after.keys()):
+        if key not in before:
+            changes.append(f"{key!r} added")
+        elif key not in after:
+            changes.append(f"{key!r} removed")
+        elif json.dumps(before[key], sort_keys=True) != json.dumps(after[key], sort_keys=True):
+            changes.append(f"{key!r} changed")
+    return changes
 
 
 def rank_lines(log: str) -> list[str]:
@@ -237,21 +262,24 @@ def check_digests(listing: str, directory: Path) -> list[str]:
     return names
 
 
-def compare_against(theirs: Run, ours: Run) -> bool:
+def compare_against(theirs: Run, ours: Run) -> tuple[bool, list[str]]:
     """Raises unless ``ours`` repeats ``theirs``: equal
     ``rank_deficient_solves``, equal DEBUG rank lines in order and, where
     the two ``# schema:`` lines are equal, equal CSV lines after the
-    comments.  Returns whether the CSV lines were compared."""
+    comments.  Returns whether the CSV lines were compared, and the
+    config keys whose echo changed (:func:`echo_changes`), which fail
+    nothing."""
     if theirs.summary["rank_deficient_solves"] != ours.summary["rank_deficient_solves"]:
         raise CheckFailed(f"rank_deficient_solves reads {theirs.summary['rank_deficient_solves']}"
                           f" there and {ours.summary['rank_deficient_solves']} here")
     require_equal_lines("the DEBUG rank-deficient lines", rank_lines(theirs.log),
                         rank_lines(ours.log))
+    changes = echo_changes(theirs.csv, ours.csv)
     if schema_line(theirs.csv) != schema_line(ours.csv):
-        return False
+        return False, changes
     require_equal_lines("the CSV lines after the comments", data_lines(theirs.csv),
                         data_lines(ours.csv))
-    return True
+    return True, changes
 
 
 def repeat(config: Path, out: Path) -> str:
@@ -290,11 +318,12 @@ def against(tree: Path, config: Path, out: Path) -> str:
         name = f"{config.stem}.{label.replace(' ', '-')}"
         runs = [run_config(where, path, out / side / f"{name}.csv", *flags, "--log-level", "DEBUG")
                 for where, path, side in ((tree, theirs, "theirs"), (ROOT, config, "ours"))]
-        compared = compare_against(*runs)
+        compared, changes = compare_against(*runs)
         csv_note = ("CSV lines equal" if compared else
                     f"schema changed, CSV not compared: {schema_line(runs[0].csv)!r}"
                     f" -> {schema_line(runs[1].csv)!r}")
-        notes.append(f"{label}: {csv_note}, rank_deficient_solves"
+        echo_note = "".join(f", config echo: {change}" for change in changes)
+        notes.append(f"{label}: {csv_note}{echo_note}, rank_deficient_solves"
                      f" {runs[1].summary['rank_deficient_solves']},"
                      f" {len(rank_lines(runs[1].log))} DEBUG rank lines equal")
     return "; ".join(notes)

@@ -169,12 +169,38 @@ def test_every_value_outside_a_field_domain_is_rejected_by_name():
         ), (experiment, name, value)
 
 
-def test_readme_tables_are_copied_from_the_field_table():
+def _readme_tables() -> dict[str, list[str]]:
+    """The README's config tables: each section's label (``Every
+    experiment`` or an experiment's name) -> its field rows, in order."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    for fields in FIELDS.values():
-        for name, (default, domain) in fields.items():
-            shown = "required" if default is REQUIRED else f"`{json.dumps(default)}`"
-            assert name == "experiment" or f"| `{name}` | {shown} | {domain} |" in readme
+    config_format = readme.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
+    tables: dict[str, list[str]] = {}
+    for line in config_format.splitlines():
+        if line.endswith(":") and not line.startswith("|"):
+            label = line.removesuffix(":").strip("`")
+        elif line.startswith("| `"):
+            tables.setdefault(label, []).append(line)
+    return tables
+
+
+def test_readme_tables_are_copied_from_the_field_table():
+    # "Every experiment" lists exactly the rows that all five tables share,
+    # and each experiment's table exactly the rest of its fields.
+    rows = {
+        experiment: [f"| `{name}` | "
+                     + ("required" if default is REQUIRED else f"`{json.dumps(default)}`")
+                     + f" | {domain} |"
+                     for name, (default, domain) in fields.items() if name != "experiment"]
+        for experiment, fields in FIELDS.items()
+    }
+    shared = [row for row in rows["verify-theorems"] if all(row in own for own in rows.values())]
+    assert _readme_tables() == {
+        "Every experiment": [
+            "| `experiment` | the requested experiment | the requested experiment's name |",
+            *shared,
+        ],
+        **{experiment: [row for row in own if row not in shared] for experiment, own in rows.items()},
+    }
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,10 @@ DEMO_CFG = {"seeds": [0, 1], "epochs": 120,
             "task": {"per_class": 25}, "alpha": 0.5}
 ALPHA_CFG = {"seeds": [0], "epochs": 120, "task": {"per_class": 25},
              "variants": ["kl-ft"], "alphas": [0.1, 0.8]}
+CFG_OF = {"verify-theorems": VERIFY_CFG, "sweep-nt": NT_CFG, "sweep-overlap": OVERLAP_CFG,
+          "classifier-demo": DEMO_CFG, "sweep-alpha": ALPHA_CFG}
+# The experiments without the oracle tolerance, which only verify-theorems reads.
+NO_TOLERANCE = ["sweep-nt", "sweep-overlap", "classifier-demo", "sweep-alpha"]
 
 
 class TestConfigValidation:
@@ -58,9 +62,21 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="without repeats") as excinfo:
                 validate_config({"seeds": seeds}, "sweep-nt")
             assert str(excinfo.value).endswith(f"(got {seeds})")
-        assert experiments.as_seeds("--seeds", [2, 0, 1]) == [2, 0, 1]
+        assert experiments.flag_value("sweep-nt", "--seeds", [2, 0, 1]) == [2, 0, 1]
         with pytest.raises(ConfigError, match="^--seeds: field 'seeds' must be"):
-            experiments.as_seeds("--seeds", [1, 1])
+            experiments.flag_value("sweep-nt", "--seeds", [1, 1])
+
+    def test_int_numbers_are_stored_and_echoed_as_floats(self):
+        cfg = validate_config({"seeds": [0], "task": {"sep": 4}, "step_size": 1, "alphas": [0, 1]},
+                              "sweep-alpha")
+        assert (cfg["task"]["sep"], cfg["step_size"], cfg["alphas"]) == (4.0, 1.0, [0.0, 1.0])
+        assert all(type(value) is float for value in (cfg["task"]["sep"], *cfg["alphas"]))
+        cfg = validate_config({"seeds": [0], "tolerance": {"rel": 0}}, "verify-theorems")
+        assert cfg["tolerance"] == {"rel": 0.0, "abs_floor": 1e-10}
+        echo = render_csv(experiments.ExperimentResult("verify-theorems", cfg)).splitlines()[1]
+        assert '"tolerance":{"abs_floor":1e-10,"rel":0.0}' in echo
+        assert experiments.flag_value("verify-theorems", "--tolerance", {"rel": 0}) == {
+            "rel": 0.0, "abs_floor": 1e-10}
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigError):
@@ -835,15 +851,19 @@ class TestClassifierExperiments:
             for name in ("ua", "ra", "ta"):
                 assert row[name] == reduce([r[name] for r in group])
 
-    def test_demo_retrain_rows_form_one_cell(self):
-        cfg = validate_config(
-            dict(DEMO_CFG, seeds=[0, 1, 2], variants=["retrain", "naive-ft"]),
-            "classifier-demo",
-        )
-        rows = run_experiment("classifier-demo", cfg).rows
+    @pytest.mark.parametrize("experiment,raw", [
+        ("classifier-demo", dict(DEMO_CFG, variants=["retrain", "naive-ft"])),
+        # retrain ignores alpha: one row per seed, whatever the alphas.
+        ("sweep-alpha", dict(ALPHA_CFG, variants=["retrain", "kl-ft"], alphas=[0.1, 0.5, 0.9])),
+    ])
+    def test_demo_retrain_rows_form_one_cell(self, experiment, raw):
+        cfg = validate_config(dict(raw, seeds=[0, 1, 2]), experiment)
+        rows = run_experiment(experiment, cfg).rows
         aggregates = [r for r in rows if r["seed"] in ("mean", "std")]
+        other = raw["variants"][1]
         assert [(r["variant"], r["seed"]) for r in aggregates] == [
-            ("retrain", "mean"), ("retrain", "std"), ("naive-ft", "mean"), ("naive-ft", "std"),
+            ("retrain", "mean"), ("retrain", "std"),
+            *[(other, stat) for _ in cfg.get("alphas", [None]) for stat in ("mean", "std")],
         ]
         assert np.isnan(aggregates[0]["alpha"]) and np.isnan(aggregates[1]["alpha"])
         retrain = [r for r in rows if r["variant"] == "retrain" and isinstance(r["seed"], int)]
@@ -1094,6 +1114,9 @@ class TestCli:
             ("classifier-demo", {"seeds": [0], "task": {"per_class": True}}),
             ("classifier-demo", {"seeds": [0], "task": {"sep": True}}),
             ("sweep-alpha", {"seeds": [0], "alphas": [0.5, True]}),
+            # Only verify-theorems has the oracle tolerance.
+            *[(experiment, {"seeds": [0], "tolerance": {"rel": 1e-8, "abs_floor": 1e-10}})
+              for experiment in NO_TOLERANCE],
             # Non-finite numbers (json.dumps writes them as NaN/Infinity).
             ("verify-theorems", {"seeds": [0], "tolerance": {"rel": INF, "abs_floor": INF}}),
             ("verify-theorems", {"seeds": [0], "tolerance": {"rel": NAN}}),
@@ -1138,26 +1161,29 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags",
+        "experiment,flags,message",
         [
-            ["--tolerance", "inf"],
-            ["--tolerance", "nan"],
-            ["--seeds", "-1"],
-            ["--seeds", "0,18446744073709551616"],
+            ("verify-theorems", ["--tolerance", "inf"], "--tolerance: field 'tolerance.rel' must be"),
+            ("verify-theorems", ["--tolerance", "nan"], "--tolerance: field 'tolerance.rel' must be"),
+            ("verify-theorems", ["--seeds", "-1"], "--seeds: field 'seeds' must be"),
+            ("verify-theorems", ["--seeds", "0,18446744073709551616"],
+             "--seeds: field 'seeds' must be"),
             # Every entry is a decimal integer: no empty entry, no underscore.
-            ["--seeds", "1,,2"],
-            ["--seeds", "1,"],
-            ["--seeds", ",1"],
-            ["--seeds", "1_0"],
+            *[("verify-theorems", ["--seeds", seeds], "--seeds must be comma-separated integers")
+              for seeds in ("1,,2", "1,", ",1", "1_0")],
+            # Only verify-theorems has the oracle tolerance.
+            *[(experiment, ["--tolerance", "0"],
+               f"{experiment} --tolerance: unknown config keys ['tolerance']")
+              for experiment in NO_TOLERANCE],
         ],
     )
-    def test_bad_flags_exit_two(self, tmp_path, capsys, flags):
-        config = self._write_config(tmp_path, VERIFY_CFG)
+    def test_bad_flags_exit_two(self, tmp_path, capsys, experiment, flags, message):
+        config = self._write_config(tmp_path, CFG_OF[experiment])
         out = tmp_path / "x.csv"
-        code = main(["verify-theorems", "--config", str(config), "--out", str(out), *flags])
+        code = main([experiment, "--config", str(config), "--out", str(out), *flags])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(

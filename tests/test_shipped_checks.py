@@ -164,10 +164,11 @@ class TestDigests:
 
 class TestAgainst:
     """A run against another revision's: equal rank counts and DEBUG rank
-    lines, and equal CSV lines where the schema is the same."""
+    lines, and equal CSV lines where the schema is the same; a changed
+    config echo is reported and fails nothing."""
 
     def test_an_equal_run_passes_and_compares_its_csv(self):
-        assert compare_against(run(), run()) is True
+        assert compare_against(run(), run()) == (True, [])
 
     def test_a_changed_data_line_fails(self):
         with pytest.raises(CheckFailed, match="CSV lines after the comments differ at line 3"):
@@ -186,13 +187,21 @@ class TestAgainst:
             compare_against(run(), run(log=log))
 
     def test_a_config_echo_that_differs_alone_passes(self):
-        ours = run(LINEAR.replace('"seeds":[3,11]', '"seeds":[3,11],"new":1'),
+        theirs = run(LINEAR.replace('"seeds":[3,11]',
+                                    '"seeds":[3,11],"task":{"sep":4},"tolerance":{"rel":1e-08}'))
+        ours = run(LINEAR.replace('"seeds":[3,11]', '"new":1,"seeds":[3,11],"task":{"sep":4.5}'),
                    log=LOG.replace("0.01 s", "0.02 s"))
-        assert compare_against(run(), ours) is True
+        assert compare_against(theirs, ours) == (
+            True, ["'new' added", "'task' changed", "'tolerance' removed"])
+        # An int echoed as a float is a change; the order of the keys is not.
+        sep = run(LINEAR.replace('"seeds":[3,11]', '"task":{"sep":4.0,"k":2},"seeds":[3,11]'))
+        reordered = run(sep.csv.replace('{"sep":4.0,"k":2}', '{"k":2,"sep":4.0}'))
+        assert compare_against(sep, reordered) == (True, [])
+        assert compare_against(sep, run(sep.csv.replace("4.0", "4"))) == (True, ["'task' changed"])
 
     def test_a_schema_change_skips_only_the_csv_comparison(self):
         changed = LINEAR.replace("sweep-nt/v3", "sweep-nt/v4").replace("0.5\n", "0.25\n")
-        assert compare_against(run(), run(changed)) is False
+        assert compare_against(run(), run(changed)) == (False, [])
         with pytest.raises(CheckFailed, match="^rank_deficient_solves reads"):
             compare_against(run(), run(changed, rank_deficient_solves={"solvers": 3, "oracle": 0}))
         with pytest.raises(CheckFailed, match="DEBUG rank-deficient lines differ"):
