@@ -27,10 +27,11 @@ every seed's whole (variant, alpha) grid as a single ``(S, M, K, D + 1)``
 gradient descent, one broadcasting gemm per product.  A stack keeps its
 shape through the whole fit: a member that diverges halves its own step
 size and the whole stack restarts, every other member replaying its own
-trajectory.  A member is keyed by its start and its weights ``(c_r,
-c_f)``, and each distinct key descends once per seed: the
-``kl-ft``/``ice-ft`` twins share one member, and the golden ``retrain``
-model is the zero-start ``(1, 0)`` member of the same stack.  A member
+trajectory.  :func:`run_seed_grid` keys each pair by its start and its
+weights ``(c_r, c_f)``, and each distinct key is one member that
+descends and is scored once per seed: the ``kl-ft``/``ice-ft`` twins
+share one, and the golden ``retrain`` model is the zero-start ``(1,
+0)`` member of the same stack.  A member
 that runs out of step-size halvings fails its whole stack; the
 experiment runner then runs each seed alone, so a diverging seed fails
 alone with its own run's error.
@@ -513,40 +514,30 @@ def unlearn_ft(
     epochs: int,
     step_size: float,
 ) -> list[SoftmaxClassifier]:
-    """Fine-tune one model per pair, all pairs as one stack.
+    """Fine-tune one model per start, all of them as one stack.
 
-    Pair ``i`` starts from ``starts[i]`` and descends
+    Member ``i`` starts from ``starts[i]`` and descends
     ``coefs[i][0] * CE(remain) + coefs[i][1] * CE(forget)``, with weights
     from :func:`ft_coefficients`; ``forget`` must already hold the
-    relabeled targets, each in ``[0, K)`` or :class:`ValueError`.  Pairs
-    with the same start object and weights follow one trajectory, so they
-    share one stack member and get back the same final model object.
-    ``starts`` must be non-empty.
+    relabeled targets, each in ``[0, K)`` or :class:`ValueError`.  Every
+    member descends, so a caller gives each objective once:
+    :func:`run_seed_grid` keys its pairs.  ``starts`` must be non-empty.
 
     With the stacked sets of ``S`` seeds, every start holds one model per
     seed, ``(S, K, D)`` weights, and so does every returned model: each
-    distinct pair descends once per seed, all in one stack, and a member
-    of any seed that runs out of halvings raises the stack's
+    member descends once per seed, all in one stack, and a member of any
+    seed that runs out of halvings raises the stack's
     :class:`DivergenceError`.
     """
-    # A pair's key is the first pair with its start object, then its weights.
-    first = {}
-    start_of = [first.setdefault(id(start), i) for i, start in enumerate(starts)]
-    keys, inverse = np.unique(
-        np.column_stack([start_of, coefs]), axis=0, return_inverse=True
-    )
-    key_start = keys[:, 0].astype(int)
-    # (..., M, K, D + 1): one member per key of each seed, each the start's
+    # (..., M, K, D + 1): one member per start of each seed, each the start's
     # weights and then its bias as the last column.
-    params = np.stack([np.concatenate([starts[i].weights, starts[i].bias[..., None]], axis=-1)
-                       for i in key_start], axis=-3)
+    params = np.stack([np.concatenate([start.weights, start.bias[..., None]], axis=-1)
+                       for start in starts], axis=-3)
     final = fit_softmax(
-        params,
-        _Objective(remain, forget, keys[:, 1], keys[:, 2], starts[0].num_classes),
+        params, _Objective(remain, forget, *zip(*coefs), starts[0].num_classes),
         epochs, step_size,
     )
-    finals = [_split(final[..., k, :, :]) for k in range(len(keys))]
-    return [finals[k] for k in inverse.ravel()]
+    return [_split(final[..., k, :, :]) for k in range(len(starts))]
 
 
 @dataclass(frozen=True)
@@ -576,8 +567,8 @@ def run_seed_grid(
     :func:`unlearn_ft` stack.  The (variant, alpha) pairs of
     :data:`VARIANTS` start from the pretrained model, and ``"retrain"``,
     the fit from scratch on the remaining classes, is the zero start with
-    weights ``(1, 0)``.  Each distinct final model of a seed is scored
-    once and its pairs share the scores.
+    weights ``(1, 0)``.  Each distinct key of a start and weights is one
+    member, scored once per seed, and its pairs read its scores.
 
     Returns, per distinct seed in order, UA/RA/TA per pair, in order (TA
     is measured on held-out samples of the remaining classes).  A member
@@ -589,10 +580,11 @@ def run_seed_grid(
     variant, or an ``alpha`` that :func:`ft_coefficients` rejects, raises
     :class:`ValueError` before any work.
     """
-    coefs = [
-        (1.0, 0.0) if variant == "retrain" else ft_coefficients(variant, alpha)
-        for variant, alpha in pairs
-    ]
+    # A pair's member is keyed by its start, zero for retrain, and its weights.
+    keys = [(variant == "retrain",
+             (1.0, 0.0) if variant == "retrain" else ft_coefficients(variant, alpha))
+            for variant, alpha in pairs]
+    members = {key: k for k, key in enumerate(dict.fromkeys(keys))}
     seeds = list(dict.fromkeys(seeds))
     if not pairs:
         return {seed: [] for seed in seeds}
@@ -618,20 +610,15 @@ def run_seed_grid(
     with stage("pretrain"):
         model = pretrain(train, epochs, step_size, num_classes=task.num_classes)
     zero = SoftmaxClassifier(weights=np.zeros_like(model.weights), bias=np.zeros_like(model.bias))
-    starts = [zero if variant == "retrain" else model for variant, _ in pairs]
     with stage("fine_tune"):
-        finals = unlearn_ft(starts, coefs, remain, relabeled, epochs, step_size)
-    # Each distinct model is scored once, in the order its first pair appears.
-    distinct = {id(final): final for final in finals}
+        finals = unlearn_ft([zero if retrain else model for retrain, _ in members],
+                            [coefs for _, coefs in members], remain, relabeled, epochs, step_size)
     grid = {}
     with stage("score"):
         for i, seed in enumerate(seeds):
             _, remain, _, forget, test_remain = sets[seed]
-            scores = {
-                key: classifier_metrics(
-                    SoftmaxClassifier(weights=final.weights[i], bias=final.bias[i]),
-                    forget, remain, test_remain)
-                for key, final in distinct.items()
-            }
-            grid[seed] = [scores[id(final)] for final in finals]
+            scores = [classifier_metrics(
+                SoftmaxClassifier(weights=final.weights[i], bias=final.bias[i]),
+                forget, remain, test_remain) for final in finals]
+            grid[seed] = [scores[members[key]] for key in keys]
     return grid

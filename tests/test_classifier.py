@@ -29,7 +29,7 @@ from unlearn_lab.classifier import (
 from unlearn_lab.errors import DivergenceError
 from unlearn_lab.experiments import FIELDS, validate_config
 from unlearn_lab.linalg import TOL_IDEM, projector
-from unlearn_lab.metrics import accuracy
+from unlearn_lab.metrics import Metrics, accuracy
 
 from softmax_reference import (
     _mixed_value_and_grad,
@@ -1104,33 +1104,72 @@ class TestDistinctObjectives:
         assert np.array_equal(models[0].weights, golden.weights)
         assert np.array_equal(models[0].bias, golden.bias)
 
-    def test_duplicated_objectives_share_one_member(self, fits):
+    @pytest.mark.parametrize("experiment,pairs,members", [
+        ("classifier-demo", 5, 4),
+        ("sweep-alpha", 24, 16),
+    ])
+    def test_the_shipped_grids_keep_their_member_counts(
+        self, monkeypatch, experiment, pairs, members
+    ):
+        # Every shipped seed, K = 5 classes and D + 1 = 21 parameters per class.
+        grids, shapes = [], []
+        real_grid, real_fit = experiments.run_seed_grid, classifier.fit_softmax
+
+        def grid_spy(task, grid_pairs, *args):
+            grids.append(len(grid_pairs))
+            return real_grid(task, grid_pairs, *args)
+
+        def fit_spy(params, *args):
+            shapes.append(params.shape)
+            return real_fit(params, *args)
+
+        monkeypatch.setattr(experiments, "run_seed_grid", grid_spy)
+        monkeypatch.setattr(classifier, "fit_softmax", fit_spy)
+        experiments.run_experiment(experiment, _shipped_config(experiment, epochs=1))
+        assert grids == [pairs]
+        assert shapes == [(10, 1, 5, 21), (10, members, 5, 21)]
+
+    def test_duplicated_objectives_share_one_member(self, fits, monkeypatch):
+        task, schedule = TestSeedGrid.TASK, TestSeedGrid.SCHEDULE
+        pairs = [("kl-ft", 0.3), ("ice-ft", 0.3), ("naive-ft", 0.7), ("kl-ft", 0.0),
+                 ("ice-ft", 0.0), ("ce-ft", 0.3)]
+        scored = self._count_scoring(monkeypatch)
+        grid = run_seed_grid(task, pairs, [3], *schedule)[3]
+        assert [shape for shape, _ in fits] == [(1, 1), (1, 3)]
+        members = list(scored)
+        assert len(members) == 3
+        for member, group in zip(members, ([0, 1], [2, 3, 4], [5])):
+            for i in group:
+                assert grid[i] is grid[group[0]]
+                del scored[:]
+                run_seed_grid(task, [pairs[i]], [3], *schedule)
+                [alone] = scored
+                np.testing.assert_array_equal(member.weights, alone.weights)
+                np.testing.assert_array_equal(member.bias, alone.bias)
+        assert not np.array_equal(members[0].weights, members[1].weights)
+
+    def test_unlearn_ft_descends_every_member_it_is_given(self, fits):
+        # The grid keys its pairs; unlearn_ft dedupes nothing.
         train, _ = gen_class_task(4, 15, 6, sep=3.0, seed=3)
         forget, remain = split_class(train, 1)
         relabeled = LabeledSet(forget.features, relabel_forget(forget.labels, 4))
-        model = pretrain(train, *TestSeedGrid.SCHEDULE, num_classes=4)
-        pairs = [("kl-ft", 0.3), ("ice-ft", 0.3), ("naive-ft", 0.7), ("kl-ft", 0.0),
-                 ("ice-ft", 0.0), ("ce-ft", 0.3)]
+        model = pretrain(train, 20, 0.1, num_classes=4)
         del fits[:]
-        finals = _unlearn_pairs(model, pairs, remain, relabeled, 60, 0.2)
-        assert [shape for shape, _ in fits] == [(3,)]
-        for group in ([0, 1], [2, 3, 4], [5]):
-            for i in group:
-                assert finals[i] is finals[group[0]]
-                [alone] = _unlearn_pairs(model, [pairs[i]], remain, relabeled, 60, 0.2)
-                for member in (finals[group[0]], alone):
-                    np.testing.assert_array_equal(finals[i].weights, member.weights)
-                    np.testing.assert_array_equal(finals[i].bias, member.bias)
-        assert not np.array_equal(finals[0].weights, finals[2].weights)
+        twins = _unlearn_pairs(
+            model, [("kl-ft", 0.3), ("ice-ft", 0.3)], remain, relabeled, 20, 0.1)
+        assert [shape for shape, _ in fits] == [(2,)]
+        assert twins[0] is not twins[1]
+        np.testing.assert_array_equal(twins[0].weights, twins[1].weights)
+        np.testing.assert_array_equal(twins[0].bias, twins[1].bias)
 
-    def test_a_diverging_objective_listed_twice_restarts_once(self, fits):
-        remain, forget, weights, bias = _exploding_forget_problem()
-        model = SoftmaxClassifier(weights=weights, bias=bias)
+    def test_a_diverging_objective_listed_twice_restarts_once(self, fits, monkeypatch):
+        task, remain, forget, weights, scored = _exploding_task(monkeypatch)
+        bias = np.zeros(4)
         epochs = TestStackedDivergence.EPOCHS
         pairs = [("ice-ft", 1.0), ("kl-ft", 1.0), ("ice-ft", 0.05)]
-        finals = _unlearn_pairs(model, pairs, remain, forget, epochs, 0.1)
+        grid = run_seed_grid(task, pairs, [0], epochs, 0.1)[0]
         [(shape, evaluations)] = fits
-        assert shape == (2,)
+        assert shape == (1, 2) and len(scored) == 2 and grid[0] is grid[1]
         w, b, _, attempts = _objective_alone(
             weights, bias, remain, forget, "ice-ft", 1.0, epochs, 0.1)
         assert len(attempts) > 1  # the objective needed halvings
@@ -1139,15 +1178,12 @@ class TestDistinctObjectives:
         # The twins' one member restarts as often as the objective alone,
         # and each attempt sees the two-member stack.
         assert len(evaluations) == _stack_evaluations([attempts, small])
-        for final in finals[:2]:
-            np.testing.assert_array_equal(final.weights, w)
-            np.testing.assert_array_equal(final.bias, b)
+        np.testing.assert_array_equal(scored[0].weights, w)
+        np.testing.assert_array_equal(scored[0].bias, b)
 
-        stuck = LabeledSet(
-            features=np.full_like(forget.features, np.inf), labels=forget.labels
-        )
+        task, *_ = _exploding_task(monkeypatch, stuck=True)
         with pytest.raises(DivergenceError, match=r"loss of 1 model\(s\)"):
-            _unlearn_pairs(model, pairs[:2], remain, stuck, epochs, 0.1)
+            run_seed_grid(task, pairs[:2], [0], epochs, 0.1)
 
 
 def _shipped_config(experiment, **changes):
@@ -1346,15 +1382,27 @@ class TestRetainedSubspace:
             num_classes=5, per_class=per_class, feature_dim=20, sep=4.0, forget_class=0)
         seeds = [0, 1, 2]
         returned = {}
-        for name in ("pretrain", "unlearn_ft"):
-            def recording(*args, real=getattr(classifier, name), name=name, **kwargs):
-                returned[name] = real(*args, **kwargs)
-                return returned[name]
+        real_pretrain, real_unlearn_ft = classifier.pretrain, classifier.unlearn_ft
 
-            monkeypatch.setattr(classifier, name, recording)
+        def pretrain_spy(*args, **kwargs):
+            returned["pretrain"] = real_pretrain(*args, **kwargs)
+            return returned["pretrain"]
+
+        def unlearn_ft_spy(starts, coefs, *args):
+            returned["unlearn_ft"] = starts, coefs, real_unlearn_ft(starts, coefs, *args)
+            return returned["unlearn_ft"][-1]
+
+        monkeypatch.setattr(classifier, "pretrain", pretrain_spy)
+        monkeypatch.setattr(classifier, "unlearn_ft", unlearn_ft_spy)
         grid = run_seed_grid(task, self.PAIRS, seeds, 500, 0.1)
         assert all(isinstance(scores, list) for scores in grid.values())
-        finals = dict(zip((variant for variant, _ in self.PAIRS), returned["unlearn_ft"]))
+        # The members in the order of their first pairs: naive-ft, retrain,
+        # kl-ft and its ice-ft twin, ce-ft.
+        starts, coefs, members = returned["unlearn_ft"]
+        assert [start is returned["pretrain"] for start in starts] == [True, False, True, True]
+        assert coefs == [(1.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.5, 1.0)]
+        finals = dict(zip(("naive-ft", "retrain", "kl-ft", "ce-ft"), members),
+                      **{"ice-ft": members[2]})
         for i, seed in enumerate(seeds):
             train, _ = gen_class_task(5, per_class, 20, 4.0, seed)
             _, remain = split_class(train, 0)
@@ -1440,6 +1488,36 @@ def _exploding_forget_problem():
     weights = 0.1 * rng.standard_normal((3, 3))
     weights[:, 2] = 0.0
     return remain, forget, weights, np.zeros(3)
+
+
+def _exploding_task(monkeypatch, stuck=False):
+    """:func:`_exploding_forget_problem` as the one seed of a
+    :func:`run_seed_grid` task: its remain set as classes 1-3, its forget
+    features (every entry ``inf`` when ``stuck``) as class 0, and its model
+    with a fourth class as the pretrained one.  Scoring records each model
+    it scores and measures nothing.  Returns the task, the remain and
+    relabeled forget sets as the fine-tune gets them, the pretrained
+    weights and the scored models."""
+    remain, forget, weights, _ = _exploding_forget_problem()
+    features = np.full_like(forget.features, np.inf) if stuck else forget.features
+    train = LabeledSet(np.hstack([remain.features, features]),
+                       np.concatenate([remain.labels + 1, np.zeros(forget.size, np.int64)]))
+    weights = np.vstack([weights, np.zeros((1, 3))])
+    scored = []
+
+    def score(final, *args):
+        scored.append(final)
+        return Metrics(ua=0.0, ra=0.0, ta=0.0)
+
+    monkeypatch.setattr(classifier, "gen_class_task", lambda *args: (train, train))
+    monkeypatch.setattr(classifier, "pretrain", lambda *args, **kwargs: SoftmaxClassifier(
+        weights[None], np.zeros((1, 4))))
+    monkeypatch.setattr(classifier, "classifier_metrics", score)
+    forget, remain = split_class(train, 0)
+    relabeled = LabeledSet(forget.features, relabel_forget(forget.labels, 4))
+    task = ClassTask(num_classes=4, per_class=forget.size, feature_dim=3, sep=1.0,
+                     forget_class=0)
+    return task, remain, relabeled, weights, scored
 
 
 class TestStackedDivergence:
