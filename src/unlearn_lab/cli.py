@@ -4,13 +4,13 @@ Usage::
 
     unlearn-lab <experiment> --config <path> [--out <path>]
                 [--seeds s1,s2,...] [--log-level WARNING|INFO|DEBUG]
-    unlearn-lab verify-theorems ... [--tolerance x]
 
 Exit status: 0 when every check passed, 1 on numerical failures or
-failed checks, 2 on configuration errors, bad flags (a flag is checked
-as the config field it names, so ``--tolerance`` exists in
-``verify-theorems`` alone), outputs that cannot be written and arrays
-too large to allocate, each reported in one line on stderr.
+failed checks, 2 on configuration errors, bad flags (``--seeds`` and
+``--out`` are checked as the config fields they name), outputs that
+cannot be written and arrays too large to allocate, each reported in
+one line on stderr.  The oracle checks' bound is
+:func:`~unlearn_lab.oracle.within_tolerance`'s alone; no flag sets it.
 ``--log-level`` sends the package's log records at that level and above
 to stderr; it never changes the CSV or the summary.  ``INFO`` shows each
 stage's seconds and each failed seed's error, and ``DEBUG`` adds each
@@ -55,10 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated seed list overriding the config",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=None,
-        help="verify-theorems only: override both the relative tolerance and the absolute floor",
-    )
-    parser.add_argument(
         "--log-level", choices=("WARNING", "INFO", "DEBUG"), default="WARNING",
         help="log records to show on stderr (INFO: each stage's seconds and each failed seed; "
              "DEBUG: also each rank-deficient factorization)",
@@ -97,9 +93,7 @@ def _run(args: argparse.Namespace) -> int:
         cfg = load_config(args.config, args.experiment)
         if args.seeds is not None:
             cfg["seeds"] = flag_value(args.experiment, "--seeds", _parse_seeds(args.seeds))
-        if args.tolerance is not None:
-            cfg["tolerance"] = flag_value(args.experiment, "--tolerance",
-                                          dict.fromkeys(("rel", "abs_floor"), args.tolerance))
+        out = cfg["out"] if args.out is None else flag_value(args.experiment, "--out", args.out)
         result = run_experiment(args.experiment, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -112,11 +106,11 @@ def _run(args: argparse.Namespace) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
-    out = args.out or cfg.get("out") or f"{args.experiment}.csv"
+    out = out or f"{args.experiment}.csv"
     try:
         csv_path = write_outputs(result, out)
     except OSError as exc:
-        print(f"output error: cannot write {out}: {exc}", file=sys.stderr)
+        print(f"output error: cannot write {exc.filename or out}: {exc.strerror}", file=sys.stderr)
         return 2
     status = exit_code_for(result)
     verdict = {0: "ok", 1: "FAILED"}[status]

@@ -58,14 +58,7 @@ from .classifier import VARIANTS, ClassTask, run_seed_grid
 from .errors import ConfigError, UnlearnLabError
 from .linalg import RankDeficiencyCount
 from .metrics import gap_report, measure_losses, stage, stage_record
-from .oracle import (
-    FINE_TUNED,
-    PRED_ABS_FLOOR,
-    PRED_REL_TOL,
-    predict_distinct,
-    predict_edited,
-    predict_overlap,
-)
+from .oracle import FINE_TUNED, predict_distinct, predict_edited, predict_overlap
 from .scenarios import DIST_TAGS, FeatureLayout, fine_tune_subset, gen_scenario, stack_scenarios
 from .solvers import (
     EditOption,
@@ -151,9 +144,10 @@ class Domain:
 
     ``kind`` is ``"int"`` or ``"number"`` from ``low`` to ``high`` (each
     end closed ``[]`` or open ``()`` as ``bounds`` marks), ``"enum"``,
-    ``"layout"`` (three nonnegative ints), ``"path"`` or ``"object"`` (of
-    dotted fields).  With ``many``, a non-empty list of such values, and
-    with ``unique`` too, one in which no value repeats.
+    ``"layout"`` (three nonnegative ints), ``"path"`` (a non-empty
+    string) or ``"object"`` (of dotted fields).  With ``many``, a
+    non-empty list of such values, and with ``unique`` too, one in which
+    no value repeats.
     """
 
     kind: str
@@ -185,7 +179,9 @@ class Domain:
             return isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_COUNT.holds, v))
         if self.kind == "enum":
             return v in self.choices
-        return isinstance(v, str if self.kind == "path" else dict)
+        if self.kind == "path":
+            return isinstance(v, str) and v != ""
+        return isinstance(v, dict)
 
     def __str__(self) -> str:
         interval = f"{self.bounds[0]}{self.low}, {self.high}{self.bounds[1]}"
@@ -194,7 +190,7 @@ class Domain:
             "number": f"a finite number in {interval}",
             "enum": "one of " + ", ".join(map(repr, self.choices)),
             "layout": "three nonnegative ints",
-            "path": "a string",
+            "path": "a non-empty string",
             "object": "an object",
         }[self.kind]
         if self.many:
@@ -243,10 +239,6 @@ FIELDS = {
             **_LINEAR,
             "distinct_layout": ([20, 0, 20], Domain("layout")),
             "overlap_layout": ([16, 8, 16], Domain("layout")),
-            # The oracle checks' tolerance, which no other experiment has.
-            "tolerance": (None, Domain("object")),
-            "tolerance.rel": (PRED_REL_TOL, Domain("number", 0)),
-            "tolerance.abs_floor": (PRED_ABS_FLOOR, Domain("number", 0)),
         },
         "sweep-nt": {**_LINEAR, "layout": ([20, 0, 20], Domain("layout"))},
         "sweep-overlap": {
@@ -281,7 +273,7 @@ def _size(c: dict, size: str) -> int:
 
 #: The rules that relate fields: (fields, rule, check).  A rule applies
 #: to each experiment that has all of its fields.  None names ``seeds`` or
-#: ``tolerance``, which the CLI's flags set after validation.
+#: ``out``, which the CLI's flags override after validation.
 ACROSS = [
     (("task",), "task.feature_dim must be >= task.num_classes > task.forget_class",
      lambda c: c["task"]["feature_dim"] >= c["task"]["num_classes"] > c["task"]["forget_class"]),
@@ -328,9 +320,7 @@ def _fill(kind: str, raw: dict, fields: dict) -> dict:
         value = given[group].get(key, default)
         if value is REQUIRED:
             raise ConfigError(f"{kind}: field {name!r} is required")
-        if value is None and default is None:
-            value = {} if domain.kind == "object" else None
-        elif not domain.holds(value):
+        if not (value is None and default is None or domain.holds(value)):
             raise ConfigError(f"{kind}: field {name!r} must be {domain} (got {value!r})")
         if domain.kind == "object":
             given[name], value = value, {}
@@ -349,14 +339,11 @@ def _fill(kind: str, raw: dict, fields: dict) -> dict:
 
 
 def flag_value(experiment: str, flag: str, value):
-    """The value of ``flag``, ``--seeds`` or ``--tolerance``, checked and
-    defaulted by :func:`_fill` as the field it names in ``FIELDS[experiment]``
-    (``--seeds: field 'seeds' must be ...``).  An experiment without that
-    field rejects the flag as an unknown key, as in ``sweep-nt --tolerance:
-    unknown config keys ['tolerance']``."""
+    """The value of ``flag``, ``--seeds`` or ``--out``, checked by
+    :func:`_fill` as the field it names in ``FIELDS[experiment]``
+    (``--seeds: field 'seeds' must be ...``)."""
     name = flag.removeprefix("--")
-    fields = {key: spec for key, spec in FIELDS[experiment].items() if key.split(".")[0] == name}
-    return _fill(flag if fields else f"{experiment} {flag}", {name: value}, fields)[name]
+    return _fill(flag, {name: value}, {name: FIELDS[experiment][name]})[name]
 
 
 def validate_config(raw: dict, experiment: str) -> dict:
@@ -515,7 +502,6 @@ def _verify_rows(cfg: dict):
     first step of its own run that raises: solve distinct, predict
     distinct, solve overlap, predict overlap.
     """
-    rel, floor = cfg["tolerance"]["rel"], cfg["tolerance"]["abs_floor"]
     nt_values = cfg["nt_values"]
     checks = [
         ("distinct", predict_distinct, [EditOption.DISTINCT_ZERO_FORGET]),
@@ -542,7 +528,7 @@ def _verify_rows(cfg: dict):
         for (check, _, options), ((scenario, (rl_gold, ul_gold), fits), gold_pred, edits) \
                 in zip(checks, _each(results[seed])):
             layout = scenario.layout
-            gold_gaps = gap_report((rl_gold, ul_gold), gold_pred, rel, floor)
+            gold_gaps = gap_report((rl_gold, ul_gold), gold_pred)
             rl_ft, ul_ft = fits[None]
             common = {
                 **dict.fromkeys(COLUMNS[SCHEMAS["verify-theorems"]], float("nan")),
@@ -557,11 +543,11 @@ def _verify_rows(cfg: dict):
                 "ul_ft_max": float(ul_ft.max()),
                 "rl_gold": rl_gold, "ul_gold": ul_gold, "ul_gold_pred": gold_pred[1],
                 "ul_gold_rel_gap": gold_gaps.ul.rel_gap,
-                "pass": gap_report(fits[None], FINE_TUNED, rel, floor).passed and gold_gaps.passed,
+                "pass": gap_report(fits[None], FINE_TUNED).passed and gold_gaps.passed,
             })
             for option, predicted in zip(options, edits):
                 rl, ul = fits[option]
-                gaps = gap_report(fits[option], predicted, rel, floor)
+                gaps = gap_report(fits[option], predicted)
                 edit_rows.append({
                     **common, "check": "edit", "option": option.value,
                     "rl_edit_max": float(rl.max()),
@@ -807,7 +793,11 @@ def platform_record() -> dict:
 
 
 def write_outputs(result: ExperimentResult, csv_path: str | Path) -> Path:
-    """Write the CSV and its JSON summary; returns the CSV path."""
+    """Write the CSV and its JSON summary; returns the CSV path.
+
+    A summary that cannot be written takes its CSV with it, so no CSV is
+    left without its summary; the :class:`OSError` is raised again.
+    """
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text(render_csv(result), encoding="utf-8")
@@ -825,7 +815,12 @@ def write_outputs(result: ExperimentResult, csv_path: str | Path) -> Path:
         "stages": result.stages,
         "platform": platform_record(),
     }
-    summary_path_for(csv_path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    try:
+        summary_path_for(csv_path).write_text(json.dumps(summary, indent=2) + "\n",
+                                              encoding="utf-8")
+    except OSError:
+        csv_path.unlink(missing_ok=True)
+        raise
     return csv_path
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidMatrixError
 from .linalg import _finite, seed_stack, seed_vectors, squared_norms
-from .oracle import PRED_ABS_FLOOR, PRED_REL_TOL, within_tolerance
+from .oracle import within_tolerance
 from .scenarios import SyntheticScenario
 
 if TYPE_CHECKING:
@@ -154,7 +154,7 @@ class GapReport:
         return bool(np.all(self.rl.ok & self.ul.ok))
 
 
-def _gap_entry(measured, predicted, rel_tol, abs_floor) -> GapEntry:
+def _gap_entry(measured, predicted) -> GapEntry:
     # Measured losses are finite, so against a zero prediction a zero gap
     # is 0 / 0, taken as 0, and any other gap is x / 0 = inf.  Python
     # float arithmetic would neither warn nor raise here; the arrays
@@ -162,27 +162,25 @@ def _gap_entry(measured, predicted, rel_tol, abs_floor) -> GapEntry:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         abs_gap = np.abs(np.subtract(measured, predicted))
         rel_gap = np.where(abs_gap == 0.0, 0.0, abs_gap / np.abs(predicted))
-    ok = within_tolerance(measured, predicted, rel_tol, abs_floor)
+    ok = within_tolerance(measured, predicted)
     if rel_gap.ndim == 0:
         return GapEntry(float(abs_gap), float(rel_gap), ok)
     return GapEntry(abs_gap, rel_gap, ok)
 
 
-def gap_report(measured, predicted, rel_tol: float = PRED_REL_TOL,
-               abs_floor: float = PRED_ABS_FLOOR) -> GapReport:
+def gap_report(measured, predicted) -> GapReport:
     """Compare a model's measured ``(rl, ul)`` pair against its predicted one.
 
-    Each entry passes when its absolute gap is at most
-    ``max(abs_floor, rel_tol * |predicted|)``.  The measured losses and
-    the predicted ones may be arrays, compared elementwise under
-    broadcasting: the losses over every ``n_t`` against one prediction,
-    or against a prediction with one value per ``n_t``.  A zero prediction
+    Each entry passes when :func:`~unlearn_lab.oracle.within_tolerance`
+    holds for it.  The measured losses and the predicted ones may be
+    arrays, compared elementwise under broadcasting: the losses over
+    every ``n_t`` against one prediction, or against a prediction with
+    one value per ``n_t``.  A zero prediction
     gives a relative gap of 0 when the gap is zero too and ``inf``
     otherwise; a NaN gap never passes.
     """
     (rl, ul), (rl_pred, ul_pred) = measured, predicted
-    return GapReport(rl=_gap_entry(rl, rl_pred, rel_tol, abs_floor),
-                     ul=_gap_entry(ul, ul_pred, rel_tol, abs_floor))
+    return GapReport(rl=_gap_entry(rl, rl_pred), ul=_gap_entry(ul, ul_pred))
 
 
 def accuracy(model: SoftmaxClassifier, data: LabeledSet) -> float:

@@ -7,8 +7,9 @@ fine-tuned model's is the constant :data:`FINE_TUNED`, the golden
 model's comes from :func:`predict_distinct` or :func:`predict_overlap`,
 and each edited-then-fine-tuned model's from :func:`predict_edited`.
 Measured losses from the actual solvers are compared against these
-values with a relative tolerance plus a small absolute floor that
-guards the exact-zero claims.
+values by :func:`within_tolerance`, with a relative tolerance plus a
+small absolute floor that guards the exact-zero claims; no config or
+flag changes either.
 
 The edited-pipeline predictions are exact whenever the edit recovers the
 true weights on the kept blocks: unconditionally for distinct layouts
@@ -51,16 +52,12 @@ PRED_ABS_FLOOR = 1e-10
 FINE_TUNED = (0.0, 0.0)
 
 
-def within_tolerance(
-    measured,
-    predicted,
-    rel_tol: float = PRED_REL_TOL,
-    abs_floor: float = PRED_ABS_FLOOR,
-):
+def within_tolerance(measured, predicted):
     """True when ``measured`` matches ``predicted`` within policy.
 
-    The bound is ``max(abs_floor, rel_tol * |predicted|)``; the floor
-    keeps near-zero predictions from demanding exact equality.  Arrays
+    The bound is ``max(PRED_ABS_FLOOR, PRED_REL_TOL * |predicted|)``, the
+    one oracle bound of the package; the floor keeps near-zero
+    predictions from demanding exact equality.  Arrays
     are compared elementwise under broadcasting, giving a bool array; a
     pair of scalars is the 0-d case and gives a bool.  A NaN anywhere
     fails.
@@ -69,7 +66,7 @@ def within_tolerance(
     # inf - inf; the arrays follow it.
     with np.errstate(invalid="ignore", over="ignore"):
         ok = np.abs(np.subtract(measured, predicted)) <= np.maximum(
-            abs_floor, rel_tol * np.abs(predicted))
+            PRED_ABS_FLOOR, PRED_REL_TOL * np.abs(predicted))
     return ok if ok.ndim else bool(ok)
 
 

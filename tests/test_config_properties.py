@@ -124,7 +124,7 @@ def _outside(domain, default):
     elif domain.kind == "layout":
         values += [[1, 2], [1, 2, 3, 4], [-1, 0, 0], [1.0, 0, 0], [True, 0, 0], "1,2,3", 3]
     elif domain.kind == "path":
-        values += [0, False, ["out.csv"], {}]
+        values += ["", 0, False, ["out.csv"], {}]
     else:  # object
         values += [0, False, [], "x"]
     return values

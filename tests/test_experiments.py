@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -45,8 +46,20 @@ ALPHA_CFG = {"seeds": [0], "epochs": 120, "task": {"per_class": 25},
              "variants": ["kl-ft"], "alphas": [0.1, 0.8]}
 CFG_OF = {"verify-theorems": VERIFY_CFG, "sweep-nt": NT_CFG, "sweep-overlap": OVERLAP_CFG,
           "classifier-demo": DEMO_CFG, "sweep-alpha": ALPHA_CFG}
-# The experiments without the oracle tolerance, which only verify-theorems reads.
-NO_TOLERANCE = ["sweep-nt", "sweep-overlap", "classifier-demo", "sweep-alpha"]
+
+
+def _off_by_one(monkeypatch, name):
+    """Make the runner's oracle predictor ``name`` wrong: 1.0 is added to
+    each golden UL it gives, or to both losses of each edit prediction."""
+    real = getattr(experiments, name)
+
+    def wrong(*args):
+        if name == "predict_edited":
+            return [(rl + 1.0, ul + 1.0) for rl, ul in real(*args)]
+        rl, ul = real(*args)
+        return rl, ul + 1.0
+
+    monkeypatch.setattr(experiments, name, wrong)
 
 
 class TestConfigValidation:
@@ -55,7 +68,9 @@ class TestConfigValidation:
         assert cfg["distinct_layout"] == [20, 0, 20]
         assert cfg["overlap_layout"] == [16, 8, 16]
         assert cfg["nt_values"] == list(range(1, 30))
-        assert cfg["tolerance"] == {"rel": 1e-8, "abs_floor": 1e-10}
+        # No field sets the oracle bound, which oracle.within_tolerance owns.
+        assert cfg.keys() == {"experiment", "seeds", "out", "n_r", "n_f", "dist", "nt_values",
+                              "distinct_layout", "overlap_layout"}
 
     def test_repeated_seeds_rejected(self):
         for seeds in ([3, 3], [0, 1, 0]):
@@ -71,12 +86,8 @@ class TestConfigValidation:
                               "sweep-alpha")
         assert (cfg["task"]["sep"], cfg["step_size"], cfg["alphas"]) == (4.0, 1.0, [0.0, 1.0])
         assert all(type(value) is float for value in (cfg["task"]["sep"], *cfg["alphas"]))
-        cfg = validate_config({"seeds": [0], "tolerance": {"rel": 0}}, "verify-theorems")
-        assert cfg["tolerance"] == {"rel": 0.0, "abs_floor": 1e-10}
-        echo = render_csv(experiments.ExperimentResult("verify-theorems", cfg)).splitlines()[1]
-        assert '"tolerance":{"abs_floor":1e-10,"rel":0.0}' in echo
-        assert experiments.flag_value("verify-theorems", "--tolerance", {"rel": 0}) == {
-            "rel": 0.0, "abs_floor": 1e-10}
+        echo = render_csv(experiments.ExperimentResult("sweep-alpha", cfg)).splitlines()[1]
+        assert '"alphas":[0.0,1.0]' in echo and '"sep":4.0' in echo and '"step_size":1.0' in echo
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigError):
@@ -140,9 +151,9 @@ class TestConfigValidation:
         assert validate_config(payload, "classifier-demo")["epochs"] == 2**60
 
     def test_no_rule_relates_the_fields_that_flags_override(self):
-        # The CLI sets seeds and tolerance from its flags after validation,
-        # so a rule on either would need it to validate the config again.
-        assert all({"seeds", "tolerance"}.isdisjoint(names) for names, _, _ in experiments.ACROSS)
+        # The CLI sets seeds and out from its flags after validation, so a
+        # rule on either would need it to validate the config again.
+        assert all({"seeds", "out"}.isdisjoint(names) for names, _, _ in experiments.ACROSS)
 
 
 class TestSchemas:
@@ -236,13 +247,15 @@ class TestVerifyTheorems:
         # One row per (seed, check/option): 2 baselines + 3 edit options.
         assert len(result.rows) == len(cfg["seeds"]) * 5
 
-    def test_impossible_tolerance_fails_rows(self):
-        cfg = validate_config(
-            dict(VERIFY_CFG, tolerance={"rel": 0.0, "abs_floor": 0.0}),
-            "verify-theorems",
-        )
+    def test_a_wrong_golden_prediction_fails_its_rows(self, monkeypatch):
+        # A golden UL off by 1.0 fails the distinct baseline rows only.
+        _off_by_one(monkeypatch, "predict_distinct")
+        cfg = validate_config(VERIFY_CFG, "verify-theorems")
         result = run_experiment("verify-theorems", cfg)
-        assert result.passed is False
+        assert result.passed is False and result.numerical_failures == 0
+        assert Counter(row["check"] for row in result.rows) == {
+            "distinct": 2, "overlap": 2, "edit": 6}
+        assert all(row["pass"] is (row["check"] != "distinct") for row in result.rows)
 
     def test_uniform_distribution_also_passes(self):
         # The closed forms are distribution-free; the uniform tag exists
@@ -309,16 +322,20 @@ class TestVerifyRowsFromArrays:
         assert [(row["edit_rl_gap_max"], row["edit_ul_gap_max"], row["pass"])
                 for row in all_nan] == [(0.0, 0.0, False)] * 6
 
-    @pytest.mark.parametrize("rel", [1e-8, 0.0])
-    def test_pass_cells_are_python_bools_and_render_true_or_false(self, rel):
-        cfg = validate_config(dict(VERIFY_CFG, tolerance={"rel": rel, "abs_floor": rel}),
-                              "verify-theorems")
+    @pytest.mark.parametrize("right", [True, False])
+    def test_pass_cells_are_python_bools_and_render_true_or_false(self, monkeypatch, right):
+        if not right:
+            # Every prediction a row compares against is off by 1.0.
+            monkeypatch.setattr(experiments, "FINE_TUNED", (1.0, 1.0))
+            for name in ("predict_distinct", "predict_overlap", "predict_edited"):
+                _off_by_one(monkeypatch, name)
+        cfg = validate_config(VERIFY_CFG, "verify-theorems")
         result = run_experiment("verify-theorems", cfg)
         assert all(type(row["pass"]) is bool for row in result.rows)
         lines = render_csv(result).splitlines()
         column = lines[2].split(",").index("pass")
         cells = {line.split(",")[column] for line in lines[3:]}
-        assert cells == ({"true"} if rel else {"false"})
+        assert cells == ({"true"} if right else {"false"})
 
     def test_every_number_cell_is_a_python_number(self):
         # A numpy scalar would still format like a float; the rows hold
@@ -947,13 +964,14 @@ class TestCli:
         assert summary["config"]["seeds"] == [5, 6, 7]
         assert summary["rows"] == 15
 
-    def test_zero_tolerance_exits_one(self, tmp_path):
+    def test_a_wrong_prediction_exits_one(self, tmp_path, monkeypatch, capsys):
+        _off_by_one(monkeypatch, "predict_distinct")
         config = self._write_config(tmp_path, dict(VERIFY_CFG, nt_values=[1]))
-        code = main([
-            "verify-theorems", "--config", str(config),
-            "--out", str(tmp_path / "x.csv"), "--tolerance", "0",
-        ])
-        assert code == 1
+        out = tmp_path / "x.csv"
+        assert main(["verify-theorems", "--config", str(config), "--out", str(out)]) == 1
+        summary = json.loads(summary_path_for(out).read_text())
+        assert summary["passed"] is False and summary["numerical_failures"] == 0
+        assert "(passed=false, numerical_failures=0, FAILED)" in capsys.readouterr().out
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         config = self._write_config(tmp_path, {"seeds": []})
@@ -1090,13 +1108,6 @@ class TestCli:
         ])
         assert code == 2
 
-    def test_negative_tolerance_exits_two(self, tmp_path):
-        config = self._write_config(tmp_path, VERIFY_CFG)
-        code = main([
-            "verify-theorems", "--config", str(config), "--tolerance", "-1",
-        ])
-        assert code == 2
-
     @pytest.mark.parametrize(
         "experiment,payload",
         [
@@ -1105,7 +1116,6 @@ class TestCli:
             ("verify-theorems", {"seeds": [0], "nt_values": [True]}),
             ("verify-theorems", {"seeds": [0], "n_r": 5, "n_f": 2,
                                  "overlap_layout": [16, True, 16]}),
-            ("verify-theorems", {"seeds": [0], "tolerance": {"rel": False}}),
             ("sweep-overlap", {"seeds": [0], "n_t": True}),
             ("sweep-overlap", {"seeds": [0], "d_lap_values": [0, False]}),
             ("classifier-demo", {"seeds": [0], "epochs": True}),
@@ -1114,13 +1124,9 @@ class TestCli:
             ("classifier-demo", {"seeds": [0], "task": {"per_class": True}}),
             ("classifier-demo", {"seeds": [0], "task": {"sep": True}}),
             ("sweep-alpha", {"seeds": [0], "alphas": [0.5, True]}),
-            # Only verify-theorems has the oracle tolerance.
-            *[(experiment, {"seeds": [0], "tolerance": {"rel": 1e-8, "abs_floor": 1e-10}})
-              for experiment in NO_TOLERANCE],
             # Non-finite numbers (json.dumps writes them as NaN/Infinity).
-            ("verify-theorems", {"seeds": [0], "tolerance": {"rel": INF, "abs_floor": INF}}),
-            ("verify-theorems", {"seeds": [0], "tolerance": {"rel": NAN}}),
             ("classifier-demo", {"seeds": [0], "step_size": INF}),
+            ("classifier-demo", {"seeds": [0], "step_size": NAN}),
             ("classifier-demo", {"seeds": [0], "task": {"sep": INF}}),
             # Seeds outside the 64-bit key range.
             ("verify-theorems", {"seeds": [-1]}),
@@ -1146,10 +1152,9 @@ class TestCli:
         "experiment,payload,key",
         [
             ("classifier-demo", {"seeds": [0], "task.sep": 3}, "task.sep"),
-            ("verify-theorems", {"seeds": [0], "tolerance.rel": 0.5}, "tolerance.rel"),
             ("sweep-alpha", {"seeds": [0], "task": {"task.sep": 3}}, "task.task.sep"),
         ],
-        ids=["top-level-task-sep", "top-level-tolerance-rel", "nested-task-sep"],
+        ids=["top-level-task-sep", "nested-task-sep"],
     )
     def test_dotted_keys_are_unknown(self, tmp_path, capsys, experiment, payload, key):
         # A dotted name is the README's notation for a nested field, not a key.
@@ -1163,18 +1168,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "experiment,flags,message",
         [
-            ("verify-theorems", ["--tolerance", "inf"], "--tolerance: field 'tolerance.rel' must be"),
-            ("verify-theorems", ["--tolerance", "nan"], "--tolerance: field 'tolerance.rel' must be"),
             ("verify-theorems", ["--seeds", "-1"], "--seeds: field 'seeds' must be"),
             ("verify-theorems", ["--seeds", "0,18446744073709551616"],
              "--seeds: field 'seeds' must be"),
             # Every entry is a decimal integer: no empty entry, no underscore.
             *[("verify-theorems", ["--seeds", seeds], "--seeds must be comma-separated integers")
               for seeds in ("1,,2", "1,", ",1", "1_0")],
-            # Only verify-theorems has the oracle tolerance.
-            *[(experiment, ["--tolerance", "0"],
-               f"{experiment} --tolerance: unknown config keys ['tolerance']")
-              for experiment in NO_TOLERANCE],
         ],
     )
     def test_bad_flags_exit_two(self, tmp_path, capsys, experiment, flags, message):
@@ -1186,15 +1185,52 @@ class TestCli:
         assert err.startswith(f"config error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+    def test_no_flag_sets_the_oracle_bound(self, tmp_path, capsys, experiment):
+        # oracle.within_tolerance owns the bound; --tolerance is no flag.
+        config = self._write_config(tmp_path, CFG_OF[experiment])
+        out = tmp_path / "x.csv"
+        for value in ("0", "inf", "abc"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([experiment, "--config", str(config), "--out", str(out),
+                      "--tolerance", value])
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err == (
+                f"config error: unrecognized arguments: --tolerance {value}\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+    def test_no_config_key_sets_the_oracle_bound(self, tmp_path, capsys, experiment):
+        config = self._write_config(
+            tmp_path, dict(CFG_OF[experiment], tolerance={"rel": 0.0, "abs_floor": 0.0}))
+        out = tmp_path / "x.csv"
+        assert main([experiment, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {experiment}: unknown config keys ['tolerance']\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config_out,flags,message", [
+        ("", [], "sweep-nt: field 'out' must be a non-empty string (got '')"),
+        (None, ["--out", ""], "--out: field 'out' must be a non-empty string (got '')"),
+        ("given.csv", ["--out", ""], "--out: field 'out' must be a non-empty string (got '')"),
+    ], ids=["config", "flag", "flag-over-config"])
+    def test_an_empty_output_path_exits_two(self, tmp_path, monkeypatch, capsys, config_out,
+                                             flags, message):
+        # An empty path is no stand-in for the default sweep-nt.csv.
+        monkeypatch.chdir(tmp_path)
+        config = self._write_config(tmp_path, dict(NT_DISTINCT_CFG, out=config_out))
+        assert main(["sweep-nt", "--config", str(config), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["verify-theorems", "--config", "{config}", "--log-level", "TRACE"],
-            ["verify-theorems", "--config", "{config}", "--tolerance", "abc"],
             ["gradient-ascent", "--config", "{config}"],
             ["verify-theorems"],
         ],
-        ids=["log-level", "tolerance", "experiment", "missing-config"],
+        ids=["log-level", "experiment", "missing-config"],
     )
     def test_malformed_command_line_is_one_config_error_line(self, tmp_path, capsys, argv):
         config = self._write_config(tmp_path, VERIFY_CFG)
@@ -1280,6 +1316,40 @@ class TestCli:
         assert err.startswith("output error: ") and err.count("\n") == 1
         assert list(out.iterdir()) == []
         assert not summary_path_for(out).exists()
+
+    def test_an_unwritable_summary_leaves_no_csv(self, tmp_path, capsys):
+        config = self._write_config(tmp_path, dict(NT_DISTINCT_CFG, nt_values=[1]))
+        out = tmp_path / "x.csv"
+        summary = summary_path_for(out)
+        summary.mkdir()
+        assert main(["sweep-nt", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: cannot write {summary}: ") and err.count("\n") == 1
+        assert not out.exists() and list(summary.iterdir()) == []
+
+    def test_a_diverging_stack_fails_each_seed_as_it_fails_alone(self, tmp_path, capsys):
+        # The shipped classifier-demo config with task.sep 1e150 and
+        # step_size 1e10, the config that CI also runs through the
+        # installed unlearn-lab script: each seed's pretrain halves its step
+        # and recovers, and its fine-tune runs out of halvings.
+        root = Path(__file__).resolve().parents[1]
+        config = root / "tests" / "diverging_classifier_demo.json"
+        shipped = json.loads((root / "configs" / "classifier_demo.json").read_text())
+        shipped["task"]["sep"], shipped["step_size"] = 1e150, 1e10
+        assert json.loads(config.read_text()) == shipped
+        failures = {}
+        for seeds in ("3,11,5", "3", "11", "5"):
+            out = tmp_path / f"{seeds}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["classifier-demo", "--config", str(config), "--seeds", seeds,
+                             "--out", str(out)])
+            assert (code, capsys.readouterr().err) == (1, ""), seeds
+            failures[seeds] = json.loads(summary_path_for(out).read_text())["failures"]
+        stacked = failures["3,11,5"]
+        assert [(f["seed"], f["type"]) for f in stacked] == [
+            (seed, "DivergenceError") for seed in (3, 11, 5)]
+        assert stacked == [f for seed in ("3", "11", "5") for f in failures[seed]]
 
 
 class TestLogLevel:
