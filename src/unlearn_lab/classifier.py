@@ -138,10 +138,6 @@ class SoftmaxClassifier:
     def num_classes(self) -> int:
         return self.weights.shape[-2]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.weights.shape[-1]
-
     def logits(self, features: np.ndarray) -> np.ndarray:
         return self.weights @ features + self.bias[..., None]
 

@@ -15,34 +15,37 @@ reproduces the CSV byte for byte.  Column sets are versioned via the
 
 A config is checked against its experiment's field table,
 :data:`FIELDS`, and the rules that relate fields, :data:`ACROSS`.
-:func:`run_experiment` runs every experiment through one seed loop.
-Before it, each experiment solves all its seeds at once, as a list of
-stacked passes that :func:`_solve_seeds` runs, and hands the loop a
-function that gives one seed's rows or raises its failure.  The
-classifier experiments descend every seed in one :func:`run_seed_grid`.
-The linear ones solve one stack of all seeds per layout (per scenario of
-``verify-theorems``, per ``d_lap`` of ``sweep-overlap``) in one measured
-pass, :func:`_solve`, which generates the scenarios, trains and retrains
-once, factors each fine-tuning prefix once, edits and fine-tunes, and
-measures every model, one ``(rl, ul)`` pair of all seeds per solve.
-In ``verify-theorems`` each layout's pass then predicts the same seeds
-with the oracle, which restacks the seeds' own scenarios and factors
-them itself.  A stacked pass that raises is run again seed by seed
-(:func:`_stacked`, the one place that decides it), so a failing seed
-fails alone with the error of its own run.  A seed's rows read its losses over ``nt_values``
-as arrays.  The oracle's predictions hold one value per seed, and each
-``verify-theorems`` row compares its seed's measured ``(rl, ul)`` pair
-with that seed's slice of the predicted pair in one :func:`gap_report`:
-the plain fine-tuned model against
-:data:`~unlearn_lab.oracle.FINE_TUNED`, the golden model against its
-layout's prediction, and each edited model against its option's.
+:func:`run_experiment` runs each experiment as one pass over all its
+seeds: a run that maps the seeds to one result per seed, and a rows
+function that maps a seed and its result to its rows.  The classifier
+experiments descend every seed in one :func:`run_seed_grid`.  The
+linear ones solve one stack of all seeds per layout (per scenario of
+``verify-theorems``, per ``d_lap`` of ``sweep-overlap``), each in
+:func:`_solve`, which generates the scenarios, trains and retrains once,
+factors each fine-tuning prefix once, edits and fine-tunes, and measures
+every model, one ``(rl, ul)`` pair of all seeds per solve.  In
+``verify-theorems`` each layout's solve is followed by the oracle's
+prediction of the same seeds, which restacks the seeds' own scenarios
+and factors them itself.  A stacked run that raises is made again seed
+by seed, each seed's whole run alone (:func:`_stacked`, the one place
+that decides it), so a failing seed fails alone with the error of its
+own run, and the other seeds keep the rows of theirs.  A seed's rows
+read its losses over ``nt_values`` as arrays.  The oracle's predictions
+hold one value per seed, and each ``verify-theorems`` row compares its
+seed's measured ``(rl, ul)`` pair with that seed's slice of the
+predicted pair in one :func:`gap_report`: the plain fine-tuned model
+against :data:`~unlearn_lab.oracle.FINE_TUNED`, the golden model
+against its layout's prediction, and each edited model against its
+option's.
 Rows are dicts keyed by column name; :data:`COLUMNS` alone fixes the
 order of the cells, and :func:`render_csv` checks each row against it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import itertools
 import json
 import logging
 import math
@@ -146,8 +149,7 @@ class Domain:
     end closed ``[]`` or open ``()`` as ``bounds`` marks), ``"enum"``,
     ``"layout"`` (three nonnegative ints), ``"path"`` (a non-empty
     string) or ``"object"`` (of dotted fields).  With ``many``, a
-    non-empty list of such values, and with ``unique`` too, one in which
-    no value repeats.
+    non-empty list of such values in which no value repeats.
     """
 
     kind: str
@@ -156,12 +158,11 @@ class Domain:
     bounds: str = "[)"
     choices: tuple = ()
     many: bool = False
-    unique: bool = False
 
     def holds(self, value) -> bool:
         if self.many:
             return (isinstance(value, list) and bool(value) and all(map(self._holds_one, value))
-                    and not (self.unique and len(set(value)) < len(value)))
+                    and len(set(value)) == len(value))
         return self._holds_one(value)
 
     def _holds_one(self, v) -> bool:
@@ -194,7 +195,7 @@ class Domain:
             "object": "an object",
         }[self.kind]
         if self.many:
-            return f"a non-empty list{' without repeats' if self.unique else ''}, each {one}"
+            return f"a non-empty list without repeats, each {one}"
         return one
 
 
@@ -206,11 +207,11 @@ _COUNT = Domain("int", 0)
 # A repeated seed would repeat its rows, and its classifier mean/std rows
 # would count one run twice; a repeated value of any other list field
 # would repeat its rows too.
-_SEEDS = (REQUIRED, Domain("int", 0, 1 << 64, many=True, unique=True))
+_SEEDS = (REQUIRED, Domain("int", 0, 1 << 64, many=True))
 _SIZES = {"n_r": (30, Domain("int", 2)), "n_f": (10, Domain("int", 1))}
 _DIST = ("standard-normal", Domain("enum", choices=DIST_TAGS))
 _LINEAR = {**_SIZES, "dist": _DIST,
-           "nt_values": (None, Domain("int", 1, many=True, unique=True))}
+           "nt_values": (None, Domain("int", 1, many=True))}
 _CLASSIFIER = {
     "task": ({}, Domain("object")),
     "task.num_classes": (5, Domain("int", 2)),
@@ -221,7 +222,7 @@ _CLASSIFIER = {
     "epochs": (500, _COUNT),
     "step_size": (0.1, Domain("number", 0, bounds="()")),
 }
-_VARIANTS = Domain("enum", choices=VARIANTS + ("retrain",), many=True, unique=True)
+_VARIANTS = Domain("enum", choices=VARIANTS + ("retrain",), many=True)
 
 #: Each experiment's fields: name -> (default, domain).  A dotted name is
 #: a field of the object named by its prefix, which comes first.  Where
@@ -246,7 +247,7 @@ FIELDS = {
             **_SIZES,
             "n_t": (15, Domain("int", 1)),
             "dist": _DIST,
-            "d_lap_values": ([0, 2, 4, 8], Domain("int", 0, many=True, unique=True)),
+            "d_lap_values": ([0, 2, 4, 8], Domain("int", 0, many=True)),
         },
         "classifier-demo": {
             **_CLASSIFIER,
@@ -257,7 +258,7 @@ FIELDS = {
             **_CLASSIFIER,
             "variants": (["kl-ft"], _VARIANTS),
             "alphas": ([0.1, 0.2, 0.4, 0.8],
-                       Domain("number", 0, 1, bounds="[]", many=True, unique=True)),
+                       Domain("number", 0, 1, bounds="[]", many=True)),
         },
     }.items()
 }
@@ -397,7 +398,7 @@ def load_config(path: str | Path, experiment: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Linear experiments: one stacked pass per layout, all seeds at once
+# Linear experiments: one stack of all seeds per layout
 # ----------------------------------------------------------------------
 
 def _solve(cfg: dict, layout: FeatureLayout, nt_values, edits, seeds) -> list[tuple]:
@@ -440,13 +441,15 @@ def _solve(cfg: dict, layout: FeatureLayout, nt_values, edits, seeds) -> list[tu
 def _stacked(seeds: list[int], solve) -> dict:
     """``solve`` all ``seeds`` as one stack; returns their results by seed.
 
-    If the stack raises a package error, each seed is solved again alone,
-    as a one-member stack, and gets its own result or error.  This is the
-    only place where a stack is rerun seed by seed: a pass is a solver
-    stack, a solver stack and its oracle checks, or a classifier grid,
-    and it raises as a whole.  The stacked attempt's rank deficiencies
-    are held until it succeeds, so a dropped attempt is neither counted
-    nor logged.
+    ``solve`` is an experiment's whole run: every layout of a linear
+    experiment, with the oracle's checks in ``verify-theorems``, or the
+    one classifier grid.  If the stack raises a package error, each seed's
+    whole run is made again alone, as a one-member stack, and gets its
+    own result or error, so its rows, failure, rank counts and DEBUG
+    lines are those of its own run, in seed order.  This is the only
+    place where seeds are rerun.  The stacked attempt's rank
+    deficiencies are held until it succeeds, so a dropped attempt is
+    neither counted nor logged.
     """
     if len(seeds) > 1:
         held = RankDeficiencyCount(hold=True)
@@ -467,40 +470,14 @@ def _stacked(seeds: list[int], solve) -> dict:
     return outcome
 
 
-def _solve_seeds(seeds: list[int], passes: list) -> dict[int, list]:
-    """Run each pass, in order, as one stack of the seeds that have not failed.
+def _verify(cfg: dict):
+    """The run of ``verify-theorems`` and its rows.
 
-    Returns per seed its pass results in order; a failing pass's entry is
-    its error, and the seed leaves the later passes there, as its own
-    run stops there.
-    """
-    results: dict[int, list] = {seed: [] for seed in seeds}
-    for solve in passes:
-        live = [seed for seed in seeds
-                if not results[seed] or not isinstance(results[seed][-1], UnlearnLabError)]
-        for seed, result in _stacked(live, solve).items():
-            results[seed].append(result)
-    return results
-
-
-def _each(results: list):
-    """A seed's pass results, in order; a failed pass raises its error."""
-    for result in results:
-        if isinstance(result, UnlearnLabError):
-            raise result
-        yield result
-
-
-def _verify_rows(cfg: dict):
-    """Solve and then predict both layouts of every seed, one stacked pass
-    per layout; returns the function that gives a seed's baseline row per
-    scenario (distinct, overlap), then one per edit.
-
-    A layout's pass solves its stack, then predicts the same seeds with
-    the oracle, which restacks the seeds' own scenarios and factors them
-    itself; nothing the solvers built reaches it.  A seed stops at the
-    first step of its own run that raises: solve distinct, predict
-    distinct, solve overlap, predict overlap.
+    The run solves and then predicts each layout (distinct, then overlap)
+    as one stack of the seeds; a seed's rows are its baseline row per
+    layout, then one per edit.  The oracle restacks the seeds' own
+    scenarios and factors them itself; nothing the solvers built reaches
+    it.
     """
     nt_values = cfg["nt_values"]
     checks = [
@@ -508,25 +485,25 @@ def _verify_rows(cfg: dict):
         ("overlap", predict_overlap, [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD]),
     ]
 
-    def solve_and_predict(layout, predict, options, seeds):
-        solved = _solve(cfg, layout, nt_values, [None, *options], seeds)
-        with stage("oracle"):
-            scenario = stack_scenarios([scenario for scenario, *_ in solved])
-            rl_gold, ul_gold = predict(scenario)
-            edits = predict_edited(scenario, options, nt_values)
-        # Each seed gets its own row of the stacked predictions.
-        return [(own, (rl_gold, float(ul_gold[i])), [(rl[i], ul[i]) for rl, ul in edits])
-                for i, own in enumerate(solved)]
+    def solve(seeds):
+        layouts = []
+        for check, predict, options in checks:
+            solved = _solve(cfg, FeatureLayout(*cfg[f"{check}_layout"]), nt_values,
+                            [None, *options], seeds)
+            with stage("oracle"):
+                scenario = stack_scenarios([scenario for scenario, *_ in solved])
+                rl_gold, ul_gold = predict(scenario)
+                edits = predict_edited(scenario, options, nt_values)
+            # Each seed gets its own row of the stacked predictions.
+            layouts.append([(own, (rl_gold, float(ul_gold[i])),
+                             [(rl[i], ul[i]) for rl, ul in edits])
+                            for i, own in enumerate(solved)])
+        return list(zip(*layouts))
 
-    results = _solve_seeds(cfg["seeds"], [
-        partial(solve_and_predict, FeatureLayout(*cfg[f"{check}_layout"]), predict, options)
-        for check, predict, options in checks
-    ])
-
-    def rows_for_seed(seed: int) -> list[dict]:
+    def rows_of(seed: int, result) -> list[dict]:
         rows, edit_rows = [], []
         for (check, _, options), ((scenario, (rl_gold, ul_gold), fits), gold_pred, edits) \
-                in zip(checks, _each(results[seed])):
+                in zip(checks, result):
             layout = scenario.layout
             gold_gaps = gap_report((rl_gold, ul_gold), gold_pred)
             rl_ft, ul_ft = fits[None]
@@ -559,20 +536,19 @@ def _verify_rows(cfg: dict):
                 })
         return rows + edit_rows
 
-    return rows_for_seed
+    return solve, rows_of
 
 
-def _sweep_nt_rows(cfg: dict):
-    """Solve every seed as one stack; returns the function that gives a
+def _sweep_nt(cfg: dict):
+    """The run of ``sweep-nt``, one stack of the seeds, and its rows: a
     seed's row per ``n_t``."""
     layout = FeatureLayout(*cfg["layout"])
     edits = [None, *EditOption]
     if not layout.is_distinct:
         edits.remove(EditOption.DISTINCT_ZERO_FORGET)
-    solved = _solve_seeds(cfg["seeds"], [partial(_solve, cfg, layout, cfg["nt_values"], edits)])
 
-    def rows_for_seed(seed: int) -> list[dict]:
-        [(_, (rl_gold, ul_gold), fits)] = _each(solved[seed])
+    def rows_of(seed: int, result) -> list[dict]:
+        _, (rl_gold, ul_gold), fits = result
         missing = (np.full(len(cfg["nt_values"]), np.nan),) * 2
         columns = {"n_t": cfg["nt_values"]}
         for name, edit in (("ft", None), ("edit_zero", EditOption.DISTINCT_ZERO_FORGET),
@@ -586,21 +562,22 @@ def _sweep_nt_rows(cfg: dict):
             for at in zip(*columns.values())
         ]
 
-    return rows_for_seed
+    return partial(_solve, cfg, layout, cfg["nt_values"], edits), rows_of
 
 
-def _sweep_overlap_rows(cfg: dict):
-    """Solve every seed, one stack per ``d_lap``; returns the function that
-    gives a seed's row per ``d_lap``."""
+def _sweep_overlap(cfg: dict):
+    """The run of ``sweep-overlap``, one stack of the seeds per ``d_lap``,
+    and its rows: a seed's row per ``d_lap``."""
     layouts = [FeatureLayout((cfg["d"] - d_lap) // 2, d_lap, (cfg["d"] - d_lap) // 2)
                for d_lap in cfg["d_lap_values"]]
     edits = [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD]
-    solved = _solve_seeds(
-        cfg["seeds"], [partial(_solve, cfg, layout, [cfg["n_t"]], edits) for layout in layouts])
 
-    def rows_for_seed(seed: int) -> list[dict]:
+    def solve(seeds):
+        return list(zip(*[_solve(cfg, layout, [cfg["n_t"]], edits, seeds) for layout in layouts]))
+
+    def rows_of(seed: int, result) -> list[dict]:
         rows = []
-        for layout, (_, (rl_gold, ul_gold), fits) in zip(layouts, _each(solved[seed])):
+        for layout, (_, (rl_gold, ul_gold), fits) in zip(layouts, result):
             # One n_t: each edit's losses are one-element arrays.
             [(rl_retain, ul_retain), (rl_discard, ul_discard)] = fits.values()
             rows.append({
@@ -612,7 +589,7 @@ def _sweep_overlap_rows(cfg: dict):
             })
         return rows
 
-    return rows_for_seed
+    return solve, rows_of
 
 
 # ----------------------------------------------------------------------
@@ -623,19 +600,20 @@ def _sweep_overlap_rows(cfg: dict):
 _MEASURES = ("ua", "ra", "ta")
 
 
-def _classifier_rows(cfg: dict):
-    """Descend every seed's grid in one :func:`run_seed_grid`; returns the
-    function that gives one seed's rows or raises its failure."""
+def _classifier(cfg: dict):
+    """The run of ``classifier-demo`` or ``sweep-alpha``, every seed's grid
+    descended in one :func:`run_seed_grid`, and its rows: a seed's row per
+    (variant, alpha) pair."""
     alphas = cfg["alphas"] if "alphas" in cfg else [cfg["alpha"]]
     # retrain ignores alpha, so it gets one pair, whose alpha cell reads NaN.
     pairs = [(variant, alpha) for variant in cfg["variants"]
              for alpha in ([math.nan] if variant == "retrain" else alphas)]
     task = ClassTask(**cfg["task"])
-    grid = _solve_seeds(cfg["seeds"], [lambda seeds: list(run_seed_grid(
-        task, pairs, seeds, cfg["epochs"], cfg["step_size"]).values())])
 
-    def rows_for_seed(seed: int) -> list[dict]:
-        [scores] = _each(grid[seed])
+    def solve(seeds):
+        return list(run_seed_grid(task, pairs, seeds, cfg["epochs"], cfg["step_size"]).values())
+
+    def rows_of(seed: int, scores) -> list[dict]:
         return [
             {
                 "experiment": cfg["experiment"], "variant": variant, "alpha": alpha, "seed": seed,
@@ -644,7 +622,7 @@ def _classifier_rows(cfg: dict):
             for (variant, alpha), metrics in zip(pairs, scores)
         ]
 
-    return rows_for_seed
+    return solve, rows_of
 
 
 def _mean_std_rows(rows: list[dict]) -> list[dict]:
@@ -666,21 +644,22 @@ def _mean_std_rows(rows: list[dict]) -> list[dict]:
 # Dispatch and output
 # ----------------------------------------------------------------------
 
-# experiment -> (config -> (seed -> that seed's rows)).  Each solves all
-# the config's seeds before it returns.
-_ROWS_FOR_SEED = {
-    "verify-theorems": _verify_rows,
-    "sweep-nt": _sweep_nt_rows,
-    "sweep-overlap": _sweep_overlap_rows,
-    "classifier-demo": _classifier_rows,
-    "sweep-alpha": _classifier_rows,
+# experiment -> (config -> (run, rows)): the run maps a list of seeds to
+# one result per seed, and the rows map a seed and its result to its rows.
+_RUNS = {
+    "verify-theorems": _verify,
+    "sweep-nt": _sweep_nt,
+    "sweep-overlap": _sweep_overlap,
+    "classifier-demo": _classifier,
+    "sweep-alpha": _classifier,
 }
 
 
 def run_experiment(experiment: str, cfg: dict) -> ExperimentResult:
-    """Run a validated config seed by seed, appending each seed's rows.
+    """Run a validated config as one stack of its seeds (:func:`_stacked`),
+    then append each seed's rows in seed order.
 
-    A seed whose computation raises a package error contributes no rows
+    A seed whose run raises a package error contributes no rows
     and one ``{seed, type, message}`` entry to ``failures``.  Only
     ``verify-theorems`` sets ``passed``.  The classifier schema appends
     mean and std rows after the per-seed rows.  ``rank_deficient_solves``
@@ -688,24 +667,25 @@ def run_experiment(experiment: str, cfg: dict) -> ExperimentResult:
     included: ``{"solvers": ..., "oracle": ...}``, by the side of the
     kernel that factored them, and ``stages`` the wall seconds of each of
     the experiment's :data:`STAGES`.
-    At ``INFO`` it logs one line per failed seed, with its error, as the
-    seed fails, and one line per stage with its seconds, in
+    At ``INFO`` it logs one line per failed seed, with its error, in seed
+    order, and one line per stage with its seconds, in
     :data:`STAGES` order, once the run ends.
     """
-    if experiment not in _ROWS_FOR_SEED:
+    if experiment not in _RUNS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     result = ExperimentResult(experiment, cfg)
+    solve, rows_of = _RUNS[experiment](cfg)
     start = time.perf_counter()
     with RankDeficiencyCount() as rank_count, stage_record(STAGES[experiment]) as result.stages:
-        rows_for_seed = _ROWS_FOR_SEED[experiment](cfg)
+        outcome = _stacked(cfg["seeds"], solve)
         with stage("report"):
-            for seed in cfg["seeds"]:
-                try:
-                    result.rows.extend(rows_for_seed(seed))
-                except UnlearnLabError as exc:
-                    failure = {"seed": seed, "type": type(exc).__name__, "message": str(exc)}
+            for seed, own in outcome.items():
+                if isinstance(own, UnlearnLabError):
+                    failure = {"seed": seed, "type": type(own).__name__, "message": str(own)}
                     result.failures.append(failure)
                     logger.info("seed %(seed)d failed: %(type)s: %(message)s", failure)
+                else:
+                    result.rows.extend(rows_of(seed, own))
             if experiment == "verify-theorems":
                 result.passed = not result.failures and all(row["pass"] for row in result.rows)
             if result.schema == "classifier/v5":
@@ -793,14 +773,18 @@ def platform_record() -> dict:
 
 
 def write_outputs(result: ExperimentResult, csv_path: str | Path) -> Path:
-    """Write the CSV and its JSON summary; returns the CSV path.
+    """Write the CSV and its JSON summary, making the CSV's missing parent
+    directories first; returns the CSV path.
 
-    A summary that cannot be written takes its CSV with it, so no CSV is
-    left without its summary; the :class:`OSError` is raised again.
+    A write that fails leaves nothing behind: a summary that cannot be
+    written takes its CSV with it, and either failure removes the
+    directories this call made.  The :class:`OSError` is raised again.
     """
     csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(render_csv(result), encoding="utf-8")
+    text = render_csv(result)
+    # The missing directories, deepest first; rmdir removes only empty ones.
+    missing = list(itertools.takewhile(lambda d: not d.exists(),
+                                       (csv_path.parent, *csv_path.parent.parents)))
     summary = {
         "experiment": result.experiment,
         "schema": result.schema,
@@ -816,10 +800,18 @@ def write_outputs(result: ExperimentResult, csv_path: str | Path) -> Path:
         "platform": platform_record(),
     }
     try:
-        summary_path_for(csv_path).write_text(json.dumps(summary, indent=2) + "\n",
-                                              encoding="utf-8")
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
+        csv_path.write_text(text, encoding="utf-8")
+        try:
+            summary_path_for(csv_path).write_text(json.dumps(summary, indent=2) + "\n",
+                                                  encoding="utf-8")
+        except OSError:
+            csv_path.unlink(missing_ok=True)
+            raise
     except OSError:
-        csv_path.unlink(missing_ok=True)
+        for directory in missing:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         raise
     return csv_path
 

@@ -62,9 +62,7 @@ from .errors import InconsistentSystemError, InvalidMatrixError, SvdFailureError
 
 logger = logging.getLogger(__name__)
 
-# Tolerance policy, stated once and reused by every caller.
-TOL_SYM = 1e-10
-TOL_IDEM = 1e-10
+# The relative residual bound of the consistency check.
 CONSISTENCY_REL_TOL = 1e-8
 
 
@@ -283,8 +281,8 @@ def projector(x) -> np.ndarray:
 
     Computed as ``U_r U_r^T`` from the retained left singular vectors; for
     full-column-rank ``x`` this equals ``X (X^T X)^{-1} X^T``.  It is
-    symmetric and idempotent to within :data:`TOL_SYM` / :data:`TOL_IDEM`,
-    and its rank is the number of singular values of ``x`` above
+    symmetric and idempotent to within 1e-10 in every entry, and its rank
+    is the number of singular values of ``x`` above
     :func:`default_sv_cutoff`.  A matrix ``(d, n)`` gives ``(d, d)``; a
     stack ``(S, d, n)`` gives ``(S, d, d)``, each member projected with
     its own cutoff and rank and with the bits of its own call.

@@ -84,25 +84,12 @@ class Metrics:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-def mse_loss(w, x, y):
-    """Mean-squared loss ``(1/m) ||X^T w - y||^2`` over ``m`` samples.
-
-    For a stack (``w`` ``(S, d)``, ``x`` ``(S, d, m)``, ``y`` ``(S, m)``)
-    one loss per member, each with the bits of its own call.  A ``w`` or
-    ``y`` of any other shape raises :class:`InvalidMatrixError` with the
-    :func:`~unlearn_lab.linalg.seed_vectors` message, such as
-    ``y must have shape (5,) over x, got (4,)``, and so do finite inputs
-    whose loss overflows.
-    """
-    return _mse(w, x, y, ("w", "x", "y"))
-
-
-def _mse(w, x, y, names: tuple[str, str, str], front: bool = False):
-    """:func:`mse_loss` with its arguments named ``names``; with
-    ``front``, ``w`` may have axes in front of its seed axes, which
-    the losses keep."""
+def _mse(w, x, y, names: tuple[str, str, str]):
+    """Mean-squared loss ``(1/m) ||X^T w - y||^2`` of ``w`` on ``m``
+    samples, one per model, with its arguments named ``names``.  ``w``
+    may have axes in front of its seed axes, which the losses keep."""
     data, seeds = seed_stack(x, names[1])
-    weights = seed_vectors(w, names[0], seeds, data.shape[1], names[1], front)
+    weights = seed_vectors(w, names[0], seeds, data.shape[1], names[1], front=True)
     targets = seed_vectors(y, names[2], seeds, data.shape[2], names[1])
     if targets.shape[-1] < 1:
         raise InvalidMatrixError(f"{names[1]} has no samples")
@@ -124,8 +111,8 @@ def measure_losses(w, scenario: SyntheticScenario):
     The data and ``w`` are validated on every call, and finite inputs
     whose losses overflow raise :class:`InvalidMatrixError`.
     """
-    return (_mse(w, scenario.x_r, scenario.y_r, ("w", "x_r", "y_r"), front=True),
-            _mse(w, scenario.x_f, scenario.y_f, ("w", "x_f", "y_f"), front=True))
+    return (_mse(w, scenario.x_r, scenario.y_r, ("w", "x_r", "y_r")),
+            _mse(w, scenario.x_f, scenario.y_f, ("w", "x_f", "y_f")))
 
 
 @dataclass(frozen=True, eq=False)

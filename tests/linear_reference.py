@@ -12,13 +12,36 @@ is built only on the package's public API:
   pseudoinverse, where :func:`~unlearn_lab.oracle.predict_overlap`
   uses the remaining-data projector.
 
-Agreement between two routes is checked, not assumed.
+Agreement between two routes is checked, not assumed.  One helper is no
+cross-check: :func:`mse_loss` measures a loss on given data through
+:func:`~unlearn_lab.metrics.measure_losses`, which measures a scenario's
+two subsets.
 """
 
 import numpy as np
 
 from unlearn_lab.linalg import projector, pseudoinverse
-from unlearn_lab.scenarios import SyntheticScenario, decompose_w_star, fine_tune_subset
+from unlearn_lab.metrics import measure_losses
+from unlearn_lab.scenarios import (
+    FeatureLayout,
+    SyntheticScenario,
+    decompose_w_star,
+    fine_tune_subset,
+)
+
+
+def mse_loss(w, x, y):
+    """Mean-squared loss ``(1/m) ||x^T w - y||^2`` of ``w`` on ``m`` samples,
+    as :func:`~unlearn_lab.metrics.measure_losses` measures the remaining
+    subset of a scenario whose two subsets are both ``(x, y)``.
+
+    Shapes and errors are the measurement's, and name the remaining
+    subset: ``y_r must have shape (4,) over x_r, got (5,)``.
+    """
+    x = np.asarray(x)
+    data = SyntheticScenario(FeatureLayout(x.shape[-2], 0, 0), x, x, y, y,
+                             np.zeros(x.shape[:-1]))
+    return measure_losses(w, data)[0]
 
 
 def gradient_descent_solve(

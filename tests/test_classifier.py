@@ -28,7 +28,7 @@ from unlearn_lab.classifier import (
 )
 from unlearn_lab.errors import DivergenceError
 from unlearn_lab.experiments import FIELDS, validate_config
-from unlearn_lab.linalg import TOL_IDEM, projector
+from unlearn_lab.linalg import projector
 from unlearn_lab.metrics import Metrics, accuracy
 
 from softmax_reference import (
@@ -42,6 +42,9 @@ from softmax_reference import (
     split,
 )
 from strategies import distinct_entries, distinct_integers, distinct_seeds
+
+# The projector's stated idempotence bound, 1e-10 in every entry.
+TOL_IDEM = 1e-10
 
 
 def _small_problem(seed, num_classes=5, dim=8, per_class=6):

@@ -106,10 +106,9 @@ def _outside(domain, default):
     """Values just outside ``domain``, from its kind and bounds alone."""
     values = [] if default is None else [None]
     if domain.many:
-        one = dataclasses.replace(domain, many=False, unique=False)
+        one = dataclasses.replace(domain, many=False)
         first = domain.choices[0] if domain.kind == "enum" else domain.low
-        repeated = [[first, first]] if domain.unique else []
-        return values + [[], "x"] + repeated + [[value] for value in _outside(one, 0)]
+        return values + [[], "x", [first, first]] + [[value] for value in _outside(one, 0)]
     if domain.kind in ("int", "number"):
         closed_low, closed_high = domain.bounds[0] == "[", domain.bounds[1] == "]"
         step = 1 if domain.kind == "int" else 0.5

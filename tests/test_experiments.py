@@ -522,6 +522,14 @@ class TestLinearSeedStack:
         return stacked, alone
 
     @staticmethod
+    def _logged(caplog, experiment, raw, seeds):
+        """The run of ``seeds`` and its DEBUG rank lines, in order."""
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="unlearn_lab.linalg"):
+            result = run_experiment(experiment, validate_config(dict(raw, seeds=seeds), experiment))
+        return result, [record.getMessage() for record in caplog.records]
+
+    @staticmethod
     def _assert_each_seed_as_alone(stacked, alone):
         rows = _rows_by_seed(stacked)
         assert rows == {seed: seed_rows for run in alone
@@ -550,7 +558,7 @@ class TestLinearSeedStack:
         ("sweep-overlap", OVERLAP_CFG, 2),
     ], ids=["verify-non-finite", "verify-inconsistent-overlap", "sweep-overlap-inconsistent"])
     def test_a_failing_seed_between_two_clean_ones_fails_alone(
-        self, monkeypatch, experiment, raw, fault
+        self, monkeypatch, caplog, experiment, raw, fault
     ):
         # Seed 1's data holds a NaN, which its first solve rejects; or, in
         # the layout whose overlap block has width ``fault``, its remaining
@@ -558,7 +566,8 @@ class TestLinearSeedStack:
         # its retrain fails after its stack has factored and after an
         # earlier layout has passed.  In sweep-overlap the next layout
         # (width 4) is rank-deficient too, so solving it for seed 1 would
-        # show in the counts.
+        # show in the counts.  Every seed's whole run is then made alone, so
+        # the DEBUG rank lines are the one-seed runs' in seed order.
         real = experiments.gen_scenario
 
         def faulty(n_r, n_f, layout, seed, dist):
@@ -572,13 +581,17 @@ class TestLinearSeedStack:
             return scenario
 
         monkeypatch.setattr(experiments, "gen_scenario", faulty)
-        stacked, alone = self._stacked_and_alone(experiment, raw, [0, 1, 2])
+        stacked, stacked_lines = self._logged(caplog, experiment, raw, [0, 1, 2])
+        logged = [self._logged(caplog, experiment, raw, [seed]) for seed in (0, 1, 2)]
+        alone = [run for run, _ in logged]
         [failure] = stacked.failures
         assert failure["seed"] == 1
         assert failure["type"] == ("InvalidMatrixError" if fault == "non-finite"
                                    else "InconsistentSystemError")
         assert experiments.exit_code_for(stacked) == 1
         self._assert_each_seed_as_alone(stacked, alone)
+        assert stacked_lines == [line for _, lines in logged for line in lines]
+        assert len(stacked_lines) == sum(stacked.rank_deficient_solves.values())
         if experiment == "sweep-overlap":
             # Seed 1's run solves no layout past the one it fails on.
             widths = raw["d_lap_values"]
@@ -594,7 +607,9 @@ class TestLinearSeedStack:
         # distinct layout its baseline prediction, or in the overlap layout
         # the oracle's SVD of its joint data.  By then the stacked overlap
         # pass has projected the three seeds' rank-deficient remaining
-        # data, which it must not count.
+        # data, which it must not count.  Every seed's whole run is then
+        # made alone, so the DEBUG rank lines are the one-seed runs' in
+        # seed order.
         message = "SVD did not converge for shape (40, 40)"
         raised = []
         if layout == "distinct":
@@ -622,22 +637,14 @@ class TestLinearSeedStack:
 
             monkeypatch.setattr(linalg, "_truncated_svd", failing_svd)
 
-        def run(seeds):
-            caplog.clear()
-            with caplog.at_level("DEBUG", logger="unlearn_lab.linalg"):
-                result = run_experiment(
-                    "verify-theorems", validate_config(dict(VERIFY_CFG, seeds=seeds),
-                                                       "verify-theorems"))
-            return result, Counter(record.getMessage() for record in caplog.records)
-
-        stacked, stacked_lines = run([0, 1, 2])
+        stacked, stacked_lines = self._logged(caplog, "verify-theorems", VERIFY_CFG, [0, 1, 2])
         assert raised == [3, 1]
-        alone = [run([seed]) for seed in (0, 1, 2)]
+        alone = [self._logged(caplog, "verify-theorems", VERIFY_CFG, [seed]) for seed in (0, 1, 2)]
         assert stacked.failures == [{"seed": 1, "type": "SvdFailureError", "message": message}]
         assert sorted(_rows_by_seed(stacked)) == [0, 2]
         self._assert_each_seed_as_alone(stacked, [run for run, _ in alone])
-        assert stacked_lines == sum((lines for _, lines in alone), Counter())
-        assert sum(stacked_lines.values()) == sum(stacked.rank_deficient_solves.values())
+        assert stacked_lines == [line for _, lines in alone for line in lines]
+        assert len(stacked_lines) == sum(stacked.rank_deficient_solves.values())
         # Seed 1's run predicts no layout past the one it fails on: its one
         # oracle record is the remaining-data projector of the overlap pass.
         oracle_records = alone[1][0].rank_deficient_solves["oracle"]
@@ -1326,6 +1333,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"output error: cannot write {summary}: ") and err.count("\n") == 1
         assert not out.exists() and list(summary.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["nofile/..", "a/b/..", "a/b/x.csv"],
+                             ids=["csv", "nested-csv", "summary"])
+    def test_a_failed_write_removes_the_directories_it_made(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        config = self._write_config(tmp_path, dict(NT_DISTINCT_CFG, nt_values=[1]))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        # In the summary case, the summary's path is an existing directory.
+        summary_path = experiments.summary_path_for
+        monkeypatch.setattr(experiments, "summary_path_for",
+                            lambda csv: Path("taken") if csv.name == "x.csv" else summary_path(csv))
+        assert main(["sweep-nt", "--config", str(config), "--out", out]) == 2
+        failed = "taken" if out.endswith("x.csv") else out
+        assert capsys.readouterr().err == f"output error: cannot write {failed}: Is a directory\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
+
+    def test_a_write_makes_the_missing_directories(self, tmp_path, monkeypatch):
+        config = self._write_config(tmp_path, dict(NT_DISTINCT_CFG, nt_values=[1]))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep-nt", "--config", str(config), "--out", "a/b/x.csv"]) == 0
+        assert sorted(path.name for path in (tmp_path / "a" / "b").iterdir()) == [
+            "x.csv", "x.summary.json"]
 
     def test_a_diverging_stack_fails_each_seed_as_it_fails_alone(self, tmp_path, capsys):
         # The shipped classifier-demo config with task.sep 1e150 and

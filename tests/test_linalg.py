@@ -11,8 +11,6 @@ import pytest
 from unlearn_lab import linalg
 from unlearn_lab.errors import InconsistentSystemError, InvalidMatrixError, SvdFailureError
 from unlearn_lab.linalg import (
-    TOL_IDEM,
-    TOL_SYM,
     min_norm_anchor_solve,
     min_norm_solve,
     projector,
@@ -20,10 +18,15 @@ from unlearn_lab.linalg import (
     svd,
     weighted_seminorm_sq,
 )
-from unlearn_lab.metrics import measure_losses, mse_loss
+from unlearn_lab.metrics import measure_losses
 from unlearn_lab.scenarios import FeatureLayout, fine_tune_subset, gen_scenario, stack_scenarios
 
-from linear_reference import closed_form_wt_distinct, gradient_descent_solve
+from linear_reference import closed_form_wt_distinct, gradient_descent_solve, mse_loss
+
+# The projector's stated bounds: symmetric and idempotent to within 1e-10
+# in every entry.
+TOL_SYM = 1e-10
+TOL_IDEM = 1e-10
 
 
 class TestSvd:
@@ -587,8 +590,8 @@ _VECTOR_ARGUMENTS = [
     ("min_norm_anchor_solve", "y_t", "x_t", False,
      lambda x, y, w, s, v: min_norm_anchor_solve(x, v, w)),
     ("weighted_seminorm_sq", "v", "x", False, lambda x, y, w, s, v: weighted_seminorm_sq(v, x)),
-    ("mse_loss", "w", "x", False, lambda x, y, w, s, v: mse_loss(v, x, y)),
-    ("mse_loss", "y", "x", False, lambda x, y, w, s, v: mse_loss(w, x, v)),
+    ("mse_loss", "w", "x_r", True, lambda x, y, w, s, v: mse_loss(v, x, y)),
+    ("mse_loss", "y_r", "x_r", False, lambda x, y, w, s, v: mse_loss(w, x, v)),
     ("measure_losses", "w", "x_r", True, lambda x, y, w, s, v: measure_losses(v, s)),
 ]
 
@@ -610,7 +613,8 @@ class TestSeedAxes:
         w = np.random.default_rng(5).standard_normal((members, 5))
         s = stack_scenarios([gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed)
                              for seed in range(members)])
-        good = s.w_star if function == "measure_losses" else {"y": y, "y_t": y}.get(name, w)
+        good = (s.w_star if function == "measure_losses"
+                else y if name in ("y", "y_t", "y_r") else w)
         call(x, y, w, s, good)
         length = good.shape[-1]
         bad_shapes = [(members, length - 1),    # a wrong length

@@ -15,7 +15,6 @@ from unlearn_lab.metrics import (
     classifier_metrics,
     gap_report,
     measure_losses,
-    mse_loss,
 )
 from unlearn_lab.oracle import (
     FINE_TUNED,
@@ -38,8 +37,12 @@ from unlearn_lab.solvers import (
     train_original,
 )
 
+from linear_reference import mse_loss
+
 
 class TestMseLoss:
+    """The loss on given data, measured as a scenario's remaining subset."""
+
     def test_interpolating_weights_measure_zero(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((8, 5))
@@ -56,7 +59,7 @@ class TestMseLoss:
     def test_reference_golden_forget_loss_matches_oracle(self):
         s = gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed=7)
         _, predicted = predict_distinct(s)
-        measured = mse_loss(retrain_golden(s), s.x_f, s.y_f)
+        measured = measure_losses(retrain_golden(s), s)[1]
         assert abs(measured - predicted) <= 1e-8 * predicted
 
     def test_invariant_under_joint_column_permutation(self):
@@ -69,14 +72,14 @@ class TestMseLoss:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidMatrixError,
-                           match=r"^y must have shape \(4,\) over x, got \(5,\)$"):
+                           match=r"^y_r must have shape \(4,\) over x_r, got \(5,\)$"):
             mse_loss(np.zeros(3), np.zeros((3, 4)), np.zeros(5))
 
     def test_zero_samples_rejected(self):
         # InvalidMatrixError is the package error that a seed's rerun catches.
         for w, x, y in ((np.zeros(3), np.zeros((3, 0)), np.zeros(0)),
                         (np.zeros((2, 3)), np.zeros((2, 3, 0)), np.zeros((2, 0)))):
-            with pytest.raises(InvalidMatrixError, match="^x has no samples$"):
+            with pytest.raises(InvalidMatrixError, match="^x_r has no samples$"):
                 mse_loss(w, x, y)
 
     def test_a_stack_measures_each_member_alone(self):
@@ -86,7 +89,7 @@ class TestMseLoss:
         assert losses.shape == (5,)
         assert all(loss == mse_loss(*member) for loss, member in zip(losses, zip(w, x, y)))
         with pytest.raises(InvalidMatrixError,
-                           match=r"^w must have shape \(5, 7\) over x, got \(4, 7\)$"):
+                           match=r"^w must have shape \(\.\.\., 5, 7\) over x_r, got \(4, 7\)$"):
             mse_loss(w[:4], x, y)
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
@@ -97,21 +100,29 @@ class TestMseLoss:
         if stacked:
             w, x, y = np.stack([np.ones(3), w]), np.stack([x, x]), np.stack([y, y])
             assert mse_loss(w[0], x[0], y[0]) == 9.0
-        with pytest.raises(InvalidMatrixError, match="^the loss of w on x overflows$"):
+        with pytest.raises(InvalidMatrixError, match="^the loss of w on x_r overflows$"):
             mse_loss(w, x, y)
 
     @pytest.mark.parametrize("name,args", [
         ("w", lambda w, x, y: (w[0], x, y)),
-        ("w", lambda w, x, y: (w[None], x, y)),
-        ("w", lambda w, x, y: (w, x[0], y[0])),
-        ("y", lambda w, x, y: (w, x, y[:2])),
-        ("y", lambda w, x, y: (w[0], x[0], y)),
+        ("w", lambda w, x, y: (w[:, None], x, y)),
+        ("y_r", lambda w, x, y: (w, x, y[:2])),
+        ("y_r", lambda w, x, y: (w[0], x[0], y)),
     ])
     def test_mismatched_leading_axes_name_the_vector(self, name, args):
         rng = np.random.default_rng(4)
         w, x, y = (rng.standard_normal(shape) for shape in ((3, 7), (3, 7, 9), (3, 9)))
         with pytest.raises(InvalidMatrixError, match=f"^{name} must have shape "):
             mse_loss(*args(w, x, y))
+
+    def test_weights_may_carry_axes_in_front_of_the_seed_axes(self):
+        # One model per leading index, each with the bits of its own call.
+        rng = np.random.default_rng(4)
+        w, x, y = (rng.standard_normal(shape) for shape in ((3, 7), (3, 7, 9), (3, 9)))
+        assert np.array_equal(mse_loss(w[None], x, y), mse_loss(w, x, y)[None])
+        lone = mse_loss(w, x[0], y[0])
+        assert lone.shape == (3,)
+        assert all(loss == mse_loss(w_i, x[0], y[0]) for loss, w_i in zip(lone, w))
 
 
 class TestMeasureLosses:

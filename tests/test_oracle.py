@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from unlearn_lab.errors import InvalidMatrixError, LayoutMismatchError
-from unlearn_lab.metrics import measure_losses, mse_loss
+from unlearn_lab.metrics import measure_losses
 from unlearn_lab.oracle import (
     FINE_TUNED,
     predict_distinct,
@@ -87,7 +87,7 @@ class TestPredictDistinct:
     def test_reference_geometry_matches_measurement(self):
         s = gen_scenario(30, 10, DISTINCT, seed=7)
         _, predicted = predict_distinct(s)
-        measured = mse_loss(retrain_golden(s), s.x_f, s.y_f)
+        measured = measure_losses(retrain_golden(s), s)[1]
         assert abs(measured - predicted) <= 1e-8 * predicted
 
     def test_fine_tuned_zeros_exactly(self):
@@ -137,7 +137,7 @@ class TestPredictOverlap:
     def test_reference_geometry_matches_measurement(self):
         s = gen_scenario(30, 10, OVERLAP, seed=7)
         _, predicted = predict_overlap(s)
-        measured = mse_loss(retrain_golden(s), s.x_f, s.y_f)
+        measured = measure_losses(retrain_golden(s), s)[1]
         assert abs(measured - predicted) <= 1e-8 * predicted
 
     def test_projector_and_block_forms_agree(self):
@@ -153,7 +153,7 @@ class TestPredictOverlap:
         # Agreement also holds with fewer samples than active features.
         for seed in range(5):
             s = gen_scenario(12, 6, FeatureLayout(16, 8, 16), seed=seed)
-            measured = mse_loss(retrain_golden(s), s.x_f, s.y_f)
+            measured = measure_losses(retrain_golden(s), s)[1]
             for predicted in (predict_overlap(s)[1], golden_ul_block_form(s)):
                 assert within_tolerance(measured, predicted)
 
@@ -329,7 +329,6 @@ class TestLoneCallIsAOneMemberStack:
         self._same(min_norm_solve(x, y), min_norm_solve(xs, ys))
         self._same(w, min_norm_anchor_solve(xs_t, ys_t, anchors[..., None, :]), axis=-2)
         self._same(weighted_seminorm_sq(w[0, 0], s.x_f), weighted_seminorm_sq(w[0, :1], stack.x_f))
-        self._same(mse_loss(w[0, 0], s.x_r, s.y_r), mse_loss(w[0, :1], stack.x_r, stack.y_r))
         for weights in (w[0, 0], w):
             lone, stacked = (measure_losses(weights, s),
                              measure_losses(weights[..., None, :], stack))
