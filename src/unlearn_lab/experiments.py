@@ -21,12 +21,12 @@ function that maps a seed and its result to its rows.  The classifier
 experiments descend every seed in one :func:`run_seed_grid`.  The
 linear ones solve one stack of all seeds per layout (per scenario of
 ``verify-theorems``, per ``d_lap`` of ``sweep-overlap``), each in
-:func:`_solve`, which generates the scenarios, trains and retrains once,
-factors each fine-tuning prefix once, edits and fine-tunes, and measures
-every model, one ``(rl, ul)`` pair of all seeds per solve.  In
-``verify-theorems`` each layout's solve is followed by the oracle's
-prediction of the same seeds, which restacks the seeds' own scenarios
-and factors them itself.  A stacked run that raises is made again seed
+:func:`_solve`, which generates the scenarios once into one read-only
+stack, trains and retrains once, factors each fine-tuning prefix once,
+edits and fine-tunes, and measures every model in one call per
+``(rl, ul)`` pair.  In ``verify-theorems`` each layout's solve is
+followed by the oracle's prediction on the same read-only stack, which
+the oracle factors itself.  A stacked run that raises is made again seed
 by seed, each seed's whole run alone (:func:`_stacked`, the one place
 that decides it), so a failing seed fails alone with the error of its
 own run, and the other seeds keep the rows of theirs.  A seed's rows
@@ -52,7 +52,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -401,23 +401,23 @@ def load_config(path: str | Path, experiment: str) -> dict:
 # Linear experiments: one stack of all seeds per layout
 # ----------------------------------------------------------------------
 
-def _solve(cfg: dict, layout: FeatureLayout, nt_values, edits, seeds) -> list[tuple]:
-    """Generate the scenarios of ``seeds`` on one layout, then train,
-    retrain and fine-tune them as one stack, and measure every model.
+def _solve(cfg: dict, layout: FeatureLayout, nt_values, edits, seeds) -> tuple:
+    """Generate the scenarios of ``seeds`` on one layout as one read-only
+    stack, then train, retrain and fine-tune the stack, and measure every
+    model.
 
     Each entry of ``edits`` gives one start: an :class:`EditOption` edits
     the pretrained weights, and ``None`` leaves them unedited.  All the
     starts, ``(E, S, d)``, fine-tune on the prefix of each ``n_t`` in one
     call, on one SVD of that prefix; the oracle factors its own matrices.
-    Each edit's models over every ``n_t`` are then measured in one call.
-    Returns per seed ``(scenario, (golden rl, golden ul), {edit: (rl,
-    ul)})``, where the edits' ``rl`` and ``ul`` are arrays over
+    Every edit's models over every ``n_t`` are then measured in one call.
+    Returns the stack and, per seed, ``((golden rl, golden ul), {edit:
+    (rl, ul)})``, where the edits' ``rl`` and ``ul`` are arrays over
     ``nt_values``.
     """
     with stage("generate"):
-        scenarios = [gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"])
-                     for seed in seeds]
-        scenario = stack_scenarios(scenarios)
+        scenario = stack_scenarios([gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"])
+                                    for seed in seeds])
     with stage("solve"):
         w_o = train_original(scenario)
         w_g = retrain_golden(scenario)
@@ -427,15 +427,11 @@ def _solve(cfg: dict, layout: FeatureLayout, nt_values, edits, seeds) -> list[tu
         solved = np.stack([fine_tune_unlearn(starts, *fine_tune_subset(scenario, n_t))
                            for n_t in nt_values], axis=1)
     with stage("measure"):
-        # Each edit's losses as (S, len(nt_values)) arrays: row i is member
-        # i over nt_values.
-        fits = {}
-        for edit, weights in zip(edits, solved):
-            rl, ul = measure_losses(weights, scenario)
-            fits[edit] = (rl.T, ul.T)
+        # (E, len(nt_values), S): member i's losses of edit e are [e, :, i].
+        rl, ul = measure_losses(solved, scenario)
         rl_gold, ul_gold = measure_losses(w_g, scenario)
-    return [(scenarios[i], gold_losses, {edit: (rl[i], ul[i]) for edit, (rl, ul) in fits.items()})
-            for i, gold_losses in enumerate(zip(rl_gold.tolist(), ul_gold.tolist()))]
+    return scenario, [(gold, {edit: (rl[e, :, i], ul[e, :, i]) for e, edit in enumerate(edits)})
+                      for i, gold in enumerate(zip(rl_gold.tolist(), ul_gold.tolist()))]
 
 
 def _stacked(seeds: list[int], solve) -> dict:
@@ -475,9 +471,9 @@ def _verify(cfg: dict):
 
     The run solves and then predicts each layout (distinct, then overlap)
     as one stack of the seeds; a seed's rows are its baseline row per
-    layout, then one per edit.  The oracle restacks the seeds' own
-    scenarios and factors them itself; nothing the solvers built reaches
-    it.
+    layout, then one per edit.  The oracle predicts on the read-only
+    stack that the solvers read and factors it itself; nothing the
+    solvers built reaches it.
     """
     nt_values = cfg["nt_values"]
     checks = [
@@ -488,30 +484,28 @@ def _verify(cfg: dict):
     def solve(seeds):
         layouts = []
         for check, predict, options in checks:
-            solved = _solve(cfg, FeatureLayout(*cfg[f"{check}_layout"]), nt_values,
-                            [None, *options], seeds)
+            scenario, solved = _solve(cfg, FeatureLayout(*cfg[f"{check}_layout"]), nt_values,
+                                      [None, *options], seeds)
             with stage("oracle"):
-                scenario = stack_scenarios([scenario for scenario, *_ in solved])
                 rl_gold, ul_gold = predict(scenario)
                 edits = predict_edited(scenario, options, nt_values)
             # Each seed gets its own row of the stacked predictions.
-            layouts.append([(own, (rl_gold, float(ul_gold[i])),
+            layouts.append([(*own, (rl_gold, float(ul_gold[i])),
                              [(rl[i], ul[i]) for rl, ul in edits])
                             for i, own in enumerate(solved)])
         return list(zip(*layouts))
 
     def rows_of(seed: int, result) -> list[dict]:
         rows, edit_rows = [], []
-        for (check, _, options), ((scenario, (rl_gold, ul_gold), fits), gold_pred, edits) \
+        for (check, _, options), ((rl_gold, ul_gold), fits, gold_pred, edits) \
                 in zip(checks, result):
-            layout = scenario.layout
             gold_gaps = gap_report((rl_gold, ul_gold), gold_pred)
             rl_ft, ul_ft = fits[None]
             common = {
                 **dict.fromkeys(COLUMNS[SCHEMAS["verify-theorems"]], float("nan")),
                 "experiment": cfg["experiment"], "seed": seed,
-                "d_r": layout.d_r, "d_lap": layout.d_lap, "d_f": layout.d_f,
-                "n_r": scenario.n_r, "n_f": scenario.n_f,
+                **dict(zip(("d_r", "d_lap", "d_f"), cfg[f"{check}_layout"])),
+                "n_r": cfg["n_r"], "n_f": cfg["n_f"],
                 "n_t_min": min(nt_values), "n_t_max": max(nt_values),
             }
             rows.append({
@@ -547,8 +541,11 @@ def _sweep_nt(cfg: dict):
     if not layout.is_distinct:
         edits.remove(EditOption.DISTINCT_ZERO_FORGET)
 
+    def solve(seeds):
+        return _solve(cfg, layout, cfg["nt_values"], edits, seeds)[1]
+
     def rows_of(seed: int, result) -> list[dict]:
-        _, (rl_gold, ul_gold), fits = result
+        (rl_gold, ul_gold), fits = result
         missing = (np.full(len(cfg["nt_values"]), np.nan),) * 2
         columns = {"n_t": cfg["nt_values"]}
         for name, edit in (("ft", None), ("edit_zero", EditOption.DISTINCT_ZERO_FORGET),
@@ -562,7 +559,7 @@ def _sweep_nt(cfg: dict):
             for at in zip(*columns.values())
         ]
 
-    return partial(_solve, cfg, layout, cfg["nt_values"], edits), rows_of
+    return solve, rows_of
 
 
 def _sweep_overlap(cfg: dict):
@@ -573,11 +570,12 @@ def _sweep_overlap(cfg: dict):
     edits = [EditOption.OVERLAP_RETAIN, EditOption.OVERLAP_DISCARD]
 
     def solve(seeds):
-        return list(zip(*[_solve(cfg, layout, [cfg["n_t"]], edits, seeds) for layout in layouts]))
+        return list(zip(*[_solve(cfg, layout, [cfg["n_t"]], edits, seeds)[1]
+                          for layout in layouts]))
 
     def rows_of(seed: int, result) -> list[dict]:
         rows = []
-        for layout, (_, (rl_gold, ul_gold), fits) in zip(layouts, result):
+        for layout, ((rl_gold, ul_gold), fits) in zip(layouts, result):
             # One n_t: each edit's losses are one-element arrays.
             [(rl_retain, ul_retain), (rl_discard, ul_discard)] = fits.values()
             rows.append({

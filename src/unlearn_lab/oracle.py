@@ -24,9 +24,10 @@ hold one value per member, each with the bits of that member's own
 call.  They read the scenario's arrays as given and leave the shapes to
 the :mod:`~unlearn_lab.linalg` kernels: one scenario is their zero-lead
 case, so the golden UL is a float for one scenario and ``(S,)`` for a
-stack.  They factor every matrix themselves, one stacked projector per
-matrix for all members, so a measured solve and its prediction never
-share a factorization.  The tests also check them against independent
+stack.  A run hands them the read-only stack its solvers fit.  They
+factor every matrix of it themselves, one stacked projector per matrix
+for all members, so a measured solve and its prediction never share a
+factorization.  The tests also check them against independent
 writings, such as the golden UL expanded into the overlap and feature
 blocks, which live beside the tests, not in the package.
 """

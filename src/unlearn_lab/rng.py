@@ -17,10 +17,11 @@ def stream(seed: int, label: str) -> np.random.Generator:
     """Return the deterministic generator for ``(seed, label)``.
 
     The Philox key is the 64-bit seed paired with a CRC-32 of the label,
-    which is stable across platforms and Python versions.  Seeds outside
-    ``[0, 2^64)`` raise :class:`ValueError`, so no two seeds share a key.
+    which is stable across platforms and Python versions.  A seed that is
+    not an integer (a bool included) raises :class:`TypeError`, and one
+    outside ``[0, 2^64)`` :class:`ValueError`, so no two seeds share a key.
     """
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= int(seed) < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")

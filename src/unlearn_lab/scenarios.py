@@ -8,9 +8,10 @@ dense ground-truth weight vector.  With an empty overlap block the two
 sample sets touch disjoint coordinates.
 
 A stack of scenarios (:func:`stack_scenarios`) is a scenario whose
-arrays carry a leading seed axis.  Only the :mod:`~unlearn_lab.linalg`
-kernels read that axis; the functions here slice the trailing axes, so
-they treat one scenario and a stack alike.
+read-only arrays carry a leading seed axis, so a run's solvers and
+oracle read one stack and neither writes it.  Only the
+:mod:`~unlearn_lab.linalg` kernels read that axis; the functions here
+slice the trailing axes, so they treat one scenario and a stack alike.
 
 Generation is reproducible: each block (remaining features, the two
 overlap slabs, forgetting features, ground-truth weights) is drawn from
@@ -107,10 +108,6 @@ class SyntheticScenario:
     def n_f(self) -> int:
         return self.x_f.shape[-1]
 
-    @property
-    def n(self) -> int:
-        return self.n_r + self.n_f
-
     def joint_data(self) -> tuple[np.ndarray, np.ndarray]:
         """Full training set: remaining columns followed by forgetting columns."""
         return (
@@ -194,15 +191,17 @@ def stack_scenarios(scenarios: Sequence[SyntheticScenario]) -> SyntheticScenario
     leading seed axis; they must share one layout.
 
     Each member of a stacked array is a C-ordered copy of its scenario's,
-    so a solver sees the memory layout of that scenario alone.
+    so a solver sees the memory layout of that scenario alone.  The
+    stacked arrays are read-only: a run's solvers and oracle read one
+    stack, and neither can write what the other reads.
     """
     layout = scenarios[0].layout
     if any(s.layout != layout for s in scenarios):
         raise ValueError("stacked scenarios must share one layout")
-    return SyntheticScenario(
-        layout=layout,
-        **{name: np.stack([getattr(s, name) for s in scenarios]) for name in _ARRAYS},
-    )
+    arrays = {name: np.stack([getattr(s, name) for s in scenarios]) for name in _ARRAYS}
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return SyntheticScenario(layout=layout, **arrays)
 
 
 def decompose_w_star(scenario: SyntheticScenario) -> WStarDecomposition:

@@ -27,8 +27,9 @@ when every check holds, and 1 with the first failure on stderr.
   the committed ``shipped_classifier_digests.sha256``
   (:func:`check_digests`).
 - ``against REV``: each config with this tree's code and config, and with
-  the code and config of a git worktree of ``REV``, on the shipped seeds
-  and on ``--seeds 3,11,5``, at ``--log-level DEBUG``; the two runs agree
+  the code and config of ``REV``, unpacked by ``git archive`` into the
+  temporary directory (:func:`unpack`), on the shipped seeds and on
+  ``--seeds 3,11,5``, at ``--log-level DEBUG``; the two runs agree
   (:func:`compare_against`).  The note names each top-level config key
   whose ``# config:`` echo changed, which the CSV comparison skips.  A
   config that ``REV`` lacks is skipped.
@@ -42,11 +43,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -329,18 +332,21 @@ def against(tree: Path, config: Path, out: Path) -> str:
     return "; ".join(notes)
 
 
-def add_worktree(rev: str, tree: Path) -> None:
-    """Check out ``rev`` at ``tree`` and make sure its runs import
+def unpack(rev: str, tree: Path) -> None:
+    """Unpack ``rev``'s files at ``tree`` with ``git archive``, which
+    writes nothing under ``.git``, and make sure its runs import
     ``unlearn_lab`` from there."""
-    added = subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
-                            str(tree), rev], capture_output=True, text=True)
-    if added.returncode:
-        raise CheckFailed(f"no worktree of {rev}:\n{added.stderr}")
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             capture_output=True)
+    if archive.returncode:
+        raise CheckFailed(f"no archive of {rev}:\n{archive.stderr.decode(errors='replace')}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(tree, filter="data")
     done = subprocess.run([sys.executable, "-c", "import unlearn_lab; print(unlearn_lab.__file__)"],
                           env=child_env(tree), cwd=tree.parent, capture_output=True, text=True)
     imported = Path(done.stdout.strip()).resolve()
     if done.returncode or not imported.is_relative_to((tree / "src").resolve()):
-        raise CheckFailed(f"the worktree of {rev} imports unlearn_lab from {imported}:"
+        raise CheckFailed(f"the copy of {rev} imports unlearn_lab from {imported}:"
                           f"\n{done.stderr}")
 
 
@@ -360,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         label = "against"
         try:
             if "against" in names:
-                add_worktree(args.rev, tree)
+                unpack(args.rev, tree)
             for config in sorted((ROOT / "configs").glob("*.json")):
                 for name in names:
                     label = f"{name} {config.stem}"
@@ -373,10 +379,6 @@ def main(argv: list[str] | None = None) -> int:
         except CheckFailed as exc:
             print(f"{label}: FAILED: {exc}", file=sys.stderr)
             return 1
-        finally:
-            if tree.exists():
-                subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
-                               check=False)
     print(f"{args.check}: every check holds")
     return 0
 

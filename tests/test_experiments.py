@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from unlearn_lab import experiments, linalg
 from unlearn_lab.cli import main
 from unlearn_lab.errors import ConfigError, DivergenceError
-from unlearn_lab.scenarios import DIST_TAGS, FeatureLayout
+from unlearn_lab.oracle import FINE_TUNED, predict_edited, predict_overlap, within_tolerance
+from unlearn_lab.scenarios import DIST_TAGS, FeatureLayout, gen_scenario
+from unlearn_lab.solvers import EditOption
 from unlearn_lab.experiments import (
     COLUMNS,
     FIELDS,
@@ -256,6 +258,32 @@ class TestVerifyTheorems:
         assert Counter(row["check"] for row in result.rows) == {
             "distinct": 2, "overlap": 2, "edit": 6}
         assert all(row["pass"] is (row["check"] != "distinct") for row in result.rows)
+
+    def test_the_oracle_predicts_on_the_read_only_stack_the_solvers_read(self, monkeypatch):
+        # One stack per layout, from generation to rows: the oracle reads
+        # the very arrays the solvers fit, which neither side can write.
+        read = []
+
+        def recording(name, side):
+            real = getattr(experiments, name)
+
+            def call(scenario, *args):
+                read.append((side, scenario))
+                return real(scenario, *args)
+            monkeypatch.setattr(experiments, name, call)
+
+        recording("train_original", "solvers")
+        for name in ("predict_distinct", "predict_overlap", "predict_edited"):
+            recording(name, "oracle")
+        result = run_experiment("verify-theorems", validate_config(VERIFY_CFG, "verify-theorems"))
+        assert result.passed is True
+        assert [side for side, _ in read] == ["solvers", "oracle", "oracle"] * 2
+        for layout in (read[:3], read[3:]):
+            stack = layout[0][1]
+            assert all(scenario is stack for _, scenario in layout)
+            assert stack.x_r.shape[0] == len(VERIFY_CFG["seeds"])
+            assert not any(getattr(stack, name).flags.writeable
+                           for name in ("x_r", "x_f", "y_r", "y_f", "w_star"))
 
     def test_uniform_distribution_also_passes(self):
         # The closed forms are distribution-free; the uniform tag exists
@@ -785,6 +813,64 @@ def test_drawn_verify_configs_pass_the_oracle_checks(case):
     assert result.failures == [] and result.passed is True
 
 
+_SWEEP_EDITS = {"zero": EditOption.DISTINCT_ZERO_FORGET, "retain": EditOption.OVERLAP_RETAIN,
+                "discard": EditOption.OVERLAP_DISCARD}
+
+
+def _sweep_rows_against_the_oracle(experiment, cfg, rows) -> int:
+    """Compare every loss cell of a sweep's ``rows`` with the oracle's
+    prediction on that seed's own scenario, through ``within_tolerance``:
+    ``ft`` with :data:`FINE_TUNED`, ``gold`` with ``predict_overlap`` and
+    each ``edit_*`` with ``predict_edited``.  Every loss cell is compared
+    but ``edit_zero`` on an overlap layout, which must read NaN; returns
+    the number of comparisons."""
+    runs = {}
+    for row in rows:
+        layout = FeatureLayout(*cfg.get("layout") or (row["d_r"], row["d_lap"], row["d_f"]))
+        runs.setdefault((row["seed"], layout), []).append(row)
+    compared = 0
+    for (seed, layout), own in runs.items():
+        scenario = gen_scenario(cfg["n_r"], cfg["n_f"], layout, seed, cfg["dist"])
+        names = [name for name in _SWEEP_EDITS if f"rl_edit_{name}" in own[0]]
+        if not layout.is_distinct and "zero" in names:
+            names.remove("zero")
+            assert all(np.isnan(row[f"{loss}_edit_zero"]) for row in own for loss in ("rl", "ul"))
+        edits = predict_edited(scenario, [_SWEEP_EDITS[name] for name in names],
+                               [row["n_t"] for row in own])
+        predicted = {"gold": predict_overlap(scenario),
+                     **{f"edit_{name}": pair for name, pair in zip(names, edits)}}
+        if "rl_ft" in own[0]:
+            predicted["ft"] = FINE_TUNED
+        for name, pair in predicted.items():
+            for loss, value in zip(("rl", "ul"), pair):
+                measured = [row[f"{loss}_{name}"] for row in own]
+                assert np.all(within_tolerance(measured, value)), (seed, layout, name, loss)
+                compared += len(measured)
+    assert compared == sum(not np.isnan(value) for row in rows for column, value in row.items()
+                           if column.startswith(("rl_", "ul_")))
+    return compared
+
+
+@pytest.mark.parametrize("experiment,per_row", [("sweep-nt", 8), ("sweep-overlap", 6)])
+def test_shipped_sweep_rows_match_the_oracle(experiment, per_row):
+    # Every loss cell but sweep-nt's NaN edit_zero on its overlap layout.
+    cfg = validate_config(TestPrefixFactorization._shipped_raw(experiment), experiment)
+    result = run_experiment(experiment, cfg)
+    assert result.failures == [] and result.rows
+    assert _sweep_rows_against_the_oracle(experiment, cfg, result.rows) == per_row * len(
+        result.rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_small_linear_configs(among=["sweep-nt", "sweep-overlap"]))
+def test_drawn_sweep_rows_match_the_oracle(case):
+    # Plain draws, as for verify-theorems above.
+    experiment, cfg, _ = case
+    result = run_experiment(experiment, cfg)
+    assert result.failures == []
+    _sweep_rows_against_the_oracle(experiment, cfg, result.rows)
+
+
 class TestSweepNt:
     def test_distinct_layout_flat_zero_ft_and_constant_golden_ul(self):
         cfg = validate_config(NT_DISTINCT_CFG, "sweep-nt")
@@ -1056,6 +1142,13 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["sweep-nt", "--config", str(path)]) == 2
+
+    def test_a_config_that_is_not_an_object_exits_two_with_one_line(self, tmp_path, capsys):
+        path, out = tmp_path / "list.json", tmp_path / "run.csv"
+        path.write_text('[{"seeds": [0]}]', encoding="utf-8")
+        assert main(["sweep-nt", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("experiment,text,key", [
         ("sweep-nt", '{"seeds": [0], "seeds": [1, 2]}', "seeds"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unlearn_lab.rng import stream
+from unlearn_lab.scenarios import FeatureLayout, gen_scenario
 
 
 def _draw(seed):
@@ -23,3 +24,14 @@ class TestStream:
     def test_out_of_range_seed_rejected(self, seed):
         with pytest.raises(ValueError):
             stream(seed, "x_r")
+
+    @pytest.mark.parametrize("seed,kind", [(True, "bool"), (False, "bool"), (1.0, "float"),
+                                           ("3", "str")])
+    def test_a_seed_that_is_not_an_integer_is_rejected(self, seed, kind):
+        # bool is an int subclass: True would otherwise draw seed 1's stream.
+        with pytest.raises(TypeError, match=f"^seed must be an integer, got {kind}$"):
+            stream(seed, "x_r")
+
+    def test_a_bool_seed_generates_no_scenario(self):
+        with pytest.raises(TypeError, match="^seed must be an integer, got bool$"):
+            gen_scenario(30, 10, FeatureLayout(20, 0, 20), seed=True)

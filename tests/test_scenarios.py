@@ -56,7 +56,7 @@ class TestFeatureLayout:
 class TestGenScenario:
     def test_reference_distinct_geometry(self):
         s = gen_scenario(30, 10, REFERENCE_DISTINCT, seed=7)
-        assert s.d == 40 and s.n == 40
+        assert s.d == 40 and s.n_r + s.n_f == 40
         assert s.x_r.shape == (40, 30) and s.x_f.shape == (40, 10)
         # Forgetting data touches none of the first 20 coordinates.
         assert np.all(s.x_f[:20] == 0.0)
@@ -116,7 +116,7 @@ class TestGenScenario:
     def test_full_span_allowed(self):
         # n = d is the reference geometry and must be accepted.
         s = gen_scenario(30, 10, REFERENCE_DISTINCT, seed=0)
-        assert s.n == s.d
+        assert s.n_r + s.n_f == s.d
 
     def test_uniform_dist_tag(self):
         s = gen_scenario(10, 5, FeatureLayout(8, 0, 8), seed=2, dist="uniform")

@@ -219,6 +219,20 @@ class TestStackedScenarios:
             assert np.array_equal(w_t[i], fine_tune_unlearn(edited[i], *fine_tune_subset(s, 12)))
             assert (rl[i], ul[i]) == measure_losses(w_t[i], s)
 
+    def test_the_stacked_arrays_are_read_only_and_their_members_are_not(self):
+        # A run's solvers and oracle read one stack; neither may write it.
+        scenarios = [gen_scenario(30, 10, OVERLAP, seed) for seed in (0, 4)]
+        stack = stack_scenarios(scenarios)
+        with pytest.raises(ValueError, match="read-only"):
+            fine_tune_subset(stack, 3)[0][...] = 1.0
+        for name in ("x_r", "x_f", "y_r", "y_f", "w_star"):
+            stacked, member = getattr(stack, name), getattr(scenarios[1], name)
+            with pytest.raises(ValueError, match="read-only"):
+                stacked[..., 0] = 1.0
+            # gen_scenario's arrays stay writable, and the stack is a copy.
+            member[..., 0] = 7.0
+            assert not np.any(stacked[1, ..., 0] == 7.0)
+
     def test_members_must_share_one_layout(self):
         with pytest.raises(ValueError, match="one layout"):
             stack_scenarios([gen_scenario(30, 10, DISTINCT, 0), gen_scenario(30, 10, OVERLAP, 0)])
