@@ -45,10 +45,11 @@ numpy's stacked gemms take their fast path on C-ordered features; a
 boolean-mask column selection (:func:`split_class`) returns Fortran
 order, on which the same products take two to five times as long.
 
-A fit carries each member as one ``(K, D + 1)`` parameter array whose
-last column is the bias: :func:`pretrain` starts it at zero,
-:func:`unlearn_ft` packs its starts into it, and both split their
-results back into weights and bias.  The cross-entropy kernel has one
+A model is one ``(K, D + 1)`` parameter array whose last column is the
+bias, and a stack of them one ``(..., K, D + 1)`` array: :func:`pretrain`
+starts its stack at zero and returns it, :func:`unlearn_ft` takes and
+returns one, and :func:`run_seed_grid` splits the final stack into
+weights and bias once, for scoring.  The cross-entropy kernel has one
 form, :class:`_StackCE`, built once per fit for the stack's leading
 shape.  It holds what the epochs share: its sets' targets and their
 features with a ones row, so that one gemm adds the bias and one returns
@@ -117,29 +118,6 @@ class LabeledSet:
     @property
     def size(self) -> int:
         return self.labels.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class SoftmaxClassifier:
-    """Linear softmax model: logits are ``W x + b`` per column of ``x``.
-
-    :func:`pretrain` and :func:`unlearn_ft` on stacked sets return one
-    model per seed as one object with ``(S, K, D)`` weights.
-    """
-
-    weights: np.ndarray = field(repr=False)
-    bias: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise ValueError("model parameters must be finite")
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[-2]
-
-    def logits(self, features: np.ndarray) -> np.ndarray:
-        return self.weights @ features + self.bias[..., None]
 
 
 def gen_class_task(
@@ -425,7 +403,10 @@ def fit_softmax(
     it would follow alone.
 
     The stack keeps its shape through the whole fit.  A member whose loss
-    turns non-finite counts one halving and descends on with the others.
+    turns non-finite counts one halving and descends on with the others;
+    so does one still owed a result whose parameters are not all finite
+    when the epochs end, as a last update can leave the float range with
+    every loss finite.
     Once no member still owed a result is finite, or when the epochs end
     with a member that diverged, the whole stack restarts from its start
     parameters, each member at ``step_size / 2 ** halvings``: a member
@@ -436,7 +417,8 @@ def fit_softmax(
     fit: it raises :class:`DivergenceError` with a step-size hint and the
     number of members that ran out of halvings.
 
-    Returns only the final parameters, shaped like ``params``.
+    Returns only the final parameters, shaped like ``params``, every one
+    of them finite.
     """
     if params.ndim < 3:
         raise ValueError("fit_softmax takes a stack: parameters (..., M, K, D + 1)")
@@ -461,6 +443,7 @@ def fit_softmax(
                 # The bits of p -= step * grad, without the temporary.
                 grad *= step
                 p -= grad
+        halvings[(halvings == attempt) & ~np.isfinite(p).all(axis=(-2, -1))] = attempt + 1
         if not (halvings > attempt).any():
             return p
     raise DivergenceError(
@@ -468,72 +451,53 @@ def fit_softmax(
         f"at step size {step_size / 2.0 ** MAX_HALVINGS:.3e}; try a smaller step_size")
 
 
-def _split(params: np.ndarray) -> SoftmaxClassifier:
-    """The model of ``(..., K, D + 1)`` parameters whose last column is the
-    bias.  The weights are copied to C order: gemm bits depend on the
-    operands' layout, and so scoring a model multiplies C-ordered weights
-    whichever stack they came from."""
-    return SoftmaxClassifier(
-        weights=np.ascontiguousarray(params[..., :-1]), bias=params[..., -1].copy())
-
-
-def pretrain(
-    train: LabeledSet, epochs: int, step_size: float, num_classes: int | None = None
-) -> SoftmaxClassifier:
+def pretrain(train: LabeledSet, epochs: int, step_size: float, num_classes: int) -> np.ndarray:
     """Train a softmax classifier from zero-initialized parameters.
 
     Plain cross-entropy on ``train`` for ``epochs`` full-batch steps;
-    returns the model after the last step, and with zero epochs the zero
-    model.  A stacked ``train`` of ``S`` seeds trains one model per seed
-    in one stack and returns them as one model with ``(S, K, D)`` weights;
-    a 2-D ``train`` is a one-member stack.  ``num_classes`` defaults to
-    ``max(label) + 1`` and must be given explicitly when the training
-    split does not contain the highest class; a label outside ``[0,
-    num_classes)`` raises :class:`ValueError`.
+    returns the ``(K, D + 1)`` parameters after the last step, the bias
+    as their last column, and with zero epochs the zero model.  A stacked
+    ``train`` of ``S`` seeds trains one model per seed in one stack and
+    returns ``(S, K, D + 1)`` parameters; a 2-D ``train`` is a one-member
+    stack.  A label outside ``[0, num_classes)`` raises
+    :class:`ValueError`.
     """
-    if num_classes is None:
-        num_classes = int(train.labels.max()) + 1
     lead = train.features.shape[:-2] + (1,)
     params = fit_softmax(
         np.zeros(lead + (num_classes, train.features.shape[-2] + 1)),
         _StackCE(train, num_classes, lead),
         epochs, step_size,
     )
-    return _split(params[..., 0, :, :])
+    return params[..., 0, :, :]
 
 
 def unlearn_ft(
-    starts: Sequence[SoftmaxClassifier],
+    starts: np.ndarray,
     coefs: Sequence[tuple[float, float]],
     remain: LabeledSet,
     forget: LabeledSet,
     epochs: int,
     step_size: float,
-) -> list[SoftmaxClassifier]:
+) -> np.ndarray:
     """Fine-tune one model per start, all of them as one stack.
 
-    Member ``i`` starts from ``starts[i]`` and descends
-    ``coefs[i][0] * CE(remain) + coefs[i][1] * CE(forget)``, with weights
-    from :func:`ft_coefficients`; ``forget`` must already hold the
-    relabeled targets, each in ``[0, K)`` or :class:`ValueError`.  Every
-    member descends, so a caller gives each objective once:
-    :func:`run_seed_grid` keys its pairs.  ``starts`` must be non-empty.
+    ``starts`` is ``(M, K, D + 1)``, one model per member with its bias
+    as the last column.  Member ``i`` starts from ``starts[i]`` and
+    descends ``coefs[i][0] * CE(remain) + coefs[i][1] * CE(forget)``,
+    with weights from :func:`ft_coefficients`; ``forget`` must already
+    hold the relabeled targets, each in ``[0, K)`` or
+    :class:`ValueError`.  Every member descends, so a caller gives each
+    objective once: :func:`run_seed_grid` keys its pairs.  ``M`` must be
+    at least one.
 
-    With the stacked sets of ``S`` seeds, every start holds one model per
-    seed, ``(S, K, D)`` weights, and so does every returned model: each
-    member descends once per seed, all in one stack, and a member of any
-    seed that runs out of halvings raises the stack's
-    :class:`DivergenceError`.
+    With the stacked sets of ``S`` seeds, ``starts`` is ``(S, M, K, D +
+    1)``: each member descends once per seed, all in one stack, and a
+    member of any seed that runs out of halvings raises the stack's
+    :class:`DivergenceError`.  Returns the final parameters, shaped like
+    ``starts``.
     """
-    # (..., M, K, D + 1): one member per start of each seed, each the start's
-    # weights and then its bias as the last column.
-    params = np.stack([np.concatenate([start.weights, start.bias[..., None]], axis=-1)
-                       for start in starts], axis=-3)
-    final = fit_softmax(
-        params, _Objective(remain, forget, *zip(*coefs), starts[0].num_classes),
-        epochs, step_size,
-    )
-    return [_split(final[..., k, :, :]) for k in range(len(starts))]
+    return fit_softmax(starts, _Objective(remain, forget, *zip(*coefs), starts.shape[-2]),
+                       epochs, step_size)
 
 
 @dataclass(frozen=True)
@@ -564,7 +528,9 @@ def run_seed_grid(
     :data:`VARIANTS` start from the pretrained model, and ``"retrain"``,
     the fit from scratch on the remaining classes, is the zero start with
     weights ``(1, 0)``.  Each distinct key of a start and weights is one
-    member, scored once per seed, and its pairs read its scores.
+    member, scored once per seed, and its pairs read its scores; the
+    final ``(S, M, K, D + 1)`` stack is split into weights and bias once,
+    for all of the scoring.
 
     Returns, per distinct seed in order, UA/RA/TA per pair, in order (TA
     is measured on held-out samples of the remaining classes).  A member
@@ -604,17 +570,21 @@ def run_seed_grid(
                        sets[seeds[0]][i].labels)
             for i in range(3))
     with stage("pretrain"):
-        model = pretrain(train, epochs, step_size, num_classes=task.num_classes)
-    zero = SoftmaxClassifier(weights=np.zeros_like(model.weights), bias=np.zeros_like(model.bias))
+        model = pretrain(train, epochs, step_size, task.num_classes)
     with stage("fine_tune"):
-        finals = unlearn_ft([zero if retrain else model for retrain, _ in members],
-                            [coefs for _, coefs in members], remain, relabeled, epochs, step_size)
+        final = unlearn_ft(
+            np.stack([np.zeros_like(model) if retrain else model for retrain, _ in members],
+                     axis=-3),
+            [coefs for _, coefs in members], remain, relabeled, epochs, step_size)
     grid = {}
     with stage("score"):
+        # Split once.  The weights are copied to C order: gemm bits depend on
+        # the operands' layout, and so scoring multiplies C-ordered weights
+        # whichever stack they came from.
+        weights, bias = np.ascontiguousarray(final[..., :-1]), final[..., -1]
         for i, seed in enumerate(seeds):
             _, remain, _, forget, test_remain = sets[seed]
-            scores = [classifier_metrics(
-                SoftmaxClassifier(weights=final.weights[i], bias=final.bias[i]),
-                forget, remain, test_remain) for final in finals]
+            scores = [classifier_metrics(weights[i, k], bias[i, k], forget, remain, test_remain)
+                      for k in range(len(members))]
             grid[seed] = [scores[members[key]] for key in keys]
     return grid

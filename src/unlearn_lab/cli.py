@@ -70,7 +70,10 @@ def _parse_seeds(raw: str) -> list[int]:
     parts = raw.split(",")
     if not all(_SEED.fullmatch(part) for part in parts):
         raise ConfigError(f"--seeds must be comma-separated integers, got {raw!r}")
-    return [int(part) for part in parts]
+    try:
+        return [int(part) for part in parts]
+    except ValueError as exc:  # an entry longer than Python's int-string limit
+        raise ConfigError(f"--seeds: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -377,7 +377,9 @@ def validate_config(raw: dict, experiment: str) -> dict:
 
 def load_config(path: str | Path, experiment: str) -> dict:
     """Read and validate a JSON config file.  A key that one object
-    repeats, at any depth, raises :class:`ConfigError`."""
+    repeats, at any depth, raises :class:`ConfigError`, as does a file
+    that Python cannot parse: one nested too deeply, or one that holds an
+    integer too long to convert."""
     def unique(pairs: list) -> dict:
         obj = {}
         for key, value in pairs:
@@ -394,6 +396,10 @@ def load_config(path: str | Path, experiment: str) -> dict:
         raw = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting deeper than the parser's recursion, or an integer literal
+        # longer than Python's int-string limit.
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     return validate_config(raw, experiment)
 
 

@@ -43,7 +43,7 @@ from .oracle import within_tolerance
 from .scenarios import SyntheticScenario
 
 if TYPE_CHECKING:
-    from .classifier import LabeledSet, SoftmaxClassifier
+    from .classifier import LabeledSet
 
 _STAGES: ContextVar[dict[str, float] | None] = ContextVar("stages", default=None)
 
@@ -170,20 +170,25 @@ def gap_report(measured, predicted) -> GapReport:
     return GapReport(rl=_gap_entry(rl, rl_pred), ul=_gap_entry(ul, ul_pred))
 
 
-def accuracy(model: SoftmaxClassifier, data: LabeledSet) -> float:
-    """Fraction of samples whose highest logit matches the label.
+def accuracy(weights: np.ndarray, bias: np.ndarray, data: LabeledSet) -> float:
+    """Fraction of samples whose highest logit ``W x + b`` matches the label.
 
-    Ties are broken toward the lowest class index, and adding a common
-    constant to every logit leaves the result unchanged.
+    ``weights`` is ``(K, D)`` and ``bias`` ``(K,)``.  Ties are broken
+    toward the lowest class index, and adding a common constant to every
+    logit leaves the result unchanged.
     """
     if data.size == 0:
         raise ValueError("accuracy of an empty set is undefined")
-    predicted = np.argmax(model.logits(data.features), axis=0)
+    predicted = np.argmax(weights @ data.features + bias[..., None], axis=0)
     return float(np.mean(predicted == data.labels))
 
 
-def classifier_metrics(model: SoftmaxClassifier, forget_set: LabeledSet,
+def classifier_metrics(weights: np.ndarray, bias: np.ndarray, forget_set: LabeledSet,
                        remain_set: LabeledSet, test_set: LabeledSet) -> Metrics:
-    """UA/RA/TA of a classifier: ``UA = 1 - accuracy`` on the forget set."""
-    return Metrics(ua=1.0 - accuracy(model, forget_set), ra=accuracy(model, remain_set),
-                   ta=accuracy(model, test_set))
+    """UA/RA/TA of the classifier of ``(K, D)`` weights and ``(K,)`` bias:
+    ``UA = 1 - accuracy`` on the forget set.  Parameters that are not all
+    finite raise :class:`ValueError`."""
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise ValueError("model parameters must be finite")
+    return Metrics(ua=1.0 - accuracy(weights, bias, forget_set),
+                   ra=accuracy(weights, bias, remain_set), ta=accuracy(weights, bias, test_set))

@@ -15,7 +15,6 @@ from unlearn_lab.cli import main
 from unlearn_lab.classifier import (
     ClassTask,
     LabeledSet,
-    SoftmaxClassifier,
     _Objective,
     _StackCE,
     ft_coefficients,
@@ -113,9 +112,13 @@ def _objective_alone(weights, bias, remain, forget, variant, alpha, epochs, step
 
 
 def _unlearn_pairs(model, pairs, remain, forget, epochs, step_size):
-    """``unlearn_ft`` of (variant, alpha) pairs that all start from ``model``."""
+    """``unlearn_ft`` of (variant, alpha) pairs that all start from the
+    ``(..., K, D + 1)`` parameters ``model``; returns the final parameters
+    member by member, each shaped like ``model``."""
     coefs = [ft_coefficients(variant, alpha) for variant, alpha in pairs]
-    return unlearn_ft([model] * len(pairs), coefs, remain, forget, epochs, step_size)
+    final = unlearn_ft(np.stack([model] * len(pairs), axis=-3), coefs, remain, forget,
+                       epochs, step_size)
+    return list(np.moveaxis(final, -3, 0))
 
 
 class TestGenClassTask:
@@ -135,8 +138,8 @@ class TestGenClassTask:
 
     def test_wide_separation_is_learnable(self):
         train, _ = gen_class_task(4, 30, 8, sep=8.0, seed=1)
-        model = pretrain(train, 300, 0.1)
-        assert accuracy(model, train) > 0.99
+        model = pretrain(train, 300, 0.1, num_classes=4)
+        assert accuracy(model[:, :-1], model[:, -1], train) > 0.99
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
@@ -287,8 +290,8 @@ class TestObjectiveStructure:
 class TestFitEngine:
     def test_zero_epochs_returns_initial_parameters(self):
         train, _ = gen_class_task(3, 10, 5, sep=2.0, seed=4)
-        model = pretrain(train, 0, 0.1)
-        assert np.all(model.weights == 0.0) and np.all(model.bias == 0.0)
+        model = pretrain(train, 0, 0.1, num_classes=3)
+        assert model.shape == (3, 6) and np.all(model == 0.0)
 
     def test_loss_non_increasing_for_small_steps(self):
         remain, forget, weights, bias = _small_problem(14)
@@ -341,11 +344,11 @@ class TestFitEngine:
         train, _ = gen_class_task(5, 4, 5, sep=2.0, seed=0)
         with pytest.raises(ValueError, match=r"labels outside \[0, 2\)"):
             pretrain(train, 3, 0.1, num_classes=2)
-        model = pretrain(train, 3, 0.1)
+        model = pretrain(train, 3, 0.1, num_classes=5)
         forget, remain = split_class(train, 4)
         wrapped = LabeledSet(forget.features, np.full(forget.size, -1))
         with pytest.raises(ValueError, match=r"labels outside \[0, 5\)"):
-            unlearn_ft([model], [(1.0, 0.5)], remain, wrapped, 3, 0.1)
+            unlearn_ft(model[None], [(1.0, 0.5)], remain, wrapped, 3, 0.1)
 
     def test_unstacked_parameters_rejected(self):
         remain, forget, weights, bias = _small_problem(18)
@@ -445,14 +448,12 @@ class TestSplitClass:
 
 
 class TestArrayHoldersCompareByIdentity:
-    """Sets, models and cross-entropy passes hold arrays, so they compare,
-    hash and test membership by identity instead of raising."""
+    """Sets and cross-entropy passes hold arrays, so they compare, hash and
+    test membership by identity instead of raising."""
 
     def test_equal_valued_holders_are_distinct_and_hashable(self):
         train, _ = gen_class_task(3, 4, 5, sep=2.0, seed=0)
-        weights, bias = np.ones((3, 5)), np.zeros(3)
         for make in (lambda: LabeledSet(train.features.copy(), train.labels.copy()),
-                     lambda: SoftmaxClassifier(weights.copy(), bias.copy()),
                      lambda: _StackCE(train, 3, (1,))):
             first, second = make(), make()
             assert first == first and first != second
@@ -464,10 +465,10 @@ class TestUnlearnFtStartsFromPretrained:
     def test_zero_epoch_unlearning_returns_pretrained(self):
         train, _ = gen_class_task(3, 10, 5, sep=3.0, seed=6)
         forget, remain = split_class(train, 0)
-        model = pretrain(train, 100, 0.1)
-        [frozen] = unlearn_ft([model], [ft_coefficients("naive-ft", 0.5)], remain, forget, 0, 0.1)
-        np.testing.assert_array_equal(frozen.weights, model.weights)
-        np.testing.assert_array_equal(frozen.bias, model.bias)
+        model = pretrain(train, 100, 0.1, num_classes=3)
+        [frozen] = unlearn_ft(
+            model[None], [ft_coefficients("naive-ft", 0.5)], remain, forget, 0, 0.1)
+        np.testing.assert_array_equal(frozen, model)
 
 
 class TestSeedGrid:
@@ -498,15 +499,14 @@ class TestSeedGrid:
         for (variant, alpha), member in zip(pairs, stacked):
             [alone] = _unlearn_pairs(model, [(variant, alpha)], remain, relabeled, *self.SCHEDULE)
             w, b, _ = _fit_alone(
-                model.weights, model.bias,
+                model[:, :-1], model[:, -1],
                 lambda w_, b_: objective_value_and_grad(
                     w_, b_, remain, relabeled, variant, alpha
                 ),
                 *self.SCHEDULE,
             )
-            for other_w, other_b in ((alone.weights, alone.bias), (w, b)):
-                np.testing.assert_array_equal(member.weights, other_w)
-                np.testing.assert_array_equal(member.bias, other_b)
+            for other in (alone, pack(w, b)):
+                np.testing.assert_array_equal(member, other)
 
     def test_unknown_variant_rejected_before_any_work(self):
         with pytest.raises(ValueError, match="gradient-ascent"):
@@ -652,7 +652,8 @@ class TestOnesRowContract:
     """A fit reads each set as C-contiguous ``(..., D + 1, m)`` features
     whose last row is exactly 1.0, built once per set per fit, and carries
     each model as ``(K, D + 1)`` parameters whose last column is the bias:
-    the models it returns hold those columns apart, bit for bit."""
+    :func:`pretrain` and :func:`unlearn_ft` return the fits' parameters,
+    bit for bit."""
 
     @staticmethod
     def _stacked_sets():
@@ -694,15 +695,13 @@ class TestOnesRowContract:
         model = pretrain(train, 20, 0.1, num_classes=4)
         assert built == [train]
         coefs = [ft_coefficients("naive-ft", 0.0), ft_coefficients("kl-ft", 0.5)]
-        finals = unlearn_ft([model, model], coefs, remain, relabeled, 20, 0.1)
+        final = unlearn_ft(np.stack([model, model], axis=-3), coefs, remain, relabeled, 20, 0.1)
         # The fine-tune builds its two sets once, as one joint pass.
         assert built == [train, (remain, relabeled)]
         # The stacks keep their seed axis: (S, 1, K, D + 1), then (S, M, K, D + 1).
         assert [params.shape for params in fitted] == [(2, 1, 4, 6), (2, 2, 4, 6)]
         pretrained, tuned = fitted
-        for got, params in ((model, pretrained[:, 0]), *zip(finals, np.swapaxes(tuned, 0, 1))):
-            assert np.array_equal(got.weights, params[..., :-1])
-            assert np.array_equal(got.bias, params[..., -1])
+        assert np.array_equal(model, pretrained[:, 0]) and np.array_equal(final, tuned)
 
 
 class TestJointPass:
@@ -902,8 +901,7 @@ class TestLayoutContract:
 
         for sets in c_sets:
             for got, want in zip(fit(*map(self._fortran, sets)), fit(*sets)):
-                assert np.array_equal(got.weights, want.weights)
-                assert np.array_equal(got.bias, want.bias)
+                assert np.array_equal(got, want)
 
     def test_run_seed_grid_on_fortran_ordered_tasks_gives_the_same_models(self, monkeypatch):
         real_metrics, real_task = classifier.classifier_metrics, classifier.gen_class_task
@@ -911,9 +909,9 @@ class TestLayoutContract:
         def run():
             scored = []
 
-            def capture(final, *args, **kwargs):
-                scored.append(final)
-                return real_metrics(final, *args, **kwargs)
+            def capture(weights, bias, *args, **kwargs):
+                scored.append(pack(weights, bias))
+                return real_metrics(weights, bias, *args, **kwargs)
 
             monkeypatch.setattr(classifier, "classifier_metrics", capture)
             grid = run_seed_grid(self.TASK, self.PAIRS, [0, 1], 60, 0.1)
@@ -926,8 +924,7 @@ class TestLayoutContract:
         assert got_rows == want_rows
         assert len(got_models) == len(want_models) == 8
         for got, want in zip(got_models, want_models):
-            assert np.array_equal(got.weights, want.weights)
-            assert np.array_equal(got.bias, want.bias)
+            assert np.array_equal(got, want)
 
 
 class TestMixingExactness:
@@ -1053,9 +1050,9 @@ class TestDistinctObjectives:
         scored = []
         real = classifier.classifier_metrics
 
-        def counting(final, *args, **kwargs):
-            scored.append(final)
-            return real(final, *args, **kwargs)
+        def counting(weights, bias, *args, **kwargs):
+            scored.append(pack(weights, bias))
+            return real(weights, bias, *args, **kwargs)
 
         monkeypatch.setattr(classifier, "classifier_metrics", counting)
         return scored
@@ -1095,17 +1092,16 @@ class TestDistinctObjectives:
         models = []
         real_metrics = classifier.classifier_metrics
 
-        def capture(final, *args, **kwargs):
-            models.append(final)
-            return real_metrics(final, *args, **kwargs)
+        def capture(weights, bias, *args, **kwargs):
+            models.append(pack(weights, bias))
+            return real_metrics(weights, bias, *args, **kwargs)
 
         monkeypatch.setattr(classifier, "classifier_metrics", capture)
         del fits[:]
         pairs = [("retrain", 0.0), ("naive-ft", 0.5), ("kl-ft", 0.5), ("ce-ft", 0.5)]
         run_seed_grid(task, pairs, [seed], *self.SCHEDULE)
         assert [shape for shape, _ in fits] == [(1, 1), (1, 4)]
-        assert np.array_equal(models[0].weights, golden.weights)
-        assert np.array_equal(models[0].bias, golden.bias)
+        assert np.array_equal(models[0], golden)
 
     @pytest.mark.parametrize("experiment,pairs,members", [
         ("classifier-demo", 5, 4),
@@ -1147,9 +1143,8 @@ class TestDistinctObjectives:
                 del scored[:]
                 run_seed_grid(task, [pairs[i]], [3], *schedule)
                 [alone] = scored
-                np.testing.assert_array_equal(member.weights, alone.weights)
-                np.testing.assert_array_equal(member.bias, alone.bias)
-        assert not np.array_equal(members[0].weights, members[1].weights)
+                np.testing.assert_array_equal(member, alone)
+        assert not np.array_equal(members[0], members[1])
 
     def test_unlearn_ft_descends_every_member_it_is_given(self, fits):
         # The grid keys its pairs; unlearn_ft dedupes nothing.
@@ -1161,9 +1156,8 @@ class TestDistinctObjectives:
         twins = _unlearn_pairs(
             model, [("kl-ft", 0.3), ("ice-ft", 0.3)], remain, relabeled, 20, 0.1)
         assert [shape for shape, _ in fits] == [(2,)]
-        assert twins[0] is not twins[1]
-        np.testing.assert_array_equal(twins[0].weights, twins[1].weights)
-        np.testing.assert_array_equal(twins[0].bias, twins[1].bias)
+        assert len(twins) == 2
+        np.testing.assert_array_equal(twins[0], twins[1])
 
     def test_a_diverging_objective_listed_twice_restarts_once(self, fits, monkeypatch):
         task, remain, forget, weights, scored = _exploding_task(monkeypatch)
@@ -1181,8 +1175,7 @@ class TestDistinctObjectives:
         # The twins' one member restarts as often as the objective alone,
         # and each attempt sees the two-member stack.
         assert len(evaluations) == _stack_evaluations([attempts, small])
-        np.testing.assert_array_equal(scored[0].weights, w)
-        np.testing.assert_array_equal(scored[0].bias, b)
+        np.testing.assert_array_equal(scored[0], pack(w, b))
 
         task, *_ = _exploding_task(monkeypatch, stuck=True)
         with pytest.raises(DivergenceError, match=r"loss of 1 model\(s\)"):
@@ -1196,14 +1189,14 @@ def _shipped_config(experiment, **changes):
 
 
 def _run_scoring(monkeypatch, experiment, cfg):
-    """Run a config; returns the result and the ``(weights, bias)`` of every
-    model it scored, seed by seed, in scoring order."""
+    """Run a config; returns the result and the ``(K, D + 1)`` parameters of
+    every model it scored, seed by seed, in scoring order."""
     scored = []
     real = classifier.classifier_metrics
 
-    def capture(final, *args, **kwargs):
-        scored.append((final.weights, final.bias))
-        return real(final, *args, **kwargs)
+    def capture(weights, bias, *args, **kwargs):
+        scored.append(pack(weights, bias))
+        return real(weights, bias, *args, **kwargs)
 
     monkeypatch.setattr(classifier, "classifier_metrics", capture)
     result = experiments.run_experiment(experiment, cfg)
@@ -1237,8 +1230,8 @@ class TestSeedStack:
         assert _seed_rows(stacked) == [row for result, _ in alone for row in _seed_rows(result)]
         alone_models = [model for _, scored in alone for model in scored]
         assert len(models) == len(alone_models) == np.prod(stacks[1])
-        for (w, b), (w_alone, b_alone) in zip(models, alone_models):
-            assert np.array_equal(w, w_alone) and np.array_equal(b, b_alone)
+        for model, model_alone in zip(models, alone_models):
+            assert np.array_equal(model, model_alone)
 
     @pytest.mark.parametrize("case,step_size,message", [
         # Seed 1's pretrain never sees a finite loss.
@@ -1276,8 +1269,8 @@ class TestSeedStack:
         assert _seed_rows(result) == [row for run, _ in alone for row in _seed_rows(run)]
         alone_models = [model for _, scored in alone for model in scored]
         assert len(models) == len(alone_models) == 8
-        for (w, b), (w_alone, b_alone) in zip(models, alone_models):
-            assert np.array_equal(w, w_alone) and np.array_equal(b, b_alone)
+        for model, model_alone in zip(models, alone_models):
+            assert np.array_equal(model, model_alone)
 
     @pytest.mark.parametrize("case,step_size,message", [
         ("non-finite-task", 0.1,
@@ -1401,9 +1394,12 @@ class TestRetainedSubspace:
         assert all(isinstance(scores, list) for scores in grid.values())
         # The members in the order of their first pairs: naive-ft, retrain,
         # kl-ft and its ice-ft twin, ce-ft.
-        starts, coefs, members = returned["unlearn_ft"]
-        assert [start is returned["pretrain"] for start in starts] == [True, False, True, True]
+        starts, coefs, final = returned["unlearn_ft"]
+        assert [np.array_equal(starts[:, k], returned["pretrain"]) for k in range(4)] == [
+            True, False, True, True]
+        assert np.all(starts[:, 1] == 0.0)
         assert coefs == [(1.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.5, 1.0)]
+        members = np.moveaxis(final[..., :-1], -3, 0)
         finals = dict(zip(("naive-ft", "retrain", "kl-ft", "ce-ft"), members),
                       **{"ice-ft": members[2]})
         for i, seed in enumerate(seeds):
@@ -1411,11 +1407,11 @@ class TestRetainedSubspace:
             _, remain = split_class(train, 0)
             assert np.linalg.matrix_rank(remain.features) == 4 * per_class
             outside = np.eye(20) - projector(remain.features)
-            pretrained = returned["pretrain"].weights[i]
+            pretrained = returned["pretrain"][i, :, :-1]
 
             def moved(variant, start):
                 """The move's size outside the remain span, and in all."""
-                delta = finals[variant].weights[i] - start
+                delta = finals[variant][i] - start
                 return np.linalg.norm(delta @ outside), np.linalg.norm(delta)
 
             # The projector is idempotent to TOL_IDEM, so a move inside the
@@ -1508,13 +1504,13 @@ def _exploding_task(monkeypatch, stuck=False):
     weights = np.vstack([weights, np.zeros((1, 3))])
     scored = []
 
-    def score(final, *args):
-        scored.append(final)
+    def score(weights, bias, *args):
+        scored.append(pack(weights, bias))
         return Metrics(ua=0.0, ra=0.0, ta=0.0)
 
     monkeypatch.setattr(classifier, "gen_class_task", lambda *args: (train, train))
-    monkeypatch.setattr(classifier, "pretrain", lambda *args, **kwargs: SoftmaxClassifier(
-        weights[None], np.zeros((1, 4))))
+    monkeypatch.setattr(classifier, "pretrain",
+                        lambda *args, **kwargs: pack(weights[None], np.zeros((1, 4))))
     monkeypatch.setattr(classifier, "classifier_metrics", score)
     forget, remain = split_class(train, 0)
     relabeled = LabeledSet(forget.features, relabel_forget(forget.labels, 4))
@@ -1568,11 +1564,10 @@ class TestStackedDivergence:
     def test_unlearn_ft_matches_the_engine(self):
         remain, forget, weights, bias = _exploding_forget_problem()
         w, b, _, _ = self._stacked_run(remain, forget, weights, bias)
-        model = SoftmaxClassifier(weights=weights, bias=bias)
-        finals = _unlearn_pairs(model, self.MEMBERS, remain, forget, self.EPOCHS, 0.1)
+        finals = _unlearn_pairs(
+            pack(weights, bias), self.MEMBERS, remain, forget, self.EPOCHS, 0.1)
         for i, member in enumerate(finals):
-            np.testing.assert_array_equal(member.weights, w[i])
-            np.testing.assert_array_equal(member.bias, b[i])
+            np.testing.assert_array_equal(member, pack(w[i], b[i]))
 
     @pytest.mark.parametrize("exploding", [(False, True, False), (True, False, True)],
                              ids=["middle-seed", "outer-seeds"])
@@ -1588,11 +1583,11 @@ class TestStackedDivergence:
         def stack(sets):
             return LabeledSet(np.stack([s.features for s in sets]), sets[0].labels)
 
-        model = SoftmaxClassifier(np.stack([weights] * 3), np.stack([bias] * 3))
-        finals = _unlearn_pairs(
-            model, self.MEMBERS, stack([remain] * 3), stack(forgets), self.EPOCHS, 0.1)
-        alone = [_unlearn_pairs(SoftmaxClassifier(weights, bias), self.MEMBERS, remain, f,
-                                self.EPOCHS, 0.1) for f in forgets]
+        model = pack(weights, bias)
+        finals = _unlearn_pairs(np.stack([model] * 3), self.MEMBERS, stack([remain] * 3),
+                                stack(forgets), self.EPOCHS, 0.1)
+        alone = [_unlearn_pairs(model, self.MEMBERS, remain, f, self.EPOCHS, 0.1)
+                 for f in forgets]
         [(shape, evaluations), *own] = fits
         assert shape == (3, len(self.MEMBERS))
         assert [len(e) > self.EPOCHS for _, e in own] == list(exploding)
@@ -1601,8 +1596,7 @@ class TestStackedDivergence:
         assert len(evaluations) == max(len(e) for _, e in own)
         for i, members in enumerate(alone):
             for final, member in zip(finals, members):
-                assert np.array_equal(final.weights[i], member.weights)
-                assert np.array_equal(final.bias[i], member.bias)
+                assert np.array_equal(final[i], member)
 
     @pytest.mark.parametrize("diverging", [0, 1])
     def test_a_pretrain_seed_that_halves_gives_every_seed_its_own_run(self, fits, diverging):
@@ -1618,18 +1612,45 @@ class TestStackedDivergence:
         assert [len(a) > 1 for a in attempts] == [seed == diverging for seed in range(3)]
         assert len(evaluations) == _stack_evaluations(attempts)
         for i, seed_model in enumerate(alone):
-            assert np.array_equal(model.weights[i], seed_model.weights)
-            assert np.array_equal(model.bias[i], seed_model.bias)
+            assert np.array_equal(model[i], seed_model)
+
+    def test_a_last_update_that_leaves_the_float_range_halves_its_member(self):
+        # One epoch: each loss is taken at the finite start, and only the
+        # update leaves the float range.  The step takes the ice-ft member's
+        # largest update to 1.5x the largest float, so it halves once and
+        # its half step lands at 0.75x; the naive-ft member's gradient lacks
+        # the enormous forget row and its update stays finite at the full step.
+        remain, forget, weights, bias = _exploding_forget_problem()
+        _, grad_w, grad_b = objective_value_and_grad(weights, bias, remain, forget, "ice-ft", 1.0)
+        step = 1.5 * (np.finfo(np.float64).max / np.abs(pack(grad_w, grad_b)).max())
+        members = [("naive-ft", 0.0), ("ice-ft", 1.0)]
+        coef = np.array([ft_coefficients(v, a) for v, a in members])
+        evaluations = []
+
+        def value_and_grad(w, b):
+            evaluations.append(w.shape[:-2])
+            return _mixed_value_and_grad(w, b, remain, forget, coef[:, 0], coef[:, 1])
+
+        w, b, _ = fit_softmax_split(np.stack([weights] * 2), np.stack([bias] * 2),
+                                    value_and_grad, 1, step)
+        assert evaluations == [(2,)] * 2
+        assert np.isfinite(w).all() and np.isfinite(b).all()
+        for i, ((variant, alpha), own_step) in enumerate(zip(members, (step, step / 2))):
+            w_i, b_i, _, attempts = _objective_alone(
+                weights, bias, remain, forget, variant, alpha, 1, own_step)
+            assert attempts == [1]
+            assert np.array_equal(pack(w[i], b[i]), pack(w_i, b_i))
+        with pytest.raises(DivergenceError, match=r"loss of 1 model\(s\)"):
+            _objective_alone(weights, bias, remain, forget, "ice-ft", 1.0, 1, 2.0 ** 6 * step)
 
     def test_exhausted_halvings_raise(self):
         remain, forget, weights, bias = _exploding_forget_problem()
         stuck = LabeledSet(
             features=np.full_like(forget.features, np.inf), labels=forget.labels
         )
-        model = SoftmaxClassifier(weights=weights, bias=bias)
         pairs = [("naive-ft", 0.5), ("ice-ft", 0.5)]
         with pytest.raises(DivergenceError, match="step_size"):
-            _unlearn_pairs(model, pairs, remain, stuck, 3, 0.1)
+            _unlearn_pairs(pack(weights, bias), pairs, remain, stuck, 3, 0.1)
 
     def test_unused_overflowing_forget_term_never_restarts(self):
         remain, _, weights, bias = _small_problem(17, num_classes=3, dim=4)

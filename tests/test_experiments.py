@@ -1143,6 +1143,25 @@ class TestCli:
         path.write_text("{not json", encoding="utf-8")
         assert main(["sweep-nt", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("text,flags", [
+        ("[" * 100_000, []),
+        ('{"seeds": [' + "1" * 5_000 + "]}", []),
+        ('{"seeds": [0]}', ["--seeds", "1" * 5_000]),
+    ], ids=["deep-nesting", "long-integer", "long-seeds-flag"])
+    def test_input_python_cannot_parse_exits_two_with_one_line(
+        self, tmp_path, capsys, text, flags
+    ):
+        # Written by hand: json.dumps cannot write the long integer.  Where
+        # Python has no int-string limit, the integer parses and its range
+        # check rejects it.
+        path, out = tmp_path / "config.json", tmp_path / "run.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["sweep-nt", "--config", str(path), "--out", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_a_config_that_is_not_an_object_exits_two_with_one_line(self, tmp_path, capsys):
         path, out = tmp_path / "list.json", tmp_path / "run.csv"
         path.write_text('[{"seeds": [0]}]', encoding="utf-8")
@@ -1475,6 +1494,23 @@ class TestCli:
         assert [(f["seed"], f["type"]) for f in stacked] == [
             (seed, "DivergenceError") for seed in (3, 11, 5)]
         assert stacked == [f for seed in ("3", "11", "5") for f in failures[seed]]
+
+    def test_an_update_that_leaves_the_float_range_fails_its_seed(self, tmp_path, capsys):
+        # The config that CI also runs through the installed unlearn-lab
+        # script: one epoch at step_size 1e308, so every loss is finite and
+        # only the parameters leave the float range, at every halving.
+        config = Path(__file__).resolve().parents[1] / "tests" / "overflowing_classifier_demo.json"
+        out = tmp_path / "overflow.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["classifier-demo", "--config", str(config), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (1, "")
+        summary = json.loads(summary_path_for(out).read_text())
+        assert summary["rows"] == 0
+        assert summary["failures"] == [{
+            "seed": 0, "type": "DivergenceError",
+            "message": "loss of 1 model(s) became non-finite even at step size 3.125e+306; "
+                       "try a smaller step_size"}]
 
 
 class TestLogLevel:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from unlearn_lab.classifier import LabeledSet, SoftmaxClassifier
+from unlearn_lab.classifier import LabeledSet
 from unlearn_lab.errors import InvalidMatrixError
 from unlearn_lab.metrics import (
     GapEntry,
@@ -335,10 +335,11 @@ class TestStackedReports:
 
 
 def _constant_logit_model(num_classes, feature_dim, favored):
+    """The weights and bias of a model whose logits favor one class."""
     weights = np.zeros((num_classes, feature_dim))
     bias = np.zeros(num_classes)
     bias[favored] = 10.0
-    return SoftmaxClassifier(weights=weights, bias=bias)
+    return weights, bias
 
 
 class TestClassifierMetrics:
@@ -350,34 +351,40 @@ class TestClassifierMetrics:
     def test_perfect_forget_predictions_give_zero_ua(self):
         data = self._set([2, 2, 2])
         model = _constant_logit_model(3, 4, favored=2)
-        metrics = classifier_metrics(model, data, data, data)
+        metrics = classifier_metrics(*model, data, data, data)
         assert metrics.ua == 0.0 and metrics.ra == 1.0 and metrics.ta == 1.0
 
     def test_total_forgetting_gives_unit_ua(self):
         data = self._set([1, 1, 1, 1])
         model = _constant_logit_model(3, 4, favored=0)
-        assert classifier_metrics(model, data, data, data).ua == 1.0
+        assert classifier_metrics(*model, data, data, data).ua == 1.0
 
     def test_empty_set_rejected(self):
         data = self._set([0, 1])
         empty = LabeledSet(features=np.zeros((4, 0)), labels=np.zeros(0, dtype=np.int64))
         model = _constant_logit_model(2, 4, favored=0)
         with pytest.raises(ValueError):
-            classifier_metrics(model, empty, data, data)
+            classifier_metrics(*model, empty, data, data)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_non_finite_parameters_rejected(self, where, value):
+        data = self._set([0, 1, 2])
+        weights, bias = _constant_logit_model(3, 4, favored=0)
+        (weights if where == "weights" else bias)[1] = value
+        with pytest.raises(ValueError, match="model parameters must be finite"):
+            classifier_metrics(weights, bias, data, data, data)
 
     def test_accuracy_invariant_to_constant_logit_shift(self):
         rng = np.random.default_rng(4)
         data = self._set(rng.integers(0, 3, size=50))
         weights = rng.standard_normal((3, 4))
         bias = rng.standard_normal(3)
-        base = SoftmaxClassifier(weights=weights, bias=bias)
-        shifted = SoftmaxClassifier(weights=weights, bias=bias + 137.0)
-        assert accuracy(base, data) == accuracy(shifted, data)
+        assert accuracy(weights, bias, data) == accuracy(weights, bias + 137.0, data)
 
     def test_argmax_ties_break_toward_lowest_class(self):
         data = LabeledSet(features=np.zeros((2, 1)), labels=np.array([0]))
-        model = SoftmaxClassifier(weights=np.zeros((3, 2)), bias=np.zeros(3))
-        assert accuracy(model, data) == 1.0
+        assert accuracy(np.zeros((3, 2)), np.zeros(3), data) == 1.0
 
     def test_fraction_bounds_enforced(self):
         with pytest.raises(ValueError):
