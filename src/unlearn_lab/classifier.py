@@ -20,23 +20,22 @@ Training is deterministic: full batch, fixed step size, no randomness
 beyond data generation.  The engine, :func:`fit_softmax`, descends a
 stack of models at once; every member follows bit for bit the trajectory
 it would follow alone.  A config's seeds share their labels (the task
-layout fixes them), so :func:`run_seed_grid` stacks their features as
-``(S, D, m)``: :func:`pretrain` trains every seed in one ``(S, 1, K, D
-+ 1)`` stack, and :func:`unlearn_ft`, the one stacked fine-tune, descends
-every seed's whole (variant, alpha) grid as a single ``(S, M, K, D + 1)``
-gradient descent, one broadcasting gemm per product.  A stack keeps its
-shape through the whole fit: a member that diverges halves its own step
-size and the whole stack restarts, every other member replaying its own
-trajectory.  :func:`run_seed_grid` keys each pair by its start and its
-weights ``(c_r, c_f)``, and each distinct key is one member that
-descends and is scored once per seed: the ``kl-ft``/``ice-ft`` twins
-share one, and the golden ``retrain`` model is the zero-start ``(1,
-0)`` member of the same stack.  A member
-that runs out of step-size halvings fails its whole stack; the
-experiment runner then runs each seed alone, so a diverging seed fails
-alone with its own run's error.
-Gradients are computed analytically and are checked against finite
-differences in the test suite.
+layout fixes them), so :func:`run_seed_grid` holds every seed's sets as
+one ``(S, D, m)`` stack from generation to scores: :func:`pretrain`
+trains every seed in one ``(S, 1, K, D + 1)`` stack, :func:`unlearn_ft`
+descends every seed's whole (variant, alpha) grid as a single ``(S, M,
+K, D + 1)`` gradient descent, one broadcasting gemm per product, and one
+:func:`~unlearn_lab.metrics.classifier_metrics` call scores the final
+stack.  A stack keeps its shape through the whole fit: a member that
+diverges halves its own step size and the whole stack restarts, every
+other member replaying its own trajectory.  Each distinct key of a start
+and weights ``(c_r, c_f)`` is one member: the ``kl-ft``/``ice-ft`` twins
+share one, and the golden ``retrain`` model is the zero-start ``(1, 0)``
+member of the same stack.  A member that runs out of step-size halvings
+fails its whole stack; the experiment runner then runs each seed alone,
+so a diverging seed fails alone with its own run's error.  Gradients are
+computed analytically and are checked against finite differences in the
+test suite.
 
 Every :class:`LabeledSet` holds C-contiguous features, whatever layout it
 was built from.  Gemm bits depend on the operands' layout, so one layout
@@ -160,11 +159,12 @@ def gen_class_task(
 
 
 def split_class(data: LabeledSet, class_id: int) -> tuple[LabeledSet, LabeledSet]:
-    """Split into (samples of ``class_id``, everything else)."""
+    """Split into (samples of ``class_id``, everything else): one set, or
+    every seed of a stacked set at once, each seed's slice as its own split."""
     mask = data.labels == class_id
     return (
-        LabeledSet(features=data.features[:, mask], labels=data.labels[mask]),
-        LabeledSet(features=data.features[:, ~mask], labels=data.labels[~mask]),
+        LabeledSet(features=data.features[..., mask], labels=data.labels[mask]),
+        LabeledSet(features=data.features[..., ~mask], labels=data.labels[~mask]),
     )
 
 
@@ -447,8 +447,9 @@ def fit_softmax(
         if not (halvings > attempt).any():
             return p
     raise DivergenceError(
-        f"loss of {np.count_nonzero(halvings > MAX_HALVINGS)} model(s) became non-finite even "
-        f"at step size {step_size / 2.0 ** MAX_HALVINGS:.3e}; try a smaller step_size")
+        f"the loss or parameters of {np.count_nonzero(halvings > MAX_HALVINGS)} model(s) became "
+        f"non-finite even at step size {step_size / 2.0 ** MAX_HALVINGS:.3e}; "
+        "try a smaller step_size")
 
 
 def pretrain(train: LabeledSet, epochs: int, step_size: float, num_classes: int) -> np.ndarray:
@@ -520,17 +521,17 @@ def run_seed_grid(
 ) -> dict[int, list[Metrics]]:
     """Full class-wise forgetting pipeline for many seeds and many pairs.
 
-    Generates each seed's task, splits off the forgetting class and
-    relabels it.  The task layout fixes the labels, so the seeds' sets
-    stack: every seed pretrains on all classes in one :func:`pretrain`
-    stack, then every pair of every seed fine-tunes in one
-    :func:`unlearn_ft` stack.  The (variant, alpha) pairs of
-    :data:`VARIANTS` start from the pretrained model, and ``"retrain"``,
-    the fit from scratch on the remaining classes, is the zero start with
-    weights ``(1, 0)``.  Each distinct key of a start and weights is one
-    member, scored once per seed, and its pairs read its scores; the
-    final ``(S, M, K, D + 1)`` stack is split into weights and bias once,
-    for all of the scoring.
+    The task layout fixes the labels, so every seed's sets are one stack
+    from generation to scores, split and relabeled once.  Every seed
+    pretrains on all classes in one :func:`pretrain` stack, then every
+    pair of every seed fine-tunes in one :func:`unlearn_ft` stack.  The
+    (variant, alpha) pairs of :data:`VARIANTS` start from the pretrained
+    model, and ``"retrain"``, the fit from scratch on the remaining
+    classes, is the zero start with weights ``(1, 0)``.  Each distinct key
+    of a start and weights is one member.  One
+    :func:`~unlearn_lab.metrics.classifier_metrics` call scores the final
+    stack, split once into ``(M, S, K, D)`` weights and bias, and each
+    pair reads its member's scores.
 
     Returns, per distinct seed in order, UA/RA/TA per pair, in order (TA
     is measured on held-out samples of the remaining classes).  A member
@@ -538,8 +539,8 @@ def run_seed_grid(
     :class:`DivergenceError`, and no seed gets a result.  Members never
     interact, so each seed run alone gets the bits it gets in the stack.
     The generation, the two stacks and the scoring each time one
-    :func:`~unlearn_lab.metrics.stage`.  An unknown
-    variant, or an ``alpha`` that :func:`ft_coefficients` rejects, raises
+    :func:`~unlearn_lab.metrics.stage`.  An unknown variant, or an
+    ``alpha`` that :func:`ft_coefficients` rejects, raises
     :class:`ValueError` before any work.
     """
     # A pair's member is keyed by its start, zero for retrain, and its weights.
@@ -551,24 +552,16 @@ def run_seed_grid(
     if not pairs:
         return {seed: [] for seed in seeds}
     with stage("generate"):
-        sets = {}
-        for seed in seeds:
-            train, test = gen_class_task(
-                task.num_classes, task.per_class, task.feature_dim, task.sep, seed
-            )
-            forget, remain = split_class(train, task.forget_class)
-            relabeled = LabeledSet(
-                features=forget.features,
-                labels=relabel_forget(forget.labels, task.num_classes),
-            )
-            sets[seed] = train, remain, relabeled, forget, split_class(test, task.forget_class)[1]
+        tasks = [gen_class_task(task.num_classes, task.per_class, task.feature_dim, task.sep, seed)
+                 for seed in seeds]
         # Every seed's features are C-ordered (LabeledSet), and np.stack copies
         # each one as it is: a seed's slice has the layout, and so the gemm
-        # bits, of its own run.
-        train, remain, relabeled = (
-            LabeledSet(np.stack([sets[seed][i].features for seed in seeds]),
-                       sets[seeds[0]][i].labels)
-            for i in range(3))
+        # bits, of its own run.  So has its slice of each split (split_class).
+        train, test = (LabeledSet(np.stack([split[i].features for split in tasks]),
+                                  tasks[0][i].labels) for i in range(2))
+        forget, remain = split_class(train, task.forget_class)
+        relabeled = LabeledSet(forget.features, relabel_forget(forget.labels, task.num_classes))
+        test_remain = split_class(test, task.forget_class)[1]
     with stage("pretrain"):
         model = pretrain(train, epochs, step_size, task.num_classes)
     with stage("fine_tune"):
@@ -576,15 +569,12 @@ def run_seed_grid(
             np.stack([np.zeros_like(model) if retrain else model for retrain, _ in members],
                      axis=-3),
             [coefs for _, coefs in members], remain, relabeled, epochs, step_size)
-    grid = {}
     with stage("score"):
-        # Split once.  The weights are copied to C order: gemm bits depend on
-        # the operands' layout, and so scoring multiplies C-ordered weights
-        # whichever stack they came from.
-        weights, bias = np.ascontiguousarray(final[..., :-1]), final[..., -1]
-        for i, seed in enumerate(seeds):
-            _, remain, _, forget, test_remain = sets[seed]
-            scores = [classifier_metrics(weights[i, k], bias[i, k], forget, remain, test_remain)
-                      for k in range(len(members))]
-            grid[seed] = [scores[members[key]] for key in keys]
-    return grid
+        # Split once, member-major, so that the (M, S, K, D) weights broadcast
+        # against the (S, D, m) sets.  The weights are copied to C order: gemm
+        # bits depend on the operands' layout, and so scoring multiplies
+        # C-ordered weights whichever stack they came from.
+        final = np.moveaxis(final, -3, 0)
+        scores = classifier_metrics(np.ascontiguousarray(final[..., :-1]), final[..., -1],
+                                    forget, remain, test_remain)
+    return {seed: [scores[members[key], i] for key in keys] for i, seed in enumerate(seeds)}

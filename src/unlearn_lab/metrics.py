@@ -170,25 +170,28 @@ def gap_report(measured, predicted) -> GapReport:
     return GapReport(rl=_gap_entry(rl, rl_pred), ul=_gap_entry(ul, ul_pred))
 
 
-def accuracy(weights: np.ndarray, bias: np.ndarray, data: LabeledSet) -> float:
-    """Fraction of samples whose highest logit ``W x + b`` matches the label.
-
-    ``weights`` is ``(K, D)`` and ``bias`` ``(K,)``.  Ties are broken
-    toward the lowest class index, and adding a common constant to every
-    logit leaves the result unchanged.
-    """
+def accuracy(weights: np.ndarray, bias: np.ndarray, data: LabeledSet):
+    """Fraction of samples whose highest logit ``W x + b`` matches the label:
+    a float for ``(K, D)`` weights and ``(K,)`` bias, and for ``(..., K, D)``
+    and ``(..., K)`` stacks an array of their leading shape, each model with
+    the bits of its own call.  ``(M, S, K, D)`` weights pair each member with
+    each seed's ``(S, D, m)`` features.  Ties are broken toward the lowest
+    class index, and adding a common constant to every logit leaves the
+    result unchanged."""
     if data.size == 0:
         raise ValueError("accuracy of an empty set is undefined")
-    predicted = np.argmax(weights @ data.features + bias[..., None], axis=0)
-    return float(np.mean(predicted == data.labels))
+    predicted = np.argmax(weights @ data.features + bias[..., None], axis=-2)
+    hits = np.mean(predicted == data.labels, axis=-1)
+    return hits if hits.ndim else float(hits)
 
 
 def classifier_metrics(weights: np.ndarray, bias: np.ndarray, forget_set: LabeledSet,
-                       remain_set: LabeledSet, test_set: LabeledSet) -> Metrics:
+                       remain_set: LabeledSet, test_set: LabeledSet):
     """UA/RA/TA of the classifier of ``(K, D)`` weights and ``(K,)`` bias:
-    ``UA = 1 - accuracy`` on the forget set.  Parameters that are not all
-    finite raise :class:`ValueError`."""
+    ``UA = 1 - accuracy`` on the forget set.  A stack, shaped as for
+    :func:`accuracy`, gets an object array of each model's :class:`Metrics`.
+    Parameters that are not all finite raise :class:`ValueError`."""
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
         raise ValueError("model parameters must be finite")
-    return Metrics(ua=1.0 - accuracy(weights, bias, forget_set),
-                   ra=accuracy(weights, bias, remain_set), ta=accuracy(weights, bias, test_set))
+    forget, ra, ta = (accuracy(weights, bias, data) for data in (forget_set, remain_set, test_set))
+    return np.frompyfunc(Metrics, 3, 1)(1.0 - forget, ra, ta)

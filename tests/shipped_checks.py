@@ -20,7 +20,9 @@ when every check holds, and 1 with the first failure on stderr.
   depends on set or dict-of-str order shows here.
 - ``stacked``: each config on ``--seeds 3,11,5`` and on each of those
   seeds alone; the stacked run's seed rows equal the one-seed runs' rows,
-  in seed order (:func:`compare_stacked`).
+  in seed order (:func:`compare_stacked`), and its
+  ``rank_deficient_solves`` are, side by side, the sums of theirs
+  (:func:`compare_rank_counts`).
 - ``kernel``: each config on the default OpenBLAS kernel and on a second
   one, forced by name (:func:`forced_kernel`); the two runs agree
   (:func:`compare_kernels`).  The default kernel's classifier CSVs match
@@ -185,6 +187,18 @@ def compare_stacked(stacked: str, alone: list[str]) -> int:
     return len(rows)
 
 
+def compare_rank_counts(stacked: dict, alone: list[dict]) -> dict:
+    """Raises unless ``stacked``, a stacked run's ``rank_deficient_solves``,
+    holds for each side the sum of the one-seed runs' counts ``alone``, a
+    side that a run lacks counting 0; returns the sums."""
+    sides = sorted({side for counts in (stacked, *alone) for side in counts})
+    summed = {side: sum(counts.get(side, 0) for counts in alone) for side in sides}
+    if {side: stacked.get(side, 0) for side in sides} != summed:
+        raise CheckFailed(f"rank_deficient_solves reads {stacked} stacked, but the one-seed"
+                          f" runs sum to {summed}")
+    return summed
+
+
 def cells_agree(a: str, b: str) -> bool:
     """Whether two CSV cells of the same linear row agree across kernels.
 
@@ -296,9 +310,13 @@ def repeat(config: Path, out: Path) -> str:
 def stacked(config: Path, out: Path) -> str:
     seeds = ",".join(SEEDS_APART)
     stack = run_config(ROOT, config, out / f"{config.stem}.csv", "--seeds", seeds)
-    alone = [run_config(ROOT, config, out / f"{config.stem}.{seed}.csv", "--seeds", seed).csv
+    alone = [run_config(ROOT, config, out / f"{config.stem}.{seed}.csv", "--seeds", seed)
              for seed in SEEDS_APART]
-    return f"{compare_stacked(stack.csv, alone)} seed rows of seeds {seeds} equal their own runs'"
+    rows = compare_stacked(stack.csv, [run.csv for run in alone])
+    counts = compare_rank_counts(stack.summary["rank_deficient_solves"],
+                                 [run.summary["rank_deficient_solves"] for run in alone])
+    return (f"{rows} seed rows of seeds {seeds} equal their own runs',"
+            f" rank_deficient_solves {counts} their sum")
 
 
 def kernel(config: Path, out: Path) -> str:

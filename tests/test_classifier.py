@@ -374,7 +374,8 @@ class TestFitEngine:
             grad[1] = (-1.0) ** len(calls) * np.inf
             return np.array([1.0, np.nan]), grad
 
-        with pytest.raises(DivergenceError, match=r"loss of 1 model\(s\) .* 3\.125e-03;"):
+        with pytest.raises(DivergenceError,
+                           match=r"the loss or parameters of 1 model\(s\) .* 3\.125e-03;"):
             classifier.fit_softmax(np.zeros((2, 1, 1)), value_and_grad, 3, 0.1)
         assert calls == [(2, 1, 1)] * (3 + classifier.MAX_HALVINGS)
 
@@ -446,6 +447,16 @@ class TestSplitClass:
         assert np.all(forget.labels == 2)
         assert np.all(remain.labels != 2)
 
+    def test_a_stacked_set_splits_as_each_seed_alone(self):
+        tasks = [gen_class_task(4, 5, 6, sep=2.0, seed=seed)[0] for seed in (3, 11, 5)]
+        parts = split_class(LabeledSet(np.stack([t.features for t in tasks]), tasks[0].labels), 2)
+        assert [part.features.shape for part in parts] == [(3, 6, 5), (3, 6, 15)]
+        for i, data in enumerate(tasks):
+            for part, own in zip(parts, split_class(data, 2)):
+                assert part.features.flags.c_contiguous and own.features.flags.c_contiguous
+                assert part.features[i].tobytes() == own.features.tobytes()
+                assert np.array_equal(part.labels, own.labels)
+
 
 class TestArrayHoldersCompareByIdentity:
     """Sets and cross-entropy passes hold arrays, so they compare, hash and
@@ -507,6 +518,42 @@ class TestSeedGrid:
             )
             for other in (alone, pack(w, b)):
                 np.testing.assert_array_equal(member, other)
+
+    def test_one_split_one_relabeling_and_one_scoring_call_per_grid(self, monkeypatch):
+        counts = {"split_class": 0, "relabel_forget": 0}
+        for name in counts:
+            def counted(*args, real=getattr(classifier, name), name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(classifier, name, counted)
+        received = []
+        real_metrics = classifier.classifier_metrics
+
+        def scoring(weights, bias, *sets):
+            received.append((weights, bias, sets))
+            return real_metrics(weights, bias, *sets)
+
+        monkeypatch.setattr(classifier, "classifier_metrics", scoring)
+        seeds = [3, 11, 5]
+        grid = run_seed_grid(self.TASK, self.PAIRS, seeds + [11], *self.SCHEDULE)
+        # The train and the test set split once each, for every seed at once.
+        assert counts == {"split_class": 2, "relabel_forget": 1}
+        [(weights, bias, sets)] = received
+        # Six distinct members: retrain, naive-ft (and ice-ft at alpha 0),
+        # kl-ft 0.3, ce-ft 0.3, ice-ft 0.8 and ce-ft 1.0; four classes of six
+        # features.
+        assert weights.shape == (6, 3, 4, 6) and weights.flags.c_contiguous
+        assert bias.shape == (6, 3, 4)
+        for i, seed in enumerate(seeds):
+            train, test = gen_class_task(4, 15, 6, 3.0, seed)
+            own = (*split_class(train, 1), split_class(test, 1)[1])
+            for data, mine in zip(sets, own):
+                assert data.features[i].tobytes() == mine.features.tobytes()
+                assert np.array_equal(data.labels, mine.labels)
+        assert list(grid) == seeds
+        assert grid == {seed: run_seed_grid(self.TASK, self.PAIRS, [seed], *self.SCHEDULE)[seed]
+                        for seed in seeds}
 
     def test_unknown_variant_rejected_before_any_work(self):
         with pytest.raises(ValueError, match="gradient-ascent"):
@@ -907,24 +954,21 @@ class TestLayoutContract:
         real_metrics, real_task = classifier.classifier_metrics, classifier.gen_class_task
 
         def run():
-            scored = []
-
-            def capture(weights, bias, *args, **kwargs):
-                scored.append(pack(weights, bias))
-                return real_metrics(weights, bias, *args, **kwargs)
-
-            monkeypatch.setattr(classifier, "classifier_metrics", capture)
+            monkeypatch.setattr(classifier, "classifier_metrics", real_metrics)
+            calls = _scoring(monkeypatch)
             grid = run_seed_grid(self.TASK, self.PAIRS, [0, 1], 60, 0.1)
-            return [(m.ua, m.ra, m.ta) for seed in (0, 1) for m in grid[seed]], scored
+            [(models, scores)] = calls
+            _assert_reads_its_member(grid, [0, 1], self.PAIRS, scores)
+            return [(m.ua, m.ra, m.ta) for seed in (0, 1) for m in grid[seed]], models
 
         want_rows, want_models = run()
         monkeypatch.setattr(classifier, "gen_class_task", lambda *args: tuple(
             self._fortran(data) for data in real_task(*args)))
         got_rows, got_models = run()
         assert got_rows == want_rows
-        assert len(got_models) == len(want_models) == 8
-        for got, want in zip(got_models, want_models):
-            assert np.array_equal(got, want)
+        # Four members (the kl-ft/ice-ft twins share one) of two seeds.
+        assert got_models.shape == want_models.shape == (4, 2, 5, 21)
+        assert np.array_equal(got_models, want_models)
 
 
 class TestMixingExactness:
@@ -986,6 +1030,46 @@ class TestMixingExactness:
                                           _reference_mixed(p, r, f, c_r, c_f))
 
 
+def _scoring(monkeypatch):
+    """Every ``classifier_metrics`` call made through the classifier
+    module, as ``(parameters, scores)`` in call order: the scored weights
+    and bias packed as ``(M, S, K, D + 1)`` parameters, and the ``(M, S)``
+    scores the call returned."""
+    calls = []
+    real = classifier.classifier_metrics
+
+    def capture(weights, bias, *args):
+        scores = real(weights, bias, *args)
+        calls.append((pack(weights, bias), scores))
+        return scores
+
+    monkeypatch.setattr(classifier, "classifier_metrics", capture)
+    return calls
+
+
+def _members(pairs):
+    """Each pair's member in a grid's stack: the distinct keys of a start,
+    zero for retrain and else the pretrained model, and the weights ``(c_r,
+    c_f)``, in the order of their first pairs."""
+    keys = [("zero",) if variant == "retrain" else ("pretrained", *ft_coefficients(variant, alpha))
+            for variant, alpha in pairs]
+    distinct = list(dict.fromkeys(keys))
+    return [distinct.index(key) for key in keys]
+
+
+def _assert_reads_its_member(grid, seeds, pairs, scores):
+    """Every pair of every seed of ``grid`` is its member's :class:`Metrics`
+    for that seed in ``scores``, the grid's one scoring call's ``(M, S)``
+    result, and every member is scored once per seed."""
+    members = _members(pairs)
+    assert scores.shape == (max(members) + 1, len(seeds))
+    assert list(grid) == seeds
+    for i, seed in enumerate(seeds):
+        assert len(grid[seed]) == len(pairs)
+        for metrics, k in zip(grid[seed], members):
+            assert metrics is scores[k, i]
+
+
 @pytest.fixture
 def fits(monkeypatch):
     """Every ``fit_softmax`` call made through the classifier module, as
@@ -1045,39 +1129,25 @@ class TestDistinctObjectives:
         assert [shape for shape, _ in fits] == stacks
         assert inside == [stacks[1:]]
 
-    @staticmethod
-    def _count_scoring(monkeypatch):
-        scored = []
-        real = classifier.classifier_metrics
-
-        def counting(weights, bias, *args, **kwargs):
-            scored.append(pack(weights, bias))
-            return real(weights, bias, *args, **kwargs)
-
-        monkeypatch.setattr(classifier, "classifier_metrics", counting)
-        return scored
-
     @pytest.mark.parametrize("experiment,distinct", [("sweep-alpha", 16), ("classifier-demo", 4)])
     def test_a_shipped_seed_scores_each_distinct_model_once(
         self, monkeypatch, experiment, distinct
     ):
-        scored = self._count_scoring(monkeypatch)
-        path = Path(__file__).resolve().parents[1] / "configs" / (
-            experiment.replace("-", "_") + ".json")
-        cfg = experiments.load_config(path, experiment)
-        cfg["seeds"], cfg["epochs"] = [0], 5
-        experiments.run_experiment(experiment, cfg)
-        assert len(scored) == len({id(model) for model in scored}) == distinct
+        _, [models] = _run_scoring(
+            monkeypatch, experiment, _shipped_config(experiment, seeds=[0], epochs=5))
+        assert models.shape[:2] == (distinct, 1)
+        assert len({model.tobytes() for model in models}) == distinct
 
     def test_pairs_of_one_key_share_one_scoring_with_unchanged_metrics(self, monkeypatch):
         pairs = [("kl-ft", 0.3), ("retrain", 0.0), ("ice-ft", 0.3), ("naive-ft", 0.2),
                  ("retrain", 0.5), ("kl-ft", 0.0), ("ce-ft", 0.3)]
         task, schedule = TestSeedGrid.TASK, TestSeedGrid.SCHEDULE
-        scored = self._count_scoring(monkeypatch)
+        calls = _scoring(monkeypatch)
         grid = run_seed_grid(task, pairs, [4], *schedule)[4]
         # Keys: kl/ice at 0.3, retrain, naive/kl at 0, ce at 0.3.
-        assert len(scored) == 4
-        assert grid[0] is grid[2] and grid[1] is grid[4] and grid[3] is grid[5]
+        [(models, scores)] = calls
+        assert models.shape[:2] == scores.shape == (4, 1)
+        assert all(metrics is scores[k, 0] for metrics, k in zip(grid, [0, 1, 0, 2, 1, 2, 3]))
         for pair, metrics in zip(pairs, grid):
             [alone] = run_seed_grid(task, [pair], [4], *schedule)[4]
             assert (metrics.ua, metrics.ra, metrics.ta) == (alone.ua, alone.ra, alone.ta)
@@ -1089,19 +1159,14 @@ class TestDistinctObjectives:
             task.num_classes, task.per_class, task.feature_dim, task.sep, seed)
         _, remain = split_class(train, task.forget_class)
         golden = pretrain(remain, *self.SCHEDULE, num_classes=task.num_classes)
-        models = []
-        real_metrics = classifier.classifier_metrics
-
-        def capture(weights, bias, *args, **kwargs):
-            models.append(pack(weights, bias))
-            return real_metrics(weights, bias, *args, **kwargs)
-
-        monkeypatch.setattr(classifier, "classifier_metrics", capture)
+        calls = _scoring(monkeypatch)
         del fits[:]
         pairs = [("retrain", 0.0), ("naive-ft", 0.5), ("kl-ft", 0.5), ("ce-ft", 0.5)]
-        run_seed_grid(task, pairs, [seed], *self.SCHEDULE)
+        grid = run_seed_grid(task, pairs, [seed], *self.SCHEDULE)
         assert [shape for shape, _ in fits] == [(1, 1), (1, 4)]
-        assert np.array_equal(models[0], golden)
+        [(models, scores)] = calls
+        _assert_reads_its_member(grid, [seed], pairs, scores)
+        assert np.array_equal(models[0, 0], golden)
 
     @pytest.mark.parametrize("experiment,pairs,members", [
         ("classifier-demo", 5, 4),
@@ -1132,18 +1197,18 @@ class TestDistinctObjectives:
         task, schedule = TestSeedGrid.TASK, TestSeedGrid.SCHEDULE
         pairs = [("kl-ft", 0.3), ("ice-ft", 0.3), ("naive-ft", 0.7), ("kl-ft", 0.0),
                  ("ice-ft", 0.0), ("ce-ft", 0.3)]
-        scored = self._count_scoring(monkeypatch)
+        calls = _scoring(monkeypatch)
         grid = run_seed_grid(task, pairs, [3], *schedule)[3]
         assert [shape for shape, _ in fits] == [(1, 1), (1, 3)]
-        members = list(scored)
-        assert len(members) == 3
-        for member, group in zip(members, ([0, 1], [2, 3, 4], [5])):
+        [(members, scores)] = calls
+        assert members.shape[:2] == (3, 1)
+        for k, group in enumerate(([0, 1], [2, 3, 4], [5])):
             for i in group:
-                assert grid[i] is grid[group[0]]
-                del scored[:]
+                assert grid[i] is scores[k, 0]
+                del calls[:]
                 run_seed_grid(task, [pairs[i]], [3], *schedule)
-                [alone] = scored
-                np.testing.assert_array_equal(member, alone)
+                [(alone, _)] = calls
+                np.testing.assert_array_equal(members[k], alone[0])
         assert not np.array_equal(members[0], members[1])
 
     def test_unlearn_ft_descends_every_member_it_is_given(self, fits):
@@ -1166,7 +1231,9 @@ class TestDistinctObjectives:
         pairs = [("ice-ft", 1.0), ("kl-ft", 1.0), ("ice-ft", 0.05)]
         grid = run_seed_grid(task, pairs, [0], epochs, 0.1)[0]
         [(shape, evaluations)] = fits
-        assert shape == (1, 2) and len(scored) == 2 and grid[0] is grid[1]
+        [(models, scores)] = scored
+        assert shape == (1, 2) and models.shape[:2] == (2, 1)
+        assert grid[0] is grid[1] is scores[0, 0] and grid[2] is scores[1, 0]
         w, b, _, attempts = _objective_alone(
             weights, bias, remain, forget, "ice-ft", 1.0, epochs, 0.1)
         assert len(attempts) > 1  # the objective needed halvings
@@ -1175,10 +1242,10 @@ class TestDistinctObjectives:
         # The twins' one member restarts as often as the objective alone,
         # and each attempt sees the two-member stack.
         assert len(evaluations) == _stack_evaluations([attempts, small])
-        np.testing.assert_array_equal(scored[0], pack(w, b))
+        np.testing.assert_array_equal(models[0, 0], pack(w, b))
 
         task, *_ = _exploding_task(monkeypatch, stuck=True)
-        with pytest.raises(DivergenceError, match=r"loss of 1 model\(s\)"):
+        with pytest.raises(DivergenceError, match=r"the loss or parameters of 1 model\(s\)"):
             run_seed_grid(task, pairs[:2], [0], epochs, 0.1)
 
 
@@ -1189,19 +1256,25 @@ def _shipped_config(experiment, **changes):
 
 
 def _run_scoring(monkeypatch, experiment, cfg):
-    """Run a config; returns the result and the ``(K, D + 1)`` parameters of
-    every model it scored, seed by seed, in scoring order."""
-    scored = []
-    real = classifier.classifier_metrics
+    """Run a config; returns the result and, per grid that returned, in
+    order, the ``(M, S, K, D + 1)`` parameters of its one scoring call,
+    once every pair of the grid is seen to read its member's scores from
+    that call's."""
+    real_metrics, real_grid = classifier.classifier_metrics, experiments.run_seed_grid
+    calls, grids = _scoring(monkeypatch), []
 
-    def capture(weights, bias, *args, **kwargs):
-        scored.append(pack(weights, bias))
-        return real(weights, bias, *args, **kwargs)
+    def grid_spy(task, pairs, seeds, *args):
+        grids.append((pairs, list(dict.fromkeys(seeds)), real_grid(task, pairs, seeds, *args)))
+        return grids[-1][-1]
 
-    monkeypatch.setattr(classifier, "classifier_metrics", capture)
+    monkeypatch.setattr(experiments, "run_seed_grid", grid_spy)
     result = experiments.run_experiment(experiment, cfg)
-    monkeypatch.setattr(classifier, "classifier_metrics", real)
-    return result, scored
+    monkeypatch.setattr(classifier, "classifier_metrics", real_metrics)
+    monkeypatch.setattr(experiments, "run_seed_grid", real_grid)
+    assert len(calls) == len(grids)
+    for (pairs, seeds, grid), (_, scores) in zip(grids, calls):
+        _assert_reads_its_member(grid, seeds, pairs, scores)
+    return result, [models for models, _ in calls]
 
 
 def _seed_rows(result):
@@ -1223,26 +1296,27 @@ class TestSeedStack:
         self, fits, monkeypatch, experiment, epochs, stacks
     ):
         cfg = _shipped_config(experiment, seeds=[0, 1, 2], epochs=epochs)
-        stacked, models = _run_scoring(monkeypatch, experiment, cfg)
+        stacked, [models] = _run_scoring(monkeypatch, experiment, cfg)
         assert [shape for shape, _ in fits] == stacks
         alone = [_run_scoring(monkeypatch, experiment, dict(cfg, seeds=[seed]))
                  for seed in (0, 1, 2)]
         assert _seed_rows(stacked) == [row for result, _ in alone for row in _seed_rows(result)]
-        alone_models = [model for _, scored in alone for model in scored]
-        assert len(models) == len(alone_models) == np.prod(stacks[1])
-        for model, model_alone in zip(models, alone_models):
-            assert np.array_equal(model, model_alone)
+        members = stacks[1][1]
+        assert models.shape[:2] == (members, 3)
+        for i, (_, [model_alone]) in enumerate(alone):
+            assert model_alone.shape[:2] == (members, 1)
+            assert np.array_equal(models[:, i], model_alone[:, 0])
 
     @pytest.mark.parametrize("case,step_size,message", [
         # Seed 1's pretrain never sees a finite loss.
         ("non-finite-task", 0.1,
-         "loss of 1 model(s) became non-finite even at step size 3.125e-03; "
-         "try a smaller step_size"),
+         "the loss or parameters of 1 model(s) became non-finite even at step size "
+         "3.125e-03; try a smaller step_size"),
         # Seed 1's pretrain halves and recovers (TestHardInputs); two of its
         # four fine-tune members run out of halvings.
         ("huge-sep-and-step", 1e10,
-         "loss of 2 model(s) became non-finite even at step size 3.125e+08; "
-         "try a smaller step_size"),
+         "the loss or parameters of 2 model(s) became non-finite even at step size "
+         "3.125e+08; try a smaller step_size"),
     ], ids=["non-finite-task", "huge-sep-and-step"])
     def test_a_diverging_seed_between_two_clean_ones_fails_alone(
         self, monkeypatch, case, step_size, message
@@ -1267,18 +1341,20 @@ class TestSeedStack:
         alone = [_run_scoring(monkeypatch, "classifier-demo", dict(cfg, seeds=[seed]))
                  for seed in (0, 2)]
         assert _seed_rows(result) == [row for run, _ in alone for row in _seed_rows(run)]
+        # The stack raised, so only the reruns of seeds 0 and 2 scored.
         alone_models = [model for _, scored in alone for model in scored]
-        assert len(models) == len(alone_models) == 8
+        assert len(models) == len(alone_models) == 2
         for model, model_alone in zip(models, alone_models):
+            assert model.shape[:2] == (4, 1)
             assert np.array_equal(model, model_alone)
 
     @pytest.mark.parametrize("case,step_size,message", [
         ("non-finite-task", 0.1,
-         "loss of 1 model(s) became non-finite even at step size 3.125e-03; "
-         "try a smaller step_size"),
+         "the loss or parameters of 1 model(s) became non-finite even at step size "
+         "3.125e-03; try a smaller step_size"),
         ("huge-sep-and-step", 1e10,
-         "loss of 2 model(s) became non-finite even at step size 3.125e+08; "
-         "try a smaller step_size"),
+         "the loss or parameters of 2 model(s) became non-finite even at step size "
+         "3.125e+08; try a smaller step_size"),
     ], ids=["non-finite-task", "huge-sep-and-step"])
     def test_a_grid_with_a_diverging_seed_raises_and_one_without_it_returns(
         self, monkeypatch, case, step_size, message
@@ -1496,7 +1572,8 @@ def _exploding_task(monkeypatch, stuck=False):
     with a fourth class as the pretrained one.  Scoring records each model
     it scores and measures nothing.  Returns the task, the remain and
     relabeled forget sets as the fine-tune gets them, the pretrained
-    weights and the scored models."""
+    weights and, per scoring call, the scored ``(M, S, K, D + 1)``
+    parameters and the distinct zero scores it returned."""
     remain, forget, weights, _ = _exploding_forget_problem()
     features = np.full_like(forget.features, np.inf) if stuck else forget.features
     train = LabeledSet(np.hstack([remain.features, features]),
@@ -1505,8 +1582,9 @@ def _exploding_task(monkeypatch, stuck=False):
     scored = []
 
     def score(weights, bias, *args):
-        scored.append(pack(weights, bias))
-        return Metrics(ua=0.0, ra=0.0, ta=0.0)
+        scored.append((pack(weights, bias), np.frompyfunc(Metrics, 3, 1)(
+            *np.zeros((3, *weights.shape[:-2])))))
+        return scored[-1][1]
 
     monkeypatch.setattr(classifier, "gen_class_task", lambda *args: (train, train))
     monkeypatch.setattr(classifier, "pretrain",
@@ -1640,7 +1718,7 @@ class TestStackedDivergence:
                 weights, bias, remain, forget, variant, alpha, 1, own_step)
             assert attempts == [1]
             assert np.array_equal(pack(w[i], b[i]), pack(w_i, b_i))
-        with pytest.raises(DivergenceError, match=r"loss of 1 model\(s\)"):
+        with pytest.raises(DivergenceError, match=r"the loss or parameters of 1 model\(s\)"):
             _objective_alone(weights, bias, remain, forget, "ice-ft", 1.0, 1, 2.0 ** 6 * step)
 
     def test_exhausted_halvings_raise(self):

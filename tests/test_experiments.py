@@ -988,7 +988,8 @@ class TestClassifierExperiments:
             # A stack that holds seed 1 diverges; the runner reruns each seed alone.
             if 1 in seeds:
                 raise DivergenceError(
-                    "loss of 1 model(s) became non-finite; try a smaller step_size")
+                    "the loss or parameters of 1 model(s) became non-finite; "
+                    "try a smaller step_size")
             return real_grid(task, pairs, seeds, epochs, step_size)
 
         monkeypatch.setattr(experiments, "run_seed_grid", flaky_grid)
@@ -998,7 +999,8 @@ class TestClassifierExperiments:
         assert result.numerical_failures == 1
         assert result.failures == [{
             "seed": 1, "type": "DivergenceError",
-            "message": "loss of 1 model(s) became non-finite; try a smaller step_size",
+            "message": "the loss or parameters of 1 model(s) became non-finite; "
+                       "try a smaller step_size",
         }]
         per_seed = [r for r in result.rows if isinstance(r["seed"], int)]
         assert [r["seed"] for r in per_seed] == [0, 2]
@@ -1509,8 +1511,8 @@ class TestCli:
         assert summary["rows"] == 0
         assert summary["failures"] == [{
             "seed": 0, "type": "DivergenceError",
-            "message": "loss of 1 model(s) became non-finite even at step size 3.125e+306; "
-                       "try a smaller step_size"}]
+            "message": "the loss or parameters of 1 model(s) became non-finite even at "
+                       "step size 3.125e+306; try a smaller step_size"}]
 
 
 class TestLogLevel:
@@ -1622,8 +1624,8 @@ class TestLogLevel:
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines == self._info_lines(summary_path_for(out))
-        message = ("loss of 1 model(s) became non-finite even at step size 3.125e+08; "
-                   "try a smaller step_size")
+        message = ("the loss or parameters of 1 model(s) became non-finite even at step size "
+                   "3.125e+08; try a smaller step_size")
         assert lines[:2] == [f"{self.INFO}seed {seed} failed: DivergenceError: {message}"
                              for seed in (0, 1)]
         assert len(lines) == 2 + len(experiments.STAGES["classifier-demo"])

@@ -391,6 +391,39 @@ class TestClassifierMetrics:
             Metrics(ua=1.2, ra=0.0, ta=0.0)
 
 
+class TestStackedScoring:
+    """A stack of models scores in one call, and each model gets the bits
+    of its own 2-D call: a float accuracy and a :class:`Metrics` of
+    floats."""
+
+    @pytest.mark.parametrize("columns", [1, 2, 9])
+    @pytest.mark.parametrize("seeds", [0, 2], ids=["one-set", "stacked-sets"])
+    def test_each_model_scores_as_its_own_call(self, columns, seeds):
+        rng = np.random.default_rng(columns)
+        members, classes, dim = 3, 4, 5
+        lead = (members, seeds) if seeds else (members,)
+        labels = rng.integers(0, classes, size=columns)
+        sets = [LabeledSet(rng.standard_normal(lead[1:] + (dim, columns)), labels)
+                for _ in range(3)]
+        weights = rng.standard_normal(lead + (classes, dim))
+        bias = rng.standard_normal(lead + (classes,))
+        # The zero model: every logit ties, so every sample is class 0.
+        weights[1], bias[1] = 0.0, 0.0
+        ra = accuracy(weights, bias, sets[1])
+        scores = classifier_metrics(weights, bias, *sets)
+        assert ra.shape == scores.shape == lead and scores.dtype == object
+        assert np.all(ra[1] == np.mean(labels == 0))
+        for index in np.ndindex(lead):
+            own = [LabeledSet(s.features[index[1:]], labels) for s in sets]
+            alone = accuracy(weights[index], bias[index], own[1])
+            assert type(alone) is float and alone == ra[index]
+            mine = classifier_metrics(weights[index], bias[index], *own)
+            assert type(mine) is Metrics
+            got = dataclasses.astuple(scores[index])
+            assert [type(value) for value in got] == [float] * 3
+            assert got == dataclasses.astuple(mine)
+
+
 class TestArrayHoldersCompareByIdentity:
     """The linear side's scenarios and gap entries hold arrays, so they
     compare, hash and test membership by identity instead of raising."""

@@ -17,6 +17,7 @@ from shipped_checks import (
     child_env,
     compare_against,
     compare_kernels,
+    compare_rank_counts,
     compare_stacked,
     forced_kernel,
 )
@@ -234,4 +235,27 @@ class TestStacked:
         header_only = "\n".join(CLASSIFIER.splitlines()[:3]) + "\n"
         with pytest.raises(CheckFailed, match="no seed rows"):
             compare_stacked(header_only, [])
+
+
+class TestStackedRankCounts:
+    """A stacked run counts the rank-deficient solves of all its seeds."""
+
+    ALONE = [{"solvers": 18, "oracle": 7}] * 3
+
+    def test_the_one_seed_counts_sum_to_the_stacked_ones(self):
+        assert compare_rank_counts({"solvers": 54, "oracle": 21}, self.ALONE) == {
+            "oracle": 21, "solvers": 54}
+        assert compare_rank_counts({"solvers": 0, "oracle": 0}, [{}, {"solvers": 0}]) == {
+            "oracle": 0, "solvers": 0}
+
+    @pytest.mark.parametrize("stacked", [
+        {"solvers": 54, "oracle": 20},
+        {"solvers": 18, "oracle": 7},
+        {"solvers": 54},
+        {"solvers": 54, "oracle": 21, "other": 1},
+    ], ids=["one-short", "one-seed", "missing-side", "extra-side"])
+    def test_any_other_count_fails(self, stacked):
+        with pytest.raises(CheckFailed, match=r"^rank_deficient_solves reads .* stacked, but the"
+                                              r" one-seed runs sum to \{'oracle': 21"):
+            compare_rank_counts(stacked, self.ALONE)
 
