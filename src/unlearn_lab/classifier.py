@@ -82,7 +82,7 @@ import numpy as np
 
 from . import rng
 from .errors import DivergenceError
-from .metrics import Metrics, classifier_metrics, stage
+from .metrics import classifier_metrics, stage
 
 VARIANTS = ("naive-ft", "kl-ft", "ce-ft", "ice-ft")
 
@@ -518,7 +518,7 @@ def run_seed_grid(
     seeds: Sequence[int],
     epochs: int,
     step_size: float,
-) -> dict[int, list[Metrics]]:
+) -> dict[int, np.ndarray]:
     """Full class-wise forgetting pipeline for many seeds and many pairs.
 
     The task layout fixes the labels, so every seed's sets are one stack
@@ -533,8 +533,9 @@ def run_seed_grid(
     stack, split once into ``(M, S, K, D)`` weights and bias, and each
     pair reads its member's scores.
 
-    Returns, per distinct seed in order, UA/RA/TA per pair, in order (TA
-    is measured on held-out samples of the remaining classes).  A member
+    Returns, per distinct seed in order, its ``(P, 3)`` slice of the
+    scores: the UA, RA and TA of each of the ``P`` pairs, in order (TA is
+    measured on held-out samples of the remaining classes).  A member
     of either stack that runs out of halvings raises the stack's
     :class:`DivergenceError`, and no seed gets a result.  Members never
     interact, so each seed run alone gets the bits it gets in the stack.
@@ -550,7 +551,7 @@ def run_seed_grid(
     members = {key: k for k, key in enumerate(dict.fromkeys(keys))}
     seeds = list(dict.fromkeys(seeds))
     if not pairs:
-        return {seed: [] for seed in seeds}
+        return {seed: np.empty((0, 3)) for seed in seeds}
     with stage("generate"):
         tasks = [gen_class_task(task.num_classes, task.per_class, task.feature_dim, task.sep, seed)
                  for seed in seeds]
@@ -577,4 +578,5 @@ def run_seed_grid(
         final = np.moveaxis(final, -3, 0)
         scores = classifier_metrics(np.ascontiguousarray(final[..., :-1]), final[..., -1],
                                     forget, remain, test_remain)
-    return {seed: [scores[members[key], i] for key in keys] for i, seed in enumerate(seeds)}
+    pair_members = [members[key] for key in keys]
+    return {seed: scores[pair_members, i] for i, seed in enumerate(seeds)}

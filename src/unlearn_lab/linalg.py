@@ -26,7 +26,12 @@ consistency check and rank-deficiency record; members of one rank are
 solved or projected by one broadcasting product, and members of
 another rank as their own sub-stack.  Stacked LAPACK SVDs, matrix
 products and row dot products give every member, and every anchor, the
-bits of its own call.  The solvers serve the measured pipeline, the
+bits of its own call.  The tests check this on the default OpenBLAS
+kernel of the machine that runs them and on the Haswell and Sandybridge
+kernels, forced by ``OPENBLAS_CORETYPE``.  It does not hold on the
+Prescott kernel: there a row dot product of a row that starts 8 bytes
+off a 16-byte boundary can round differently from an aligned copy of
+the row, and 3 of the stacked-equals-alone tests fail.  The solvers serve the measured pipeline, the
 projector and the seminorm the oracle, which factors its own matrices;
 the pseudoinverse, which no experiment calls, takes a single matrix.
 Nothing is cached: every call validates and factors its own input.

@@ -2,8 +2,9 @@
 
 Two metric families are kept strictly separate: mean-squared losses for
 the linear pipeline, as ``(rl, ul)`` pairs, and 0/1 accuracy fractions
-for the classifier pipeline (:class:`Metrics`).  Accuracies are reported
-as fractions in [0, 1]; rendering as percentages is a display concern.
+for the classifier pipeline, as UA/RA/TA arrays whose last axis holds
+the three.  Accuracies are reported as fractions in [0, 1]; rendering as
+percentages is a display concern.
 
 The linear measurement and comparison work on arrays, and one model is
 the 0-d case of the same code.  The data and weights follow the shape
@@ -16,8 +17,9 @@ seed axes and end in its ``n`` samples.  Any other shape raises the one
 ``w must have shape (..., 3, 40) over x_r, got (2, 40)``.
 :func:`measure_losses` on a stacked scenario returns a pair of ``(S,)``
 arrays, or of ``(N, S)`` for weights ``(N, S, d)``.  :func:`gap_report`
-compares two ``(rl, ul)`` pairs, measured against predicted, and leaves
-it to the caller to pair each model with its prediction.  The measured
+compares two ``(rl, ul)`` pairs, measured against predicted, into their
+absolute gaps and one verdict, and leaves it to the caller to pair each
+model with its prediction.  The measured
 losses may be arrays, say one seed's over every fine-tuning subset size,
 compared with predictions of the same shape or with one prediction,
 elementwise through :func:`~unlearn_lab.oracle.within_tolerance`, with
@@ -32,7 +34,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -69,21 +70,6 @@ def stage(name: str) -> Iterator[None]:
             seconds[name] += time.perf_counter() - start
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Classifier unlearning metrics: UA, RA, TA as fractions in [0, 1]."""
-
-    ua: float
-    ra: float
-    ta: float
-
-    def __post_init__(self):
-        for name in ("ua", "ra", "ta"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
 def _mse(w, x, y, names: tuple[str, str, str]):
     """Mean-squared loss ``(1/m) ||X^T w - y||^2`` of ``w`` on ``m``
     samples, one per model, with its arguments named ``names``.  ``w``
@@ -115,59 +101,27 @@ def measure_losses(w, scenario: SyntheticScenario):
             _mse(w, scenario.x_f, scenario.y_f, ("w", "x_f", "y_f")))
 
 
-@dataclass(frozen=True, eq=False)
-class GapEntry:
-    """One measured-versus-predicted comparison, or one per element.
-
-    The fields are floats and a bool for a pair of scalars, and arrays of
-    the pair's broadcast shape otherwise.
-    """
-
-    abs_gap: float | np.ndarray
-    rel_gap: float | np.ndarray
-    ok: bool | np.ndarray
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Structured diff between measured losses and an oracle prediction."""
-
-    rl: GapEntry
-    ul: GapEntry
-
-    @property
-    def passed(self) -> bool:
-        """Whether every comparison of both entries is within tolerance."""
-        return bool(np.all(self.rl.ok & self.ul.ok))
-
-
-def _gap_entry(measured, predicted) -> GapEntry:
-    # Measured losses are finite, so against a zero prediction a zero gap
-    # is 0 / 0, taken as 0, and any other gap is x / 0 = inf.  Python
-    # float arithmetic would neither warn nor raise here; the arrays
-    # follow it.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        abs_gap = np.abs(np.subtract(measured, predicted))
-        rel_gap = np.where(abs_gap == 0.0, 0.0, abs_gap / np.abs(predicted))
-    ok = within_tolerance(measured, predicted)
-    if rel_gap.ndim == 0:
-        return GapEntry(float(abs_gap), float(rel_gap), ok)
-    return GapEntry(abs_gap, rel_gap, ok)
-
-
-def gap_report(measured, predicted) -> GapReport:
+def gap_report(measured, predicted):
     """Compare a model's measured ``(rl, ul)`` pair against its predicted one.
 
-    Each entry passes when :func:`~unlearn_lab.oracle.within_tolerance`
-    holds for it.  The measured losses and the predicted ones may be
-    arrays, compared elementwise under broadcasting: the losses over
-    every ``n_t`` against one prediction, or against a prediction with
-    one value per ``n_t``.  A zero prediction
-    gives a relative gap of 0 when the gap is zero too and ``inf``
-    otherwise; a NaN gap never passes.
+    Returns the ``(rl, ul)`` pair of absolute gaps ``|measured -
+    predicted|`` and whether every comparison of both is within
+    :func:`~unlearn_lab.oracle.within_tolerance`, as one bool.  The
+    measured losses and the predicted ones may be arrays, compared
+    elementwise under broadcasting: the losses over every ``n_t`` against
+    one prediction, or against a prediction with one value per ``n_t``.
+    The gaps then have the broadcast shape, and are floats for a pair of
+    scalars.  A NaN gap never passes.
     """
-    (rl, ul), (rl_pred, ul_pred) = measured, predicted
-    return GapReport(rl=_gap_entry(rl, rl_pred), ul=_gap_entry(ul, ul_pred))
+    gaps, passed = [], True
+    # Python float arithmetic neither warns nor raises on inf - inf; the
+    # arrays follow it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for measured_loss, predicted_loss in zip(measured, predicted):
+            gap = np.abs(np.subtract(measured_loss, predicted_loss))
+            gaps.append(gap if gap.ndim else float(gap))
+            passed &= bool(np.all(within_tolerance(measured_loss, predicted_loss)))
+    return tuple(gaps), passed
 
 
 def accuracy(weights: np.ndarray, bias: np.ndarray, data: LabeledSet):
@@ -186,12 +140,13 @@ def accuracy(weights: np.ndarray, bias: np.ndarray, data: LabeledSet):
 
 
 def classifier_metrics(weights: np.ndarray, bias: np.ndarray, forget_set: LabeledSet,
-                       remain_set: LabeledSet, test_set: LabeledSet):
-    """UA/RA/TA of the classifier of ``(K, D)`` weights and ``(K,)`` bias:
-    ``UA = 1 - accuracy`` on the forget set.  A stack, shaped as for
-    :func:`accuracy`, gets an object array of each model's :class:`Metrics`.
+                       remain_set: LabeledSet, test_set: LabeledSet) -> np.ndarray:
+    """UA, RA and TA of the classifier of ``(K, D)`` weights and ``(K,)``
+    bias, as a ``(3,)`` array: ``UA = 1 - accuracy`` on the forget set.  A
+    stack, shaped as for :func:`accuracy`, gets a ``(..., 3)`` array of
+    its leading shape, each model with the bits of its own call.
     Parameters that are not all finite raise :class:`ValueError`."""
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
         raise ValueError("model parameters must be finite")
     forget, ra, ta = (accuracy(weights, bias, data) for data in (forget_set, remain_set, test_set))
-    return np.frompyfunc(Metrics, 3, 1)(1.0 - forget, ra, ta)
+    return np.stack([1.0 - forget, ra, ta], axis=-1)

@@ -85,7 +85,7 @@ def predict_distinct(scenario: SyntheticScenario):
     per member for a stacked scenario.
     """
     scenario.layout.require_distinct("the distinct prediction")
-    return 0.0, weighted_seminorm_sq(decompose_w_star(scenario).w_f, scenario.x_f)
+    return 0.0, weighted_seminorm_sq(decompose_w_star(scenario)[2], scenario.x_f)
 
 
 def predict_overlap(scenario: SyntheticScenario):
@@ -98,9 +98,8 @@ def predict_overlap(scenario: SyntheticScenario):
     distinct-layout value.  For a stacked scenario, the UL holds one value
     per member.
     """
-    parts = decompose_w_star(scenario)
-    p_r = projector(scenario.x_r)
-    gap = _times(p_r, parts.w_r + parts.w_lap) - (parts.w_f + parts.w_lap)
+    w_r, w_lap, w_f = decompose_w_star(scenario)
+    gap = _times(projector(scenario.x_r), w_r + w_lap) - (w_f + w_lap)
     return 0.0, weighted_seminorm_sq(gap, scenario.x_f)
 
 
@@ -134,8 +133,8 @@ def predict_edited(
     if EditOption.DISTINCT_ZERO_FORGET in options:
         scenario.layout.require_distinct("the distinct-zero-forget prediction")
     subsets = [fine_tune_subset(scenario, n_t)[0] for n_t in nt_values]
-    parts = decompose_w_star(scenario)
-    w_f_lap = parts.w_f + parts.w_lap
+    w_r, w_lap, w_f = decompose_w_star(scenario)
+    w_f_lap = w_f + w_lap
     shape = scenario.w_star.shape[:-1] + (len(subsets),)
 
     def repeated(gap):
@@ -147,19 +146,19 @@ def predict_edited(
     joint = None
     for option in options:
         if option is EditOption.DISTINCT_ZERO_FORGET:
-            predictions.append(repeated(parts.w_f))
+            predictions.append(repeated(w_f))
             continue
         if joint is None:
             joint = projector(scenario.joint_data()[0])
         if option is EditOption.OVERLAP_RETAIN:
-            predictions.append(repeated(_times(joint, parts.w_r + parts.w_lap) - w_f_lap))
+            predictions.append(repeated(_times(joint, w_r + w_lap) - w_f_lap))
             continue
         rl_edit, ul_edit = np.empty(shape), np.empty(shape)
-        joint_w_r = _times(joint, parts.w_r)
+        joint_w_r = _times(joint, w_r)
         for i, x_t in enumerate(subsets):
             # Each prefix's projector stack is dropped once its n_t is predicted.
-            kept = _times(projector(x_t), parts.w_lap)
-            rl_edit[..., i] = weighted_seminorm_sq(parts.w_lap - kept, scenario.x_r)
+            kept = _times(projector(x_t), w_lap)
+            rl_edit[..., i] = weighted_seminorm_sq(w_lap - kept, scenario.x_r)
             ul_edit[..., i] = weighted_seminorm_sq(joint_w_r + kept - w_f_lap, scenario.x_f)
         predictions.append((rl_edit, ul_edit))
     return predictions

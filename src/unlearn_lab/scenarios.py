@@ -116,19 +116,6 @@ class SyntheticScenario:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class WStarDecomposition:
-    """Split of the true weights onto the three coordinate blocks.
-
-    Each part is a full-length vector supported on its own block, and the
-    three parts sum to ``w_star`` exactly.
-    """
-
-    w_r: np.ndarray = field(repr=False)
-    w_lap: np.ndarray = field(repr=False)
-    w_f: np.ndarray = field(repr=False)
-
-
 def _draw(seed: int, label: str, shape: tuple[int, ...], dist: str) -> np.ndarray:
     # gen_scenario has checked dist against DIST_TAGS.
     gen = rng.stream(seed, label)
@@ -204,16 +191,18 @@ def stack_scenarios(scenarios: Sequence[SyntheticScenario]) -> SyntheticScenario
     return SyntheticScenario(layout=layout, **arrays)
 
 
-def decompose_w_star(scenario: SyntheticScenario) -> WStarDecomposition:
-    """Coordinate-mask split of the true weights by layout block (of each
-    member's, for a stack, with parts ``(S, d)``)."""
+def decompose_w_star(scenario: SyntheticScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate-mask split of the true weights by layout block, as
+    ``(w_r, w_lap, w_f)``: each part is a full-length vector supported on
+    its own block (of each member's, for a stack, with parts ``(S, d)``),
+    and the three sum to ``w_star`` exactly."""
     layout = scenario.layout
     parts = []
     for block in (layout.remaining_block, layout.overlap_block, layout.forgetting_block):
         part = np.zeros(scenario.w_star.shape)
         part[..., block] = scenario.w_star[..., block]
         parts.append(part)
-    return WStarDecomposition(w_r=parts[0], w_lap=parts[1], w_f=parts[2])
+    return tuple(parts)
 
 
 def fine_tune_subset(scenario: SyntheticScenario, n_t: int) -> tuple[np.ndarray, np.ndarray]:

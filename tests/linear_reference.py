@@ -87,8 +87,8 @@ def closed_form_wt_distinct(scenario: SyntheticScenario, n_t: int) -> np.ndarray
     x_t, _ = fine_tune_subset(scenario, n_t)
     p = projector(x)
     p_t = projector(x_t)
-    parts = decompose_w_star(scenario)
-    return p @ parts.w_r + (p - p_t) @ parts.w_f
+    w_r, _, w_f = decompose_w_star(scenario)
+    return p @ w_r + (p - p_t) @ w_f
 
 
 def golden_ul_block_form(scenario: SyntheticScenario) -> float:

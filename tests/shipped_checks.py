@@ -23,8 +23,9 @@ when every check holds, and 1 with the first failure on stderr.
   in seed order (:func:`compare_stacked`), and its
   ``rank_deficient_solves`` are, side by side, the sums of theirs
   (:func:`compare_rank_counts`).
-- ``kernel``: each config on the default OpenBLAS kernel and on a second
-  one, forced by name (:func:`forced_kernel`); the two runs agree
+- ``kernel``: each config on the default OpenBLAS kernel and on each of
+  Haswell and Sandybridge that it does not already run, forced by name
+  (:func:`forced_kernels`); each forced run agrees with the default's
   (:func:`compare_kernels`).  The default kernel's classifier CSVs match
   the committed ``shipped_classifier_digests.sha256``
   (:func:`check_digests`).
@@ -217,10 +218,15 @@ def cells_agree(a: str, b: str) -> bool:
     return x == y or abs(x - y) <= CELL_REL_TOL * larger or larger < PRED_ABS_FLOOR
 
 
-def forced_kernel(default: str | None) -> str:
-    """The second kernel to force: Haswell, or Sandybridge where the
-    default is Haswell or Zen (forcing Zen runs the Haswell kernel)."""
-    return "Sandybridge" if default in ("Haswell", "Zen") else "Haswell"
+#: The kernels that the ``kernel`` check forces, by ``OPENBLAS_CORETYPE`` name.
+FORCED_KERNELS = ("Haswell", "Sandybridge")
+
+
+def forced_kernels(default: str | None) -> list[str]:
+    """The kernels to force, in :data:`FORCED_KERNELS` order, skipping the
+    one the default already runs: Zen runs the Haswell kernel."""
+    own = "Haswell" if default == "Zen" else default
+    return [core for core in FORCED_KERNELS if core != own]
 
 
 def compare_kernels(default: Run, forced: Run, core: str) -> int:
@@ -321,12 +327,13 @@ def stacked(config: Path, out: Path) -> str:
 
 def kernel(config: Path, out: Path) -> str:
     default = run_config(ROOT, config, out / "default" / f"{config.stem}.csv")
-    core = forced_kernel(default.summary["platform"]["openblas_core"])
-    forced = run_config(ROOT, config, out / "forced" / f"{config.stem}.csv",
-                        OPENBLAS_CORETYPE=core)
-    differ = compare_kernels(default, forced, core)
-    return (f"{differ} cells differ under {core}, all within the bound;"
-            f" rank_deficient_solves {forced.summary['rank_deficient_solves']}")
+    notes = []
+    for core in forced_kernels(default.summary["platform"]["openblas_core"]):
+        forced = run_config(ROOT, config, out / core / f"{config.stem}.csv",
+                            OPENBLAS_CORETYPE=core)
+        notes.append(f"{compare_kernels(default, forced, core)} cells differ under {core}")
+    return (f"{', '.join(notes)}, all within the bound;"
+            f" rank_deficient_solves {default.summary['rank_deficient_solves']}")
 
 
 def against(tree: Path, config: Path, out: Path) -> str:

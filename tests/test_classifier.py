@@ -28,7 +28,7 @@ from unlearn_lab.classifier import (
 from unlearn_lab.errors import DivergenceError
 from unlearn_lab.experiments import FIELDS, validate_config
 from unlearn_lab.linalg import projector
-from unlearn_lab.metrics import Metrics, accuracy
+from unlearn_lab.metrics import accuracy
 
 from softmax_reference import (
     _mixed_value_and_grad,
@@ -423,20 +423,21 @@ class TestPipelineTrends:
     SCHEDULE = (250, 0.1)  # epochs, step_size
 
     def test_naive_ft_barely_forgets_while_retrain_does(self):
-        [naive] = run_seed_grid(self.TASK, [("naive-ft", 0.0)], [0], *self.SCHEDULE)[0]
-        [golden] = run_seed_grid(self.TASK, [("retrain", 0.0)], [0], *self.SCHEDULE)[0]
-        assert golden.ua > 0.9
-        assert naive.ua <= golden.ua - 0.3
-        assert naive.ra > 0.95
+        [(naive_ua, naive_ra, _)] = run_seed_grid(
+            self.TASK, [("naive-ft", 0.0)], [0], *self.SCHEDULE)[0]
+        [(golden_ua, _, _)] = run_seed_grid(self.TASK, [("retrain", 0.0)], [0], *self.SCHEDULE)[0]
+        assert golden_ua > 0.9
+        assert naive_ua <= golden_ua - 0.3
+        assert naive_ra > 0.95
 
     def test_regularized_ft_forgets_and_retains(self):
-        [kl] = run_seed_grid(self.TASK, [("kl-ft", 0.5)], [0], *self.SCHEDULE)[0]
-        assert kl.ua >= 0.9
-        assert kl.ra >= 0.9
+        [(ua, ra, _)] = run_seed_grid(self.TASK, [("kl-ft", 0.5)], [0], *self.SCHEDULE)[0]
+        assert ua >= 0.9
+        assert ra >= 0.9
 
     def test_golden_retrain_never_saw_the_class(self):
-        [golden] = run_seed_grid(self.TASK, [("retrain", 0.0)], [1], *self.SCHEDULE)[1]
-        assert golden.ua > 0.9
+        [(ua, _, _)] = run_seed_grid(self.TASK, [("retrain", 0.0)], [1], *self.SCHEDULE)[1]
+        assert ua > 0.9
 
 
 class TestSplitClass:
@@ -498,7 +499,7 @@ class TestSeedGrid:
         assert len(grid) == len(self.PAIRS)
         for (variant, alpha), metrics in zip(self.PAIRS, grid):
             [alone] = run_seed_grid(self.TASK, [(variant, alpha)], [3], *self.SCHEDULE)[3]
-            assert (metrics.ua, metrics.ra, metrics.ta) == (alone.ua, alone.ra, alone.ta)
+            assert metrics.tolist() == alone.tolist()
 
     def test_stacked_weights_equal_one_member_runs(self):
         train, _ = gen_class_task(4, 15, 6, sep=3.0, seed=3)
@@ -552,8 +553,9 @@ class TestSeedGrid:
                 assert data.features[i].tobytes() == mine.features.tobytes()
                 assert np.array_equal(data.labels, mine.labels)
         assert list(grid) == seeds
-        assert grid == {seed: run_seed_grid(self.TASK, self.PAIRS, [seed], *self.SCHEDULE)[seed]
-                        for seed in seeds}
+        assert {seed: scores.tolist() for seed, scores in grid.items()} == {
+            seed: run_seed_grid(self.TASK, self.PAIRS, [seed], *self.SCHEDULE)[seed].tolist()
+            for seed in seeds}
 
     def test_unknown_variant_rejected_before_any_work(self):
         with pytest.raises(ValueError, match="gradient-ascent"):
@@ -959,7 +961,7 @@ class TestLayoutContract:
             grid = run_seed_grid(self.TASK, self.PAIRS, [0, 1], 60, 0.1)
             [(models, scores)] = calls
             _assert_reads_its_member(grid, [0, 1], self.PAIRS, scores)
-            return [(m.ua, m.ra, m.ta) for seed in (0, 1) for m in grid[seed]], models
+            return [tuple(m) for seed in (0, 1) for m in grid[seed].tolist()], models
 
         want_rows, want_models = run()
         monkeypatch.setattr(classifier, "gen_class_task", lambda *args: tuple(
@@ -1033,8 +1035,8 @@ class TestMixingExactness:
 def _scoring(monkeypatch):
     """Every ``classifier_metrics`` call made through the classifier
     module, as ``(parameters, scores)`` in call order: the scored weights
-    and bias packed as ``(M, S, K, D + 1)`` parameters, and the ``(M, S)``
-    scores the call returned."""
+    and bias packed as ``(M, S, K, D + 1)`` parameters, and the ``(M, S,
+    3)`` scores the call returned."""
     calls = []
     real = classifier.classifier_metrics
 
@@ -1058,16 +1060,16 @@ def _members(pairs):
 
 
 def _assert_reads_its_member(grid, seeds, pairs, scores):
-    """Every pair of every seed of ``grid`` is its member's :class:`Metrics`
-    for that seed in ``scores``, the grid's one scoring call's ``(M, S)``
-    result, and every member is scored once per seed."""
+    """Every pair of every seed of ``grid`` holds its member's UA, RA and TA
+    for that seed in ``scores``, the grid's one scoring call's ``(M, S,
+    3)`` result, and every member is scored once per seed."""
     members = _members(pairs)
-    assert scores.shape == (max(members) + 1, len(seeds))
+    assert scores.shape == (max(members) + 1, len(seeds), 3)
     assert list(grid) == seeds
     for i, seed in enumerate(seeds):
-        assert len(grid[seed]) == len(pairs)
+        assert grid[seed].shape == (len(pairs), 3)
         for metrics, k in zip(grid[seed], members):
-            assert metrics is scores[k, i]
+            assert metrics.tobytes() == scores[k, i].tobytes()
 
 
 @pytest.fixture
@@ -1146,11 +1148,11 @@ class TestDistinctObjectives:
         grid = run_seed_grid(task, pairs, [4], *schedule)[4]
         # Keys: kl/ice at 0.3, retrain, naive/kl at 0, ce at 0.3.
         [(models, scores)] = calls
-        assert models.shape[:2] == scores.shape == (4, 1)
-        assert all(metrics is scores[k, 0] for metrics, k in zip(grid, [0, 1, 0, 2, 1, 2, 3]))
+        assert models.shape[:2] == scores.shape[:2] == (4, 1)
+        assert np.array_equal(grid, scores[[0, 1, 0, 2, 1, 2, 3], 0])
         for pair, metrics in zip(pairs, grid):
             [alone] = run_seed_grid(task, [pair], [4], *schedule)[4]
-            assert (metrics.ua, metrics.ra, metrics.ta) == (alone.ua, alone.ra, alone.ta)
+            assert metrics.tolist() == alone.tolist()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_retrain_equals_pretrain_on_remain(self, fits, monkeypatch, seed):
@@ -1204,7 +1206,7 @@ class TestDistinctObjectives:
         assert members.shape[:2] == (3, 1)
         for k, group in enumerate(([0, 1], [2, 3, 4], [5])):
             for i in group:
-                assert grid[i] is scores[k, 0]
+                assert grid[i].tobytes() == scores[k, 0].tobytes()
                 del calls[:]
                 run_seed_grid(task, [pairs[i]], [3], *schedule)
                 [(alone, _)] = calls
@@ -1233,7 +1235,8 @@ class TestDistinctObjectives:
         [(shape, evaluations)] = fits
         [(models, scores)] = scored
         assert shape == (1, 2) and models.shape[:2] == (2, 1)
-        assert grid[0] is grid[1] is scores[0, 0] and grid[2] is scores[1, 0]
+        assert np.array_equal(grid, scores[[0, 0, 1], 0])
+        assert not np.array_equal(scores[0, 0], scores[1, 0])
         w, b, _, attempts = _objective_alone(
             weights, bias, remain, forget, "ice-ft", 1.0, epochs, 0.1)
         assert len(attempts) > 1  # the objective needed halvings
@@ -1382,7 +1385,7 @@ class TestSeedStack:
         assert str(excinfo.value) == message
 
         def scores(grid):
-            return {seed: [(m.ua, m.ra, m.ta) for m in metrics] for seed, metrics in grid.items()}
+            return {seed: metrics.tolist() for seed, metrics in grid.items()}
 
         clean = run_seed_grid(task, pairs, [0, 2], *schedule)
         assert list(clean) == [0, 2]
@@ -1435,6 +1438,23 @@ def test_stacked_seeds_equal_their_own_runs_on_drawn_configs(case):
     assert stacked.failures == [failure for run in alone for failure in run.failures]
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=_small_classifier_configs())
+def test_every_score_of_drawn_configs_is_a_fraction_of_its_sets_hits(case):
+    # UA, RA and TA count hits on the forget, remain and held-out remain
+    # sets, so each lies in [0, 1] on a multiple of one over its set's size.
+    experiment, cfg = case
+    num_classes, per_class = cfg["task"]["num_classes"], cfg["task"]["per_class"]
+    sizes = {"ua": per_class, "ra": (num_classes - 1) * per_class,
+             "ta": (num_classes - 1) * per_class}
+    result = experiments.run_experiment(experiment, cfg)
+    for row in result.rows:
+        if isinstance(row["seed"], int):
+            for name, size in sizes.items():
+                assert 0.0 <= row[name] <= 1.0, (name, row)
+                assert abs(row[name] - round(row[name] * size) / size) <= 1e-12, (name, row)
+
+
 class TestRetainedSubspace:
     """The paper's retention mechanism, exact for the softmax model.  Every
     CE(remain) gradient ``Z X_r^T`` has its rows in the span of the remain
@@ -1467,7 +1487,7 @@ class TestRetainedSubspace:
         monkeypatch.setattr(classifier, "pretrain", pretrain_spy)
         monkeypatch.setattr(classifier, "unlearn_ft", unlearn_ft_spy)
         grid = run_seed_grid(task, self.PAIRS, seeds, 500, 0.1)
-        assert all(isinstance(scores, list) for scores in grid.values())
+        assert all(scores.shape == (len(self.PAIRS), 3) for scores in grid.values())
         # The members in the order of their first pairs: naive-ft, retrain,
         # kl-ft and its ice-ft twin, ce-ft.
         starts, coefs, final = returned["unlearn_ft"]
@@ -1573,7 +1593,8 @@ def _exploding_task(monkeypatch, stuck=False):
     it scores and measures nothing.  Returns the task, the remain and
     relabeled forget sets as the fine-tune gets them, the pretrained
     weights and, per scoring call, the scored ``(M, S, K, D + 1)``
-    parameters and the distinct zero scores it returned."""
+    parameters and the ``(M, S, 3)`` scores it returned, distinct for
+    each model."""
     remain, forget, weights, _ = _exploding_forget_problem()
     features = np.full_like(forget.features, np.inf) if stuck else forget.features
     train = LabeledSet(np.hstack([remain.features, features]),
@@ -1582,8 +1603,8 @@ def _exploding_task(monkeypatch, stuck=False):
     scored = []
 
     def score(weights, bias, *args):
-        scored.append((pack(weights, bias), np.frompyfunc(Metrics, 3, 1)(
-            *np.zeros((3, *weights.shape[:-2])))))
+        scored.append((pack(weights, bias),
+                       np.arange(3.0 * bias[..., 0].size).reshape(*weights.shape[:-2], 3)))
         return scored[-1][1]
 
     monkeypatch.setattr(classifier, "gen_class_task", lambda *args: (train, train))

@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -187,12 +188,13 @@ class TestSchemas:
     # Each experiment's small config and the stages its summary must name.
     STAGED = [
         ("verify-theorems", dict(VERIFY_CFG, nt_values=[1, 10]),
-         {"generate", "solve", "measure", "oracle", "report"}),
-        ("sweep-nt", NT_DISTINCT_CFG, {"generate", "solve", "measure", "report"}),
-        ("sweep-overlap", OVERLAP_CFG, {"generate", "solve", "measure", "report"}),
+         {"import_rng", "generate", "solve", "measure", "oracle", "report"}),
+        ("sweep-nt", NT_DISTINCT_CFG, {"import_rng", "generate", "solve", "measure", "report"}),
+        ("sweep-overlap", OVERLAP_CFG, {"import_rng", "generate", "solve", "measure", "report"}),
         ("classifier-demo", dict(DEMO_CFG, variants=["naive-ft", "retrain"]),
-         {"generate", "pretrain", "fine_tune", "score", "report"}),
-        ("sweep-alpha", ALPHA_CFG, {"generate", "pretrain", "fine_tune", "score", "report"}),
+         {"import_rng", "generate", "pretrain", "fine_tune", "score", "report"}),
+        ("sweep-alpha", ALPHA_CFG,
+         {"import_rng", "generate", "pretrain", "fine_tune", "score", "report"}),
     ]
 
     @pytest.mark.parametrize("experiment,cfg,names", STAGED)
@@ -202,7 +204,7 @@ class TestSchemas:
         summary = json.loads(summary_path_for(csv_path).read_text())
         stages = summary["stages"]
         assert list(stages) == list(experiments.STAGES[experiment])
-        assert stages.keys() == names
+        assert stages.keys() == names and next(iter(stages)) == "import_rng"
         assert all(seconds >= 0.0 for seconds in stages.values())
         # The stages never nest, so their sum cannot exceed the run's time.
         assert sum(stages.values()) <= summary["total_runtime_seconds"]
@@ -349,6 +351,33 @@ class TestVerifyRowsFromArrays:
         _, all_nan = self._edit_rows([1, 10, 29])
         assert [(row["edit_rl_gap_max"], row["edit_ul_gap_max"], row["pass"])
                 for row in all_nan] == [(0.0, 0.0, False)] * 6
+
+    def test_the_golden_relative_gap_reads_zero_over_zero_as_zero_and_more_as_inf(
+        self, monkeypatch
+    ):
+        # Against a zero golden UL prediction, a zero measured UL gives a
+        # relative gap of 0 and any other gives inf, with no warning.
+        real_predict, real_measure = experiments.predict_distinct, experiments.measure_losses
+
+        def zero_gold(w, scenario):
+            rl, ul = real_measure(w, scenario)
+            # The golden weights are the one (S, d) stack that is measured.
+            return (rl, ul * 0.0) if w.ndim == 2 else (rl, ul)
+
+        cfg = validate_config(VERIFY_CFG, "verify-theorems")
+        monkeypatch.setattr(experiments, "predict_distinct",
+                            lambda scenario: (0.0, real_predict(scenario)[1] * 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            measured = run_experiment("verify-theorems", cfg).rows
+            monkeypatch.setattr(experiments, "measure_losses", zero_gold)
+            zeroed = run_experiment("verify-theorems", cfg).rows
+        distinct = [(row["ul_gold"], row["ul_gold_rel_gap"], row["pass"])
+                    for rows in (measured, zeroed) for row in rows if row["check"] == "distinct"]
+        assert [(gap, passed) for _, gap, passed in distinct] == [(math.inf, False)] * 2 + [
+            (0.0, True)] * 2
+        assert all(ul > 0.0 for ul, _, _ in distinct[:2])
+        assert all(ul == 0.0 for ul, _, _ in distinct[2:])
 
     @pytest.mark.parametrize("right", [True, False])
     def test_pass_cells_are_python_bools_and_render_true_or_false(self, monkeypatch, right):

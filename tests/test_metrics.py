@@ -9,8 +9,6 @@ import pytest
 from unlearn_lab.classifier import LabeledSet
 from unlearn_lab.errors import InvalidMatrixError
 from unlearn_lab.metrics import (
-    GapEntry,
-    Metrics,
     accuracy,
     classifier_metrics,
     gap_report,
@@ -24,7 +22,6 @@ from unlearn_lab.oracle import (
 )
 from unlearn_lab.scenarios import (
     FeatureLayout,
-    decompose_w_star,
     fine_tune_subset,
     gen_scenario,
     stack_scenarios,
@@ -216,29 +213,30 @@ class TestGapReport:
 
     def test_identical_values_pass_with_zero_gaps(self):
         measured = (0.0, 0.5)
-        report = gap_report(measured, self.PRED)
-        assert report.passed
-        assert all(e.abs_gap == 0.0 and e.rel_gap == 0.0 for e in (report.rl, report.ul))
+        gaps, passed = gap_report(measured, self.PRED)
+        assert passed
+        assert all(gap == 0.0 for gap in gaps)
 
     def test_tiny_measurement_passes_absolute_floor(self):
         measured = (1e-12, 0.5)
-        assert gap_report(measured, self.PRED).passed
+        assert gap_report(measured, self.PRED)[1]
 
     def test_relative_gap_failure(self):
         measured = (0.0, 0.6)
-        report = gap_report(measured, self.PRED)
-        assert not report.passed
-        ul_entry = report.ul
-        assert abs(ul_entry.rel_gap - 0.2) < 1e-12
+        (_, ul_gap), passed = gap_report(measured, self.PRED)
+        assert not passed
+        assert abs(ul_gap / self.PRED[1] - 0.2) < 1e-12
 
     def test_edited_pair_within_the_floor(self):
-        assert gap_report((0.0, 1.0 + 1e-11), (0.0, 1.0)).passed
+        assert gap_report((0.0, 1.0 + 1e-11), (0.0, 1.0))[1]
 
-    def test_entries_are_named(self):
+    def test_gaps_come_in_rl_ul_order(self):
         measured = (0.25, 0.5)
-        report = gap_report(measured, self.PRED)
-        assert (report.rl.abs_gap, report.ul.abs_gap) == (0.25, 0.0)
-        assert not report.passed and not report.rl.ok and report.ul.ok
+        gaps, passed = gap_report(measured, self.PRED)
+        assert gaps == (0.25, 0.0)
+        assert not passed
+        assert not within_tolerance(measured[0], self.PRED[0])
+        assert within_tolerance(measured[1], self.PRED[1])
 
 
 def _bits(values) -> bytes:
@@ -285,49 +283,43 @@ class TestStackedReports:
             for measured, predicted, each in (
                     (series["fine_tuned"], FINE_TUNED, [FINE_TUNED] * len(self.NT_VALUES)),
                     (series["edited"], over_nt, predictions)):
-                stacked = gap_report(measured, predicted)
+                stacked_gaps, stacked_passed = gap_report(measured, predicted)
                 alone = [gap_report((float(rl), float(ul)), p)
                          for rl, ul, p in zip(*measured, each)]
-                for name in ("rl", "ul"):
-                    entry = getattr(stacked, name)
-                    entries = [getattr(report, name) for report in alone]
-                    for field in ("abs_gap", "rel_gap"):
-                        stacked_field = np.broadcast_to(getattr(entry, field), len(entries))
-                        assert _bits(stacked_field) == _bits(
-                            [getattr(e, field) for e in entries]), (name, field)
-                    assert entry.ok.tolist() == [e.ok for e in entries]
-                assert stacked.passed is all(report.passed for report in alone) is True
+                for k, name in enumerate(("rl", "ul")):
+                    stacked_gap = np.broadcast_to(stacked_gaps[k], len(alone))
+                    assert _bits(stacked_gap) == _bits([gaps[k] for gaps, _ in alone]), name
+                    assert within_tolerance(measured[k], predicted[k]).tolist() == [
+                        within_tolerance(float(m), p[k]) for m, p in zip(measured[k], each)]
+                assert stacked_passed is all(passed for _, passed in alone) is True
 
     def test_zero_and_nan_predictions_compare_without_warnings(self):
-        # Zero prediction: zero gap -> rel 0 and pass; nonzero gap -> rel inf
-        # and fail.  NaN prediction: NaN gaps, and a fail.
+        # Zero prediction: zero gap -> pass; nonzero gap beyond the floor ->
+        # fail.  NaN prediction: NaN gaps, and a fail.
         measured = (np.array([0.0, 0.5, 0.5]), np.array([0.0, 1e-12, 0.5]))
         predicted = (np.array([0.0, 0.0, np.nan]), np.array([0.0, 0.0, np.nan]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = gap_report(measured, predicted)
+            (rl_gap, ul_gap), passed = gap_report(measured, predicted)
             alone = [gap_report((rl, ul), (p_rl, p_ul))
                      for rl, ul, p_rl, p_ul in zip(*(a.tolist() for a in (*measured, *predicted)))]
             assert within_tolerance(np.array([1e300, np.inf]), np.array([-1e300, np.inf])).tolist() \
                 == [False, False]
-        assert report.rl.rel_gap[:2].tolist() == [0.0, np.inf]
-        assert report.ul.rel_gap[:2].tolist() == [0.0, np.inf]
-        assert np.isnan(report.rl.abs_gap[2]) and np.isnan(report.rl.rel_gap[2])
-        assert report.rl.ok.tolist() == [True, False, False]
+            rl_ok, ul_ok = (within_tolerance(m, p) for m, p in zip(measured, predicted))
+        assert rl_gap[:2].tolist() == [0.0, 0.5] and ul_gap[:2].tolist() == [0.0, 1e-12]
+        assert np.isnan(rl_gap[2]) and np.isnan(ul_gap[2])
+        assert rl_ok.tolist() == [True, False, False]
         # The absolute floor passes the tiny gap against a zero prediction.
-        assert report.ul.ok.tolist() == [True, True, False]
-        assert not report.passed
-        assert [a.rl.rel_gap for a in alone[:2]] == [0.0, np.inf]
-        assert np.isnan(alone[2].rl.rel_gap)
-        assert [a.rl.ok for a in alone] == [True, False, False]
-        assert [a.passed for a in alone] == [True, False, False]
+        assert ul_ok.tolist() == [True, True, False]
+        assert not passed
+        assert [gaps[0] for gaps, _ in alone[:2]] == [0.0, 0.5]
+        assert np.isnan(alone[2][0][0])
+        assert [ok for _, ok in alone] == [True, False, False]
 
     def test_scalars_are_the_zero_dimensional_case(self):
-        report = gap_report((0.0, 0.6), TestGapReport.PRED)
-        for entry in (report.rl, report.ul):
-            assert type(entry.abs_gap) is float and type(entry.rel_gap) is float
-            assert type(entry.ok) is bool
-        assert type(report.passed) is bool
+        gaps, passed = gap_report((0.0, 0.6), TestGapReport.PRED)
+        assert [type(gap) for gap in gaps] == [float, float]
+        assert type(passed) is bool
         assert within_tolerance(1.0, 1.0) is True and within_tolerance(1.0, 2.0) is False
         ok = within_tolerance(np.array([1.0, 1.0 + 1e-9, 2.0]), 1.0)
         assert ok.tolist() == [within_tolerance(m, 1.0) for m in (1.0, 1.0 + 1e-9, 2.0)]
@@ -351,13 +343,13 @@ class TestClassifierMetrics:
     def test_perfect_forget_predictions_give_zero_ua(self):
         data = self._set([2, 2, 2])
         model = _constant_logit_model(3, 4, favored=2)
-        metrics = classifier_metrics(*model, data, data, data)
-        assert metrics.ua == 0.0 and metrics.ra == 1.0 and metrics.ta == 1.0
+        ua, ra, ta = classifier_metrics(*model, data, data, data)
+        assert ua == 0.0 and ra == 1.0 and ta == 1.0
 
     def test_total_forgetting_gives_unit_ua(self):
         data = self._set([1, 1, 1, 1])
         model = _constant_logit_model(3, 4, favored=0)
-        assert classifier_metrics(*model, data, data, data).ua == 1.0
+        assert classifier_metrics(*model, data, data, data)[0] == 1.0
 
     def test_empty_set_rejected(self):
         data = self._set([0, 1])
@@ -386,15 +378,11 @@ class TestClassifierMetrics:
         data = LabeledSet(features=np.zeros((2, 1)), labels=np.array([0]))
         assert accuracy(np.zeros((3, 2)), np.zeros(3), data) == 1.0
 
-    def test_fraction_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            Metrics(ua=1.2, ra=0.0, ta=0.0)
-
 
 class TestStackedScoring:
     """A stack of models scores in one call, and each model gets the bits
-    of its own 2-D call: a float accuracy and a :class:`Metrics` of
-    floats."""
+    of its own 2-D call: a float accuracy and a ``(3,)`` array of UA, RA
+    and TA."""
 
     @pytest.mark.parametrize("columns", [1, 2, 9])
     @pytest.mark.parametrize("seeds", [0, 2], ids=["one-set", "stacked-sets"])
@@ -411,31 +399,23 @@ class TestStackedScoring:
         weights[1], bias[1] = 0.0, 0.0
         ra = accuracy(weights, bias, sets[1])
         scores = classifier_metrics(weights, bias, *sets)
-        assert ra.shape == scores.shape == lead and scores.dtype == object
+        assert ra.shape == lead and scores.shape == lead + (3,) and scores.dtype == np.float64
         assert np.all(ra[1] == np.mean(labels == 0))
         for index in np.ndindex(lead):
             own = [LabeledSet(s.features[index[1:]], labels) for s in sets]
             alone = accuracy(weights[index], bias[index], own[1])
             assert type(alone) is float and alone == ra[index]
             mine = classifier_metrics(weights[index], bias[index], *own)
-            assert type(mine) is Metrics
-            got = dataclasses.astuple(scores[index])
-            assert [type(value) for value in got] == [float] * 3
-            assert got == dataclasses.astuple(mine)
+            assert mine.shape == (3,)
+            assert _bits(scores[index]) == _bits(mine)
 
 
 class TestArrayHoldersCompareByIdentity:
-    """The linear side's scenarios and gap entries hold arrays, so they
-    compare, hash and test membership by identity instead of raising."""
+    """The linear side's scenarios hold arrays, so they compare, hash and
+    test membership by identity instead of raising."""
 
     def test_equal_valued_holders_are_distinct_and_hashable(self):
-        def scenario():
-            return gen_scenario(5, 2, FeatureLayout(4, 0, 4), 0)
-
-        for make in (scenario,
-                     lambda: decompose_w_star(scenario()),
-                     lambda: GapEntry(np.zeros(2), np.zeros(2), np.ones(2, bool))):
-            first, second = make(), make()
-            assert first == first and first != second
-            assert first in [second, first] and first not in [second]
-            assert hash(first) == hash(first) and len({first, second}) == 2
+        first, second = (gen_scenario(5, 2, FeatureLayout(4, 0, 4), 0) for _ in range(2))
+        assert first == first and first != second
+        assert first in [second, first] and first not in [second]
+        assert hash(first) == hash(first) and len({first, second}) == 2

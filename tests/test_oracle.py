@@ -129,9 +129,9 @@ class TestPredictOverlap:
         from unlearn_lab.linalg import projector, weighted_seminorm_sq
         from unlearn_lab.scenarios import decompose_w_star
 
-        parts = decompose_w_star(t)
+        w_r, _, w_f = decompose_w_star(t)
         p_r = projector(t.x_r)
-        expected = weighted_seminorm_sq(p_r @ parts.w_r - parts.w_f, t.x_f)
+        expected = weighted_seminorm_sq(p_r @ w_r - w_f, t.x_f)
         assert abs(predict_overlap(t)[1] - expected) <= 1e-12 * max(expected, 1.0)
 
     def test_reference_geometry_matches_measurement(self):

@@ -135,28 +135,28 @@ class TestGenScenario:
 class TestDistinctLabelFidelity:
     def test_labels_depend_only_on_own_block_when_distinct(self):
         s = gen_scenario(12, 6, FeatureLayout(10, 0, 10), seed=9)
-        parts = decompose_w_star(s)
-        np.testing.assert_array_equal(s.y_r, s.x_r.T @ parts.w_r)
-        np.testing.assert_array_equal(s.y_f, s.x_f.T @ parts.w_f)
+        w_r, _, w_f = decompose_w_star(s)
+        np.testing.assert_array_equal(s.y_r, s.x_r.T @ w_r)
+        np.testing.assert_array_equal(s.y_f, s.x_f.T @ w_f)
 
 
 class TestDecomposeWStar:
     def test_parts_sum_exactly(self):
         s = gen_scenario(12, 6, FeatureLayout(9, 3, 9), seed=1)
-        parts = decompose_w_star(s)
-        np.testing.assert_array_equal(parts.w_r + parts.w_lap + parts.w_f, s.w_star)
+        w_r, w_lap, w_f = decompose_w_star(s)
+        np.testing.assert_array_equal(w_r + w_lap + w_f, s.w_star)
 
     def test_disjoint_supports(self):
         s = gen_scenario(12, 6, FeatureLayout(9, 3, 9), seed=1)
-        parts = decompose_w_star(s)
-        assert np.all(parts.w_r[9:] == 0.0)
-        assert np.all(parts.w_lap[:9] == 0.0)
-        assert np.all(parts.w_lap[12:] == 0.0)
-        assert np.all(parts.w_f[:12] == 0.0)
+        w_r, w_lap, w_f = decompose_w_star(s)
+        assert np.all(w_r[9:] == 0.0)
+        assert np.all(w_lap[:9] == 0.0)
+        assert np.all(w_lap[12:] == 0.0)
+        assert np.all(w_f[:12] == 0.0)
 
     def test_empty_overlap_part_is_zero(self):
         s = gen_scenario(12, 6, FeatureLayout(10, 0, 10), seed=2)
-        assert np.all(decompose_w_star(s).w_lap == 0.0)
+        assert np.all(decompose_w_star(s)[1] == 0.0)
 
     def test_zero_weights_give_zero_parts(self):
         s = gen_scenario(12, 6, FeatureLayout(9, 3, 9), seed=2)
@@ -165,16 +165,16 @@ class TestDecomposeWStar:
             y_r=np.zeros(s.n_r), y_f=np.zeros(s.n_f),
             w_star=np.zeros(s.d),
         )
-        parts = decompose_w_star(zeroed)
-        assert np.all(parts.w_r == 0.0)
-        assert np.all(parts.w_lap == 0.0)
-        assert np.all(parts.w_f == 0.0)
+        w_r, w_lap, w_f = decompose_w_star(zeroed)
+        assert np.all(w_r == 0.0)
+        assert np.all(w_lap == 0.0)
+        assert np.all(w_f == 0.0)
 
     def test_cross_products_vanish_exactly(self):
         s = gen_scenario(12, 6, FeatureLayout(9, 3, 9), seed=4)
-        parts = decompose_w_star(s)
-        np.testing.assert_array_equal(s.x_f.T @ parts.w_r, np.zeros(s.n_f))
-        np.testing.assert_array_equal(s.x_r.T @ parts.w_f, np.zeros(s.n_r))
+        w_r, _, w_f = decompose_w_star(s)
+        np.testing.assert_array_equal(s.x_f.T @ w_r, np.zeros(s.n_f))
+        np.testing.assert_array_equal(s.x_r.T @ w_f, np.zeros(s.n_r))
 
 
 class TestFineTuneSubset:

@@ -19,7 +19,7 @@ from shipped_checks import (
     compare_kernels,
     compare_rank_counts,
     compare_stacked,
-    forced_kernel,
+    forced_kernels,
 )
 
 LINEAR = """\
@@ -143,11 +143,39 @@ class TestKernelRun:
             compare_kernels(run(CLASSIFIER), forced, "Haswell")
 
     @pytest.mark.parametrize("default,forced", [
-        ("SkylakeX", "Haswell"), ("Haswell", "Sandybridge"), ("Zen", "Sandybridge"),
-        (None, "Haswell"),
+        ("SkylakeX", ["Haswell", "Sandybridge"]), ("Haswell", ["Sandybridge"]),
+        ("Zen", ["Sandybridge"]), ("Sandybridge", ["Haswell"]),
+        (None, ["Haswell", "Sandybridge"]),
     ])
-    def test_the_forced_kernel_differs_from_the_default(self, default, forced):
-        assert forced_kernel(default) == forced
+    def test_each_forced_kernel_differs_from_the_default(self, default, forced):
+        assert forced_kernels(default) == forced
+
+    @pytest.mark.parametrize("bad", [None, "Sandybridge"])
+    def test_the_check_runs_every_forced_kernel_and_fails_on_any(
+        self, monkeypatch, tmp_path, bad
+    ):
+        # A stand-in CLI: the default run is SkylakeX's, and the forced
+        # kernel ``bad`` reads a beyond-the-bound cell.
+        forced = []
+
+        def fake_run(tree, config, out, *flags, OPENBLAS_CORETYPE=None):
+            forced.append((OPENBLAS_CORETYPE, out.parent.name))
+            if OPENBLAS_CORETYPE is None:
+                return run(core="SkylakeX")
+            text = LINEAR.replace("2.5\n", "2.50000000001\n") if OPENBLAS_CORETYPE == bad else LINEAR
+            return run(text, core=OPENBLAS_CORETYPE)
+
+        monkeypatch.setattr(shipped_checks, "run_config", fake_run)
+        config = tmp_path / "sweep_nt.json"
+        if bad is None:
+            note = shipped_checks.kernel(config, tmp_path)
+            assert note.startswith("0 cells differ under Haswell, 0 cells differ under Sandybridge")
+        else:
+            with pytest.raises(CheckFailed, match="reads 2.5 on the default kernel and"
+                                                  " 2.50000000001 on Sandybridge"):
+                shipped_checks.kernel(config, tmp_path)
+        assert forced == [(None, "default"), ("Haswell", "Haswell"),
+                          ("Sandybridge", "Sandybridge")]
 
 
 class TestDigests:

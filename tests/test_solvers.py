@@ -55,10 +55,10 @@ class TestTrainOriginal:
     def test_distinct_layout_block_decomposition(self):
         s = gen_scenario(12, 6, FeatureLayout(10, 0, 10), seed=3)
         w_o = train_original(s)
-        parts = decompose_w_star(s)
+        w_r, _, w_f = decompose_w_star(s)
         p_r = projector(s.x_r)
         p_f = projector(s.x_f)
-        assert np.max(np.abs(w_o - (p_r @ parts.w_r + p_f @ parts.w_f))) <= 1e-9
+        assert np.max(np.abs(w_o - (p_r @ w_r + p_f @ w_f))) <= 1e-9
 
 
 class TestFineTuneUnlearn:
@@ -247,16 +247,16 @@ class TestRetrainGolden:
     def test_equals_projected_kept_weights(self):
         s = gen_scenario(18, 8, FeatureLayout(14, 6, 14), seed=8)
         w_g = retrain_golden(s)
-        parts = decompose_w_star(s)
+        w_r, w_lap, _ = decompose_w_star(s)
         p_r = projector(s.x_r)
-        assert np.max(np.abs(w_g - p_r @ (parts.w_r + parts.w_lap))) <= 1e-9
+        assert np.max(np.abs(w_g - p_r @ (w_r + w_lap))) <= 1e-9
 
     def test_distinct_layout_uses_remaining_weights_only(self):
         s = gen_scenario(12, 6, FeatureLayout(10, 0, 10), seed=9)
         w_g = retrain_golden(s)
-        parts = decompose_w_star(s)
+        w_r, _, _ = decompose_w_star(s)
         p_r = projector(s.x_r)
-        assert np.max(np.abs(w_g - p_r @ parts.w_r)) <= 1e-9
+        assert np.max(np.abs(w_g - p_r @ w_r)) <= 1e-9
 
     def test_determined_remaining_subsystem(self):
         # n_r = d_r with full-rank remaining features pins the remaining
@@ -358,10 +358,10 @@ class TestClosedFormDistinct:
         )
         x, _ = t.joint_data()
         p = projector(x)
-        parts = decompose_w_star(t)
+        w_r, _, _ = decompose_w_star(t)
         for n_t in (1, 6, 12):
             w_cf = closed_form_wt_distinct(t, n_t)
-            assert np.max(np.abs(w_cf - p @ parts.w_r)) < 1e-12
+            assert np.max(np.abs(w_cf - p @ w_r)) < 1e-12
 
     def test_requires_distinct_layout(self):
         s = gen_scenario(30, 10, OVERLAP, seed=15)
